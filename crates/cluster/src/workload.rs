@@ -85,8 +85,31 @@ impl StreamResult {
     }
 }
 
+/// One period of the workload byte pattern: byte `i` of a message is
+/// `i % 251`.
+const PATTERN: [u8; 251] = {
+    let mut p = [0u8; 251];
+    let mut i = 0;
+    while i < p.len() {
+        p[i] = i as u8;
+        i += 1;
+    }
+    p
+};
+
+/// Append pattern bytes to `v` until it holds `n`, one memcpy per period.
+fn extend_pattern(v: &mut Vec<u8>, n: usize) {
+    while v.len() < n {
+        let at = v.len() % PATTERN.len();
+        let take = (PATTERN.len() - at).min(n - v.len());
+        v.extend_from_slice(&PATTERN[at..at + take]);
+    }
+}
+
 fn payload(n: usize) -> Bytes {
-    Bytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<_>>())
+    let mut v = Vec::with_capacity(n);
+    extend_pattern(&mut v, n);
+    Bytes::from(v)
 }
 
 /// How many messages to stream for a given size: enough to reach steady
@@ -1124,7 +1147,7 @@ const CHAOS_WINDOW: usize = 4;
 fn chaos_payload(tag: usize, size: usize) -> Bytes {
     let mut v = Vec::with_capacity(size);
     v.extend_from_slice(&(tag as u64).to_be_bytes());
-    v.extend((8..size).map(|i| (i % 251) as u8));
+    extend_pattern(&mut v, size);
     Bytes::from(v)
 }
 
@@ -1471,6 +1494,20 @@ mod tests {
     use super::*;
     use crate::builder::{ClusterConfig, Topology};
     use clic_ethernet::LossModel;
+
+    #[test]
+    fn payload_bytes_match_the_per_byte_formula() {
+        for n in [0, 1, 7, 8, 9, 250, 251, 252, 1500, 65_543, 4 << 20] {
+            let want: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+            assert_eq!(payload(n), want, "payload({n})");
+            let tag = 0x0102_0304_0506_0708 + n;
+            let mut want = (tag as u64).to_be_bytes().to_vec();
+            want.extend((8..n).map(|i| (i % 251) as u8));
+            assert_eq!(chaos_payload(tag, n), want, "chaos_payload(_, {n})");
+            // Short chaos messages still carry the whole 8-byte tag.
+            assert_eq!(chaos_payload(tag, n).len(), n.max(8));
+        }
+    }
 
     fn chaos_pair(loss: f64) -> ClusterConfig {
         let mut cfg = ClusterConfig::paper_pair();

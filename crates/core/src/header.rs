@@ -190,7 +190,8 @@ impl ClicHeader {
     /// field is repurposed as the receiver's advertised window in packets
     /// (0 when no budget is configured) — so for `PacketType::Ack` the
     /// payload is always empty and `len` is not a byte count.
-    pub fn decode(buf: &[u8]) -> Option<(ClicHeader, Bytes)> {
+    /// The payload is a slice of `buf`, not a copy.
+    pub fn decode(buf: &Bytes) -> Option<(ClicHeader, Bytes)> {
         if buf.len() < CLIC_HEADER {
             return None;
         }
@@ -210,7 +211,7 @@ impl ClicHeader {
         if buf.len() < end {
             return None;
         }
-        Some((header, Bytes::copy_from_slice(&buf[CLIC_HEADER..end])))
+        Some((header, buf.slice(CLIC_HEADER..end)))
     }
 }
 
@@ -271,6 +272,7 @@ mod tests {
             };
             let mut wire = h.encode().to_vec();
             wire.extend_from_slice(&[9, 8, 7, 6]);
+            let wire = Bytes::from(wire);
             let (parsed, payload) = ClicHeader::decode(&wire).unwrap();
             assert_eq!(parsed, h);
             if ptype == PacketType::Ack {
@@ -278,6 +280,8 @@ mod tests {
                 assert!(payload.is_empty());
             } else {
                 assert_eq!(&payload[..], &[9, 8, 7, 6]);
+                // The payload is a view into the frame, not a copy.
+                assert_eq!(payload.as_ptr(), wire[CLIC_HEADER..].as_ptr());
             }
         }
     }
@@ -296,7 +300,7 @@ mod tests {
         };
         let mut wire = h.encode().to_vec();
         wire.resize(46, 0); // Ethernet min-payload padding only
-        let (parsed, payload) = ClicHeader::decode(&wire).unwrap();
+        let (parsed, payload) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
         assert_eq!(parsed.len, 64);
         assert!(payload.is_empty());
     }
@@ -329,13 +333,13 @@ mod tests {
         let mut wire = h.encode().to_vec();
         wire.extend_from_slice(&[1, 2, 3]);
         wire.resize(46, 0); // Ethernet min-payload padding
-        let (_, payload) = ClicHeader::decode(&wire).unwrap();
+        let (_, payload) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
         assert_eq!(&payload[..], &[1, 2, 3]);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(ClicHeader::decode(&[1, 2, 3]).is_none()); // too short
+        assert!(ClicHeader::decode(&Bytes::from_static(&[1, 2, 3])).is_none()); // too short
         let mut wire = ClicHeader {
             ptype: PacketType::Data,
             flags: 0,
@@ -347,10 +351,10 @@ mod tests {
         .encode()
         .to_vec();
         wire.extend_from_slice(&[0; 10]);
-        assert!(ClicHeader::decode(&wire).is_none());
-        let mut bad_type = [0u8; 12];
+        assert!(ClicHeader::decode(&Bytes::from(wire)).is_none());
+        let mut bad_type = vec![0u8; 12];
         bad_type[0] = 99;
-        assert!(ClicHeader::decode(&bad_type).is_none());
+        assert!(ClicHeader::decode(&Bytes::from(bad_type)).is_none());
     }
 
     #[test]
@@ -375,7 +379,7 @@ mod tests {
         let mut wire = h.encode().to_vec();
         assert_eq!(wire[0], 1 | CE_BIT);
         wire.extend_from_slice(&[0xaa, 0xbb]);
-        let (parsed, payload) = ClicHeader::decode(&wire).unwrap();
+        let (parsed, payload) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
         assert_eq!(parsed, h);
         assert!(parsed.ce);
         assert_eq!(&payload[..], &[0xaa, 0xbb]);
@@ -384,9 +388,9 @@ mod tests {
         clean.ce = false;
         assert_eq!(clean.encode()[0], 1);
         // A marked byte with a garbage low ptype still rejects.
-        let mut bad = [0u8; 12];
+        let mut bad = vec![0u8; 12];
         bad[0] = CE_BIT | 99;
-        assert!(ClicHeader::decode(&bad).is_none());
+        assert!(ClicHeader::decode(&Bytes::from(bad)).is_none());
     }
 
     #[test]

@@ -1916,6 +1916,15 @@ impl ClicModule {
                 let (_msg_id, total) =
                     // lint:allow(no-unwrap, reason="the send path always stamps the message prefix on the first fragment; in-order delivery is guaranteed by the recv window")
                     decode_msg_prefix(&chunk).expect("first fragment lacks message prefix");
+                if chunk.len() - MSG_PREFIX >= total as usize {
+                    // Single-fragment message: the frame already holds it.
+                    return Some(RecvMsg {
+                        src,
+                        channel: header.channel,
+                        ptype: header.ptype,
+                        data: chunk.slice(MSG_PREFIX..),
+                    });
+                }
                 let mut buf = BytesMut::with_capacity(total as usize);
                 buf.put_slice(&chunk[MSG_PREFIX..]);
                 Assembly {

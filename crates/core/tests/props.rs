@@ -45,7 +45,7 @@ proptest! {
             wire.extend_from_slice(&payload);
         }
         wire.resize(wire.len().max(46), 0); // Ethernet padding
-        let (parsed, body) = ClicHeader::decode(&wire).unwrap();
+        let (parsed, body) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
         prop_assert_eq!(parsed, h);
         if is_ack {
             prop_assert!(body.is_empty(), "ACK decode must not surface padding");

@@ -168,8 +168,9 @@ impl CollMsg {
     }
 
     /// Decode a frame payload (ignoring any minimum-frame padding past the
-    /// message body). Returns `None` for malformed payloads.
-    pub fn decode(payload: &[u8]) -> Option<CollMsg> {
+    /// message body). Returns `None` for malformed payloads. Broadcast data
+    /// is a slice of `payload`, not a copy.
+    pub fn decode(payload: &Bytes) -> Option<CollMsg> {
         let (&op, rest) = payload.split_first()?;
         let seq = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?);
         let val =
@@ -187,7 +188,7 @@ impl CollMsg {
             }),
             5 => Some(CollMsg::Bcast {
                 seq,
-                data: Bytes::copy_from_slice(rest.get(4..)?),
+                data: payload.slice(5..),
             }),
             _ => None,
         }
@@ -499,5 +500,25 @@ impl CollEngine {
         // lint:allow(time-overflow, reason="u32 per-class collective counter; 2^32 collectives exceed any run")
         *seq += 1;
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bcast_roundtrip_slices_the_frame() {
+        let msg = CollMsg::Bcast {
+            seq: 7,
+            data: Bytes::from_static(b"payload"),
+        };
+        let wire = msg.encode();
+        let Some(CollMsg::Bcast { seq, data }) = CollMsg::decode(&wire) else {
+            panic!("bcast did not decode");
+        };
+        assert_eq!((seq, &data[..]), (7, &b"payload"[..]));
+        // The data is a view into the frame, not a copy.
+        assert_eq!(data.as_ptr(), wire[5..].as_ptr());
     }
 }

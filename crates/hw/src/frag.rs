@@ -51,8 +51,9 @@ impl FragHeader {
         out
     }
 
-    /// Parse the shim from the front of a fragment payload.
-    pub fn decode(buf: &[u8]) -> Option<(FragHeader, Bytes)> {
+    /// Parse the shim from the front of a fragment payload; the body is a
+    /// slice of `buf`, not a copy.
+    pub fn decode(buf: &Bytes) -> Option<(FragHeader, Bytes)> {
         if buf.len() < FRAG_HEADER {
             return None;
         }
@@ -66,7 +67,7 @@ impl FragHeader {
         if header.count == 0 || header.index >= header.count {
             return None;
         }
-        Some((header, Bytes::copy_from_slice(&buf[FRAG_HEADER..])))
+        Some((header, buf.slice(FRAG_HEADER..)))
     }
 }
 
@@ -110,7 +111,7 @@ impl Reassembler {
 
     /// Offer one fragment payload (shim included) from `source`. Returns the
     /// reassembled packet when this fragment completes it.
-    pub fn offer(&mut self, source: u64, buf: &[u8]) -> Option<Bytes> {
+    pub fn offer(&mut self, source: u64, buf: &Bytes) -> Option<Bytes> {
         let (header, body) = FragHeader::decode(buf)?;
         let key = (source, header.packet_id);
         let slots = self
@@ -160,28 +161,32 @@ mod tests {
         };
         let mut buf = h.encode().to_vec();
         buf.extend_from_slice(b"body");
+        let buf = Bytes::from(buf);
         let (parsed, body) = FragHeader::decode(&buf).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(&body[..], b"body");
+        // The body is a view into the fragment, not a copy.
+        assert_eq!(body.as_ptr(), buf[FRAG_HEADER..].as_ptr());
     }
 
     #[test]
     fn decode_rejects_bad_shims() {
-        assert!(FragHeader::decode(&[0; 4]).is_none()); // short
+        assert!(FragHeader::decode(&Bytes::from(vec![0; 4])).is_none()); // short
         let h = FragHeader {
             packet_id: 1,
             index: 5,
             count: 5,
             ethertype: 0,
         };
-        assert!(FragHeader::decode(&h.encode()).is_none()); // index >= count
+        assert!(FragHeader::decode(&Bytes::from(h.encode().to_vec())).is_none()); // index >= count
         let z = FragHeader {
             packet_id: 1,
             index: 0,
             count: 0,
             ethertype: 0,
         };
-        assert!(FragHeader::decode(&z.encode()).is_none()); // zero count
+        let zero_count = Bytes::from(z.encode().to_vec());
+        assert!(FragHeader::decode(&zero_count).is_none());
     }
 
     #[test]

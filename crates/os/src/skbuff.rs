@@ -73,8 +73,11 @@ impl SkBuff {
 
     /// Linearize header + data into the on-wire payload. (In the model this
     /// is how the scatter-gather DMA presents the frame; it is not a
-    /// CPU copy.)
+    /// CPU copy.) Header-less buffers come back as the data itself.
     pub fn linearize(&self) -> Bytes {
+        if self.header.is_empty() {
+            return self.data.clone();
+        }
         let mut out = BytesMut::with_capacity(self.wire_payload_len());
         out.put_slice(&self.header);
         out.put_slice(&self.data);
@@ -109,6 +112,13 @@ mod tests {
         let skb = SkBuff::zero_copy(Bytes::from_static(&[1, 2]), Bytes::from_static(&[3, 4, 5]));
         assert_eq!(skb.wire_payload_len(), 5);
         assert_eq!(&skb.linearize()[..], &[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn headerless_linearize_shares_the_data() {
+        let data = Bytes::from(vec![4u8; 64]);
+        let skb = SkBuff::zero_copy(Bytes::new(), data.clone());
+        assert_eq!(skb.linearize().as_ptr(), data.as_ptr());
     }
 
     #[test]

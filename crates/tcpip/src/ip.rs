@@ -52,14 +52,44 @@ impl IpProto {
 
 /// RFC 1071 Internet checksum.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
+    fold(word_sum(data))
+}
+
+/// [`internet_checksum`] over a TCP/UDP pseudo-header (`src`, `dst`,
+/// `proto`, `len`) followed by `parts`, summed in place instead of over a
+/// concatenated copy. Every part but the last must have even length.
+pub fn pseudo_header_checksum(
+    src: IpAddr,
+    dst: IpAddr,
+    proto: IpProto,
+    len: u16,
+    parts: &[&[u8]],
+) -> u16 {
+    let mut sum = word_sum(&src.0.to_be_bytes())
+        + word_sum(&dst.0.to_be_bytes())
+        + u64::from(proto.to_u8())
+        + u64::from(len);
+    for (i, part) in parts.iter().enumerate() {
+        debug_assert!(i + 1 == parts.len() || part.len() % 2 == 0);
+        sum += word_sum(part);
+    }
+    fold(sum)
+}
+
+/// Sum of `data` as big-endian 16-bit words, an odd tail byte zero-padded.
+fn word_sum(data: &[u8]) -> u64 {
     let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
+    let mut sum: u64 = (&mut chunks)
+        .map(|c| u64::from(u16::from_be_bytes([c[0], c[1]])))
+        .sum();
     if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+        sum += u64::from(u16::from_be_bytes([*last, 0]));
     }
+    sum
+}
+
+/// Fold carries back in (one's-complement addition) and complement.
+fn fold(mut sum: u64) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
@@ -109,8 +139,9 @@ impl Ipv4Header {
         h
     }
 
-    /// Parse and verify; returns the header and its payload slice.
-    pub fn decode(buf: &[u8]) -> Option<(Ipv4Header, Bytes)> {
+    /// Parse and verify; returns the header and its payload, a slice of
+    /// `buf` rather than a copy.
+    pub fn decode(buf: &Bytes) -> Option<(Ipv4Header, Bytes)> {
         if buf.len() < IPV4_HEADER || buf[0] != 0x45 {
             return None;
         }
@@ -132,7 +163,7 @@ impl Ipv4Header {
             ttl: buf[8],
             payload_len: (total - IPV4_HEADER) as u16,
         };
-        Some((header, Bytes::copy_from_slice(&buf[IPV4_HEADER..total])))
+        Some((header, buf.slice(IPV4_HEADER..total)))
     }
 }
 
@@ -277,9 +308,12 @@ mod tests {
         };
         let mut wire = h.encode().to_vec();
         wire.extend_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        let wire = Bytes::from(wire);
         let (parsed, body) = Ipv4Header::decode(&wire).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(&body[..], &[1, 2, 3, 4, 5, 6, 7, 8]);
+        // The payload is a view into the packet, not a copy.
+        assert_eq!(body.as_ptr(), wire[IPV4_HEADER..].as_ptr());
     }
 
     #[test]
@@ -296,7 +330,7 @@ mod tests {
         };
         let mut wire = h.encode().to_vec();
         wire[15] ^= 0xff; // flip a source-address byte
-        assert!(Ipv4Header::decode(&wire).is_none());
+        assert!(Ipv4Header::decode(&Bytes::from(wire)).is_none());
     }
 
     #[test]
@@ -314,7 +348,7 @@ mod tests {
         let mut wire = h.encode().to_vec();
         wire.extend_from_slice(&[9, 9, 9, 9]);
         wire.resize(46, 0);
-        let (_, body) = Ipv4Header::decode(&wire).unwrap();
+        let (_, body) = Ipv4Header::decode(&Bytes::from(wire)).unwrap();
         assert_eq!(&body[..], &[9, 9, 9, 9]);
     }
 

@@ -14,7 +14,7 @@
 //! paper's curves.
 
 use crate::costs::TcpIpCosts;
-use crate::ip::{internet_checksum, IpAddr, IpProto, Ipv4Header};
+use crate::ip::{pseudo_header_checksum, IpAddr, IpProto, Ipv4Header};
 use crate::stack::{IpLayer, IpProtoHandler};
 use bytes::{BufMut, Bytes, BytesMut};
 use clic_os::{Kernel, Pid};
@@ -72,14 +72,8 @@ impl Segment {
         h[13] = self.flags;
         h[14..16].copy_from_slice(&self.window.to_be_bytes());
         // Checksum over pseudo header + segment.
-        let mut pseudo = Vec::with_capacity(12 + TCP_HEADER + payload.len());
-        pseudo.extend_from_slice(&src.0.to_be_bytes());
-        pseudo.extend_from_slice(&dst.0.to_be_bytes());
-        pseudo.extend_from_slice(&[0, 6]);
-        pseudo.extend_from_slice(&((TCP_HEADER + payload.len()) as u16).to_be_bytes());
-        pseudo.extend_from_slice(&h);
-        pseudo.extend_from_slice(payload);
-        let csum = internet_checksum(&pseudo);
+        let len = (TCP_HEADER + payload.len()) as u16;
+        let csum = pseudo_header_checksum(src, dst, IpProto::Tcp, len, &[&h, payload]);
         h[16..18].copy_from_slice(&csum.to_be_bytes());
         let mut out = BytesMut::with_capacity(TCP_HEADER + payload.len());
         out.put_slice(&h);
@@ -87,18 +81,13 @@ impl Segment {
         out.freeze()
     }
 
-    fn decode(src: IpAddr, dst: IpAddr, buf: &[u8]) -> Option<(Segment, Bytes)> {
+    /// Verify and parse a segment; the data is a slice of `buf`, not a copy.
+    fn decode(src: IpAddr, dst: IpAddr, buf: &Bytes) -> Option<(Segment, Bytes)> {
         if buf.len() < TCP_HEADER {
             return None;
         }
         // Verify: checksum over pseudo header + full segment must be 0.
-        let mut pseudo = Vec::with_capacity(12 + buf.len());
-        pseudo.extend_from_slice(&src.0.to_be_bytes());
-        pseudo.extend_from_slice(&dst.0.to_be_bytes());
-        pseudo.extend_from_slice(&[0, 6]);
-        pseudo.extend_from_slice(&(buf.len() as u16).to_be_bytes());
-        pseudo.extend_from_slice(buf);
-        if internet_checksum(&pseudo) != 0 {
+        if pseudo_header_checksum(src, dst, IpProto::Tcp, buf.len() as u16, &[buf]) != 0 {
             return None;
         }
         let seg = Segment {
@@ -113,8 +102,32 @@ impl Segment {
         if off < TCP_HEADER || buf.len() < off {
             return None;
         }
-        Some((seg, Bytes::copy_from_slice(&buf[off..])))
+        Some((seg, buf.slice(off..)))
     }
+}
+
+/// Take the first `n` bytes queued in `bufs` (which must hold at least
+/// `n`): a slice when the front buffer covers them, gathered otherwise.
+fn take_front(bufs: &mut VecDeque<Bytes>, n: usize) -> Bytes {
+    if bufs.front().is_some_and(|head| head.len() >= n) {
+        let head = bufs.pop_front().expect("front checked above");
+        if head.len() > n {
+            bufs.push_front(head.slice(n..));
+        }
+        return head.slice(..n);
+    }
+    let mut out = BytesMut::with_capacity(n);
+    while out.len() < n {
+        let head = bufs
+            .pop_front()
+            .expect("caller checked the queue holds n bytes");
+        let need = n - out.len();
+        if head.len() > need {
+            bufs.push_front(head.slice(need..));
+        }
+        out.put_slice(&head[..need.min(head.len())]);
+    }
+    out.freeze()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -537,21 +550,8 @@ impl TcpStack {
                     return;
                 }
                 let take = mss.min(c.send_buf_bytes).min(wnd - flight);
-                // Gather `take` bytes from the socket buffer.
-                let mut payload = BytesMut::with_capacity(take);
-                while payload.len() < take {
-                    let mut head = c.send_buf.pop_front().unwrap();
-                    let need = take - payload.len();
-                    if head.len() <= need {
-                        payload.put_slice(&head);
-                    } else {
-                        payload.put_slice(&head.slice(..need));
-                        head = head.slice(need..);
-                        c.send_buf.push_front(head);
-                    }
-                }
+                let payload = take_front(&mut c.send_buf, take);
                 c.send_buf_bytes -= take;
-                let payload = payload.freeze();
                 let seg = Segment {
                     src_port: c.local_port,
                     dst_port: c.peer_port,
@@ -1063,20 +1063,9 @@ impl TcpStack {
                 match c.readers.front() {
                     Some(&(len, _)) if c.recv_buf_bytes >= len => {
                         let (len, cont) = c.readers.pop_front().unwrap();
-                        let mut out = BytesMut::with_capacity(len);
-                        while out.len() < len {
-                            let mut head = c.recv_buf.pop_front().unwrap();
-                            let need = len - out.len();
-                            if head.len() <= need {
-                                out.put_slice(&head);
-                            } else {
-                                out.put_slice(&head.slice(..need));
-                                head = head.slice(need..);
-                                c.recv_buf.push_front(head);
-                            }
-                        }
+                        let data = take_front(&mut c.recv_buf, len);
                         c.recv_buf_bytes -= len;
-                        Some((out.freeze(), cont, c.pid))
+                        Some((data, cont, c.pid))
                     }
                     _ => None,
                 }
@@ -1124,6 +1113,19 @@ mod tests {
         let (parsed, data) = Segment::decode(src, dst, &wire).unwrap();
         assert_eq!(parsed, seg);
         assert_eq!(&data[..], b"payload");
+        // The data is a view into the segment, not a copy.
+        assert_eq!(data.as_ptr(), wire[TCP_HEADER..].as_ptr());
+    }
+
+    #[test]
+    fn take_front_slices_one_buffer_and_gathers_across_many() {
+        let a = Bytes::from_static(b"abcdef");
+        let mut q: VecDeque<Bytes> = [a.clone(), Bytes::from_static(b"gh")].into();
+        let first = take_front(&mut q, 4);
+        assert_eq!(&first[..], b"abcd");
+        assert_eq!(first.as_ptr(), a.as_ptr(), "one buffer covers it: sliced");
+        assert_eq!(&take_front(&mut q, 3)[..], b"efg");
+        assert_eq!(q, [Bytes::from_static(b"h")]);
     }
 
     #[test]
@@ -1141,7 +1143,7 @@ mod tests {
         let wire = seg.encode(src, dst, b"x");
         let mut bad = wire.to_vec();
         bad[20] ^= 0x40; // flip the payload byte
-        assert!(Segment::decode(src, dst, &bad).is_none());
+        assert!(Segment::decode(src, dst, &Bytes::from(bad)).is_none());
         // Wrong pseudo-header (different src IP) must also fail.
         assert!(Segment::decode(IpAddr::for_node(9), dst, &wire).is_none());
     }

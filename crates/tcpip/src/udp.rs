@@ -4,7 +4,7 @@
 //! datagrams exercise IP fragmentation. Used by tests and by the PVM-like
 //! layer's control plane.
 
-use crate::ip::{internet_checksum, IpAddr, IpProto, Ipv4Header};
+use crate::ip::{pseudo_header_checksum, IpAddr, IpProto, Ipv4Header};
 use crate::stack::{IpLayer, IpProtoHandler};
 use bytes::{BufMut, Bytes, BytesMut};
 use clic_os::Kernel;
@@ -100,19 +100,13 @@ impl UdpStack {
                 )
             };
             Kernel::cpu_task(&kernel, sim, cost, move |sim| {
+                let len = (UDP_HEADER + data.len()) as u16;
                 let mut h = [0u8; UDP_HEADER];
                 h[0..2].copy_from_slice(&src_port.to_be_bytes());
                 h[2..4].copy_from_slice(&dst_port.to_be_bytes());
-                h[4..6].copy_from_slice(&((UDP_HEADER + data.len()) as u16).to_be_bytes());
+                h[4..6].copy_from_slice(&len.to_be_bytes());
                 // Checksum over pseudo header + datagram.
-                let mut pseudo = Vec::with_capacity(12 + UDP_HEADER + data.len());
-                pseudo.extend_from_slice(&src.0.to_be_bytes());
-                pseudo.extend_from_slice(&dst.0.to_be_bytes());
-                pseudo.extend_from_slice(&[0, 17]);
-                pseudo.extend_from_slice(&((UDP_HEADER + data.len()) as u16).to_be_bytes());
-                pseudo.extend_from_slice(&h);
-                pseudo.extend_from_slice(&data);
-                let csum = internet_checksum(&pseudo);
+                let csum = pseudo_header_checksum(src, dst, IpProto::Udp, len, &[&h, &data]);
                 h[6..8].copy_from_slice(&csum.to_be_bytes());
                 let mut pkt = BytesMut::with_capacity(UDP_HEADER + data.len());
                 pkt.put_slice(&h);
@@ -143,18 +137,19 @@ impl UdpStack {
                     return;
                 }
                 let my_ip = s.ip.borrow().ip();
-                let mut pseudo = Vec::with_capacity(12 + payload.len());
-                pseudo.extend_from_slice(&header.src.0.to_be_bytes());
-                pseudo.extend_from_slice(&my_ip.0.to_be_bytes());
-                pseudo.extend_from_slice(&[0, 17]);
                 let ulen = u16::from_be_bytes([payload[4], payload[5]]) as usize;
                 if ulen < UDP_HEADER || ulen > payload.len() {
                     s.rx_errors += 1;
                     return;
                 }
-                pseudo.extend_from_slice(&(ulen as u16).to_be_bytes());
-                pseudo.extend_from_slice(&payload[..ulen]);
-                if internet_checksum(&pseudo) != 0 {
+                let csum = pseudo_header_checksum(
+                    header.src,
+                    my_ip,
+                    IpProto::Udp,
+                    ulen as u16,
+                    &[&payload[..ulen]],
+                );
+                if csum != 0 {
                     s.rx_errors += 1;
                     return;
                 }

@@ -1,7 +1,9 @@
 //! Property-based tests for IP/TCP codecs, checksums and reassembly.
 
 use bytes::Bytes;
-use clic_tcpip::ip::{self, internet_checksum, IpAddr, IpProto, IpReassembler, Ipv4Header};
+use clic_tcpip::ip::{
+    self, internet_checksum, pseudo_header_checksum, IpAddr, IpProto, IpReassembler, Ipv4Header,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -28,6 +30,35 @@ proptest! {
         prop_assert_ne!(internet_checksum(&data), 0);
     }
 
+    /// The pseudo-header checksum summed part by part equals the RFC 1071
+    /// checksum of the concatenated bytes, for any even-length header and
+    /// any payload length (empty and odd included).
+    #[test]
+    fn pseudo_header_checksum_matches_concatenation(
+        src in any::<u32>(),
+        dst in any::<u32>(),
+        tcp in any::<bool>(),
+        header_words in proptest::collection::vec(any::<u16>(), 0..16),
+        payload in proptest::collection::vec(any::<u8>(), 0..1_500),
+        empty in any::<bool>(),
+    ) {
+        let payload = if empty { &[][..] } else { &payload[..] };
+        let header: Vec<u8> = header_words.iter().flat_map(|w| w.to_be_bytes()).collect();
+        let proto = if tcp { IpProto::Tcp } else { IpProto::Udp };
+        let len = (header.len() + payload.len()) as u16;
+        let mut concat = Vec::new();
+        concat.extend_from_slice(&src.to_be_bytes());
+        concat.extend_from_slice(&dst.to_be_bytes());
+        concat.extend_from_slice(&[0, if tcp { 6 } else { 17 }]);
+        concat.extend_from_slice(&len.to_be_bytes());
+        concat.extend_from_slice(&header);
+        concat.extend_from_slice(payload);
+        prop_assert_eq!(
+            pseudo_header_checksum(IpAddr(src), IpAddr(dst), proto, len, &[&header, payload]),
+            internet_checksum(&concat)
+        );
+    }
+
     /// IPv4 header roundtrip for arbitrary field combinations.
     #[test]
     fn ipv4_header_roundtrip(
@@ -52,7 +83,7 @@ proptest! {
         };
         let mut wire = h.encode().to_vec();
         wire.extend_from_slice(&payload);
-        let (parsed, body) = Ipv4Header::decode(&wire).unwrap();
+        let (parsed, body) = Ipv4Header::decode(&Bytes::from(wire)).unwrap();
         prop_assert_eq!(parsed, h);
         prop_assert_eq!(&body[..], &payload[..]);
     }
@@ -104,7 +135,7 @@ proptest! {
         };
         let mut wire = h.encode().to_vec();
         wire[pos] ^= mask;
-        match Ipv4Header::decode(&wire) {
+        match Ipv4Header::decode(&Bytes::from(wire)) {
             None => {} // rejected: good
             Some((parsed, _)) => {
                 // The only acceptable parse is the original (i.e. the flip
