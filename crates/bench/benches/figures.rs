@@ -1,4 +1,4 @@
-//! Criterion benchmarks: one per paper figure/table + ablations.
+//! Criterion benchmarks: one per `figures all` family.
 //!
 //! Each bench pushes the figure's job set through the same runner the
 //! `figures` binary uses (cache disabled so real work is measured), so
@@ -24,50 +24,10 @@ fn run_figure(kind: FigureKind) {
     let _ = kind.assemble(&results, &sizes);
 }
 
-fn bench_fig4(c: &mut Criterion) {
-    c.bench_function("fig4_clic_mtu_x_copy", |b| {
-        b.iter(|| run_figure(FigureKind::Fig4))
-    });
-}
-
-fn bench_fig5(c: &mut Criterion) {
-    c.bench_function("fig5_clic_vs_tcp", |b| {
-        b.iter(|| run_figure(FigureKind::Fig5))
-    });
-}
-
-fn bench_fig6(c: &mut Criterion) {
-    c.bench_function("fig6_middleware", |b| {
-        b.iter(|| run_figure(FigureKind::Fig6))
-    });
-}
-
-fn bench_fig7(c: &mut Criterion) {
-    c.bench_function("fig7_stage_breakdown", |b| {
-        b.iter(|| run_figure(FigureKind::Fig7))
-    });
-}
-
-fn bench_gamma_table(c: &mut Criterion) {
-    c.bench_function("gamma_comparison_table", |b| {
-        b.iter(|| run_figure(FigureKind::Gamma))
-    });
-}
-
-fn bench_ablations(c: &mut Criterion) {
-    let cases = [
-        ("ablation_coalescing", FigureKind::Coalescing),
-        ("ablation_fragmentation", FigureKind::Fragmentation),
-        ("ablation_bonding", FigureKind::Bonding),
-        ("ablation_syscall", FigureKind::Syscall),
-        ("ablation_loss", FigureKind::Loss),
-        ("ablation_cpu", FigureKind::Cpu),
-        ("ablation_latency_under_load", FigureKind::Load),
-        ("ablation_paths", FigureKind::Paths),
-        ("ablation_scaling", FigureKind::Scaling),
-    ];
-    for (name, kind) in cases {
-        c.bench_function(name, |b| b.iter(|| run_figure(kind)));
+/// One bench per `figures all` family, named after it.
+fn bench_families(c: &mut Criterion) {
+    for kind in FigureKind::ALL {
+        c.bench_function(kind.name(), |b| b.iter(|| run_figure(kind)));
     }
 }
 
@@ -88,7 +48,6 @@ fn bench_parallel_runner(c: &mut Criterion) {
 criterion_group! {
     name = figures;
     config = Criterion::default().sample_size(10);
-    targets = bench_fig4, bench_fig5, bench_fig6, bench_fig7, bench_gamma_table,
-        bench_ablations, bench_parallel_runner
+    targets = bench_families, bench_parallel_runner
 }
 criterion_main!(figures);

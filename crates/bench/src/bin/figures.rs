@@ -3,10 +3,8 @@
 //! ```text
 //! figures [--quick] [--json] [--jobs N] [--no-cache] [--cache-dir DIR]
 //!         [--metrics] <what>...
-//!   what: fig4 fig5 fig6 fig7 scalars gamma coalescing fragmentation
-//!         bonding syscall loss cpu load paths scaling reliability
-//!         chaos scale congestion claims all (chaos, scale and
-//!         congestion are opt-in: not part of all)
+//!   what: figure family names (`figures --help` lists them), claims, or
+//!         all (every family except the opt-in ones)
 //! figures trace [scenario] [--size N] [--mtu M] [--seed S] [--out FILE]
 //!         [--metrics] [--quick]
 //!   scenario: fig7a (default) fig7b fig7a-lossy tcp
@@ -31,18 +29,13 @@
 //! totals.
 
 use clic_bench::json::Json;
-use clic_bench::render::{series_ascii, series_csv};
+use clic_bench::render;
 use clic_bench::runner::{run_jobs, RunReport, RunnerConfig};
-use clic_cluster::experiments::{self, FigureKind, FigureOutput, ResultMap, Series, StageRow};
+use clic_cluster::experiments::{self, FigureKind, ResultMap, FAMILIES};
 use clic_cluster::observe::{self, TimelineScenario, TraceScenario};
 
-const USAGE: &str = "usage: figures [--quick|--smoke] [--json] [--jobs N] [--no-cache] \
-[--cache-dir DIR] [--metrics] <what>...
-  what: fig4 fig5 fig6 fig7 scalars gamma coalescing fragmentation
-        bonding syscall loss cpu load paths scaling reliability chaos
-        scale congestion claims all (chaos, scale and congestion are
-        opt-in: not part of all)
-   or: figures trace [fig7a|fig7b|fig7a-lossy|tcp] [--size N] [--mtu M]
+/// The usage text after the family list.
+const USAGE_TAIL: &str = "   or: figures trace [fig7a|fig7b|fig7a-lossy|tcp] [--size N] [--mtu M]
         [--seed S] [--out FILE] [--metrics] [--quick]
    or: figures timeline [fig7a|reliability|incast|chaos|congestion]
         [--bucket-us N]
@@ -54,6 +47,38 @@ const USAGE: &str = "usage: figures [--quick|--smoke] [--json] [--jobs N] [--no-
         (engine microbenches vs a BinaryHeap reference engine, plus a
         self-profiled uncached full-grid replay; results land in
         BENCH_figures.json)";
+
+/// The usage text, with the family list read from [`FAMILIES`].
+fn usage() -> String {
+    let opt_in: Vec<&str> = FAMILIES
+        .iter()
+        .filter(|f| !FigureKind::ALL.contains(&f.kind))
+        .map(|f| f.name)
+        .collect();
+    let (last, rest) = opt_in.split_last().expect("FAMILIES lists opt-in families");
+    let note = format!(
+        "({} and {last} are opt-in: not part of all)",
+        rest.join(", ")
+    );
+    let mut out = String::from(
+        "usage: figures [--quick|--smoke] [--json] [--jobs N] [--no-cache] \
+         [--cache-dir DIR] [--metrics] <what>...\n  what:",
+    );
+    let mut width = "  what:".len();
+    let words = FAMILIES.iter().map(|f| f.name).chain(["claims", "all"]);
+    for word in words.chain(note.split_whitespace()) {
+        if width + 1 + word.len() > 72 {
+            out.push_str("\n       ");
+            width = 7;
+        }
+        out.push(' ');
+        out.push_str(word);
+        width += 1 + word.len();
+    }
+    out.push('\n');
+    out.push_str(USAGE_TAIL);
+    out
+}
 
 /// Per-figure totals of the `m.`-prefixed measurement keys every job
 /// reports (schema v2; `events` since v5).
@@ -139,19 +164,14 @@ fn main() {
                 None => die("--cache-dir needs a path"),
             },
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return;
             }
             other if other.starts_with("--") => die(&format!("unknown flag '{other}'")),
             other => what.push(other.to_string()),
         }
     }
-    if what.is_empty() || what.iter().any(|w| w == "all") {
-        what = FigureKind::ALL
-            .iter()
-            .map(|k| k.name().to_string())
-            .collect();
-    }
+    let what = expand_all(what);
 
     let sizes = if quick {
         experiments::quick_sizes()
@@ -166,7 +186,16 @@ fn main() {
     let mut timings: Vec<(String, RunReport, MetricTotals)> = Vec::new();
     for item in &what {
         if item == "claims" {
-            render_claims(json);
+            let (results, _) = run_jobs(&experiments::claims_jobs(), &config);
+            let rows = experiments::claims(&results);
+            if json {
+                print!("{}", render::claims_json(&rows));
+            } else {
+                print!("{}", render::claims_text(&rows));
+                if rows.iter().any(|r| !r.pass) {
+                    std::process::exit(1);
+                }
+            }
             continue;
         }
         let Some(kind) = FigureKind::from_name(item) else {
@@ -176,7 +205,12 @@ fn main() {
         let specs = kind.jobs(&sizes);
         let (results, report) = run_jobs(&specs, &config);
         let totals = MetricTotals::from_results(&results);
-        render(json, kind, kind.assemble(&results, &sizes));
+        let output = kind.assemble(&results, &sizes);
+        if json {
+            print!("{}", render::json(&output));
+        } else {
+            print!("{}", render::text(kind.title(), &output));
+        }
         if metrics && !json {
             println!(
                 "[{}] metrics: drops={} retransmits={} peak_switch_queue_depth={}",
@@ -197,6 +231,20 @@ fn main() {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
+}
+
+/// Expand each `all` in place into the [`FigureKind::ALL`] names, keeping
+/// every other name and the order; no names at all means `all`.
+fn expand_all(mut what: Vec<String>) -> Vec<String> {
+    if what.is_empty() {
+        what.push("all".to_string());
+    }
+    what.into_iter()
+        .flat_map(|w| match w.as_str() {
+            "all" => FigureKind::ALL.map(|k| k.name().to_string()).to_vec(),
+            _ => vec![w],
+        })
+        .collect()
 }
 
 /// The `figures trace` subcommand: one traced message, any size and MTU.
@@ -232,7 +280,7 @@ fn run_trace(args: &[String]) {
                 None => die("--out needs a path"),
             },
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return;
             }
             other if other.starts_with("--") => die(&format!("unknown flag '{other}'")),
@@ -305,7 +353,7 @@ fn run_timeline_cmd(args: &[String]) {
                 _ => die("--jobs needs a positive integer"),
             },
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return;
             }
             other if other.starts_with("--") => die(&format!("unknown flag '{other}'")),
@@ -366,7 +414,7 @@ fn run_timeline_cmd(args: &[String]) {
 }
 
 fn die(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
+    eprintln!("{msg}\n{}", usage());
     std::process::exit(2);
 }
 
@@ -601,7 +649,7 @@ fn run_bench(args: &[String]) {
                 _ => die("--repeat needs a positive integer"),
             },
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return;
             }
             other => die(&format!("unknown bench argument '{other}'")),
@@ -728,7 +776,7 @@ fn run_bench(args: &[String]) {
     ]);
 
     if json {
-        print_json(bench.clone());
+        print!("{}", bench.pretty());
     } else {
         println!("== engine microbenches ({n} events, {repeat} runs, median) ==");
         println!(
@@ -847,715 +895,34 @@ fn bench_report(
     Json::obj(fields)
 }
 
-fn render(json: bool, kind: FigureKind, output: FigureOutput) {
-    match output {
-        FigureOutput::Series(series) => figure(json, kind.title(), &series),
-        FigureOutput::Stages { a, b } => render_fig7(json, kind.title(), &a, &b),
-        FigureOutput::Scalars(s) => render_scalars(json, kind.title(), &s),
-        FigureOutput::Gamma(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("protocol", Json::from(r.protocol.as_str())),
-                                ("latency_us", Json::Num(r.latency_us)),
-                                ("bandwidth_mbps", Json::Num(r.bandwidth_mbps)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:<16} {:>12} {:>16}",
-                    "protocol", "latency(us)", "bandwidth(Mb/s)"
-                );
-                for r in rows {
-                    println!(
-                        "{:<16} {:>12.1} {:>16.1}",
-                        r.protocol, r.latency_us, r.bandwidth_mbps
-                    );
-                }
-                println!("(paper: CLIC 36 us / ~600 Mb/s; GAMMA 32 us (GA620) / 768-824 Mb/s)");
-                println!();
-            }
-        }
-        FigureOutput::Coalescing(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("usecs", Json::Num(r.usecs as f64)),
-                                ("frames", Json::Num(r.frames as f64)),
-                                ("mbps", Json::Num(r.mbps)),
-                                ("irqs_per_kframe", Json::Num(r.irqs_per_kframe)),
-                                ("latency_us", Json::Num(r.latency_us)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:>7} {:>7} {:>10} {:>14} {:>12}",
-                    "usecs", "frames", "Mb/s", "irqs/kframe", "latency(us)"
-                );
-                for r in rows {
-                    println!(
-                        "{:>7} {:>7} {:>10.1} {:>14.1} {:>12.1}",
-                        r.usecs, r.frames, r.mbps, r.irqs_per_kframe, r.latency_us
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Bonding(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("width", Json::from(r.width)),
-                                ("mbps_pci33", Json::Num(r.mbps_pci33)),
-                                ("mbps_pci66", Json::Num(r.mbps_pci66)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:>6} {:>16} {:>16}",
-                    "width", "PCI 33/32 Mb/s", "PCI 66/64 Mb/s"
-                );
-                for r in rows {
-                    println!(
-                        "{:>6} {:>16.1} {:>16.1}",
-                        r.width, r.mbps_pci33, r.mbps_pci66
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Syscall(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("flavour", Json::from(r.flavour.as_str())),
-                                ("latency_us", Json::Num(r.latency_us)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                for r in rows {
-                    println!("{:<12} {:>8.2} us one-way", r.flavour, r.latency_us);
-                }
-                println!();
-            }
-        }
-        FigureOutput::Loss(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("loss", Json::Num(r.loss)),
-                                ("mbps", Json::Num(r.mbps)),
-                                ("retx_per_kpkt", Json::Num(r.retx_per_kpkt)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!("{:>8} {:>10} {:>14}", "loss", "Mb/s", "retx/kpkt");
-                for r in rows {
-                    println!("{:>8.3} {:>10.1} {:>14.2}", r.loss, r.mbps, r.retx_per_kpkt);
-                }
-                println!();
-            }
-        }
-        FigureOutput::Cpu(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("stack", Json::from(r.stack.as_str())),
-                                ("link_mbps", Json::Num(r.link_mbps as f64)),
-                                ("mbps", Json::Num(r.mbps)),
-                                ("pct_of_wire", Json::Num(r.pct_of_wire)),
-                                ("sender_cpu", Json::Num(r.sender_cpu)),
-                                ("receiver_cpu", Json::Num(r.receiver_cpu)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:<6} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                    "stack", "link Mb/s", "Mb/s", "% of wire", "tx CPU", "rx CPU"
-                );
-                for r in rows {
-                    println!(
-                        "{:<6} {:>10} {:>10.1} {:>9.1}% {:>9.0}% {:>9.0}%",
-                        r.stack,
-                        r.link_mbps,
-                        r.mbps,
-                        r.pct_of_wire,
-                        r.sender_cpu * 100.0,
-                        r.receiver_cpu * 100.0
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Load(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("stack", Json::from(r.stack.as_str())),
-                                ("loaded", Json::from(r.loaded)),
-                                ("min_us", Json::Num(r.min_us)),
-                                ("mean_us", Json::Num(r.mean_us)),
-                                ("p99_us", Json::Num(r.p99_us)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:<6} {:>8} {:>10} {:>10} {:>10}",
-                    "stack", "loaded", "min (us)", "mean (us)", "p99 (us)"
-                );
-                for r in rows {
-                    println!(
-                        "{:<6} {:>8} {:>10.1} {:>10.1} {:>10.1}",
-                        r.stack, r.loaded, r.min_us, r.mean_us, r.p99_us
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Paths(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("path", Json::Num(r.path as f64)),
-                                ("description", Json::from(r.description.as_str())),
-                                ("link_mbps", Json::Num(r.link_mbps as f64)),
-                                ("mbps", Json::Num(r.mbps)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:<5} {:>10} {:>10}  description",
-                    "path", "link Mb/s", "Mb/s"
-                );
-                for r in rows {
-                    println!(
-                        "{:<5} {:>10} {:>10.1}  {}",
-                        r.path, r.link_mbps, r.mbps, r.description
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Scaling(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("nodes", Json::from(r.nodes)),
-                                ("aggregate_mbps", Json::Num(r.aggregate_mbps)),
-                                ("per_node_mbps", Json::Num(r.per_node_mbps)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:>6} {:>16} {:>14}",
-                    "nodes", "aggregate Mb/s", "per node Mb/s"
-                );
-                for r in rows {
-                    println!(
-                        "{:>6} {:>16.1} {:>14.1}",
-                        r.nodes, r.aggregate_mbps, r.per_node_mbps
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Reliability(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("stack", Json::from(r.stack.as_str())),
-                                ("mtu", Json::from(r.mtu)),
-                                ("loss_pct", Json::Num(r.loss_pct)),
-                                ("bursty", Json::from(r.bursty)),
-                                ("mbps", Json::Num(r.mbps)),
-                                ("mean_us", Json::Num(r.mean_us)),
-                                ("p99_us", Json::Num(r.p99_us)),
-                                ("retx", Json::Num(r.retx)),
-                                ("drops", Json::Num(r.drops)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:<6} {:>6} {:>7} {:>8} {:>10} {:>10} {:>10} {:>7} {:>7}",
-                    "stack",
-                    "mtu",
-                    "loss%",
-                    "model",
-                    "Mb/s",
-                    "mean(us)",
-                    "p99(us)",
-                    "retx",
-                    "drops"
-                );
-                for r in rows {
-                    println!(
-                        "{:<6} {:>6} {:>7} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>7.0} {:>7.0}",
-                        r.stack,
-                        r.mtu,
-                        r.loss_pct,
-                        if r.bursty { "burst" } else { "uniform" },
-                        r.mbps,
-                        r.mean_us,
-                        r.p99_us,
-                        r.retx,
-                        r.drops
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Chaos { soak, incast } => {
-            if json {
-                let soak_rows = Json::Arr(
-                    soak.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("seed", Json::Num(r.seed as f64)),
-                                ("loss_pct", Json::Num(r.loss_pct)),
-                                ("crashes", Json::from(r.crashes)),
-                                ("flaps", Json::from(r.flaps)),
-                                ("posted", Json::Num(r.posted)),
-                                ("confirmed", Json::Num(r.confirmed)),
-                                ("failed", Json::Num(r.failed)),
-                                ("delivered", Json::Num(r.delivered)),
-                                ("err_peer_dead", Json::Num(r.err_peer_dead)),
-                                ("err_stale_epoch", Json::Num(r.err_stale_epoch)),
-                                ("err_max_retries", Json::Num(r.err_max_retries)),
-                                ("eras", Json::Num(r.eras)),
-                                ("stale_epoch_drops", Json::Num(r.stale_epoch_drops)),
-                                ("retx", Json::Num(r.retx)),
-                            ])
-                        })
-                        .collect(),
-                );
-                let incast_rows = Json::Arr(
-                    incast
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("budget_bytes", r.budget.map_or(Json::Null, Json::from)),
-                                ("senders", Json::from(r.senders)),
-                                ("delivered", Json::Num(r.delivered)),
-                                ("mean_us", Json::Num(r.mean_us)),
-                                ("p99_us", Json::Num(r.p99_us)),
-                                ("peak_buffered_bytes", Json::Num(r.peak_buffered_bytes)),
-                                ("elapsed_us", Json::Num(r.elapsed_us)),
-                            ])
-                        })
-                        .collect(),
-                );
-                print_json(Json::obj([("soak", soak_rows), ("incast", incast_rows)]));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:>4} {:>6} {:>7} {:>5} {:>7} {:>9} {:>7} {:>9} {:>5} {:>5} {:>5} {:>5} {:>10} {:>6}",
-                    "seed",
-                    "loss%",
-                    "crashes",
-                    "flaps",
-                    "posted",
-                    "confirmed",
-                    "failed",
-                    "delivered",
-                    "pdead",
-                    "stale",
-                    "maxr",
-                    "eras",
-                    "staledrops",
-                    "retx"
-                );
-                for r in soak {
-                    println!(
-                        "{:>4} {:>6} {:>7} {:>5} {:>7.0} {:>9.0} {:>7.0} {:>9.0} {:>5.0} {:>5.0} {:>5.0} {:>5.0} {:>10.0} {:>6.0}",
-                        r.seed,
-                        r.loss_pct,
-                        r.crashes,
-                        r.flaps,
-                        r.posted,
-                        r.confirmed,
-                        r.failed,
-                        r.delivered,
-                        r.err_peer_dead,
-                        r.err_stale_epoch,
-                        r.err_max_retries,
-                        r.eras,
-                        r.stale_epoch_drops,
-                        r.retx
-                    );
-                }
-                println!();
-                println!("-- 4-to-1 incast into a slow consumer --");
-                println!(
-                    "{:<10} {:>9} {:>10} {:>10} {:>12} {:>12}",
-                    "budget", "delivered", "mean(us)", "p99(us)", "peak buf(B)", "elapsed(us)"
-                );
-                for r in incast {
-                    let budget = r
-                        .budget
-                        .map(|b| format!("{}K", b / 1024))
-                        .unwrap_or_else(|| "none".into());
-                    println!(
-                        "{:<10} {:>9.0} {:>10.1} {:>10.1} {:>12.0} {:>12.1}",
-                        budget,
-                        r.delivered,
-                        r.mean_us,
-                        r.p99_us,
-                        r.peak_buffered_bytes,
-                        r.elapsed_us
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Congestion(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("workload", Json::from(r.workload)),
-                                ("fabric", Json::from(r.fabric)),
-                                ("senders", Json::from(r.senders)),
-                                ("control", Json::from(r.control)),
-                                ("goodput_mbps", Json::Num(r.goodput_mbps)),
-                                ("p99_us", Json::Num(r.p99_us)),
-                                ("drops", Json::Num(r.drops)),
-                                ("marks", Json::Num(r.marks)),
-                                ("echoes", Json::Num(r.echoes)),
-                                ("retx", Json::Num(r.retx)),
-                                ("peak_queue", Json::Num(r.peak_queue)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:<8} {:<10} {:>7} {:>7} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7} {:>6}",
-                    "workload",
-                    "fabric",
-                    "senders",
-                    "control",
-                    "Mb/s",
-                    "p99(us)",
-                    "drops",
-                    "marks",
-                    "echoes",
-                    "retx",
-                    "peakq"
-                );
-                for r in &rows {
-                    let p99 = if r.p99_us.is_nan() {
-                        "-".to_string()
-                    } else {
-                        format!("{:.1}", r.p99_us)
-                    };
-                    println!(
-                        "{:<8} {:<10} {:>7} {:>7} {:>10.1} {:>10} {:>7.0} {:>7.0} {:>7.0} {:>7.0} {:>6.0}",
-                        r.workload,
-                        r.fabric,
-                        r.senders,
-                        r.control,
-                        r.goodput_mbps,
-                        p99,
-                        r.drops,
-                        r.marks,
-                        r.echoes,
-                        r.retx,
-                        r.peak_queue
-                    );
-                }
-                println!();
-            }
-        }
-        FigureOutput::Scale(rows) => {
-            if json {
-                print_json(Json::Arr(
-                    rows.iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("fabric", Json::from(r.fabric)),
-                                ("nodes", Json::from(r.nodes)),
-                                ("backend", Json::from(r.backend)),
-                                ("barrier_us", Json::Num(r.barrier_us)),
-                                ("allreduce_us", Json::Num(r.allreduce_us)),
-                                ("switches", Json::Num(r.switches)),
-                                ("trunks", Json::Num(r.trunks)),
-                                ("coll_msgs", Json::Num(r.coll_msgs)),
-                                ("host_irqs", Json::Num(r.host_irqs)),
-                            ])
-                        })
-                        .collect(),
-                ));
-            } else {
-                println!("== {} ==", kind.title());
-                println!(
-                    "{:<10} {:>6} {:>8} {:>12} {:>13} {:>9} {:>7} {:>10} {:>10}",
-                    "fabric",
-                    "nodes",
-                    "backend",
-                    "barrier(us)",
-                    "allreduce(us)",
-                    "switches",
-                    "trunks",
-                    "coll msgs",
-                    "host irqs"
-                );
-                for r in &rows {
-                    println!(
-                        "{:<10} {:>6} {:>8} {:>12.1} {:>13.1} {:>9.0} {:>7.0} {:>10.0} {:>10.0}",
-                        r.fabric,
-                        r.nodes,
-                        r.backend,
-                        r.barrier_us,
-                        r.allreduce_us,
-                        r.switches,
-                        r.trunks,
-                        r.coll_msgs,
-                        r.host_irqs
-                    );
-                }
-                println!();
-            }
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn render_fig7(json: bool, title: &str, a: &[StageRow], b: &[StageRow]) {
-    if json {
-        let stages = |rows: &[StageRow]| {
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("stage", Json::from(r.stage.as_str())),
-                            ("us", Json::Num(r.us)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        print_json(Json::obj([("fig7a", stages(a)), ("fig7b", stages(b))]));
-        return;
+    fn names(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
     }
-    println!("== {title} ==");
-    println!("{:<18} {:>10} {:>10}", "stage", "7a (us)", "7b (us)");
-    let stage_names: Vec<&String> = a.iter().map(|r| &r.stage).collect();
-    for name in stage_names {
-        let va = a.iter().find(|r| &r.stage == name).map(|r| r.us);
-        let vb = b.iter().find(|r| &r.stage == name).map(|r| r.us);
-        println!(
-            "{:<18} {:>10} {:>10}",
-            name,
-            va.map(|v| format!("{v:.2}")).unwrap_or_default(),
-            vb.map(|v| format!("{v:.2}")).unwrap_or("-".into()),
+
+    #[test]
+    fn all_expands_in_place() {
+        let all: Vec<String> = FigureKind::ALL
+            .iter()
+            .map(|k| k.name().to_string())
+            .collect();
+        assert_eq!(expand_all(Vec::new()), all);
+        assert_eq!(expand_all(names(&["all"])), all);
+
+        let mut expected = names(&["chaos"]);
+        expected.extend(all.iter().cloned());
+        expected.extend(names(&["claims", "scale"]));
+        assert_eq!(
+            expand_all(names(&["chaos", "all", "claims", "scale"])),
+            expected
         );
-    }
-    let total = |rows: &[StageRow]| -> f64 {
-        rows.iter()
-            .filter(|r| {
-                ["driver_rx", "bottom_half", "clic_module_rx", "copy_to_user"]
-                    .contains(&r.stage.as_str())
-            })
-            .map(|r| r.us)
-            .sum()
-    };
-    println!(
-        "receive-path total: 7a = {:.1} us, 7b = {:.1} us (paper: ~20 -> ~5)",
-        total(a),
-        total(b)
-    );
-    println!();
-}
 
-fn render_scalars(json: bool, title: &str, s: &experiments::Scalars) {
-    if json {
-        print_json(Json::obj([
-            ("zero_byte_latency_us", Json::Num(s.zero_byte_latency_us)),
-            (
-                "clic_asymptote_9000_mbps",
-                Json::Num(s.clic_asymptote_9000_mbps),
-            ),
-            (
-                "clic_asymptote_1500_mbps",
-                Json::Num(s.clic_asymptote_1500_mbps),
-            ),
-            (
-                "tcp_asymptote_9000_mbps",
-                Json::Num(s.tcp_asymptote_9000_mbps),
-            ),
-            (
-                "clic_half_bandwidth_bytes_1500",
-                Json::from(s.clic_half_bandwidth_bytes_1500),
-            ),
-            (
-                "clic_half_bandwidth_bytes_9000",
-                Json::from(s.clic_half_bandwidth_bytes_9000),
-            ),
-            (
-                "tcp_half_bandwidth_bytes",
-                Json::from(s.tcp_half_bandwidth_bytes),
-            ),
-        ]));
-        return;
-    }
-    println!("== {title} ==");
-    println!(
-        "0-byte one-way latency : {:7.1} us   (paper: 36)",
-        s.zero_byte_latency_us
-    );
-    println!(
-        "CLIC asymptote MTU9000 : {:7.1} Mb/s (paper: ~600)",
-        s.clic_asymptote_9000_mbps
-    );
-    println!(
-        "CLIC asymptote MTU1500 : {:7.1} Mb/s (paper: ~450)",
-        s.clic_asymptote_1500_mbps
-    );
-    println!(
-        "TCP  asymptote MTU9000 : {:7.1} Mb/s (paper: CLIC > 2x TCP)",
-        s.tcp_asymptote_9000_mbps
-    );
-    println!(
-        "CLIC 50%-of-peak (1500): {:7} B    (paper: ~4 KB)",
-        s.clic_half_bandwidth_bytes_1500
-    );
-    println!(
-        "CLIC 50%-of-peak (9000): {:7} B",
-        s.clic_half_bandwidth_bytes_9000
-    );
-    println!(
-        "TCP  50%-of-peak       : {:7} B    (paper: ~16 KB)",
-        s.tcp_half_bandwidth_bytes
-    );
-    println!();
-}
-
-fn render_claims(json: bool) {
-    let rows = experiments::claims();
-    if json {
-        print_json(Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("id", Json::from(r.id.as_str())),
-                        ("claim", Json::from(r.claim.as_str())),
-                        ("measured", Json::from(r.measured.as_str())),
-                        ("pass", Json::from(r.pass)),
-                    ])
-                })
-                .collect(),
-        ));
-        return;
-    }
-    println!("== Paper-claim checklist ==");
-    let mut all_pass = true;
-    for r in &rows {
-        all_pass &= r.pass;
-        println!(
-            "[{}] {:<4} {}\n        measured: {}",
-            if r.pass { "PASS" } else { "FAIL" },
-            r.id,
-            r.claim,
-            r.measured
+        assert_eq!(
+            expand_all(names(&["fig7", "loss"])),
+            names(&["fig7", "loss"])
         );
-    }
-    println!();
-    println!(
-        "{} of {} claims reproduced",
-        rows.iter().filter(|r| r.pass).count(),
-        rows.len()
-    );
-    if !all_pass {
-        std::process::exit(1);
-    }
-}
-
-fn print_json(doc: Json) {
-    print!("{}", doc.pretty());
-}
-
-fn figure(json: bool, title: &str, series: &[Series]) {
-    if json {
-        print_json(Json::Arr(
-            series
-                .iter()
-                .map(|s| {
-                    Json::obj([
-                        ("label", Json::from(s.label.as_str())),
-                        (
-                            "points",
-                            Json::Arr(
-                                s.points
-                                    .iter()
-                                    .map(|p| {
-                                        Json::obj([
-                                            ("size", Json::from(p.size)),
-                                            ("mbps", Json::Num(p.mbps)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        ));
-    } else {
-        println!("== {title} ==");
-        print!("{}", series_csv(series));
-        println!();
-        print!("{}", series_ascii(series, 40));
-        println!();
     }
 }

@@ -8,6 +8,9 @@
 //! * [`runner`] — the worker pool + cache: executes
 //!   [`clic_cluster::jobs::JobSpec`] sets with results bit-identical to a
 //!   serial run.
+//! * [`render`] — the text and JSON `figures` prints for any family: one
+//!   renderer for every table, plus the curves, Figure 7 stages, §4
+//!   scalars and the claim checklist.
 //! * [`json`] — the minimal JSON reader/writer behind the cache,
 //!   `--json` output and `BENCH_figures.json`.
 //! * `figures bench` — the engine-performance family: microbenchmarks of
@@ -16,8 +19,8 @@
 //!   scheduler), plus an uncached full-grid replay reporting
 //!   whole-simulator events/second; results land in the `"bench"`
 //!   section of `BENCH_figures.json`.
-//! * `benches/figures.rs` — Criterion benchmarks wrapping each experiment
-//!   so regressions in simulator performance are visible.
+//! * `benches/figures.rs` — Criterion benchmarks, one per `figures all`
+//!   family, so regressions in simulator performance are visible.
 //! * `benches/engine.rs` — microbenchmarks of the DES engine itself
 //!   (events/second, resource contention overhead).
 

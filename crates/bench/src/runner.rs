@@ -257,14 +257,15 @@ fn write_cache(dir: &Path, spec: &JobSpec, m: &Measurement) {
 mod tests {
     use super::*;
     use clic_cluster::calibration::CostModel;
-    use clic_cluster::experiments::{self, run_serial};
+    use clic_cluster::experiments::{self, run_serial, FigureKind};
     use clic_cluster::jobs::sweep_point;
     use clic_cluster::workload::StackKind;
 
     fn small_grid() -> Vec<JobSpec> {
-        experiments::loss_jobs()
+        FigureKind::Loss
+            .jobs(&[])
             .into_iter()
-            .chain(experiments::syscall_jobs())
+            .chain(FigureKind::Syscall.jobs(&[]))
             .collect()
     }
 

@@ -144,7 +144,7 @@ fn trace_json_is_deterministic_across_runs() {
 fn fig7_job_metrics_identical_for_jobs_1_and_4() {
     // The m.* measurement keys ride the same determinism contract as the
     // stage values: worker count must be invisible.
-    let specs = experiments::fig7_jobs();
+    let specs = experiments::FigureKind::Fig7.jobs(&[]);
     let (serial, _) = run_jobs(&specs, &RunnerConfig::uncached(1));
     let (parallel, _) = run_jobs(&specs, &RunnerConfig::uncached(4));
     for id in ["fig7/7a", "fig7/7b"] {

@@ -1,19 +1,25 @@
-//! One function per paper figure/table, plus the DESIGN.md ablations.
+//! Every paper figure, table and ablation, as one figure family each.
 //!
-//! Every figure is decomposed into independent, named [`JobSpec`]s (see
-//! [`crate::jobs`]): `<figure>_jobs(..)` lists the grid points and
-//! `<figure>_from(..)` assembles the figure from a [`ResultMap`] keyed by
-//! job id — so assembly is independent of the order jobs completed in,
-//! and the whole grid can be executed by any scheduler (the parallel
-//! runner with its result cache lives in `clic-bench`). The plain
-//! `fig4(..)`-style functions are convenience wrappers that run their own
-//! jobs serially in-process.
+//! A family is one entry of [`FAMILIES`]: its CLI name, its title, its
+//! job grid and its assembly. `jobs` decomposes the family into
+//! independent, named [`JobSpec`]s (see [`crate::jobs`]) and `assemble`
+//! builds the family's [`FigureOutput`] from a [`ResultMap`] keyed by job
+//! id — so assembly is independent of the order jobs completed in, and
+//! the whole grid can be executed by any scheduler (the parallel runner
+//! with its result cache lives in `clic-bench`). [`FigureKind::run`] runs
+//! one family serially in-process.
+//!
+//! Each family lists its cases once; a case formats its job id once, and
+//! both the jobs and the assembly read it from there. Families other than
+//! the bandwidth curves, Figure 7 and the §4 scalars assemble [`Table`]s:
+//! a static column schema plus rows of plain values, which `clic-bench`
+//! renders as text or JSON.
 
 use crate::builder::{ClusterConfig, Topology};
 use crate::calibration::CostModel;
 use crate::jobs::{sweep_point, JobKind, JobSpec, Measurement};
 use crate::node::NodeConfig;
-use crate::workload::StackKind;
+use crate::workload::{stream_count, StackKind};
 use clic_core::{ClicConfig, CongestionConfig};
 use clic_ethernet::LossModel;
 use clic_sim::SimDuration;
@@ -50,6 +56,253 @@ pub struct Series {
     pub points: Vec<SeriesPoint>,
 }
 
+/// One pipeline stage of Figure 7.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StageRow {
+    /// Stage name, in pipeline order.
+    pub stage: String,
+    /// Stage duration in microseconds.
+    pub us: f64,
+}
+
+/// The headline scalars of §4/§5.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scalars {
+    /// One-way 0-byte latency, µs (paper: 36 µs).
+    pub zero_byte_latency_us: f64,
+    /// Asymptotic CLIC bandwidth at MTU 9000, Mb/s (paper: ≈ 600).
+    pub clic_asymptote_9000_mbps: f64,
+    /// Asymptotic CLIC bandwidth at MTU 1500, Mb/s (paper: ≈ 450).
+    pub clic_asymptote_1500_mbps: f64,
+    /// Best TCP asymptote (MTU 9000), Mb/s (paper: CLIC > 2× this).
+    pub tcp_asymptote_9000_mbps: f64,
+    /// Message size reaching 50 % of CLIC's peak on the MTU 1500 curve,
+    /// bytes (paper: ≈ 4 KB).
+    pub clic_half_bandwidth_bytes_1500: usize,
+    /// Same for the MTU 9000 curve (jumbo store-and-forward granularity
+    /// pushes this out; see EXPERIMENTS.md).
+    pub clic_half_bandwidth_bytes_9000: usize,
+    /// Message size reaching 50 % of TCP's peak, bytes (paper: ≈ 16 KB).
+    pub tcp_half_bandwidth_bytes: usize,
+}
+
+// ---------------------------------------------------------------------
+// Tables
+// ---------------------------------------------------------------------
+
+/// One column of a table schema: where the column shows (text, JSON or
+/// both) and how its cells print as text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Column {
+    /// JSON key; `None` for a text-only column.
+    pub key: Option<&'static str>,
+    /// Text header; `None` for a JSON-only column. A table whose headers
+    /// are all empty prints no header line.
+    pub header: Option<&'static str>,
+    /// Text width of the header and of each cell, suffix included.
+    pub width: usize,
+    /// Left-align the header and the cells (right-aligned otherwise).
+    pub left: bool,
+    /// Decimal places of a number in text; `None` prints it as is.
+    pub precision: Option<usize>,
+    /// Text appended to each cell (not the header) before padding.
+    pub suffix: &'static str,
+    /// Text printed before the column (ignored for the first one).
+    pub sep: &'static str,
+}
+
+impl Column {
+    /// A right-aligned column shown in text and JSON, numbers printed as
+    /// is.
+    pub(crate) const fn new(key: &'static str, header: &'static str, width: usize) -> Column {
+        Column {
+            key: Some(key),
+            header: Some(header),
+            width,
+            left: false,
+            precision: None,
+            suffix: "",
+            sep: " ",
+        }
+    }
+
+    /// A column shown in text only.
+    pub(crate) const fn text(header: &'static str, width: usize) -> Column {
+        Column {
+            key: None,
+            ..Column::new("", header, width)
+        }
+    }
+
+    /// A column shown in JSON only.
+    pub(crate) const fn json(key: &'static str) -> Column {
+        Column {
+            header: None,
+            ..Column::new(key, "", 0)
+        }
+    }
+
+    /// This column, left-aligned.
+    pub(crate) const fn left(self) -> Column {
+        Column { left: true, ..self }
+    }
+
+    /// This column, with numbers printed to `precision` decimals.
+    pub(crate) const fn prec(self, precision: usize) -> Column {
+        Column {
+            precision: Some(precision),
+            ..self
+        }
+    }
+
+    /// This column, with `suffix` after each cell.
+    pub(crate) const fn suffix(self, suffix: &'static str) -> Column {
+        Column { suffix, ..self }
+    }
+
+    /// This column, set off from the previous one by `sep`.
+    pub(crate) const fn sep(self, sep: &'static str) -> Column {
+        Column { sep, ..self }
+    }
+}
+
+/// One table cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A number. NaN prints as `-` in text and `null` in JSON.
+    Num(f64),
+    /// A string.
+    Str(&'static str),
+    /// A boolean.
+    Bool(bool),
+    /// No value: `null` in JSON.
+    Null,
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        Value::Num(v)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Value {
+        Value::Num(v as f64)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Value {
+        Value::Num(v as f64)
+    }
+}
+
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Value {
+        Value::Str(v)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Value {
+        Value::Bool(v)
+    }
+}
+
+/// One table of a figure family: a static column schema, rows of plain
+/// values (one per column) and optional heading and note lines.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// The table's JSON key in a family with several tables.
+    pub name: &'static str,
+    /// Text line printed above the table.
+    pub heading: Option<&'static str>,
+    /// The column schema.
+    pub columns: &'static [Column],
+    /// The rows, one cell per column.
+    pub rows: Vec<Vec<Value>>,
+    /// Text line printed under the rows.
+    pub note: Option<&'static str>,
+}
+
+impl Table {
+    /// An unnamed table without heading or note.
+    pub(crate) fn new(columns: &'static [Column], rows: Vec<Vec<Value>>) -> Table {
+        Table {
+            name: "",
+            heading: None,
+            columns,
+            rows,
+            note: None,
+        }
+    }
+
+    /// The cell of `row` under JSON key `key`. Panics if no column has
+    /// that key.
+    pub fn get(&self, row: usize, key: &str) -> Value {
+        let col = self
+            .columns
+            .iter()
+            .position(|c| c.key == Some(key))
+            .unwrap_or_else(|| panic!("table has no column {key:?}"));
+        self.rows[row][col]
+    }
+
+    /// The number of `row` under JSON key `key`. Panics if the cell is
+    /// not a number.
+    pub fn num(&self, row: usize, key: &str) -> f64 {
+        match self.get(row, key) {
+            Value::Num(v) => v,
+            other => panic!("cell {key:?} of row {row} is {other:?}, not a number"),
+        }
+    }
+}
+
+/// The result of one assembled figure, ready for rendering.
+#[derive(Debug, Clone)]
+pub enum FigureOutput {
+    /// Bandwidth curves (figures 4, 5, 6 and Ablation B).
+    Series(Vec<Series>),
+    /// Figure 7's two stage breakdowns (7a, 7b).
+    Stages {
+        /// Without the direct-call improvement.
+        a: Vec<StageRow>,
+        /// With the direct-call improvement (Fig. 8b).
+        b: Vec<StageRow>,
+    },
+    /// The §4 scalars.
+    Scalars(Scalars),
+    /// Every other family: one or more tables.
+    Tables(Vec<Table>),
+}
+
+impl FigureOutput {
+    /// The curves of a series family. Panics on any other output.
+    pub fn series(&self) -> &[Series] {
+        match self {
+            FigureOutput::Series(series) => series,
+            other => panic!("not a series figure: {other:?}"),
+        }
+    }
+
+    /// The first table of a table family. Panics on any other output.
+    pub fn table(&self) -> &Table {
+        match self {
+            FigureOutput::Tables(tables) => &tables[0],
+            other => panic!("not a table figure: {other:?}"),
+        }
+    }
+}
+
+/// A one-table family output.
+fn table(columns: &'static [Column], rows: Vec<Vec<Value>>) -> FigureOutput {
+    FigureOutput::Tables(vec![Table::new(columns, rows)])
+}
+
+// ---------------------------------------------------------------------
+// Grids and configs
+// ---------------------------------------------------------------------
+
 /// The message sizes of the paper's x axis (10^1 .. 4·10^6, log-spaced).
 pub fn paper_sizes() -> Vec<usize> {
     vec![
@@ -63,53 +316,10 @@ pub fn quick_sizes() -> Vec<usize> {
     vec![64, 1_024, 4_096, 65_536, 1_048_576]
 }
 
-/// The jobs of one bandwidth sweep: one standard stream job per size,
-/// with ids `"<prefix>/<label>/size=<n>"`.
-pub fn sweep_jobs(
-    prefix: &str,
-    label: &str,
-    config: &ClusterConfig,
-    stack: StackKind,
-    sizes: &[usize],
-) -> Vec<JobSpec> {
-    sizes
-        .iter()
-        .map(|&size| {
-            sweep_point(
-                format!("{prefix}/{label}/size={size}"),
-                config.clone(),
-                stack,
-                size,
-            )
-        })
-        .collect()
-}
-
-/// Assemble one sweep's [`Series`] from its job results.
-pub fn sweep_from(results: &ResultMap, prefix: &str, label: &str, sizes: &[usize]) -> Series {
-    let points = sizes
-        .iter()
-        .map(|&size| SeriesPoint {
-            size,
-            mbps: results[&format!("{prefix}/{label}/size={size}")].require("mbps"),
-        })
-        .collect();
-    Series {
-        label: label.to_string(),
-        points,
-    }
-}
-
-/// Run a bandwidth sweep for one (cluster config, stack) pair, serially
-/// in-process. Convenience wrapper over [`sweep_jobs`]/[`sweep_from`].
-pub fn bandwidth_sweep(
-    label: &str,
-    config: &ClusterConfig,
-    stack: StackKind,
-    sizes: &[usize],
-) -> Series {
-    let specs = sweep_jobs("sweep", label, config, stack, sizes);
-    sweep_from(&run_serial(&specs), "sweep", label, sizes)
+/// Whether `sizes` is a reduced grid. Families that don't sweep sizes
+/// shrink their own grid on one.
+fn is_quick(sizes: &[usize]) -> bool {
+    sizes.len() <= quick_sizes().len()
 }
 
 /// The paper's two-node CLIC testbed config: standard or jumbo MTU,
@@ -142,52 +352,154 @@ pub fn tcp_pair(model: &CostModel, jumbo: bool) -> ClusterConfig {
     cfg
 }
 
+/// The latency-measurement config: ping-pong with the latency-tuned NIC,
+/// as the paper's latency figure uses the NICs' adjustable coalescing.
+fn latency_config() -> ClusterConfig {
+    let model = CostModel::era_2002();
+    let mut cfg = clic_pair(&model, false, true);
+    cfg.node.nic = model.nic_low_latency(false);
+    cfg
+}
+
+/// A 0-byte ping-pong job (one-way latency).
+fn ping_job(
+    id: impl Into<String>,
+    cluster: ClusterConfig,
+    stack: StackKind,
+    rounds: usize,
+    seed: u64,
+) -> JobSpec {
+    JobSpec::new(
+        id,
+        JobKind::PingPong {
+            cluster,
+            stack,
+            size: 0,
+            rounds,
+            seed,
+        },
+    )
+}
+
+/// A stream of `size`-byte messages (the standard count for the size).
+fn stream_job(
+    id: String,
+    cluster: ClusterConfig,
+    stack: StackKind,
+    size: usize,
+    seed: u64,
+    pipelined: bool,
+) -> JobSpec {
+    JobSpec::new(
+        id,
+        JobKind::Stream {
+            cluster,
+            stack,
+            size,
+            count: stream_count(size),
+            seed,
+            pipelined,
+        },
+    )
+}
+
 // ---------------------------------------------------------------------
-// Figures
+// Bandwidth sweeps (figures 4-6, Ablation B, and the sweeps behind the
+// §4 scalars and the §5 table)
 // ---------------------------------------------------------------------
 
-/// Figure 4's four (label, jumbo, zero-copy) sweeps.
-fn fig4_cases() -> Vec<(&'static str, bool, bool)> {
-    vec![
+/// The job id of one sweep point.
+fn sweep_id(prefix: &str, label: &str, size: usize) -> String {
+    format!("{prefix}/{label}/size={size}")
+}
+
+/// The jobs of one bandwidth sweep: one standard stream job per size.
+fn sweep_jobs(
+    prefix: &str,
+    label: &str,
+    config: &ClusterConfig,
+    stack: StackKind,
+    sizes: &[usize],
+) -> Vec<JobSpec> {
+    sizes
+        .iter()
+        .map(|&size| sweep_point(sweep_id(prefix, label, size), config.clone(), stack, size))
+        .collect()
+}
+
+/// Assemble one sweep's [`Series`] from its job results.
+fn sweep_from(results: &ResultMap, prefix: &str, label: &str, sizes: &[usize]) -> Series {
+    let points = sizes
+        .iter()
+        .map(|&size| SeriesPoint {
+            size,
+            mbps: results[&sweep_id(prefix, label, size)].require("mbps"),
+        })
+        .collect();
+    Series {
+        label: label.to_string(),
+        points,
+    }
+}
+
+/// The highest bandwidth of a curve.
+fn peak(series: &Series) -> f64 {
+    series.points.iter().map(|p| p.mbps).fold(0.0f64, f64::max)
+}
+
+fn half_bandwidth_point(series: &Series) -> usize {
+    let peak = peak(series);
+    series
+        .points
+        .iter()
+        .find(|p| p.mbps >= peak / 2.0)
+        .map(|p| p.size)
+        .unwrap_or(usize::MAX)
+}
+
+/// One curve of a sweep family: legend label (also its job-id segment),
+/// cluster config and stack.
+type Curve = (&'static str, ClusterConfig, StackKind);
+
+/// The jobs of a family of sweeps.
+fn curves_jobs(prefix: &str, curves: Vec<Curve>, sizes: &[usize]) -> Vec<JobSpec> {
+    curves
+        .into_iter()
+        .flat_map(|(label, cfg, stack)| sweep_jobs(prefix, label, &cfg, stack, sizes))
+        .collect()
+}
+
+/// Assemble a family of sweeps.
+fn curves_from(
+    results: &ResultMap,
+    prefix: &str,
+    curves: Vec<Curve>,
+    sizes: &[usize],
+) -> FigureOutput {
+    FigureOutput::Series(
+        curves
+            .iter()
+            .map(|(label, ..)| sweep_from(results, prefix, label, sizes))
+            .collect(),
+    )
+}
+
+/// Figure 4: CLIC bandwidth for MTU {1500, 9000} × {0-copy, 1-copy}.
+fn fig4_curves() -> Vec<Curve> {
+    let model = CostModel::era_2002();
+    [
         ("0-copy MTU 9000", true, true),
         ("0-copy MTU 1500", false, true),
         ("1-copy MTU 9000", true, false),
         ("1-copy MTU 1500", false, false),
     ]
+    .into_iter()
+    .map(|(label, jumbo, zc)| (label, clic_pair(&model, jumbo, zc), StackKind::Clic))
+    .collect()
 }
 
-/// Figure 4 jobs: CLIC bandwidth for MTU {1500, 9000} × {0-copy, 1-copy}.
-pub fn fig4_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    let model = CostModel::era_2002();
-    fig4_cases()
-        .into_iter()
-        .flat_map(|(label, jumbo, zc)| {
-            sweep_jobs(
-                "fig4",
-                label,
-                &clic_pair(&model, jumbo, zc),
-                StackKind::Clic,
-                sizes,
-            )
-        })
-        .collect()
-}
-
-/// Assemble Figure 4 from job results.
-pub fn fig4_from(results: &ResultMap, sizes: &[usize]) -> Vec<Series> {
-    fig4_cases()
-        .into_iter()
-        .map(|(label, _, _)| sweep_from(results, "fig4", label, sizes))
-        .collect()
-}
-
-/// Figure 4: CLIC bandwidth for MTU {1500, 9000} × {0-copy, 1-copy}.
-pub fn fig4(sizes: &[usize]) -> Vec<Series> {
-    fig4_from(&run_serial(&fig4_jobs(sizes)), sizes)
-}
-
-/// Figure 5's four (label, config, stack) sweeps.
-fn fig5_cases() -> Vec<(&'static str, ClusterConfig, StackKind)> {
+/// Figure 5: CLIC vs TCP/IP for MTU {1500, 9000}, all 0-copy.
+fn fig5_curves() -> Vec<Curve> {
     let model = CostModel::era_2002();
     vec![
         ("CLIC 9000", clic_pair(&model, true, true), StackKind::Clic),
@@ -197,29 +509,8 @@ fn fig5_cases() -> Vec<(&'static str, ClusterConfig, StackKind)> {
     ]
 }
 
-/// Figure 5 jobs: CLIC vs TCP/IP for MTU {1500, 9000}, all 0-copy.
-pub fn fig5_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    fig5_cases()
-        .into_iter()
-        .flat_map(|(label, cfg, stack)| sweep_jobs("fig5", label, &cfg, stack, sizes))
-        .collect()
-}
-
-/// Assemble Figure 5 from job results.
-pub fn fig5_from(results: &ResultMap, sizes: &[usize]) -> Vec<Series> {
-    fig5_cases()
-        .into_iter()
-        .map(|(label, _, _)| sweep_from(results, "fig5", label, sizes))
-        .collect()
-}
-
-/// Figure 5: CLIC vs TCP/IP for MTU {1500, 9000}, all 0-copy.
-pub fn fig5(sizes: &[usize]) -> Vec<Series> {
-    fig5_from(&run_serial(&fig5_jobs(sizes)), sizes)
-}
-
-/// Figure 6's four middleware sweeps.
-fn fig6_cases() -> Vec<(&'static str, ClusterConfig, StackKind)> {
+/// Figure 6: CLIC, MPI-CLIC, MPI-TCP, PVM-TCP (jumbo frames, 0-copy).
+fn fig6_curves() -> Vec<Curve> {
     let model = CostModel::era_2002();
     vec![
         ("CLIC", clic_pair(&model, true, true), StackKind::Clic),
@@ -233,35 +524,31 @@ fn fig6_cases() -> Vec<(&'static str, ClusterConfig, StackKind)> {
     ]
 }
 
-/// Figure 6 jobs: CLIC, MPI-CLIC, MPI-TCP, PVM-TCP (jumbo, 0-copy).
-pub fn fig6_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    fig6_cases()
-        .into_iter()
-        .flat_map(|(label, cfg, stack)| sweep_jobs("fig6", label, &cfg, stack, sizes))
-        .collect()
+/// Ablation B: NIC TX/RX fragmentation offload (the paper's future work),
+/// baseline vs offload. With offload the module can hand the NIC
+/// super-packets; emulate the Alteon firmware's limit of 255 fragments.
+fn fragmentation_curves() -> Vec<Curve> {
+    let model = CostModel::era_2002();
+    let base = clic_pair(&model, false, true);
+    let mut offload = base.clone();
+    offload.node.nic.tx_frag_offload = true;
+    offload.node.nic.rx_frag_offload = true;
+    if let Some(clic) = &mut offload.node.clic {
+        clic.mtu_override = Some(64 * 1024);
+    }
+    vec![
+        ("no offload (MTU 1500)", base, StackKind::Clic),
+        ("frag offload (64K super-packets)", offload, StackKind::Clic),
+    ]
 }
 
-/// Assemble Figure 6 from job results.
-pub fn fig6_from(results: &ResultMap, sizes: &[usize]) -> Vec<Series> {
-    fig6_cases()
-        .into_iter()
-        .map(|(label, _, _)| sweep_from(results, "fig6", label, sizes))
-        .collect()
-}
+// ---------------------------------------------------------------------
+// Figure 7, §4 scalars, §5 table
+// ---------------------------------------------------------------------
 
-/// Figure 6: CLIC, MPI-CLIC, MPI-TCP, PVM-TCP (jumbo frames, 0-copy).
-pub fn fig6(sizes: &[usize]) -> Vec<Series> {
-    fig6_from(&run_serial(&fig6_jobs(sizes)), sizes)
-}
-
-/// One pipeline stage of Figure 7.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageRow {
-    /// Stage name, in pipeline order.
-    pub stage: String,
-    /// Stage duration in microseconds.
-    pub us: f64,
-}
+/// Figure 7's two variants: job id, and whether the Figure 8b direct call
+/// is on (7b) or off (7a).
+const FIG7: [(&str, bool); 2] = [("fig7/7a", false), ("fig7/7b", true)];
 
 /// The Figure 7 cluster config: latency-tuned NIC; `direct_call` selects
 /// the Figure 8b improvement (7b vs 7a), which also assumes a bus-master
@@ -277,12 +564,11 @@ fn fig7_config(direct_call: bool) -> ClusterConfig {
 }
 
 /// Figure 7 jobs: one traced 1400-byte packet per variant (7a, 7b).
-pub fn fig7_jobs() -> Vec<JobSpec> {
-    [false, true]
-        .into_iter()
-        .map(|direct_call| {
+fn fig7_jobs(_: &[usize]) -> Vec<JobSpec> {
+    FIG7.into_iter()
+        .map(|(id, direct_call)| {
             JobSpec::new(
-                format!("fig7/{}", if direct_call { "7b" } else { "7a" }),
+                id,
                 JobKind::StageTrace {
                     cluster: fig7_config(direct_call),
                     seed: 0,
@@ -292,10 +578,9 @@ pub fn fig7_jobs() -> Vec<JobSpec> {
         .collect()
 }
 
-/// Assemble one Figure 7 variant from job results.
-pub fn fig7_from(results: &ResultMap, direct_call: bool) -> Vec<StageRow> {
-    let id = format!("fig7/{}", if direct_call { "7b" } else { "7a" });
-    results[&id]
+/// One Figure 7 variant's stages, in pipeline order.
+fn fig7_stages(results: &ResultMap, id: &str) -> Vec<StageRow> {
+    results[id]
         .values
         .iter()
         .filter(|(stage, _)| !stage.starts_with(crate::jobs::METRIC_KEY_PREFIX))
@@ -306,129 +591,67 @@ pub fn fig7_from(results: &ResultMap, direct_call: bool) -> Vec<StageRow> {
         .collect()
 }
 
-/// Figure 7: per-stage timing of a 1400-byte packet through the CLIC
-/// pipeline. `direct_call` selects the Figure 8b improvement (7b vs 7a).
-pub fn fig7(direct_call: bool) -> Vec<StageRow> {
-    fig7_from(&run_serial(&fig7_jobs()), direct_call)
+fn fig7_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    FigureOutput::Stages {
+        a: fig7_stages(results, FIG7[0].0),
+        b: fig7_stages(results, FIG7[1].0),
+    }
 }
 
-// ---------------------------------------------------------------------
-// Scalar results (§4 prose)
-// ---------------------------------------------------------------------
+/// The latency job behind the §4 scalars.
+const SCALARS_LATENCY: &str = "scalars/latency";
 
-/// The headline scalars of §4/§5.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scalars {
-    /// One-way 0-byte latency, µs (paper: 36 µs).
-    pub zero_byte_latency_us: f64,
-    /// Asymptotic CLIC bandwidth at MTU 9000, Mb/s (paper: ≈ 600).
-    pub clic_asymptote_9000_mbps: f64,
-    /// Asymptotic CLIC bandwidth at MTU 1500, Mb/s (paper: ≈ 450).
-    pub clic_asymptote_1500_mbps: f64,
-    /// Best TCP asymptote (MTU 9000), Mb/s (paper: CLIC > 2× this).
-    pub tcp_asymptote_9000_mbps: f64,
-    /// Message size reaching 50 % of CLIC's peak on the MTU 1500 curve,
-    /// bytes (paper: ≈ 4 KB).
-    pub clic_half_bandwidth_bytes_1500: usize,
-    /// Same for the MTU 9000 curve (jumbo store-and-forward granularity
-    /// pushes this out; see EXPERIMENTS.md).
-    pub clic_half_bandwidth_bytes_9000: usize,
-    /// Message size reaching 50 % of TCP's peak, bytes (paper: ≈ 16 KB).
-    pub tcp_half_bandwidth_bytes: usize,
-}
-
-fn half_bandwidth_point(series: &Series) -> usize {
-    let peak = series.points.iter().map(|p| p.mbps).fold(0.0f64, f64::max);
-    series
-        .points
-        .iter()
-        .find(|p| p.mbps >= peak / 2.0)
-        .map(|p| p.size)
-        .unwrap_or(usize::MAX)
-}
-
-/// The latency-measurement config: ping-pong with the latency-tuned NIC,
-/// as the paper's latency figure uses the NICs' adjustable coalescing.
-fn latency_config() -> ClusterConfig {
+/// The sweeps behind the §4 scalars.
+fn scalars_curves() -> Vec<Curve> {
     let model = CostModel::era_2002();
-    let mut cfg = clic_pair(&model, false, true);
-    cfg.node.nic = model.nic_low_latency(false);
-    cfg
+    vec![
+        ("c9000", clic_pair(&model, true, true), StackKind::Clic),
+        ("c1500", clic_pair(&model, false, true), StackKind::Clic),
+        ("t9000", tcp_pair(&model, true), StackKind::Tcp),
+    ]
 }
 
 /// Scalars jobs: a latency ping-pong plus three bandwidth sweeps.
-pub fn scalars_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    let model = CostModel::era_2002();
-    let mut specs = vec![JobSpec::new(
-        "scalars/latency",
-        JobKind::PingPong {
-            cluster: latency_config(),
-            stack: StackKind::Clic,
-            size: 0,
-            rounds: 20,
-            seed: 1,
-        },
+fn scalars_jobs(sizes: &[usize]) -> Vec<JobSpec> {
+    let mut specs = vec![ping_job(
+        SCALARS_LATENCY,
+        latency_config(),
+        StackKind::Clic,
+        20,
+        1,
     )];
-    specs.extend(sweep_jobs(
-        "scalars",
-        "c9000",
-        &clic_pair(&model, true, true),
-        StackKind::Clic,
-        sizes,
-    ));
-    specs.extend(sweep_jobs(
-        "scalars",
-        "c1500",
-        &clic_pair(&model, false, true),
-        StackKind::Clic,
-        sizes,
-    ));
-    specs.extend(sweep_jobs(
-        "scalars",
-        "t9000",
-        &tcp_pair(&model, true),
-        StackKind::Tcp,
-        sizes,
-    ));
+    specs.extend(curves_jobs("scalars", scalars_curves(), sizes));
     specs
 }
 
 /// Assemble the §4 scalars from job results.
-pub fn scalars_from(results: &ResultMap, sizes: &[usize]) -> Scalars {
-    let clic_9000 = sweep_from(results, "scalars", "c9000", sizes);
-    let clic_1500 = sweep_from(results, "scalars", "c1500", sizes);
-    let tcp_9000 = sweep_from(results, "scalars", "t9000", sizes);
-    let peak = |s: &Series| s.points.iter().map(|p| p.mbps).fold(0.0f64, f64::max);
+fn scalars_of(results: &ResultMap, sizes: &[usize]) -> Scalars {
+    let output = curves_from(results, "scalars", scalars_curves(), sizes);
+    let [clic_9000, clic_1500, tcp_9000] = output.series() else {
+        unreachable!("scalars_curves lists three curves")
+    };
     Scalars {
-        zero_byte_latency_us: results["scalars/latency"].require("one_way_us"),
-        clic_asymptote_9000_mbps: peak(&clic_9000),
-        clic_asymptote_1500_mbps: peak(&clic_1500),
-        tcp_asymptote_9000_mbps: peak(&tcp_9000),
-        clic_half_bandwidth_bytes_1500: half_bandwidth_point(&clic_1500),
-        clic_half_bandwidth_bytes_9000: half_bandwidth_point(&clic_9000),
-        tcp_half_bandwidth_bytes: half_bandwidth_point(&tcp_9000),
+        zero_byte_latency_us: results[SCALARS_LATENCY].require("one_way_us"),
+        clic_asymptote_9000_mbps: peak(clic_9000),
+        clic_asymptote_1500_mbps: peak(clic_1500),
+        tcp_asymptote_9000_mbps: peak(tcp_9000),
+        clic_half_bandwidth_bytes_1500: half_bandwidth_point(clic_1500),
+        clic_half_bandwidth_bytes_9000: half_bandwidth_point(clic_9000),
+        tcp_half_bandwidth_bytes: half_bandwidth_point(tcp_9000),
     }
 }
 
-/// Compute the §4 scalars.
-pub fn scalars(sizes: &[usize]) -> Scalars {
-    scalars_from(&run_serial(&scalars_jobs(sizes)), sizes)
-}
+const GAMMA: &[Column] = &[
+    Column::new("protocol", "protocol", 16).left(),
+    Column::new("latency_us", "latency(us)", 12).prec(1),
+    Column::new("bandwidth_mbps", "bandwidth(Mb/s)", 16).prec(1),
+];
 
-// ---------------------------------------------------------------------
-// §5 comparison table (CLIC vs GAMMA)
-// ---------------------------------------------------------------------
-
-/// One row of the §5 comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonRow {
-    /// Protocol name.
-    pub protocol: String,
-    /// One-way 0-byte latency, µs.
-    pub latency_us: f64,
-    /// Peak bandwidth, Mb/s.
-    pub bandwidth_mbps: f64,
-}
+/// The §5 comparison's rows: protocol, sweep label and latency job id.
+const GAMMA_ROWS: [(&str, &str, &str); 2] = [
+    ("CLIC", "clic", "gamma/clic/latency"),
+    ("GAMMA (model)", "gamma", "gamma/gamma/latency"),
+];
 
 fn gamma_config() -> ClusterConfig {
     let model = CostModel::era_2002();
@@ -438,201 +661,125 @@ fn gamma_config() -> ClusterConfig {
 }
 
 /// Gamma-table jobs: per protocol, a latency ping-pong plus a sweep.
-pub fn gamma_jobs(sizes: &[usize]) -> Vec<JobSpec> {
+fn gamma_jobs(sizes: &[usize]) -> Vec<JobSpec> {
     let model = CostModel::era_2002();
-    let mut specs = vec![JobSpec::new(
-        "gamma/clic/latency",
-        JobKind::PingPong {
-            cluster: latency_config(),
-            stack: StackKind::Clic,
-            size: 0,
-            rounds: 20,
-            seed: 1,
-        },
-    )];
-    specs.extend(sweep_jobs(
-        "gamma",
-        "clic",
-        &clic_pair(&model, true, true),
-        StackKind::Clic,
-        sizes,
-    ));
-    specs.push(JobSpec::new(
-        "gamma/gamma/latency",
-        JobKind::PingPong {
-            cluster: gamma_config(),
-            stack: StackKind::Gamma,
-            size: 0,
-            rounds: 20,
-            seed: 1,
-        },
-    ));
-    specs.extend(sweep_jobs(
-        "gamma",
-        "gamma",
-        &gamma_config(),
-        StackKind::Gamma,
-        sizes,
-    ));
-    specs
+    let configs = [
+        (
+            latency_config(),
+            clic_pair(&model, true, true),
+            StackKind::Clic,
+        ),
+        (gamma_config(), gamma_config(), StackKind::Gamma),
+    ];
+    GAMMA_ROWS
+        .into_iter()
+        .zip(configs)
+        .flat_map(|((_, label, latency), (lat_cfg, cfg, stack))| {
+            std::iter::once(ping_job(latency, lat_cfg, stack, 20, 1))
+                .chain(sweep_jobs("gamma", label, &cfg, stack, sizes))
+        })
+        .collect()
 }
 
-/// Assemble the §5 comparison from job results.
-pub fn gamma_from(results: &ResultMap, sizes: &[usize]) -> Vec<ComparisonRow> {
-    let peak = |s: &Series| s.points.iter().map(|p| p.mbps).fold(0.0f64, f64::max);
-    vec![
-        ComparisonRow {
-            protocol: "CLIC".into(),
-            latency_us: results["gamma/clic/latency"].require("one_way_us"),
-            bandwidth_mbps: peak(&sweep_from(results, "gamma", "clic", sizes)),
-        },
-        ComparisonRow {
-            protocol: "GAMMA (model)".into(),
-            latency_us: results["gamma/gamma/latency"].require("one_way_us"),
-            bandwidth_mbps: peak(&sweep_from(results, "gamma", "gamma", sizes)),
-        },
-    ]
-}
-
-/// CLIC vs the GAMMA-like baseline.
-pub fn gamma_table(sizes: &[usize]) -> Vec<ComparisonRow> {
-    gamma_from(&run_serial(&gamma_jobs(sizes)), sizes)
+fn gamma_from(results: &ResultMap, sizes: &[usize]) -> FigureOutput {
+    let rows = GAMMA_ROWS
+        .into_iter()
+        .map(|(protocol, label, latency)| {
+            vec![
+                protocol.into(),
+                results[latency].require("one_way_us").into(),
+                peak(&sweep_from(results, "gamma", label, sizes)).into(),
+            ]
+        })
+        .collect();
+    FigureOutput::Tables(vec![Table {
+        note: Some("(paper: CLIC 36 us / ~600 Mb/s; GAMMA 32 us (GA620) / 768-824 Mb/s)"),
+        ..Table::new(GAMMA, rows)
+    }])
 }
 
 // ---------------------------------------------------------------------
 // Ablations
 // ---------------------------------------------------------------------
 
-/// Ablation A row: interrupt coalescing setting vs delivered bandwidth,
-/// interrupt rate and small-message latency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoalescingRow {
-    /// Coalescing timer, µs.
-    pub usecs: u64,
-    /// Coalescing frame threshold.
-    pub frames: u32,
-    /// Streaming bandwidth at MTU 1500, Mb/s.
-    pub mbps: f64,
-    /// Receiver interrupts per 1000 delivered frames.
-    pub irqs_per_kframe: f64,
-    /// 0-byte one-way latency, µs.
-    pub latency_us: f64,
-}
+const COALESCING: &[Column] = &[
+    Column::new("usecs", "usecs", 7),
+    Column::new("frames", "frames", 7),
+    Column::new("mbps", "Mb/s", 10).prec(1),
+    Column::new("irqs_per_kframe", "irqs/kframe", 14).prec(1),
+    Column::new("latency_us", "latency(us)", 12).prec(1),
+];
 
-/// The coalescing settings swept by Ablation A.
-fn coalescing_settings() -> &'static [(u64, u32)] {
-    &[(0, 1), (5, 1), (30, 8), (70, 16), (200, 64)]
-}
-
-/// Ablation A jobs: per setting, a 256 KB stream and a 0-byte ping-pong.
-pub fn coalescing_jobs() -> Vec<JobSpec> {
-    let model = CostModel::era_2002();
-    let mut specs = Vec::new();
-    for &(usecs, frames) in coalescing_settings() {
-        let mut cfg = clic_pair(&model, false, true);
-        cfg.node.nic.coalesce_usecs = usecs;
-        cfg.node.nic.coalesce_frames = frames;
-        let size = 262_144;
-        specs.push(JobSpec::new(
-            format!("coalescing/u{usecs}f{frames}/stream"),
-            JobKind::Stream {
-                cluster: cfg.clone(),
-                stack: StackKind::Clic,
-                size,
-                count: crate::workload::stream_count(size),
-                seed: 2,
-                pipelined: false,
-            },
-        ));
-        specs.push(JobSpec::new(
-            format!("coalescing/u{usecs}f{frames}/latency"),
-            JobKind::PingPong {
-                cluster: cfg,
-                stack: StackKind::Clic,
-                size: 0,
-                rounds: 10,
-                seed: 3,
-            },
-        ));
-    }
-    specs
-}
-
-/// Assemble Ablation A from job results.
-pub fn coalescing_from(results: &ResultMap) -> Vec<CoalescingRow> {
-    coalescing_settings()
-        .iter()
-        .map(|&(usecs, frames)| {
-            let stream = &results[&format!("coalescing/u{usecs}f{frames}/stream")];
-            let latency = &results[&format!("coalescing/u{usecs}f{frames}/latency")];
-            CoalescingRow {
+/// Ablation A's coalescing settings: (timer µs, frame threshold, stream
+/// job id, latency job id).
+fn coalescing_cases() -> Vec<(u64, u32, String, String)> {
+    [(0, 1), (5, 1), (30, 8), (70, 16), (200, 64)]
+        .into_iter()
+        .map(|(usecs, frames)| {
+            (
                 usecs,
                 frames,
-                mbps: stream.require("mbps"),
-                irqs_per_kframe: stream.require("rx_irqs") / stream.require("rx_frames").max(1.0)
-                    // lint:allow(time-overflow, reason="f64 rate arithmetic; the nearby _us field name is incidental")
-                    * 1000.0,
-                latency_us: latency.require("one_way_us"),
-            }
+                format!("coalescing/u{usecs}f{frames}/stream"),
+                format!("coalescing/u{usecs}f{frames}/latency"),
+            )
         })
         .collect()
 }
 
-/// Ablation A: sweep interrupt coalescing (§2's ~12 µs/interrupt claim).
-pub fn ablation_coalescing() -> Vec<CoalescingRow> {
-    coalescing_from(&run_serial(&coalescing_jobs()))
-}
-
-/// Ablation B's two configurations: baseline vs NIC fragmentation
-/// offload. With offload the module can hand the NIC super-packets;
-/// emulate the Alteon firmware's limit of 255 fragments.
-fn fragmentation_cases() -> Vec<(&'static str, ClusterConfig)> {
+/// Ablation A jobs (§2's ~12 µs/interrupt claim): per setting, a 256 KB
+/// stream and a 0-byte ping-pong.
+fn coalescing_jobs(_: &[usize]) -> Vec<JobSpec> {
     let model = CostModel::era_2002();
-    let base = clic_pair(&model, false, true);
-    let mut offload = base.clone();
-    offload.node.nic.tx_frag_offload = true;
-    offload.node.nic.rx_frag_offload = true;
-    if let Some(clic) = &mut offload.node.clic {
-        clic.mtu_override = Some(64 * 1024);
-    }
-    vec![
-        ("no offload (MTU 1500)", base),
-        ("frag offload (64K super-packets)", offload),
-    ]
-}
-
-/// Ablation B jobs: both sweeps.
-pub fn fragmentation_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    fragmentation_cases()
+    coalescing_cases()
         .into_iter()
-        .flat_map(|(label, cfg)| sweep_jobs("fragmentation", label, &cfg, StackKind::Clic, sizes))
+        .flat_map(|(usecs, frames, stream, latency)| {
+            let mut cfg = clic_pair(&model, false, true);
+            cfg.node.nic.coalesce_usecs = usecs;
+            cfg.node.nic.coalesce_frames = frames;
+            [
+                stream_job(stream, cfg.clone(), StackKind::Clic, 262_144, 2, false),
+                ping_job(latency, cfg, StackKind::Clic, 10, 3),
+            ]
+        })
         .collect()
 }
 
-/// Assemble Ablation B from job results.
-pub fn fragmentation_from(results: &ResultMap, sizes: &[usize]) -> Vec<Series> {
-    fragmentation_cases()
+fn coalescing_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    let rows = coalescing_cases()
         .into_iter()
-        .map(|(label, _)| sweep_from(results, "fragmentation", label, sizes))
+        .map(|(usecs, frames, stream, latency)| {
+            let s = &results[&stream];
+            vec![
+                usecs.into(),
+                f64::from(frames).into(),
+                s.require("mbps").into(),
+                (s.require("rx_irqs") / s.require("rx_frames").max(1.0) * 1000.0).into(),
+                results[&latency].require("one_way_us").into(),
+            ]
+        })
+        .collect();
+    table(COALESCING, rows)
+}
+
+const BONDING: &[Column] = &[
+    Column::new("width", "width", 6),
+    Column::new("mbps_pci33", "PCI 33/32 Mb/s", 16).prec(1),
+    Column::new("mbps_pci66", "PCI 66/64 Mb/s", 16).prec(1),
+];
+
+/// Ablation C's widths: (width, 33 MHz/32-bit job id, 66 MHz/64-bit job
+/// id). The fast bus with bus-master receive shows bonding scales once
+/// the I/O bus stops being the bottleneck §1 calls out.
+fn bonding_cases() -> Vec<(usize, String, String)> {
+    (1..=3)
+        .map(|w| {
+            (
+                w,
+                format!("bonding/w{w}/pci33"),
+                format!("bonding/w{w}/pci66"),
+            )
+        })
         .collect()
-}
-
-/// Ablation B: NIC TX/RX fragmentation offload (the paper's future work).
-pub fn ablation_fragmentation(sizes: &[usize]) -> Vec<Series> {
-    fragmentation_from(&run_serial(&fragmentation_jobs(sizes)), sizes)
-}
-
-/// Ablation C row: channel bonding width vs bandwidth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BondingRow {
-    /// Number of bonded NICs/links.
-    pub width: usize,
-    /// Bandwidth on the paper's 33 MHz/32-bit PCI, Mb/s.
-    pub mbps_pci33: f64,
-    /// Bandwidth with a 66 MHz/64-bit PCI and bus-master receive — shows
-    /// bonding scales once the I/O bus stops being the bottleneck (the
-    /// very bottleneck §1 calls out).
-    pub mbps_pci66: f64,
 }
 
 fn bonding_config(width: usize, fast: bool) -> ClusterConfig {
@@ -646,260 +793,218 @@ fn bonding_config(width: usize, fast: bool) -> ClusterConfig {
     cfg
 }
 
-/// Ablation C jobs: width {1, 2, 3} × PCI {33/32, 66/64}.
-pub fn bonding_jobs() -> Vec<JobSpec> {
-    let size = 1 << 20;
-    (1..=3)
-        .flat_map(|width| {
-            [(false, "pci33"), (true, "pci66")]
-                .into_iter()
-                .map(move |(fast, tag)| {
-                    JobSpec::new(
-                        format!("bonding/w{width}/{tag}"),
-                        JobKind::Stream {
-                            cluster: bonding_config(width, fast),
-                            stack: StackKind::Clic,
-                            size,
-                            count: crate::workload::stream_count(size),
-                            seed: 4,
-                            pipelined: false,
-                        },
-                    )
-                })
-        })
-        .collect()
-}
-
-/// Assemble Ablation C from job results.
-pub fn bonding_from(results: &ResultMap) -> Vec<BondingRow> {
-    (1..=3)
-        .map(|width| BondingRow {
-            width,
-            mbps_pci33: results[&format!("bonding/w{width}/pci33")].require("mbps"),
-            mbps_pci66: results[&format!("bonding/w{width}/pci66")].require("mbps"),
-        })
-        .collect()
-}
-
-/// Ablation C: channel bonding scaling (§5 feature list).
-pub fn ablation_bonding() -> Vec<BondingRow> {
-    bonding_from(&run_serial(&bonding_jobs()))
-}
-
-/// Ablation D row: system-call flavour vs latency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyscallRow {
-    /// "standard" (INT 80h + scheduler) or "lightweight" (GAMMA-style).
-    pub flavour: String,
-    /// 0-byte one-way latency, µs.
-    pub latency_us: f64,
-}
-
-/// Ablation D jobs: one ping-pong per system-call flavour.
-pub fn syscall_jobs() -> Vec<JobSpec> {
-    let model = CostModel::era_2002();
-    [("standard", false), ("lightweight", true)]
+/// Ablation C jobs (§5 feature list): width {1, 2, 3} × PCI {33/32, 66/64}.
+fn bonding_jobs(_: &[usize]) -> Vec<JobSpec> {
+    bonding_cases()
         .into_iter()
-        .map(|(flavour, lightweight)| {
+        .flat_map(|(width, pci33, pci66)| {
+            [(pci33, false), (pci66, true)].map(|(id, fast)| {
+                stream_job(
+                    id,
+                    bonding_config(width, fast),
+                    StackKind::Clic,
+                    1 << 20,
+                    4,
+                    false,
+                )
+            })
+        })
+        .collect()
+}
+
+fn bonding_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    let rows = bonding_cases()
+        .into_iter()
+        .map(|(width, pci33, pci66)| {
+            vec![
+                width.into(),
+                results[&pci33].require("mbps").into(),
+                results[&pci66].require("mbps").into(),
+            ]
+        })
+        .collect();
+    table(BONDING, rows)
+}
+
+const SYSCALL: &[Column] = &[
+    Column::new("flavour", "", 12).left(),
+    Column::new("latency_us", "", 19)
+        .prec(2)
+        .suffix(" us one-way"),
+];
+
+/// Ablation D's flavours: (name, job id, lightweight). "standard" is INT
+/// 80h + the scheduler, "lightweight" a GAMMA-style call.
+const SYSCALL_CASES: [(&str, &str, bool); 2] = [
+    ("standard", "syscall/standard", false),
+    ("lightweight", "syscall/lightweight", true),
+];
+
+/// Ablation D jobs (the §3.2 discussion: how much does the standard
+/// system call cost CLIC versus lightweight calls?): one ping-pong per
+/// flavour.
+fn syscall_jobs(_: &[usize]) -> Vec<JobSpec> {
+    let model = CostModel::era_2002();
+    SYSCALL_CASES
+        .into_iter()
+        .map(|(_, id, lightweight)| {
             let mut cfg = clic_pair(&model, false, true);
             cfg.node.nic = model.nic_low_latency(false);
             if lightweight {
                 cfg.node.os.syscall = cfg.node.os.lightweight_call;
             }
-            JobSpec::new(
-                format!("syscall/{flavour}"),
-                JobKind::PingPong {
-                    cluster: cfg,
-                    stack: StackKind::Clic,
-                    size: 0,
-                    rounds: 10,
-                    seed: 5,
-                },
-            )
+            ping_job(id, cfg, StackKind::Clic, 10, 5)
         })
         .collect()
 }
 
-/// Assemble Ablation D from job results.
-pub fn syscall_from(results: &ResultMap) -> Vec<SyscallRow> {
-    ["standard", "lightweight"]
+fn syscall_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    let rows = SYSCALL_CASES
         .into_iter()
-        .map(|flavour| SyscallRow {
-            flavour: flavour.into(),
-            latency_us: results[&format!("syscall/{flavour}")].require("one_way_us"),
-        })
-        .collect()
+        .map(|(flavour, id, _)| vec![flavour.into(), results[id].require("one_way_us").into()])
+        .collect();
+    table(SYSCALL, rows)
 }
 
-/// Ablation D: the §3.2 discussion — how much does the standard system
-/// call actually cost CLIC versus GAMMA-style lightweight calls?
-pub fn ablation_syscall() -> Vec<SyscallRow> {
-    syscall_from(&run_serial(&syscall_jobs()))
-}
+const LOSS: &[Column] = &[
+    Column::new("loss", "loss", 8).prec(3),
+    Column::new("mbps", "Mb/s", 10).prec(1),
+    Column::new("retx_per_kpkt", "retx/kpkt", 14).prec(2),
+];
 
-/// Ablation E row: loss rate vs CLIC goodput and retransmissions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LossRow {
-    /// Bernoulli frame-loss probability.
-    pub loss: f64,
-    /// Delivered goodput, Mb/s (64 KB messages, MTU 1500).
-    pub mbps: f64,
-    /// Retransmitted packets per 1000 first transmissions.
-    pub retx_per_kpkt: f64,
-}
-
-/// The loss probabilities swept by Ablation E.
-fn loss_rates() -> [f64; 4] {
+/// Ablation E's Bernoulli loss probabilities, with their job ids.
+fn loss_cases() -> Vec<(f64, String)> {
     [0.0, 0.001, 0.005, 0.02]
+        .into_iter()
+        .map(|loss| (loss, format!("loss/p{loss}")))
+        .collect()
 }
 
-/// Ablation E jobs: one 64 KB stream per loss rate.
-pub fn loss_jobs() -> Vec<JobSpec> {
+/// Ablation E jobs (reliability under injected loss): one 64 KB stream
+/// per loss rate.
+fn loss_jobs(_: &[usize]) -> Vec<JobSpec> {
     let model = CostModel::era_2002();
-    loss_rates()
+    loss_cases()
         .into_iter()
-        .map(|loss| {
+        .map(|(loss, id)| {
             let mut cfg = clic_pair(&model, false, true);
             cfg.loss = if loss == 0.0 {
                 LossModel::None
             } else {
                 LossModel::Bernoulli(loss)
             };
-            let size = 65_536;
-            JobSpec::new(
-                format!("loss/p{loss}"),
-                JobKind::Stream {
-                    cluster: cfg,
-                    stack: StackKind::Clic,
-                    size,
-                    count: crate::workload::stream_count(size),
-                    seed: 6,
-                    pipelined: false,
-                },
-            )
+            stream_job(id, cfg, StackKind::Clic, 65_536, 6, false)
         })
         .collect()
 }
 
-/// Assemble Ablation E from job results.
-pub fn loss_from(results: &ResultMap) -> Vec<LossRow> {
-    loss_rates()
+fn loss_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    let rows = loss_cases()
         .into_iter()
-        .map(|loss| {
-            let m = &results[&format!("loss/p{loss}")];
-            LossRow {
-                loss,
-                mbps: m.require("mbps"),
-                retx_per_kpkt: m.require("retransmits") / m.require("packets_sent").max(1.0)
-                    * 1000.0,
-            }
+        .map(|(loss, id)| {
+            let m = &results[&id];
+            vec![
+                loss.into(),
+                m.require("mbps").into(),
+                (m.require("retransmits") / m.require("packets_sent").max(1.0) * 1000.0).into(),
+            ]
         })
-        .collect()
+        .collect();
+    table(LOSS, rows)
 }
 
-/// Ablation E: reliability under injected loss.
-pub fn ablation_loss() -> Vec<LossRow> {
-    loss_from(&run_serial(&loss_jobs()))
-}
+/// The CPU fractions print as percentages in text only.
+const CPU: &[Column] = &[
+    Column::new("stack", "stack", 6).left(),
+    Column::new("link_mbps", "link Mb/s", 10),
+    Column::new("mbps", "Mb/s", 10).prec(1),
+    Column::new("pct_of_wire", "% of wire", 10)
+        .prec(1)
+        .suffix("%"),
+    Column::json("sender_cpu"),
+    Column::json("receiver_cpu"),
+    Column::text("tx CPU", 10).prec(0).suffix("%"),
+    Column::text("rx CPU", 10).prec(0).suffix("%"),
+];
 
-/// Ablation F row: offered-load bandwidth and CPU cost per stack and link
-/// speed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpuRow {
-    /// Stack under test.
-    pub stack: String,
-    /// Link speed, Mb/s.
-    pub link_mbps: u64,
-    /// Delivered bandwidth, Mb/s.
-    pub mbps: f64,
-    /// Delivered bandwidth as % of the link rate.
-    pub pct_of_wire: f64,
-    /// Sender CPU busy fraction.
-    pub sender_cpu: f64,
-    /// Receiver CPU busy fraction.
-    pub receiver_cpu: f64,
-}
-
-/// The (stack, is_clic, link) grid of Ablation F.
-fn cpu_cases() -> &'static [(&'static str, bool, u64)] {
-    &[
+/// Ablation F's cells: (stack, is CLIC, link b/s, job id).
+fn cpu_cases() -> Vec<(&'static str, bool, u64, String)> {
+    [
         ("TCP", false, 100_000_000),
         ("TCP", false, 1_000_000_000),
         ("CLIC", true, 100_000_000),
         ("CLIC", true, 1_000_000_000),
     ]
+    .into_iter()
+    .map(|(name, clic, bps)| (name, clic, bps, format!("cpu/{name}/l{}", bps / 1_000_000)))
+    .collect()
 }
 
-/// Ablation F jobs: one pipelined 256 KB stream per (stack, link speed).
-pub fn cpu_jobs() -> Vec<JobSpec> {
-    let model = CostModel::era_2002();
-    cpu_cases()
-        .iter()
-        .map(|&(name, is_clic, bps)| {
-            let mut cfg = if is_clic {
-                clic_pair(&model, false, true)
-            } else {
-                tcp_pair(&model, false)
-            };
-            cfg.model.link_bps = bps;
-            let size = 262_144;
-            JobSpec::new(
-                format!("cpu/{name}/l{}", bps / 1_000_000),
-                JobKind::Stream {
-                    cluster: cfg,
-                    stack: if is_clic {
-                        StackKind::Clic
-                    } else {
-                        StackKind::Tcp
-                    },
-                    size,
-                    count: crate::workload::stream_count(size),
-                    seed: 8,
-                    pipelined: true,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Assemble Ablation F from job results.
-pub fn cpu_from(results: &ResultMap) -> Vec<CpuRow> {
-    cpu_cases()
-        .iter()
-        .map(|&(name, _, bps)| {
-            let m = &results[&format!("cpu/{name}/l{}", bps / 1_000_000)];
-            let mbps = m.require("mbps");
-            CpuRow {
-                stack: name.to_string(),
-                link_mbps: bps / 1_000_000,
-                mbps,
-                pct_of_wire: mbps / (bps as f64 / 1e6) * 100.0,
-                sender_cpu: m.require("sender_cpu"),
-                receiver_cpu: m.require("receiver_cpu"),
-            }
-        })
-        .collect()
-}
-
-/// Ablation F — §2's scaling claim: "in Fast Ethernet ... 90 % of the
+/// Ablation F jobs — §2's scaling claim: "in Fast Ethernet ... 90 % of the
 /// maximum bandwidth with a 15–20 % CPU use. Having a similar situation in
 /// networks with 1 Gb/s bandwidths would require almost 100 % of the
-/// processor power." Offered-load streaming, 256 KB messages.
-pub fn ablation_cpu() -> Vec<CpuRow> {
-    cpu_from(&run_serial(&cpu_jobs()))
+/// processor power." One offered-load 256 KB stream per (stack, link).
+fn cpu_jobs(_: &[usize]) -> Vec<JobSpec> {
+    let model = CostModel::era_2002();
+    cpu_cases()
+        .into_iter()
+        .map(|(_, clic, bps, id)| {
+            let (mut cfg, stack) = if clic {
+                (clic_pair(&model, false, true), StackKind::Clic)
+            } else {
+                (tcp_pair(&model, false), StackKind::Tcp)
+            };
+            cfg.model.link_bps = bps;
+            stream_job(id, cfg, stack, 262_144, 8, true)
+        })
+        .collect()
 }
 
-/// Ablation H row: one of Figure 1's data paths, measured on one link.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathRow {
-    /// Which Figure 1 path (2, 3, or 4).
-    pub path: u8,
-    /// Human description.
-    pub description: String,
-    /// Link speed, Mb/s.
-    pub link_mbps: u64,
-    /// Delivered bandwidth at 256 KB messages, Mb/s.
-    pub mbps: f64,
+fn cpu_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    let rows = cpu_cases()
+        .into_iter()
+        .map(|(name, _, bps, id)| {
+            let m = &results[&id];
+            let mbps = m.require("mbps");
+            let (tx, rx) = (m.require("sender_cpu"), m.require("receiver_cpu"));
+            vec![
+                name.into(),
+                (bps / 1_000_000).into(),
+                mbps.into(),
+                (mbps / (bps as f64 / 1e6) * 100.0).into(),
+                tx.into(),
+                rx.into(),
+                (tx * 100.0).into(),
+                (rx * 100.0).into(),
+            ]
+        })
+        .collect();
+    table(CPU, rows)
+}
+
+/// JSON keeps the description second; text prints it last, set off by
+/// two spaces.
+const PATHS: &[Column] = &[
+    Column::new("path", "path", 5).left(),
+    Column::json("description"),
+    Column::new("link_mbps", "link Mb/s", 10),
+    Column::new("mbps", "Mb/s", 10).prec(1),
+    Column::text("description", 0).left().sep("  "),
+];
+
+/// Ablation H's cells: (Figure 1 path, link b/s, job id).
+fn paths_cases() -> Vec<(u8, u64, String)> {
+    let mut cases = Vec::new();
+    for link_bps in [100_000_000u64, 1_000_000_000] {
+        for path in [2u8, 3, 4] {
+            cases.push((
+                path,
+                link_bps,
+                format!("paths/p{path}/l{}", link_bps / 1_000_000),
+            ));
+        }
+    }
+    cases
 }
 
 fn path_config(path: u8, link_bps: u64) -> ClusterConfig {
@@ -914,141 +1019,163 @@ fn path_config(path: u8, link_bps: u64) -> ClusterConfig {
     cfg
 }
 
-/// Ablation H jobs: paths {2, 3, 4} × links {100 Mb/s, 1 Gb/s}.
-pub fn paths_jobs() -> Vec<JobSpec> {
-    let size = 262_144;
-    [100_000_000u64, 1_000_000_000]
-        .into_iter()
-        .flat_map(|link_bps| {
-            [2u8, 3, 4].into_iter().map(move |path| {
-                JobSpec::new(
-                    format!("paths/p{path}/l{}", link_bps / 1_000_000),
-                    JobKind::Stream {
-                        cluster: path_config(path, link_bps),
-                        stack: StackKind::Clic,
-                        size,
-                        count: crate::workload::stream_count(size),
-                        seed: 12,
-                        pipelined: false,
-                    },
-                )
-            })
-        })
-        .collect()
-}
-
-/// Assemble Ablation H from job results.
-pub fn paths_from(results: &ResultMap) -> Vec<PathRow> {
-    let mut rows = Vec::new();
-    for link_bps in [100_000_000u64, 1_000_000_000] {
-        for path in [2u8, 3, 4] {
-            let m = &results[&format!("paths/p{path}/l{}", link_bps / 1_000_000)];
-            rows.push(PathRow {
-                path,
-                description: match path {
-                    2 => "0-copy: DMA from user memory".into(),
-                    3 => "1-copy: kernel staging + DMA".into(),
-                    _ => "1-copy + NIC internal copy (Fast Ethernet CLIC)".into(),
-                },
-                link_mbps: link_bps / 1_000_000,
-                mbps: m.require("mbps"),
-            });
-        }
-    }
-    rows
-}
-
-/// Ablation H — Figure 1's data-path taxonomy: path 2 (scatter-gather DMA
-/// from user memory, the Gigabit CLIC), path 3 (CPU copy to a kernel
+/// Ablation H jobs — Figure 1's data-path taxonomy: path 2 (scatter-gather
+/// DMA from user memory, the Gigabit CLIC), path 3 (CPU copy to a kernel
 /// buffer, DMA from there), and path 4 (kernel copy + DMA to the NIC
 /// output buffer + the NIC processor's internal copy — the Fast Ethernet
 /// CLIC). At 100 Mb/s the wire hides the difference, which is why the
 /// first CLIC shipped path 4; at 1 Gb/s it no longer does.
-pub fn ablation_paths() -> Vec<PathRow> {
-    paths_from(&run_serial(&paths_jobs()))
-}
-
-/// Ablation G row: small-message latency with and without competing bulk
-/// traffic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadedLatencyRow {
-    /// Stack under test.
-    pub stack: String,
-    /// Whether a bulk transfer was running concurrently.
-    pub loaded: bool,
-    /// Minimum one-way latency, µs.
-    pub min_us: f64,
-    /// Mean one-way latency, µs.
-    pub mean_us: f64,
-    /// 99th-percentile one-way latency, µs.
-    pub p99_us: f64,
-}
-
-/// Ablation G jobs: {CLIC, TCP} × {idle, loaded}.
-pub fn load_jobs() -> Vec<JobSpec> {
-    [("CLIC", true), ("TCP", false)]
+fn paths_jobs(_: &[usize]) -> Vec<JobSpec> {
+    paths_cases()
         .into_iter()
-        .flat_map(|(name, clic)| {
-            [false, true].into_iter().map(move |loaded| {
-                JobSpec::new(
-                    format!("load/{name}/{}", if loaded { "loaded" } else { "idle" }),
-                    JobKind::LoadedLatency { clic, loaded },
-                )
-            })
+        .map(|(path, link_bps, id)| {
+            stream_job(
+                id,
+                path_config(path, link_bps),
+                StackKind::Clic,
+                262_144,
+                12,
+                false,
+            )
         })
         .collect()
 }
 
-/// Assemble Ablation G from job results.
-pub fn load_from(results: &ResultMap) -> Vec<LoadedLatencyRow> {
-    let mut rows = Vec::new();
-    for (name, _) in [("CLIC", true), ("TCP", false)] {
+fn paths_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    let rows = paths_cases()
+        .into_iter()
+        .map(|(path, link_bps, id)| {
+            let description = match path {
+                2 => "0-copy: DMA from user memory",
+                3 => "1-copy: kernel staging + DMA",
+                _ => "1-copy + NIC internal copy (Fast Ethernet CLIC)",
+            };
+            vec![
+                f64::from(path).into(),
+                description.into(),
+                (link_bps / 1_000_000).into(),
+                results[&id].require("mbps").into(),
+                description.into(),
+            ]
+        })
+        .collect();
+    table(PATHS, rows)
+}
+
+const LOAD: &[Column] = &[
+    Column::new("stack", "stack", 6).left(),
+    Column::new("loaded", "loaded", 8),
+    Column::new("min_us", "min (us)", 10).prec(1),
+    Column::new("mean_us", "mean (us)", 10).prec(1),
+    Column::new("p99_us", "p99 (us)", 10).prec(1),
+];
+
+/// Ablation G's cells: (stack, is CLIC, loaded, job id).
+fn load_cases() -> Vec<(&'static str, bool, bool, String)> {
+    let mut cases = Vec::new();
+    for (name, clic) in [("CLIC", true), ("TCP", false)] {
         for loaded in [false, true] {
-            let m = &results[&format!("load/{name}/{}", if loaded { "loaded" } else { "idle" })];
-            rows.push(LoadedLatencyRow {
-                stack: name.to_string(),
-                loaded,
-                min_us: m.require("min_us"),
-                mean_us: m.require("mean_us"),
-                p99_us: m.require("p99_us"),
-            });
+            let state = if loaded { "loaded" } else { "idle" };
+            cases.push((name, clic, loaded, format!("load/{name}/{state}")));
         }
     }
-    rows
+    cases
 }
 
-/// Ablation G — §3.2's multiprogramming argument: CLIC keeps standard
+/// Ablation G jobs — §3.2's multiprogramming argument: CLIC keeps standard
 /// system calls so the scheduler can service pending messages promptly
-/// even when other traffic loads the node. Measure 64-byte request/reply
-/// latency while a bulk transfer saturates the same pair of nodes.
-pub fn ablation_latency_under_load() -> Vec<LoadedLatencyRow> {
-    load_from(&run_serial(&load_jobs()))
+/// even when other traffic loads the node. 64-byte request/reply latency
+/// for {CLIC, TCP} × {idle, loaded by a bulk transfer}.
+fn load_jobs(_: &[usize]) -> Vec<JobSpec> {
+    load_cases()
+        .into_iter()
+        .map(|(_, clic, loaded, id)| JobSpec::new(id, JobKind::LoadedLatency { clic, loaded }))
+        .collect()
 }
 
-/// One cell of the reliability-under-loss family: a (stack, MTU, loss
-/// model) combination exercised with 64 KB request / 4-byte reply cycles
-/// over a faulty link.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReliabilityRow {
-    /// Stack under test.
-    pub stack: String,
-    /// Device MTU, bytes.
-    pub mtu: usize,
-    /// Mean frame-loss probability, percent (applied in both directions).
-    pub loss_pct: f64,
-    /// Bursty (Gilbert–Elliott) rather than uniform (Bernoulli) loss.
-    pub bursty: bool,
-    /// Delivered goodput, Mb/s (request bytes per mean cycle).
-    pub mbps: f64,
-    /// Mean request/reply cycle time, µs.
-    pub mean_us: f64,
-    /// 99th-percentile cycle time, µs.
-    pub p99_us: f64,
-    /// Retransmitted packets, totalled across both stacks' counters.
-    pub retx: f64,
-    /// Dropped frames/packets, totalled across every layer.
-    pub drops: f64,
+fn load_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    let rows = load_cases()
+        .into_iter()
+        .map(|(name, _, loaded, id)| {
+            let m = &results[&id];
+            let mut row = vec![name.into(), loaded.into()];
+            row.extend(["min_us", "mean_us", "p99_us"].map(|k| Value::from(m.require(k))));
+            row
+        })
+        .collect();
+    table(LOAD, rows)
 }
+
+const SCALING: &[Column] = &[
+    Column::new("nodes", "nodes", 6),
+    Column::new("aggregate_mbps", "aggregate Mb/s", 16).prec(1),
+    Column::new("per_node_mbps", "per node Mb/s", 14).prec(1),
+];
+
+/// Ablation I's cluster sizes, with their job ids.
+fn scaling_cases() -> Vec<(usize, String)> {
+    [2usize, 4, 8]
+        .into_iter()
+        .map(|nodes| (nodes, format!("scaling/n{nodes}")))
+        .collect()
+}
+
+/// Ablation I jobs (extension): CLIC all-to-all on switched clusters of
+/// 2, 4 and 8 nodes — the cluster-computing workload the paper positions
+/// CLIC for, beyond its two-node testbed.
+fn scaling_jobs(_: &[usize]) -> Vec<JobSpec> {
+    let model = CostModel::era_2002();
+    scaling_cases()
+        .into_iter()
+        .map(|(nodes, id)| {
+            let mut cfg = clic_pair(&model, true, true);
+            cfg.nodes = nodes;
+            cfg.topology = Topology::Switched;
+            JobSpec::new(
+                id,
+                JobKind::AllToAll {
+                    cluster: cfg,
+                    size: 65_536,
+                    seed: 14,
+                },
+            )
+        })
+        .collect()
+}
+
+fn scaling_from(results: &ResultMap, _: &[usize]) -> FigureOutput {
+    let rows = scaling_cases()
+        .into_iter()
+        .map(|(nodes, id)| {
+            let aggregate = results[&id].require("aggregate_mbps");
+            vec![
+                nodes.into(),
+                aggregate.into(),
+                (aggregate / nodes as f64).into(),
+            ]
+        })
+        .collect();
+    table(SCALING, rows)
+}
+
+// ---------------------------------------------------------------------
+// Reliability under loss
+// ---------------------------------------------------------------------
+
+/// The loss model (`model` in text) prints in place of the JSON `bursty`
+/// flag.
+const RELIABILITY: &[Column] = &[
+    Column::new("stack", "stack", 6).left(),
+    Column::new("mtu", "mtu", 6),
+    Column::new("loss_pct", "loss%", 7),
+    Column::json("bursty"),
+    Column::text("model", 8),
+    Column::new("mbps", "Mb/s", 10).prec(1),
+    Column::new("mean_us", "mean(us)", 10).prec(1),
+    Column::new("p99_us", "p99(us)", 10).prec(1),
+    Column::new("retx", "retx", 7).prec(0),
+    Column::new("drops", "drops", 7).prec(0),
+];
 
 /// The loss model of one reliability cell. Bursty cells use a
 /// Gilbert–Elliott chain tuned to the same mean loss `p`: the burst state
@@ -1069,56 +1196,55 @@ pub(crate) fn reliability_loss(p: f64, bursty: bool) -> LossModel {
     }
 }
 
-/// The reliability grid: `(id, stack, label, mtu, loss_pct, bursty)`.
-/// Quick runs keep MTU 1500 and the extreme loss cells only.
-fn reliability_cases(quick: bool) -> Vec<(String, StackKind, &'static str, usize, f64, bool)> {
+/// The reliability grid: `(id, stack, label, mtu, loss_pct, model)`,
+/// where `model` is `"uniform"` (Bernoulli) or `"burst"`
+/// (Gilbert–Elliott). Quick runs keep MTU 1500 and the extreme loss
+/// cells only.
+fn reliability_cases(
+    quick: bool,
+) -> Vec<(String, StackKind, &'static str, usize, f64, &'static str)> {
     let mtus: &[usize] = if quick { &[1500] } else { &[1500, 9000] };
-    let losses: &[(f64, bool)] = if quick {
-        &[(0.0, false), (2.0, false), (2.0, true)]
+    let losses: &[(f64, &str)] = if quick {
+        &[(0.0, "uniform"), (2.0, "uniform"), (2.0, "burst")]
     } else {
         &[
-            (0.0, false),
-            (0.5, false),
-            (0.5, true),
-            (2.0, false),
-            (2.0, true),
+            (0.0, "uniform"),
+            (0.5, "uniform"),
+            (0.5, "burst"),
+            (2.0, "uniform"),
+            (2.0, "burst"),
         ]
     };
     let mut cases = Vec::new();
     for (stack, label) in [(StackKind::Clic, "CLIC"), (StackKind::Tcp, "TCP")] {
         for &mtu in mtus {
-            for &(pct, bursty) in losses {
-                let kind = if bursty { "burst" } else { "uniform" };
-                cases.push((
-                    format!("reliability/{label}/mtu{mtu}/loss{pct}/{kind}"),
-                    stack,
-                    label,
-                    mtu,
-                    pct,
-                    bursty,
-                ));
+            for &(pct, model) in losses {
+                let id = format!("reliability/{label}/mtu{mtu}/loss{pct}/{model}");
+                cases.push((id, stack, label, mtu, pct, model));
             }
         }
     }
     cases
 }
 
-/// Reliability jobs: CLIC vs TCP × MTU × (loss rate, burstiness), one
-/// [`JobKind::Reliability`] each. `sizes` only selects quick vs full (as
-/// for the sweeps, a reduced size grid means a reduced reliability grid).
-pub fn reliability_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    let quick = sizes.len() <= quick_sizes().len();
+/// Reliability jobs — goodput, tail latency and retransmission cost of
+/// CLIC vs TCP as the link degrades, the §1 "networks have finite
+/// buffering and lose frames" scenario the paper's clean testbed never
+/// exercises: CLIC vs TCP × MTU × (loss rate, burstiness), 64 KB request
+/// / 4-byte reply cycles.
+fn reliability_jobs(sizes: &[usize]) -> Vec<JobSpec> {
+    let quick = is_quick(sizes);
     let rounds = if quick { 32 } else { 128 };
     let model = CostModel::era_2002();
     reliability_cases(quick)
         .into_iter()
-        .map(|(id, stack, _, mtu, pct, bursty)| {
+        .map(|(id, stack, _, mtu, pct, loss)| {
             let jumbo = mtu == 9000;
             let mut cfg = match stack {
                 StackKind::Clic => clic_pair(&model, jumbo, true),
                 _ => tcp_pair(&model, jumbo),
             };
-            cfg.faults.loss = reliability_loss(pct / 100.0, bursty);
+            cfg.faults.loss = reliability_loss(pct / 100.0, loss == "burst");
             JobSpec::new(
                 id,
                 JobKind::Reliability {
@@ -1133,152 +1259,66 @@ pub fn reliability_jobs(sizes: &[usize]) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Assemble the reliability rows from job results.
-pub fn reliability_from(results: &ResultMap, sizes: &[usize]) -> Vec<ReliabilityRow> {
-    let quick = sizes.len() <= quick_sizes().len();
-    reliability_cases(quick)
+fn reliability_from(results: &ResultMap, sizes: &[usize]) -> FigureOutput {
+    let rows = reliability_cases(is_quick(sizes))
         .into_iter()
-        .map(|(id, _, label, mtu, pct, bursty)| {
+        .map(|(id, _, label, mtu, pct, loss)| {
             let m = &results[&id];
-            ReliabilityRow {
-                stack: label.to_string(),
-                mtu,
-                loss_pct: pct,
-                bursty,
-                mbps: m.require("mbps"),
-                mean_us: m.require("mean_us"),
-                p99_us: m.require("p99_us"),
-                retx: m.require("m.retransmits"),
-                drops: m.require("m.drops"),
-            }
+            let mut row = vec![
+                label.into(),
+                mtu.into(),
+                pct.into(),
+                (loss == "burst").into(),
+                loss.into(),
+            ];
+            row.extend(
+                ["mbps", "mean_us", "p99_us", "m.retransmits", "m.drops"]
+                    .map(|k| Value::from(m.require(k))),
+            );
+            row
         })
-        .collect()
-}
-
-/// The reliability-under-loss family: goodput, tail latency and
-/// retransmission cost of CLIC vs TCP as the link degrades — the §1
-/// "networks have finite buffering and lose frames" scenario the paper's
-/// clean testbed never exercises.
-pub fn reliability(sizes: &[usize]) -> Vec<ReliabilityRow> {
-    reliability_from(&run_serial(&reliability_jobs(sizes)), sizes)
-}
-
-/// Ablation I row: all-to-all exchange scaling on a switched cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingRow {
-    /// Cluster size.
-    pub nodes: usize,
-    /// Aggregate delivered bandwidth, Mb/s (64 KB per pair).
-    pub aggregate_mbps: f64,
-    /// Aggregate bandwidth per node, Mb/s.
-    pub per_node_mbps: f64,
-}
-
-/// Ablation I jobs: all-to-all on switched clusters of 2, 4 and 8 nodes.
-pub fn scaling_jobs() -> Vec<JobSpec> {
-    use crate::builder::Topology;
-    let model = CostModel::era_2002();
-    [2usize, 4, 8]
-        .into_iter()
-        .map(|nodes| {
-            let mut cfg = clic_pair(&model, true, true);
-            cfg.nodes = nodes;
-            cfg.topology = Topology::Switched;
-            JobSpec::new(
-                format!("scaling/n{nodes}"),
-                JobKind::AllToAll {
-                    cluster: cfg,
-                    size: 65_536,
-                    seed: 14,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Assemble Ablation I from job results.
-pub fn scaling_from(results: &ResultMap) -> Vec<ScalingRow> {
-    [2usize, 4, 8]
-        .into_iter()
-        .map(|nodes| {
-            let aggregate_mbps = results[&format!("scaling/n{nodes}")].require("aggregate_mbps");
-            ScalingRow {
-                nodes,
-                aggregate_mbps,
-                per_node_mbps: aggregate_mbps / nodes as f64,
-            }
-        })
-        .collect()
-}
-
-/// Ablation I (extension): CLIC all-to-all on switched clusters of
-/// growing size — the cluster-computing workload the paper positions CLIC
-/// for, beyond its two-node testbed.
-pub fn ablation_scaling() -> Vec<ScalingRow> {
-    scaling_from(&run_serial(&scaling_jobs()))
+        .collect();
+    table(RELIABILITY, rows)
 }
 
 // ---------------------------------------------------------------------
 // Chaos soak + incast backpressure (the robustness family)
 // ---------------------------------------------------------------------
 
-/// One chaos-soak cell: a seeded crash/restart/flap/loss schedule driven
-/// through [`crate::workload::chaos_clic`], which asserts the robustness
-/// invariants; the row reports the accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosRow {
-    /// Schedule seed.
-    pub seed: u64,
-    /// Mean frame-loss probability, percent.
-    pub loss_pct: f64,
-    /// Receiver crash/restart cycles.
-    pub crashes: usize,
-    /// Link flaps.
-    pub flaps: usize,
-    /// Messages posted by the application.
-    pub posted: f64,
-    /// Messages confirmed delivered by the protocol.
-    pub confirmed: f64,
-    /// Messages written off by a typed flow failure.
-    pub failed: f64,
-    /// Messages the receiving application drained.
-    pub delivered: f64,
-    /// Teardowns: keepalive declared the peer dead.
-    pub err_peer_dead: f64,
-    /// Teardowns: the peer restarted into a new epoch.
-    pub err_stale_epoch: f64,
-    /// Teardowns: retransmission retries exhausted.
-    pub err_max_retries: f64,
-    /// Flow generations used (1 + teardowns).
-    pub eras: f64,
-    /// Stale-epoch packets the restarted receiver rejected.
-    pub stale_epoch_drops: f64,
-    /// Packets retransmitted.
-    pub retx: f64,
-}
+const SOAK: &[Column] = &[
+    Column::new("seed", "seed", 4),
+    Column::new("loss_pct", "loss%", 6),
+    Column::new("crashes", "crashes", 7),
+    Column::new("flaps", "flaps", 5),
+    Column::new("posted", "posted", 7).prec(0),
+    Column::new("confirmed", "confirmed", 9).prec(0),
+    Column::new("failed", "failed", 7).prec(0),
+    Column::new("delivered", "delivered", 9).prec(0),
+    Column::new("err_peer_dead", "pdead", 5).prec(0),
+    Column::new("err_stale_epoch", "stale", 5).prec(0),
+    Column::new("err_max_retries", "maxr", 5).prec(0),
+    Column::new("eras", "eras", 5).prec(0),
+    Column::new("stale_epoch_drops", "staledrops", 10).prec(0),
+    Column::new("retx", "retx", 6).prec(0),
+];
 
-/// One incast cell: N→1 into a slow consumer, with or without the
-/// advertised-window receive budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncastRow {
-    /// Receive budget in bytes (`None` = unthrottled).
-    pub budget: Option<usize>,
-    /// Concurrent senders.
-    pub senders: usize,
-    /// Messages delivered.
-    pub delivered: f64,
-    /// Mean post-to-delivery completion, µs.
-    pub mean_us: f64,
-    /// 99th-percentile completion, µs.
-    pub p99_us: f64,
-    /// Peak receive-side buffered bytes.
-    pub peak_buffered_bytes: f64,
-    /// First post to last delivery, µs.
-    pub elapsed_us: f64,
-}
+/// The budget prints as `64K`/`none` in text, as bytes or `null` in JSON.
+const INCAST: &[Column] = &[
+    Column::json("budget_bytes"),
+    Column::json("senders"),
+    Column::text("budget", 10).left(),
+    Column::new("delivered", "delivered", 9).prec(0),
+    Column::new("mean_us", "mean(us)", 10).prec(1),
+    Column::new("p99_us", "p99(us)", 10).prec(1),
+    Column::new("peak_buffered_bytes", "peak buf(B)", 12).prec(0),
+    Column::new("elapsed_us", "elapsed(us)", 12).prec(1),
+];
 
-/// The soak grid: `(id, seed, loss_pct, crashes, flaps)`. Quick runs keep
-/// one clean-link and one lossy schedule; full runs sweep three seeds.
+/// The soak grid: `(id, seed, loss_pct, crashes, flaps)`. Each cell is a
+/// seeded crash/restart/flap/loss schedule driven through
+/// [`crate::workload::chaos_clic`], which asserts the robustness
+/// invariants; the row reports the accounting. Quick runs keep one
+/// clean-link and one lossy schedule; full runs sweep three seeds.
 fn chaos_soak_cases(quick: bool) -> Vec<(String, u64, f64, usize, usize)> {
     let cells: &[(u64, f64, usize, usize)] = if quick {
         &[(1, 0.0, 1, 1), (2, 0.5, 2, 2)]
@@ -1308,13 +1348,12 @@ fn chaos_soak_cases(quick: bool) -> Vec<(String, u64, f64, usize, usize)> {
         .collect()
 }
 
-/// The incast grid: `(id, budget_bytes)`.
-fn chaos_incast_cases() -> Vec<(String, Option<usize>)> {
-    vec![
-        ("chaos/incast/unbounded".to_string(), None),
-        ("chaos/incast/budget64k".to_string(), Some(64 * 1024)),
-    ]
-}
+/// The incast grid: 4→1 into a slow consumer, with or without the
+/// advertised-window receive budget: `(id, budget_bytes, budget text)`.
+const CHAOS_INCAST: [(&str, Option<usize>, &str); 2] = [
+    ("chaos/incast/unbounded", None, "none"),
+    ("chaos/incast/budget64k", Some(64 * 1024), "64K"),
+];
 
 /// A two-node CLIC pair with the robustness machinery enabled: keepalive
 /// liveness, epoch guarding, and `loss_pct` percent uniform frame loss.
@@ -1347,10 +1386,11 @@ pub(crate) fn incast_cluster(
     cfg
 }
 
-/// Chaos jobs: the soak grid plus the incast pair. `sizes` only selects
-/// quick vs full, as for the other families.
-pub fn chaos_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    let quick = sizes.len() <= quick_sizes().len();
+/// Chaos jobs — crash-recovery accounting under seeded fault schedules,
+/// and receive-buffer behaviour under 4→1 incast with and without
+/// backpressure: the soak grid plus the incast pair.
+fn chaos_jobs(sizes: &[usize]) -> Vec<JobSpec> {
+    let quick = is_quick(sizes);
     let nmsgs = if quick { 40 } else { 120 };
     let per_sender = if quick { 8 } else { 32 };
     let model = CostModel::era_2002();
@@ -1370,7 +1410,7 @@ pub fn chaos_jobs(sizes: &[usize]) -> Vec<JobSpec> {
             )
         })
         .collect();
-    jobs.extend(chaos_incast_cases().into_iter().map(|(id, budget)| {
+    jobs.extend(CHAOS_INCAST.into_iter().map(|(id, budget, _)| {
         JobSpec::new(
             id,
             JobKind::Incast {
@@ -1385,86 +1425,84 @@ pub fn chaos_jobs(sizes: &[usize]) -> Vec<JobSpec> {
     jobs
 }
 
-/// Assemble the chaos rows from job results.
-pub fn chaos_from(results: &ResultMap, sizes: &[usize]) -> (Vec<ChaosRow>, Vec<IncastRow>) {
-    let quick = sizes.len() <= quick_sizes().len();
-    let soak = chaos_soak_cases(quick)
+fn chaos_from(results: &ResultMap, sizes: &[usize]) -> FigureOutput {
+    let soak = chaos_soak_cases(is_quick(sizes))
         .into_iter()
         .map(|(id, seed, pct, crashes, flaps)| {
             let m = &results[&id];
-            ChaosRow {
-                seed,
-                loss_pct: pct,
-                crashes,
-                flaps,
-                posted: m.require("posted"),
-                confirmed: m.require("confirmed"),
-                failed: m.require("failed"),
-                delivered: m.require("delivered"),
-                err_peer_dead: m.require("err_peer_dead"),
-                err_stale_epoch: m.require("err_stale_epoch"),
-                err_max_retries: m.require("err_max_retries"),
-                eras: m.require("eras"),
-                stale_epoch_drops: m.require("stale_epoch_drops"),
-                retx: m.require("m.retransmits"),
-            }
+            let mut row = vec![seed.into(), pct.into(), crashes.into(), flaps.into()];
+            row.extend(
+                [
+                    "posted",
+                    "confirmed",
+                    "failed",
+                    "delivered",
+                    "err_peer_dead",
+                    "err_stale_epoch",
+                    "err_max_retries",
+                    "eras",
+                    "stale_epoch_drops",
+                    "m.retransmits",
+                ]
+                .map(|k| Value::from(m.require(k))),
+            );
+            row
         })
         .collect();
-    let incast = chaos_incast_cases()
+    let incast = CHAOS_INCAST
         .into_iter()
-        .map(|(id, budget)| {
-            let m = &results[&id];
-            IncastRow {
-                budget,
-                senders: 4,
-                delivered: m.require("delivered"),
-                mean_us: m.require("mean_us"),
-                p99_us: m.require("p99_us"),
-                peak_buffered_bytes: m.require("peak_buffered_bytes"),
-                elapsed_us: m.require("elapsed_us"),
-            }
+        .map(|(id, budget, text)| {
+            let m = &results[id];
+            let mut row = vec![
+                budget.map_or(Value::Null, Value::from),
+                4usize.into(),
+                text.into(),
+            ];
+            row.extend(
+                [
+                    "delivered",
+                    "mean_us",
+                    "p99_us",
+                    "peak_buffered_bytes",
+                    "elapsed_us",
+                ]
+                .map(|k| Value::from(m.require(k))),
+            );
+            row
         })
         .collect();
-    (soak, incast)
-}
-
-/// The chaos-soak + incast robustness family: crash-recovery accounting
-/// under seeded fault schedules, and receive-buffer behaviour under 4→1
-/// incast with and without backpressure.
-pub fn chaos(sizes: &[usize]) -> (Vec<ChaosRow>, Vec<IncastRow>) {
-    chaos_from(&run_serial(&chaos_jobs(sizes)), sizes)
+    FigureOutput::Tables(vec![
+        Table {
+            name: "soak",
+            ..Table::new(SOAK, soak)
+        },
+        Table {
+            name: "incast",
+            heading: Some("-- 4-to-1 incast into a slow consumer --"),
+            ..Table::new(INCAST, incast)
+        },
+    ])
 }
 
 // ---------------------------------------------------------------------
 // Cluster scaling: fabrics × node count × collective backend
 // ---------------------------------------------------------------------
 
-/// One cluster-scaling cell: whole-cluster barrier + all-reduce latency
-/// for a node count on a fabric, host-based or NIC-offloaded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleRow {
-    /// Fabric kind ("leaf-spine" or "fat-tree").
-    pub fabric: &'static str,
-    /// Nodes in the cluster.
-    pub nodes: usize,
-    /// Collective backend ("host" or "nic").
-    pub backend: &'static str,
-    /// Barrier enter-to-release latency, µs.
-    pub barrier_us: f64,
-    /// All-reduce contribute-to-total latency, µs.
-    pub allreduce_us: f64,
-    /// Switches in the fabric.
-    pub switches: f64,
-    /// Switch-to-switch trunk links.
-    pub trunks: f64,
-    /// Collective control frames consumed by NIC engines (0 on host runs).
-    pub coll_msgs: f64,
-    /// Host interrupts taken across the cluster during the collectives.
-    pub host_irqs: f64,
-}
+const SCALE: &[Column] = &[
+    Column::new("fabric", "fabric", 10).left(),
+    Column::new("nodes", "nodes", 6),
+    Column::new("backend", "backend", 8),
+    Column::new("barrier_us", "barrier(us)", 12).prec(1),
+    Column::new("allreduce_us", "allreduce(us)", 13).prec(1),
+    Column::new("switches", "switches", 9).prec(0),
+    Column::new("trunks", "trunks", 7).prec(0),
+    Column::new("coll_msgs", "coll msgs", 10).prec(0),
+    Column::new("host_irqs", "host irqs", 10).prec(0),
+];
 
-/// The scaling grid: `(id, nodes, topology, fabric name, offload)`.
-fn scale_cases(quick: bool) -> Vec<(String, usize, Topology, &'static str, bool)> {
+/// The scaling grid: `(id, nodes, topology, fabric, backend)`, where the
+/// backend is `"host"` (MPI collectives) or `"nic"` (offloaded).
+fn scale_cases(quick: bool) -> Vec<(String, usize, Topology, &'static str, &'static str)> {
     let counts: &[usize] = if quick {
         &[8, 16]
     } else {
@@ -1477,15 +1515,9 @@ fn scale_cases(quick: bool) -> Vec<(String, usize, Topology, &'static str, bool)
     let mut cases = Vec::new();
     for &nodes in counts {
         for (topology, fabric) in fabrics {
-            for offload in [false, true] {
-                let backend = if offload { "nic" } else { "host" };
-                cases.push((
-                    format!("scale/{fabric}/n{nodes}/{backend}"),
-                    nodes,
-                    topology,
-                    fabric,
-                    offload,
-                ));
+            for backend in ["host", "nic"] {
+                let id = format!("scale/{fabric}/n{nodes}/{backend}");
+                cases.push((id, nodes, topology, fabric, backend));
             }
         }
     }
@@ -1500,19 +1532,19 @@ pub(crate) fn scale_cluster(model: &CostModel, nodes: usize, topology: Topology)
     cfg
 }
 
-/// Cluster-scaling jobs. `sizes` only selects quick (8–16 nodes) vs full
-/// (8–256 nodes), as for the other families.
-pub fn scale_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    let quick = sizes.len() <= quick_sizes().len();
+/// Cluster-scaling jobs: whole-cluster barrier + all-reduce latency vs
+/// node count (quick 8–16, full 8–256) on leaf–spine and fat-tree
+/// fabrics, host-based vs NIC-offloaded.
+fn scale_jobs(sizes: &[usize]) -> Vec<JobSpec> {
     let model = CostModel::era_2002();
-    scale_cases(quick)
+    scale_cases(is_quick(sizes))
         .into_iter()
-        .map(|(id, nodes, topology, _fabric, offload)| {
+        .map(|(id, nodes, topology, _, backend)| {
             JobSpec::new(
                 id,
                 JobKind::ScaleCollective {
                     cluster: scale_cluster(&model, nodes, topology),
-                    offload,
+                    offload: backend == "nic",
                     seed: 5,
                 },
             )
@@ -1520,77 +1552,62 @@ pub fn scale_jobs(sizes: &[usize]) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Assemble the scaling rows from job results.
-pub fn scale_from(results: &ResultMap, sizes: &[usize]) -> Vec<ScaleRow> {
-    let quick = sizes.len() <= quick_sizes().len();
-    scale_cases(quick)
+fn scale_from(results: &ResultMap, sizes: &[usize]) -> FigureOutput {
+    let rows = scale_cases(is_quick(sizes))
         .into_iter()
-        .map(|(id, nodes, _topology, fabric, offload)| {
+        .map(|(id, nodes, _, fabric, backend)| {
             let m = &results[&id];
-            ScaleRow {
-                fabric,
-                nodes,
-                backend: if offload { "nic" } else { "host" },
-                barrier_us: m.require("barrier_us"),
-                allreduce_us: m.require("allreduce_us"),
-                switches: m.require("switches"),
-                trunks: m.require("trunks"),
-                coll_msgs: m.require("coll_msgs"),
-                host_irqs: m.require("host_irqs"),
-            }
+            let mut row = vec![fabric.into(), nodes.into(), backend.into()];
+            row.extend(
+                [
+                    "barrier_us",
+                    "allreduce_us",
+                    "switches",
+                    "trunks",
+                    "coll_msgs",
+                    "host_irqs",
+                ]
+                .map(|k| Value::from(m.require(k))),
+            );
+            row
         })
-        .collect()
-}
-
-/// The cluster-scaling family: barrier/all-reduce latency vs node count on
-/// leaf–spine and fat-tree fabrics, host-based vs NIC-offloaded.
-pub fn scale(sizes: &[usize]) -> Vec<ScaleRow> {
-    scale_from(&run_serial(&scale_jobs(sizes)), sizes)
+        .collect();
+    table(SCALE, rows)
 }
 
 // ---------------------------------------------------------------------
 // Fabric congestion: ECN marking + mark-driven cwnd (the congestion family)
 // ---------------------------------------------------------------------
 
-/// One fabric-congestion cell: an incast or all-to-all shuffle on a
-/// multi-switch fabric, run either with a fixed send window (drop-only
-/// congestion signal) or with switch ECN marking driving the per-flow
-/// congestion window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CongestionRow {
-    /// Workload ("incast" or "shuffle").
-    pub workload: &'static str,
-    /// Fabric kind ("leaf-spine" or "fat-tree").
-    pub fabric: &'static str,
-    /// Concurrent senders (incast) or nodes (shuffle).
-    pub senders: usize,
-    /// Control scheme ("fixed" or "ecn").
-    pub control: &'static str,
-    /// Receiver goodput (incast) or aggregate bandwidth (shuffle), Mb/s.
-    pub goodput_mbps: f64,
-    /// 99th-percentile post-to-delivery completion, µs (incast only; NaN
-    /// for the shuffle, which has no per-message completion sample).
-    pub p99_us: f64,
-    /// Frames/packets dropped across every layer (tail drops dominate).
-    pub drops: f64,
-    /// Switch congestion marks applied.
-    pub marks: f64,
-    /// Marks echoed back to senders on ACKs.
-    pub echoes: f64,
-    /// Packets retransmitted.
-    pub retx: f64,
-    /// Peak switch output-queue depth, frames.
-    pub peak_queue: f64,
-}
+/// The shuffle has no per-message completion sample, so its p99 is NaN.
+const CONGESTION: &[Column] = &[
+    Column::new("workload", "workload", 8).left(),
+    Column::new("fabric", "fabric", 10).left(),
+    Column::new("senders", "senders", 7),
+    Column::new("control", "control", 7),
+    Column::new("goodput_mbps", "Mb/s", 10).prec(1),
+    Column::new("p99_us", "p99(us)", 10).prec(1),
+    Column::new("drops", "drops", 7).prec(0),
+    Column::new("marks", "marks", 7).prec(0),
+    Column::new("echoes", "echoes", 7).prec(0),
+    Column::new("retx", "retx", 7).prec(0),
+    Column::new("peak_queue", "peakq", 6).prec(0),
+];
 
-/// One point of the congestion grid.
+/// One point of the congestion grid: an incast or all-to-all shuffle on
+/// a multi-switch fabric, with a fixed send window (drop-only congestion
+/// signal) or with switch ECN marking driving the per-flow congestion
+/// window.
 struct CongestionCase {
     id: String,
     workload: &'static str,
     fabric: &'static str,
     topology: Topology,
     nodes: usize,
-    ecn: bool,
+    /// Concurrent senders (incast) or nodes (shuffle).
+    senders: usize,
+    /// `"fixed"` or `"ecn"`.
+    control: &'static str,
 }
 
 /// The congestion grid. Quick runs keep an 8→1 incast and an 8-node
@@ -1601,10 +1618,6 @@ struct CongestionCase {
 /// leaf–spine, the 2-agg pod mesh on fat-tree) instead of degenerating
 /// into a single-switch star.
 fn congestion_cases(quick: bool) -> Vec<CongestionCase> {
-    let fabrics = |t: Topology| match t {
-        Topology::FatTree => "fat-tree",
-        _ => "leaf-spine",
-    };
     let cells: &[(&'static str, Topology, usize)] = if quick {
         &[
             ("incast", Topology::LeafSpine, 9),
@@ -1620,21 +1633,24 @@ fn congestion_cases(quick: bool) -> Vec<CongestionCase> {
     };
     let mut cases = Vec::new();
     for &(workload, topology, nodes) in cells {
-        let fabric = fabrics(topology);
+        let fabric = match topology {
+            Topology::FatTree => "fat-tree",
+            _ => "leaf-spine",
+        };
         let senders = if workload == "incast" {
             nodes - 1
         } else {
             nodes
         };
-        for ecn in [false, true] {
-            let control = if ecn { "ecn" } else { "fixed" };
+        for control in ["fixed", "ecn"] {
             cases.push(CongestionCase {
                 id: format!("congestion/{workload}/{fabric}/s{senders}/{control}"),
                 workload,
                 fabric,
                 topology,
                 nodes,
-                ecn,
+                senders,
+                control,
             });
         }
     }
@@ -1671,16 +1687,16 @@ pub(crate) fn congestion_cluster(
 
 /// Congestion jobs: incast cells via [`JobKind::Incast`] (consumer drains
 /// at full speed — the fabric, not the application, is the bottleneck)
-/// and shuffle cells via [`JobKind::AllToAll`]. `sizes` only selects
-/// quick vs full, as for the other families.
-pub fn congestion_jobs(sizes: &[usize]) -> Vec<JobSpec> {
-    let quick = sizes.len() <= quick_sizes().len();
+/// and shuffle cells via [`JobKind::AllToAll`].
+fn congestion_jobs(sizes: &[usize]) -> Vec<JobSpec> {
+    let quick = is_quick(sizes);
     let per_sender = if quick { 6 } else { 16 };
     let model = CostModel::era_2002();
     congestion_cases(quick)
         .into_iter()
         .map(|case| {
-            let cluster = congestion_cluster(&model, case.nodes, case.topology, case.ecn);
+            let ecn = case.control == "ecn";
+            let cluster = congestion_cluster(&model, case.nodes, case.topology, ecn);
             let kind = match case.workload {
                 "incast" => JobKind::Incast {
                     cluster,
@@ -1700,43 +1716,38 @@ pub fn congestion_jobs(sizes: &[usize]) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Assemble the congestion rows from job results.
-pub fn congestion_from(results: &ResultMap, sizes: &[usize]) -> Vec<CongestionRow> {
-    let quick = sizes.len() <= quick_sizes().len();
-    congestion_cases(quick)
+fn congestion_from(results: &ResultMap, sizes: &[usize]) -> FigureOutput {
+    let rows = congestion_cases(is_quick(sizes))
         .into_iter()
         .map(|case| {
             let m = &results[&case.id];
-            let (goodput_mbps, p99_us) = if case.workload == "incast" {
+            let (goodput, p99) = if case.workload == "incast" {
                 (m.require("goodput_mbps"), m.require("p99_us"))
             } else {
                 (m.require("aggregate_mbps"), f64::NAN)
             };
-            CongestionRow {
-                workload: case.workload,
-                fabric: case.fabric,
-                senders: if case.workload == "incast" {
-                    case.nodes - 1
-                } else {
-                    case.nodes
-                },
-                control: if case.ecn { "ecn" } else { "fixed" },
-                goodput_mbps,
-                p99_us,
-                drops: m.require("m.drops"),
-                marks: m.require("m.ecn_marks"),
-                echoes: m.require("m.ecn_echoes"),
-                retx: m.require("m.retransmits"),
-                peak_queue: m.require("m.peak_switch_queue_depth"),
-            }
+            let mut row = vec![
+                case.workload.into(),
+                case.fabric.into(),
+                case.senders.into(),
+                case.control.into(),
+                goodput.into(),
+                p99.into(),
+            ];
+            row.extend(
+                [
+                    "m.drops",
+                    "m.ecn_marks",
+                    "m.ecn_echoes",
+                    "m.retransmits",
+                    "m.peak_switch_queue_depth",
+                ]
+                .map(|k| Value::from(m.require(k))),
+            );
+            row
         })
-        .collect()
-}
-
-/// The fabric-congestion family: fixed-window vs ECN-cwnd under incast
-/// and all-to-all shuffle on multi-switch fabrics.
-pub fn congestion(sizes: &[usize]) -> Vec<CongestionRow> {
-    congestion_from(&run_serial(&congestion_jobs(sizes)), sizes)
+        .collect();
+    table(CONGESTION, rows)
 }
 
 // ---------------------------------------------------------------------
@@ -1798,52 +1809,172 @@ pub enum FigureKind {
     Congestion,
 }
 
-/// The result of one assembled figure, ready for rendering.
-#[derive(Debug, Clone)]
-pub enum FigureOutput {
-    /// Bandwidth curves (figures 4, 5, 6 and Ablation B).
-    Series(Vec<Series>),
-    /// Figure 7's two stage breakdowns (7a, 7b).
-    Stages {
-        /// Without the direct-call improvement.
-        a: Vec<StageRow>,
-        /// With the direct-call improvement (Fig. 8b).
-        b: Vec<StageRow>,
-    },
-    /// The §4 scalars.
-    Scalars(Scalars),
-    /// The §5 comparison rows.
-    Gamma(Vec<ComparisonRow>),
-    /// Ablation A rows.
-    Coalescing(Vec<CoalescingRow>),
-    /// Ablation C rows.
-    Bonding(Vec<BondingRow>),
-    /// Ablation D rows.
-    Syscall(Vec<SyscallRow>),
-    /// Ablation E rows.
-    Loss(Vec<LossRow>),
-    /// Ablation F rows.
-    Cpu(Vec<CpuRow>),
-    /// Ablation G rows.
-    Load(Vec<LoadedLatencyRow>),
-    /// Ablation H rows.
-    Paths(Vec<PathRow>),
-    /// Ablation I rows.
-    Scaling(Vec<ScalingRow>),
-    /// Reliability-under-loss rows.
-    Reliability(Vec<ReliabilityRow>),
-    /// Chaos-soak and incast rows.
-    Chaos {
-        /// The soak grid.
-        soak: Vec<ChaosRow>,
-        /// The incast pair.
-        incast: Vec<IncastRow>,
-    },
-    /// Cluster-scaling rows.
-    Scale(Vec<ScaleRow>),
-    /// Fabric-congestion rows.
-    Congestion(Vec<CongestionRow>),
+/// One figure family: everything the runner and the `figures` binary
+/// know about it.
+#[derive(Debug, Clone, Copy)]
+pub struct Family {
+    /// The family.
+    pub kind: FigureKind,
+    /// The CLI name (`figures <name>`).
+    pub name: &'static str,
+    /// The display title, as printed by the `figures` binary.
+    pub title: &'static str,
+    /// The jobs on a size grid. Families that don't sweep sizes read only
+    /// whether the grid is reduced, or ignore it.
+    pub jobs: fn(&[usize]) -> Vec<JobSpec>,
+    /// Assemble the output from job results, which must contain every id
+    /// `jobs` lists for the same sizes.
+    pub assemble: fn(&ResultMap, &[usize]) -> FigureOutput,
 }
+
+/// Every figure family, in [`FigureKind`] order.
+pub static FAMILIES: [Family; 19] = [
+    Family {
+        kind: FigureKind::Fig4,
+        name: "fig4",
+        title: "Figure 4: CLIC bandwidth, MTU x copy-path",
+        jobs: |s| curves_jobs("fig4", fig4_curves(), s),
+        assemble: |r, s| curves_from(r, "fig4", fig4_curves(), s),
+    },
+    Family {
+        kind: FigureKind::Fig5,
+        name: "fig5",
+        title: "Figure 5: CLIC vs TCP/IP, MTU 9000/1500",
+        jobs: |s| curves_jobs("fig5", fig5_curves(), s),
+        assemble: |r, s| curves_from(r, "fig5", fig5_curves(), s),
+    },
+    Family {
+        kind: FigureKind::Fig6,
+        name: "fig6",
+        title: "Figure 6: CLIC, MPI-CLIC, MPI-TCP, PVM-TCP",
+        jobs: |s| curves_jobs("fig6", fig6_curves(), s),
+        assemble: |r, s| curves_from(r, "fig6", fig6_curves(), s),
+    },
+    Family {
+        kind: FigureKind::Fig7,
+        name: "fig7",
+        title: "Figure 7: 1400-byte packet pipeline stages",
+        jobs: fig7_jobs,
+        assemble: fig7_from,
+    },
+    Family {
+        kind: FigureKind::Scalars,
+        name: "scalars",
+        title: "Headline scalars (paper Section 4/5)",
+        jobs: scalars_jobs,
+        assemble: |r, s| FigureOutput::Scalars(scalars_of(r, s)),
+    },
+    Family {
+        kind: FigureKind::Gamma,
+        name: "gamma",
+        title: "Section 5 comparison: CLIC vs GAMMA",
+        jobs: gamma_jobs,
+        assemble: gamma_from,
+    },
+    Family {
+        kind: FigureKind::Coalescing,
+        name: "coalescing",
+        title: "Ablation A: interrupt coalescing",
+        jobs: coalescing_jobs,
+        assemble: coalescing_from,
+    },
+    Family {
+        kind: FigureKind::Fragmentation,
+        name: "fragmentation",
+        title: "Ablation B: NIC fragmentation offload (paper future work)",
+        jobs: |s| curves_jobs("fragmentation", fragmentation_curves(), s),
+        assemble: |r, s| curves_from(r, "fragmentation", fragmentation_curves(), s),
+    },
+    Family {
+        kind: FigureKind::Bonding,
+        name: "bonding",
+        title: "Ablation C: channel bonding",
+        jobs: bonding_jobs,
+        assemble: bonding_from,
+    },
+    Family {
+        kind: FigureKind::Syscall,
+        name: "syscall",
+        title: "Ablation D: system-call flavour (Section 3.2)",
+        jobs: syscall_jobs,
+        assemble: syscall_from,
+    },
+    Family {
+        kind: FigureKind::Loss,
+        name: "loss",
+        title: "Ablation E: CLIC goodput under frame loss",
+        jobs: loss_jobs,
+        assemble: loss_from,
+    },
+    Family {
+        kind: FigureKind::Cpu,
+        name: "cpu",
+        title: "Ablation F: CPU utilisation vs link speed (Section 2 claim)",
+        jobs: cpu_jobs,
+        assemble: cpu_from,
+    },
+    Family {
+        kind: FigureKind::Load,
+        name: "load",
+        title: "Ablation G: 64-byte latency under bulk load",
+        jobs: load_jobs,
+        assemble: load_from,
+    },
+    Family {
+        kind: FigureKind::Paths,
+        name: "paths",
+        title: "Ablation H: Figure 1 data paths",
+        jobs: paths_jobs,
+        assemble: paths_from,
+    },
+    Family {
+        kind: FigureKind::Scaling,
+        name: "scaling",
+        title: "Ablation I: CLIC all-to-all scaling on a switch",
+        jobs: scaling_jobs,
+        assemble: scaling_from,
+    },
+    Family {
+        kind: FigureKind::Reliability,
+        name: "reliability",
+        title: "Reliability under loss: CLIC vs TCP, loss rate x burstiness x MTU",
+        jobs: reliability_jobs,
+        assemble: reliability_from,
+    },
+    Family {
+        kind: FigureKind::Chaos,
+        name: "chaos",
+        title: "Chaos soak: crash/restart/flap/loss schedules + incast backpressure",
+        jobs: chaos_jobs,
+        assemble: chaos_from,
+    },
+    Family {
+        kind: FigureKind::Scale,
+        name: "scale",
+        title: "Cluster scaling: collectives vs node count, fabrics, host vs NIC offload",
+        jobs: scale_jobs,
+        assemble: scale_from,
+    },
+    Family {
+        kind: FigureKind::Congestion,
+        name: "congestion",
+        title: "Fabric congestion: fixed window vs ECN-driven cwnd, incast + shuffle",
+        jobs: congestion_jobs,
+        assemble: congestion_from,
+    },
+];
+
+// `FigureKind::family` indexes FAMILIES by discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < FAMILIES.len() {
+        assert!(
+            FAMILIES[i].kind as usize == i,
+            "FAMILIES is out of FigureKind order"
+        );
+        i += 1;
+    }
+};
 
 impl FigureKind {
     /// Every figure, in the order `figures all` runs them.
@@ -1866,137 +1997,41 @@ impl FigureKind {
         FigureKind::Reliability,
     ];
 
+    /// This figure's entry in [`FAMILIES`].
+    fn family(self) -> &'static Family {
+        &FAMILIES[self as usize]
+    }
+
     /// The CLI name (`figures <name>`).
     pub fn name(self) -> &'static str {
-        match self {
-            FigureKind::Fig4 => "fig4",
-            FigureKind::Fig5 => "fig5",
-            FigureKind::Fig6 => "fig6",
-            FigureKind::Fig7 => "fig7",
-            FigureKind::Scalars => "scalars",
-            FigureKind::Gamma => "gamma",
-            FigureKind::Coalescing => "coalescing",
-            FigureKind::Fragmentation => "fragmentation",
-            FigureKind::Bonding => "bonding",
-            FigureKind::Syscall => "syscall",
-            FigureKind::Loss => "loss",
-            FigureKind::Cpu => "cpu",
-            FigureKind::Load => "load",
-            FigureKind::Paths => "paths",
-            FigureKind::Scaling => "scaling",
-            FigureKind::Reliability => "reliability",
-            FigureKind::Chaos => "chaos",
-            FigureKind::Scale => "scale",
-            FigureKind::Congestion => "congestion",
-        }
+        self.family().name
     }
 
-    /// Parse a CLI name. Accepts the opt-in [`FigureKind::Chaos`] family
-    /// too, even though `ALL` (and thus `figures all`) excludes it.
+    /// The figure's display title, as printed by the `figures` binary.
+    pub fn title(self) -> &'static str {
+        self.family().title
+    }
+
+    /// Parse a CLI name, opt-in families (outside [`FigureKind::ALL`])
+    /// included.
     pub fn from_name(name: &str) -> Option<FigureKind> {
-        if name == FigureKind::Chaos.name() {
-            return Some(FigureKind::Chaos);
-        }
-        if name == FigureKind::Scale.name() {
-            return Some(FigureKind::Scale);
-        }
-        if name == FigureKind::Congestion.name() {
-            return Some(FigureKind::Congestion);
-        }
-        FigureKind::ALL.into_iter().find(|f| f.name() == name)
+        FAMILIES.iter().find(|f| f.name == name).map(|f| f.kind)
     }
 
-    /// The jobs of this figure on the given size grid (figures that don't
-    /// sweep sizes ignore it).
+    /// The jobs of this figure on the given size grid.
     pub fn jobs(self, sizes: &[usize]) -> Vec<JobSpec> {
-        match self {
-            FigureKind::Fig4 => fig4_jobs(sizes),
-            FigureKind::Fig5 => fig5_jobs(sizes),
-            FigureKind::Fig6 => fig6_jobs(sizes),
-            FigureKind::Fig7 => fig7_jobs(),
-            FigureKind::Scalars => scalars_jobs(sizes),
-            FigureKind::Gamma => gamma_jobs(sizes),
-            FigureKind::Coalescing => coalescing_jobs(),
-            FigureKind::Fragmentation => fragmentation_jobs(sizes),
-            FigureKind::Bonding => bonding_jobs(),
-            FigureKind::Syscall => syscall_jobs(),
-            FigureKind::Loss => loss_jobs(),
-            FigureKind::Cpu => cpu_jobs(),
-            FigureKind::Load => load_jobs(),
-            FigureKind::Paths => paths_jobs(),
-            FigureKind::Scaling => scaling_jobs(),
-            FigureKind::Reliability => reliability_jobs(sizes),
-            FigureKind::Chaos => chaos_jobs(sizes),
-            FigureKind::Scale => scale_jobs(sizes),
-            FigureKind::Congestion => congestion_jobs(sizes),
-        }
+        (self.family().jobs)(sizes)
     }
 
     /// Assemble this figure's output from job results (which must contain
     /// every id listed by [`FigureKind::jobs`] for the same `sizes`).
     pub fn assemble(self, results: &ResultMap, sizes: &[usize]) -> FigureOutput {
-        match self {
-            FigureKind::Fig4 => FigureOutput::Series(fig4_from(results, sizes)),
-            FigureKind::Fig5 => FigureOutput::Series(fig5_from(results, sizes)),
-            FigureKind::Fig6 => FigureOutput::Series(fig6_from(results, sizes)),
-            FigureKind::Fig7 => FigureOutput::Stages {
-                a: fig7_from(results, false),
-                b: fig7_from(results, true),
-            },
-            FigureKind::Scalars => FigureOutput::Scalars(scalars_from(results, sizes)),
-            FigureKind::Gamma => FigureOutput::Gamma(gamma_from(results, sizes)),
-            FigureKind::Coalescing => FigureOutput::Coalescing(coalescing_from(results)),
-            FigureKind::Fragmentation => FigureOutput::Series(fragmentation_from(results, sizes)),
-            FigureKind::Bonding => FigureOutput::Bonding(bonding_from(results)),
-            FigureKind::Syscall => FigureOutput::Syscall(syscall_from(results)),
-            FigureKind::Loss => FigureOutput::Loss(loss_from(results)),
-            FigureKind::Cpu => FigureOutput::Cpu(cpu_from(results)),
-            FigureKind::Load => FigureOutput::Load(load_from(results)),
-            FigureKind::Paths => FigureOutput::Paths(paths_from(results)),
-            FigureKind::Scaling => FigureOutput::Scaling(scaling_from(results)),
-            FigureKind::Reliability => FigureOutput::Reliability(reliability_from(results, sizes)),
-            FigureKind::Chaos => {
-                let (soak, incast) = chaos_from(results, sizes);
-                FigureOutput::Chaos { soak, incast }
-            }
-            FigureKind::Scale => FigureOutput::Scale(scale_from(results, sizes)),
-            FigureKind::Congestion => FigureOutput::Congestion(congestion_from(results, sizes)),
-        }
+        (self.family().assemble)(results, sizes)
     }
 
-    /// The figure's display title, as printed by the `figures` binary.
-    pub fn title(self) -> &'static str {
-        match self {
-            FigureKind::Fig4 => "Figure 4: CLIC bandwidth, MTU x copy-path",
-            FigureKind::Fig5 => "Figure 5: CLIC vs TCP/IP, MTU 9000/1500",
-            FigureKind::Fig6 => "Figure 6: CLIC, MPI-CLIC, MPI-TCP, PVM-TCP",
-            FigureKind::Fig7 => "Figure 7: 1400-byte packet pipeline stages",
-            FigureKind::Scalars => "Headline scalars (paper Section 4/5)",
-            FigureKind::Gamma => "Section 5 comparison: CLIC vs GAMMA",
-            FigureKind::Coalescing => "Ablation A: interrupt coalescing",
-            FigureKind::Fragmentation => {
-                "Ablation B: NIC fragmentation offload (paper future work)"
-            }
-            FigureKind::Bonding => "Ablation C: channel bonding",
-            FigureKind::Syscall => "Ablation D: system-call flavour (Section 3.2)",
-            FigureKind::Loss => "Ablation E: CLIC goodput under frame loss",
-            FigureKind::Cpu => "Ablation F: CPU utilisation vs link speed (Section 2 claim)",
-            FigureKind::Load => "Ablation G: 64-byte latency under bulk load",
-            FigureKind::Paths => "Ablation H: Figure 1 data paths",
-            FigureKind::Scaling => "Ablation I: CLIC all-to-all scaling on a switch",
-            FigureKind::Reliability => {
-                "Reliability under loss: CLIC vs TCP, loss rate x burstiness x MTU"
-            }
-            FigureKind::Chaos => {
-                "Chaos soak: crash/restart/flap/loss schedules + incast backpressure"
-            }
-            FigureKind::Scale => {
-                "Cluster scaling: collectives vs node count, fabrics, host vs NIC offload"
-            }
-            FigureKind::Congestion => {
-                "Fabric congestion: fixed window vs ECN-driven cwnd, incast + shuffle"
-            }
-        }
+    /// Run this figure's jobs serially in-process and assemble them.
+    pub fn run(self, sizes: &[usize]) -> FigureOutput {
+        self.assemble(&run_serial(&self.jobs(sizes)), sizes)
     }
 }
 
@@ -2017,13 +2052,36 @@ pub struct ClaimRow {
     pub pass: bool,
 }
 
-/// Evaluate the paper's headline claims against the simulation — the
-/// executable form of EXPERIMENTS.md. Runs on a reduced grid; a few
-/// minutes of CPU.
-pub fn claims() -> Vec<ClaimRow> {
-    let sizes = vec![
-        4_096usize, 8_192, 16_384, 32_768, 65_536, 262_144, 1_048_576, 4_194_304,
-    ];
+/// The reduced size grid the claims are checked on (a subset of
+/// [`paper_sizes`]).
+const CLAIM_SIZES: [usize; 8] = [
+    4_096, 8_192, 16_384, 32_768, 65_536, 262_144, 1_048_576, 4_194_304,
+];
+
+/// The families the claims read.
+const CLAIM_FAMILIES: [FigureKind; 6] = [
+    FigureKind::Scalars,
+    FigureKind::Fig4,
+    FigureKind::Fig6,
+    FigureKind::Fig7,
+    FigureKind::Gamma,
+    FigureKind::Cpu,
+];
+
+/// The jobs [`claims`] reads: its six families on the claims grid. Their
+/// ids and specs are those of the same points in `figures all`, so a
+/// warm result cache serves them.
+pub fn claims_jobs() -> Vec<JobSpec> {
+    CLAIM_FAMILIES
+        .iter()
+        .flat_map(|kind| kind.jobs(&CLAIM_SIZES))
+        .collect()
+}
+
+/// Evaluate the paper's headline claims against the results of
+/// [`claims_jobs`] — the executable form of EXPERIMENTS.md.
+pub fn claims(results: &ResultMap) -> Vec<ClaimRow> {
+    let sizes = &CLAIM_SIZES;
     let mut rows = Vec::new();
     let mut check = |id: &str, claim: &str, measured: String, pass: bool| {
         rows.push(ClaimRow {
@@ -2034,7 +2092,7 @@ pub fn claims() -> Vec<ClaimRow> {
         });
     };
 
-    let s = scalars(&sizes);
+    let s = scalars_of(results, sizes);
     check(
         "C1",
         "0-byte one-way latency is 36 us",
@@ -2069,8 +2127,8 @@ pub fn claims() -> Vec<ClaimRow> {
         (8_192..=32_768).contains(&s.tcp_half_bandwidth_bytes),
     );
 
-    let f4 = fig4(&sizes);
-    let peak = |series: &Series| series.points.iter().map(|p| p.mbps).fold(0.0f64, f64::max);
+    let f4 = FigureKind::Fig4.assemble(results, sizes);
+    let f4 = f4.series();
     let zc9000 = peak(&f4[0]);
     let zc1500 = peak(&f4[1]);
     let oc9000 = peak(&f4[2]);
@@ -2092,7 +2150,8 @@ pub fn claims() -> Vec<ClaimRow> {
         (zc9000 - zc1500) > (zc9000 - oc9000),
     );
 
-    let f6 = fig6(&sizes);
+    let f6 = FigureKind::Fig6.assemble(results, sizes);
+    let f6 = f6.series();
     let last = |i: usize| f6[i].points.last().unwrap().mbps;
     check(
         "C8",
@@ -2113,8 +2172,8 @@ pub fn claims() -> Vec<ClaimRow> {
         last(1) / last(2) > 1.5,
     );
 
-    let f7a = fig7(false);
-    let f7b = fig7(true);
+    let f7a = fig7_stages(results, FIG7[0].0);
+    let f7b = fig7_stages(results, FIG7[1].0);
     let stage = |rows: &[StageRow], name: &str| {
         rows.iter()
             .find(|r| r.stage == name)
@@ -2140,37 +2199,40 @@ pub fn claims() -> Vec<ClaimRow> {
         rx_total(&f7b) < rx_total(&f7a) / 2.0 && rx_total(&f7b) < 10.0,
     );
 
-    let g = gamma_table(&sizes);
+    let g = FigureKind::Gamma.assemble(results, sizes);
+    let g = g.table();
+    let (clic_us, clic_mbps) = (g.num(0, "latency_us"), g.num(0, "bandwidth_mbps"));
+    let (gamma_us, gamma_mbps) = (g.num(1, "latency_us"), g.num(1, "bandwidth_mbps"));
     check(
         "C12",
         "GAMMA has lower latency and higher bandwidth; CLIC keeps the services",
         format!(
-            "GAMMA {:.1} us/{:.0} Mb/s vs CLIC {:.1} us/{:.0} Mb/s",
-            g[1].latency_us, g[1].bandwidth_mbps, g[0].latency_us, g[0].bandwidth_mbps
+            "GAMMA {gamma_us:.1} us/{gamma_mbps:.0} Mb/s vs CLIC {clic_us:.1} us/{clic_mbps:.0} Mb/s"
         ),
-        g[1].latency_us < g[0].latency_us && g[1].bandwidth_mbps > g[0].bandwidth_mbps,
+        gamma_us < clic_us && gamma_mbps > clic_mbps,
     );
 
-    let cpu = ablation_cpu();
-    let tcp_fe = cpu
-        .iter()
-        .find(|r| r.stack == "TCP" && r.link_mbps == 100)
-        .unwrap();
-    let tcp_ge = cpu
-        .iter()
-        .find(|r| r.stack == "TCP" && r.link_mbps == 1000)
-        .unwrap();
+    let cpu = FigureKind::Cpu.assemble(results, sizes);
+    let cpu = cpu.table();
+    let tcp_at = |link: f64| {
+        (0..cpu.rows.len())
+            .find(|&i| cpu.get(i, "stack") == "TCP".into() && cpu.num(i, "link_mbps") == link)
+            .expect("the CPU ablation measures TCP at 100 and 1000 Mb/s")
+    };
+    let (fe, ge) = (tcp_at(100.0), tcp_at(1000.0));
     check(
         "C13",
         "TCP nearly saturates Fast Ethernet at modest CPU; gigabit pins the CPU",
         format!(
             "FE {:.0}% of wire @{:.0}% CPU; GbE {:.0}% of wire @{:.0}% CPU",
-            tcp_fe.pct_of_wire,
-            tcp_fe.receiver_cpu * 100.0,
-            tcp_ge.pct_of_wire,
-            tcp_ge.receiver_cpu * 100.0
+            cpu.num(fe, "pct_of_wire"),
+            cpu.num(fe, "receiver_cpu") * 100.0,
+            cpu.num(ge, "pct_of_wire"),
+            cpu.num(ge, "receiver_cpu") * 100.0
         ),
-        tcp_fe.pct_of_wire > 80.0 && tcp_ge.receiver_cpu > 0.8 && tcp_ge.pct_of_wire < 40.0,
+        cpu.num(fe, "pct_of_wire") > 80.0
+            && cpu.num(ge, "receiver_cpu") > 0.8
+            && cpu.num(ge, "pct_of_wire") < 40.0,
     );
 
     rows
@@ -2211,20 +2273,18 @@ mod tests {
 
     #[test]
     fn registry_names_roundtrip() {
-        for kind in FigureKind::ALL {
-            assert_eq!(FigureKind::from_name(kind.name()), Some(kind));
+        for family in &FAMILIES {
+            assert_eq!(FigureKind::from_name(family.name), Some(family.kind));
+            assert_eq!(family.kind.name(), family.name);
         }
         // The opt-in chaos/scale/congestion families parse by name but
         // stay out of ALL.
-        assert_eq!(FigureKind::from_name("chaos"), Some(FigureKind::Chaos));
-        assert!(!FigureKind::ALL.contains(&FigureKind::Chaos));
-        assert_eq!(FigureKind::from_name("scale"), Some(FigureKind::Scale));
-        assert!(!FigureKind::ALL.contains(&FigureKind::Scale));
-        assert_eq!(
-            FigureKind::from_name("congestion"),
-            Some(FigureKind::Congestion)
-        );
-        assert!(!FigureKind::ALL.contains(&FigureKind::Congestion));
+        let opt_in: Vec<&str> = FAMILIES
+            .iter()
+            .filter(|f| !FigureKind::ALL.contains(&f.kind))
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(opt_in, ["chaos", "scale", "congestion"]);
         assert_eq!(FigureKind::from_name("nope"), None);
     }
 
@@ -2232,12 +2292,8 @@ mod tests {
     fn job_ids_are_unique_across_all_figures() {
         let sizes = quick_sizes();
         let mut seen = std::collections::BTreeSet::new();
-        for kind in FigureKind::ALL.into_iter().chain([
-            FigureKind::Chaos,
-            FigureKind::Scale,
-            FigureKind::Congestion,
-        ]) {
-            for spec in kind.jobs(&sizes) {
+        for family in &FAMILIES {
+            for spec in family.kind.jobs(&sizes) {
                 assert!(seen.insert(spec.id.clone()), "duplicate job id {}", spec.id);
             }
         }
@@ -2245,11 +2301,27 @@ mod tests {
     }
 
     #[test]
+    fn claims_jobs_are_paper_grid_jobs() {
+        // A warm `figures all` cache must serve every claims job: same
+        // id, same fingerprint.
+        let sizes = paper_sizes();
+        let grid: BTreeMap<String, u64> = FigureKind::ALL
+            .iter()
+            .flat_map(|kind| kind.jobs(&sizes))
+            .map(|spec| (spec.id.clone(), spec.fingerprint()))
+            .collect();
+        for spec in claims_jobs() {
+            assert_eq!(grid.get(&spec.id), Some(&spec.fingerprint()), "{}", spec.id);
+        }
+    }
+
+    #[test]
     fn sweep_assembly_matches_direct_run() {
         let model = CostModel::era_2002();
         let sizes = [1_024usize, 65_536];
         let cfg = clic_pair(&model, false, true);
-        let series = bandwidth_sweep("x", &cfg, StackKind::Clic, &sizes);
+        let specs = sweep_jobs("sweep", "x", &cfg, StackKind::Clic, &sizes);
+        let series = sweep_from(&run_serial(&specs), "sweep", "x", &sizes);
         assert_eq!(series.points.len(), 2);
         assert!(series.points[0].size < series.points[1].size);
         assert!(series.points.iter().all(|p| p.mbps > 0.0));

@@ -20,10 +20,11 @@
 //!   runs one measurement and returns a flat [`jobs::Measurement`]. Jobs
 //!   are pure and `Send`, so any scheduler (serial, thread pool, cached)
 //!   can run them.
-//! * [`experiments`] — one function per paper figure/table plus the
-//!   ablations listed in DESIGN.md §4: per-figure job builders and
-//!   order-independent assemblers, returning structured rows the
-//!   `clic-bench` harness prints.
+//! * [`experiments`] — the figure-family table: one entry per paper
+//!   figure/table and per ablation listed in DESIGN.md §4, each a job
+//!   builder and an order-independent assembler whose output (curves,
+//!   stages, scalars or [`experiments::Table`]s) the `clic-bench`
+//!   harness prints.
 //! * [`observe`] — traced pipeline runs for the observability tooling:
 //!   Chrome trace-event JSON, per-stage breakdowns for any message size
 //!   and MTU, and merged per-node metric registries.

@@ -1,8 +1,8 @@
-//! Smoke tests: every experiment function runs on a tiny grid and returns
+//! Smoke tests: every experiment family runs on a tiny grid and returns
 //! structurally sound results (the full grids are exercised by the
 //! `figures` binary and Criterion benches).
 
-use clic_cluster::experiments::{self, Series};
+use clic_cluster::experiments::{FigureKind, FigureOutput, Series, Table, Value};
 
 fn tiny() -> Vec<usize> {
     vec![1_024, 65_536]
@@ -22,11 +22,24 @@ fn check_series(series: &[Series], expected_labels: &[&str], sizes: usize) {
     }
 }
 
+/// Run a table family on the tiny grid.
+fn run_table(kind: FigureKind) -> Table {
+    kind.run(&tiny()).table().clone()
+}
+
+/// The index of the row whose `key` cells hold `values`.
+fn find(t: &Table, cells: &[(&str, Value)]) -> usize {
+    (0..t.rows.len())
+        .find(|&i| cells.iter().all(|&(key, v)| t.get(i, key) == v))
+        .unwrap_or_else(|| panic!("no row with {cells:?}"))
+}
+
 #[test]
 fn fig4_structure() {
-    let series = experiments::fig4(&tiny());
+    let output = FigureKind::Fig4.run(&tiny());
+    let series = output.series();
     check_series(
-        &series,
+        series,
         &[
             "0-copy MTU 9000",
             "0-copy MTU 1500",
@@ -42,9 +55,9 @@ fn fig4_structure() {
 
 #[test]
 fn fig5_structure() {
-    let series = experiments::fig5(&tiny());
+    let output = FigureKind::Fig5.run(&tiny());
     check_series(
-        &series,
+        output.series(),
         &["CLIC 9000", "CLIC 1500", "TCP 9000", "TCP 1500"],
         2,
     );
@@ -52,8 +65,9 @@ fn fig5_structure() {
 
 #[test]
 fn fig6_structure() {
-    let series = experiments::fig6(&tiny());
-    check_series(&series, &["CLIC", "MPI-CLIC", "MPI-TCP", "PVM-TCP"], 2);
+    let output = FigureKind::Fig6.run(&tiny());
+    let series = output.series();
+    check_series(series, &["CLIC", "MPI-CLIC", "MPI-TCP", "PVM-TCP"], 2);
     // The paper's stack ordering at the large point.
     let at = |i: usize| series[i].points[1].mbps;
     assert!(at(0) >= at(1) * 0.98, "CLIC >= MPI-CLIC (within noise)");
@@ -63,8 +77,10 @@ fn fig6_structure() {
 
 #[test]
 fn fig7_structure() {
-    for direct in [false, true] {
-        let rows = experiments::fig7(direct);
+    let FigureOutput::Stages { a, b } = FigureKind::Fig7.run(&tiny()) else {
+        panic!("fig7 assembles stage breakdowns");
+    };
+    for (rows, direct) in [(a, false), (b, true)] {
         assert!(rows.iter().any(|r| r.stage == "driver_rx"));
         assert!(rows.iter().any(|r| r.stage == "syscall"));
         assert!(rows.iter().all(|r| r.us >= 0.0 && r.us < 100.0));
@@ -75,96 +91,115 @@ fn fig7_structure() {
 
 #[test]
 fn gamma_table_structure() {
-    let rows = experiments::gamma_table(&tiny());
-    assert_eq!(rows.len(), 2);
-    assert_eq!(rows[0].protocol, "CLIC");
-    assert!(rows[1].protocol.starts_with("GAMMA"));
-    assert!(rows[1].latency_us < rows[0].latency_us, "GAMMA is faster");
-    assert!(rows[1].bandwidth_mbps > rows[0].bandwidth_mbps);
+    let t = run_table(FigureKind::Gamma);
+    assert_eq!(t.rows.len(), 2);
+    assert_eq!(t.get(0, "protocol"), Value::Str("CLIC"));
+    assert!(matches!(t.get(1, "protocol"), Value::Str(p) if p.starts_with("GAMMA")));
+    assert!(
+        t.num(1, "latency_us") < t.num(0, "latency_us"),
+        "GAMMA is faster"
+    );
+    assert!(t.num(1, "bandwidth_mbps") > t.num(0, "bandwidth_mbps"));
 }
 
 #[test]
 fn coalescing_rows_trade_latency_for_interrupt_rate() {
-    let rows = experiments::ablation_coalescing();
-    assert!(rows.len() >= 4);
-    let first = &rows[0];
-    let last = &rows[rows.len() - 1];
+    let t = run_table(FigureKind::Coalescing);
+    assert!(t.rows.len() >= 4);
+    let last = t.rows.len() - 1;
     assert!(
-        last.latency_us > first.latency_us * 2.0,
+        t.num(last, "latency_us") > t.num(0, "latency_us") * 2.0,
         "coalescing delays singles"
     );
     assert!(
-        last.irqs_per_kframe < first.irqs_per_kframe,
+        t.num(last, "irqs_per_kframe") < t.num(0, "irqs_per_kframe"),
         "but batches interrupts"
     );
 }
 
 #[test]
 fn bonding_scales_only_with_the_fast_bus() {
-    let rows = experiments::ablation_bonding();
-    assert_eq!(rows.len(), 3);
+    let t = run_table(FigureKind::Bonding);
+    assert_eq!(t.rows.len(), 3);
     // Paper-era PCI: flat (within 10 %).
-    assert!(rows[2].mbps_pci33 > rows[0].mbps_pci33 * 0.85);
-    assert!(rows[2].mbps_pci33 < rows[0].mbps_pci33 * 1.15);
+    assert!(t.num(2, "mbps_pci33") > t.num(0, "mbps_pci33") * 0.85);
+    assert!(t.num(2, "mbps_pci33") < t.num(0, "mbps_pci33") * 1.15);
     // Fast bus: clearly scales.
-    assert!(rows[2].mbps_pci66 > rows[0].mbps_pci66 * 1.5);
+    assert!(t.num(2, "mbps_pci66") > t.num(0, "mbps_pci66") * 1.5);
 }
 
 #[test]
 fn syscall_rows_close_together() {
-    let rows = experiments::ablation_syscall();
-    assert_eq!(rows.len(), 2);
-    let diff = (rows[0].latency_us - rows[1].latency_us).abs();
+    let t = run_table(FigureKind::Syscall);
+    assert_eq!(t.rows.len(), 2);
+    let diff = (t.num(0, "latency_us") - t.num(1, "latency_us")).abs();
     assert!(diff < 2.0, "the syscall tax is sub-2 us: {diff}");
 }
 
 #[test]
 fn loss_rows_monotone() {
-    let rows = experiments::ablation_loss();
-    for w in rows.windows(2) {
-        assert!(w[1].mbps < w[0].mbps, "goodput falls with loss");
-        assert!(w[1].retx_per_kpkt >= w[0].retx_per_kpkt);
+    let t = run_table(FigureKind::Loss);
+    for i in 1..t.rows.len() {
+        assert!(
+            t.num(i, "mbps") < t.num(i - 1, "mbps"),
+            "goodput falls with loss"
+        );
+        assert!(t.num(i, "retx_per_kpkt") >= t.num(i - 1, "retx_per_kpkt"));
     }
 }
 
 #[test]
 fn cpu_rows_reproduce_section2() {
-    let rows = experiments::ablation_cpu();
-    let find = |stack: &str, link: u64| {
-        rows.iter()
-            .find(|r| r.stack == stack && r.link_mbps == link)
-            .unwrap()
+    let t = run_table(FigureKind::Cpu);
+    let tcp = |link: f64| {
+        find(
+            &t,
+            &[
+                ("stack", Value::Str("TCP")),
+                ("link_mbps", Value::Num(link)),
+            ],
+        )
     };
-    let tcp_fe = find("TCP", 100);
-    let tcp_ge = find("TCP", 1000);
-    assert!(tcp_fe.pct_of_wire > 80.0, "Fast Ethernet nearly saturated");
-    assert!(tcp_ge.pct_of_wire < 40.0, "gigabit nowhere near the wire");
-    assert!(tcp_ge.receiver_cpu > 0.8, "receiver pinned at gigabit");
+    let (tcp_fe, tcp_ge) = (tcp(100.0), tcp(1000.0));
+    assert!(
+        t.num(tcp_fe, "pct_of_wire") > 80.0,
+        "Fast Ethernet nearly saturated"
+    );
+    assert!(
+        t.num(tcp_ge, "pct_of_wire") < 40.0,
+        "gigabit nowhere near the wire"
+    );
+    assert!(
+        t.num(tcp_ge, "receiver_cpu") > 0.8,
+        "receiver pinned at gigabit"
+    );
 }
 
 #[test]
 fn path_rows_reproduce_figure1_story() {
-    let rows = experiments::ablation_paths();
-    let find = |path: u8, link: u64| {
-        rows.iter()
-            .find(|r| r.path == path && r.link_mbps == link)
-            .unwrap()
-            .mbps
+    let t = run_table(FigureKind::Paths);
+    let mbps = |path: f64, link: f64| {
+        let row = find(
+            &t,
+            &[("path", Value::Num(path)), ("link_mbps", Value::Num(link))],
+        );
+        t.num(row, "mbps")
     };
     // Fast Ethernet: all paths within 10 %.
-    assert!(find(4, 100) > find(2, 100) * 0.9);
+    assert!(mbps(4.0, 100.0) > mbps(2.0, 100.0) * 0.9);
     // Gigabit: path 4 clearly behind path 2.
-    assert!(find(4, 1000) < find(2, 1000) * 0.7);
+    assert!(mbps(4.0, 1000.0) < mbps(2.0, 1000.0) * 0.7);
 }
 
 #[test]
 fn scaling_rows_grow_aggregate() {
-    let rows = experiments::ablation_scaling();
-    assert_eq!(rows.len(), 3);
-    assert!(rows[1].aggregate_mbps > rows[0].aggregate_mbps * 1.4);
-    assert!(rows[2].aggregate_mbps > rows[1].aggregate_mbps * 1.4);
+    let t = run_table(FigureKind::Scaling);
+    assert_eq!(t.rows.len(), 3);
+    assert!(t.num(1, "aggregate_mbps") > t.num(0, "aggregate_mbps") * 1.4);
+    assert!(t.num(2, "aggregate_mbps") > t.num(1, "aggregate_mbps") * 1.4);
     // Per-node throughput stays in the same band (receiver-bound).
-    for r in &rows {
-        assert!((150.0..500.0).contains(&r.per_node_mbps), "{r:?}");
+    for i in 0..t.rows.len() {
+        let per_node = t.num(i, "per_node_mbps");
+        assert!((150.0..500.0).contains(&per_node), "{:?}", t.rows[i]);
     }
 }

@@ -158,7 +158,8 @@ fn full_stack_determinism() {
 #[test]
 fn fig5_ordering_holds() {
     let sizes = [4_096usize, 262_144];
-    let series = experiments::fig5(&sizes);
+    let output = experiments::FigureKind::Fig5.run(&sizes);
+    let series = output.series();
     let find = |label: &str| {
         series
             .iter()
@@ -191,8 +192,9 @@ fn fig5_ordering_holds() {
 /// the direct-call improvement shrinks it substantially.
 #[test]
 fn fig7_stage_structure() {
-    let a = experiments::fig7(false);
-    let b = experiments::fig7(true);
+    let experiments::FigureOutput::Stages { a, b } = experiments::FigureKind::Fig7.run(&[]) else {
+        panic!("fig7 assembles stage breakdowns");
+    };
     let get = |rows: &[experiments::StageRow], name: &str| -> f64 {
         rows.iter()
             .find(|r| r.stage == name)
