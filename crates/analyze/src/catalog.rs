@@ -6,29 +6,46 @@
 //! lint a workspace that does not currently compile. Parsing leans on the
 //! catalog's enforced shape: two `const` arrays (`METRICS`, `STAGES`)
 //! whose elements are struct literals in which the **first string literal
-//! is the name** and, for metrics, a `C`/`G`/`H` (or spelled-out
-//! `MetricKind::*`) identifier gives the kind.
+//! is the name** and, for metrics, the `C`/`G`/`H`/`TL`/`TR` (or
+//! spelled-out `Sink::*`) identifiers list the entry's sinks.
 
 use crate::lexer::{lex, TokKind};
 
-/// Metric instrument kind, mirroring `clic_sim::catalog::MetricKind`.
+/// Where a recorded value goes, mirroring `clic_sim::catalog::Sink`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Kind {
-    /// Monotonic counter.
+pub enum Sink {
+    /// Registry counter.
     Counter,
-    /// Level gauge.
+    /// Registry gauge.
     Gauge,
-    /// Value distribution.
+    /// Registry histogram.
     Histogram,
+    /// Timeline level series.
+    TimelineLevel,
+    /// Timeline rate series.
+    TimelineRate,
 }
 
-impl Kind {
-    /// Display name, matching the recording-call family.
+impl Sink {
+    /// Display name, matching the read/write call family.
     pub fn name(self) -> &'static str {
         match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
+            Sink::Counter => "counter",
+            Sink::Gauge => "gauge",
+            Sink::Histogram => "histogram",
+            Sink::TimelineLevel => "timeline level",
+            Sink::TimelineRate => "timeline rate",
+        }
+    }
+
+    fn parse(ident: &str) -> Option<Sink> {
+        match ident {
+            "C" | "Counter" => Some(Sink::Counter),
+            "G" | "Gauge" => Some(Sink::Gauge),
+            "H" | "Histogram" => Some(Sink::Histogram),
+            "TL" | "TimelineLevel" => Some(Sink::TimelineLevel),
+            "TR" | "TimelineRate" => Some(Sink::TimelineRate),
+            _ => None,
         }
     }
 }
@@ -38,10 +55,19 @@ impl Kind {
 pub struct Entry {
     /// Registered name.
     pub name: String,
-    /// Kind for metric entries; `None` for stage entries.
-    pub kind: Option<Kind>,
+    /// Declared sinks of a metric entry, in declaration order; empty for
+    /// stage entries.
+    pub sinks: Vec<Sink>,
     /// 1-based line of the entry in `catalog.rs`.
     pub line: u32,
+}
+
+impl Entry {
+    /// The sinks as a display list (`gauge+histogram+timeline level`).
+    pub fn sinks_label(&self) -> String {
+        let names: Vec<&str> = self.sinks.iter().map(|s| s.name()).collect();
+        names.join("+")
+    }
 }
 
 /// The parsed catalog.
@@ -54,12 +80,17 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Whether `name` (already node-prefix-stripped) is registered for
-    /// `kind`.
-    pub fn has_metric(&self, name: &str, kind: Kind) -> bool {
+    /// Whether `name` (already node-prefix-stripped) is registered.
+    pub fn has_name(&self, name: &str) -> bool {
+        self.metrics.iter().any(|e| e.name == name)
+    }
+
+    /// Whether `name` (already node-prefix-stripped) is registered with
+    /// `sink`.
+    pub fn has_metric(&self, name: &str, sink: Sink) -> bool {
         self.metrics
             .iter()
-            .any(|e| e.name == name && e.kind == Some(kind))
+            .any(|e| e.name == name && e.sinks.contains(&sink))
     }
 
     /// Whether `name` is a registered stage.
@@ -97,7 +128,7 @@ pub fn parse(src: &str) -> Result<Catalog, String> {
 
 /// Find `const <name>` and parse its bracketed array of struct-literal
 /// elements.
-fn parse_array(toks: &[crate::lexer::Tok], name: &str, with_kind: bool) -> Option<Vec<Entry>> {
+fn parse_array(toks: &[crate::lexer::Tok], name: &str, with_sinks: bool) -> Option<Vec<Entry>> {
     // Locate `const <name>`.
     let mut start = None;
     for i in 0..toks.len().saturating_sub(1) {
@@ -122,7 +153,7 @@ fn parse_array(toks: &[crate::lexer::Tok], name: &str, with_kind: bool) -> Optio
     }
     i += 1;
     // Elements are `{ ... }` groups; scan each for its first string
-    // literal (the name) and kind identifier.
+    // literal (the name) and its sink identifiers.
     let mut entries = Vec::new();
     let mut depth = 0i32;
     let mut current: Option<Entry> = None;
@@ -132,7 +163,7 @@ fn parse_array(toks: &[crate::lexer::Tok], name: &str, with_kind: bool) -> Optio
                 if depth == 0 {
                     current = Some(Entry {
                         name: String::new(),
-                        kind: None,
+                        sinks: Vec::new(),
                         line: toks[i].line,
                     });
                 }
@@ -156,15 +187,10 @@ fn parse_array(toks: &[crate::lexer::Tok], name: &str, with_kind: bool) -> Optio
                     }
                 }
             }
-            TokKind::Ident(id) if with_kind => {
-                if let Some(e) = current.as_mut() {
-                    if e.kind.is_none() {
-                        e.kind = match id.as_str() {
-                            "C" | "Counter" => Some(Kind::Counter),
-                            "G" | "Gauge" => Some(Kind::Gauge),
-                            "H" | "Histogram" => Some(Kind::Histogram),
-                            _ => None,
-                        };
+            TokKind::Ident(id) if with_sinks => {
+                if let (Some(e), Some(s)) = (current.as_mut(), Sink::parse(id)) {
+                    if !e.sinks.contains(&s) {
+                        e.sinks.push(s);
                     }
                 }
             }
@@ -180,10 +206,10 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"
-const C: MetricKind = MetricKind::Counter;
+const C: Sink = Sink::Counter;
 pub const METRICS: &[MetricDef] = &[
-    MetricDef { name: "a.one", kind: C, help: "first" },
-    MetricDef { name: "b.two", kind: MetricKind::Histogram, help: "second" },
+    MetricDef { name: "a.one", sinks: &[C], help: "first" },
+    MetricDef { name: "b.two", sinks: &[Sink::Histogram, TR], help: "second" },
 ];
 pub const STAGES: &[StageDef] = &[
     StageDef { name: "wire", layers: &[Layer::Eth], help: "w" },
@@ -195,13 +221,20 @@ pub const STAGES: &[StageDef] = &[
         let c = parse(SAMPLE).unwrap();
         assert_eq!(c.metrics.len(), 2);
         assert_eq!(c.metrics[0].name, "a.one");
-        assert_eq!(c.metrics[0].kind, Some(Kind::Counter));
+        assert_eq!(c.metrics[0].sinks, vec![Sink::Counter]);
         assert_eq!(c.metrics[1].name, "b.two");
-        assert_eq!(c.metrics[1].kind, Some(Kind::Histogram));
+        assert_eq!(
+            c.metrics[1].sinks,
+            vec![Sink::Histogram, Sink::TimelineRate]
+        );
+        assert_eq!(c.metrics[1].sinks_label(), "histogram+timeline rate");
+        assert_eq!(c.metrics[0].line, 4);
         assert_eq!(c.stages.len(), 1);
         assert_eq!(c.stages[0].name, "wire");
-        assert!(c.has_metric("a.one", Kind::Counter));
-        assert!(!c.has_metric("a.one", Kind::Gauge));
+        assert!(c.stages[0].sinks.is_empty());
+        assert!(c.has_metric("a.one", Sink::Counter));
+        assert!(!c.has_metric("a.one", Sink::Gauge));
+        assert!(c.has_name("b.two") && !c.has_name("c.three"));
         assert!(c.has_stage("wire"));
     }
 
@@ -225,13 +258,15 @@ pub const STAGES: &[StageDef] = &[
         let c = parse(&src).unwrap();
         assert!(c.metrics.len() >= 40, "found {}", c.metrics.len());
         assert!(c.stages.len() >= 20, "found {}", c.stages.len());
-        assert!(c.has_metric("clic.retransmits", Kind::Counter));
-        assert!(c.has_metric("eth.switch.queue_depth", Kind::Gauge));
-        assert!(c.has_metric("eth.switch.queue_depth", Kind::Histogram));
+        assert!(c.has_metric("clic.retransmits", Sink::Counter));
+        assert!(c.has_metric("eth.switch.queue_depth", Sink::Gauge));
+        assert!(c.has_metric("eth.switch.queue_depth", Sink::Histogram));
+        assert!(c.has_metric("eth.switch.queue_depth", Sink::TimelineLevel));
+        assert!(c.has_metric("hw.pci.dma_bytes", Sink::TimelineRate));
         assert!(c.has_stage("driver_rx"));
         assert!(
-            c.metrics.iter().all(|m| m.kind.is_some()),
-            "every metric entry needs a kind"
+            c.metrics.iter().all(|m| !m.sinks.is_empty()),
+            "every metric entry needs a sink"
         );
     }
 }

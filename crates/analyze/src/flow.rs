@@ -25,12 +25,9 @@
 //!   `clic-cluster` / `clic-bench`, plus any `fn main`). Distinct from
 //!   `dead-name`: the recorder *exists* but nothing can ever run it.
 
-use crate::catalog::{strip_node_prefix, Catalog, Kind};
+use crate::catalog::{strip_node_prefix, Catalog};
 use crate::graph::{path_to, reach, Graph};
-use crate::rules::{
-    policy, METRIC_CALLS, METRIC_ID_CALLS, NO_UNWRAP_CRATES, OBS_INFRA_FILES, SIM_CRATES,
-    STAGE_CALLS, STAGE_ID_CALL,
-};
+use crate::rules::{name_use, policy, NameUse, NO_UNWRAP_CRATES, OBS_INFRA_FILES, SIM_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Options for the graph rule pass.
@@ -177,41 +174,42 @@ fn unreachable_names(g: &Graph, catalog: &Catalog, out: &mut Vec<Finding>) {
     );
     let parent = reach(g, &roots);
 
-    // (name, kind) → recording item ids; stage name → recording item ids.
-    let mut metric_rec: BTreeMap<(String, Kind), Vec<usize>> = BTreeMap::new();
+    // Metric name → recording item ids; stage name → recording item ids.
+    let mut metric_rec: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     let mut stage_rec: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (id, it) in g.items.iter().enumerate() {
         if it.is_test || OBS_INFRA_FILES.contains(&it.file.as_str()) {
             continue;
         }
+        let consts = g.metric_consts.get(&it.file);
         for c in &it.calls {
-            let Some(lit) = &c.first_str else { continue };
-            let metric_kind = if c.method {
-                METRIC_CALLS
-                    .iter()
-                    .find(|(m, _)| *m == c.name)
-                    .map(|&(_, k)| k)
-            } else {
-                METRIC_ID_CALLS
-                    .iter()
-                    .find(|(m, _)| *m == c.name)
-                    .map(|&(_, k)| k)
-            };
-            if let Some(kind) = metric_kind {
-                let name = strip_node_prefix(lit).to_string();
-                metric_rec.entry((name, kind)).or_default().push(id);
-            } else if (c.method && STAGE_CALLS.contains(&c.name.as_str()))
-                || (!c.method && c.name == STAGE_ID_CALL)
-            {
-                stage_rec.entry(lit.clone()).or_default().push(id);
+            match name_use(&c.name, c.method) {
+                // `sim.record(ID, v)` records the entry `ID` was interned from.
+                Some(NameUse::Record) => {
+                    let name = c.first_ident.as_ref().and_then(|ident| consts?.get(ident));
+                    if let Some(name) = name {
+                        metric_rec.entry(name.clone()).or_default().push(id);
+                    }
+                }
+                Some(NameUse::Metric(_) | NameUse::Intern) => {
+                    if let Some(lit) = &c.first_str {
+                        let name = strip_node_prefix(lit).to_string();
+                        metric_rec.entry(name).or_default().push(id);
+                    }
+                }
+                Some(NameUse::Stage) => {
+                    if let Some(lit) = &c.first_str {
+                        stage_rec.entry(lit.clone()).or_default().push(id);
+                    }
+                }
+                None => {}
             }
         }
     }
 
     let orphaned = |ids: &[usize]| ids.iter().all(|&id| parent[id].is_none());
     for e in &catalog.metrics {
-        let Some(kind) = e.kind else { continue };
-        let Some(ids) = metric_rec.get(&(e.name.clone(), kind)) else {
+        let Some(ids) = metric_rec.get(&e.name) else {
             continue; // never recorded at all: that is `dead-name`'s case
         };
         if orphaned(ids) {
@@ -221,7 +219,7 @@ fn unreachable_names(g: &Graph, catalog: &Catalog, out: &mut Vec<Finding>) {
                 format!(
                     "metric `{}` ({}) is recorded only by code unreachable from job entry points",
                     e.name,
-                    kind.name()
+                    e.sinks_label()
                 ),
                 ids,
             ));
@@ -350,8 +348,8 @@ mod tests {
     fn unreachable_recorder_is_flagged_reachable_one_is_not() {
         let catalog = parse_catalog(
             "pub const METRICS: &[M] = &[\n\
-             M { name: \"clic.live\", kind: C, help: \"\" },\n\
-             M { name: \"clic.orphan\", kind: C, help: \"\" },\n\
+             M { name: \"clic.live\", sinks: &[C], help: \"\" },\n\
+             M { name: \"clic.orphan\", sinks: &[C], help: \"\" },\n\
              ];\n\
              pub const STAGES: &[S] = &[];\n",
         )
@@ -365,8 +363,8 @@ mod tests {
             (
                 "crates/hw/src/nic.rs",
                 "hw",
-                "pub fn record_live(m: &Metrics) { m.counter_inc(\"clic.live\", 1); }\n\
-                 fn record_orphan(m: &Metrics) { m.counter_inc(\"clic.orphan\", 1); }\n",
+                "pub fn record_live(m: &mut Metrics) { m.counter_add(\"clic.live\", 1); }\n\
+                 fn record_orphan(m: &mut Metrics) { m.counter_add(\"clic.orphan\", 1); }\n",
             ),
         ]));
         let f = run(&g, &catalog, &FlowPolicy::default());

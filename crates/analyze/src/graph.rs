@@ -33,6 +33,9 @@ pub struct Graph {
     /// Transitive crate-dependency closure: crate dir → crate dirs it may
     /// link against (itself excluded).
     pub crate_deps: BTreeMap<String, BTreeSet<String>>,
+    /// Per file: `const` metric ids → the metric name each was interned
+    /// from ([`rules::metric_consts`]).
+    pub metric_consts: BTreeMap<String, BTreeMap<String, String>>,
 }
 
 /// Build the call graph for a discovered workspace.
@@ -42,10 +45,15 @@ pub struct Graph {
 /// workspace-relative path) so test items are flagged.
 pub fn build(ws: &Workspace) -> Graph {
     let mut items: Vec<Item> = Vec::new();
+    let mut metric_consts = BTreeMap::new();
     for f in &ws.files {
         let lexed = lex(&f.text);
         let tests = rules::test_regions(&lexed);
         items.extend(parse_items(&f.rel, &f.crate_name, &lexed, &tests));
+        let consts = rules::metric_consts(&lexed);
+        if !consts.is_empty() {
+            metric_consts.insert(f.rel.clone(), consts);
+        }
     }
     let crate_deps = dependency_closure(&ws.manifests);
     let edges = resolve(&items, &crate_deps);
@@ -53,6 +61,7 @@ pub fn build(ws: &Workspace) -> Graph {
         items,
         edges,
         crate_deps,
+        metric_consts,
     }
 }
 

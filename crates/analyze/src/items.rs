@@ -93,6 +93,9 @@ pub struct CallSite {
     /// First string literal among the arguments (metric/stage name
     /// extraction for the liveness pass).
     pub first_str: Option<String>,
+    /// The first argument when it is a lone identifier (`record(ID, v)`
+    /// resolves `ID` to the metric it was interned from).
+    pub first_ident: Option<String>,
 }
 
 /// A bare identifier in argument position that may name a function
@@ -567,6 +570,8 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
                         TokKind::Str(s) => Some(s.clone()),
                         _ => None,
                     });
+                    let first_ident =
+                        crate::rules::first_ident_arg(lx, i + 1, close).map(str::to_string);
                     item.calls.push(CallSite {
                         name: name.clone(),
                         qualifier,
@@ -574,6 +579,7 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
                         arity,
                         line,
                         first_str,
+                        first_ident,
                     });
                 } else {
                     // Bare reference in argument position: `(tick)` or

@@ -144,12 +144,7 @@ fn print_catalog(root: &std::path::Path) -> ExitCode {
         Ok(c) => {
             let mut out = format!("# metrics ({})\n", c.metrics.len());
             for e in &c.metrics {
-                let _ = writeln!(
-                    out,
-                    "{:<40} {}",
-                    e.name,
-                    e.kind.map_or("?", catalog::Kind::name)
-                );
+                let _ = writeln!(out, "{:<40} {}", e.name, e.sinks_label());
             }
             let _ = writeln!(out, "# stages ({})", c.stages.len());
             for e in &c.stages {

@@ -13,9 +13,11 @@
 //!   crashing;
 //! * **observability names** — `metric-name`, `stage-name`, `dead-name`,
 //!   `catalog-dup`, `catalog-order`, `catalog-parse`: every name literal
-//!   recorded into the metrics registry or trace sink must be registered
-//!   in `crates/sim/src/catalog.rs`, and every catalog entry must be
-//!   recorded somewhere;
+//!   interned with `metric_id`, read or imported through the metrics
+//!   registry, or emitted into the trace sink must be registered in
+//!   `crates/sim/src/catalog.rs` (with the sink the call needs), and every
+//!   catalog entry must be recorded somewhere — a `sim.record(ID, v)` call
+//!   counts through the file's `const ID: MetricId = metric_id("…")`;
 //! * **API hygiene** — `no-unwrap`, `crate-header`: no
 //!   `unwrap()`/`expect()`/`panic!` in non-test library code of the
 //!   protocol crates, and every library crate carries
@@ -37,7 +39,7 @@
 //! on (or directly above) the offending line; see [`crate::allow`].
 
 use crate::allow;
-use crate::catalog::{parse as parse_catalog, strip_node_prefix, Catalog, Kind};
+use crate::catalog::{parse as parse_catalog, strip_node_prefix, Catalog, Sink};
 use crate::diag::Diag;
 use crate::flow;
 use crate::graph;
@@ -193,8 +195,8 @@ pub struct Report {
 /// check.
 #[derive(Debug, Default)]
 pub struct Usage {
-    /// `(name, kind)` pairs recorded or read anywhere in library code.
-    pub metrics: BTreeSet<(String, Kind)>,
+    /// Metric names recorded or read anywhere in library code.
+    pub metrics: BTreeSet<String>,
     /// Stage names emitted anywhere in library code.
     pub stages: BTreeSet<String>,
 }
@@ -323,19 +325,15 @@ pub fn analyze_workspace(ws: &Workspace) -> Report {
 pub fn check_catalog(c: &Catalog) -> Vec<Diag> {
     let mut diags = Vec::new();
     let file = "crates/sim/src/catalog.rs";
-    let mut seen: BTreeSet<(String, Option<Kind>)> = BTreeSet::new();
+    let mut seen: BTreeSet<String> = BTreeSet::new();
     for e in &c.metrics {
-        if !seen.insert((e.name.clone(), e.kind)) {
+        if !seen.insert(e.name.clone()) {
             diags.push(Diag::site(
                 "catalog-dup",
                 file,
                 e.line,
-                format!(
-                    "metric `{}` ({}) registered more than once",
-                    e.name,
-                    e.kind.map_or("?", Kind::name)
-                ),
-                "remove the duplicate entry",
+                format!("metric `{}` registered more than once", e.name),
+                "keep one entry per name and list every sink on it",
             ));
         }
     }
@@ -352,13 +350,13 @@ pub fn check_catalog(c: &Catalog) -> Vec<Diag> {
         }
     }
     for w in c.metrics.windows(2) {
-        if (&w[0].name, w[0].kind) > (&w[1].name, w[1].kind) {
+        if w[0].name > w[1].name {
             diags.push(Diag::site(
                 "catalog-order",
                 file,
                 w[1].line,
                 format!("METRICS not sorted: `{}` after `{}`", w[1].name, w[0].name),
-                "keep the table sorted by (name, kind) so diffs stay one-line",
+                "keep the table sorted by name so diffs stay one-line",
             ));
         }
     }
@@ -381,8 +379,7 @@ pub fn check_dead_names(catalog: &Catalog, usage: &Usage) -> Vec<Diag> {
     let mut diags = Vec::new();
     let file = "crates/sim/src/catalog.rs";
     for e in &catalog.metrics {
-        let Some(kind) = e.kind else { continue };
-        if !usage.metrics.contains(&(e.name.clone(), kind)) {
+        if !usage.metrics.contains(&e.name) {
             diags.push(Diag::site(
                 "dead-name",
                 file,
@@ -390,7 +387,7 @@ pub fn check_dead_names(catalog: &Catalog, usage: &Usage) -> Vec<Diag> {
                 format!(
                     "metric `{}` ({}) is registered but never recorded or read",
                     e.name,
-                    kind.name()
+                    e.sinks_label()
                 ),
                 "record it somewhere or remove the catalog entry",
             ));
@@ -816,45 +813,121 @@ fn in_use_of(lexed: &Lexed, i: usize, segment: &str) -> bool {
         .any(|t| matches!(&t.kind, TokKind::Ident(s) if s == segment))
 }
 
-/// Metric-recording and trace-emitting method calls: `(method, kind)`.
-pub(crate) const METRIC_CALLS: &[(&str, Kind)] = &[
-    ("counter", Kind::Counter),
-    ("counter_add", Kind::Counter),
-    ("counter_inc", Kind::Counter),
-    ("sum_counters", Kind::Counter),
-    ("gauge", Kind::Gauge),
-    ("gauge_peak", Kind::Gauge),
-    ("gauge_set", Kind::Gauge),
-    ("max_gauge_peak", Kind::Gauge),
-    ("histogram", Kind::Histogram),
-    ("observe", Kind::Histogram),
+/// Registry and timeline calls that take a metric name literal, with the
+/// sink the name must declare: `(method, sink)`. Reads count as usage
+/// for the dead-name pass, and `counter_add` is the per-node snapshot
+/// import.
+const METRIC_CALLS: &[(&str, Sink)] = &[
+    ("counter", Sink::Counter),
+    ("counter_add", Sink::Counter),
+    ("sum_counters", Sink::Counter),
+    ("gauge", Sink::Gauge),
+    ("gauge_peak", Sink::Gauge),
+    ("histogram", Sink::Histogram),
     // Timeline series lookups take catalog names too: a series that
     // cannot resolve through the catalog is unreadable, so the linter
-    // treats these like the metric read APIs above.
-    ("counter_series", Kind::Counter),
-    ("gauge_series", Kind::Gauge),
+    // treats these like the registry reads above.
+    ("gauge_series", Sink::TimelineLevel),
+    ("counter_series", Sink::TimelineRate),
 ];
 
 /// Trace-emission methods whose first string literal is a stage name.
-pub(crate) const STAGE_CALLS: &[&str] = &["begin", "end", "instant"];
+const STAGE_CALLS: &[&str] = &["begin", "end", "instant"];
 
-/// Compile-time interning resolvers from `clic_sim::catalog`: free
-/// functions (called as `counter_id("...")` or `catalog::counter_id(...)`)
-/// whose string literal names a catalog entry of the given kind. A call
-/// counts as a recording for the dead-name pass — the returned id is what
-/// the hot path feeds to the `_id` metric APIs.
-pub(crate) const METRIC_ID_CALLS: &[(&str, Kind)] = &[
-    ("counter_id", Kind::Counter),
-    ("gauge_id", Kind::Gauge),
-    ("histogram_id", Kind::Histogram),
-];
+/// Compile-time interning resolver from `clic_sim::catalog`: a free
+/// function (called as `metric_id("...")` or `catalog::metric_id(...)`)
+/// whose string literal must name a catalog entry.
+const METRIC_ID_CALL: &str = "metric_id";
 
-/// Stage-id resolver from `clic_sim::catalog` (see [`METRIC_ID_CALLS`]).
-pub(crate) const STAGE_ID_CALL: &str = "stage_id";
+/// The one live-recording call, `sim.record(ID, v)`: it records the entry
+/// that `ID` was interned from.
+const RECORD_CALL: &str = "record";
+
+/// Stage-id resolver from `clic_sim::catalog` (see [`METRIC_ID_CALL`]).
+const STAGE_ID_CALL: &str = "stage_id";
+
+/// `const NAME: MetricId = [path::]metric_id("lit");` declarations in a
+/// file, as const name → metric name: what a `record(NAME, ..)` call in
+/// that file records.
+pub(crate) fn metric_consts(lexed: &Lexed) -> BTreeMap<String, String> {
+    let toks = &lexed.toks;
+    let mut out = BTreeMap::new();
+    for i in 0..toks.len() {
+        if !matches!(&toks[i].kind, TokKind::Ident(s) if s == "const") {
+            continue;
+        }
+        let Some(TokKind::Ident(name)) = lexed.kind(i + 1) else {
+            continue;
+        };
+        let mut j = i + 2;
+        while j + 2 < toks.len() && !lexed.is_punct(j, ';') {
+            if matches!(&toks[j].kind, TokKind::Ident(s) if s == METRIC_ID_CALL)
+                && lexed.is_punct(j + 1, '(')
+            {
+                if let Some(TokKind::Str(lit)) = lexed.kind(j + 2) {
+                    out.insert(name.clone(), lit.clone());
+                }
+                break;
+            }
+            j += 1;
+        }
+    }
+    out
+}
+
+/// The lone identifier forming the first argument of the call whose
+/// parentheses open at `open` and close at `close`, if that is its shape.
+pub(crate) fn first_ident_arg(lexed: &Lexed, open: usize, close: usize) -> Option<&str> {
+    match lexed.kind(open + 1) {
+        Some(TokKind::Ident(id)) if open + 2 == close || lexed.is_punct(open + 2, ',') => {
+            Some(id.as_str())
+        }
+        _ => None,
+    }
+}
+
+/// What a name-carrying call does with its name.
+#[derive(Clone, Copy)]
+pub(crate) enum NameUse {
+    /// A registry/timeline read or snapshot import needing this sink.
+    Metric(Sink),
+    /// `metric_id("…")`: interns any registered entry.
+    Intern,
+    /// `sim.record(ID, v)`: records the entry `ID` was interned from.
+    Record,
+    /// A trace stage emission.
+    Stage,
+}
+
+/// The shape of a call named `name` (`.name(` when `is_method`), if it
+/// carries an observability name — shared by the per-site name rules and
+/// the liveness pass so both recognise the same calls.
+pub(crate) fn name_use(name: &str, is_method: bool) -> Option<NameUse> {
+    if is_method {
+        if name == RECORD_CALL {
+            return Some(NameUse::Record);
+        }
+        if STAGE_CALLS.contains(&name) {
+            return Some(NameUse::Stage);
+        }
+        METRIC_CALLS
+            .iter()
+            .find(|(m, _)| *m == name)
+            .map(|&(_, s)| NameUse::Metric(s))
+    } else if name == METRIC_ID_CALL {
+        Some(NameUse::Intern)
+    } else if name == STAGE_ID_CALL {
+        Some(NameUse::Stage)
+    } else {
+        None
+    }
+}
 
 /// `metric-name` / `stage-name`: extract every name literal passed to a
 /// recording call and check it against the catalog. Usage is accumulated
-/// for the dead-name pass (test code counts toward neither rule).
+/// for the dead-name pass (test code counts toward neither rule): reads,
+/// snapshot imports and `record` calls count; interning alone does not,
+/// so an id that is never recorded leaves its entry dead.
 fn observability_names(
     lexed: &Lexed,
     catalog: &Catalog,
@@ -862,6 +935,7 @@ fn observability_names(
     in_test: &dyn Fn(u32) -> bool,
     cands: &mut Vec<Candidate>,
 ) {
+    let consts = metric_consts(lexed);
     for (i, t) in lexed.toks.iter().enumerate() {
         let TokKind::Ident(name) = &t.kind else {
             continue;
@@ -869,71 +943,65 @@ fn observability_names(
         if !lexed.is_punct(i + 1, '(') {
             continue;
         }
-        // Method-call shape (`.counter_inc(`) or interning-resolver shape
-        // (`counter_id(` — a free function, so NOT preceded by `.`, which
-        // also keeps `fn counter_id(` definitions out via OBS_INFRA_FILES
+        // Method-call shape (`.counter(`, `.record(`) or resolver shape
+        // (`metric_id(` — a free function, so NOT preceded by `.`, which
+        // also keeps `fn metric_id(` definitions out via OBS_INFRA_FILES
         // and the literal requirement below).
         let is_method = i >= 1 && lexed.is_punct(i - 1, '.');
-        let (metric_kind, is_stage) = if is_method {
-            (
-                METRIC_CALLS
-                    .iter()
-                    .find(|(m, _)| m == name)
-                    .map(|&(_, k)| k),
-                STAGE_CALLS.contains(&name.as_str()),
-            )
-        } else {
-            (
-                METRIC_ID_CALLS
-                    .iter()
-                    .find(|(m, _)| m == name)
-                    .map(|&(_, k)| k),
-                name == STAGE_ID_CALL,
-            )
-        };
-        if metric_kind.is_none() && !is_stage {
+        let Some(shape) = name_use(name, is_method) else {
             continue;
-        }
+        };
         let Some(close) = matching(lexed, i + 1, '(', ')') else {
             continue;
         };
+        if in_test(t.line) {
+            continue;
+        }
+        if let NameUse::Record = shape {
+            let recorded = first_ident_arg(lexed, i + 1, close).and_then(|id| consts.get(id));
+            if let Some(metric) = recorded {
+                usage.metrics.insert(metric.clone());
+            }
+            continue;
+        }
         let Some(lit) = lexed.toks[i + 2..close].iter().find_map(|t| match &t.kind {
             TokKind::Str(s) => Some(s.clone()),
             _ => None,
         }) else {
             continue;
         };
-        if in_test(t.line) {
-            continue;
-        }
-        if let Some(kind) = metric_kind {
-            let stripped = strip_node_prefix(&lit).to_string();
-            usage.metrics.insert((stripped.clone(), kind));
-            if !catalog.has_metric(&stripped, kind) {
-                cands.push(Candidate {
-                    rule: "metric-name",
-                    line: t.line,
-                    message: format!(
-                        "metric name `{lit}` ({}) is not registered in the catalog",
-                        kind.name()
-                    ),
-                    suggestion: "add it to METRICS in crates/sim/src/catalog.rs (sorted) with a \
-                                 help string"
-                        .to_string(),
-                });
+        let stripped = strip_node_prefix(&lit).to_string();
+        let (registered, what) = match shape {
+            NameUse::Metric(sink) => {
+                usage.metrics.insert(stripped.clone());
+                (catalog.has_metric(&stripped, sink), sink.name())
             }
-        } else {
-            usage.stages.insert(lit.clone());
-            if !catalog.has_stage(&lit) {
-                cands.push(Candidate {
-                    rule: "stage-name",
-                    line: t.line,
-                    message: format!("trace stage `{lit}` is not registered in the catalog"),
-                    suggestion: "add it to STAGES in crates/sim/src/catalog.rs (sorted) with its \
-                                 emitting layer"
-                        .to_string(),
-                });
+            NameUse::Intern => (catalog.has_name(&stripped), "metric_id"),
+            NameUse::Stage => {
+                usage.stages.insert(lit.clone());
+                if !catalog.has_stage(&lit) {
+                    cands.push(Candidate {
+                        rule: "stage-name",
+                        line: t.line,
+                        message: format!("trace stage `{lit}` is not registered in the catalog"),
+                        suggestion: "add it to STAGES in crates/sim/src/catalog.rs (sorted) with \
+                                     its emitting layer"
+                            .to_string(),
+                    });
+                }
+                continue;
             }
+            NameUse::Record => continue,
+        };
+        if !registered {
+            cands.push(Candidate {
+                rule: "metric-name",
+                line: t.line,
+                message: format!("metric name `{lit}` ({what}) is not registered in the catalog"),
+                suggestion: "add it to METRICS in crates/sim/src/catalog.rs (sorted) with its \
+                             sinks and a help string"
+                    .to_string(),
+            });
         }
     }
 }

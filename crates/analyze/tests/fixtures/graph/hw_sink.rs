@@ -4,6 +4,8 @@ pub fn slot_lookup(tbl: &Table) -> u32 {
     tbl.slot().unwrap()
 }
 
-fn orphan_probe(m: &Metrics) {
-    m.counter("clic.msgs_sent", 1);
+fn orphan_probe(sim: &mut Sim) {
+    sim.record(SENT, 1);
 }
+
+const SENT: MetricId = metric_id("clic.msgs_sent");

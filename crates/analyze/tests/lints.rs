@@ -8,7 +8,9 @@
 
 use clic_analyze::catalog::{parse as parse_catalog, Catalog};
 use clic_analyze::diag::render_json_diag;
-use clic_analyze::rules::{analyze, analyze_workspace, check_file, check_manifest, RULES};
+use clic_analyze::rules::{
+    analyze, analyze_workspace, check_dead_names, check_file, check_manifest, Usage, RULES,
+};
 use clic_analyze::workspace::{find_root, Manifest, SourceFile, Workspace};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -17,7 +19,7 @@ use std::path::PathBuf;
 /// A miniature catalog: one registered counter, one registered stage.
 const CATALOG_SRC: &str = r#"
 pub const METRICS: &[MetricDef] = &[
-    MetricDef { name: "clic.msgs_sent", kind: C, help: "sent" },
+    MetricDef { name: "clic.msgs_sent", sinks: &[C], help: "sent" },
 ];
 pub const STAGES: &[StageDef] = &[
     StageDef { name: "driver_tx", layers: &[Layer::Clic], help: "tx" },
@@ -37,7 +39,7 @@ fn run(rel_name: &str, text: &str, is_lib_root: bool) -> Vec<clic_analyze::Diag>
         is_test_source: false,
         text: text.to_string(),
     };
-    let mut usage = clic_analyze::rules::Usage::default();
+    let mut usage = Usage::default();
     check_file(&f, &catalog(), &mut usage)
 }
 
@@ -86,6 +88,38 @@ fn name_fixture_flags_only_unregistered_names() {
     // Registered names pass (string and interned-resolver shapes).
     assert!(!diags.iter().any(|d| d.message.contains("clic.msgs_sent")));
     assert!(!diags.iter().any(|d| d.message.contains("driver_tx")));
+}
+
+#[test]
+fn record_fixture_keeps_recorded_entries_live() {
+    // One catalog entry recorded only through `sim.record(ID, v)`, one
+    // interned but never recorded: the first is live, the second dead.
+    let catalog = parse_catalog(
+        r#"
+pub const METRICS: &[MetricDef] = &[
+    MetricDef { name: "a.dead", sinks: &[C], help: "interned only" },
+    MetricDef { name: "a.live", sinks: &[G, H, TL], help: "recorded" },
+];
+pub const STAGES: &[StageDef] = &[];
+"#,
+    )
+    .expect("fixture catalog parses");
+    let f = SourceFile {
+        rel: "crates/ethernet/src/record_fix.rs".to_string(),
+        crate_name: "ethernet".to_string(),
+        is_lib_root: false,
+        is_test_source: false,
+        text: include_str!("fixtures/record.rs").to_string(),
+    };
+    let mut usage = Usage::default();
+    let site = check_file(&f, &catalog, &mut usage);
+    assert!(site.is_empty(), "{site:?}");
+    assert!(usage.metrics.contains("a.live"), "{usage:?}");
+    let dead = check_dead_names(&catalog, &usage);
+    assert_eq!(dead.len(), 1, "{dead:?}");
+    assert_eq!(dead[0].rule, "dead-name");
+    assert!(dead[0].message.contains("`a.dead`"), "{dead:?}");
+    assert_eq!(dead[0].line, 3);
 }
 
 #[test]

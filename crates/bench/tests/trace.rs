@@ -75,6 +75,64 @@ fn regenerate_coll_golden() {
     std::fs::write(path, &t.chrome_json).expect("write golden");
 }
 
+/// The `--metrics` registry dump of each trace scenario, 64 KiB at MTU
+/// 1500 (`figures trace <scenario> --size 65536 --metrics`), with its
+/// golden file.
+fn metric_dumps() -> [(TraceScenario, &'static str, &'static str); 4] {
+    [
+        (
+            TraceScenario::Fig7a,
+            "fig7a_65536_metrics.txt",
+            include_str!("golden/fig7a_65536_metrics.txt"),
+        ),
+        (
+            TraceScenario::Fig7b,
+            "fig7b_65536_metrics.txt",
+            include_str!("golden/fig7b_65536_metrics.txt"),
+        ),
+        (
+            TraceScenario::Fig7aLossy,
+            "fig7a_lossy_65536_metrics.txt",
+            include_str!("golden/fig7a_lossy_65536_metrics.txt"),
+        ),
+        (
+            TraceScenario::Tcp,
+            "tcp_65536_metrics.txt",
+            include_str!("golden/tcp_65536_metrics.txt"),
+        ),
+    ]
+}
+
+#[test]
+fn metric_dumps_match_golden_files() {
+    // Every count appears once: node-owned counts per node, cluster-level
+    // facts unprefixed.
+    for (scenario, file, golden) in metric_dumps() {
+        let t = run_pipeline_trace(scenario, 65_536, 1500, 0);
+        assert_eq!(
+            t.metrics.dump(),
+            golden,
+            "metrics dump of {} changed; if intentional, regenerate \
+             crates/bench/tests/golden/{file} with \
+             `cargo test -p clic-bench --test trace regenerate_metric_goldens -- --ignored`",
+            scenario.name()
+        );
+    }
+}
+
+/// Regenerates the metric-dump golden files in place. Run explicitly
+/// after an intentional registry change:
+/// `cargo test -p clic-bench --test trace regenerate_metric_goldens -- --ignored`
+#[test]
+#[ignore = "writes the golden files; run only to regenerate them"]
+fn regenerate_metric_goldens() {
+    for (scenario, file, _) in metric_dumps() {
+        let t = run_pipeline_trace(scenario, 65_536, 1500, 0);
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(path, t.metrics.dump()).expect("write golden");
+    }
+}
+
 #[test]
 fn chrome_trace_parses_and_is_populated() {
     let t = fig7a_trace();

@@ -11,9 +11,10 @@
 //! depends on completion order.
 //!
 //! Job results are also cache-friendly: [`JobSpec::fingerprint`] hashes
-//! the id, the full job configuration, and the calibrated cost-model
-//! constants, so a content-addressed result cache (see `clic-bench`)
-//! invalidates itself automatically when any of those change.
+//! the id, the full job configuration, the calibrated cost-model
+//! constants and the simulator source, so a content-addressed result
+//! cache (see `clic-bench`) invalidates itself automatically when any of
+//! those change.
 
 use crate::builder::{Cluster, ClusterConfig};
 use crate::calibration::CostModel;
@@ -21,8 +22,15 @@ use crate::workload::{
     ping_pong, request_reply_cycles, request_reply_cycles_with_background, stream, stream_count,
     stream_pipelined, StackKind,
 };
+use clic_core::ClicStats;
+use clic_hw::nic::NicStats;
 use clic_sim::{EngineProbe, Sim, SimDuration};
+use clic_tcpip::tcp::TcpStats;
 use std::sync::Mutex;
+
+// `SOURCE_HASH`: the build script's FNV-1a of every simulator `src/` tree
+// this crate is built from.
+include!(concat!(env!("OUT_DIR"), "/source_hash.rs"));
 
 /// Bump when the measurement schema changes (new/renamed value keys), so
 /// stale cache entries from older binaries are never reused.
@@ -226,15 +234,22 @@ impl JobSpec {
     /// Content hash of everything the result depends on: the job id, the
     /// full job configuration (including any embedded [`ClusterConfig`]
     /// and its cost model), the calibrated-era constants used by jobs
-    /// that build their configs internally, and the measurement schema
-    /// version. Changing any constant in `calibration.rs` therefore
-    /// changes the fingerprint and invalidates cached results.
+    /// that build their configs internally, the measurement schema
+    /// version, and the simulator source the binary was built from.
+    /// Changing any constant in `calibration.rs`, or any file under a
+    /// simulator crate's `src/`, therefore changes the fingerprint and
+    /// invalidates cached results.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint_with(SOURCE_HASH)
+    }
+
+    fn fingerprint_with(&self, source_hash: u64) -> u64 {
         let mut h = Fnv1a::new();
         h.write(self.id.as_bytes());
         h.write(format!("{:?}", self.kind).as_bytes());
         h.write(format!("{:?}", CostModel::era_2002()).as_bytes());
         h.write(&MEASUREMENT_SCHEMA_VERSION.to_le_bytes());
+        h.write(&source_hash.to_le_bytes());
         h.finish()
     }
 }
@@ -348,46 +363,70 @@ pub fn set_job_probe_factory(factory: Option<ProbeFactory>) {
     *PROBE_FACTORY.lock().expect("probe factory lock") = factory;
 }
 
-/// A job's simulator: seeded, metrics on, and carrying a probe when the
-/// self-profiler has installed a factory.
+/// A job's simulator: seeded, and carrying a probe when the self-profiler
+/// has installed a factory.
 fn job_sim(seed: u64) -> Sim {
     let mut sim = Sim::new(seed);
-    sim.metrics = clic_sim::Metrics::enabled();
     if let Some(f) = *PROBE_FACTORY.lock().expect("probe factory lock") {
         sim.set_probe(f());
     }
     sim
 }
 
+/// `f` of every CLIC module's stats, summed over the cluster's nodes.
+fn clic_total(cluster: &Cluster, f: impl Fn(&ClicStats) -> u64) -> u64 {
+    cluster
+        .nodes
+        .iter()
+        .filter_map(|n| n.clic.as_ref())
+        .map(|c| f(&c.borrow().stats()))
+        .sum()
+}
+
+/// `f` of every NIC's stats, summed over the cluster's nodes.
+fn nic_total(cluster: &Cluster, f: impl Fn(&NicStats) -> u64) -> u64 {
+    cluster
+        .nodes
+        .iter()
+        .flat_map(|n| &n.nics)
+        .map(|nic| f(&nic.borrow().stats()))
+        .sum()
+}
+
+/// `f` of every TCP stack's stats, summed over the cluster's nodes.
+fn tcp_total(cluster: &Cluster, f: impl Fn(&TcpStats) -> u64) -> u64 {
+    cluster
+        .nodes
+        .iter()
+        .filter_map(|n| n.tcp.as_ref())
+        .map(|t| f(&t.borrow().stats()))
+        .sum()
+}
+
 /// Append the per-run observability totals to `m`: dropped frames/packets
 /// across every layer, retransmissions across both stacks, and the peak
 /// switch output-queue depth. Zero-valued when the run had no such events
 /// (or, for the queue depth, no switch), so the schema is stable.
-fn push_metric_totals(m: &mut Measurement, sim: &Sim) {
-    let drops = sim.metrics.sum_counters("clic.drops.backlog")
-        + sim.metrics.sum_counters("clic.drops.duplicate")
-        + sim.metrics.sum_counters("clic.drops.ooo")
-        + sim.metrics.sum_counters("eth.switch.drops")
-        + sim.metrics.sum_counters("eth.link.frames_lost")
-        + sim.metrics.sum_counters("hw.nic.rx_no_buffer")
-        + sim.metrics.sum_counters("hw.nic.rx_fcs_errors");
-    let retransmits = sim.metrics.sum_counters("clic.retransmits")
-        + sim.metrics.sum_counters("tcp.retransmits")
-        + sim.metrics.sum_counters("tcp.fast_retransmits");
+/// Node-owned counts are summed from the components' stats, their one
+/// store; switch and link facts come from the run's registry.
+fn push_metric_totals(m: &mut Measurement, cluster: &Cluster, sim: &Sim) {
+    let drops = clic_total(cluster, |s| s.backlog_drops + s.duplicates + s.ooo_drops)
+        + sim.metrics.counter("eth.switch.drops")
+        + sim.metrics.counter("eth.link.frames_lost")
+        + nic_total(cluster, |s| s.rx_no_buffer + s.rx_fcs_errors);
+    let retransmits = clic_total(cluster, |s| s.retransmits)
+        + tcp_total(cluster, |s| s.retransmits + s.fast_retransmits);
     m.push("m.drops", drops as f64);
     m.push("m.retransmits", retransmits as f64);
     m.push(
         "m.peak_switch_queue_depth",
-        sim.metrics.max_gauge_peak("eth.switch.queue_depth") as f64,
+        sim.metrics.gauge_peak("eth.switch.queue_depth") as f64,
     );
     m.push(
         "m.ecn_marks",
-        sim.metrics.sum_counters("eth.switch.ecn_marks") as f64,
+        sim.metrics.counter("eth.switch.ecn_marks") as f64,
     );
-    m.push(
-        "m.ecn_echoes",
-        sim.metrics.sum_counters("clic.ecn_echoes") as f64,
-    );
+    m.push("m.ecn_echoes", clic_total(cluster, |s| s.ecn_echoes) as f64);
     m.push("m.events", sim.events_executed() as f64);
 }
 
@@ -419,7 +458,7 @@ fn run_stream(
         m.push("retransmits", stats.retransmits as f64);
         m.push("packets_sent", stats.packets_sent as f64);
     }
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -435,7 +474,7 @@ fn run_ping_pong(
     let pp = ping_pong(&cluster, &mut sim, stack, size, rounds);
     let mut m = Measurement::default();
     m.push("one_way_us", pp.one_way().as_us_f64());
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -488,7 +527,7 @@ fn run_stage_trace(config: &ClusterConfig, seed: u64) -> Measurement {
         span("clic_module_rx").map(|s| s.duration()),
     );
     push("copy_to_user", span("copy_to_user").map(|s| s.duration()));
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -576,7 +615,7 @@ fn run_loaded_latency(is_clic: bool, loaded: bool) -> Measurement {
     m.push("min_us", one_way(cycles.min()));
     m.push("mean_us", one_way(cycles.mean()));
     m.push("p99_us", one_way(cycles.percentile(0.99)));
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -602,7 +641,7 @@ fn run_reliability(
     m.push("mbps", mbps);
     m.push("mean_us", us(cycles.mean()));
     m.push("p99_us", us(cycles.percentile(0.99)));
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -630,13 +669,13 @@ fn run_chaos(
     m.push("last_delivery_us", out.last_delivery.as_us_f64());
     m.push(
         "stale_epoch_drops",
-        sim.metrics.sum_counters("clic.drops.stale_epoch") as f64,
+        clic_total(&cluster, |s| s.stale_epoch_drops) as f64,
     );
     m.push(
         "expired_drops",
-        sim.metrics.sum_counters("clic.drops.expired") as f64,
+        clic_total(&cluster, |s| s.expired_drops) as f64,
     );
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -664,7 +703,7 @@ fn run_incast(
     // The peak is the larger of the workload's per-delivery samples and
     // the gauge the module updates at every ACK.
     let peak =
-        (out.peak_buffered_bytes as i64).max(sim.metrics.max_gauge_peak("clic.recv_buffer_bytes"));
+        (out.peak_buffered_bytes as i64).max(sim.metrics.gauge_peak("clic.recv_buffer_bytes"));
     m.push("peak_buffered_bytes", peak as f64);
     m.push("elapsed_us", out.elapsed.as_us_f64());
     // Receiver goodput over the whole incast: delivered payload bits per
@@ -676,7 +715,7 @@ fn run_incast(
         0.0
     };
     m.push("goodput_mbps", goodput);
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -690,12 +729,12 @@ fn run_scale_collective(config: &ClusterConfig, offload: bool, seed: u64) -> Mea
     if let Some(fabric) = &cluster.fabric {
         m.push("switches", fabric.switch_count() as f64);
         m.push("trunks", fabric.trunk_count() as f64);
-        m.push("flood_pruned", fabric.total_flood_pruned() as f64);
+        m.push(
+            "flood_pruned",
+            sim.metrics.counter("eth.fabric.flood_pruned") as f64,
+        );
     }
-    m.push(
-        "coll_msgs",
-        sim.metrics.sum_counters("hw.nic.coll.msgs_rx") as f64,
-    );
+    m.push("coll_msgs", nic_total(&cluster, |s| s.coll_msgs_rx) as f64);
     m.push(
         "host_irqs",
         cluster
@@ -704,7 +743,7 @@ fn run_scale_collective(config: &ClusterConfig, offload: bool, seed: u64) -> Mea
             .map(|n| n.kernel.borrow().stats().irqs)
             .sum::<u64>() as f64,
     );
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -714,7 +753,7 @@ fn run_all_to_all(config: &ClusterConfig, size: usize, seed: u64) -> Measurement
     let res = crate::workload::all_to_all_clic(&cluster, &mut sim, size);
     let mut m = Measurement::default();
     m.push("aggregate_mbps", res.aggregate_mbps());
-    push_metric_totals(&mut m, &sim);
+    push_metric_totals(&mut m, &cluster, &sim);
     m
 }
 
@@ -768,6 +807,25 @@ mod tests {
             cluster.model.link_bps += 1;
         }
         assert_ne!(tweaked.fingerprint(), mk(1024).fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_covers_the_simulator_source() {
+        // A simulator source edit changes the build-time source hash, so a
+        // result cached by the old binary can never be served.
+        let model = CostModel::era_2002();
+        let spec = sweep_point(
+            "t/x",
+            experiments::clic_pair(&model, true, true),
+            StackKind::Clic,
+            1024,
+        );
+        assert_eq!(spec.fingerprint(), spec.fingerprint_with(SOURCE_HASH));
+        assert_ne!(spec.fingerprint_with(1), spec.fingerprint_with(2));
+        assert_ne!(
+            spec.fingerprint_with(SOURCE_HASH),
+            spec.fingerprint_with(SOURCE_HASH ^ 1)
+        );
     }
 
     #[test]

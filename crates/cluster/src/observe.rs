@@ -4,9 +4,10 @@
 //! [`run_pipeline_trace`] drives one traced message of any size through a
 //! two-node cluster at any MTU and returns everything the `figures trace`
 //! subcommand needs: Chrome trace-event JSON (load it in Perfetto or
-//! `chrome://tracing`), a per-stage breakdown table, and the merged
-//! metrics registry. With the defaults (`fig7a`, 1400 bytes, MTU 1500)
-//! the span durations are exactly Figure 7a's stage timings.
+//! `chrome://tracing`), a per-stage breakdown table, and the metrics
+//! registry with per-node stat snapshots ([`collect_metrics`]). With the
+//! defaults (`fig7a`, 1400 bytes, MTU 1500) the span durations are
+//! exactly Figure 7a's stage timings.
 
 use crate::builder::{Cluster, ClusterConfig, Topology};
 use crate::calibration::CostModel;
@@ -110,7 +111,8 @@ pub struct PipelineTrace {
     pub spans: Vec<StageSpan>,
     /// Per-stage aggregation of `spans`, in first-appearance order.
     pub breakdown: Vec<BreakdownRow>,
-    /// Live metrics merged with per-node `n{id}.`-prefixed stat snapshots.
+    /// The run's registry plus per-node `n{id}.`-prefixed stat snapshots
+    /// ([`collect_metrics`]).
     pub metrics: Metrics,
 }
 
@@ -188,7 +190,6 @@ pub fn run_pipeline_trace(
     let cluster = Cluster::build(&config);
     let mut sim = Sim::new(seed);
     sim.trace = clic_sim::Trace::enabled();
-    sim.metrics = Metrics::enabled();
     match scenario {
         TraceScenario::Fig7a | TraceScenario::Fig7b | TraceScenario::Fig7aLossy => {
             send_clic(&cluster, &mut sim, size)
@@ -227,7 +228,8 @@ pub struct CollectiveTrace {
     /// `nic_coll_up` / `nic_coll_down` instants plus the wire spans of
     /// every control frame crossing the fabric.
     pub chrome_json: String,
-    /// Live metrics merged with per-node stat snapshots.
+    /// The run's registry plus per-node stat snapshots
+    /// ([`collect_metrics`]).
     pub metrics: Metrics,
 }
 
@@ -248,7 +250,6 @@ pub fn run_collective_trace(nodes: usize, seed: u64) -> CollectiveTrace {
     let cluster = Cluster::build(&config);
     let mut sim = Sim::new(seed);
     sim.trace = clic_sim::Trace::enabled();
-    sim.metrics = Metrics::enabled();
 
     let members: Vec<_> = cluster.nodes.iter().map(|n| n.mac).collect();
     let released = std::rc::Rc::new(std::cell::RefCell::new(0usize));
@@ -393,7 +394,6 @@ pub fn run_timeline(
     let cluster = Cluster::build(&config);
     let mut sim = Sim::new(seed);
     sim.trace = clic_sim::Trace::enabled();
-    sim.metrics = Metrics::enabled();
     sim.timeline = match flight {
         Some(n) => TimelineRecorder::flight_recorder(bucket, n),
         None => TimelineRecorder::enabled(bucket),
@@ -482,33 +482,38 @@ pub fn breakdown_table(rows: &[BreakdownRow]) -> String {
     out
 }
 
-/// Merge the simulation's live metrics with per-node counter snapshots
-/// (kernel, NIC and CLIC stats under an `n{id}.` prefix, switch counters
-/// under `eth.switch.`), yielding one registry whose [`Metrics::dump`]
-/// is the `--metrics` report.
+/// The run's registry plus every node-owned count, as one registry whose
+/// [`Metrics::dump`] is the `--metrics` report. Each fact appears once:
+/// the kernel, NIC (collective engine included), CLIC and TCP counts live
+/// only in their components' stats and are exported here under an
+/// `n{id}.` prefix; cluster-level facts (switches, links, buses, the
+/// buffer pool) keep their unprefixed names.
 pub fn collect_metrics(cluster: &Cluster, sim: &Sim) -> Metrics {
-    let mut reg = Metrics::enabled();
-    reg.merge(&sim.metrics);
+    let mut reg = sim.metrics.clone();
     for node in &cluster.nodes {
         let p = |name: &str| format!("n{}.{name}", node.id);
-        let kernel = node.kernel.borrow();
-        let ks = kernel.stats();
+        let ks = node.kernel.borrow().stats();
         reg.counter_add(&p("os.syscalls"), ks.syscalls);
         reg.counter_add(&p("os.lightweight_calls"), ks.lightweight_calls);
         reg.counter_add(&p("os.irqs"), ks.irqs);
         reg.counter_add(&p("os.bottom_halves"), ks.bhs);
         reg.counter_add(&p("os.context_switches"), ks.context_switches);
         reg.counter_add(&p("os.frames_received"), ks.frames_received);
-        for dev in 0..kernel.device_count() {
-            let ns = kernel.device(dev).borrow().stats();
+        for nic in &node.nics {
+            let nic = nic.borrow();
+            let ns = nic.stats();
             reg.counter_add(&p("hw.nic.tx_frames"), ns.tx_frames);
             reg.counter_add(&p("hw.nic.rx_frames"), ns.rx_frames);
             reg.counter_add(&p("hw.nic.tx_ring_full"), ns.tx_ring_full);
             reg.counter_add(&p("hw.nic.rx_no_buffer"), ns.rx_no_buffer);
             reg.counter_add(&p("hw.nic.rx_fcs_errors"), ns.rx_fcs_errors);
             reg.counter_add(&p("hw.nic.irqs"), ns.irqs);
+            if nic.collectives_enabled() {
+                reg.counter_add(&p("hw.nic.coll.msgs_rx"), ns.coll_msgs_rx);
+                reg.counter_add(&p("hw.nic.coll.msgs_tx"), ns.coll_msgs_tx);
+                reg.counter_add(&p("hw.nic.coll.completions"), ns.coll_completions);
+            }
         }
-        drop(kernel);
         if let Some(clic) = &node.clic {
             let cs = clic.borrow().stats();
             reg.counter_add(&p("clic.msgs_sent"), cs.msgs_sent);
@@ -537,13 +542,18 @@ pub fn collect_metrics(cluster: &Cluster, sim: &Sim) -> Metrics {
                 cs.flow_failures_stale_epoch,
             );
             reg.counter_add(&p("clic.keepalive_probes"), cs.keepalive_probes);
+            reg.counter_add(&p("clic.ecn_echoes"), cs.ecn_echoes);
+        }
+        if let Some(tcp) = &node.tcp {
+            let ts = tcp.borrow().stats();
+            reg.counter_add(&p("tcp.retransmits"), ts.retransmits);
+            reg.counter_add(&p("tcp.fast_retransmits"), ts.fast_retransmits);
         }
     }
     if let Some(sw) = &cluster.switch {
         let sw = sw.borrow();
         reg.counter_add("eth.switch.frames_forwarded", sw.frames_forwarded());
         reg.counter_add("eth.switch.frames_flooded", sw.frames_flooded());
-        reg.counter_add("eth.switch.frames_dropped", sw.frames_dropped());
     }
     // Packet-buffer pool traffic since the run's `bytes::pool::reset()`.
     let ps = bytes::pool::stats();
@@ -563,6 +573,7 @@ pub fn collect_metrics(cluster: &Cluster, sim: &Sim) -> Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn scenario_names_round_trip() {
@@ -752,6 +763,38 @@ mod tests {
     }
 
     #[test]
+    fn each_counted_fact_appears_once() {
+        // A count is node-owned (`n<i>.name`) or cluster-level (`name`),
+        // never both: one fact exported twice is double-counted by every
+        // sum over the dump.
+        fn assert_once(what: &str, reg: &Metrics) {
+            use clic_sim::catalog::strip_node_prefix;
+            let (per_node, unprefixed): (Vec<&str>, Vec<&str>) = reg
+                .counters()
+                .map(|(n, _)| n)
+                .partition(|n| strip_node_prefix(n) != *n);
+            let twice: BTreeSet<&str> = per_node
+                .into_iter()
+                .map(strip_node_prefix)
+                .filter(|base| unprefixed.contains(base))
+                .collect();
+            assert!(
+                twice.is_empty(),
+                "{what}: counted both per node and unprefixed: {twice:?}"
+            );
+        }
+        for s in TraceScenario::ALL {
+            assert_once(s.name(), &run_pipeline_trace(s, 65_536, 1500, 0).metrics);
+        }
+        assert_once("collective", &run_collective_trace(8, 0).metrics);
+        let model = CostModel::era_2002();
+        let cluster = Cluster::build(&incast_cluster(&model, 5, Some(64 * 1024)));
+        let mut sim = Sim::new(9);
+        incast_clic(&cluster, &mut sim, 8_192, 8, SimDuration::from_us(150));
+        assert_once("incast", &collect_metrics(&cluster, &sim));
+    }
+
+    #[test]
     fn collective_trace_shows_both_phases_and_no_host_work() {
         let t = run_collective_trace(8, 0);
         assert_eq!(t.nodes, 8);
@@ -760,7 +803,7 @@ mod tests {
         assert!(t.chrome_json.contains("nic_coll_down"), "no release marks");
         // The barrier runs entirely in NIC firmware: no host interrupts.
         assert_eq!(t.metrics.counter("n0.os.irqs"), 0);
-        assert!(t.metrics.counter("hw.nic.coll.msgs_rx") > 0);
+        assert!(t.metrics.sum_counters("hw.nic.coll.msgs_rx") > 0);
         // Byte-stable for the golden-file contract.
         let again = run_collective_trace(8, 0);
         assert_eq!(t.chrome_json, again.chrome_json);

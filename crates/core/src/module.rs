@@ -28,34 +28,26 @@ use bytes::{BufMut, Bytes, BytesMut};
 use clic_ethernet::{EtherType, Frame, MacAddr, RoundRobin};
 use clic_os::driver::hard_start_xmit;
 use clic_os::{Kernel, PacketHandler, Pid, SkBuff};
-use clic_sim::catalog::{counter_id, gauge_id, histogram_id};
+use clic_sim::catalog::metric_id;
 use clic_sim::{Layer, MetricId, Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 /// Interned metric ids — the CLIC data path records per message/packet,
-/// so names are resolved against the catalog at compile time.
-const M_MSG_BYTES: MetricId = histogram_id("clic.msg_bytes");
-const M_STAGED_COPIES: MetricId = counter_id("clic.staged_copies");
-const M_FLOW_FAILURES: MetricId = counter_id("clic.flow_failures");
-const M_KEEPALIVE_PROBES: MetricId = counter_id("clic.keepalive_probes");
-const M_DROPS_EXPIRED: MetricId = counter_id("clic.drops.expired");
-const M_RTTVAR: MetricId = histogram_id("clic.rttvar");
-const M_FAST_RETRANSMITS: MetricId = counter_id("clic.fast_retransmits");
-const M_RETRANSMITS: MetricId = counter_id("clic.retransmits");
-const M_DROPS_STALE_EPOCH: MetricId = counter_id("clic.drops.stale_epoch");
-const M_DROPS_BACKLOG: MetricId = counter_id("clic.drops.backlog");
-const M_DROPS_DUPLICATE: MetricId = counter_id("clic.drops.duplicate");
-const M_DROPS_OOO: MetricId = counter_id("clic.drops.ooo");
-const M_RECV_BUFFER_BYTES: MetricId = gauge_id("clic.recv_buffer_bytes");
-const M_CWND: MetricId = gauge_id("clic.cwnd");
-const M_SSTHRESH: MetricId = gauge_id("clic.ssthresh");
-const M_ECN_ECHOES: MetricId = counter_id("clic.ecn_echoes");
-const TL_EFFECTIVE_WINDOW: MetricId = gauge_id("clic.effective_window");
-const TL_INFLIGHT_BYTES: MetricId = gauge_id("clic.inflight_bytes");
+/// so names are resolved against the catalog at compile time. Counted
+/// events live in [`ClicStats`] only; these are the distributions and
+/// levels the module records live.
+const MSG_BYTES: MetricId = metric_id("clic.msg_bytes");
+const RTTVAR: MetricId = metric_id("clic.rttvar");
+const RECV_BUFFER_BYTES: MetricId = metric_id("clic.recv_buffer_bytes");
+const CWND: MetricId = metric_id("clic.cwnd");
+const SSTHRESH: MetricId = metric_id("clic.ssthresh");
+const EFFECTIVE_WINDOW: MetricId = metric_id("clic.effective_window");
+const INFLIGHT_BYTES: MetricId = metric_id("clic.inflight_bytes");
 
-/// Activity counters.
+/// Activity counters — the one store of these counts; the experiment
+/// layer exports them per node as `n<id>.clic.*`.
 #[derive(Debug, Default, Clone)]
 pub struct ClicStats {
     /// Messages accepted from user processes.
@@ -301,14 +293,12 @@ impl Congestion {
     }
 }
 
-/// Record the congestion-window gauges (registry + timeline) after a
-/// change. Only ever called with congestion control enabled, so disabled
-/// runs see zero new metric traffic.
+/// Record the congestion-window gauges after a change. Only ever called
+/// with congestion control enabled, so disabled runs see zero new metric
+/// traffic.
 fn cong_gauges(sim: &mut Sim, c: &Congestion) {
-    sim.metrics.gauge_set_id(M_CWND, c.cwnd as i64);
-    sim.metrics.gauge_set_id(M_SSTHRESH, c.ssthresh as i64);
-    sim.timeline.gauge(sim.now(), M_CWND, c.cwnd as i64);
-    sim.timeline.gauge(sim.now(), M_SSTHRESH, c.ssthresh as i64);
+    sim.record(CWND, c.cwnd as u64);
+    sim.record(SSTHRESH, c.ssthresh as u64);
 }
 
 struct QueuedPacket {
@@ -761,7 +751,7 @@ impl ClicModule {
     /// standard system call.
     pub fn send(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, opts: SendOptions, data: Bytes) {
         let kernel = Self::kernel(module);
-        sim.metrics.observe_id(M_MSG_BYTES, data.len() as u64);
+        sim.record(MSG_BYTES, data.len() as u64);
         if opts.trace != 0 {
             sim.trace.begin(sim.now(), Layer::Os, "syscall", opts.trace);
         }
@@ -1021,7 +1011,7 @@ impl ClicModule {
                 // Timeline samples of the window state at this pump; the
                 // byte sum walks the inflight map, so guard on enablement.
                 let window_sample = if sim.timeline.is_enabled() {
-                    Some((cap as i64, flow.window.inflight_bytes() as i64))
+                    Some((cap as u64, flow.window.inflight_bytes()))
                 } else {
                     None
                 };
@@ -1045,8 +1035,8 @@ impl ClicModule {
                 (post, window_sample)
             };
             if let Some((cap, inflight)) = window_sample {
-                sim.timeline.gauge(sim.now(), TL_EFFECTIVE_WINDOW, cap);
-                sim.timeline.gauge(sim.now(), TL_INFLIGHT_BYTES, inflight);
+                sim.record(EFFECTIVE_WINDOW, cap);
+                sim.record(INFLIGHT_BYTES, inflight);
             }
             match post {
                 None => return,
@@ -1107,7 +1097,6 @@ impl ClicModule {
         let staging_cost = if !pkt.staged {
             let mut m = module.borrow_mut();
             m.stats.staged_copies += 1;
-            sim.metrics.counter_inc_id(M_STAGED_COPIES);
             sim.trace
                 .instant(sim.now(), Layer::Clic, "staged_copy", pkt.trace);
             pkt.staged = true;
@@ -1227,8 +1216,6 @@ impl ClicModule {
             }
         };
         if !resend.is_empty() {
-            sim.metrics
-                .counter_add("clic.retransmits", resend.len() as u64);
             sim.trace.instant(sim.now(), Layer::Clic, "rto", 0);
         }
         let kernel = Self::kernel(module);
@@ -1256,32 +1243,19 @@ impl ClicModule {
     /// fire, the failure is counted by cause, and the error handler (if
     /// any) runs. A no-op if the flow is already gone.
     fn fail_flow(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, key: FlowKey, err: ClicError) {
-        let cause = {
+        {
             let mut m = module.borrow_mut();
             if m.out.remove(&key).is_none() {
                 return; // already torn down by a racing cause
             }
             m.stats.flow_failures += 1;
             match &err {
-                ClicError::MaxRetriesExceeded { .. } => {
-                    m.stats.flow_failures_max_retries += 1;
-                    Some("clic.flow_failures.max_retries")
-                }
-                ClicError::PeerDead { .. } => {
-                    m.stats.flow_failures_peer_dead += 1;
-                    Some("clic.flow_failures.peer_dead")
-                }
-                ClicError::StaleEpoch { .. } => {
-                    m.stats.flow_failures_stale_epoch += 1;
-                    Some("clic.flow_failures.stale_epoch")
-                }
+                ClicError::MaxRetriesExceeded { .. } => m.stats.flow_failures_max_retries += 1,
+                ClicError::PeerDead { .. } => m.stats.flow_failures_peer_dead += 1,
+                ClicError::StaleEpoch { .. } => m.stats.flow_failures_stale_epoch += 1,
                 // Config errors come from validation, never from a flow.
-                ClicError::Config { .. } => None,
+                ClicError::Config { .. } => {}
             }
-        };
-        sim.metrics.counter_inc_id(M_FLOW_FAILURES);
-        if let Some(name) = cause {
-            sim.metrics.counter_inc(name);
         }
         sim.trace.instant(sim.now(), Layer::Clic, "flow_fail", 0);
         let handler = module.borrow().error_handler.clone();
@@ -1379,7 +1353,6 @@ impl ClicModule {
     /// ACK counter or the RTT estimator (Karn-safe by construction).
     fn send_probe(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, key: FlowKey) {
         module.borrow_mut().stats.keepalive_probes += 1;
-        sim.metrics.counter_inc_id(M_KEEPALIVE_PROBES);
         sim.trace.instant(sim.now(), Layer::Clic, "keepalive", 0);
         Self::send_control(module, sim, key, control::PROBE);
     }
@@ -1568,7 +1541,6 @@ impl ClicModule {
             }
         };
         if expired {
-            sim.metrics.counter_inc_id(M_DROPS_EXPIRED);
             sim.trace.instant(sim.now(), Layer::Clic, "drop.expired", 0);
         } else {
             // Still buffering and the sender was heard recently: re-check
@@ -1683,7 +1655,6 @@ impl ClicModule {
                 cong_gauges(sim, c);
             }
             if echoed {
-                sim.metrics.counter_inc_id(M_ECN_ECHOES);
                 sim.trace.instant(now, Layer::Clic, "ecn_echo", 0);
             }
             let outcome = if summary.acked == 0 {
@@ -1714,7 +1685,7 @@ impl ClicModule {
                 if let Some(sent_at) = summary.clean_sent_at {
                     let sample_ns = now.saturating_since(sent_at).as_ns();
                     flow.rto_current = flow.rtt_sample(sample_ns, &config);
-                    sim.metrics.observe_id(M_RTTVAR, flow.rttvar_ns);
+                    sim.record(RTTVAR, flow.rttvar_ns);
                 }
                 flow.rto_gen += 1;
                 flow.rto_running = false;
@@ -1745,8 +1716,6 @@ impl ClicModule {
                 m.stats.fast_retransmits += 1;
                 m.stats.retransmits += 1;
             }
-            sim.metrics.counter_inc_id(M_FAST_RETRANSMITS);
-            sim.metrics.counter_inc_id(M_RETRANSMITS);
             sim.trace
                 .instant(sim.now(), Layer::Clic, "fast_retransmit", 0);
             let kernel = Self::kernel(module);
@@ -1817,7 +1786,6 @@ impl ClicModule {
             }
         };
         if stale {
-            sim.metrics.counter_inc_id(M_DROPS_STALE_EPOCH);
             sim.trace
                 .instant(sim.now(), Layer::Clic, "drop.stale_epoch", trace);
             Self::send_control(module, sim, key, control::RESET);
@@ -1836,7 +1804,6 @@ impl ClicModule {
                 .unwrap_or(false);
             if over_budget {
                 m.stats.backlog_drops += 1;
-                sim.metrics.counter_inc_id(M_DROPS_BACKLOG);
                 sim.trace
                     .instant(sim.now(), Layer::Clic, "drop.backlog", trace);
                 return;
@@ -1870,7 +1837,6 @@ impl ClicModule {
                 }
                 RecvOutcome::Duplicate => {
                     m.stats.duplicates += 1;
-                    sim.metrics.counter_inc_id(M_DROPS_DUPLICATE);
                     sim.trace
                         .instant(sim.now(), Layer::Clic, "drop.duplicate", trace);
                     (Vec::new(), true) // re-ACK so the sender resyncs
@@ -1881,7 +1847,6 @@ impl ClicModule {
                 RecvOutcome::Buffered => (Vec::new(), true),
                 RecvOutcome::Overflow => {
                     m.stats.ooo_drops += 1;
-                    sim.metrics.counter_inc_id(M_DROPS_OOO);
                     sim.trace.instant(sim.now(), Layer::Clic, "drop.ooo", trace);
                     (Vec::new(), false)
                 }
@@ -2004,9 +1969,7 @@ impl ClicModule {
                 None => 0,
                 Some(budget) => {
                     let used = m.buffered_bytes();
-                    sim.metrics.gauge_set_id(M_RECV_BUFFER_BYTES, used as i64);
-                    sim.timeline
-                        .gauge(sim.now(), M_RECV_BUFFER_BYTES, used as i64);
+                    sim.record(RECV_BUFFER_BYTES, used as u64);
                     let free = budget.saturating_sub(used);
                     ((free / m.max_chunk).max(1)).min(m.config.window) as u32
                 }

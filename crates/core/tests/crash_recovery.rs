@@ -66,7 +66,6 @@ fn capture_errors(node: &Node) -> Rc<RefCell<Vec<ClicError>>> {
 #[test]
 fn restarted_receiver_rejects_stale_packets() {
     let mut sim = Sim::new(42);
-    sim.metrics = clic_sim::Metrics::enabled();
     let link = Link::gigabit();
     let mut cfg = ClicConfig::paper_default();
     cfg.epoch_guard = true;
@@ -121,7 +120,6 @@ fn restarted_receiver_rejects_stale_packets() {
         b_stats.stale_epoch_drops > 0,
         "restarted receiver must reject stale sequence space"
     );
-    assert!(sim.metrics.counter("clic.drops.stale_epoch") >= 1);
     assert_eq!(
         a.module.borrow().stats().flow_failures_stale_epoch,
         1,
@@ -157,7 +155,6 @@ fn restarted_receiver_rejects_stale_packets() {
 #[test]
 fn crashed_peer_without_restart_surfaces_peer_dead() {
     let mut sim = Sim::new(17);
-    sim.metrics = clic_sim::Metrics::enabled();
     let link = Link::gigabit();
     let mut cfg = ClicConfig::paper_default();
     cfg.epoch_guard = true;
@@ -196,7 +193,5 @@ fn crashed_peer_without_restart_surfaces_peer_dead() {
     let a_stats = a.module.borrow().stats();
     assert_eq!(a_stats.flow_failures_peer_dead, 1);
     assert!(a_stats.keepalive_probes > 0, "liveness was probe-driven");
-    assert!(sim.metrics.counter("clic.keepalive_probes") >= 1);
-    assert!(sim.metrics.counter("clic.flow_failures.peer_dead") >= 1);
     assert_eq!(a.module.borrow().buffered_bytes(), 0);
 }

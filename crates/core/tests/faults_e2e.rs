@@ -235,7 +235,6 @@ proptest! {
 #[test]
 fn ecn_marking_path_delivers_and_echoes() {
     let mut sim = Sim::new(3);
-    sim.metrics = clic_sim::Metrics::enabled();
     let link_a = Link::gigabit();
     let link_b = Link::gigabit();
     let switch = Switch::gigabit_default();
@@ -277,11 +276,12 @@ fn ecn_marking_path_delivers_and_echoes() {
     }
     // The fragment bursts backlog the switch's output queue past the
     // threshold, so the path must have marked, echoed and cut cwnd.
-    assert!(switch.borrow().frames_marked() > 0, "switch never marked");
+    let marks = sim.metrics.counter("eth.switch.ecn_marks");
+    assert!(marks > 0, "switch never marked");
     let echoes = a.module.borrow().stats().ecn_echoes;
     assert!(echoes > 0, "sender never saw an echo");
-    assert!(sim.metrics.counter("clic.ecn_echoes") >= echoes);
-    assert!(sim.metrics.counter("eth.switch.ecn_marks") > 0);
+    // Every echo consumes at least one marked arrival.
+    assert!(marks >= echoes, "{echoes} echoes from {marks} marks");
 }
 
 /// A link that goes dark for good surfaces the typed error after
@@ -289,7 +289,6 @@ fn ecn_marking_path_delivers_and_echoes() {
 #[test]
 fn permanent_outage_surfaces_max_retries_error() {
     let mut sim = Sim::new(9);
-    sim.metrics = clic_sim::Metrics::enabled();
     let link = Link::gigabit();
     let plan = FaultPlan {
         // Blackout from 50 µs until long after the retry budget burns out.
@@ -341,6 +340,4 @@ fn permanent_outage_surfaces_max_retries_error() {
     }
     assert_eq!(*delivered.borrow(), 0);
     assert_eq!(a.module.borrow().stats().flow_failures, 1);
-    // The error is also visible without a handler: counted and traced.
-    assert!(sim.metrics.counter("clic.flow_failures") >= 1);
 }

@@ -16,19 +16,19 @@
 
 use crate::frame::Frame;
 use crate::link::private::Direction;
-use clic_sim::catalog::{counter_id, histogram_id};
+use clic_sim::catalog::metric_id;
 use clic_sim::{Layer, MetricId, Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Interned metric ids — transmit runs once per frame, so names are
 /// resolved against the catalog at compile time.
-const M_FRAME_BYTES: MetricId = histogram_id("eth.link.frame_bytes");
-const TL_TX_BYTES: MetricId = counter_id("eth.link.tx_bytes");
-const M_FRAMES_LOST: MetricId = counter_id("eth.link.frames_lost");
-const M_CORRUPT: MetricId = counter_id("eth.corrupt");
-const M_DUPLICATES: MetricId = counter_id("eth.duplicates");
-const M_REORDERS: MetricId = counter_id("eth.reorders");
+const FRAME_BYTES: MetricId = metric_id("eth.link.frame_bytes");
+const TX_BYTES: MetricId = metric_id("eth.link.tx_bytes");
+const FRAMES_LOST: MetricId = metric_id("eth.link.frames_lost");
+const CORRUPT: MetricId = metric_id("eth.corrupt");
+const DUPLICATES: MetricId = metric_id("eth.duplicates");
+const REORDERS: MetricId = metric_id("eth.reorders");
 
 /// Callback invoked when a frame fully arrives at a link end.
 pub type FrameHandler = Rc<dyn Fn(&mut Sim, Frame)>;
@@ -403,13 +403,13 @@ impl Link {
             SimDuration::ZERO
         };
         if corrupt {
-            sim.metrics.counter_inc_id(M_CORRUPT);
+            sim.record(CORRUPT, 1);
         }
         if duplicate {
-            sim.metrics.counter_inc_id(M_DUPLICATES);
+            sim.record(DUPLICATES, 1);
         }
         if hold > SimDuration::ZERO {
-            sim.metrics.counter_inc_id(M_REORDERS);
+            sim.record(REORDERS, 1);
         }
         Fate::Deliver {
             corrupt,
@@ -422,10 +422,8 @@ impl Link {
     /// serialized after any frames already queued in that direction, then
     /// propagates and is delivered to the far handler (unless lost).
     pub fn transmit(link: &Rc<RefCell<Link>>, sim: &mut Sim, from: LinkEnd, frame: Frame) {
-        sim.metrics
-            .observe_id(M_FRAME_BYTES, frame.frame_bytes() as u64);
-        sim.timeline
-            .counter(sim.now(), TL_TX_BYTES, frame.frame_bytes() as u64);
+        sim.record(FRAME_BYTES, frame.frame_bytes() as u64);
+        sim.record(TX_BYTES, frame.frame_bytes() as u64);
         if frame.trace != 0 {
             sim.trace.begin(sim.now(), Layer::Eth, "wire", frame.trace);
         }
@@ -455,7 +453,7 @@ impl Link {
                 match fate {
                     Fate::Lost => {
                         d.frames_lost += 1;
-                        sim.metrics.counter_inc_id(M_FRAMES_LOST);
+                        sim.record(FRAMES_LOST, 1);
                         if frame.trace != 0 {
                             // Close the wire span at the loss point so the
                             // trace stays balanced, then mark the drop.

@@ -26,7 +26,7 @@ use crate::frame::Frame;
 use crate::link::{Link, LinkEnd};
 use crate::mac::{EtherType, MacAddr};
 use bytes::Bytes;
-use clic_sim::catalog::{counter_id, gauge_id, histogram_id};
+use clic_sim::catalog::metric_id;
 use clic_sim::{Layer, MetricId, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -34,13 +34,14 @@ use std::fmt;
 use std::rc::Rc;
 
 /// Interned metric ids — the forwarding path records per frame, so names
-/// are resolved against the catalog at compile time.
-const M_QUEUE_DEPTH_G: MetricId = gauge_id("eth.switch.queue_depth");
-const M_QUEUE_DEPTH_H: MetricId = histogram_id("eth.switch.queue_depth");
-const M_DROPS: MetricId = counter_id("eth.switch.drops");
-const M_ECN_MARKS: MetricId = counter_id("eth.switch.ecn_marks");
-const M_TRUNK_TX: MetricId = counter_id("eth.fabric.trunk_tx_frames");
-const M_FLOOD_PRUNED: MetricId = counter_id("eth.fabric.flood_pruned");
+/// are resolved against the catalog at compile time. Drops, marks and
+/// pruned flood copies are counted only here: the run's registry is their
+/// one store.
+const QUEUE_DEPTH: MetricId = metric_id("eth.switch.queue_depth");
+const DROPS: MetricId = metric_id("eth.switch.drops");
+const ECN_MARKS: MetricId = metric_id("eth.switch.ecn_marks");
+const TRUNK_TX: MetricId = metric_id("eth.fabric.trunk_tx_frames");
+const FLOOD_PRUNED: MetricId = metric_id("eth.fabric.flood_pruned");
 
 /// Congestion-experienced bit: the high bit of the CLIC packet-type octet
 /// (payload byte 0 of a CLIC-EtherType frame). Mirrors `clic_core::CE_BIT`;
@@ -82,9 +83,6 @@ pub struct Switch {
     mark_threshold: Option<usize>,
     frames_forwarded: u64,
     frames_flooded: u64,
-    frames_dropped: u64,
-    frames_marked: u64,
-    flood_pruned: u64,
 }
 
 impl Switch {
@@ -103,9 +101,6 @@ impl Switch {
             mark_threshold: None,
             frames_forwarded: 0,
             frames_flooded: 0,
-            frames_dropped: 0,
-            frames_marked: 0,
-            flood_pruned: 0,
         }))
     }
 
@@ -149,11 +144,6 @@ impl Switch {
         self.frames_flooded
     }
 
-    /// Frames dropped at full output queues.
-    pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped
-    }
-
     /// Arm ECN-style marking: a CLIC frame enqueued while the output backlog
     /// is at or above `threshold` frames gets its congestion-experienced bit
     /// set instead of passing through untouched. The threshold must leave
@@ -181,11 +171,6 @@ impl Switch {
         self.mark_threshold
     }
 
-    /// CLIC frames that had their congestion-experienced bit set.
-    pub fn frames_marked(&self) -> u64 {
-        self.frames_marked
-    }
-
     /// Learned location of a MAC, if any.
     pub fn learned_port(&self, mac: MacAddr) -> Option<usize> {
         self.table.get(&mac).copied()
@@ -211,7 +196,7 @@ impl Switch {
     /// A fabric builder passes the host ports plus the trunk ports on a
     /// spanning tree of the switch graph, which makes flooding loop-free by
     /// construction — redundant trunks never replicate a flood. Copies that
-    /// the membership suppresses are counted in [`Switch::flood_pruned`].
+    /// the membership suppresses are counted in `eth.fabric.flood_pruned`.
     pub fn set_flood_ports(&mut self, ports: &[usize]) {
         assert!(
             ports.iter().all(|&p| p < self.ports.len()),
@@ -225,11 +210,6 @@ impl Switch {
     pub fn mark_trunk(&mut self, port: usize) {
         assert!(port < self.ports.len(), "mark_trunk: no such port");
         self.trunk_ports.insert(port);
-    }
-
-    /// Flood copies suppressed by the restricted flood membership.
-    pub fn flood_pruned(&self) -> u64 {
-        self.flood_pruned
     }
 
     fn on_frame(switch: &Rc<RefCell<Switch>>, sim: &mut Sim, ingress: usize, frame: Frame) {
@@ -279,8 +259,7 @@ impl Switch {
             }
         };
         if pruned > 0 {
-            switch.borrow_mut().flood_pruned += pruned;
-            sim.metrics.counter_add_id(M_FLOOD_PRUNED, pruned);
+            sim.record(FLOOD_PRUNED, pruned);
         }
         match decision {
             Decision::Drop => {}
@@ -312,25 +291,20 @@ impl Switch {
             )
         };
         if trunk {
-            sim.metrics.counter_inc_id(M_TRUNK_TX);
+            sim.record(TRUNK_TX, 1);
         }
         // Queue occupancy at the instant of the forwarding decision: the
-        // peak gauge is the congestion headline, the histogram its shape,
-        // and the timeline series its trajectory over simulated time.
-        sim.metrics.gauge_set_id(M_QUEUE_DEPTH_G, depth as i64);
-        sim.metrics.observe_id(M_QUEUE_DEPTH_H, depth as u64);
-        sim.timeline.gauge(sim.now(), M_QUEUE_DEPTH_G, depth as i64);
+        // catalog sends it to the peak gauge (the congestion headline), the
+        // histogram (its shape) and the timeline (its trajectory).
+        sim.record(QUEUE_DEPTH, depth as u64);
         if full {
-            switch.borrow_mut().frames_dropped += 1;
-            sim.metrics.counter_inc_id(M_DROPS);
+            sim.record(DROPS, 1);
             sim.trace
                 .instant(sim.now(), Layer::Eth, "switch_drop", frame.trace);
             return;
         }
         let frame = if mark && Switch::markable(&frame) {
-            switch.borrow_mut().frames_marked += 1;
-            sim.metrics.counter_inc_id(M_ECN_MARKS);
-            sim.timeline.counter(sim.now(), M_ECN_MARKS, 1);
+            sim.record(ECN_MARKS, 1);
             sim.trace
                 .instant(sim.now(), Layer::Eth, "switch_mark", frame.trace);
             Switch::set_ce(frame)
@@ -523,7 +497,7 @@ mod tests {
         assert_eq!(net.rx[1].borrow().len(), 1);
         assert_eq!(net.rx[2].borrow().len(), 1);
         assert_eq!(net.rx[3].borrow().len(), 0, "pruned port stays silent");
-        assert_eq!(net.switch.borrow().flood_pruned(), 1);
+        assert_eq!(sim.metrics.counter("eth.fabric.flood_pruned"), 1);
     }
 
     /// Occupy the switch→station direction of `link` with `n` jumbo frames.
@@ -566,7 +540,7 @@ mod tests {
             let f = test_frame(&net, 1).expect("frame delivered");
             assert_eq!(f.payload[0] & 0x80 != 0, expect_marked, "preload={preload}");
             assert_eq!(
-                net.switch.borrow().frames_marked(),
+                sim.metrics.counter("eth.switch.ecn_marks"),
                 u64::from(expect_marked),
                 "preload={preload}"
             );
@@ -584,8 +558,8 @@ mod tests {
         preload_egress(&net, &mut sim, 1, 4);
         send(&net, &mut sim, 0, station(1), 1);
         sim.run();
-        assert_eq!(net.switch.borrow().frames_dropped(), 1);
-        assert_eq!(net.switch.borrow().frames_marked(), 0);
+        assert_eq!(sim.metrics.counter("eth.switch.drops"), 1);
+        assert_eq!(sim.metrics.counter("eth.switch.ecn_marks"), 0);
         assert!(test_frame(&net, 1).is_none(), "dropped frame not delivered");
     }
 
@@ -601,7 +575,7 @@ mod tests {
         sim.run();
         let f = test_frame(&net, 1).expect("ack delivered");
         assert_eq!(f.payload[0], 2, "ack payload untouched");
-        assert_eq!(net.switch.borrow().frames_marked(), 0);
+        assert_eq!(sim.metrics.counter("eth.switch.ecn_marks"), 0);
     }
 
     #[test]
@@ -645,7 +619,7 @@ mod tests {
         }
         sim.run();
         let delivered = (net.rx[1].borrow().len() - before) as u64;
-        let dropped = net.switch.borrow().frames_dropped();
+        let dropped = sim.metrics.counter("eth.switch.drops");
         assert_eq!(delivered + dropped, 40);
         assert!(dropped > 0, "expected tail drops, delivered={delivered}");
     }

@@ -308,24 +308,6 @@ impl Fabric {
     pub fn host_switch(&self, h: usize) -> usize {
         self.host_attach[h].0
     }
-
-    /// Lifetime tail-drops summed over every switch in the fabric.
-    pub fn total_switch_drops(&self) -> u64 {
-        self.switches
-            .iter()
-            .map(|s| s.borrow().frames_dropped())
-            .sum()
-    }
-
-    /// Flood copies suppressed by the spanning-tree flood membership,
-    /// summed over the fabric (nonzero on any redundant topology — proof
-    /// the loop-free restriction is doing work).
-    pub fn total_flood_pruned(&self) -> u64 {
-        self.switches
-            .iter()
-            .map(|s| s.borrow().flood_pruned())
-            .sum()
-    }
 }
 
 /// Expand a spec into (switch count, trunk wiring, host→switch placement).
@@ -501,7 +483,7 @@ mod tests {
         for (i, got) in rx.iter().enumerate() {
             assert_eq!(*got.borrow(), 7, "host {i} must see exactly 7 frames");
         }
-        assert_eq!(fabric.total_switch_drops(), 0);
+        assert_eq!(sim.metrics.counter("eth.switch.drops"), 0);
     }
 
     #[test]
@@ -553,7 +535,7 @@ mod tests {
         sim.set_event_limit(sim.events_executed() + 100_000);
         sim.run();
         assert_eq!(*rx[0].borrow(), 0, "no copy back to the only host");
-        assert_eq!(fabric.total_switch_drops(), 0);
+        assert_eq!(sim.metrics.counter("eth.switch.drops"), 0);
     }
 
     #[test]
@@ -581,7 +563,7 @@ mod tests {
         for (i, got) in rx.iter().enumerate() {
             assert_eq!(*got.borrow(), 3, "host {i} must see exactly 3 frames");
         }
-        assert_eq!(fabric.total_switch_drops(), 0);
+        assert_eq!(sim.metrics.counter("eth.switch.drops"), 0);
     }
 
     #[test]
@@ -602,7 +584,7 @@ mod tests {
         sim.run();
         assert_eq!(*rx[0].borrow(), 1);
         assert_eq!(*rx[1].borrow(), 1);
-        assert_eq!(fabric.total_switch_drops(), 0);
+        assert_eq!(sim.metrics.counter("eth.switch.drops"), 0);
     }
 
     #[test]
@@ -615,7 +597,7 @@ mod tests {
             spines: 4, // heavily redundant: 4 parallel paths between leaves
             leaf_downlinks: 2,
         };
-        let fabric = Fabric::build(&spec, &hosts);
+        let _fabric = Fabric::build(&spec, &hosts);
         let rx = rx_counters(&hosts);
         let f = Frame::new(
             MacAddr::BROADCAST,
@@ -632,7 +614,7 @@ mod tests {
         }
         // The redundant trunks were pruned from the flood, proving the
         // spanning-tree restriction (not luck) stopped the storm.
-        assert!(fabric.total_flood_pruned() > 0);
+        assert!(sim.metrics.counter("eth.fabric.flood_pruned") > 0);
     }
 
     #[test]

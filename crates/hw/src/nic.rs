@@ -24,20 +24,14 @@ use crate::frag::{self, Reassembler, FRAG_HEADER};
 use crate::pci::PciBus;
 use bytes::Bytes;
 use clic_ethernet::{EtherType, Frame, Link, LinkEnd, MacAddr, ETH_HEADER};
-use clic_sim::catalog::counter_id;
+use clic_sim::catalog::metric_id;
 use clic_sim::{Layer, MetricId, Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
-/// Interned metric ids — resolved against the catalog at compile time so
-/// the RX hot path records without hashing names.
-const M_RX_FCS_ERRORS: MetricId = counter_id("hw.nic.rx_fcs_errors");
-const M_RX_NO_BUFFER: MetricId = counter_id("hw.nic.rx_no_buffer");
-const TL_TX_BYTES: MetricId = counter_id("hw.nic.tx_bytes");
-const M_COLL_RX: MetricId = counter_id("hw.nic.coll.msgs_rx");
-const M_COLL_TX: MetricId = counter_id("hw.nic.coll.msgs_tx");
-const M_COLL_DONE: MetricId = counter_id("hw.nic.coll.completions");
+/// Interned id of the transmit byte-rate timeline series.
+const TX_BYTES: MetricId = metric_id("hw.nic.tx_bytes");
 
 /// Static NIC configuration.
 #[derive(Debug, Clone)]
@@ -125,13 +119,13 @@ pub struct RxPacket {
     pub arrived: SimTime,
 }
 
-/// NIC statistics counters.
+/// NIC statistics counters — the one store of these counts, collective
+/// engine included; the experiment layer exports them per node as
+/// `n<id>.hw.nic.*`.
 #[derive(Debug, Default, Clone)]
 pub struct NicStats {
     /// Frames put on the wire.
     pub tx_frames: u64,
-    /// Payload bytes put on the wire.
-    pub tx_bytes: u64,
     /// TX descriptors rejected because the ring was full.
     pub tx_ring_full: u64,
     /// Frames delivered to host memory.
@@ -373,12 +367,10 @@ impl Nic {
         let dma_bytes = ETH_HEADER + frame.payload.len();
         let nic2 = nic.clone();
         pci.dma(sim, dma_bytes, move |sim| {
-            sim.timeline
-                .counter(sim.now(), TL_TX_BYTES, frame.payload.len() as u64);
+            sim.record(TX_BYTES, frame.payload.len() as u64);
             let (link, end, internal_copy) = {
                 let mut n = nic2.borrow_mut();
                 n.stats.tx_frames += 1;
-                n.stats.tx_bytes += frame.payload.len() as u64;
                 let copy = n
                     .config
                     .internal_copy_bytes_per_sec
@@ -421,7 +413,6 @@ impl Nic {
             // arrives, before any filtering or buffering decision.
             if frame.fcs_corrupt {
                 n.stats.rx_fcs_errors += 1;
-                sim.metrics.counter_inc_id(M_RX_FCS_ERRORS);
                 if frame.trace != 0 {
                     sim.trace
                         .instant(sim.now(), Layer::Hw, "drop.fcs", frame.trace);
@@ -449,7 +440,6 @@ impl Nic {
             }
             if n.host_queue.len() + n.reasm.pending() >= n.config.rx_ring {
                 n.stats.rx_no_buffer += 1;
-                sim.metrics.counter_inc_id(M_RX_NO_BUFFER);
                 sim.trace
                     .instant(sim.now(), Layer::Hw, "drop.rx_no_buffer", frame.trace);
                 return;
@@ -611,7 +601,6 @@ impl Nic {
             n.stats.coll_msgs_rx += 1;
             (d, t)
         };
-        sim.metrics.counter_inc_id(M_COLL_RX);
         let t = if frame.trace != 0 { frame.trace } else { trace };
         if t != 0 {
             if msg.is_up() {
@@ -644,7 +633,6 @@ impl Nic {
                         let t = n.coll.as_ref().map(|e| e.config().trace).unwrap_or(0);
                         (n.link.clone(), n.link_end, n.mac, t)
                     };
-                    sim.metrics.counter_inc_id(M_COLL_TX);
                     if trace != 0 {
                         if msg.is_up() {
                             sim.trace
@@ -662,17 +650,14 @@ impl Nic {
                 }
                 CollAction::CompleteBarrier(done) => {
                     nic.borrow_mut().stats.coll_completions += 1;
-                    sim.metrics.counter_inc_id(M_COLL_DONE);
                     done(sim);
                 }
                 CollAction::CompleteValue(done, value) => {
                     nic.borrow_mut().stats.coll_completions += 1;
-                    sim.metrics.counter_inc_id(M_COLL_DONE);
                     done(sim, value);
                 }
                 CollAction::CompleteData(done, data) => {
                     nic.borrow_mut().stats.coll_completions += 1;
-                    sim.metrics.counter_inc_id(M_COLL_DONE);
                     done(sim, data);
                 }
             }

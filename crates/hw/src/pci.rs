@@ -6,15 +6,14 @@
 //! bus, which is exactly the "I/O buses have become the bottleneck" effect
 //! the introduction describes.
 
-use clic_sim::catalog::{counter_id, histogram_id};
+use clic_sim::catalog::metric_id;
 use clic_sim::{MetricId, SerialResource, Sim, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Interned id of the per-transfer DMA size histogram.
-const M_DMA_BYTES: MetricId = histogram_id("hw.pci.dma_bytes");
-/// Interned id of the timeline byte-rate series (same name, counter kind).
-const TL_DMA_BYTES: MetricId = counter_id("hw.pci.dma_bytes");
+/// Interned id of the DMA size series: a per-transfer histogram plus the
+/// timeline's byte rate, and the only tally of bytes moved.
+const DMA_BYTES: MetricId = metric_id("hw.pci.dma_bytes");
 
 /// A shared PCI bus.
 pub struct PciBus {
@@ -22,7 +21,6 @@ pub struct PciBus {
     bits_per_sec: u64,
     setup: SimDuration,
     max_burst: usize,
-    bytes_moved: RefCell<u64>,
 }
 
 impl PciBus {
@@ -35,7 +33,6 @@ impl PciBus {
             bits_per_sec,
             setup,
             max_burst,
-            bytes_moved: RefCell::new(0),
         })
     }
 
@@ -69,16 +66,9 @@ impl PciBus {
         bytes: usize,
         done: impl FnOnce(&mut Sim) + 'static,
     ) {
-        *self.bytes_moved.borrow_mut() += bytes as u64;
-        sim.metrics.observe_id(M_DMA_BYTES, bytes as u64);
-        sim.timeline.counter(sim.now(), TL_DMA_BYTES, bytes as u64);
+        sim.record(DMA_BYTES, bytes as u64);
         let t = self.service_time(bytes);
         SerialResource::acquire(&self.bus, sim, t, done);
-    }
-
-    /// Total bytes DMA'd over this bus.
-    pub fn bytes_moved(&self) -> u64 {
-        *self.bytes_moved.borrow()
     }
 
     /// Cumulative bus-busy time.
@@ -135,7 +125,8 @@ mod tests {
             *log.borrow(),
             vec![(0, SimTime::from_us(10)), (1, SimTime::from_us(20))]
         );
-        assert_eq!(bus.bytes_moved(), 2500);
+        let dma = sim.metrics.histogram("hw.pci.dma_bytes").expect("recorded");
+        assert_eq!(dma.sum(), 2500);
         assert_eq!(bus.transactions(), 2);
     }
 

@@ -13,7 +13,7 @@ use clic_core::module::SendOptions;
 use clic_core::{ClicModule, PacketType};
 use clic_ethernet::MacAddr;
 use clic_os::Pid;
-use clic_sim::catalog::{counter_id, histogram_id};
+use clic_sim::catalog::metric_id;
 use clic_sim::{Layer, MetricId, Sim};
 use clic_tcpip::tcp::TcpStack;
 use clic_tcpip::{ConnId, IpAddr};
@@ -22,9 +22,9 @@ use std::rc::Rc;
 
 /// Interned metric ids — send/recv account per message, so names are
 /// resolved against the catalog at compile time.
-const M_SENDS: MetricId = counter_id("mpi.sends");
-const M_RECVS: MetricId = counter_id("mpi.recvs");
-const M_MSG_BYTES: MetricId = histogram_id("mpi.msg_bytes");
+const SENDS: MetricId = metric_id("mpi.sends");
+const RECVS: MetricId = metric_id("mpi.recvs");
+const MSG_BYTES: MetricId = metric_id("mpi.msg_bytes");
 
 /// Handler for inbound transport messages: `(source rank, payload)`.
 pub type MsgHandler = Rc<dyn Fn(&mut Sim, usize, Bytes)>;
@@ -88,7 +88,7 @@ impl ClicTransport {
                 .iter()
                 .position(|&m| m == msg.src)
                 .expect("message from station outside the job");
-            sim.metrics.counter_inc_id(M_RECVS);
+            sim.record(RECVS, 1);
             sim.trace
                 .instant(sim.now(), Layer::Mpi, "mpi_recv", src as u64);
             if let Some(h) = t.handler.borrow().clone() {
@@ -109,8 +109,8 @@ impl Transport for ClicTransport {
     }
 
     fn send(&self, sim: &mut Sim, dst: usize, data: Bytes) {
-        sim.metrics.counter_inc_id(M_SENDS);
-        sim.metrics.observe_id(M_MSG_BYTES, data.len() as u64);
+        sim.record(SENDS, 1);
+        sim.record(MSG_BYTES, data.len() as u64);
         sim.trace
             .instant(sim.now(), Layer::Mpi, "mpi_send", dst as u64);
         let opts = SendOptions {
@@ -194,7 +194,7 @@ impl TcpTransport {
                 as usize;
             let t2 = t.clone();
             TcpStack::recv(&stack, sim, conn, len, move |sim, body| {
-                sim.metrics.counter_inc_id(M_RECVS);
+                sim.record(RECVS, 1);
                 sim.trace
                     .instant(sim.now(), Layer::Mpi, "mpi_recv", src as u64);
                 if let Some(h) = t2.handler.borrow().clone() {
@@ -216,8 +216,8 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, sim: &mut Sim, dst: usize, data: Bytes) {
-        sim.metrics.counter_inc_id(M_SENDS);
-        sim.metrics.observe_id(M_MSG_BYTES, data.len() as u64);
+        sim.record(SENDS, 1);
+        sim.record(MSG_BYTES, data.len() as u64);
         sim.trace
             .instant(sim.now(), Layer::Mpi, "mpi_send", dst as u64);
         let conn = self.conns.borrow()[dst].expect("transport not ready");

@@ -17,14 +17,10 @@ use crate::kernel::Kernel;
 use crate::skbuff::SkBuff;
 use clic_ethernet::{EtherType, MacAddr, ETH_HEADER};
 use clic_hw::{Nic, TxDescriptor};
-use clic_sim::catalog::counter_id;
-use clic_sim::{Layer, MetricId, Sim};
+use clic_sim::{Layer, Sim};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
-
-/// Interned id of the per-interrupt counter (one bump per hardware IRQ).
-const M_IRQS: MetricId = counter_id("os.irqs");
 
 /// Post an SkBuff for transmission on device `dev`. The driver charges its
 /// descriptor-setup cost, then posts to the NIC; `on_result` receives
@@ -98,7 +94,6 @@ fn irq_top_half(kernel: &Rc<RefCell<Kernel>>, sim: &mut Sim, dev: usize) {
         k.stats.irqs += 1;
         k.costs.irq_entry + k.costs.driver_irq_fixed
     };
-    sim.metrics.counter_inc_id(M_IRQS);
     let kernel2 = kernel.clone();
     Kernel::cpu_irq(kernel, sim, cost, move |sim| {
         rx_round(&kernel2, sim, dev, RX_BUDGET);

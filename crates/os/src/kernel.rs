@@ -13,18 +13,10 @@ use crate::costs::OsCosts;
 use crate::process::{Pid, ProcessTable};
 use clic_ethernet::Frame;
 use clic_hw::Nic;
-use clic_sim::catalog::counter_id;
-use clic_sim::{Cpu, CpuClass, MetricId, Sim, SimDuration};
+use clic_sim::{Cpu, CpuClass, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-
-/// Interned metric ids — syscall/IRQ accounting runs per event, so names
-/// are resolved against the catalog at compile time.
-const M_SYSCALLS: MetricId = counter_id("os.syscalls");
-const M_LIGHTWEIGHT_CALLS: MetricId = counter_id("os.lightweight_calls");
-const M_CONTEXT_SWITCHES: MetricId = counter_id("os.context_switches");
-const M_BOTTOM_HALVES: MetricId = counter_id("os.bottom_halves");
 
 /// A protocol entry point, keyed by EtherType.
 pub trait PacketHandler {
@@ -35,7 +27,8 @@ pub trait PacketHandler {
     fn handle(&self, sim: &mut Sim, kernel: &Rc<RefCell<Kernel>>, dev: usize, frame: Frame);
 }
 
-/// Kernel activity counters.
+/// Kernel activity counters — the one store of these counts; the
+/// experiment layer exports them per node as `n<id>.os.*`.
 #[derive(Debug, Default, Clone)]
 pub struct KernelStats {
     /// System calls executed.
@@ -189,7 +182,6 @@ impl Kernel {
             k.stats.syscalls += 1;
             k.costs.syscall
         };
-        sim.metrics.counter_inc_id(M_SYSCALLS);
         Self::cpu_task(kernel, sim, cost, body);
     }
 
@@ -205,7 +197,6 @@ impl Kernel {
             k.stats.lightweight_calls += 1;
             k.costs.lightweight_call
         };
-        sim.metrics.counter_inc_id(M_LIGHTWEIGHT_CALLS);
         Self::cpu_task(kernel, sim, cost, body);
     }
 
@@ -221,7 +212,6 @@ impl Kernel {
             let mut k = kernel.borrow_mut();
             if k.processes.wake(pid) {
                 k.stats.context_switches += 1;
-                sim.metrics.counter_inc_id(M_CONTEXT_SWITCHES);
                 Some(k.costs.context_switch)
             } else {
                 None
@@ -265,7 +255,6 @@ impl Kernel {
             match k.bh_queue.pop_front() {
                 Some(w) => {
                     k.stats.bhs += 1;
-                    sim.metrics.counter_inc_id(M_BOTTOM_HALVES);
                     (w, k.costs.bh_dispatch)
                 }
                 None => {

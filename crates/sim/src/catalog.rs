@@ -1,8 +1,15 @@
 //! Central catalog of every observability name in the workspace.
 //!
-//! Every metric name recorded into [`crate::metrics::Metrics`] and every
-//! trace stage/instant name emitted into [`crate::trace::Trace`] must be
-//! registered here. The catalog is consumed twice:
+//! Every metric name and every trace stage/instant name emitted into
+//! [`crate::trace::Trace`] must be registered here. Each metric name has
+//! exactly one entry, and the entry declares where a recorded value goes
+//! — its [`Sink`]s: a registry counter or gauge, a registry histogram,
+//! and a timeline series. A recording site makes one
+//! [`Sim::record`](crate::Sim::record) call with the entry's
+//! compile-time [`MetricId`]; the id carries the sinks, so the fan-out is
+//! fixed at compile time and no name is looked up per call.
+//!
+//! The catalog is consumed twice:
 //!
 //! * **at runtime** — [`Metrics::uncataloged`](crate::metrics::Metrics::uncataloged)
 //!   and [`Trace::uncataloged_stages`](crate::trace::Trace::uncataloged_stages)
@@ -14,7 +21,7 @@
 //!   fails CI on names that are unregistered here, registered twice, or
 //!   registered but never recorded anywhere (dead entries).
 //!
-//! Per-node registries prefix names with `n<idx>.` (for example
+//! Per-node snapshots prefix names with `n<idx>.` (for example
 //! `n0.clic.retransmits`); the catalog stores the unprefixed name and
 //! [`strip_node_prefix`] normalises before lookup.
 //!
@@ -23,22 +30,28 @@
 
 use crate::trace::Layer;
 
-/// What kind of instrument a metric name refers to.
-///
-/// A name may legitimately be registered once per kind (the switch records
-/// `eth.switch.queue_depth` both as a live gauge and as a depth
-/// histogram); registering the same `(name, kind)` pair twice is an error
-/// `clic-analyze` reports.
+/// Where a recorded value goes. A catalog entry lists its sinks once;
+/// every [`Sim::record`](crate::Sim::record) of the entry feeds all of
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MetricKind {
-    /// Monotonic event count ([`crate::metrics::Metrics::counter_add`]).
+pub enum Sink {
+    /// Registry counter: recorded values add up.
     Counter,
-    /// Instantaneous level with peak tracking
-    /// ([`crate::metrics::Metrics::gauge_set`]).
+    /// Registry gauge: the latest recorded value and its peak.
     Gauge,
-    /// Log-bucketed value distribution
-    /// ([`crate::metrics::Metrics::observe`]).
+    /// Registry histogram: the distribution of recorded values.
     Histogram,
+    /// Timeline level series: each bucket keeps the latest value and
+    /// empty buckets carry it forward.
+    TimelineLevel,
+    /// Timeline rate series: each bucket sums the values recorded in it.
+    TimelineRate,
+}
+
+impl Sink {
+    const fn bit(self) -> u8 {
+        1 << self as u8
+    }
 }
 
 /// One registered metric name.
@@ -46,8 +59,8 @@ pub enum MetricKind {
 pub struct MetricDef {
     /// Dotted metric name, without any `n<idx>.` node prefix.
     pub name: &'static str,
-    /// Instrument kind the name is registered for.
-    pub kind: MetricKind,
+    /// Where a recorded value goes.
+    pub sinks: &'static [Sink],
     /// What the metric measures.
     pub help: &'static str,
 }
@@ -64,355 +77,342 @@ pub struct StageDef {
     pub help: &'static str,
 }
 
-const C: MetricKind = MetricKind::Counter;
-const G: MetricKind = MetricKind::Gauge;
-const H: MetricKind = MetricKind::Histogram;
+const C: Sink = Sink::Counter;
+const G: Sink = Sink::Gauge;
+const H: Sink = Sink::Histogram;
+const TL: Sink = Sink::TimelineLevel;
+const TR: Sink = Sink::TimelineRate;
 
-/// Every metric name the workspace may record, sorted by `(name, kind)`.
+/// Every metric name the workspace may record, sorted by name.
 pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: "clic.cwnd",
-        kind: G,
+        sinks: &[G, TL],
         help: "per-flow congestion window after the latest update, packets",
     },
     MetricDef {
         name: "clic.drops.backlog",
-        kind: C,
+        sinks: &[C],
         help: "packets dropped because the receive backlog was full",
     },
     MetricDef {
         name: "clic.drops.duplicate",
-        kind: C,
+        sinks: &[C],
         help: "already-delivered packets dropped (sender missed an ACK)",
     },
     MetricDef {
         name: "clic.drops.expired",
-        kind: C,
+        sinks: &[C],
         help: "buffered receive state discarded after peer-silence expiry",
     },
     MetricDef {
         name: "clic.drops.ooo",
-        kind: C,
+        sinks: &[C],
         help: "packets dropped because the out-of-order buffer was full",
     },
     MetricDef {
         name: "clic.drops.stale_epoch",
-        kind: C,
+        sinks: &[C],
         help: "packets dropped for carrying a previous session epoch",
     },
     MetricDef {
         name: "clic.ecn_echoes",
-        kind: C,
+        sinks: &[C],
         help: "ACKs carrying a congestion-mark echo, processed by senders",
     },
     MetricDef {
         name: "clic.effective_window",
-        kind: G,
-        help: "effective send window after peer advertisement, packets (timeline)",
+        sinks: &[TL],
+        help: "effective send window after peer advertisement, packets",
     },
     MetricDef {
         name: "clic.fast_retransmits",
-        kind: C,
+        sinks: &[C],
         help: "retransmissions triggered by duplicate ACKs",
     },
     MetricDef {
         name: "clic.flow_failures",
-        kind: C,
+        sinks: &[C],
         help: "flows torn down by any error (sum of the per-cause splits)",
     },
     MetricDef {
         name: "clic.flow_failures.max_retries",
-        kind: C,
+        sinks: &[C],
         help: "flows torn down after exhausting retransmission retries",
     },
     MetricDef {
         name: "clic.flow_failures.peer_dead",
-        kind: C,
+        sinks: &[C],
         help: "flows torn down after keepalive declared the peer dead",
     },
     MetricDef {
         name: "clic.flow_failures.stale_epoch",
-        kind: C,
+        sinks: &[C],
         help: "flows torn down because the peer restarted into a new epoch",
     },
     MetricDef {
         name: "clic.inflight_bytes",
-        kind: G,
-        help: "payload bytes sent but not yet acknowledged (timeline)",
+        sinks: &[TL],
+        help: "payload bytes sent but not yet acknowledged",
     },
     MetricDef {
         name: "clic.keepalive_probes",
-        kind: C,
+        sinks: &[C],
         help: "keepalive probe packets sent on silent flows",
     },
     MetricDef {
         name: "clic.msg_bytes",
-        kind: H,
+        sinks: &[H],
         help: "per-message payload size offered to clic_send",
     },
     MetricDef {
         name: "clic.msgs_received",
-        kind: C,
+        sinks: &[C],
         help: "messages delivered to receiving ports",
     },
     MetricDef {
         name: "clic.msgs_sent",
-        kind: C,
+        sinks: &[C],
         help: "messages accepted from sending processes",
     },
     MetricDef {
         name: "clic.packets_received",
-        kind: C,
+        sinks: &[C],
         help: "CLIC data packets received",
     },
     MetricDef {
         name: "clic.packets_sent",
-        kind: C,
+        sinks: &[C],
         help: "CLIC data packets sent (including retransmissions)",
     },
     MetricDef {
         name: "clic.recv_buffer_bytes",
-        kind: G,
+        sinks: &[G, TL],
         help: "receive-side buffered bytes charged against the budget",
     },
     MetricDef {
         name: "clic.retransmits",
-        kind: C,
+        sinks: &[C],
         help: "packets retransmitted (timeout or duplicate-ACK driven)",
     },
     MetricDef {
         name: "clic.rttvar",
-        kind: H,
+        sinks: &[H],
         help: "smoothed RTT variance samples feeding the adaptive RTO, ns",
     },
     MetricDef {
         name: "clic.ssthresh",
-        kind: G,
+        sinks: &[G, TL],
         help: "per-flow slow-start threshold after the latest update, packets",
     },
     MetricDef {
         name: "clic.staged_copies",
-        kind: C,
+        sinks: &[C],
         help: "1-copy sends staged through a kernel bounce buffer",
     },
     MetricDef {
         name: "eth.corrupt",
-        kind: C,
+        sinks: &[C],
         help: "frames corrupted in flight by fault injection",
     },
     MetricDef {
         name: "eth.duplicates",
-        kind: C,
+        sinks: &[C],
         help: "frames duplicated in flight by fault injection",
     },
     MetricDef {
         name: "eth.fabric.flood_pruned",
-        kind: C,
+        sinks: &[C],
         help: "flood copies suppressed by the loop-free flood membership",
     },
     MetricDef {
         name: "eth.fabric.trunk_tx_frames",
-        kind: C,
+        sinks: &[C],
         help: "frames forwarded out switch-to-switch trunk ports",
     },
     MetricDef {
         name: "eth.link.frame_bytes",
-        kind: H,
+        sinks: &[H],
         help: "on-wire frame sizes, bytes",
     },
     MetricDef {
         name: "eth.link.frames_lost",
-        kind: C,
+        sinks: &[C],
         help: "frames lost in flight (fault injection or outage)",
     },
     MetricDef {
         name: "eth.link.tx_bytes",
-        kind: C,
-        help: "on-wire bytes offered to links, timeline rate source",
+        sinks: &[TR],
+        help: "on-wire bytes offered to links",
     },
     MetricDef {
         name: "eth.reorders",
-        kind: C,
+        sinks: &[C],
         help: "frames reordered in flight by fault injection",
     },
     MetricDef {
         name: "eth.switch.drops",
-        kind: C,
+        sinks: &[C],
         help: "frames tail-dropped at a full switch output queue",
     },
     MetricDef {
         name: "eth.switch.ecn_marks",
-        kind: C,
+        sinks: &[C, TR],
         help: "frames stamped congestion-experienced at a switch output queue",
     },
     MetricDef {
-        name: "eth.switch.frames_dropped",
-        kind: C,
-        help: "switch lifetime tail-drop total (per-run export)",
-    },
-    MetricDef {
         name: "eth.switch.frames_flooded",
-        kind: C,
+        sinks: &[C],
         help: "frames flooded to all ports (broadcast/multicast/unknown)",
     },
     MetricDef {
         name: "eth.switch.frames_forwarded",
-        kind: C,
+        sinks: &[C],
         help: "frames forwarded to a learned port",
     },
     MetricDef {
         name: "eth.switch.queue_depth",
-        kind: G,
-        help: "live output-queue depth, frames",
-    },
-    MetricDef {
-        name: "eth.switch.queue_depth",
-        kind: H,
-        help: "output-queue depth observed at each enqueue, frames",
+        sinks: &[G, H, TL],
+        help: "output-queue depth at each forwarding decision, frames",
     },
     MetricDef {
         name: "hw.mem.copy_bytes",
-        kind: H,
+        sinks: &[H],
         help: "per-copy sizes through the memory bus, bytes",
     },
     MetricDef {
         name: "hw.nic.coll.completions",
-        kind: C,
+        sinks: &[C],
         help: "collective operations completed by the NIC-resident engine",
     },
     MetricDef {
         name: "hw.nic.coll.msgs_rx",
-        kind: C,
+        sinks: &[C],
         help: "collective control frames consumed by the NIC engine (no host IRQ)",
     },
     MetricDef {
         name: "hw.nic.coll.msgs_tx",
-        kind: C,
+        sinks: &[C],
         help: "collective control frames emitted by the NIC engine",
     },
     MetricDef {
         name: "hw.nic.irqs",
-        kind: C,
+        sinks: &[C],
         help: "interrupts raised by the NIC (after coalescing)",
     },
     MetricDef {
         name: "hw.nic.rx_fcs_errors",
-        kind: C,
+        sinks: &[C],
         help: "received frames discarded by the FCS check",
     },
     MetricDef {
         name: "hw.nic.rx_frames",
-        kind: C,
+        sinks: &[C],
         help: "frames accepted into the RX ring",
     },
     MetricDef {
         name: "hw.nic.rx_no_buffer",
-        kind: C,
+        sinks: &[C],
         help: "frames dropped because the RX ring was full",
     },
     MetricDef {
         name: "hw.nic.tx_bytes",
-        kind: C,
-        help: "payload bytes transmitted by the NIC, timeline rate source",
+        sinks: &[TR],
+        help: "payload bytes transmitted by the NIC",
     },
     MetricDef {
         name: "hw.nic.tx_frames",
-        kind: C,
+        sinks: &[C],
         help: "frames transmitted from the TX ring",
     },
     MetricDef {
         name: "hw.nic.tx_ring_full",
-        kind: C,
+        sinks: &[C],
         help: "TX descriptor posts rejected by a full ring",
     },
     MetricDef {
         name: "hw.pci.dma_bytes",
-        kind: C,
-        help: "bytes moved over the PCI bus, timeline rate source",
-    },
-    MetricDef {
-        name: "hw.pci.dma_bytes",
-        kind: H,
+        sinks: &[H, TR],
         help: "per-transaction DMA sizes over the PCI bus, bytes",
     },
     MetricDef {
         name: "mpi.msg_bytes",
-        kind: H,
+        sinks: &[H],
         help: "MPI message payload sizes, bytes",
     },
     MetricDef {
         name: "mpi.recvs",
-        kind: C,
+        sinks: &[C],
         help: "MPI receives completed",
     },
     MetricDef {
         name: "mpi.sends",
-        kind: C,
+        sinks: &[C],
         help: "MPI sends initiated",
     },
     MetricDef {
         name: "os.bottom_halves",
-        kind: C,
+        sinks: &[C],
         help: "bottom-half executions",
     },
     MetricDef {
         name: "os.context_switches",
-        kind: C,
+        sinks: &[C],
         help: "process context switches",
     },
     MetricDef {
         name: "os.frames_received",
-        kind: C,
+        sinks: &[C],
         help: "frames handed from the driver to protocol handlers",
     },
     MetricDef {
         name: "os.irqs",
-        kind: C,
+        sinks: &[C],
         help: "interrupt entries into the kernel",
     },
     MetricDef {
         name: "os.lightweight_calls",
-        kind: C,
+        sinks: &[C],
         help: "GAMMA-style lightweight system calls",
     },
     MetricDef {
         name: "os.syscalls",
-        kind: C,
+        sinks: &[C],
         help: "full system calls (0.65 us each, paper section 3.1)",
     },
     MetricDef {
         name: "sim.pool.alloc_misses",
-        kind: C,
+        sinks: &[C],
         help: "packet-buffer requests that allocated because the pool's size class was empty",
     },
     MetricDef {
         name: "sim.pool.discarded",
-        kind: C,
+        sinks: &[C],
         help: "dropped buffers released to the allocator (class list full or unpoolable size)",
     },
     MetricDef {
         name: "sim.pool.oversize",
-        kind: C,
+        sinks: &[C],
         help: "buffer requests above the largest pool class, served unpooled",
     },
     MetricDef {
         name: "sim.pool.recycled",
-        kind: C,
+        sinks: &[C],
         help: "packet-buffer requests served by a recycled buffer (no allocation)",
     },
     MetricDef {
         name: "sim.pool.returned",
-        kind: C,
+        sinks: &[C],
         help: "dropped buffers recycled into the pool's free lists",
     },
     MetricDef {
         name: "tcp.fast_retransmits",
-        kind: C,
+        sinks: &[C],
         help: "TCP retransmissions triggered by triple duplicate ACKs",
     },
     MetricDef {
         name: "tcp.retransmits",
-        kind: C,
+        sinks: &[C],
         help: "TCP segments retransmitted on RTO",
     },
 ];
@@ -603,10 +603,9 @@ pub fn strip_node_prefix(name: &str) -> &str {
     }
 }
 
-/// Whether `name` (possibly `n<idx>.`-prefixed) is registered for `kind`.
-pub fn is_metric(name: &str, kind: MetricKind) -> bool {
-    let name = strip_node_prefix(name);
-    METRICS.iter().any(|m| m.name == name && m.kind == kind)
+/// Whether `name` (possibly `n<idx>.`-prefixed) is registered with `sink`.
+pub fn is_metric(name: &str, sink: Sink) -> bool {
+    find_metric(strip_node_prefix(name)).is_some_and(|id| id.has(sink))
 }
 
 /// Whether `stage` is a registered trace stage/instant name.
@@ -617,33 +616,57 @@ pub fn is_stage(stage: &str) -> bool {
 // ---------------------------------------------------------------------------
 // Interning
 //
-// Hot recording paths compare u16 catalog indices instead of hashing or
+// Hot recording paths pass u16 catalog indices instead of hashing or
 // comparing `&str` names. Ids are resolved at *compile time* through the
-// `const fn` lookups below (`const TX: MetricId = counter_id("…")`), so an
-// unregistered name at an interned call site fails the build rather than a
-// runtime check; the string-keyed APIs remain for dynamic (per-node
-// prefixed, experiment-local) names and route catalog hits to the interned
-// stores via the runtime `find_*` binary searches.
+// `const fn` lookups below (`const X: MetricId = metric_id("…")`), so an
+// unregistered name at a recording site fails the build rather than a
+// runtime check. Reads and per-node snapshot imports by name go through
+// the runtime `find_*` binary searches.
 
-/// Interned index of a `(name, kind)` entry in [`METRICS`].
+/// Interned catalog entry: its index in [`METRICS`] plus the entry's sinks.
 ///
-/// Obtain one from [`counter_id`] / [`gauge_id`] / [`histogram_id`] in a
-/// `const` context. Because [`METRICS`] is sorted by `(name, kind)`,
-/// ascending id order is ascending name order, which keeps merged dumps
+/// Obtain one from [`metric_id`] in a `const` context. The sinks ride in
+/// the id, so [`Sim::record`](crate::Sim::record) with a constant id
+/// compiles down to the entry's own stores. Because [`METRICS`] is sorted
+/// by name, ascending id order is ascending name order, which keeps dumps
 /// deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricId(u16);
+pub struct MetricId {
+    index: u16,
+    sinks: u8,
+}
 
 impl MetricId {
     /// Position in [`METRICS`].
     #[inline]
     pub const fn index(self) -> usize {
-        self.0 as usize
+        self.index as usize
+    }
+
+    /// Whether the entry declares `sink`.
+    #[inline]
+    pub const fn has(self, sink: Sink) -> bool {
+        self.sinks & sink.bit() != 0
     }
 
     /// The catalog entry this id refers to.
     pub fn def(self) -> &'static MetricDef {
-        &METRICS[self.0 as usize]
+        &METRICS[self.index()]
+    }
+}
+
+/// The id of `METRICS[i]`, sinks folded into a bit set.
+const fn id_at(i: usize) -> MetricId {
+    let sinks = METRICS[i].sinks;
+    let mut bits = 0u8;
+    let mut k = 0;
+    while k < sinks.len() {
+        bits |= sinks[k].bit();
+        k += 1;
+    }
+    MetricId {
+        index: i as u16,
+        sinks: bits,
     }
 }
 
@@ -680,21 +703,14 @@ const fn str_eq(a: &str, b: &str) -> bool {
     true
 }
 
-/// Const-context kind equality (no const `PartialEq` for enums).
-const fn kind_eq(a: MetricKind, b: MetricKind) -> bool {
-    matches!(
-        (a, b),
-        (MetricKind::Counter, MetricKind::Counter)
-            | (MetricKind::Gauge, MetricKind::Gauge)
-            | (MetricKind::Histogram, MetricKind::Histogram)
-    )
-}
-
-const fn metric_id_of(name: &str, kind: MetricKind) -> MetricId {
+/// Compile-time id of a registered metric; unregistered names fail the
+/// build. Use as `const X: MetricId = metric_id("…");` and record with
+/// `sim.record(X, v)`.
+pub const fn metric_id(name: &str) -> MetricId {
     let mut i = 0;
     while i < METRICS.len() {
-        if kind_eq(METRICS[i].kind, kind) && str_eq(METRICS[i].name, name) {
-            return MetricId(i as u16);
+        if str_eq(METRICS[i].name, name) {
+            return id_at(i);
         }
         i += 1;
     }
@@ -702,24 +718,6 @@ const fn metric_id_of(name: &str, kind: MetricKind) -> MetricId {
     // call site is a compile error, never a runtime panic.
     // lint:allow(no-unwrap, reason="const-eval guard; interned names are resolved at compile time")
     panic!("metric name not registered in crates/sim/src/catalog.rs METRICS")
-}
-
-/// Compile-time id of a registered counter; unregistered names fail the
-/// build. Use as `const X: MetricId = counter_id("…");`.
-pub const fn counter_id(name: &str) -> MetricId {
-    metric_id_of(name, MetricKind::Counter)
-}
-
-/// Compile-time id of a registered gauge; unregistered names fail the
-/// build.
-pub const fn gauge_id(name: &str) -> MetricId {
-    metric_id_of(name, MetricKind::Gauge)
-}
-
-/// Compile-time id of a registered histogram; unregistered names fail the
-/// build.
-pub const fn histogram_id(name: &str) -> MetricId {
-    metric_id_of(name, MetricKind::Histogram)
 }
 
 /// Compile-time id of a registered trace stage; unregistered names fail
@@ -737,14 +735,12 @@ pub const fn stage_id(name: &str) -> StageId {
 }
 
 /// Runtime id lookup for an exact (unprefixed) catalog name — binary
-/// search over the `(name, kind)`-sorted table. The string-keyed
-/// [`crate::metrics::Metrics`] APIs use this to route catalog names into
-/// the interned stores.
-pub fn find_metric(name: &str, kind: MetricKind) -> Option<MetricId> {
+/// search over the name-sorted table.
+pub fn find_metric(name: &str) -> Option<MetricId> {
     METRICS
-        .binary_search_by(|m| (m.name, m.kind).cmp(&(name, kind)))
+        .binary_search_by(|m| m.name.cmp(name))
         .ok()
-        .map(|i| MetricId(i as u16))
+        .map(id_at)
 }
 
 /// Runtime id lookup for an exact stage name (binary search).
@@ -763,7 +759,7 @@ mod tests {
     fn tables_are_sorted_and_unique() {
         for w in METRICS.windows(2) {
             assert!(
-                (w[0].name, w[0].kind) < (w[1].name, w[1].kind),
+                w[0].name < w[1].name,
                 "METRICS out of order or duplicated at {:?}",
                 w[1].name
             );
@@ -774,6 +770,28 @@ mod tests {
                 "STAGES out of order or duplicated at {:?}",
                 w[1].name
             );
+        }
+    }
+
+    #[test]
+    fn sinks_are_consistent() {
+        for m in METRICS {
+            let id = find_metric(m.name).expect("every entry resolves");
+            assert!(!m.sinks.is_empty(), "{} records nowhere", m.name);
+            assert!(
+                !(id.has(C) && id.has(G)),
+                "{} is both a counter and a gauge",
+                m.name
+            );
+            // A rate series sums increments and a level series keeps the
+            // latest value: a counter feeds rates, a gauge feeds levels.
+            assert!(
+                !(id.has(C) && id.has(TL)),
+                "{}: counter with a level",
+                m.name
+            );
+            assert!(!(id.has(G) && id.has(TR)), "{}: gauge with a rate", m.name);
+            assert!(!(id.has(TL) && id.has(TR)), "{}: two timelines", m.name);
         }
     }
 
@@ -789,12 +807,14 @@ mod tests {
 
     #[test]
     fn lookup_respects_kind() {
-        assert!(is_metric("clic.retransmits", MetricKind::Counter));
-        assert!(!is_metric("clic.retransmits", MetricKind::Gauge));
-        assert!(is_metric("eth.switch.queue_depth", MetricKind::Gauge));
-        assert!(is_metric("eth.switch.queue_depth", MetricKind::Histogram));
-        assert!(is_metric("n1.clic.retransmits", MetricKind::Counter));
-        assert!(!is_metric("made.up", MetricKind::Counter));
+        assert!(is_metric("clic.retransmits", Sink::Counter));
+        assert!(!is_metric("clic.retransmits", Sink::Gauge));
+        assert!(is_metric("eth.switch.queue_depth", Sink::Gauge));
+        assert!(is_metric("eth.switch.queue_depth", Sink::Histogram));
+        assert!(is_metric("eth.switch.queue_depth", Sink::TimelineLevel));
+        assert!(!is_metric("eth.switch.queue_depth", Sink::TimelineRate));
+        assert!(is_metric("n1.clic.retransmits", Sink::Counter));
+        assert!(!is_metric("made.up", Sink::Counter));
     }
 
     #[test]
@@ -806,35 +826,36 @@ mod tests {
 
     #[test]
     fn interned_ids_resolve_at_compile_time() {
-        const RETX: MetricId = counter_id("clic.retransmits");
-        const QDEPTH_G: MetricId = gauge_id("eth.switch.queue_depth");
-        const QDEPTH_H: MetricId = histogram_id("eth.switch.queue_depth");
+        const RETX: MetricId = metric_id("clic.retransmits");
+        const QDEPTH: MetricId = metric_id("eth.switch.queue_depth");
+        const DMA: MetricId = metric_id("hw.pci.dma_bytes");
         const WIRE: StageId = stage_id("wire");
         assert_eq!(RETX.def().name, "clic.retransmits");
-        assert_eq!(QDEPTH_G.def().kind, MetricKind::Gauge);
-        assert_eq!(QDEPTH_H.def().kind, MetricKind::Histogram);
-        assert_ne!(QDEPTH_G, QDEPTH_H);
+        assert!(RETX.has(Sink::Counter) && !RETX.has(Sink::TimelineRate));
+        assert!(QDEPTH.has(Sink::Gauge) && QDEPTH.has(Sink::Histogram));
+        assert!(QDEPTH.has(Sink::TimelineLevel) && !QDEPTH.has(Sink::Counter));
+        assert!(DMA.has(Sink::Histogram) && DMA.has(Sink::TimelineRate));
         assert_eq!(WIRE.def().name, "wire");
     }
 
     #[test]
     fn runtime_lookup_matches_const_lookup() {
         for (i, m) in METRICS.iter().enumerate() {
-            let id = find_metric(m.name, m.kind).expect("every entry resolves");
+            let id = find_metric(m.name).expect("every entry resolves");
             assert_eq!(id.index(), i);
+            assert_eq!(id, id_at(i));
         }
         for (i, s) in STAGES.iter().enumerate() {
             let id = find_stage(s.name).expect("every entry resolves");
             assert_eq!(id.index(), i);
         }
-        assert!(find_metric("made.up", MetricKind::Counter).is_none());
-        assert!(find_metric("clic.retransmits", MetricKind::Gauge).is_none());
+        assert!(find_metric("made.up").is_none());
         assert!(find_stage("made_up").is_none());
     }
 
     #[test]
     fn ascending_id_order_is_ascending_name_order() {
-        // The dump merge-join relies on this.
+        // Dumps list interned series in id order and rely on this.
         for w in METRICS.windows(2) {
             assert!(w[0].name <= w[1].name);
         }

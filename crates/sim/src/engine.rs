@@ -34,6 +34,7 @@
 //!    the clock to the horizon when it stops there, so throughput windows
 //!    are well-defined and a later `run` resumes correctly.
 
+use crate::catalog::{MetricId, Sink};
 use crate::metrics::Metrics;
 use crate::queue::CalendarQueue;
 use crate::rng::SimRng;
@@ -117,8 +118,8 @@ pub struct Sim {
     /// Cross-layer span/event trace sink (disabled by default; see
     /// [`Trace`]).
     pub trace: Trace,
-    /// Metrics registry (disabled by default; see [`Metrics`]). Recording
-    /// is passive, so enabling it never changes simulation results.
+    /// Metrics registry, always on (see [`Metrics`]). Recording is
+    /// passive, so it never changes simulation results.
     pub metrics: Metrics,
     /// Time-resolved telemetry recorder (disabled by default; see
     /// [`TimelineRecorder`]). Passive like `metrics`: enabling it never
@@ -138,9 +139,22 @@ impl Sim {
             event_limit: u64::MAX,
             rng: SimRng::new(seed),
             trace: Trace::disabled(),
-            metrics: Metrics::disabled(),
+            metrics: Metrics::enabled(),
             timeline: TimelineRecorder::disabled(),
             probe: None,
+        }
+    }
+
+    /// Record `v` for the catalog entry `id`: the one call every
+    /// recording site makes. The entry's sinks (carried in the id, so
+    /// fixed at compile time) decide where `v` goes — the registry's
+    /// counter, gauge and histogram, and the timeline's level or rate
+    /// series.
+    #[inline]
+    pub fn record(&mut self, id: MetricId, v: u64) {
+        self.metrics.record(id, v);
+        if id.has(Sink::TimelineLevel) || id.has(Sink::TimelineRate) {
+            self.timeline.record(self.now, id, v);
         }
     }
 

@@ -10,7 +10,7 @@
 //! * [`SerialResource`] — a FIFO bus resource (PCI, memory bus),
 //! * [`SimRng`] — a seeded, reproducible random source,
 //! * [`stats`] — sample-exact latency and throughput measurement,
-//! * [`metrics`] — the per-run registry of named counters, gauges and
+//! * [`metrics`] — the per-run registry of counters, gauges and
 //!   log-bucketed histograms (plain-text dump exporter),
 //! * [`trace`] — cross-layer span/event tracing with a Chrome trace-event
 //!   JSON exporter (used to regenerate the paper's Figure 7 timing
@@ -19,8 +19,9 @@
 //!   catalogued gauges/counters over simulated time (CSV dump plus
 //!   Perfetto counter tracks),
 //! * [`catalog`] — the central registry of every metric and trace-stage
-//!   name; consumed at runtime by [`Metrics::uncataloged`] /
-//!   [`Trace::uncataloged_stages`] and statically by `clic-analyze`.
+//!   name, each metric with the sinks [`Sim::record`] feeds; consumed at
+//!   runtime by [`Metrics::uncataloged`] / [`Trace::uncataloged_stages`]
+//!   and statically by `clic-analyze`.
 //!
 //! A simulation is single-threaded; components are shared as
 //! `Rc<RefCell<T>>` and captured by the event closures. Parameter sweeps run
@@ -44,7 +45,7 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use catalog::{MetricId, MetricKind, StageId};
+pub use catalog::{MetricId, Sink, StageId};
 pub use engine::{ActionArm, EngineProbe, Sim};
 pub use metrics::{LogHistogram, Metrics};
 pub use resource::{Cpu, CpuClass, SerialResource};

@@ -1,35 +1,27 @@
-//! Per-run metrics registry: named counters, gauges and log-bucketed
+//! Per-run metrics registry: counters, gauges and log-bucketed
 //! histograms.
 //!
-//! Components record into [`Metrics`] through stable dotted names
-//! (`"clic.retransmits"`, `"eth.switch.queue_depth"`); the experiment layer
-//! reads them back by name or dumps the whole registry as deterministic
-//! plain text. Recording is passive — it never schedules events or touches
-//! the RNG — so enabling metrics cannot change simulation results.
+//! Every [`crate::Sim`] carries one registry (`sim.metrics`), always on.
+//! Components record into it only through [`crate::Sim::record`] with a
+//! compile-time [`MetricId`]: the catalog entry behind the id says which
+//! of the registry's stores (counter, gauge, histogram) the value lands
+//! in, and each store is a plain vector slot indexed by the id. Recording
+//! is passive — it never schedules events or touches the RNG — so it
+//! cannot change simulation results.
 //!
-//! The registry is off by default; every recording call returns after one
-//! branch when disabled.
-//!
-//! # Interned fast path
-//!
-//! Names registered in the central [`crate::catalog`] can be recorded
-//! through [`MetricId`]s ([`Metrics::counter_add_id`] and friends): a
-//! plain vector index instead of a string hash/compare and allocation per
-//! record. The string-keyed APIs transparently route exact catalog names
-//! into the same interned stores (so both paths observe one series), and
-//! keep a `BTreeMap` fallback for dynamic names (per-node `n<idx>.`
-//! prefixes, experiment-local scratch). Reads and [`Metrics::dump`]
-//! merge-join the two stores in name order — ascending [`MetricId`] order
-//! is ascending name order — so output is byte-identical to the
-//! all-string implementation.
+//! The experiment layer reads series back by name and imports per-node
+//! stat snapshots under `n<idx>.`-prefixed names
+//! ([`Metrics::counter_add`]); those dynamic names live in a `BTreeMap`
+//! beside the interned slots. Reads and [`Metrics::dump`] merge-join the
+//! two in name order — ascending [`MetricId`] order is ascending name
+//! order — so output is deterministic.
 
-use crate::catalog::{self, MetricId, MetricKind, METRICS};
+use crate::catalog::{self, MetricId, Sink, METRICS};
 use std::collections::BTreeMap;
 
 /// Whether `name` equals `suffix`, or ends with it immediately after a
-/// `.` separator. Suffix aggregation ([`Metrics::sum_counters`],
-/// [`Metrics::max_gauge_peak`]) matches only at dotted-segment
-/// boundaries: `retransmits` binds to `n1.clic.retransmits` but never to
+/// `.` separator. Suffix aggregation ([`Metrics::sum_counters`]) matches
+/// only at dotted-segment boundaries: `retransmits` binds to `n1.clic.retransmits` but never to
 /// `clic.fast_retransmits`, whose trailing segment merely *contains* it.
 fn suffix_at_segment_boundary(name: &str, suffix: &str) -> bool {
     if name.len() == suffix.len() {
@@ -222,243 +214,121 @@ struct Gauge {
 
 /// The per-run metrics registry.
 ///
-/// One instance lives on every [`crate::Sim`] (`sim.metrics`); experiment
-/// layers may also build standalone registries (e.g. one per node) and
-/// [`Metrics::merge`] them. All maps are `BTreeMap`s, so iteration order —
-/// and therefore [`Metrics::dump`] output — is deterministic.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One instance lives on every [`crate::Sim`] (`sim.metrics`); the
+/// experiment layer imports per-node stat snapshots into a copy of it.
+/// Interned series are listed in id (= name) order and named ones live in
+/// a `BTreeMap`, so [`Metrics::dump`] output is deterministic.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
-    enabled: bool,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, LogHistogram>,
-    /// Interned stores, indexed by [`MetricId`]; sized to `METRICS.len()`
-    /// on [`Metrics::enabled`] (empty on a disabled registry).
-    fast_counters: Vec<u64>,
-    fast_gauges: Vec<Gauge>,
-    fast_histograms: Vec<Option<LogHistogram>>,
+    /// Interned stores, indexed by [`MetricId`] and sized to the catalog.
+    counters: Vec<u64>,
+    gauges: Vec<Gauge>,
+    histograms: Vec<Option<LogHistogram>>,
     /// Whether the id was ever recorded (distinguishes "counter at 0"
-    /// from "never touched" so dumps stay identical to the map path).
-    fast_touched: Vec<bool>,
+    /// from "never touched", which the dump omits).
+    touched: Vec<bool>,
+    /// Counters under names outside the catalog: per-node `n<idx>.`
+    /// snapshot imports.
+    named_counters: BTreeMap<String, u64>,
 }
 
 impl Metrics {
-    /// A registry that records nothing (the default on a fresh `Sim`).
-    pub fn disabled() -> Self {
-        Metrics::default()
-    }
-
-    /// A recording registry.
+    /// An empty registry with one slot per catalog entry.
     pub fn enabled() -> Self {
-        let mut m = Metrics {
-            enabled: true,
-            ..Metrics::default()
-        };
-        m.ensure_fast();
-        m
-    }
-
-    /// Size the interned stores to the catalog (idempotent).
-    fn ensure_fast(&mut self) {
         let n = METRICS.len();
-        if self.fast_counters.len() < n {
-            self.fast_counters.resize(n, 0);
-            self.fast_gauges.resize(n, Gauge::default());
-            self.fast_histograms.resize(n, None);
-            self.fast_touched.resize(n, false);
+        Metrics {
+            counters: vec![0; n],
+            gauges: vec![Gauge::default(); n],
+            histograms: vec![None; n],
+            touched: vec![false; n],
+            named_counters: BTreeMap::new(),
         }
     }
 
-    /// Whether recording calls have any effect.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Add `by` to the interned counter `id` — the allocation-free hot
-    /// path for catalog names (see [`crate::catalog::counter_id`]).
+    /// Feed `v` to every registry store the entry `id` declares — the
+    /// registry half of [`crate::Sim::record`].
     #[inline]
-    pub fn counter_add_id(&mut self, id: MetricId, by: u64) {
-        if !self.enabled {
-            return;
-        }
+    pub(crate) fn record(&mut self, id: MetricId, v: u64) {
         let i = id.index();
-        self.fast_counters[i] += by;
-        self.fast_touched[i] = true;
-    }
-
-    /// Add one to the interned counter `id`.
-    #[inline]
-    pub fn counter_inc_id(&mut self, id: MetricId) {
-        self.counter_add_id(id, 1);
-    }
-
-    /// Set the interned gauge `id` to `v`, tracking its peak.
-    #[inline]
-    pub fn gauge_set_id(&mut self, id: MetricId, v: i64) {
-        if !self.enabled {
-            return;
+        if id.has(Sink::Counter) {
+            self.counters[i] += v;
         }
-        let i = id.index();
-        let g = &mut self.fast_gauges[i];
-        g.current = v;
-        g.peak = g.peak.max(v);
-        self.fast_touched[i] = true;
-    }
-
-    /// Record `v` into the interned histogram `id`.
-    #[inline]
-    pub fn observe_id(&mut self, id: MetricId, v: u64) {
-        if !self.enabled {
-            return;
+        if id.has(Sink::Gauge) {
+            let g = &mut self.gauges[i];
+            g.current = v as i64;
+            g.peak = g.peak.max(v as i64);
         }
-        let i = id.index();
-        self.fast_histograms[i]
-            .get_or_insert_with(LogHistogram::new)
-            .record(v);
-        self.fast_touched[i] = true;
+        if id.has(Sink::Histogram) {
+            self.histograms[i]
+                .get_or_insert_with(LogHistogram::new)
+                .record(v);
+        }
+        self.touched[i] = true;
     }
 
-    /// Add `by` to counter `name`, creating it at zero first. Exact
-    /// catalog names share their series with the interned fast path.
+    /// Add `by` to counter `name`, creating it at zero first: the import
+    /// path for end-of-run stat snapshots. Catalog counters share their
+    /// slot with [`crate::Sim::record`]; any other name (per-node
+    /// `n<idx>.` prefixes) gets its own series.
     pub fn counter_add(&mut self, name: &str, by: u64) {
-        if !self.enabled {
-            return;
-        }
-        match catalog::find_metric(name, MetricKind::Counter) {
-            Some(id) => self.counter_add_id(id, by),
-            None => *self.counters.entry(name.to_string()).or_insert(0) += by,
-        }
-    }
-
-    /// Add one to counter `name`.
-    pub fn counter_inc(&mut self, name: &str) {
-        self.counter_add(name, 1);
-    }
-
-    /// Set gauge `name` to `v`, tracking its peak. Exact catalog names
-    /// share their series with the interned fast path.
-    pub fn gauge_set(&mut self, name: &str, v: i64) {
-        if !self.enabled {
-            return;
-        }
-        match catalog::find_metric(name, MetricKind::Gauge) {
-            Some(id) => self.gauge_set_id(id, v),
-            None => {
-                let g = self.gauges.entry(name.to_string()).or_default();
-                g.current = v;
-                g.peak = g.peak.max(v);
+        match catalog::find_metric(name).filter(|id| id.has(Sink::Counter)) {
+            Some(id) => {
+                self.counters[id.index()] += by;
+                self.touched[id.index()] = true;
             }
+            None => *self.named_counters.entry(name.to_string()).or_insert(0) += by,
         }
     }
 
-    /// Record `v` into histogram `name`. Exact catalog names share their
-    /// series with the interned fast path.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        if !self.enabled {
-            return;
-        }
-        match catalog::find_metric(name, MetricKind::Histogram) {
-            Some(id) => self.observe_id(id, v),
-            None => self
-                .histograms
-                .entry(name.to_string())
-                .or_default()
-                .record(v),
-        }
+    /// Whether slot `i` was recorded and its entry declares `sink`.
+    fn recorded(&self, i: usize, sink: Sink) -> bool {
+        self.touched[i] && METRICS[i].sinks.contains(&sink)
     }
 
-    /// Whether interned slot `i` was recorded as `kind`.
-    fn fast_has(&self, i: usize, kind: MetricKind) -> bool {
-        METRICS[i].kind == kind && self.fast_touched.get(i).copied().unwrap_or(false)
+    /// The catalog slot of `name` when the entry declares `sink`.
+    fn id_with(name: &str, sink: Sink) -> Option<usize> {
+        catalog::find_metric(name)
+            .filter(|id| id.has(sink))
+            .map(MetricId::index)
     }
 
     /// Current value of a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        match catalog::find_metric(name, MetricKind::Counter) {
-            Some(id) => self.fast_counters.get(id.index()).copied().unwrap_or(0),
-            None => self.counters.get(name).copied().unwrap_or(0),
+        match Self::id_with(name, Sink::Counter) {
+            Some(i) => self.counters[i],
+            None => self.named_counters.get(name).copied().unwrap_or(0),
         }
     }
 
     /// Current value of a gauge (0 when absent).
     pub fn gauge(&self, name: &str) -> i64 {
-        match catalog::find_metric(name, MetricKind::Gauge) {
-            Some(id) => self
-                .fast_gauges
-                .get(id.index())
-                .map(|g| g.current)
-                .unwrap_or(0),
-            None => self.gauges.get(name).map(|g| g.current).unwrap_or(0),
-        }
+        Self::id_with(name, Sink::Gauge).map_or(0, |i| self.gauges[i].current)
     }
 
     /// Highest value a gauge ever held (0 when absent).
     pub fn gauge_peak(&self, name: &str) -> i64 {
-        match catalog::find_metric(name, MetricKind::Gauge) {
-            Some(id) => self
-                .fast_gauges
-                .get(id.index())
-                .map(|g| g.peak)
-                .unwrap_or(0),
-            None => self.gauges.get(name).map(|g| g.peak).unwrap_or(0),
-        }
+        Self::id_with(name, Sink::Gauge).map_or(0, |i| self.gauges[i].peak)
     }
 
     /// Histogram by name, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        match catalog::find_metric(name, MetricKind::Histogram) {
-            Some(id) => self
-                .fast_histograms
-                .get(id.index())
-                .and_then(|h| h.as_ref()),
-            None => self.histograms.get(name),
-        }
+        Self::id_with(name, Sink::Histogram).and_then(|i| self.histograms[i].as_ref())
     }
 
-    /// All counters, in name order (interned and dynamic series merged).
+    /// All counters, in name order (interned and named series merged).
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         let mut v: Vec<(&str, u64)> = self
-            .counters
+            .named_counters
             .iter()
             .map(|(n, &x)| (n.as_str(), x))
             .collect();
         for (i, m) in METRICS.iter().enumerate() {
-            if self.fast_has(i, MetricKind::Counter) {
-                v.push((m.name, self.fast_counters[i]));
+            if self.recorded(i, Sink::Counter) {
+                v.push((m.name, self.counters[i]));
             }
         }
         v.sort_unstable_by_key(|&(n, _)| n);
         v.into_iter()
-    }
-
-    /// All gauges, in name order (interned and dynamic series merged).
-    fn gauge_entries(&self) -> Vec<(&str, Gauge)> {
-        let mut v: Vec<(&str, Gauge)> = self.gauges.iter().map(|(n, &g)| (n.as_str(), g)).collect();
-        for (i, m) in METRICS.iter().enumerate() {
-            if self.fast_has(i, MetricKind::Gauge) {
-                v.push((m.name, self.fast_gauges[i]));
-            }
-        }
-        v.sort_unstable_by_key(|&(n, _)| n);
-        v
-    }
-
-    /// All histograms, in name order (interned and dynamic series merged).
-    fn histogram_entries(&self) -> Vec<(&str, &LogHistogram)> {
-        let mut v: Vec<(&str, &LogHistogram)> = self
-            .histograms
-            .iter()
-            .map(|(n, h)| (n.as_str(), h))
-            .collect();
-        for (i, m) in METRICS.iter().enumerate() {
-            if METRICS[i].kind == MetricKind::Histogram {
-                if let Some(h) = self.fast_histograms.get(i).and_then(|h| h.as_ref()) {
-                    v.push((m.name, h));
-                }
-            }
-        }
-        v.sort_unstable_by_key(|&(n, _)| n);
-        v
     }
 
     /// Sum of every counter whose name ends with `suffix` at a
@@ -474,85 +344,18 @@ impl Metrics {
             .sum()
     }
 
-    /// Largest peak over every gauge whose name ends with `suffix` at a
-    /// `.`-segment boundary (same matching rule as
-    /// [`Metrics::sum_counters`]).
-    pub fn max_gauge_peak(&self, suffix: &str) -> i64 {
-        self.gauge_entries()
-            .iter()
-            .filter(|(n, _)| suffix_at_segment_boundary(n, suffix))
-            .map(|(_, g)| g.peak)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Names recorded in this registry that are missing from the central
-    /// [`crate::catalog`] (per-node `n<idx>.` prefixes are stripped before
-    /// lookup). Returns the offending names in `(name, kind)` order —
-    /// empty on a catalog-clean registry. The experiment layer
-    /// debug-asserts this so an unregistered name cannot ship silently;
-    /// `clic-analyze` enforces the same property statically.
+    /// Named counters missing from the central [`crate::catalog`]
+    /// (per-node `n<idx>.` prefixes are stripped before lookup), in name
+    /// order — empty on a catalog-clean registry. Interned series are
+    /// catalogued by construction. The experiment layer debug-asserts
+    /// this so an unregistered name cannot ship silently; `clic-analyze`
+    /// enforces the same property statically.
     pub fn uncataloged(&self) -> Vec<String> {
-        use crate::catalog::{is_metric, MetricKind};
-        let mut bad = Vec::new();
-        for n in self.counters.keys() {
-            if !is_metric(n, MetricKind::Counter) {
-                bad.push(format!("{n} (counter)"));
-            }
-        }
-        for n in self.gauges.keys() {
-            if !is_metric(n, MetricKind::Gauge) {
-                bad.push(format!("{n} (gauge)"));
-            }
-        }
-        for n in self.histograms.keys() {
-            if !is_metric(n, MetricKind::Histogram) {
-                bad.push(format!("{n} (histogram)"));
-            }
-        }
-        bad
-    }
-
-    /// Fold `other` into this registry: counters add, gauge peaks combine
-    /// (current takes `other`'s value), histograms merge. Interned series
-    /// in `other` fold into this registry's interned stores.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (n, &v) in &other.counters {
-            *self.counters.entry(n.clone()).or_insert(0) += v;
-        }
-        for (n, o) in &other.gauges {
-            let g = self.gauges.entry(n.clone()).or_default();
-            g.current = o.current;
-            g.peak = g.peak.max(o.peak);
-        }
-        for (n, o) in &other.histograms {
-            self.histograms.entry(n.clone()).or_default().merge(o);
-        }
-        if other.fast_touched.iter().any(|&t| t)
-            || other.fast_histograms.iter().any(|h| h.is_some())
-        {
-            self.ensure_fast();
-            for (i, m) in METRICS.iter().enumerate() {
-                if other.fast_has(i, MetricKind::Counter) {
-                    self.fast_counters[i] += other.fast_counters[i];
-                    self.fast_touched[i] = true;
-                }
-                if other.fast_has(i, MetricKind::Gauge) {
-                    let g = &mut self.fast_gauges[i];
-                    g.current = other.fast_gauges[i].current;
-                    g.peak = g.peak.max(other.fast_gauges[i].peak);
-                    self.fast_touched[i] = true;
-                }
-                if m.kind == MetricKind::Histogram {
-                    if let Some(o) = other.fast_histograms.get(i).and_then(|h| h.as_ref()) {
-                        self.fast_histograms[i]
-                            .get_or_insert_with(LogHistogram::new)
-                            .merge(o);
-                        self.fast_touched[i] = true;
-                    }
-                }
-            }
-        }
+        self.named_counters
+            .keys()
+            .filter(|n| !catalog::is_metric(n, Sink::Counter))
+            .map(|n| format!("{n} (counter)"))
+            .collect()
     }
 
     /// Deterministic plain-text dump of the whole registry.
@@ -565,14 +368,21 @@ impl Metrics {
                 out.push_str(&format!("{n} {v}\n"));
             }
         }
-        let gauges = self.gauge_entries();
+        let gauges: Vec<usize> = (0..METRICS.len())
+            .filter(|&i| self.recorded(i, Sink::Gauge))
+            .collect();
         if !gauges.is_empty() {
             out.push_str("# gauges (current peak)\n");
-            for (n, g) in gauges {
-                out.push_str(&format!("{n} {} {}\n", g.current, g.peak));
+            for i in gauges {
+                let g = self.gauges[i];
+                out.push_str(&format!("{} {} {}\n", METRICS[i].name, g.current, g.peak));
             }
         }
-        let hists = self.histogram_entries();
+        let hists: Vec<(&str, &LogHistogram)> = METRICS
+            .iter()
+            .zip(&self.histograms)
+            .filter_map(|(m, h)| Some((m.name, h.as_ref()?)))
+            .collect();
         if !hists.is_empty() {
             out.push_str("# histograms (count mean p50 p95 p99 max)\n");
             for (n, h) in hists {
@@ -594,6 +404,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::metric_id;
 
     #[test]
     fn bucket_boundaries() {
@@ -676,47 +487,38 @@ mod tests {
         assert_eq!(a.sum(), 715);
     }
 
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let mut m = Metrics::disabled();
-        m.counter_inc("x");
-        m.gauge_set("g", 5);
-        m.observe("h", 9);
-        assert!(!m.is_enabled());
-        assert_eq!(m.counter("x"), 0);
-        assert_eq!(m.gauge_peak("g"), 0);
-        assert!(m.histogram("h").is_none());
-        assert!(m.dump().is_empty());
-    }
+    const RETX: MetricId = metric_id("clic.retransmits");
+    const CWND: MetricId = metric_id("clic.cwnd");
+    const RTTVAR: MetricId = metric_id("clic.rttvar");
+    const QDEPTH: MetricId = metric_id("eth.switch.queue_depth");
 
     #[test]
     fn registry_counters_gauges_histograms() {
         let mut m = Metrics::enabled();
-        m.counter_inc("clic.retransmits");
+        assert!(m.dump().is_empty(), "a fresh registry dumps nothing");
+        m.record(RETX, 1);
         m.counter_add("clic.retransmits", 2);
-        m.gauge_set("q", 3);
-        m.gauge_set("q", 7);
-        m.gauge_set("q", 2);
-        m.observe("sz", 1400);
+        m.record(CWND, 3);
+        m.record(CWND, 7);
+        m.record(CWND, 2);
+        m.record(RTTVAR, 1400);
         assert_eq!(m.counter("clic.retransmits"), 3);
-        assert_eq!(m.gauge("q"), 2);
-        assert_eq!(m.gauge_peak("q"), 7);
-        assert_eq!(m.histogram("sz").unwrap().count(), 1);
+        assert_eq!(m.gauge("clic.cwnd"), 2);
+        assert_eq!(m.gauge_peak("clic.cwnd"), 7);
+        assert_eq!(m.histogram("clic.rttvar").unwrap().count(), 1);
+        // Only the declared sinks are fed: a counter has no histogram.
+        assert!(m.histogram("clic.retransmits").is_none());
+        assert_eq!(m.gauge("clic.rttvar"), 0);
     }
 
     #[test]
     fn interned_and_string_paths_share_series() {
-        use crate::catalog::{counter_id, gauge_id, histogram_id};
-        const RETX: MetricId = counter_id("clic.retransmits");
-        const DEPTH_G: MetricId = gauge_id("eth.switch.queue_depth");
-        const DEPTH_H: MetricId = histogram_id("eth.switch.queue_depth");
         let mut m = Metrics::enabled();
-        m.counter_add_id(RETX, 2);
+        m.record(RETX, 2);
         m.counter_add("clic.retransmits", 3);
-        m.gauge_set_id(DEPTH_G, 9);
-        m.gauge_set("eth.switch.queue_depth", 4);
-        m.observe_id(DEPTH_H, 16);
-        m.observe("eth.switch.queue_depth", 16);
+        // One record feeds every registry sink of the entry.
+        m.record(QDEPTH, 9);
+        m.record(QDEPTH, 4);
         assert_eq!(m.counter("clic.retransmits"), 5);
         assert_eq!(m.gauge("eth.switch.queue_depth"), 4);
         assert_eq!(m.gauge_peak("eth.switch.queue_depth"), 9);
@@ -724,13 +526,6 @@ mod tests {
         // The dump carries exactly one line per series regardless of path.
         let d = m.dump();
         assert_eq!(d.matches("clic.retransmits").count(), 1);
-        // A merged copy doubles the counter and keeps the gauge peak.
-        let mut o = Metrics::enabled();
-        o.merge(&m);
-        o.merge(&m);
-        assert_eq!(o.counter("clic.retransmits"), 10);
-        assert_eq!(o.gauge_peak("eth.switch.queue_depth"), 9);
-        assert_eq!(o.histogram("eth.switch.queue_depth").unwrap().count(), 4);
     }
 
     #[test]
@@ -738,10 +533,8 @@ mod tests {
         let mut m = Metrics::enabled();
         m.counter_add("n0.clic.retransmits", 2);
         m.counter_add("n1.clic.retransmits", 3);
-        m.gauge_set("n0.eth.switch.queue_depth", 9);
-        m.gauge_set("n1.eth.switch.queue_depth", 4);
         assert_eq!(m.sum_counters("clic.retransmits"), 5);
-        assert_eq!(m.max_gauge_peak("eth.switch.queue_depth"), 9);
+        assert_eq!(m.counter("clic.retransmits"), 0);
     }
 
     #[test]
@@ -761,62 +554,36 @@ mod tests {
         // Partial segments never match, in either position.
         assert_eq!(m.sum_counters("ransmits"), 0);
         assert_eq!(m.sum_counters("ic.retransmits"), 0);
-
-        m.gauge_set("eth.switch.queue_depth", 4);
-        m.gauge_set("n1.eth.switch.queue_depth", 9);
-        m.gauge_set("clic.recv_buffer_bytes", 123);
-        assert_eq!(m.max_gauge_peak("queue_depth"), 9);
-        assert_eq!(m.max_gauge_peak("depth"), 0); // partial segment
-        assert_eq!(m.max_gauge_peak("bytes"), 0); // partial segment
-        assert_eq!(m.max_gauge_peak("recv_buffer_bytes"), 123);
-    }
-
-    #[test]
-    fn merge_registries() {
-        let mut a = Metrics::enabled();
-        a.counter_add("c", 1);
-        a.gauge_set("g", 10);
-        a.observe("h", 4);
-        let mut b = Metrics::enabled();
-        b.counter_add("c", 2);
-        b.gauge_set("g", 3);
-        b.observe("h", 900);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge_peak("g"), 10);
-        assert_eq!(a.gauge("g"), 3);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
     }
 
     #[test]
     fn uncataloged_names_are_reported() {
         let mut m = Metrics::enabled();
-        m.counter_inc("clic.retransmits");
-        m.counter_inc("n0.os.syscalls");
-        m.gauge_set("eth.switch.queue_depth", 1);
-        m.observe("clic.msg_bytes", 10);
+        m.counter_add("clic.retransmits", 1);
+        m.counter_add("n0.os.syscalls", 1);
+        m.record(QDEPTH, 1);
         assert!(m.uncataloged().is_empty());
-        m.counter_inc("made.up");
-        m.observe("eth.switch.drops", 1); // counter name recorded as histogram
+        m.counter_add("made.up", 1);
+        m.counter_add("n0.clic.cwnd", 1); // gauge name imported as a counter
         assert_eq!(
             m.uncataloged(),
-            vec!["made.up (counter)", "eth.switch.drops (histogram)"]
+            vec!["made.up (counter)", "n0.clic.cwnd (counter)"]
         );
     }
 
     #[test]
     fn dump_is_deterministic_and_sorted() {
         let mut m = Metrics::enabled();
-        m.counter_inc("b.second");
-        m.counter_inc("a.first");
-        m.gauge_set("depth", 4);
-        m.observe("lat", 100);
+        m.counter_add("n1.os.irqs", 1);
+        m.counter_add("n0.os.irqs", 1);
+        m.record(CWND, 4);
+        m.record(RTTVAR, 100);
         let d = m.dump();
         assert_eq!(d, m.clone().dump());
-        let a = d.find("a.first").unwrap();
-        let b = d.find("b.second").unwrap();
+        let a = d.find("n0.os.irqs").unwrap();
+        let b = d.find("n1.os.irqs").unwrap();
         assert!(a < b, "counters must be name-sorted:\n{d}");
-        assert!(d.contains("depth 4 4"));
-        assert!(d.contains("lat 1 100.0"));
+        assert!(d.contains("clic.cwnd 4 4"));
+        assert!(d.contains("clic.rttvar 1 100.0"));
     }
 }

@@ -31,22 +31,21 @@
 //! per-series and purely count-based, so it is exactly as deterministic as
 //! the samples themselves.
 //!
-//! ## Identity and merge
+//! ## Identity
 //!
 //! Series are keyed by interned catalog id ([`MetricId`], the same
-//! compile-time interning metrics use) plus an optional node tag, so a
-//! per-node recorder merges into a cluster-wide one exactly — no name
-//! re-parsing, no float re-aggregation — via
-//! [`TimelineRecorder::merge_node`], which imports series under an
-//! `n<idx>.` display prefix exactly like per-node metric registries.
+//! compile-time interning metrics use). The catalog entry decides whether
+//! an id has a series at all and whether it is a level
+//! ([`Sink::TimelineLevel`]) or a rate ([`Sink::TimelineRate`]); values
+//! arrive through [`crate::Sim::record`] like every other sink.
 //!
-//! Everything is off by default ([`TimelineRecorder::disabled`] is a
+//! The recorder is off by default ([`TimelineRecorder::disabled`] is a
 //! single-branch no-op), so paper-grade runs are byte-identical with the
 //! recorder absent.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::catalog::{self, MetricId, MetricKind};
+use crate::catalog::{self, MetricId, Sink};
 use crate::time::{SimDuration, SimTime};
 
 /// How a series folds multiple writes into one bucket.
@@ -124,7 +123,7 @@ pub struct TimelineRecorder {
     finished: bool,
     bucket_ns: u64,
     capacity: Option<usize>,
-    series: BTreeMap<(MetricId, Option<u32>), Series>,
+    series: BTreeMap<MetricId, Series>,
 }
 
 impl TimelineRecorder {
@@ -185,39 +184,32 @@ impl TimelineRecorder {
         t.as_ns() / self.bucket_ns
     }
 
-    fn record(&mut self, now: SimTime, id: MetricId, kind: SeriesKind, value: i64) {
+    /// Record `value` on the series of `id` at `now` — the timeline half
+    /// of [`crate::Sim::record`]. A level keeps the last value written in
+    /// its bucket and later empty buckets inherit it; a rate sums the
+    /// values recorded in its bucket (a per-bucket rate once divided by
+    /// the bucket width) and empty buckets hold zero.
+    #[inline]
+    pub(crate) fn record(&mut self, now: SimTime, id: MetricId, value: u64) {
+        if !self.enabled || self.finished {
+            return;
+        }
+        let kind = if id.has(Sink::TimelineLevel) {
+            SeriesKind::Level
+        } else {
+            SeriesKind::Rate
+        };
         let bucket = self.bucket_of(now);
         let capacity = self.capacity;
         let s = self
             .series
-            .entry((id, None))
+            .entry(id)
             .or_insert_with(|| Series::new(kind, bucket));
         s.advance_to(bucket, capacity);
         match kind {
-            SeriesKind::Level => s.cur = value,
-            SeriesKind::Rate => s.cur += value,
+            SeriesKind::Level => s.cur = value as i64,
+            SeriesKind::Rate => s.cur += value as i64,
         }
-    }
-
-    /// Record the instantaneous level of gauge `id` at `now`. The bucket
-    /// keeps the last level written in it; later empty buckets inherit it.
-    #[inline]
-    pub fn gauge(&mut self, now: SimTime, id: MetricId, value: i64) {
-        if !self.enabled || self.finished {
-            return;
-        }
-        self.record(now, id, SeriesKind::Level, value);
-    }
-
-    /// Record `by` increments on counter `id` at `now`. The bucket keeps
-    /// the sum of deltas recorded in it (a per-bucket rate once divided by
-    /// the bucket width); empty buckets hold zero.
-    #[inline]
-    pub fn counter(&mut self, now: SimTime, id: MetricId, by: u64) {
-        if !self.enabled || self.finished {
-            return;
-        }
-        self.record(now, id, SeriesKind::Rate, by as i64);
     }
 
     /// Seal every series through the bucket containing `now` (the final,
@@ -236,33 +228,6 @@ impl TimelineRecorder {
         }
     }
 
-    /// Import every untagged series of a finished per-node recorder under
-    /// node tag `node` (displayed with an `n<idx>.` prefix, like per-node
-    /// metric registries). Sealed samples are copied exactly — same ids,
-    /// same bucket indices, same integers — so merging is associative and
-    /// byte-reproducible. Both recorders must use the same bucket width.
-    pub fn merge_node(&mut self, other: &TimelineRecorder, node: u32) {
-        if !other.enabled {
-            return;
-        }
-        assert!(
-            self.bucket_ns == other.bucket_ns,
-            "merging timelines with different bucket widths"
-        );
-        for (&(id, tag), s) in &other.series {
-            if tag.is_none() {
-                self.series.insert((id, Some(node)), s.clone());
-            }
-        }
-    }
-
-    fn display_name(id: MetricId, node: Option<u32>) -> String {
-        match node {
-            Some(n) => format!("n{}.{}", n, id.def().name),
-            None => id.def().name.to_string(),
-        }
-    }
-
     /// Exact microseconds of a bucket's start, as a JSON-safe decimal
     /// (`ns/1000` with three fractional digits, like the trace exporter).
     fn bucket_ts_us(&self, bucket: u64) -> String {
@@ -271,32 +236,23 @@ impl TimelineRecorder {
         format!("{}.{:03}", ns / 1000, ns % 1000)
     }
 
-    fn lookup(&self, name: &str, kind: MetricKind) -> Option<(MetricId, Option<u32>)> {
-        let stripped = catalog::strip_node_prefix(name);
-        let node = if stripped.len() < name.len() {
-            name[1..name.len() - stripped.len() - 1].parse::<u32>().ok()
-        } else {
-            None
-        };
-        let id = catalog::find_metric(stripped, kind)?;
-        Some((id, node))
-    }
-
-    /// Sealed samples of the gauge series `name` (optionally
-    /// `n<idx>.`-prefixed) as `(bucket start, level)` pairs. `None` if the
-    /// name is uncatalogued or never recorded. Series names resolve
-    /// through the catalog exactly like metric names.
+    /// Sealed samples of the level series `name` as `(bucket start,
+    /// level)` pairs. `None` if the name has no level series in the
+    /// catalog or was never recorded.
     pub fn gauge_series(&self, name: &str) -> Option<Vec<(SimTime, i64)>> {
-        let key = self.lookup(name, MetricKind::Gauge)?;
-        self.series.get(&key).map(|s| self.samples_of(s))
+        self.series_of(name, Sink::TimelineLevel)
     }
 
-    /// Sealed samples of the counter series `name` (optionally
-    /// `n<idx>.`-prefixed) as `(bucket start, delta)` pairs. `None` if the
-    /// name is uncatalogued or never recorded.
+    /// Sealed samples of the rate series `name` as `(bucket start, delta)`
+    /// pairs. `None` if the name has no rate series in the catalog or was
+    /// never recorded.
     pub fn counter_series(&self, name: &str) -> Option<Vec<(SimTime, i64)>> {
-        let key = self.lookup(name, MetricKind::Counter)?;
-        self.series.get(&key).map(|s| self.samples_of(s))
+        self.series_of(name, Sink::TimelineRate)
+    }
+
+    fn series_of(&self, name: &str, sink: Sink) -> Option<Vec<(SimTime, i64)>> {
+        let id = catalog::find_metric(name).filter(|id| id.has(sink))?;
+        self.series.get(&id).map(|s| self.samples_of(s))
     }
 
     fn samples_of(&self, s: &Series) -> Vec<(SimTime, i64)> {
@@ -310,8 +266,7 @@ impl TimelineRecorder {
 
     /// Deterministic text dump: a CSV with one row per sealed bucket per
     /// series (`series,bucket,t_us,value`), series in interned-id order
-    /// (which is name order), untagged before per-node. Byte-identical for
-    /// byte-identical runs.
+    /// (which is name order). Byte-identical for byte-identical runs.
     pub fn dump(&self) -> String {
         let mut out = format!(
             "# timeline bucket_us={}.{:03} series={}\n",
@@ -320,8 +275,8 @@ impl TimelineRecorder {
             self.series.len()
         );
         out.push_str("series,bucket,t_us,value\n");
-        for (&(id, node), s) in &self.series {
-            let name = Self::display_name(id, node);
+        for (id, s) in &self.series {
+            let name = id.def().name;
             for (i, &v) in s.sealed.iter().enumerate() {
                 let bucket = s.start + i as u64;
                 out.push_str(&format!(
@@ -343,8 +298,8 @@ impl TimelineRecorder {
     /// when nothing was recorded, keeping traces byte-identical.
     pub fn chrome_counter_rows(&self) -> Vec<String> {
         let mut rows = Vec::new();
-        for (&(id, node), s) in &self.series {
-            let name = Self::display_name(id, node);
+        for (id, s) in &self.series {
+            let name = id.def().name;
             for (i, &v) in s.sealed.iter().enumerate() {
                 let bucket = s.start + i as u64;
                 rows.push(format!(
@@ -363,10 +318,10 @@ impl TimelineRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{counter_id, gauge_id};
+    use crate::catalog::metric_id;
 
-    const QDEPTH: MetricId = gauge_id("eth.switch.queue_depth");
-    const TXB: MetricId = counter_id("eth.link.tx_bytes");
+    const QDEPTH: MetricId = metric_id("eth.switch.queue_depth");
+    const TXB: MetricId = metric_id("eth.link.tx_bytes");
 
     fn us(n: u64) -> SimTime {
         SimTime::from_us(n)
@@ -375,8 +330,8 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let mut r = TimelineRecorder::disabled();
-        r.gauge(us(1), QDEPTH, 5);
-        r.counter(us(1), TXB, 100);
+        r.record(us(1), QDEPTH, 5);
+        r.record(us(1), TXB, 100);
         r.finish(us(10));
         assert!(!r.is_enabled());
         assert_eq!(r.series_count(), 0);
@@ -386,8 +341,8 @@ mod tests {
     #[test]
     fn gauge_carries_level_across_empty_buckets() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.gauge(us(5), QDEPTH, 3); // bucket 0
-        r.gauge(us(45), QDEPTH, 7); // bucket 4
+        r.record(us(5), QDEPTH, 3); // bucket 0
+        r.record(us(45), QDEPTH, 7); // bucket 4
         r.finish(us(60)); // seal through bucket 6
         let s = r.gauge_series("eth.switch.queue_depth").expect("recorded");
         assert_eq!(
@@ -407,9 +362,9 @@ mod tests {
     #[test]
     fn counter_sums_deltas_and_zero_fills() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.counter(us(1), TXB, 100); // bucket 0
-        r.counter(us(2), TXB, 50); // bucket 0
-        r.counter(us(35), TXB, 10); // bucket 3
+        r.record(us(1), TXB, 100); // bucket 0
+        r.record(us(2), TXB, 50); // bucket 0
+        r.record(us(35), TXB, 10); // bucket 3
         r.finish(us(39));
         let s = r.counter_series("eth.link.tx_bytes").expect("recorded");
         assert_eq!(
@@ -421,8 +376,8 @@ mod tests {
     #[test]
     fn last_write_in_bucket_wins_for_gauges() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.gauge(us(1), QDEPTH, 1);
-        r.gauge(us(9), QDEPTH, 9); // same bucket: level at the boundary
+        r.record(us(1), QDEPTH, 1);
+        r.record(us(9), QDEPTH, 9); // same bucket: level at the boundary
         r.finish(us(9));
         let s = r.gauge_series("eth.switch.queue_depth").expect("recorded");
         assert_eq!(s, vec![(us(0), 9)]);
@@ -431,7 +386,7 @@ mod tests {
     #[test]
     fn series_start_at_first_sample_bucket() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.counter(us(55), TXB, 7); // bucket 5: no buckets 0-4 invented
+        r.record(us(55), TXB, 7); // bucket 5: no buckets 0-4 invented
         r.finish(us(55));
         let s = r.counter_series("eth.link.tx_bytes").expect("recorded");
         assert_eq!(s, vec![(us(50), 7)]);
@@ -441,7 +396,7 @@ mod tests {
     fn flight_recorder_keeps_last_n_with_correct_timestamps() {
         let mut r = TimelineRecorder::flight_recorder(SimDuration::from_us(10), 3);
         for b in 0..10u64 {
-            r.counter(us(b * 10 + 1), TXB, (b + 1) * 100);
+            r.record(us(b * 10 + 1), TXB, (b + 1) * 100);
         }
         r.finish(us(99)); // buckets 0..=9 sealed; only 7, 8, 9 survive
         let s = r.counter_series("eth.link.tx_bytes").expect("recorded");
@@ -451,34 +406,12 @@ mod tests {
     #[test]
     fn finish_is_idempotent_and_stops_recording() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.gauge(us(5), QDEPTH, 2);
+        r.record(us(5), QDEPTH, 2);
         r.finish(us(5));
         r.finish(us(500));
-        r.gauge(us(500), QDEPTH, 9);
+        r.record(us(500), QDEPTH, 9);
         let s = r.gauge_series("eth.switch.queue_depth").expect("recorded");
         assert_eq!(s, vec![(us(0), 2)]);
-    }
-
-    #[test]
-    fn merge_node_prefixes_and_copies_exactly() {
-        let mut a = TimelineRecorder::enabled(SimDuration::from_us(10));
-        a.gauge(us(5), QDEPTH, 4);
-        a.finish(us(5));
-        let mut merged = TimelineRecorder::enabled(SimDuration::from_us(10));
-        merged.merge_node(&a, 0);
-        merged.merge_node(&a, 3);
-        assert_eq!(
-            merged.gauge_series("n0.eth.switch.queue_depth"),
-            a.gauge_series("eth.switch.queue_depth")
-        );
-        assert_eq!(
-            merged.gauge_series("n3.eth.switch.queue_depth"),
-            a.gauge_series("eth.switch.queue_depth")
-        );
-        assert_eq!(merged.gauge_series("eth.switch.queue_depth"), None);
-        let dump = merged.dump();
-        assert!(dump.contains("n0.eth.switch.queue_depth,0,0.000,4"));
-        assert!(dump.contains("n3.eth.switch.queue_depth,0,0.000,4"));
     }
 
     #[test]
@@ -492,9 +425,9 @@ mod tests {
     fn dump_and_counter_rows_are_deterministic() {
         let build = || {
             let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-            r.counter(us(1), TXB, 100);
-            r.gauge(us(12), QDEPTH, 2);
-            r.counter(us(25), TXB, 70);
+            r.record(us(1), TXB, 100);
+            r.record(us(12), QDEPTH, 2);
+            r.record(us(25), TXB, 70);
             r.finish(us(30));
             r
         };

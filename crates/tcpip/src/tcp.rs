@@ -18,15 +18,10 @@ use crate::ip::{pseudo_header_checksum, IpAddr, IpProto, Ipv4Header};
 use crate::stack::{IpLayer, IpProtoHandler};
 use bytes::{BufMut, Bytes, BytesMut};
 use clic_os::{Kernel, Pid};
-use clic_sim::catalog::counter_id;
-use clic_sim::{Layer, MetricId, Sim, SimDuration};
+use clic_sim::{Layer, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
-
-/// Interned metric ids for the retransmission paths.
-const M_RETRANSMITS: MetricId = counter_id("tcp.retransmits");
-const M_FAST_RETRANSMITS: MetricId = counter_id("tcp.fast_retransmits");
 
 /// TCP header size (no options).
 pub const TCP_HEADER: usize = 20;
@@ -183,7 +178,8 @@ struct Conn {
     delack_gen: u64,
 }
 
-/// Stack-wide counters.
+/// Stack-wide counters — the one store of these counts; the experiment
+/// layer exports them per node as `n<id>.tcp.*`.
 #[derive(Debug, Default, Clone)]
 pub struct TcpStats {
     /// Data segments transmitted (first time).
@@ -678,7 +674,6 @@ impl TcpStack {
         let Some((peer, seg, payload)) = resend else {
             return;
         };
-        sim.metrics.counter_inc_id(M_RETRANSMITS);
         sim.trace.instant(sim.now(), Layer::TcpIp, "rto", 0);
         Self::emit_data(stack, sim, peer, seg, payload, 0);
         Self::ensure_rto(stack, sim, conn);
@@ -898,7 +893,6 @@ impl TcpStack {
             }
         };
         if let Some((peer, reply, payload)) = fast_resend {
-            sim.metrics.counter_inc_id(M_FAST_RETRANSMITS);
             sim.trace
                 .instant(sim.now(), Layer::TcpIp, "fast_retransmit", 0);
             Self::emit_data(stack, sim, peer, reply, payload, 0);
