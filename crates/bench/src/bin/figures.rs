@@ -15,8 +15,13 @@
 //! * `--jobs N` runs experiment jobs on N worker threads (default: all
 //!   cores). Results are bit-identical for every N.
 //! * `--no-cache` / `--cache-dir DIR` control the content-addressed result
-//!   cache (default `target/figures-cache/`); cached jobs are reused when
-//!   the job configuration and cost-model constants are unchanged.
+//!   cache (default `target/figures-cache/`). A result is keyed by what
+//!   the job simulates — its configuration, the cost-model constants and
+//!   the simulator source, not its id — and reused while those are
+//!   unchanged, so jobs of different families that simulate the same
+//!   thing share one entry. `--no-cache` neither reads nor writes it,
+//!   so each family simulates its jobs afresh; jobs of one call that
+//!   simulate the same thing (the families of `claims`) still run once.
 //! * `--metrics` also prints each figure's metric totals (drops,
 //!   retransmits, peak switch queue depth).
 //! * `trace` runs one traced message through the pipeline, writes Chrome

@@ -1,24 +1,32 @@
 //! Parallel job execution with a content-addressed result cache.
 //!
-//! Takes a set of [`JobSpec`]s, runs the ones without a cached result on
-//! a [`std::thread::scope`] worker pool, and returns a
+//! Takes a set of [`JobSpec`]s, runs each distinct simulation among them
+//! once on a [`std::thread::scope`] worker pool, and returns a
 //! [`ResultMap`] keyed by job id — so the output is deterministic and
 //! bit-identical to [`clic_cluster::experiments::run_serial`] regardless
 //! of worker count or completion order. Each job owns its entire
 //! (`Rc`/`RefCell`-based) simulation on the thread that runs it; only the
 //! plain-data [`JobSpec`] and the flat `Measurement` cross threads.
 //!
+//! A result is keyed by what the job simulates, not by its id: the key is
+//! the job's [`JobSpec::fingerprint`], a stable hash of its full
+//! configuration, the calibrated cost-model constants, the measurement
+//! schema and the simulator source. Specs under different ids that
+//! describe the same simulation share one key, so each call probes the
+//! cache and runs the simulation once per key and gives the measurement
+//! to every id with that key; the ids after the first are reported as
+//! served (`cached`, 0 s), with or without a cache directory.
+//!
 //! Cache entries live under one directory (default
-//! `target/figures-cache/`), one JSON file per job named by the job's
-//! [`JobSpec::fingerprint`] — a stable hash of the job id, its full
-//! configuration and the calibrated cost-model constants. Editing any
-//! constant in `calibration.rs` changes every affected fingerprint, so
-//! stale results are never reused; values are stored as `f64` bit
-//! patterns, so a cache round-trip is exact.
+//! `target/figures-cache/`), one JSON file per key. Editing any constant
+//! in `calibration.rs` changes every affected key, so stale results are
+//! never reused; values are stored as `f64` bit patterns, so a cache
+//! round-trip is exact.
 
 use crate::json::Json;
 use clic_cluster::experiments::ResultMap;
 use clic_cluster::jobs::{JobSpec, Measurement, MEASUREMENT_SCHEMA_VERSION};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -58,9 +66,11 @@ impl RunnerConfig {
 pub struct JobReport {
     /// The job id.
     pub id: String,
-    /// Execution time in seconds (0 for cache hits).
+    /// Execution time in seconds (0 when served).
     pub secs: f64,
-    /// Whether the result came from the cache.
+    /// Whether the result was served rather than simulated: read from the
+    /// cache, or given from an earlier spec in the same call with the
+    /// same [`JobSpec::fingerprint`].
     pub cached: bool,
 }
 
@@ -76,7 +86,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Number of cache hits.
+    /// Number of jobs served rather than simulated ([`JobReport::cached`]).
     pub fn cache_hits(&self) -> usize {
         self.jobs.iter().filter(|j| j.cached).count()
     }
@@ -116,7 +126,9 @@ impl RunReport {
 }
 
 /// Execute `specs`, consulting and filling the cache, and return results
-/// keyed by job id plus a report of what ran.
+/// keyed by job id plus a report of what ran. Each distinct
+/// [`JobSpec::fingerprint`] is probed and, on a miss, simulated and
+/// written once; every id with that key gets its measurement.
 ///
 /// Panics if two specs share an id (ids are the result keys).
 pub fn run_jobs(specs: &[JobSpec], config: &RunnerConfig) -> (ResultMap, RunReport) {
@@ -128,22 +140,25 @@ pub fn run_jobs(specs: &[JobSpec], config: &RunnerConfig) -> (ResultMap, RunRepo
         let _ = std::fs::create_dir_all(dir);
     }
 
+    // Compute each spec's key once. The first spec with a key owns it:
+    // only the owner is probed, run and written, and the specs sharing
+    // its key are given its measurement.
+    let keys: Vec<u64> = specs.iter().map(JobSpec::fingerprint).collect();
+    let mut first: BTreeMap<u64, usize> = BTreeMap::new();
+    let owners: Vec<usize> = (0..specs.len())
+        .map(|i| *first.entry(keys[i]).or_insert(i))
+        .collect();
+
     // Probe the cache up front (cheap, serial), then run the misses.
-    let mut slots: Vec<Option<(Measurement, f64, bool)>> = Vec::with_capacity(specs.len());
-    let mut misses: Vec<usize> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let hit = config
-            .cache_dir
-            .as_deref()
-            .and_then(|dir| read_cache(dir, spec));
-        match hit {
-            Some(m) => slots.push(Some((m, 0.0, true))),
-            None => {
-                slots.push(None);
-                misses.push(i);
-            }
-        }
-    }
+    let mut slots: Vec<Option<(Measurement, f64, bool)>> = (0..specs.len())
+        .map(|i| match &config.cache_dir {
+            Some(dir) if owners[i] == i => read_cache(dir, keys[i]).map(|m| (m, 0.0, true)),
+            _ => None,
+        })
+        .collect();
+    let misses: Vec<usize> = (0..specs.len())
+        .filter(|&i| owners[i] == i && slots[i].is_none())
+        .collect();
 
     let fresh: Mutex<Vec<(usize, Measurement, f64)>> = Mutex::new(Vec::with_capacity(misses.len()));
     let next = AtomicUsize::new(0);
@@ -166,7 +181,7 @@ pub fn run_jobs(specs: &[JobSpec], config: &RunnerConfig) -> (ResultMap, RunRepo
     }
     for (i, m, secs) in fresh.into_inner().unwrap() {
         if let Some(dir) = &config.cache_dir {
-            write_cache(dir, &specs[i], &m);
+            write_cache(dir, keys[i], &m);
         }
         slots[i] = Some((m, secs, false));
     }
@@ -177,8 +192,16 @@ pub fn run_jobs(specs: &[JobSpec], config: &RunnerConfig) -> (ResultMap, RunRepo
         wall_secs: 0.0,
         workers,
     };
-    for (spec, slot) in specs.iter().zip(slots) {
-        let (m, secs, cached) = slot.expect("every job slot filled");
+    // Walk backwards: an owner precedes every spec sharing its key, so it
+    // is the last to read its slot and can move the measurement out.
+    for (i, spec) in specs.iter().enumerate().rev() {
+        let owner = owners[i];
+        let slot = if owner == i {
+            slots[i].take()
+        } else {
+            slots[owner].clone().map(|(m, _, _)| (m, 0.0, true))
+        };
+        let (m, secs, cached) = slot.expect("every owner's slot filled");
         report.jobs.push(JobReport {
             id: spec.id.clone(),
             secs,
@@ -187,24 +210,23 @@ pub fn run_jobs(specs: &[JobSpec], config: &RunnerConfig) -> (ResultMap, RunRepo
         let prev = results.insert(spec.id.clone(), m);
         assert!(prev.is_none(), "duplicate job id {:?}", spec.id);
     }
+    report.jobs.reverse();
     report.wall_secs = started.elapsed().as_secs_f64();
     (results, report)
 }
 
-fn cache_path(dir: &Path, spec: &JobSpec) -> PathBuf {
-    dir.join(format!("{:016x}.json", spec.fingerprint()))
+fn cache_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join(format!("{key:016x}.json"))
 }
 
-/// Load a cached measurement, verifying the stored fingerprint, id and
-/// schema version. Any mismatch or parse failure is treated as a miss.
-fn read_cache(dir: &Path, spec: &JobSpec) -> Option<Measurement> {
-    let text = std::fs::read_to_string(cache_path(dir, spec)).ok()?;
+/// Load the cached measurement for `key`, verifying the stored
+/// fingerprint and schema version. Any mismatch or parse failure is
+/// treated as a miss.
+fn read_cache(dir: &Path, key: u64) -> Option<Measurement> {
+    let text = std::fs::read_to_string(cache_path(dir, key)).ok()?;
     let doc = Json::parse(&text).ok()?;
     let fingerprint = doc.get("fingerprint")?.as_str()?;
-    if fingerprint != format!("{:016x}", spec.fingerprint()) {
-        return None;
-    }
-    if doc.get("id")?.as_str()? != spec.id {
+    if fingerprint != format!("{key:016x}") {
         return None;
     }
     if doc.get("schema")?.as_f64()? as u32 != MEASUREMENT_SCHEMA_VERSION {
@@ -224,7 +246,7 @@ fn read_cache(dir: &Path, spec: &JobSpec) -> Option<Measurement> {
 
 /// Persist a measurement. Best effort: cache-write failures are ignored
 /// (the run itself already has the result in memory).
-fn write_cache(dir: &Path, spec: &JobSpec, m: &Measurement) {
+fn write_cache(dir: &Path, key: u64, m: &Measurement) {
     let values = Json::Arr(
         m.values
             .iter()
@@ -238,15 +260,11 @@ fn write_cache(dir: &Path, spec: &JobSpec, m: &Measurement) {
             .collect(),
     );
     let doc = Json::obj([
-        (
-            "fingerprint",
-            Json::Str(format!("{:016x}", spec.fingerprint())),
-        ),
-        ("id", Json::Str(spec.id.clone())),
+        ("fingerprint", Json::Str(format!("{key:016x}"))),
         ("schema", Json::Num(MEASUREMENT_SCHEMA_VERSION as f64)),
         ("values", values),
     ]);
-    let path = cache_path(dir, spec);
+    let path = cache_path(dir, key);
     let tmp = path.with_extension("json.tmp");
     if std::fs::write(&tmp, doc.pretty()).is_ok() {
         let _ = std::fs::rename(&tmp, &path);
@@ -328,12 +346,66 @@ mod tests {
         )];
         let (first, _) = run_jobs(&specs, &config);
         // Truncate the entry; the next run must recompute, not fail.
-        let path = cache_path(&dir, &specs[0]);
+        let path = cache_path(&dir, specs[0].fingerprint());
         std::fs::write(&path, "{ not json").unwrap();
         let (second, r2) = run_jobs(&specs, &config);
         assert_eq!(r2.cache_hits(), 0);
         assert_eq!(bits(&first), bits(&second));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn identical_jobs_run_once() {
+        let model = CostModel::era_2002();
+        let stream = |id: &str, size: usize| {
+            sweep_point(
+                id,
+                experiments::clic_pair(&model, false, true),
+                StackKind::Clic,
+                size,
+            )
+        };
+        // Two ids for one simulation, plus one other simulation.
+        let specs = vec![
+            stream("t/a", 1024),
+            stream("t/b", 2048),
+            stream("t/a-again", 1024),
+        ];
+        let served = |r: &RunReport| -> Vec<(String, bool)> {
+            r.jobs.iter().map(|j| (j.id.clone(), j.cached)).collect()
+        };
+        let expect = |cached_again: bool| {
+            vec![
+                ("t/a".to_string(), cached_again),
+                ("t/b".to_string(), cached_again),
+                ("t/a-again".to_string(), true),
+            ]
+        };
+        let serial = run_serial(&specs);
+
+        let dir = std::env::temp_dir().join(format!("clic-cache-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = RunnerConfig {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+        };
+        let (first, r1) = run_jobs(&specs, &config);
+        assert_eq!(served(&r1), expect(false));
+        assert_eq!(r1.cache_hits(), 1);
+        assert_eq!(r1.jobs[2].secs, 0.0);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        assert_eq!(bits(&first), bits(&serial));
+        let (second, r2) = run_jobs(&specs, &config);
+        assert_eq!(served(&r2), expect(true));
+        assert_eq!(r2.cache_hits(), 3);
+        assert_eq!(bits(&second), bits(&serial));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Without a cache the call still runs the shared simulation once.
+        let (uncached, r3) = run_jobs(&specs, &RunnerConfig::uncached(2));
+        assert_eq!(served(&r3), expect(false));
+        assert_eq!(r3.cache_hits(), 1);
+        assert_eq!(bits(&uncached), bits(&serial));
     }
 
     #[test]

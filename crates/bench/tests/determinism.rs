@@ -1,14 +1,17 @@
 //! The parallel runner must be invisible in the results: the full
-//! `--quick` grid of every family, opt-in ones included, produces
-//! bit-identical measurements for `--jobs 1` and `--jobs 4`, with and
-//! without the cache in the loop. The same grid, assembled and rendered
-//! in-process, must reproduce the committed `figures --quick` goldens
-//! byte for byte.
+//! `--quick` grid of every family, opt-in ones included, produces the
+//! measurements of independent serial runs of every spec, bit for bit,
+//! at `--jobs 4`, with and without the cache in the loop. The runner
+//! runs specs that share a fingerprint once, so the grid also checks
+//! that such specs really do measure the same thing. The same grid,
+//! assembled and rendered in-process, must reproduce the committed
+//! `figures --quick` goldens byte for byte.
 
 use clic_bench::render;
 use clic_bench::runner::{run_jobs, RunnerConfig};
-use clic_cluster::experiments::{FigureKind, ResultMap, FAMILIES};
+use clic_cluster::experiments::{run_serial, FigureKind, ResultMap, FAMILIES};
 use clic_cluster::jobs::JobSpec;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// The quick grid of every family, in `figures all chaos scale
@@ -21,13 +24,16 @@ fn quick_grid() -> Vec<JobSpec> {
         .collect()
 }
 
-/// The quick grid run once on one worker, shared by the tests below.
+/// The quick grid with every spec run on its own, on one thread, shared
+/// by the tests below. It bypasses the runner, which runs specs that
+/// share a fingerprint once, so the runner is compared with independent
+/// runs rather than with itself.
 fn quick_serial() -> &'static ResultMap {
     static SERIAL: OnceLock<ResultMap> = OnceLock::new();
     SERIAL.get_or_init(|| {
         let specs = quick_grid();
-        let (serial, report) = run_jobs(&specs, &RunnerConfig::uncached(1));
-        assert_eq!(report.jobs.len(), specs.len());
+        let serial = run_serial(&specs);
+        assert_eq!(serial.len(), specs.len());
         serial
     })
 }
@@ -53,6 +59,31 @@ fn quick_grid_identical_for_jobs_1_and_4() {
     let (parallel, r4) = run_jobs(&specs, &RunnerConfig::uncached(4));
     assert_eq!(r4.jobs.len(), specs.len());
     assert_eq!(bits(quick_serial()), bits(&parallel));
+}
+
+#[test]
+fn specs_sharing_a_fingerprint_measure_identically() {
+    // A `JobKind` `Debug` impl that left out a field would give two
+    // different simulations one key, and the runner would serve one's
+    // result for the other. Independent runs of every spec in a group
+    // must agree bit for bit.
+    let specs = quick_grid();
+    let serial = bits(quick_serial());
+    let by_id: BTreeMap<&str, _> = serial.iter().map(|(id, m)| (id.as_str(), m)).collect();
+    let mut groups: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+    for spec in &specs {
+        groups.entry(spec.fingerprint()).or_default().push(&spec.id);
+    }
+    for ids in groups.values() {
+        for id in &ids[1..] {
+            assert_eq!(
+                by_id[id], by_id[ids[0]],
+                "{id} shares a fingerprint with {} but measures differently",
+                ids[0]
+            );
+        }
+    }
+    assert_eq!((groups.len(), specs.len()), (120, 161));
 }
 
 /// The first line where `got` and `want` differ, for a readable failure.

@@ -11,10 +11,12 @@
 //! depends on completion order.
 //!
 //! Job results are also cache-friendly: [`JobSpec::fingerprint`] hashes
-//! the id, the full job configuration, the calibrated cost-model
-//! constants and the simulator source, so a content-addressed result
-//! cache (see `clic-bench`) invalidates itself automatically when any of
-//! those change.
+//! what a job simulates — the full job configuration — plus the
+//! calibrated cost-model constants, the measurement schema and the
+//! simulator source, but not the id. A content-addressed result cache
+//! (see `clic-bench`) therefore invalidates itself automatically when
+//! any of those change, and identical simulations under different ids
+//! share one entry and run once per runner call.
 
 use crate::builder::{Cluster, ClusterConfig};
 use crate::calibration::CostModel;
@@ -231,21 +233,22 @@ impl JobSpec {
         self.kind.run()
     }
 
-    /// Content hash of everything the result depends on: the job id, the
-    /// full job configuration (including any embedded [`ClusterConfig`]
-    /// and its cost model), the calibrated-era constants used by jobs
-    /// that build their configs internally, the measurement schema
-    /// version, and the simulator source the binary was built from.
-    /// Changing any constant in `calibration.rs`, or any file under a
-    /// simulator crate's `src/`, therefore changes the fingerprint and
-    /// invalidates cached results.
+    /// Content hash of everything the result depends on: the full job
+    /// configuration (the [`JobKind`]'s `Debug` text, including any
+    /// embedded [`ClusterConfig`] and its cost model), the
+    /// calibrated-era constants used by jobs that build their configs
+    /// internally, the measurement schema version, and the simulator
+    /// source the binary was built from. Changing any constant in
+    /// `calibration.rs`, or any file under a simulator crate's `src/`,
+    /// therefore changes the fingerprint and invalidates cached results.
+    /// The id is not hashed: specs that simulate the same thing under
+    /// different ids share a fingerprint, one cache entry and one run.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint_with(SOURCE_HASH)
     }
 
     fn fingerprint_with(&self, source_hash: u64) -> u64 {
         let mut h = Fnv1a::new();
-        h.write(self.id.as_bytes());
         h.write(format!("{:?}", self.kind).as_bytes());
         h.write(format!("{:?}", CostModel::era_2002()).as_bytes());
         h.write(&MEASUREMENT_SCHEMA_VERSION.to_le_bytes());
@@ -797,10 +800,10 @@ mod tests {
         };
         assert_eq!(mk(1024).fingerprint(), mk(1024).fingerprint());
         assert_ne!(mk(1024).fingerprint(), mk(2048).fingerprint());
-        // Same config, different id: distinct cache entries.
+        // Same config, different id: one cache entry, one run.
         let mut renamed = mk(1024);
         renamed.id = "t/y".into();
-        assert_ne!(renamed.fingerprint(), mk(1024).fingerprint());
+        assert_eq!(renamed.fingerprint(), mk(1024).fingerprint());
         // Config changes invalidate.
         let mut tweaked = mk(1024);
         if let JobKind::Stream { cluster, .. } = &mut tweaked.kind {

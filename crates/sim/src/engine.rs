@@ -254,22 +254,6 @@ impl Sim {
         self.schedule_arg_at(self.now + delay, f, arg);
     }
 
-    /// Execute a single event, if any. Returns `false` when the queue is
-    /// empty.
-    #[inline]
-    pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            Some((time, _seq, action)) => {
-                debug_assert!(time >= self.now, "time ran backwards");
-                self.now = time;
-                self.executed += 1;
-                self.dispatch(action);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Run until the queue drains or a limit is hit.
     pub fn run(&mut self) -> StopReason {
         self.run_until(SimTime(u64::MAX))
