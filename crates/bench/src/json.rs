@@ -1,7 +1,7 @@
 //! A minimal JSON value type with a pretty printer and parser.
 //!
-//! The harness needs JSON in three places — the result cache, the
-//! `BENCH_figures.json` report and `figures --json` output — and the
+//! The harness needs JSON for the result cache and `figures --json`
+//! output (and `clic-benchmark` writes its span trace with it), and the
 //! build environment has no registry access for `serde_json`, so this
 //! module carries the small subset required: the value enum, a
 //! deterministic pretty printer and a recursive-descent parser for the

@@ -74,15 +74,11 @@ pub struct JobReport {
     pub cached: bool,
 }
 
-/// What a [`run_jobs`] call did, for `BENCH_figures.json`.
-#[derive(Debug, Clone, Default)]
+/// What a [`run_jobs`] call did.
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-job outcomes, in job-submission order.
     pub jobs: Vec<JobReport>,
-    /// Wall-clock seconds for the whole call (including cache probes).
-    pub wall_secs: f64,
-    /// Worker threads used.
-    pub workers: usize,
 }
 
 impl RunReport {
@@ -91,37 +87,10 @@ impl RunReport {
         self.jobs.iter().filter(|j| j.cached).count()
     }
 
-    /// Cache hits as a fraction of all jobs (0 when the set is empty).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.jobs.is_empty() {
-            0.0
-        } else {
-            self.cache_hits() as f64 / self.jobs.len() as f64
-        }
-    }
-
     /// Sum of executed-job times: what a serial, uncached run of the
     /// *executed* jobs would have cost.
     pub fn serial_equiv_secs(&self) -> f64 {
         self.jobs.iter().map(|j| j.secs).sum()
-    }
-
-    /// Executed-work speedup: serial-equivalent seconds over wall-clock.
-    /// ~1.0 for `--jobs 1`, approaching the worker count for wide grids.
-    pub fn speedup_vs_serial(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.serial_equiv_secs() / self.wall_secs
-        } else {
-            1.0
-        }
-    }
-
-    /// Fold another report into this one (summing wall time; used to
-    /// aggregate per-figure runs into a grand total).
-    pub fn merge(&mut self, other: &RunReport) {
-        self.jobs.extend(other.jobs.iter().cloned());
-        self.wall_secs += other.wall_secs;
-        self.workers = self.workers.max(other.workers);
     }
 }
 
@@ -132,7 +101,6 @@ impl RunReport {
 ///
 /// Panics if two specs share an id (ids are the result keys).
 pub fn run_jobs(specs: &[JobSpec], config: &RunnerConfig) -> (ResultMap, RunReport) {
-    let started = Instant::now();
     let workers = config.jobs.max(1);
 
     if let Some(dir) = &config.cache_dir {
@@ -189,8 +157,6 @@ pub fn run_jobs(specs: &[JobSpec], config: &RunnerConfig) -> (ResultMap, RunRepo
     let mut results = ResultMap::new();
     let mut report = RunReport {
         jobs: Vec::with_capacity(specs.len()),
-        wall_secs: 0.0,
-        workers,
     };
     // Walk backwards: an owner precedes every spec sharing its key, so it
     // is the last to read its slot and can move the measurement out.
@@ -211,7 +177,6 @@ pub fn run_jobs(specs: &[JobSpec], config: &RunnerConfig) -> (ResultMap, RunRepo
         assert!(prev.is_none(), "duplicate job id {:?}", spec.id);
     }
     report.jobs.reverse();
-    report.wall_secs = started.elapsed().as_secs_f64();
     (results, report)
 }
 
@@ -324,7 +289,6 @@ mod tests {
         assert_eq!(r1.cache_hits(), 0);
         let (second, r2) = run_jobs(&specs, &config);
         assert_eq!(r2.cache_hits(), specs.len());
-        assert!(r2.cache_hit_rate() > 0.999);
         assert_eq!(bits(&first), bits(&second));
         let _ = std::fs::remove_dir_all(&dir);
     }

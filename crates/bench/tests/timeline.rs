@@ -1,7 +1,7 @@
 //! The timeline recorder's exports are part of the observability
 //! contract: the incast counter-track trace is byte-stable (golden file),
 //! parses as JSON with the headline Perfetto counter tracks, and the
-//! `figures timeline` CLI emits identical bytes for any `--jobs N`.
+//! `figures timeline` CLI emits exactly the bytes of the in-process run.
 
 use clic_bench::json::Json;
 use clic_cluster::observe::{run_timeline, TimelineScenario};
@@ -126,31 +126,25 @@ fn congestion_counter_trace_shows_a_cwnd_sawtooth() {
 }
 
 #[test]
-fn timeline_cli_is_byte_identical_for_any_jobs() {
-    // Satellite of the determinism contract: the CLI's CSV (stdout) and
-    // Perfetto JSON (--out) must not depend on the worker count.
-    let run = |jobs: &str, out: &std::path::Path| {
-        let output = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
-            .args(["timeline", "incast", "--bucket-us", "200", "--jobs", jobs])
-            .arg("--out")
-            .arg(out)
-            .output()
-            .expect("figures timeline runs");
-        assert!(output.status.success(), "{output:?}");
-        output.stdout
-    };
-    let dir = std::env::temp_dir();
-    let out1 = dir.join(format!("clic-tl-j1-{}.json", std::process::id()));
-    let out8 = dir.join(format!("clic-tl-j8-{}.json", std::process::id()));
-    let csv1 = run("1", &out1);
-    let csv8 = run("8", &out8);
-    assert_eq!(csv1, csv8, "timeline CSV differs between --jobs 1 and 8");
-    let j1 = std::fs::read(&out1).expect("jobs-1 trace written");
-    let j8 = std::fs::read(&out8).expect("jobs-8 trace written");
-    assert_eq!(j1, j8, "timeline JSON differs between --jobs 1 and 8");
-    assert!(!csv1.is_empty() && !j1.is_empty());
-    let _ = std::fs::remove_file(&out1);
-    let _ = std::fs::remove_file(&out8);
+fn timeline_cli_matches_the_in_process_run() {
+    // The CLI's CSV (stdout) and Perfetto JSON (--out) are exactly what
+    // `run_timeline` returns for the same scenario, bucket and ring.
+    let out = std::env::temp_dir().join(format!("clic-tl-cli-{}.json", std::process::id()));
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["timeline", "incast", "--bucket-us", "200", "--out"])
+        .arg(&out)
+        .output()
+        .expect("figures timeline runs");
+    assert!(output.status.success(), "{output:?}");
+    let want = run_timeline(
+        TimelineScenario::Incast,
+        SimDuration::from_us(200),
+        TimelineScenario::Incast.default_flight(),
+    );
+    let json = std::fs::read_to_string(&out).expect("timeline trace written");
+    let _ = std::fs::remove_file(&out);
+    assert_eq!(String::from_utf8(output.stdout).expect("utf-8"), want.csv);
+    assert_eq!(json, want.chrome_json);
 }
 
 #[test]

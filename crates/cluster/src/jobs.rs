@@ -48,8 +48,8 @@ include!(concat!(env!("OUT_DIR"), "/source_hash.rs"));
 /// v4: the chaos/incast robustness family ([`JobKind::Chaos`],
 /// [`JobKind::Incast`]).
 ///
-/// v5: every job also reports `m.events` (simulator events executed), the
-/// denominator of the `figures bench` events-per-second report.
+/// v5: every job also reports `m.events` (simulator events executed),
+/// which `clic-benchmark` sums into `sim.events` and `sim.events_per_s`.
 ///
 /// v6: the cluster-scaling family ([`JobKind::ScaleCollective`]): barrier
 /// and all-reduce latency on multi-switch fabrics, host-based vs
@@ -348,9 +348,9 @@ pub const METRIC_KEY_PREFIX: &str = "m.";
 /// Optional engine-probe factory consulted by every job's simulator.
 ///
 /// `None` (the default) leaves the engine's unprofiled fast path
-/// untouched. The `figures bench` self-profiler installs a factory — a
-/// plain `fn` pointer so it can cross worker threads — before replaying
-/// the grid, and each job then runs with its own probe instance. Probes
+/// untouched. `clic-benchmark`'s traced replay installs a factory — a
+/// plain `fn` pointer so it can cross worker threads — before running a
+/// job set, and each job then runs with its own probe instance. Probes
 /// observe dispatch, they cannot schedule or touch the clock, so
 /// measurements stay bit-identical with and without one installed.
 static PROBE_FACTORY: Mutex<Option<ProbeFactory>> = Mutex::new(None);
@@ -366,8 +366,8 @@ pub fn set_job_probe_factory(factory: Option<ProbeFactory>) {
     *PROBE_FACTORY.lock().expect("probe factory lock") = factory;
 }
 
-/// A job's simulator: seeded, and carrying a probe when the self-profiler
-/// has installed a factory.
+/// A job's simulator: seeded, and carrying a probe when a factory is
+/// installed.
 fn job_sim(seed: u64) -> Sim {
     let mut sim = Sim::new(seed);
     if let Some(f) = *PROBE_FACTORY.lock().expect("probe factory lock") {

@@ -23,6 +23,9 @@ use clic_tcpip::TcpStack;
 /// non-zero constant works; 42 matches the Figure 7 experiment).
 pub const TRACE_ID: u64 = 42;
 
+/// The device MTUs [`run_pipeline_trace`] accepts, in bytes.
+pub const TRACE_MTU: std::ops::RangeInclusive<usize> = 128..=9_000;
+
 /// Which pipeline the traced message crosses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceScenario {
@@ -173,8 +176,9 @@ fn send_tcp(cluster: &Cluster, sim: &mut Sim, size: usize) {
 }
 
 /// Run one traced `size`-byte message through `scenario`'s pipeline at
-/// device MTU `mtu`. The run is deterministic for a given `seed`: the
-/// returned JSON, breakdown and metrics dump are byte-stable.
+/// device MTU `mtu`, which must lie in [`TRACE_MTU`]. The run is
+/// deterministic for a given `seed`: the returned JSON, breakdown and
+/// metrics dump are byte-stable.
 pub fn run_pipeline_trace(
     scenario: TraceScenario,
     size: usize,
@@ -182,7 +186,7 @@ pub fn run_pipeline_trace(
     seed: u64,
 ) -> PipelineTrace {
     assert!(size >= 1, "traced message must carry at least one byte");
-    assert!((128..=9_000).contains(&mtu), "MTU {mtu} outside 128..=9000");
+    assert!(TRACE_MTU.contains(&mtu), "MTU {mtu} outside {TRACE_MTU:?}");
     // Cold-start the buffer pool so the metrics dump's `sim.pool.*` lines
     // are a pure function of this trace run.
     bytes::pool::reset();

@@ -64,29 +64,16 @@ pub enum ActionArm {
     Boxed,
 }
 
-impl ActionArm {
-    /// All arms, in declaration order.
-    pub const ALL: [ActionArm; 3] = [ActionArm::Call, ActionArm::CallArg, ActionArm::Boxed];
-
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ActionArm::Call => "call",
-            ActionArm::CallArg => "call_arg",
-            ActionArm::Boxed => "boxed",
-        }
-    }
-}
-
 /// Host-side observer of event dispatch, for engine self-profiling.
 ///
 /// The engine stays clock-free: it reports only *which* arm is about to
 /// run / just ran, and the probe implementation decides what to measure.
-/// Wall-clock probes live in the bench layer, the one place host timing
-/// is policy-legal. Probes receive no `&mut Sim`, cannot schedule, and
-/// observe dispatch only — installing one never changes simulation
-/// results. Install before `run`; replacing the probe from inside an
-/// event handler is unsupported.
+/// Wall-clock probes live in the benchmark harness (`clic-benchmark`),
+/// outside the simulation crates, where host timing is banned. Probes
+/// receive no `&mut Sim`, cannot schedule, and observe dispatch only —
+/// installing one never changes simulation results. Install before
+/// `run`; replacing the probe from inside an event handler is
+/// unsupported.
 pub trait EngineProbe {
     /// Called immediately before an event executes.
     fn begin(&mut self, arm: ActionArm);

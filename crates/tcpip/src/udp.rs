@@ -1,8 +1,8 @@
 //! UDP over the IP layer.
 //!
 //! Best-effort datagrams with an 8-byte header and a real checksum. Large
-//! datagrams exercise IP fragmentation. Used by tests and by the PVM-like
-//! layer's control plane.
+//! datagrams exercise IP fragmentation. Installed on every TCP node; only
+//! tests send datagrams (the PVM-like layer runs over TCP).
 
 use crate::ip::{pseudo_header_checksum, IpAddr, IpProto, Ipv4Header};
 use crate::stack::{IpLayer, IpProtoHandler};
