@@ -38,7 +38,7 @@
 use clic_bench::render;
 use clic_bench::runner::{run_jobs, RunnerConfig};
 use clic_cluster::experiments::{self, FigureKind, ResultMap, FAMILIES};
-use clic_cluster::observe::{self, TimelineScenario, TraceScenario, TRACE_MTU};
+use clic_cluster::observe::{self, TimelineScenario, TraceScenario, TRACE_MTU, TRACE_SIZE};
 
 /// The usage text after the family list.
 const USAGE_TAIL: &str = "   or: figures trace [fig7a|fig7b|fig7a-lossy|tcp] [--size N] [--mtu M]
@@ -224,8 +224,8 @@ fn run_trace(args: &[String]) {
         match arg.as_str() {
             "--metrics" => metrics = true,
             "--size" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => size = n,
-                _ => die("--size needs a positive byte count"),
+                Some(n) if TRACE_SIZE.contains(&n) => size = n,
+                _ => die(&format!("--size needs a byte count in {TRACE_SIZE:?}")),
             },
             "--mtu" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if TRACE_MTU.contains(&n) => mtu = n,

@@ -52,3 +52,22 @@ fn trace_mtu_outside_the_traced_range_exits_2_with_usage() {
     );
     assert!(!wrote_trace, "a rejected trace run wrote trace.json");
 }
+
+#[test]
+fn trace_size_past_the_traced_range_exits_2_with_usage() {
+    let dir = empty_dir("size");
+    let output = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["trace", "--size", "99999999999"])
+        .current_dir(&dir)
+        .output()
+        .expect("figures runs");
+    let wrote_trace = dir.join("trace.json").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).expect("utf-8");
+    assert!(
+        stderr.contains("--size") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+    assert!(!wrote_trace, "a rejected trace run wrote trace.json");
+}

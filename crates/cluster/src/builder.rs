@@ -81,7 +81,10 @@ impl ClusterConfig {
     }
 }
 
-/// A built cluster.
+/// A built cluster: the only strong owner of its nodes, links, switch
+/// and fabric. Components hold each other weakly where a strong
+/// reference would cycle, so dropping the cluster frees all of it; keep
+/// it alive while its simulation runs.
 pub struct Cluster {
     /// The nodes, indexed by id.
     pub nodes: Vec<Node>,

@@ -571,7 +571,9 @@ fn run_loaded_latency(is_clic: bool, loaded: bool) -> Measurement {
             use clic_tcpip::TcpStack;
             let a = cluster.nodes[0].tcp();
             let b = cluster.nodes[1].tcp();
-            let b2 = b.clone();
+            // Weak: the stack holds its listeners, and the node owns
+            // the stack.
+            let b2 = std::rc::Rc::downgrade(&b);
             b.borrow_mut().listen(9100, move |sim, conn| {
                 fn drain(
                     stack: std::rc::Rc<std::cell::RefCell<TcpStack>>,
@@ -587,7 +589,8 @@ fn run_loaded_latency(is_clic: bool, loaded: bool) -> Measurement {
                         drain(s2.clone(), sim, conn, left - 1);
                     });
                 }
-                drain(b2.clone(), sim, conn, 24);
+                let b = b2.upgrade().expect("TCP stack dropped while it listens");
+                drain(b, sim, conn, 24);
             });
             let a2 = a.clone();
             TcpStack::connect(&a, sim, cluster.nodes[1].ip, 9100, move |sim, conn| {

@@ -26,6 +26,10 @@ pub const TRACE_ID: u64 = 42;
 /// The device MTUs [`run_pipeline_trace`] accepts, in bytes.
 pub const TRACE_MTU: std::ops::RangeInclusive<usize> = 128..=9_000;
 
+/// The message sizes [`run_pipeline_trace`] accepts, in bytes. The cap
+/// keeps the payload allocatable; 1 GiB already traces ~4.3 M spans.
+pub const TRACE_SIZE: std::ops::RangeInclusive<usize> = 1..=1 << 30;
+
 /// Which pipeline the traced message crosses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceScenario {
@@ -164,9 +168,11 @@ fn send_tcp(cluster: &Cluster, sim: &mut Sim, size: usize) {
     const PORT: u16 = 9000;
     let a = cluster.nodes[0].tcp();
     let b = cluster.nodes[1].tcp();
-    let b2 = b.clone();
+    // Weak: the stack holds its listeners, and the node owns the stack.
+    let b2 = std::rc::Rc::downgrade(&b);
     b.borrow_mut().listen(PORT, move |sim, conn| {
-        TcpStack::recv(&b2, sim, conn, size, |_s, _m| {});
+        let b = b2.upgrade().expect("TCP stack dropped while it listens");
+        TcpStack::recv(&b, sim, conn, size, |_s, _m| {});
     });
     let dst = cluster.nodes[1].ip;
     TcpStack::connect(&a.clone(), sim, dst, PORT, move |sim, conn| {
@@ -176,7 +182,8 @@ fn send_tcp(cluster: &Cluster, sim: &mut Sim, size: usize) {
 }
 
 /// Run one traced `size`-byte message through `scenario`'s pipeline at
-/// device MTU `mtu`, which must lie in [`TRACE_MTU`]. The run is
+/// device MTU `mtu`. `size` must lie in [`TRACE_SIZE`] and `mtu` in
+/// [`TRACE_MTU`]. The run is
 /// deterministic for a given `seed`: the returned JSON, breakdown and
 /// metrics dump are byte-stable.
 pub fn run_pipeline_trace(
@@ -185,7 +192,10 @@ pub fn run_pipeline_trace(
     mtu: usize,
     seed: u64,
 ) -> PipelineTrace {
-    assert!(size >= 1, "traced message must carry at least one byte");
+    assert!(
+        TRACE_SIZE.contains(&size),
+        "size {size} outside {TRACE_SIZE:?}"
+    );
     assert!(TRACE_MTU.contains(&mtu), "MTU {mtu} outside {TRACE_MTU:?}");
     // Cold-start the buffer pool so the metrics dump's `sim.pool.*` lines
     // are a pure function of this trace run.

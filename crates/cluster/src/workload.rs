@@ -13,7 +13,7 @@ use clic_sim::stats::LatencyStats;
 use clic_sim::{Sim, SimDuration, SimRng, SimTime};
 use clic_tcpip::TcpStack;
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Which stack a workload runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,6 +365,13 @@ fn pingpong_tcp(
     );
 }
 
+/// The GAMMA module behind a port handler's weak handle.
+fn gamma_of(module: &Weak<RefCell<GammaModule>>) -> Rc<RefCell<GammaModule>> {
+    module
+        .upgrade()
+        .expect("GAMMA module dropped while its port delivers")
+}
+
 fn pingpong_gamma(
     cluster: &Cluster,
     sim: &mut Sim,
@@ -377,19 +384,20 @@ fn pingpong_gamma(
     let a = cluster.nodes[0].gamma();
     let b = cluster.nodes[1].gamma();
     let b_mac = cluster.nodes[1].mac;
-    // Echo side.
-    let b2 = b.clone();
+    // Echo side. Each port handler holds its own module weakly: the
+    // module holds the handler, and the node owns the module.
+    let b2 = Rc::downgrade(&b);
     b.borrow_mut().register_port(PORT, move |sim, msg| {
         let reply = if reply_size == msg.data.len() {
             msg.data
         } else {
             payload(reply_size)
         };
-        GammaModule::send(&b2, sim, msg.src, PORT, reply);
+        GammaModule::send(&gamma_of(&b2), sim, msg.src, PORT, reply);
     });
     // Initiator: handler drives the next iteration.
     let state: Rc<RefCell<(usize, SimTime)>> = Rc::new(RefCell::new((iters, SimTime::ZERO)));
-    let a2 = a.clone();
+    let a2 = Rc::downgrade(&a);
     let samples2 = samples.clone();
     let st = state.clone();
     a.borrow_mut().register_port(PORT, move |sim, _msg| {
@@ -397,7 +405,7 @@ fn pingpong_gamma(
         samples2.borrow_mut().record(sim.now() - t0);
         if left > 1 {
             *st.borrow_mut() = (left - 1, sim.now());
-            GammaModule::send(&a2, sim, b_mac, PORT, payload(size));
+            GammaModule::send(&gamma_of(&a2), sim, b_mac, PORT, payload(size));
         } else {
             st.borrow_mut().0 = 0;
         }
@@ -1124,9 +1132,11 @@ struct ChaosLog {
     last_at: SimTime,
 }
 
+/// The chaos workload's state. The modules hold it (the error handler,
+/// the pending receives), so it holds them weakly; the node owns them.
 struct ChaosCtx {
-    sender: Rc<RefCell<clic_core::ClicModule>>,
-    receiver: Rc<RefCell<clic_core::ClicModule>>,
+    sender: Weak<RefCell<ClicModule>>,
+    receiver: Weak<RefCell<ClicModule>>,
     dst: MacAddr,
     size: usize,
     total: usize,
@@ -1171,7 +1181,7 @@ fn chaos_pump(ctx: &Rc<ChaosCtx>, sim: &mut Sim) {
             }
             chaos_pump(&ctx2, sim);
         }));
-        ClicModule::send(&ctx.sender, sim, opts, chaos_payload(tag, ctx.size));
+        ClicModule::send(&ctx.sender(), sim, opts, chaos_payload(tag, ctx.size));
     }
 }
 
@@ -1182,8 +1192,7 @@ fn chaos_drain(ctx: &Rc<ChaosCtx>, sim: &mut Sim, channel: u16) {
         return;
     }
     fn chain(ctx: Rc<ChaosCtx>, sim: &mut Sim, channel: u16) {
-        let module = ctx.receiver.clone();
-        ClicModule::recv(&module, sim, channel, move |sim, msg| {
+        ClicModule::recv(&ctx.receiver(), sim, channel, move |sim, msg| {
             {
                 let mut log = ctx.log.borrow_mut();
                 let tag = u64::from_be_bytes(msg.data[..8].try_into().unwrap()) as usize;
@@ -1206,6 +1215,18 @@ fn chaos_drain(ctx: &Rc<ChaosCtx>, sim: &mut Sim, channel: u16) {
 }
 
 impl ChaosCtx {
+    fn sender(&self) -> Rc<RefCell<ClicModule>> {
+        self.sender
+            .upgrade()
+            .expect("chaos sender dropped while the soak runs")
+    }
+
+    fn receiver(&self) -> Rc<RefCell<ClicModule>> {
+        self.receiver
+            .upgrade()
+            .expect("chaos receiver dropped while the soak runs")
+    }
+
     /// Byte-exact check of the filler pattern behind the tag prefix.
     fn log_delivery_ok(&self, data: &Bytes) -> bool {
         data.len() == self.size
@@ -1246,8 +1267,8 @@ pub fn chaos_clic(
     assert_eq!(cluster.nodes.len(), 2, "chaos soak runs on a pair");
     assert!(size >= 8, "chaos payloads carry an 8-byte tag");
     let ctx = Rc::new(ChaosCtx {
-        sender: cluster.nodes[0].clic(),
-        receiver: cluster.nodes[1].clic(),
+        sender: Rc::downgrade(&cluster.nodes[0].clic()),
+        receiver: Rc::downgrade(&cluster.nodes[1].clic()),
         dst: cluster.nodes[1].mac,
         size,
         total: nmsgs,
@@ -1278,7 +1299,7 @@ pub fn chaos_clic(
     // going.
     {
         let ctx2 = ctx.clone();
-        ctx.sender
+        ctx.sender()
             .borrow_mut()
             .set_error_handler(Rc::new(move |sim, e| {
                 {
@@ -1352,7 +1373,7 @@ pub fn chaos_clic(
         "a corrupted payload reached the application"
     );
     assert!(log.seen.len() <= nmsgs);
-    for module in [&ctx.sender, &ctx.receiver] {
+    for module in [ctx.sender(), ctx.receiver()] {
         assert_eq!(
             module.borrow().buffered_bytes(),
             0,

@@ -120,7 +120,8 @@ proptest! {
                 CongestionConfig::aimd()
             });
         }
-        let (a, b) = if ecn {
+        // The switch lives as long as the run: its links hold it weakly.
+        let (a, b, _switch) = if ecn {
             let link_b = Link::gigabit();
             let switch = Switch::gigabit_default();
             // Threshold 1 marks any frame that finds the egress busy —
@@ -136,11 +137,13 @@ proptest! {
             (
                 mk_node(1, link, LinkEnd::A, cfg.clone()),
                 mk_node(2, link_b, LinkEnd::B, cfg),
+                Some(switch),
             )
         } else {
             (
                 mk_node(1, link.clone(), LinkEnd::A, cfg.clone()),
                 mk_node(2, link, LinkEnd::B, cfg),
+                None,
             )
         };
         let errors: Rc<RefCell<Vec<ClicError>>> = Rc::new(RefCell::new(Vec::new()));

@@ -111,17 +111,24 @@ impl Switch {
     }
 
     /// Attach the switch to `end` of `link` and return the port index. The
-    /// switch registers itself as that link end's receive handler.
+    /// switch registers itself as that link end's receive handler. The
+    /// handler holds the switch weakly (the port holds the link, so a
+    /// strong one would cycle): whoever built the switch must keep it
+    /// while its links deliver.
     pub fn attach_port(
         switch: &Rc<RefCell<Switch>>,
         link: Rc<RefCell<Link>>,
         end: LinkEnd,
     ) -> usize {
         let idx = switch.borrow().ports.len();
-        let sw = switch.clone();
+        let sw = Rc::downgrade(switch);
         link.borrow_mut().attach(
             end,
             Rc::new(move |sim: &mut Sim, frame: Frame| {
+                let sw = sw
+                    .upgrade()
+                    // lint:allow(no-unwrap, reason="the cluster or fabric owns every switch for as long as its links carry frames")
+                    .expect("switch dropped while its link delivers");
                 Switch::on_frame(&sw, sim, idx, frame);
             }),
         );

@@ -140,7 +140,9 @@ struct Trunk {
 
 /// A built fabric: the switches, their trunk links, and where each host
 /// landed. Produced by [`Fabric::build`]; afterwards the fabric is inert —
-/// frames flow through the programmed switches on their own.
+/// frames flow through the programmed switches on their own. It is the
+/// only strong owner of its switches (their links hold them weakly), so
+/// keep it while frames cross it.
 ///
 /// ```
 /// use bytes::Bytes;
@@ -232,10 +234,13 @@ impl Fabric {
         }
 
         // Static ECMP unicast routes: shortest-path next hops, tie-broken
-        // by hashing (destination MAC, deciding switch).
+        // by hashing (destination MAC, deciding switch). Hosts on one
+        // switch share its distances, computed once.
+        let mut dist_to: Vec<Option<Vec<usize>>> = vec![None; switch_count];
+        let mut candidates = Vec::new();
         for (h, (mac, _, _)) in hosts.iter().enumerate() {
             let (target, host_port) = host_attach[h];
-            let dist = bfs_distances(&adj, target);
+            let dist = dist_to[target].get_or_insert_with(|| bfs_distances(&adj, target));
             for s in 0..switch_count {
                 if s == target {
                     switches[s].borrow_mut().program_mac(*mac, host_port);
@@ -243,11 +248,13 @@ impl Fabric {
                 }
                 let here = dist[s];
                 assert!(here != usize::MAX, "fabric graph is disconnected");
-                let mut candidates: Vec<usize> = adj[s]
-                    .iter()
-                    .filter(|&&(n, _, _)| dist[n] + 1 == here)
-                    .map(|&(_, port, _)| port)
-                    .collect();
+                candidates.clear();
+                candidates.extend(
+                    adj[s]
+                        .iter()
+                        .filter(|&&(n, _, _)| dist[n] + 1 == here)
+                        .map(|&(_, port, _)| port),
+                );
                 candidates.sort_unstable();
                 let mut key = [0u8; 10];
                 key[..6].copy_from_slice(&mac.0);

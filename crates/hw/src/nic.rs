@@ -212,17 +212,20 @@ impl Nic {
     }
 
     /// Register this NIC as the receive handler of its link end. Call once
-    /// during node wiring.
+    /// during node wiring. The handler holds the NIC weakly (the NIC holds
+    /// the link, so a strong one would cycle): whoever built the NIC must
+    /// keep it while its link delivers.
     pub fn attach_to_link(nic: &Rc<RefCell<Nic>>) {
         let (link, end) = {
             let n = nic.borrow();
             (n.link.clone(), n.link_end)
         };
-        let nic2 = nic.clone();
+        let nic = Rc::downgrade(nic);
         link.borrow_mut().attach(
             end,
             Rc::new(move |sim: &mut Sim, frame: Frame| {
-                Nic::on_wire_frame(&nic2, sim, frame);
+                let nic = nic.upgrade().expect("NIC dropped while its link delivers");
+                Nic::on_wire_frame(&nic, sim, frame);
             }),
         );
     }
@@ -1332,8 +1335,11 @@ mod internal_copy_tests {
     // ------------------------------------------------------------------
 
     /// `n` NICs on one switch, all with the collective engine armed for
-    /// group 9.
-    fn mk_group(sim: &mut Sim, n: usize) -> Vec<Rc<RefCell<Nic>>> {
+    /// group 9. The caller keeps the switch: its links hold it weakly.
+    fn mk_group(
+        sim: &mut Sim,
+        n: usize,
+    ) -> (Rc<RefCell<clic_ethernet::Switch>>, Vec<Rc<RefCell<Nic>>>) {
         use crate::coll::CollConfig;
         use clic_ethernet::Switch;
         let sw = Switch::gigabit_default();
@@ -1363,13 +1369,13 @@ mod internal_copy_tests {
             Nic::enable_collectives(nic, CollConfig::new(9, members.clone(), rank));
         }
         let _ = sim;
-        nics
+        (sw, nics)
     }
 
     #[test]
     fn coll_barrier_releases_every_rank_without_host_irqs() {
         let mut sim = Sim::new(11);
-        let nics = mk_group(&mut sim, 8);
+        let (_switch, nics) = mk_group(&mut sim, 8);
         let done = Rc::new(RefCell::new(0u32));
         for nic in &nics {
             let d = done.clone();
@@ -1392,7 +1398,7 @@ mod internal_copy_tests {
     #[test]
     fn coll_allreduce_sums_on_every_rank() {
         let mut sim = Sim::new(12);
-        let nics = mk_group(&mut sim, 5);
+        let (_switch, nics) = mk_group(&mut sim, 5);
         let results = Rc::new(RefCell::new(Vec::new()));
         for (rank, nic) in nics.iter().enumerate() {
             let r = results.clone();
@@ -1407,7 +1413,7 @@ mod internal_copy_tests {
     #[test]
     fn coll_bcast_delivers_root_payload_everywhere() {
         let mut sim = Sim::new(13);
-        let nics = mk_group(&mut sim, 6);
+        let (_switch, nics) = mk_group(&mut sim, 6);
         let payload = Bytes::from_static(b"fabric-wide state");
         let got = Rc::new(RefCell::new(0u32));
         for (rank, nic) in nics.iter().enumerate() {
@@ -1426,7 +1432,7 @@ mod internal_copy_tests {
     #[test]
     fn coll_back_to_back_barriers_use_fresh_sequence_numbers() {
         let mut sim = Sim::new(14);
-        let nics = mk_group(&mut sim, 4);
+        let (_switch, nics) = mk_group(&mut sim, 4);
         let done = Rc::new(RefCell::new(0u32));
         for nic in &nics {
             let d = done.clone();

@@ -209,9 +209,14 @@ impl Mpi {
                 rendezvous_started: 0,
             })),
         });
-        let m2 = mpi.clone();
+        // Weak: the endpoint holds the transport, so a strong one would
+        // cycle.
+        let m2 = Rc::downgrade(&mpi);
         transport.set_handler(Rc::new(move |sim, src, data| {
-            Mpi::on_message(&m2, sim, src, data);
+            let mpi = m2
+                .upgrade()
+                .expect("MPI endpoint dropped while its transport delivers");
+            Mpi::on_message(&mpi, sim, src, data);
         }));
         mpi
     }

@@ -52,9 +52,14 @@ impl Pvm {
                 pack_buf: None,
             })),
         });
-        let p2 = pvm.clone();
+        // Weak: the endpoint holds the transport, so a strong one would
+        // cycle.
+        let p2 = Rc::downgrade(&pvm);
         transport.set_handler(Rc::new(move |sim, src, data| {
-            Pvm::on_message(&p2, sim, src, data);
+            let pvm = p2
+                .upgrade()
+                .expect("PVM endpoint dropped while its transport delivers");
+            Pvm::on_message(&pvm, sim, src, data);
         }));
         pvm
     }

@@ -18,7 +18,7 @@ use clic_sim::{Layer, MetricId, Sim};
 use clic_tcpip::tcp::TcpStack;
 use clic_tcpip::{ConnId, IpAddr};
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Interned metric ids — send/recv account per message, so names are
 /// resolved against the catalog at compile time.
@@ -52,7 +52,9 @@ pub const MPI_CHANNEL: u16 = 0x4D50; // "MP"
 
 /// MPI transport over CLIC.
 pub struct ClicTransport {
-    module: Rc<RefCell<ClicModule>>,
+    /// Weak: the receive always pending in the module holds the
+    /// transport, so a strong one would cycle.
+    module: Weak<RefCell<ClicModule>>,
     rank: usize,
     peers: Vec<MacAddr>,
     handler: RefCell<Option<MsgHandler>>,
@@ -71,7 +73,7 @@ impl ClicTransport {
         assert!(rank < peers.len());
         module.borrow_mut().bind(pid, MPI_CHANNEL);
         let t = Rc::new(ClicTransport {
-            module: module.clone(),
+            module: Rc::downgrade(module),
             rank,
             peers,
             handler: RefCell::new(None),
@@ -80,9 +82,15 @@ impl ClicTransport {
         t
     }
 
+    /// The CLIC module, which the node owns.
+    fn module(&self) -> Rc<RefCell<ClicModule>> {
+        self.module
+            .upgrade()
+            .expect("CLIC module dropped while its MPI transport runs")
+    }
+
     fn recv_loop(t: Rc<ClicTransport>, sim: &mut Sim) {
-        let module = t.module.clone();
-        ClicModule::recv(&module, sim, MPI_CHANNEL, move |sim, msg| {
+        ClicModule::recv(&t.module(), sim, MPI_CHANNEL, move |sim, msg| {
             let src = t
                 .peers
                 .iter()
@@ -117,7 +125,7 @@ impl Transport for ClicTransport {
             ptype: PacketType::Mpi,
             ..SendOptions::data(self.peers[dst], MPI_CHANNEL)
         };
-        ClicModule::send(&self.module, sim, opts, data);
+        ClicModule::send(&self.module(), sim, opts, data);
     }
 
     fn set_handler(&self, handler: MsgHandler) {
@@ -137,7 +145,9 @@ const TCP_BASE_PORT: u16 = 18_000;
 
 /// MPI transport over a full mesh of TCP connections.
 pub struct TcpTransport {
-    stack: Rc<RefCell<TcpStack>>,
+    /// Weak: the read always pending on each connection holds the
+    /// transport, so a strong one would cycle.
+    stack: Weak<RefCell<TcpStack>>,
     rank: usize,
     peer_ips: Vec<IpAddr>,
     conns: RefCell<Vec<Option<ConnId>>>,
@@ -157,7 +167,7 @@ impl TcpTransport {
         assert!(rank < peer_ips.len());
         let size = peer_ips.len();
         let t = Rc::new(TcpTransport {
-            stack: stack.clone(),
+            stack: Rc::downgrade(stack),
             rank,
             peer_ips,
             conns: RefCell::new(vec![None; size]),
@@ -186,21 +196,26 @@ impl TcpTransport {
         t
     }
 
+    /// The TCP stack, which the node owns.
+    fn stack(&self) -> Rc<RefCell<TcpStack>> {
+        self.stack
+            .upgrade()
+            .expect("TCP stack dropped while its MPI transport runs")
+    }
+
     /// Length-prefixed record reader: 4-byte big-endian length, then body.
     fn read_loop(t: Rc<TcpTransport>, sim: &mut Sim, src: usize, conn: ConnId) {
-        let stack = t.stack.clone();
-        TcpStack::recv(&stack.clone(), sim, conn, 4, move |sim, len_bytes| {
+        TcpStack::recv(&t.stack(), sim, conn, 4, move |sim, len_bytes| {
             let len = u32::from_be_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]])
                 as usize;
-            let t2 = t.clone();
-            TcpStack::recv(&stack, sim, conn, len, move |sim, body| {
+            TcpStack::recv(&t.stack(), sim, conn, len, move |sim, body| {
                 sim.record(RECVS, 1);
                 sim.trace
                     .instant(sim.now(), Layer::Mpi, "mpi_recv", src as u64);
-                if let Some(h) = t2.handler.borrow().clone() {
+                if let Some(h) = t.handler.borrow().clone() {
                     h(sim, src, body);
                 }
-                TcpTransport::read_loop(t2.clone(), sim, src, conn);
+                TcpTransport::read_loop(t, sim, src, conn);
             });
         });
     }
@@ -224,7 +239,7 @@ impl Transport for TcpTransport {
         let mut framed = BytesMut::with_capacity(4 + data.len());
         framed.put_u32(data.len() as u32);
         framed.put_slice(&data);
-        TcpStack::send(&self.stack, sim, conn, framed.freeze());
+        TcpStack::send(&self.stack(), sim, conn, framed.freeze());
     }
 
     fn set_handler(&self, handler: MsgHandler) {

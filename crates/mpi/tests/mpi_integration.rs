@@ -28,7 +28,8 @@ struct Node {
 }
 
 /// Build `n` full nodes on a switch, each with CLIC and TCP installed.
-fn mk_cluster(sim: &mut Sim, n: usize) -> Vec<Node> {
+/// The caller keeps the switch: its links hold it weakly.
+fn mk_cluster(sim: &mut Sim, n: usize) -> (Rc<RefCell<Switch>>, Vec<Node>) {
     let switch = Switch::gigabit_default();
     let mut nodes = Vec::new();
     for id in 0..n as u32 {
@@ -65,7 +66,7 @@ fn mk_cluster(sim: &mut Sim, n: usize) -> Vec<Node> {
         });
     }
     let _ = sim;
-    nodes
+    (switch, nodes)
 }
 
 fn mpi_over_clic(sim: &mut Sim, nodes: &[Node]) -> Vec<Rc<Mpi>> {
@@ -109,7 +110,7 @@ fn payload(n: usize) -> Bytes {
 #[test]
 fn clic_backend_send_recv() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let got: Rc<RefCell<Option<(usize, i32, Bytes)>>> = Rc::new(RefCell::new(None));
     let g = got.clone();
@@ -128,7 +129,7 @@ fn clic_backend_send_recv() {
 #[test]
 fn tcp_backend_send_recv() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_tcp(&mut sim, &nodes);
     let got: Rc<RefCell<Option<Bytes>>> = Rc::new(RefCell::new(None));
     let g = got.clone();
@@ -142,7 +143,7 @@ fn tcp_backend_send_recv() {
 #[test]
 fn wildcard_matching() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 3);
+    let (_switch, nodes) = mk_cluster(&mut sim, 3);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let order: Rc<RefCell<Vec<(usize, i32)>>> = Rc::new(RefCell::new(Vec::new()));
     for _ in 0..2 {
@@ -163,7 +164,7 @@ fn wildcard_matching() {
 #[test]
 fn selective_tag_matching_with_unexpected_queue() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     // Send tag 1 then tag 2; receive tag 2 first, then tag 1.
     mpis[0].send(&mut sim, 1, 1, Bytes::from_static(b"first-sent"));
@@ -187,7 +188,7 @@ fn selective_tag_matching_with_unexpected_queue() {
 #[test]
 fn pingpong_roundtrip_over_clic() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let done: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
     // Rank 1 echoes.
@@ -212,7 +213,7 @@ fn pingpong_roundtrip_over_clic() {
 #[test]
 fn barrier_synchronizes_all_ranks() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 4);
+    let (_switch, nodes) = mk_cluster(&mut sim, 4);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let released: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
     for mpi in &mpis {
@@ -229,7 +230,7 @@ fn barrier_synchronizes_all_ranks() {
 #[test]
 fn bcast_reaches_all_ranks() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 3);
+    let (_switch, nodes) = mk_cluster(&mut sim, 3);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let data = payload(3000);
     let got: Rc<RefCell<Vec<(usize, Bytes)>>> = Rc::new(RefCell::new(Vec::new()));
@@ -252,7 +253,7 @@ fn bcast_reaches_all_ranks() {
 #[test]
 fn pvm_pack_send_recv_unpack() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let ips: Vec<IpAddr> = (0..2u32).map(IpAddr::for_node).collect();
     let t0 = TcpTransport::new(&mut sim, &nodes[0].tcp, 0, ips.clone());
     let t1 = TcpTransport::new(&mut sim, &nodes[1].tcp, 1, ips);
@@ -279,24 +280,27 @@ fn pvm_costs_more_cpu_than_mpi() {
     // The Figure 6 ordering depends on PVM paying pack/unpack copies.
     fn run(pvm: bool) -> clic_sim::SimDuration {
         let mut sim = Sim::new(0);
-        let nodes = mk_cluster(&mut sim, 2);
+        let (_switch, nodes) = mk_cluster(&mut sim, 2);
         let ips: Vec<IpAddr> = (0..2u32).map(IpAddr::for_node).collect();
         let t0 = TcpTransport::new(&mut sim, &nodes[0].tcp, 0, ips.clone());
         let t1 = TcpTransport::new(&mut sim, &nodes[1].tcp, 1, ips);
         sim.run();
         let data = payload(60_000);
-        if pvm {
+        // The endpoints outlive the run: their transports hold them weakly.
+        let _endpoints: [Rc<dyn std::any::Any>; 2] = if pvm {
             let pvm0 = Pvm::new(&nodes[0].kernel, t0 as Rc<dyn Transport>);
             let pvm1 = Pvm::new(&nodes[1].kernel, t1 as Rc<dyn Transport>);
             pvm1.recv(&mut sim, -1, 1, |_s, _m| {});
             let p0 = pvm0.clone();
             pvm0.pack(&mut sim, data, move |sim| p0.send(sim, 1, 1));
+            [pvm0, pvm1]
         } else {
             let m0 = Mpi::new(&nodes[0].kernel, t0 as Rc<dyn Transport>);
             let m1 = Mpi::new(&nodes[1].kernel, t1 as Rc<dyn Transport>);
             m1.recv(&mut sim, ANY_SOURCE, 1, |_s, _m| {});
             m0.send(&mut sim, 1, 1, data);
-        }
+            [m0, m1]
+        };
         sim.run();
         let cpu = nodes[0].kernel.borrow().cpu.clone();
         let t = cpu.borrow().busy_total();
@@ -315,7 +319,7 @@ fn large_transfer_over_both_backends_identical_payload() {
     let data = payload(150_000);
     for backend in ["clic", "tcp"] {
         let mut sim = Sim::new(0);
-        let nodes = mk_cluster(&mut sim, 2);
+        let (_switch, nodes) = mk_cluster(&mut sim, 2);
         let mpis = if backend == "clic" {
             mpi_over_clic(&mut sim, &nodes)
         } else {
@@ -338,7 +342,7 @@ fn large_transfer_over_both_backends_identical_payload() {
 #[test]
 fn isend_irecv_requests() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let data = payload(2000);
     let rreq = mpis[1].irecv(&mut sim, 0, 7);
@@ -358,7 +362,7 @@ fn isend_irecv_requests() {
 #[test]
 fn rendezvous_used_above_eager_limit() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     mpis[0].set_eager_limit(4096);
     let big = payload(50_000);
@@ -380,7 +384,7 @@ fn rendezvous_rts_before_recv_posted() {
     // The announce arrives before any matching receive exists: it must be
     // remembered and complete once the receive is posted.
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     mpis[0].set_eager_limit(1024);
     let big = payload(20_000);
@@ -398,7 +402,7 @@ fn rendezvous_bounds_receiver_buffering() {
     // Ten large unexpected messages: with rendezvous only the tiny RTS
     // packets buffer at the receiver, not the payloads.
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     mpis[0].set_eager_limit(1024);
     for _ in 0..10 {
@@ -422,7 +426,7 @@ fn rendezvous_bounds_receiver_buffering() {
 #[test]
 fn sendrecv_exchanges_without_deadlock() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 2);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let (g0, g1): (Rc<RefCell<Option<Bytes>>>, Rc<RefCell<Option<Bytes>>>) = Default::default();
     let g = g0.clone();
@@ -453,7 +457,7 @@ fn sendrecv_exchanges_without_deadlock() {
 #[test]
 fn gather_collects_by_rank() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 4);
+    let (_switch, nodes) = mk_cluster(&mut sim, 4);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let result: Rc<RefCell<Option<Vec<Bytes>>>> = Rc::new(RefCell::new(None));
     for mpi in &mpis {
@@ -483,7 +487,7 @@ fn gather_collects_by_rank() {
 #[test]
 fn scatter_distributes_pieces() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 3);
+    let (_switch, nodes) = mk_cluster(&mut sim, 3);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let got: Rc<RefCell<Vec<(usize, Bytes)>>> = Rc::new(RefCell::new(Vec::new()));
     for mpi in &mpis {
@@ -509,7 +513,7 @@ fn scatter_distributes_pieces() {
 #[test]
 fn allreduce_sums_across_ranks() {
     let mut sim = Sim::new(0);
-    let nodes = mk_cluster(&mut sim, 4);
+    let (_switch, nodes) = mk_cluster(&mut sim, 4);
     let mpis = mpi_over_clic(&mut sim, &nodes);
     let sums: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     for mpi in &mpis {
@@ -595,7 +599,7 @@ proptest! {
         let expected: u64 = values.iter().sum();
 
         let mut host_sim = Sim::new(1);
-        let host_nodes = mk_cluster(&mut host_sim, n);
+        let (_host_switch, host_nodes) = mk_cluster(&mut host_sim, n);
         let host_backends: Vec<CollBackend> = mpi_over_clic(&mut host_sim, &host_nodes)
             .into_iter()
             .map(CollBackend::Host)
@@ -604,7 +608,7 @@ proptest! {
             run_collective_suite(&mut host_sim, &host_backends, &values, payload.clone());
 
         let mut nic_sim = Sim::new(1);
-        let nic_nodes = mk_cluster(&mut nic_sim, n);
+        let (_nic_switch, nic_nodes) = mk_cluster(&mut nic_sim, n);
         arm_collectives(&nic_nodes, 7);
         let nic_backends: Vec<CollBackend> = nic_nodes
             .iter()

@@ -66,14 +66,15 @@ pub fn hard_start_xmit(
 /// [`Kernel::add_device`].
 pub(crate) fn install_irq(kernel: &Rc<RefCell<Kernel>>, dev: usize) {
     let nic = kernel.borrow().device(dev);
-    // Weak reference: the NIC outlives nothing here, but a strong ref would
-    // cycle kernel -> nic -> handler -> kernel.
+    // Weak reference: a strong one would cycle kernel -> nic -> handler ->
+    // kernel.
     let weak: Weak<RefCell<Kernel>> = Rc::downgrade(kernel);
     nic.borrow_mut()
         .set_irq_handler(Rc::new(move |sim: &mut Sim| {
-            if let Some(kernel) = weak.upgrade() {
-                irq_top_half(&kernel, sim, dev);
-            }
+            let kernel = weak
+                .upgrade()
+                .expect("kernel dropped while its NIC interrupts");
+            irq_top_half(&kernel, sim, dev);
         }));
 }
 

@@ -4,7 +4,10 @@
 //! the order they were scheduled, which keeps every run reproducible.
 //! Component state lives in `Rc<RefCell<_>>` cells captured by the
 //! closures; the `Sim` itself only owns the clock, the queue, the RNG and
-//! the trace sink.
+//! the trace sink. A queued closure lives until it runs or the `Sim` is
+//! dropped, so it may hold components strongly. Callbacks that
+//! components store for later hold them as `Weak` where a strong one
+//! would cycle, so a dropped cluster is freed.
 //!
 //! # Queue and event representation
 //!

@@ -24,8 +24,13 @@
 //!   and statically by `clic-analyze`.
 //!
 //! A simulation is single-threaded; components are shared as
-//! `Rc<RefCell<T>>` and captured by the event closures. Parameter sweeps run
-//! many independent `Sim` instances in parallel (see `clic-cluster`).
+//! `Rc<RefCell<T>>`. Whoever builds a component (a cluster, a node, a
+//! fabric, a test) is its only strong owner. One-shot event closures
+//! capture components strongly, but a callback that a component stores
+//! (a link's frame handler, a port handler, a listener) holds its target
+//! as a `Weak` wherever a strong one would close a cycle, so dropping the
+//! owners frees the whole system. Parameter sweeps run many independent
+//! `Sim` instances in parallel (see `clic-cluster`).
 //!
 //! Determinism: events at equal timestamps execute in scheduling (FIFO)
 //! order, and all randomness flows through [`SimRng`], so a run is a pure

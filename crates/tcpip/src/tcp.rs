@@ -219,7 +219,9 @@ pub struct TcpStack {
     delack_delay: SimDuration,
 }
 
-struct TcpHook(Rc<RefCell<TcpStack>>);
+/// The IP layer's handle on TCP. Weak: the stack holds the IP layer, so
+/// a strong one would cycle.
+struct TcpHook(Weak<RefCell<TcpStack>>);
 
 impl IpProtoHandler for TcpHook {
     fn handle(
@@ -229,7 +231,8 @@ impl IpProtoHandler for TcpHook {
         header: Ipv4Header,
         payload: Bytes,
     ) {
-        TcpStack::on_packet(&self.0, sim, kernel, header, payload);
+        let stack = self.0.upgrade().expect("TCP dropped while IP delivers");
+        TcpStack::on_packet(&stack, sim, kernel, header, payload);
     }
 }
 
@@ -261,7 +264,7 @@ impl TcpStack {
             delack_delay: SimDuration::from_us(200),
         }));
         ip.borrow_mut()
-            .register(IpProto::Tcp, Rc::new(TcpHook(stack.clone())));
+            .register(IpProto::Tcp, Rc::new(TcpHook(Rc::downgrade(&stack))));
         stack
     }
 

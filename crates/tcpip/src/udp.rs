@@ -40,7 +40,9 @@ pub struct UdpStack {
     pub rx_errors: u64,
 }
 
-struct UdpHook(Rc<RefCell<UdpStack>>);
+/// The IP layer's handle on UDP. Weak: the stack holds the IP layer, so
+/// a strong one would cycle.
+struct UdpHook(Weak<RefCell<UdpStack>>);
 
 impl IpProtoHandler for UdpHook {
     fn handle(
@@ -50,7 +52,8 @@ impl IpProtoHandler for UdpHook {
         header: Ipv4Header,
         payload: Bytes,
     ) {
-        UdpStack::on_datagram(&self.0, sim, kernel, header, payload);
+        let stack = self.0.upgrade().expect("UDP dropped while IP delivers");
+        UdpStack::on_datagram(&stack, sim, kernel, header, payload);
     }
 }
 
@@ -68,7 +71,7 @@ impl UdpStack {
             rx_errors: 0,
         }));
         ip.borrow_mut()
-            .register(IpProto::Udp, Rc::new(UdpHook(stack.clone())));
+            .register(IpProto::Udp, Rc::new(UdpHook(Rc::downgrade(&stack))));
         stack
     }
 

@@ -94,11 +94,13 @@ fn main() {
     let tcp_b = n1.tcp();
     let tcp_got: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
     // Server: read 200 KB from whoever connects.
+    // The listener holds its stack weakly: the stack holds the listener.
     let tg = tcp_got.clone();
-    let tcp_b2 = tcp_b.clone();
+    let tcp_b2 = Rc::downgrade(&tcp_b);
     tcp_b.borrow_mut().listen(7777, move |sim, conn| {
         let tg2 = tg.clone();
-        TcpStack::recv(&tcp_b2, sim, conn, 200_000, move |sim, _| {
+        let tcp_b = tcp_b2.upgrade().expect("the node owns its stack");
+        TcpStack::recv(&tcp_b, sim, conn, 200_000, move |sim, _| {
             *tg2.borrow_mut() = Some(sim.now());
         });
     });
