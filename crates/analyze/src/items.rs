@@ -8,7 +8,7 @@
 //!
 //! * **call sites** (`foo(..)`, `x.foo(..)`, `Type::foo(..)`) with an
 //!   argument count, for conservative name+arity resolution;
-//! * **bare function references** (`schedule_fn_at(t, tick)`) so closures
+//! * **bare function references** (`schedule_in(t, tick)`) so closures
 //!   and fn pointers handed to the scheduler stay on the graph;
 //! * **determinism-taint sources** (wall clock, host RNG, `RandomState`,
 //!   thread identity, environment reads);
@@ -745,7 +745,7 @@ mod tests {
         let src = r"
             pub fn arm(sim: &mut Sim) {
                 sim.schedule_at(t, move |s| { helper(s); });
-                sim.schedule_fn_at(t, tick);
+                sim.schedule_in(t, tick);
             }
             fn helper(s: &mut Sim) {}
             fn tick(s: &mut Sim) {}

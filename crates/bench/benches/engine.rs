@@ -1,21 +1,39 @@
 //! Microbenchmarks of the DES engine: raw event throughput and the cost of
 //! the contended-resource abstractions everything else is built on.
 
-use clic_sim::{Cpu, CpuClass, SerialResource, Sim, SimDuration};
+use clic_sim::{Cpu, CpuClass, Resume, Sim, SimDuration};
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::cell::Cell;
+use std::rc::Rc;
+
+/// A handle that resumes itself until its count runs out.
+struct Countdown(Cell<u32>);
+
+impl Resume for Countdown {
+    fn resume(self: Rc<Self>, sim: &mut Sim) {
+        let left = self.0.get();
+        if left > 0 {
+            self.0.set(left - 1);
+            sim.resume_in(SimDuration::from_ns(10), self);
+        }
+    }
+}
+
+/// A handle whose resumption does nothing.
+struct Nop;
+
+impl Resume for Nop {
+    fn resume(self: Rc<Self>, _: &mut Sim) {}
+}
 
 /// Schedule-and-drain of a long chain of bare events on the
-/// allocation-free fast path (`schedule_arg_in`).
+/// allocation-free arm (`resume_in`), the one the CPU and PCI bus
+/// complete their work on.
 fn bench_event_chain(c: &mut Criterion) {
     c.bench_function("engine_event_chain_100k", |b| {
         b.iter(|| {
             let mut sim = Sim::new(0);
-            fn tick(sim: &mut Sim, left: u64) {
-                if left > 0 {
-                    sim.schedule_arg_in(SimDuration::from_ns(10), tick, left - 1);
-                }
-            }
-            tick(&mut sim, 100_000);
+            Rc::new(Countdown(Cell::new(100_000))).resume(&mut sim);
             sim.run();
             sim.events_executed()
         })
@@ -23,7 +41,7 @@ fn bench_event_chain(c: &mut Criterion) {
 }
 
 /// The same chain through boxed closures: isolates the cost of the
-/// per-event allocation the fast path avoids.
+/// per-event allocation the resume arm avoids.
 fn bench_event_chain_boxed(c: &mut Criterion) {
     c.bench_function("engine_event_chain_100k_boxed", |b| {
         b.iter(|| {
@@ -41,14 +59,14 @@ fn bench_event_chain_boxed(c: &mut Criterion) {
 }
 
 /// Fan-out of many simultaneous events (queue stress) on the
-/// allocation-free fast path.
+/// allocation-free arm: one shared handle, queued 100k times.
 fn bench_event_fanout(c: &mut Criterion) {
     c.bench_function("engine_fanout_100k", |b| {
         b.iter(|| {
             let mut sim = Sim::new(0);
-            fn nop(_: &mut Sim) {}
+            let nop: Rc<dyn Resume> = Rc::new(Nop);
             for i in 0..100_000u64 {
-                sim.schedule_fn_in(SimDuration::from_ns(i % 1000), nop);
+                sim.resume_in(SimDuration::from_ns(i % 1000), nop.clone());
             }
             sim.run();
             sim.events_executed()
@@ -75,7 +93,7 @@ fn bench_cpu_resource(c: &mut Criterion) {
     c.bench_function("cpu_resource_50k_items", |b| {
         b.iter(|| {
             let mut sim = Sim::new(0);
-            let cpu = Cpu::new();
+            let cpu = Cpu::new("cpu");
             for i in 0..50_000u32 {
                 let class = if i % 4 == 0 {
                     CpuClass::Irq
@@ -91,17 +109,24 @@ fn bench_cpu_resource(c: &mut Criterion) {
     });
 }
 
-/// Serial bus resource under a queue of transactions.
+/// The resource as the PCI bus uses it (task work only, a FIFO pipe)
+/// under a queue of transactions.
 fn bench_serial_resource(c: &mut Criterion) {
     c.bench_function("serial_resource_50k_txns", |b| {
         b.iter(|| {
             let mut sim = Sim::new(0);
-            let bus = SerialResource::new("bench");
+            let bus = Cpu::new("bus");
             for _ in 0..50_000 {
-                SerialResource::acquire(&bus, &mut sim, SimDuration::from_ns(80), |_| {});
+                Cpu::run(
+                    &bus,
+                    &mut sim,
+                    CpuClass::Task,
+                    SimDuration::from_ns(80),
+                    |_| {},
+                );
             }
             sim.run();
-            let n = bus.borrow().items();
+            let n = bus.borrow().items_run();
             n
         })
     });

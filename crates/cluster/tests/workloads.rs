@@ -3,10 +3,12 @@
 
 use clic_cluster::builder::{Cluster, ClusterConfig};
 use clic_cluster::workload::{
-    ping_pong, request_reply_cycles, stream, stream_pipelined, StackKind,
+    ping_pong, request_reply_cycles, stream, stream_count, stream_pipelined, StackKind,
 };
 use clic_cluster::{CostModel, NodeConfig};
-use clic_sim::Sim;
+use clic_sim::{ActionArm, EngineProbe, Sim};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn cfg_for(stack: StackKind) -> ClusterConfig {
     let model = CostModel::era_2002();
@@ -134,4 +136,52 @@ fn stream_reports_cpu_utilisation() {
     assert!(res.receiver_cpu > 0.05, "receiver must be visibly busy");
     // Receiver does more work per byte than the sender under CLIC 0-copy.
     assert!(res.receiver_cpu > res.sender_cpu);
+}
+
+/// Counts the events each dispatch arm ran: `[resume, boxed]`.
+struct ArmCount(Rc<RefCell<[u64; 2]>>);
+
+impl EngineProbe for ArmCount {
+    fn begin(&mut self, _: ActionArm) {}
+
+    fn end(&mut self, arm: ActionArm) {
+        let i = match arm {
+            ActionArm::Resume => 0,
+            ActionArm::Boxed => 1,
+        };
+        self.0.borrow_mut()[i] += 1;
+    }
+}
+
+#[test]
+fn resource_completions_are_the_resumed_events() {
+    // CPU and PCI-bus completions are exactly the resumed events; every
+    // other event is a boxed closure.
+    for stack in [StackKind::Clic, StackKind::Tcp] {
+        let cluster = Cluster::build(&cfg_for(stack));
+        let mut sim = Sim::new(7);
+        let arms = Rc::new(RefCell::new([0u64; 2]));
+        sim.set_probe(Box::new(ArmCount(arms.clone())));
+        let size = 65_536;
+        let res = stream(&cluster, &mut sim, stack, size, stream_count(size));
+        assert_eq!(res.msgs, stream_count(size) as u64, "{stack:?}");
+
+        let mut buses = Vec::new();
+        for nic in cluster.nodes.iter().flat_map(|n| &n.nics) {
+            let pci = nic.borrow().pci();
+            if !buses.iter().any(|b| Rc::ptr_eq(b, &pci)) {
+                buses.push(pci);
+            }
+        }
+        let cpu_items: u64 = cluster
+            .nodes
+            .iter()
+            .map(|n| n.kernel.borrow().cpu.borrow().items_run())
+            .sum();
+        let bus_items: u64 = buses.iter().map(|b| b.transactions()).sum();
+        let [resumed, boxed] = *arms.borrow();
+        assert!(cpu_items > 0 && bus_items > 0, "{stack:?}");
+        assert_eq!(resumed, cpu_items + bus_items, "{stack:?}");
+        assert_eq!(resumed + boxed, sim.events_executed(), "{stack:?}");
+    }
 }

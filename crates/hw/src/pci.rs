@@ -7,7 +7,7 @@
 //! the introduction describes.
 
 use clic_sim::catalog::metric_id;
-use clic_sim::{MetricId, SerialResource, Sim, SimDuration};
+use clic_sim::{Cpu, CpuClass, MetricId, Sim, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -15,9 +15,10 @@ use std::rc::Rc;
 /// timeline's byte rate, and the only tally of bytes moved.
 const DMA_BYTES: MetricId = metric_id("hw.pci.dma_bytes");
 
-/// A shared PCI bus.
+/// A shared PCI bus: a serial resource whose work is all task class, so
+/// transfers are served in FIFO order, one at a time.
 pub struct PciBus {
-    bus: Rc<RefCell<SerialResource>>,
+    bus: Rc<RefCell<Cpu>>,
     bits_per_sec: u64,
     setup: SimDuration,
     max_burst: usize,
@@ -29,7 +30,7 @@ impl PciBus {
     pub fn new(bits_per_sec: u64, setup: SimDuration, max_burst: usize) -> Rc<PciBus> {
         assert!(bits_per_sec > 0 && max_burst > 0);
         Rc::new(PciBus {
-            bus: SerialResource::new("pci"),
+            bus: Cpu::new("pci"),
             bits_per_sec,
             setup,
             max_burst,
@@ -68,17 +69,12 @@ impl PciBus {
     ) {
         sim.record(DMA_BYTES, bytes as u64);
         let t = self.service_time(bytes);
-        SerialResource::acquire(&self.bus, sim, t, done);
-    }
-
-    /// Cumulative bus-busy time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.bus.borrow().busy_time()
+        Cpu::run(&self.bus, sim, CpuClass::Task, t, done);
     }
 
     /// Completed transactions.
     pub fn transactions(&self) -> u64 {
-        self.bus.borrow().items()
+        self.bus.borrow().items_run()
     }
 
     /// Effective sustained bandwidth for long transfers, in bytes/second —

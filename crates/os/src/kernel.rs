@@ -70,7 +70,7 @@ impl Kernel {
     pub fn new(node_id: u32, costs: OsCosts) -> Rc<RefCell<Kernel>> {
         Rc::new(RefCell::new(Kernel {
             node_id,
-            cpu: Cpu::new(),
+            cpu: Cpu::new("cpu"),
             costs,
             processes: ProcessTable::new(),
             direct_dispatch: false,

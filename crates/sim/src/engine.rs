@@ -4,8 +4,8 @@
 //! the order they were scheduled, which keeps every run reproducible.
 //! Component state lives in `Rc<RefCell<_>>` cells captured by the
 //! closures; the `Sim` itself only owns the clock, the queue, the RNG and
-//! the trace sink. A queued closure lives until it runs or the `Sim` is
-//! dropped, so it may hold components strongly. Callbacks that
+//! the trace sink. A queued closure or handle lives until it runs or the
+//! `Sim` is dropped, so it may hold components strongly. Callbacks that
 //! components store for later hold them as `Weak` where a strong one
 //! would cycle, so a dropped cluster is freed.
 //!
@@ -22,10 +22,11 @@
 //!
 //! * **boxed closures** ([`Sim::schedule_at`] and friends) — the general
 //!   path; one small allocation per event.
-//! * **plain function pointers** ([`Sim::schedule_fn_at`],
-//!   [`Sim::schedule_arg_at`]) — the allocation-free fast path for hot
-//!   loops whose whole context fits in one `u64` (or in component state
-//!   reachable from `&mut Sim`).
+//! * **resumed handles** ([`Sim::resume_in`]) — a shared component
+//!   handle (`Rc<dyn Resume>`) whose state already holds what the event
+//!   needs. Queuing one clones the `Rc`, a count bump, so it allocates
+//!   nothing. The CPU and PCI-bus resources complete their in-flight
+//!   item this way.
 //!
 //! # Invariants
 //!
@@ -44,13 +45,22 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::timeseries::TimelineRecorder;
 use crate::trace::Trace;
+use std::rc::Rc;
+
+/// A component that an event resumes through a shared handle.
+///
+/// The component keeps whatever the event needs in its own state (the
+/// CPU keeps its in-flight work item), so the queued event is just the
+/// handle: see [`Sim::resume_in`].
+pub trait Resume {
+    /// Continue the component at the scheduled instant.
+    fn resume(self: Rc<Self>, sim: &mut Sim);
+}
 
 /// A scheduled event.
 enum Action {
-    /// Plain function, no captured state: the allocation-free fast path.
-    Call(fn(&mut Sim)),
-    /// Plain function plus one word of context, also allocation-free.
-    CallArg(fn(&mut Sim, u64), u64),
+    /// A component resumed through its handle, allocation-free.
+    Resume(Rc<dyn Resume>),
     /// The general boxed-closure event.
     Boxed(Box<dyn FnOnce(&mut Sim)>),
 }
@@ -59,10 +69,8 @@ enum Action {
 /// the engine can attribute without inspecting closures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ActionArm {
-    /// Plain function pointer (`schedule_fn_*`), allocation-free.
-    Call,
-    /// Function pointer plus one `u64` (`schedule_arg_*`).
-    CallArg,
+    /// A resumed component handle (`resume_in`), allocation-free.
+    Resume,
     /// Boxed closure (`schedule_at` / `schedule_in` / `schedule_now`).
     Boxed,
 }
@@ -214,34 +222,11 @@ impl Sim {
         self.schedule_at(self.now, action);
     }
 
-    /// Schedule a plain function at absolute time `at` — the
-    /// allocation-free fast path. Ordering semantics are identical to
-    /// [`Sim::schedule_at`].
+    /// Resume `handle` after a relative delay, without allocating.
+    /// Ordering semantics are identical to [`Sim::schedule_in`].
     #[inline]
-    pub fn schedule_fn_at(&mut self, at: SimTime, f: fn(&mut Sim)) {
-        self.push(at, Action::Call(f));
-    }
-
-    /// Schedule a plain function after a relative delay, without
-    /// allocating. Ordering semantics are identical to
-    /// [`Sim::schedule_in`].
-    #[inline]
-    pub fn schedule_fn_in(&mut self, delay: SimDuration, f: fn(&mut Sim)) {
-        self.schedule_fn_at(self.now + delay, f);
-    }
-
-    /// Schedule a plain function carrying one `u64` of context at absolute
-    /// time `at`, without allocating.
-    #[inline]
-    pub fn schedule_arg_at(&mut self, at: SimTime, f: fn(&mut Sim, u64), arg: u64) {
-        self.push(at, Action::CallArg(f, arg));
-    }
-
-    /// Schedule a plain function carrying one `u64` of context after a
-    /// relative delay, without allocating.
-    #[inline]
-    pub fn schedule_arg_in(&mut self, delay: SimDuration, f: fn(&mut Sim, u64), arg: u64) {
-        self.schedule_arg_at(self.now + delay, f, arg);
+    pub fn resume_in(&mut self, delay: SimDuration, handle: Rc<dyn Resume>) {
+        self.push(self.now + delay, Action::Resume(handle));
     }
 
     /// Run until the queue drains or a limit is hit.
@@ -277,14 +262,13 @@ impl Sim {
     }
 
     /// Execute one popped action. The common (probe-less) path is the
-    /// bare three-arm match; the profiled path is kept out of line so the
+    /// bare two-arm match; the profiled path is kept out of line so the
     /// hot loop stays pristine.
     #[inline]
     fn dispatch(&mut self, action: Action) {
         if self.probe.is_none() {
             match action {
-                Action::Call(f) => f(self),
-                Action::CallArg(f, arg) => f(self, arg),
+                Action::Resume(h) => h.resume(self),
                 Action::Boxed(f) => f(self),
             }
         } else {
@@ -295,8 +279,7 @@ impl Sim {
     #[inline(never)]
     fn dispatch_probed(&mut self, action: Action) {
         let arm = match &action {
-            Action::Call(_) => ActionArm::Call,
-            Action::CallArg(_, _) => ActionArm::CallArg,
+            Action::Resume(_) => ActionArm::Resume,
             Action::Boxed(_) => ActionArm::Boxed,
         };
         // The probe is taken for the duration of the event so the handler
@@ -306,8 +289,7 @@ impl Sim {
             p.begin(arm);
         }
         match action {
-            Action::Call(f) => f(self),
-            Action::CallArg(f, arg) => f(self, arg),
+            Action::Resume(h) => h.resume(self),
             Action::Boxed(f) => f(self),
         }
         if let Some(p) = probe.as_mut() {
@@ -426,30 +408,42 @@ mod tests {
         assert_eq!(sim.now(), t);
     }
 
+    /// Logs its label each time it is resumed.
+    struct Marker {
+        label: u64,
+        log: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Resume for Marker {
+        fn resume(self: Rc<Self>, _: &mut Sim) {
+            self.log.borrow_mut().push(self.label);
+        }
+    }
+
     #[test]
-    fn fn_events_interleave_with_boxed_events_in_fifo_order() {
-        // The allocation-free fast path shares the same (time, seq)
-        // ordering domain as boxed closures.
+    fn resume_events_interleave_with_boxed_events_in_fifo_order() {
+        // Resumed handles share the same (time, seq) ordering domain as
+        // boxed closures, and a handle queued twice runs twice.
         let mut sim = Sim::new(0);
         let log = Rc::new(RefCell::new(Vec::new()));
+        let marker = |label| {
+            Rc::new(Marker {
+                label,
+                log: log.clone(),
+            })
+        };
+        let t = SimDuration::from_us(1);
         let l = log.clone();
-        let t = SimTime::from_us(1);
-        sim.schedule_at(t, move |_| l.borrow_mut().push(0u64));
-        fn push_arg(s: &mut Sim, arg: u64) {
-            let _ = s;
-            ARG_SINK.with(|v| v.borrow_mut().push(arg));
-        }
-        thread_local! {
-            static ARG_SINK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-        }
-        ARG_SINK.with(|v| v.borrow_mut().clear());
-        sim.schedule_arg_at(t, push_arg, 1);
+        sim.schedule_in(t, move |_| l.borrow_mut().push(0));
+        sim.resume_in(t, marker(1));
         let l = log.clone();
-        sim.schedule_at(t, move |_| l.borrow_mut().push(2));
-        sim.schedule_arg_at(t, push_arg, 3);
-        sim.run();
-        assert_eq!(*log.borrow(), vec![0, 2]);
-        ARG_SINK.with(|v| assert_eq!(*v.borrow(), vec![1, 3]));
+        sim.schedule_in(t, move |_| l.borrow_mut().push(2));
+        let twice = marker(3);
+        sim.resume_in(t, twice.clone());
+        sim.resume_in(t, twice);
+        assert_eq!(sim.run(), StopReason::Drained);
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 3]);
+        assert_eq!(sim.events_executed(), 5);
     }
 
     #[test]
@@ -571,14 +565,13 @@ mod tests {
             sim.schedule_at(SimTime::from_us(1), move |s| {
                 l.borrow_mut().push(s.now().as_ns())
             });
-            fn tick(s: &mut Sim) {
-                let _ = s;
-            }
-            sim.schedule_fn_at(SimTime::from_us(2), tick);
-            fn tick_arg(s: &mut Sim, _arg: u64) {
-                let _ = s;
-            }
-            sim.schedule_arg_at(SimTime::from_us(3), tick_arg, 9);
+            sim.resume_in(
+                SimDuration::from_us(2),
+                Rc::new(Marker {
+                    label: 9,
+                    log: log.clone(),
+                }),
+            );
             assert_eq!(sim.run(), StopReason::Drained);
             assert_eq!(sim.take_probe().is_some(), probed);
             assert_eq!(*begins.borrow(), *ends.borrow());
@@ -590,10 +583,8 @@ mod tests {
         let (probed, arms) = run_once(true);
         assert!(none.is_empty());
         assert_eq!(bare, probed, "probe changed simulation results");
-        assert_eq!(
-            arms,
-            vec![ActionArm::Boxed, ActionArm::Call, ActionArm::CallArg]
-        );
+        assert_eq!(bare, vec![1_000, 9]);
+        assert_eq!(arms, vec![ActionArm::Boxed, ActionArm::Resume]);
     }
 
     #[test]

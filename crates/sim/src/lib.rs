@@ -3,11 +3,11 @@
 //! The substrate every other crate in this workspace runs on. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`Sim`] — a deterministic event loop (boxed closures plus an
-//!   allocation-free plain-function fast path),
+//! * [`Sim`] — a deterministic event loop (boxed closures plus
+//!   allocation-free resumed component handles, [`Resume`]),
 //! * [`queue`] — the hierarchical calendar queue ordering the event loop,
-//! * [`Cpu`] — a two-priority-class (IRQ > task) serial processor resource,
-//! * [`SerialResource`] — a FIFO bus resource (PCI, memory bus),
+//! * [`Cpu`] — the serial resource: a two-priority-class (IRQ > task)
+//!   processor, and with task work only a FIFO bus (PCI),
 //! * [`SimRng`] — a seeded, reproducible random source,
 //! * [`stats`] — sample-exact latency and throughput measurement,
 //! * [`metrics`] — the per-run registry of counters, gauges and
@@ -51,9 +51,9 @@ pub mod timeseries;
 pub mod trace;
 
 pub use catalog::{MetricId, Sink, StageId};
-pub use engine::{ActionArm, EngineProbe, Sim};
+pub use engine::{ActionArm, EngineProbe, Resume, Sim};
 pub use metrics::{LogHistogram, Metrics};
-pub use resource::{Cpu, CpuClass, SerialResource};
+pub use resource::{Cpu, CpuClass};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use timeseries::TimelineRecorder;

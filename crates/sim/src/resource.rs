@@ -1,26 +1,29 @@
-//! Contended serial resources.
+//! The contended serial resource.
 //!
-//! Two flavours are enough for the whole model:
+//! [`Cpu`] serves every processor and bus in the model: a single server
+//! with one item in flight, non-preemptive within an item. Work items
+//! carry a priority class: interrupt work ([`CpuClass::Irq`]) always jumps
+//! ahead of task work ([`CpuClass::Task`]). This is the "IRQs beat
+//! everything, at µs granularity" approximation documented in DESIGN.md
+//! §5. A node's processor uses both classes; the PCI bus (`clic-hw`) is a
+//! `Cpu` whose work is all task class, a plain FIFO pipe whose caller
+//! computes each transaction's service time. Memory copies have no
+//! resource of their own: they are charged to the CPU (`clic-hw::membus`).
 //!
-//! * [`Cpu`] — the host processor. Work items carry a priority class:
-//!   interrupt work ([`CpuClass::Irq`]) always jumps ahead of task work
-//!   ([`CpuClass::Task`]), but an in-flight item is never preempted. This is
-//!   the "IRQs beat everything, at µs granularity" approximation documented
-//!   in DESIGN.md §5.
-//! * [`SerialResource`] — a plain FIFO pipe with one transaction in flight
-//!   (the PCI bus, the memory bus). The caller computes the service time of
-//!   each transaction.
+//! The resource keeps its in-flight item in its own state and schedules
+//! its completion as a resumed handle ([`Sim::resume_in`]), so a step
+//! allocates nothing beyond the caller's boxed continuation.
 //!
-//! Both keep busy-time accounting so experiments can report CPU utilisation,
-//! which the paper repeatedly leans on ("90 % of peak at 15–20 % CPU on Fast
+//! Busy-time accounting lets experiments report CPU utilisation, which
+//! the paper repeatedly leans on ("90 % of peak at 15–20 % CPU on Fast
 //! Ethernet would need ~100 % on GbE").
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::engine::Sim;
-use crate::time::{SimDuration, SimTime};
+use crate::engine::{Resume, Sim};
+use crate::time::SimDuration;
 
 /// Priority class of CPU work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +40,13 @@ struct CpuWork {
     done: Box<dyn FnOnce(&mut Sim)>,
 }
 
-/// A single processor serving two FIFO queues (IRQ before task),
+/// A single server draining two FIFO queues (IRQ before task),
 /// non-preemptive within a work item.
 pub struct Cpu {
+    name: &'static str,
     busy: bool,
+    /// The item in service, until its completion resumes the resource.
+    current: Option<CpuWork>,
     irq_q: VecDeque<CpuWork>,
     task_q: VecDeque<CpuWork>,
     busy_irq: SimDuration,
@@ -50,10 +56,12 @@ pub struct Cpu {
 }
 
 impl Cpu {
-    /// Create an idle CPU.
-    pub fn new() -> Rc<RefCell<Cpu>> {
+    /// Create an idle resource; `name` appears in panics.
+    pub fn new(name: &'static str) -> Rc<RefCell<Cpu>> {
         Rc::new(RefCell::new(Cpu {
+            name,
             busy: false,
+            current: None,
             irq_q: VecDeque::new(),
             task_q: VecDeque::new(),
             busy_irq: SimDuration::ZERO,
@@ -94,31 +102,18 @@ impl Cpu {
     }
 
     fn start_next(cpu: &Rc<RefCell<Cpu>>, sim: &mut Sim) {
-        let work = {
+        let duration = {
             let mut c = cpu.borrow_mut();
-            debug_assert!(!c.busy, "start_next on a busy CPU");
+            debug_assert!(!c.busy, "start_next on busy resource {}", c.name);
             let Some(work) = c.irq_q.pop_front().or_else(|| c.task_q.pop_front()) else {
                 return;
             };
             c.busy = true;
-            work
+            let duration = work.duration;
+            c.current = Some(work);
+            duration
         };
-        let cpu2 = cpu.clone();
-        sim.schedule_in(work.duration, move |sim| {
-            {
-                let mut c = cpu2.borrow_mut();
-                match work.class {
-                    CpuClass::Irq => c.busy_irq += work.duration,
-                    CpuClass::Task => c.busy_task += work.duration,
-                }
-                c.items_run += 1;
-            }
-            // The completion may submit more work; the CPU still reads as
-            // busy so it lands on the queue rather than double-starting.
-            (work.done)(sim);
-            cpu2.borrow_mut().busy = false;
-            Self::start_next(&cpu2, sim);
-        });
+        sim.resume_in(duration, cpu.clone());
     }
 
     /// Accumulated busy time for a class.
@@ -153,115 +148,39 @@ impl Cpu {
     }
 }
 
-struct SerialWork {
-    duration: SimDuration,
-    done: Box<dyn FnOnce(&mut Sim)>,
-}
-
-/// A FIFO resource with a single transaction in flight (a bus).
-pub struct SerialResource {
-    name: &'static str,
-    busy: bool,
-    queue: VecDeque<SerialWork>,
-    busy_time: SimDuration,
-    items: u64,
-    max_queue: usize,
-    last_free: SimTime,
-}
-
-impl SerialResource {
-    /// Create an idle resource; `name` appears in panics and debug output.
-    pub fn new(name: &'static str) -> Rc<RefCell<SerialResource>> {
-        Rc::new(RefCell::new(SerialResource {
-            name,
-            busy: false,
-            queue: VecDeque::new(),
-            busy_time: SimDuration::ZERO,
-            items: 0,
-            max_queue: 0,
-            last_free: SimTime::ZERO,
-        }))
-    }
-
-    /// Occupy the resource for `duration`, running `done` on completion.
-    pub fn acquire(
-        res: &Rc<RefCell<SerialResource>>,
-        sim: &mut Sim,
-        duration: SimDuration,
-        done: impl FnOnce(&mut Sim) + 'static,
-    ) {
-        {
-            let mut r = res.borrow_mut();
-            r.queue.push_back(SerialWork {
-                duration,
-                done: Box::new(done),
-            });
-            r.max_queue = r.max_queue.max(r.queue.len());
-            if r.busy {
-                return;
-            }
-        }
-        Self::start_next(res, sim);
-    }
-
-    fn start_next(res: &Rc<RefCell<SerialResource>>, sim: &mut Sim) {
-        let work = {
-            let mut r = res.borrow_mut();
-            debug_assert!(!r.busy, "start_next on busy resource {}", r.name);
-            let Some(work) = r.queue.pop_front() else {
-                return;
+/// The in-flight item's completion.
+impl Resume for RefCell<Cpu> {
+    fn resume(self: Rc<Self>, sim: &mut Sim) {
+        let done = {
+            let mut c = self.borrow_mut();
+            let Some(work) = c.current.take() else {
+                // lint:allow(no-unwrap, reason="a completion is scheduled only when an item goes in flight; resuming an idle resource is a scheduling bug worth halting on")
+                panic!("{} resumed with no item in flight", c.name);
             };
-            r.busy = true;
-            work
-        };
-        let res2 = res.clone();
-        sim.schedule_in(work.duration, move |sim| {
-            {
-                let mut r = res2.borrow_mut();
-                r.busy_time += work.duration;
-                r.items += 1;
-                r.last_free = sim.now();
+            match work.class {
+                CpuClass::Irq => c.busy_irq += work.duration,
+                CpuClass::Task => c.busy_task += work.duration,
             }
-            (work.done)(sim);
-            res2.borrow_mut().busy = false;
-            Self::start_next(&res2, sim);
-        });
-    }
-
-    /// Accumulated busy time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
-    /// Busy fraction over an observation window.
-    pub fn utilization(&self, window: SimDuration) -> f64 {
-        if window == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.busy_time.as_secs_f64() / window.as_secs_f64()
-    }
-
-    /// Completed transactions.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    /// High-water mark of the wait queue.
-    pub fn max_queue_depth(&self) -> usize {
-        self.max_queue
+            c.items_run += 1;
+            work.done
+        };
+        // The completion may submit more work; the resource still reads
+        // as busy so it lands on the queue rather than double-starting.
+        done(sim);
+        self.borrow_mut().busy = false;
+        Cpu::start_next(&self, sim);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::time::SimTime;
 
     #[test]
     fn cpu_serializes_work() {
         let mut sim = Sim::new(0);
-        let cpu = Cpu::new();
+        let cpu = Cpu::new("cpu");
         let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..3u32 {
             let log = log.clone();
@@ -292,7 +211,7 @@ mod tests {
     #[test]
     fn irq_jumps_task_queue() {
         let mut sim = Sim::new(0);
-        let cpu = Cpu::new();
+        let cpu = Cpu::new("cpu");
         let log = Rc::new(RefCell::new(Vec::new()));
         // One long task starts immediately; a second task and then an IRQ
         // queue behind it. The IRQ must run before the queued task.
@@ -317,7 +236,7 @@ mod tests {
     #[test]
     fn in_flight_item_not_preempted() {
         let mut sim = Sim::new(0);
-        let cpu = Cpu::new();
+        let cpu = Cpu::new("cpu");
         let log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
         Cpu::run(
@@ -348,7 +267,7 @@ mod tests {
     #[test]
     fn completion_resubmitting_does_not_double_start() {
         let mut sim = Sim::new(0);
-        let cpu = Cpu::new();
+        let cpu = Cpu::new("cpu");
         let log = Rc::new(RefCell::new(Vec::new()));
         let cpu2 = cpu.clone();
         let l = log.clone();
@@ -381,7 +300,7 @@ mod tests {
     #[test]
     fn zero_duration_work_completes() {
         let mut sim = Sim::new(0);
-        let cpu = Cpu::new();
+        let cpu = Cpu::new("cpu");
         let done = Rc::new(RefCell::new(false));
         let d = done.clone();
         Cpu::run(
@@ -398,7 +317,7 @@ mod tests {
     #[test]
     fn cpu_utilization_accounting() {
         let mut sim = Sim::new(0);
-        let cpu = Cpu::new();
+        let cpu = Cpu::new("cpu");
         Cpu::run(
             &cpu,
             &mut sim,
@@ -423,14 +342,19 @@ mod tests {
 
     #[test]
     fn serial_resource_fifo() {
+        // One class of work makes the resource a plain FIFO pipe (a bus).
         let mut sim = Sim::new(0);
-        let bus = SerialResource::new("pci");
+        let bus = Cpu::new("pci");
         let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..4u32 {
             let log = log.clone();
-            SerialResource::acquire(&bus, &mut sim, SimDuration::from_us(3), move |s| {
-                log.borrow_mut().push((i, s.now()))
-            });
+            Cpu::run(
+                &bus,
+                &mut sim,
+                CpuClass::Task,
+                SimDuration::from_us(3),
+                move |s| log.borrow_mut().push((i, s.now())),
+            );
         }
         sim.run();
         let got = log.borrow().clone();
@@ -439,27 +363,35 @@ mod tests {
             assert_eq!(*id as usize, i);
             assert_eq!(*t, SimTime::from_us(3 * (i as u64 + 1)));
         }
-        assert_eq!(bus.borrow().items(), 4);
-        assert_eq!(bus.borrow().busy_time(), SimDuration::from_us(12));
+        assert_eq!(bus.borrow().items_run(), 4);
+        assert_eq!(bus.borrow().busy_total(), SimDuration::from_us(12));
         assert!(bus.borrow().max_queue_depth() >= 3);
     }
 
     #[test]
     fn serial_resource_interleaved_arrivals() {
         let mut sim = Sim::new(0);
-        let bus = SerialResource::new("mem");
+        let bus = Cpu::new("bus");
         let log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
-        SerialResource::acquire(&bus, &mut sim, SimDuration::from_us(10), move |s| {
-            l.borrow_mut().push(("a", s.now()))
-        });
+        Cpu::run(
+            &bus,
+            &mut sim,
+            CpuClass::Task,
+            SimDuration::from_us(10),
+            move |s| l.borrow_mut().push(("a", s.now())),
+        );
         // Arrives at t=4 while "a" is in service; serviced at 10..12.
         let bus2 = bus.clone();
         let l = log.clone();
         sim.schedule_at(SimTime::from_us(4), move |s| {
-            SerialResource::acquire(&bus2, s, SimDuration::from_us(2), move |s| {
-                l.borrow_mut().push(("b", s.now()))
-            });
+            Cpu::run(
+                &bus2,
+                s,
+                CpuClass::Task,
+                SimDuration::from_us(2),
+                move |s| l.borrow_mut().push(("b", s.now())),
+            );
         });
         sim.run();
         assert_eq!(

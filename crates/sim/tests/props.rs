@@ -291,3 +291,203 @@ mod calendar_queue_model {
         }
     }
 }
+
+/// The CPU and the bus complete work in exactly the order the
+/// closure-per-completion resources they replaced did.
+mod resource_completion_order {
+    use clic_sim::{Cpu, CpuClass, Sim, SimDuration, SimTime};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+
+    /// The unit of script time: durations and start times are multiples
+    /// of it, so completions, starts and markers collide often.
+    const Q: u64 = 100;
+
+    type Done = Box<dyn FnOnce(&mut Sim)>;
+
+    /// Where a script submits work: the CPU (IRQ or task class) or the
+    /// bus (task class only, as the PCI bus submits it).
+    trait Resources {
+        fn cpu(&self, sim: &mut Sim, class: CpuClass, d: SimDuration, done: Done);
+        fn bus(&self, sim: &mut Sim, d: SimDuration, done: Done);
+    }
+
+    /// The resources under test.
+    struct Real {
+        cpu: Rc<RefCell<Cpu>>,
+        bus: Rc<RefCell<Cpu>>,
+    }
+
+    impl Resources for Real {
+        fn cpu(&self, sim: &mut Sim, class: CpuClass, d: SimDuration, done: Done) {
+            Cpu::run(&self.cpu, sim, class, d, done);
+        }
+        fn bus(&self, sim: &mut Sim, d: SimDuration, done: Done) {
+            Cpu::run(&self.bus, sim, CpuClass::Task, d, done);
+        }
+    }
+
+    /// The reference: a CPU and a FIFO bus that schedule one boxed
+    /// closure per completion, holding the work item and the resource.
+    struct Reference {
+        cpu: Rc<RefCell<RefCpu>>,
+        bus: Rc<RefCell<RefCpu>>,
+    }
+
+    #[derive(Default)]
+    struct RefCpu {
+        busy: bool,
+        irq_q: VecDeque<(SimDuration, Done)>,
+        task_q: VecDeque<(SimDuration, Done)>,
+    }
+
+    impl RefCpu {
+        fn run(
+            cpu: &Rc<RefCell<RefCpu>>,
+            sim: &mut Sim,
+            class: CpuClass,
+            d: SimDuration,
+            done: Done,
+        ) {
+            {
+                let mut c = cpu.borrow_mut();
+                match class {
+                    CpuClass::Irq => c.irq_q.push_back((d, done)),
+                    CpuClass::Task => c.task_q.push_back((d, done)),
+                }
+                if c.busy {
+                    return;
+                }
+            }
+            Self::start_next(cpu, sim);
+        }
+
+        fn start_next(cpu: &Rc<RefCell<RefCpu>>, sim: &mut Sim) {
+            let (d, done) = {
+                let mut c = cpu.borrow_mut();
+                let Some(work) = c.irq_q.pop_front().or_else(|| c.task_q.pop_front()) else {
+                    return;
+                };
+                c.busy = true;
+                work
+            };
+            let cpu2 = cpu.clone();
+            sim.schedule_in(d, move |sim| {
+                done(sim);
+                cpu2.borrow_mut().busy = false;
+                Self::start_next(&cpu2, sim);
+            });
+        }
+    }
+
+    impl Resources for Reference {
+        fn cpu(&self, sim: &mut Sim, class: CpuClass, d: SimDuration, done: Done) {
+            RefCpu::run(&self.cpu, sim, class, d, done);
+        }
+        fn bus(&self, sim: &mut Sim, d: SimDuration, done: Done) {
+            RefCpu::run(&self.bus, sim, CpuClass::Task, d, done);
+        }
+    }
+
+    type Log = Rc<RefCell<Vec<(u64, u64)>>>;
+
+    /// One script step: `kind` 0 is IRQ work, 1–2 task work, 3 a bus
+    /// transfer and 4 a plain marker event; `dur` (in `Q`) may be zero;
+    /// a completion submits `nested` derived steps from inside itself.
+    #[derive(Clone, Copy)]
+    struct Step {
+        kind: u8,
+        dur: u64,
+        nested: u8,
+    }
+
+    fn submit(
+        res: &Rc<dyn Resources>,
+        log: &Log,
+        sim: &mut Sim,
+        step: Step,
+        label: u64,
+        depth: u32,
+    ) {
+        let d = SimDuration::from_ns(step.dur * Q);
+        if step.kind == 4 {
+            let log = log.clone();
+            sim.schedule_in(d, move |s| log.borrow_mut().push((s.now().as_ns(), label)));
+            return;
+        }
+        let (res2, log2) = (res.clone(), log.clone());
+        let done: Done = Box::new(move |s: &mut Sim| {
+            log2.borrow_mut().push((s.now().as_ns(), label));
+            if depth < 2 {
+                for i in 0..step.nested {
+                    let child = Step {
+                        kind: (step.kind + i + 1) % 5,
+                        dur: (step.dur + u64::from(i)) % 4,
+                        nested: step.nested.saturating_sub(1),
+                    };
+                    submit(
+                        &res2,
+                        &log2,
+                        s,
+                        child,
+                        label * 8 + u64::from(i) + 1,
+                        depth + 1,
+                    );
+                }
+            }
+        });
+        match step.kind {
+            0 => res.cpu(sim, CpuClass::Irq, d, done),
+            1 | 2 => res.cpu(sim, CpuClass::Task, d, done),
+            _ => res.bus(sim, d, done),
+        }
+    }
+
+    /// Run a script: each entry starts its step at `at` (in `Q`) from a
+    /// plain scheduled event. Returns the `(time, label)` log.
+    fn run(res: Rc<dyn Resources>, script: &[(u8, u64, u64, u8)]) -> Vec<(u64, u64)> {
+        let mut sim = Sim::new(0);
+        let log: Log = Rc::new(RefCell::new(Vec::new()));
+        for (i, &(kind, at, dur, nested)) in script.iter().enumerate() {
+            let (res, log) = (res.clone(), log.clone());
+            let step = Step { kind, dur, nested };
+            let label = (i as u64 + 1) << 16;
+            sim.schedule_at(SimTime::from_ns(at * Q), move |s| {
+                submit(&res, &log, s, step, label, 0);
+            });
+        }
+        sim.run();
+        let out = log.borrow().clone();
+        out
+    }
+
+    proptest! {
+        /// Random mixes of IRQ and task work (zero and nonzero
+        /// durations), bus transfers, work submitted from completions and
+        /// marker events at colliding instants log the same `(time,
+        /// label)` sequence on the real resources as on the reference.
+        #[test]
+        fn completion_order_matches_closure_per_completion_reference(
+            script in proptest::collection::vec((0u8..5, 0u64..30, 0u64..5, 0u8..4), 1..60)
+        ) {
+            let real = run(
+                Rc::new(Real {
+                    cpu: Cpu::new("cpu"),
+                    bus: Cpu::new("bus"),
+                }),
+                &script,
+            );
+            let reference = run(
+                Rc::new(Reference {
+                    cpu: Rc::default(),
+                    bus: Rc::default(),
+                }),
+                &script,
+            );
+            prop_assert!(!real.is_empty());
+            prop_assert_eq!(real, reference);
+        }
+    }
+}
