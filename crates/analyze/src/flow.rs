@@ -1,5 +1,5 @@
-//! Call-graph rule families: determinism taint, panic reachability, and
-//! catalog liveness.
+//! Call-graph rule families: determinism taint, panic reachability,
+//! catalog liveness and dead functions.
 //!
 //! These rules answer questions a per-site lexical lint cannot: not "does
 //! this line read the wall clock" but "can a simulation entry point
@@ -21,14 +21,17 @@
 //!   noise than signal, but the machinery is exercised in tests and can
 //!   be turned on for an audit pass.
 //! * `unreachable-name` — a catalog name whose recording sites all sit in
-//!   code unreachable from the job entry points (public items of
-//!   `clic-cluster` / `clic-bench`, plus any `fn main`). Distinct from
-//!   `dead-name`: the recorder *exists* but nothing can ever run it.
+//!   code unreachable from the job entry points (`entry_roots`).
+//!   Distinct from `dead-name`: the recorder *exists* but nothing can
+//!   ever run it.
+//! * `dead-fn` — a fn of a simulation crate that no entry point reaches,
+//!   named with its nearest test caller. Trait-impl methods are exempt
+//!   (the graph cannot see every dynamic dispatch), and so is test code.
 
 use crate::catalog::{strip_node_prefix, Catalog};
 use crate::graph::{path_to, reach, Graph};
 use crate::rules::{name_use, policy, NameUse, NO_UNWRAP_CRATES, OBS_INFRA_FILES, SIM_CRATES};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Options for the graph rule pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -63,18 +66,44 @@ pub struct Finding {
 /// `bytes`), and the analyzer is a host tool outside the simulation.
 const PANIC_EXEMPT_CRATES: &[&str] = &["shim-bytes", "shim-criterion", "shim-proptest", "analyze"];
 
-/// Crates whose public items are the job entry points for the
-/// `unreachable-name` liveness pass.
+/// Crates whose public items are job entry points.
 const ENTRY_CRATES: &[&str] = &["bench", "cluster"];
+
+/// Crates all of whose items are entry points: the repository benchmark.
+const ENTRY_WHOLE_CRATES: &[&str] = &["benchmark"];
 
 /// Run every graph rule; findings are sorted by (file, line, rule).
 pub fn run(g: &Graph, catalog: &Catalog, pol: &FlowPolicy) -> Vec<Finding> {
     let mut out = Vec::new();
     determinism_taint(g, &mut out);
     panic_reach(g, *pol, &mut out);
-    unreachable_names(g, catalog, &mut out);
+    let live = reach(g, &entry_roots(g));
+    unreachable_names(g, catalog, &live, &mut out);
+    dead_fns(g, &live, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
+}
+
+/// The job entry points of `unreachable-name` and `dead-fn`: every
+/// `fn main`, the public items of `clic-cluster` and `clic-bench`, every
+/// item of `crates/benchmark`, and every item of an example or bench
+/// source ([`Graph::entries`]).
+fn entry_roots(g: &Graph) -> Vec<usize> {
+    let mut roots: Vec<usize> = g
+        .items
+        .iter()
+        .enumerate()
+        .filter(|(_, it)| {
+            let krate = it.crate_name.as_str();
+            !it.is_test
+                && (it.name == "main"
+                    || ENTRY_WHOLE_CRATES.contains(&krate)
+                    || (it.is_pub && ENTRY_CRATES.contains(&krate)))
+        })
+        .map(|(id, _)| id)
+        .collect();
+    roots.extend(&g.entries);
+    roots
 }
 
 /// Non-test items that are unrestricted-`pub` in one of `crates`.
@@ -162,23 +191,20 @@ fn panic_reach(g: &Graph, pol: FlowPolicy, out: &mut Vec<Finding>) {
 }
 
 /// `unreachable-name`: catalog entries whose recording sites all sit in
-/// code no job entry point can reach.
-fn unreachable_names(g: &Graph, catalog: &Catalog, out: &mut Vec<Finding>) {
-    let mut roots = pub_roots(g, ENTRY_CRATES);
-    roots.extend(
-        g.items
-            .iter()
-            .enumerate()
-            .filter(|(_, it)| !it.is_test && it.name == "main")
-            .map(|(id, _)| id),
-    );
-    let parent = reach(g, &roots);
-
+/// code no job entry point can reach (`parent` is [`reach`] from
+/// `entry_roots`).
+fn unreachable_names(
+    g: &Graph,
+    catalog: &Catalog,
+    parent: &[Option<usize>],
+    out: &mut Vec<Finding>,
+) {
     // Metric name → recording item ids; stage name → recording item ids.
+    // A `const ID: MetricId = metric_id(..)` interns but records nothing.
     let mut metric_rec: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     let mut stage_rec: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (id, it) in g.items.iter().enumerate() {
-        if it.is_test || OBS_INFRA_FILES.contains(&it.file.as_str()) {
+        if it.is_test || it.is_data || OBS_INFRA_FILES.contains(&it.file.as_str()) {
             continue;
         }
         let consts = g.metric_consts.get(&it.file);
@@ -255,10 +281,87 @@ fn orphan_finding(g: &Graph, line: u32, message: String, ids: &[usize]) -> Findi
         line,
         message,
         suggestion: "wire the recorder into a job/experiment (entry points: pub items of \
-                     clic-cluster/clic-bench, fn main) or remove the catalog entry"
+                     clic-cluster/clic-bench, crates/benchmark, examples, benches, fn main) \
+                     or remove the catalog entry"
             .to_string(),
         path: recorders,
     }
+}
+
+/// `dead-fn`: non-test, non-trait-impl fns of the simulation crates that
+/// no entry point reaches (`parent` is [`reach`] from `entry_roots`).
+/// Each finding's path runs from the fn's nearest test caller to it.
+fn dead_fns(g: &Graph, parent: &[Option<usize>], out: &mut Vec<Finding>) {
+    let mut callers: Vec<Vec<usize>> = vec![Vec::new(); g.items.len()];
+    for (u, vs) in g.edges.iter().enumerate() {
+        for &v in vs {
+            callers[v].push(u);
+        }
+    }
+    for (id, it) in g.items.iter().enumerate() {
+        if it.is_test
+            || it.is_data
+            || it.trait_method
+            || parent[id].is_some()
+            || !SIM_CRATES.contains(&it.crate_name.as_str())
+        {
+            continue;
+        }
+        let path = test_chain(g, &callers, id);
+        let caller = &g.items[path[0]];
+        let message = if caller.is_test {
+            format!(
+                "`{}` is reached by no entry point; nearest test caller `{}` ({}:{})",
+                it.qualified(),
+                caller.qualified(),
+                caller.file,
+                caller.line
+            )
+        } else {
+            format!(
+                "`{}` is reached by no entry point and by no test",
+                it.qualified()
+            )
+        };
+        out.push(Finding {
+            rule: "dead-fn",
+            file: it.file.clone(),
+            line: it.line,
+            message,
+            suggestion: "delete it with the tests that only exercise it, or wire it into a \
+                         workload; an observer only its crate's unit tests read goes under \
+                         #[cfg(test)], one an integration test or bench reads takes \
+                         lint:allow(dead-fn, reason=\"<that reader>\")"
+                .to_string(),
+            path: path.iter().map(|&i| g.items[i].qualified()).collect(),
+        });
+    }
+}
+
+/// The shortest caller chain from a test item to `id`, test first, over
+/// the reversed edges `callers`; just `[id]` when no test reaches it.
+fn test_chain(g: &Graph, callers: &[Vec<usize>], id: usize) -> Vec<usize> {
+    let mut toward: Vec<Option<usize>> = vec![None; g.items.len()];
+    toward[id] = Some(id);
+    let mut queue = VecDeque::from([id]);
+    while let Some(v) = queue.pop_front() {
+        if g.items[v].is_test {
+            let mut chain = vec![v];
+            let mut cur = v;
+            while let Some(next) = toward[cur].filter(|&n| n != cur) {
+                chain.push(next);
+                cur = next;
+            }
+            return chain;
+        }
+        for &u in &callers[v] {
+            if toward[u].is_none() {
+                toward[u] = Some(v);
+                queue.push_back(u);
+            }
+        }
+    }
+    vec![id]
 }
 
 #[cfg(test)]
@@ -281,6 +384,7 @@ mod tests {
                     text: text.to_string(),
                 })
                 .collect(),
+            graph_only: Vec::new(),
             manifests: vec![Manifest {
                 rel: "Cargo.toml".to_string(),
                 text: "[workspace.dependencies]\n".to_string(),

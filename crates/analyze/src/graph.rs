@@ -28,6 +28,9 @@ use std::fmt::Write as _;
 pub struct Graph {
     /// Every function item, in deterministic (file, line) order.
     pub items: Vec<Item>,
+    /// Ids of the non-test items of the entry sources (examples and
+    /// benches, [`Workspace::graph_only`]): each is an entry point.
+    pub entries: Vec<usize>,
     /// Adjacency: `edges[i]` lists the item ids `i` may call.
     pub edges: Vec<Vec<usize>>,
     /// Transitive crate-dependency closure: crate dir → crate dirs it may
@@ -40,25 +43,42 @@ pub struct Graph {
 
 /// Build the call graph for a discovered workspace.
 ///
-/// Lexes every library source, parses items, resolves calls. `test_map`
-/// supplies the per-file `#[cfg(test)]` line ranges (keyed by
-/// workspace-relative path) so test items are flagged.
+/// Lexes every source (the per-site files and the graph-only ones),
+/// parses items, resolves calls. Items inside `#[cfg(test)]` / `#[test]`
+/// regions, and every item of an integration-test source, are flagged
+/// [`Item::is_test`]; items of the other graph-only sources are
+/// [`Graph::entries`].
 pub fn build(ws: &Workspace) -> Graph {
     let mut items: Vec<Item> = Vec::new();
+    let mut entries = Vec::new();
     let mut metric_consts = BTreeMap::new();
-    for f in &ws.files {
+    for (f, graph_only) in ws
+        .files
+        .iter()
+        .map(|f| (f, false))
+        .chain(ws.graph_only.iter().map(|f| (f, true)))
+    {
         let lexed = lex(&f.text);
-        let tests = rules::test_regions(&lexed);
+        let tests = if f.is_test_source {
+            vec![(0, u32::MAX)]
+        } else {
+            rules::test_regions(&lexed)
+        };
+        let first = items.len();
         items.extend(parse_items(&f.rel, &f.crate_name, &lexed, &tests));
+        if graph_only && !f.is_test_source {
+            entries.extend((first..items.len()).filter(|&id| !items[id].is_test));
+        }
         let consts = rules::metric_consts(&lexed);
         if !consts.is_empty() {
             metric_consts.insert(f.rel.clone(), consts);
         }
     }
     let crate_deps = dependency_closure(&ws.manifests);
-    let edges = resolve(&items, &crate_deps);
+    let edges = resolve(&items, &entries, &crate_deps);
     Graph {
         items,
+        entries,
         edges,
         crate_deps,
         metric_consts,
@@ -79,16 +99,37 @@ fn crates_linked(deps: &BTreeMap<String, BTreeSet<String>>, from: &str, to: &str
     }
 }
 
-/// Resolve every call/ref site to candidate items.
-fn resolve(items: &[Item], deps: &BTreeMap<String, BTreeSet<String>>) -> Vec<Vec<usize>> {
+/// Whether `t` may be the target of a `q::name` path: a member of `q`
+/// when `q` owns any item, otherwise (`module::free`) a free item.
+fn owned_by(items: &[Item], t: &Item, q: &str) -> bool {
+    match &t.owner {
+        Some(o) => o == q,
+        None => !items.iter().any(|x| x.owner.as_deref() == Some(q)),
+    }
+}
+
+/// Resolve every call/ref site to candidate items. Code outside tests
+/// never resolves to a test item (`#[cfg(test)]` code is not compiled
+/// into it), and code outside the entry sources never resolves to an
+/// item of one (an example or bench is its own binary).
+fn resolve(
+    items: &[Item],
+    entries: &[usize],
+    deps: &BTreeMap<String, BTreeSet<String>>,
+) -> Vec<Vec<usize>> {
     // name → item ids.
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (id, it) in items.iter().enumerate() {
         by_name.entry(&it.name).or_default().push(id);
     }
+    let mut entry = vec![false; items.len()];
+    for &id in entries {
+        entry[id] = true;
+    }
 
     let mut edges: Vec<Vec<usize>> = Vec::with_capacity(items.len());
-    for it in items {
+    for (from, it) in items.iter().enumerate() {
+        let visible = |id: usize| (it.is_test || !items[id].is_test) && (entry[from] || !entry[id]);
         let mut out: BTreeSet<usize> = BTreeSet::new();
         for c in &it.calls {
             let Some(cands) = by_name.get(c.name.as_str()) else {
@@ -100,6 +141,9 @@ fn resolve(items: &[Item], deps: &BTreeMap<String, BTreeSet<String>>) -> Vec<Vec
                 .copied()
                 .filter(|&id| {
                     let t = &items[id];
+                    if t.is_data || !visible(id) {
+                        return false;
+                    }
                     let forward = crates_linked(deps, &it.crate_name, &t.crate_name);
                     if c.method {
                         // Trait-impl methods are dynamic-dispatch targets:
@@ -118,10 +162,7 @@ fn resolve(items: &[Item], deps: &BTreeMap<String, BTreeSet<String>>) -> Vec<Vec
                         // `Type::assoc(...)`: restrict to that owner when
                         // the owner is known at all; `module::free(...)`
                         // qualifiers fall through to free functions.
-                        match &t.owner {
-                            Some(o) => o == q,
-                            None => !items.iter().any(|x| x.owner.as_deref() == Some(q)),
-                        }
+                        owned_by(items, t, q)
                     } else {
                         !t.has_self && t.owner.is_none()
                     }
@@ -147,13 +188,19 @@ fn resolve(items: &[Item], deps: &BTreeMap<String, BTreeSet<String>>) -> Vec<Vec
                 arity_matched
             });
         }
-        // Bare fn-pointer references: name match over free functions and
-        // associated fns only (methods need a receiver to be called).
+        // Fn-pointer references: a bare name matches free functions,
+        // associated fns and constants (methods need a receiver to be
+        // called); a `Type::f` value path matches `Type`'s members,
+        // methods included (`.map(Item::sort_key)`).
         for r in &it.refs {
             if let Some(cands) = by_name.get(r.name.as_str()) {
                 out.extend(cands.iter().copied().filter(|&id| {
                     let t = &items[id];
-                    !t.has_self && crates_linked(deps, &it.crate_name, &t.crate_name)
+                    let shape = match &r.qualifier {
+                        Some(q) => owned_by(items, t, q),
+                        None => !t.has_self,
+                    };
+                    shape && visible(id) && crates_linked(deps, &it.crate_name, &t.crate_name)
                 }));
             }
         }
@@ -369,6 +416,7 @@ mod tests {
                     text: text.to_string(),
                 })
                 .collect(),
+            graph_only: Vec::new(),
             manifests: Vec::new(),
         }
     }
@@ -420,6 +468,29 @@ mod tests {
             path_to(&g, &parent, deep),
             vec!["a::entry", "a::mid", "a::deep"]
         );
+    }
+
+    #[test]
+    fn library_code_never_calls_into_tests_or_entry_sources() {
+        let mut w = ws(vec![(
+            "crates/a/src/lib.rs",
+            "a",
+            "pub fn lib() { setup(); demo(); }\n\
+             #[cfg(test)]\nmod tests { fn setup() { super::lib(); } }\n",
+        )]);
+        w.graph_only.push(SourceFile {
+            rel: "examples/demo.rs".to_string(),
+            crate_name: "a".to_string(),
+            is_lib_root: false,
+            is_test_source: false,
+            text: "fn demo() { lib(); }\n".to_string(),
+        });
+        let g = build(&w);
+        let id = |name: &str| g.items.iter().position(|i| i.name == name).unwrap();
+        assert!(g.edges[id("lib")].is_empty(), "{:?}", g.edges);
+        assert!(g.edges[id("setup")].contains(&id("lib")));
+        assert!(g.edges[id("demo")].contains(&id("lib")));
+        assert_eq!(g.entries, vec![id("demo")]);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!
 //! * **call sites** (`foo(..)`, `x.foo(..)`, `Type::foo(..)`) with an
 //!   argument count, for conservative name+arity resolution;
-//! * **bare function references** (`schedule_in(t, tick)`) so closures
-//!   and fn pointers handed to the scheduler stay on the graph;
+//! * **bare function references** (`schedule_in(t, tick)`,
+//!   `.map(Congestion::new)`) so closures and fn pointers handed to the
+//!   scheduler stay on the graph, and mentions of `SCREAMING_CASE`
+//!   constants, which reach the fns their initializers name;
 //! * **determinism-taint sources** (wall clock, host RNG, `RandomState`,
 //!   thread identity, environment reads);
 //! * **panic sites** (`unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`
@@ -24,9 +26,10 @@
 
 use crate::lexer::{Lexed, TokKind};
 
-/// One function-like item.
+/// One function-like item: a fn, or a top-level `static`/`const` whose
+/// initializer is read as its body ([`Item::is_data`]).
 #[derive(Debug)]
-// Four independent facts about an item, not a state machine.
+// Five independent facts about an item, not a state machine.
 #[allow(clippy::struct_excessive_bools)]
 pub struct Item {
     /// Crate directory name (`sim`, `core`, ...).
@@ -55,6 +58,11 @@ pub struct Item {
     /// (the callback pattern: `os` dispatches a `PacketHandler` that
     /// `core` registered).
     pub trait_method: bool,
+    /// Whether this is a `static`/`const` rather than a fn. Its body is
+    /// the initializer, so a table of fn pointers (`FAMILIES`) or a
+    /// `metric_id(..)` const reaches what it names, and any body that
+    /// mentions the constant reaches it.
+    pub is_data: bool,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
     /// Bare references to function names (fn-pointer arguments).
@@ -99,11 +107,15 @@ pub struct CallSite {
 }
 
 /// A bare identifier in argument position that may name a function
-/// (fn-pointer / scheduled-arm reference).
+/// (fn-pointer / scheduled-arm reference, `Type::f` passed as a value),
+/// or the mention of a `SCREAMING_CASE` constant anywhere in a body.
 #[derive(Debug)]
 pub struct RefSite {
     /// The referenced name.
     pub name: String,
+    /// `Type` in a `Type::f` value path; `Self` is already rewritten to
+    /// the enclosing impl owner.
+    pub qualifier: Option<String>,
     /// 1-based source line.
     pub line: u32,
 }
@@ -271,11 +283,14 @@ impl Parser<'_> {
                     }
                     i = next;
                 }
-                // `use`, `struct`, `enum`, `static`, `const`, ...: no
-                // function bodies at this level worth special casing —
-                // associated consts with block initializers are rare and
-                // contain no scheduling logic; skipping one token keeps the
-                // scan simple and safe.
+                "static" | "const" => {
+                    let (item, next) = self.data_item(i, to, owner);
+                    if let Some(item) = item {
+                        out.push(item);
+                    }
+                    i = next;
+                }
+                // `use`, `struct`, `enum`, ...: no bodies to scan.
                 _ => i += 1,
             }
         }
@@ -336,7 +351,6 @@ impl Parser<'_> {
         in_trait: bool,
     ) -> (Option<Item>, usize) {
         let lx = self.lx;
-        let line = lx.toks[at].line;
         let Some(TokKind::Ident(name)) = lx.kind(at + 1) else {
             return (None, at + 1);
         };
@@ -351,7 +365,7 @@ impl Parser<'_> {
         let Some(params_close) = matching_in(lx, j, to, '(', ')') else {
             return (None, at + 1);
         };
-        let (arity, has_self) = param_shape(lx, j, params_close);
+        let (params, has_self) = param_shape(lx, j, params_close);
 
         // Skip return type / where clause to the body `{` or a `;`.
         let mut k = params_close + 1;
@@ -378,29 +392,85 @@ impl Parser<'_> {
             return (None, to);
         };
 
-        let mut item = Item {
+        let mut item = self.item(at, name, owner);
+        item.arity = params - usize::from(has_self);
+        item.has_self = has_self;
+        item.trait_method = in_trait;
+        scan_body(lx, k + 1, body_close, owner, &mut item);
+        (Some(item), body_close + 1)
+    }
+
+    /// Parse a `static`/`const` item starting at its keyword: the
+    /// initializer between `=` and the closing `;` becomes the body.
+    /// Returns None for `const fn` (the `fn` arm takes it) and for
+    /// initializer-less trait consts.
+    fn data_item(&self, at: usize, to: usize, owner: Option<&str>) -> (Option<Item>, usize) {
+        let lx = self.lx;
+        let mut j = at + 1;
+        if lx.is_ident(j, "mut") {
+            j += 1;
+        }
+        let Some(TokKind::Ident(name)) = lx.kind(j) else {
+            return (None, at + 1);
+        };
+        if !lx.is_punct(j + 1, ':') {
+            return (None, at + 1); // `const fn`, `const unsafe fn`, ...
+        }
+        // The type may hold `;` (`[u8; 4]`) and `=` (`Item = T`) inside
+        // brackets; the initializer starts at the first `=` outside them.
+        let (mut depth, mut angle) = (0i32, 0i32);
+        let mut eq = None;
+        let mut k = j + 2;
+        while k < to {
+            match lx.kind(k) {
+                Some(TokKind::Punct('(' | '[' | '{')) => depth += 1,
+                Some(TokKind::Punct(')' | ']' | '}')) => depth -= 1,
+                Some(TokKind::Punct('<')) => angle += 1,
+                Some(TokKind::Punct('>')) if !lx.is_punct(k - 1, '-') => angle -= 1,
+                Some(TokKind::Punct(';')) if depth == 0 => break,
+                Some(TokKind::Punct('=')) if depth == 0 && angle == 0 && eq.is_none() => {
+                    eq = Some(k);
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+        let Some(eq) = eq else {
+            return (None, k + 1);
+        };
+        let mut item = self.item(at, name.clone(), owner);
+        item.is_data = true;
+        scan_body(lx, eq + 1, k.min(to), owner, &mut item);
+        (Some(item), k + 1)
+    }
+
+    /// A bodiless item for the declaration whose keyword sits at `at`.
+    fn item(&self, at: usize, name: String, owner: Option<&str>) -> Item {
+        let line = self.lx.toks[at].line;
+        Item {
             crate_name: self.crate_name.to_string(),
             file: self.file.to_string(),
             line,
             owner: owner.map(str::to_string),
-            arity,
-            has_self,
-            is_pub: is_pub_at(lx, at),
+            arity: 0,
+            has_self: false,
+            is_pub: is_pub_at(self.lx, at),
             is_test: self.in_test(line),
-            trait_method: in_trait,
+            trait_method: false,
+            is_data: false,
             name,
             calls: Vec::new(),
             refs: Vec::new(),
             sources: Vec::new(),
             panics: Vec::new(),
-        };
-        scan_body(lx, k + 1, body_close, owner, &mut item);
-        (Some(item), body_close + 1)
+        }
     }
 }
 
-/// Count parameters and detect a `self` receiver between paren indices
-/// `open` and `close` (exclusive).
+/// Count the comma-separated entries between paren indices `open` and
+/// `close` (exclusive) and detect a leading `self`. The count includes a
+/// `self` receiver: a signature subtracts it, a call site must not
+/// (`f(self.now, a, b)` passes three arguments).
 fn param_shape(lx: &Lexed, open: usize, close: usize) -> (usize, bool) {
     if close == open + 1 {
         return (0, false);
@@ -446,8 +516,7 @@ fn param_shape(lx: &Lexed, open: usize, close: usize) -> (usize, bool) {
         }
         j += 1;
     }
-    let params = if saw_any { commas + 1 } else { 0 };
-    (params.saturating_sub(usize::from(has_self)), has_self)
+    (if saw_any { commas + 1 } else { 0 }, has_self)
 }
 
 /// Whether the `fn` at `at` is `pub` with unrestricted visibility,
@@ -553,14 +622,10 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
                             is_index: false,
                         });
                     }
-                    let qualifier = if !method && i >= 2 && lx.is_path_sep(i - 2) && i >= 3 {
-                        match lx.kind(i - 3) {
-                            Some(TokKind::Ident(q)) if q == "Self" => owner.map(str::to_string),
-                            Some(TokKind::Ident(q)) => Some(q.clone()),
-                            _ => None,
-                        }
-                    } else {
+                    let qualifier = if method {
                         None
+                    } else {
+                        path_qualifier(lx, i, owner)
                     };
                     let Some(close) = matching_in(lx, i + 1, to, '(', ')') else {
                         continue;
@@ -581,11 +646,26 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
                         first_str,
                         first_ident,
                     });
+                } else if is_const_name(name) {
+                    // A constant mentioned anywhere: `FAMILIES.iter()`,
+                    // `record(SENT, 1)`.
+                    item.refs.push(RefSite {
+                        name: name.clone(),
+                        qualifier: None,
+                        line,
+                    });
                 } else {
-                    // Bare reference in argument position: `(tick)` or
-                    // `, tick,` / `, tick)`.
-                    let prev_ok = i >= 1 && (lx.is_punct(i - 1, '(') || lx.is_punct(i - 1, ','));
-                    let next_ok = lx.is_punct(i + 1, ')') || lx.is_punct(i + 1, ',');
+                    // Bare reference in argument, element or field
+                    // position: `(tick)`, `[a, b]`, `jobs: fig7_jobs,`, or
+                    // a `Type::f` value path there (`.map(Congestion::new)`).
+                    let qualifier = path_qualifier(lx, i, owner);
+                    let start = if qualifier.is_some() { i - 3 } else { i };
+                    let field =
+                        start >= 2 && lx.is_punct(start - 1, ':') && !lx.is_punct(start - 2, ':');
+                    let prev_ok = field
+                        || (start >= 1
+                            && ['(', '[', ','].iter().any(|&c| lx.is_punct(start - 1, c)));
+                    let next_ok = [')', ']', '}', ','].iter().any(|&c| lx.is_punct(i + 1, c));
                     if prev_ok
                         && next_ok
                         && !REF_EXCLUDED.contains(&name.as_str())
@@ -594,6 +674,7 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
                     {
                         item.refs.push(RefSite {
                             name: name.clone(),
+                            qualifier,
                             line,
                         });
                     }
@@ -629,6 +710,29 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
             _ => {}
         }
     }
+}
+
+/// The `Type` of a `Type::name` path whose last segment is the token at
+/// `i` (`Self` rewritten to `owner`), or None when `i` is not preceded by
+/// `Ident ::`.
+fn path_qualifier(lx: &Lexed, i: usize, owner: Option<&str>) -> Option<String> {
+    if i < 3 || !lx.is_path_sep(i - 2) {
+        return None;
+    }
+    match lx.kind(i - 3) {
+        Some(TokKind::Ident(q)) if q == "Self" => owner.map(str::to_string),
+        Some(TokKind::Ident(q)) => Some(q.clone()),
+        _ => None,
+    }
+}
+
+/// Whether `name` is `SCREAMING_CASE`, the shape of a `static`/`const`.
+fn is_const_name(name: &str) -> bool {
+    name.len() > 1
+        && name.starts_with(|c: char| c.is_ascii_uppercase())
+        && name
+            .chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
 /// Classify an identifier as a determinism-taint source, mirroring (and
@@ -800,6 +904,69 @@ mod tests {
         let it = items("fn r#type() {} fn caller() { r#type(); }");
         assert_eq!(it[0].name, "type");
         assert!(it[1].calls.iter().any(|c| c.name == "type"));
+    }
+
+    #[test]
+    fn a_self_argument_counts_at_a_call_site() {
+        // Only a signature's receiver is subtracted: `f(self.now, a, b)`
+        // passes three arguments.
+        let it = items(
+            "impl Sim { fn record(&mut self, id: u32, v: u64) { \
+             self.timeline.record(self.now, id, v); f(self, 1); } }",
+        );
+        assert_eq!((it[0].arity, it[0].has_self), (2, true));
+        let call = |name: &str| it[0].calls.iter().find(|c| c.name == name).unwrap().arity;
+        assert_eq!(call("record"), 3);
+        assert_eq!(call("f"), 2);
+    }
+
+    #[test]
+    fn static_and_const_initializers_are_data_items() {
+        let it = items(
+            "pub static FAMILIES: [Family; 1] = [Family { jobs: fig7_jobs, run: |s| go(s) }];\n\
+             const SENT: MetricId = metric_id(\"clic.sent\");\n\
+             const fn helper() -> u32 { 0 }\n\
+             const ROWS: [(u8, u8); 2] = [(1, 2), (3, 4)];\n\
+             fn user() { for f in FAMILIES.iter() {} record(SENT, 1); }",
+        );
+        let names: Vec<(&str, bool)> = it.iter().map(|i| (i.name.as_str(), i.is_data)).collect();
+        assert_eq!(
+            names,
+            vec![
+                ("FAMILIES", true),
+                ("SENT", true),
+                ("helper", false),
+                ("ROWS", true),
+                ("user", false)
+            ]
+        );
+        assert!(it[0].is_pub);
+        assert!(it[0].refs.iter().any(|r| r.name == "fig7_jobs"));
+        assert!(it[0].calls.iter().any(|c| c.name == "go"));
+        assert!(it[1].calls.iter().any(|c| c.name == "metric_id"));
+        let mentioned: Vec<&str> = it[4].refs.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(mentioned, vec!["FAMILIES", "SENT"]);
+    }
+
+    #[test]
+    fn type_paths_passed_as_values_are_qualified_refs() {
+        let it = items(
+            "impl Cell { fn get(&mut self) { self.h.get_or_insert_with(Self::fresh); } }\n\
+             fn build(v: Vec<u32>) { v.iter().map(Congestion::new); v.sort_by_key(Item::sort_key); }",
+        );
+        let refs: Vec<(&str, Option<&str>)> = it
+            .iter()
+            .flat_map(|i| &i.refs)
+            .map(|r| (r.name.as_str(), r.qualifier.as_deref()))
+            .collect();
+        assert_eq!(
+            refs,
+            vec![
+                ("fresh", Some("Cell")),
+                ("new", Some("Congestion")),
+                ("sort_key", Some("Item"))
+            ]
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! On top of the per-site rules, [`analyze_workspace`] builds the
 //! workspace call graph ([`crate::graph`]) and runs the flow families
 //! ([`crate::flow`]): `determinism-taint`, `panic-reach`,
-//! `unreachable-name`. Their findings carry a root→sink call path and are
+//! `unreachable-name`, `dead-fn`. Their findings carry a root→sink call path and are
 //! filtered against the same `lint:allow` annotations as everything else
 //! — allow bookkeeping is centralized here precisely because a graph
 //! finding in file A can be suppressed by an annotation in file A while
@@ -78,6 +78,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "unreachable-name",
         "catalog names must be recorded by code reachable from job entry points",
+    ),
+    (
+        "dead-fn",
+        "every simulation-crate fn must be reachable from a job entry point",
     ),
     (
         "metric-name",
@@ -843,9 +847,6 @@ const METRIC_ID_CALL: &str = "metric_id";
 /// that `ID` was interned from.
 const RECORD_CALL: &str = "record";
 
-/// Stage-id resolver from `clic_sim::catalog` (see [`METRIC_ID_CALL`]).
-const STAGE_ID_CALL: &str = "stage_id";
-
 /// `const NAME: MetricId = [path::]metric_id("lit");` declarations in a
 /// file, as const name → metric name: what a `record(NAME, ..)` call in
 /// that file records.
@@ -916,8 +917,6 @@ pub(crate) fn name_use(name: &str, is_method: bool) -> Option<NameUse> {
             .map(|&(_, s)| NameUse::Metric(s))
     } else if name == METRIC_ID_CALL {
         Some(NameUse::Intern)
-    } else if name == STAGE_ID_CALL {
-        Some(NameUse::Stage)
     } else {
         None
     }

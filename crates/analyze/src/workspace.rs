@@ -5,8 +5,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One Rust source file under a crate's `src/` (or, with
-/// [`discover_with`], `tests/`) tree.
+/// One Rust source file under a crate's `src/`, `tests/` or `benches/`
+/// tree, or the root's `examples/`.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Path relative to the workspace root, with `/` separators.
@@ -37,8 +37,13 @@ pub struct Manifest {
 pub struct Workspace {
     /// The workspace root directory.
     pub root: PathBuf,
-    /// Library source files, sorted by path.
+    /// Sources the per-site rules check, sorted by path: library sources,
+    /// plus integration tests under [`discover_with`]'s `include_tests`.
     pub files: Vec<SourceFile>,
+    /// Sources read into the call graph only, under no per-site rule:
+    /// examples and benches, whose items are entry points, and the
+    /// integration tests not in `files`, whose items are test callers.
+    pub graph_only: Vec<SourceFile>,
     /// Workspace manifests, sorted by path.
     pub manifests: Vec<Manifest>,
 }
@@ -60,25 +65,31 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Enumerate the workspace's library sources (`src/` trees only — tests,
-/// benches, examples and fixtures are out of scope by construction) and
-/// every `Cargo.toml`.
+/// Enumerate the workspace's sources and every `Cargo.toml`. The per-site
+/// rules check the library sources (`src/` trees); tests, benches and
+/// examples go to [`Workspace::graph_only`].
 pub fn discover(root: &Path) -> io::Result<Workspace> {
     discover_with(root, false)
 }
 
-/// [`discover`], optionally including integration-test sources (`tests/`
-/// trees). The analyzer's own `tests/fixtures/` directory is always
-/// excluded: its files violate rules on purpose.
+/// [`discover`], optionally putting integration-test sources (`tests/`
+/// trees) under the per-site rules too. The analyzer's own
+/// `tests/fixtures/` directory is always excluded: its files violate
+/// rules on purpose.
 pub fn discover_with(root: &Path, include_tests: bool) -> io::Result<Workspace> {
     let mut files = Vec::new();
+    let mut graph_only = Vec::new();
     let mut manifests = Vec::new();
 
     push_manifest(root, "Cargo.toml", &mut manifests)?;
-    collect_src(root, Path::new("src"), "clic", &mut files)?;
-    if include_tests {
-        collect_tests(root, Path::new("tests"), "clic", &mut files)?;
-    }
+    collect(root, Path::new("src"), "clic", false, &mut files)?;
+    let tests = if include_tests {
+        &mut files
+    } else {
+        &mut graph_only
+    };
+    collect(root, Path::new("tests"), "clic", true, tests)?;
+    collect(root, Path::new("examples"), "clic", false, &mut graph_only)?;
 
     // Tolerate a workspace without a `crates/` tree (the root package is
     // still scanned) so the analyzer runs on any layout.
@@ -100,27 +111,24 @@ pub fn discover_with(root: &Path, include_tests: bool) -> io::Result<Workspace> 
             .to_string();
         let rel_manifest = format!("crates/{name}/Cargo.toml");
         push_manifest(root, &rel_manifest, &mut manifests)?;
-        collect_src(
-            root,
-            &Path::new("crates").join(&name).join("src"),
-            &name,
-            &mut files,
-        )?;
-        if include_tests {
-            collect_tests(
-                root,
-                &Path::new("crates").join(&name).join("tests"),
-                &name,
-                &mut files,
-            )?;
-        }
+        let dir = Path::new("crates").join(&name);
+        collect(root, &dir.join("src"), &name, false, &mut files)?;
+        let tests = if include_tests {
+            &mut files
+        } else {
+            &mut graph_only
+        };
+        collect(root, &dir.join("tests"), &name, true, tests)?;
+        collect(root, &dir.join("benches"), &name, false, &mut graph_only)?;
     }
 
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
+    graph_only.sort_by(|a, b| a.rel.cmp(&b.rel));
     manifests.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(Workspace {
         root: root.to_path_buf(),
         files,
+        graph_only,
         manifests,
     })
 }
@@ -136,53 +144,14 @@ fn push_manifest(root: &Path, rel: &str, out: &mut Vec<Manifest>) -> io::Result<
     Ok(())
 }
 
-/// Recursively collect `.rs` files under `root/dir` (a `src/` tree).
-fn collect_src(
+/// Recursively collect `.rs` files under `root/dir`, skipping
+/// `fixtures/` (deliberately-violating lint inputs) and `golden/`
+/// subtrees. `is_test_source` marks a `tests/` tree.
+fn collect(
     root: &Path,
     dir: &Path,
     crate_name: &str,
-    out: &mut Vec<SourceFile>,
-) -> io::Result<()> {
-    let abs = root.join(dir);
-    if !abs.is_dir() {
-        return Ok(());
-    }
-    let mut entries: Vec<PathBuf> = fs::read_dir(&abs)?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if path.is_dir() {
-            collect_src(root, &dir.join(name), crate_name, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let rel = dir
-                .join(name)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                .collect::<Vec<_>>()
-                .join("/");
-            out.push(SourceFile {
-                is_lib_root: rel.ends_with("src/lib.rs"),
-                rel,
-                crate_name: crate_name.to_string(),
-                is_test_source: false,
-                text: fs::read_to_string(&path)?,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Recursively collect `.rs` files under `root/dir` (a `tests/` tree),
-/// skipping `fixtures/` subtrees (deliberately-violating lint inputs).
-fn collect_tests(
-    root: &Path,
-    dir: &Path,
-    crate_name: &str,
+    is_test_source: bool,
     out: &mut Vec<SourceFile>,
 ) -> io::Result<()> {
     let abs = root.join(dir);
@@ -202,7 +171,7 @@ fn collect_tests(
             if name == "fixtures" || name == "golden" {
                 continue;
             }
-            collect_tests(root, &dir.join(name), crate_name, out)?;
+            collect(root, &dir.join(name), crate_name, is_test_source, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = dir
                 .join(name)
@@ -211,10 +180,10 @@ fn collect_tests(
                 .collect::<Vec<_>>()
                 .join("/");
             out.push(SourceFile {
-                is_lib_root: false,
+                is_lib_root: !is_test_source && rel.ends_with("src/lib.rs"),
                 rel,
                 crate_name: crate_name.to_string(),
-                is_test_source: true,
+                is_test_source,
                 text: fs::read_to_string(&path)?,
             });
         }
@@ -243,9 +212,19 @@ mod tests {
             .manifests
             .iter()
             .any(|m| m.rel == "crates/analyze/Cargo.toml"));
-        // Out of scope: tests, benches, examples.
+        // Out of the per-site scope: tests, benches, examples.
         assert!(!ws.files.iter().any(|f| f.rel.contains("/tests/")));
         assert!(!ws.files.iter().any(|f| f.rel.starts_with("examples/")));
+        // The call graph reads them: examples and benches as entry points,
+        // tests as test callers.
+        let graph_only = |rel: &str, test: bool| {
+            ws.graph_only
+                .iter()
+                .any(|f| f.rel == rel && f.is_test_source == test)
+        };
+        assert!(graph_only("examples/quickstart.rs", false));
+        assert!(graph_only("crates/bench/benches/engine.rs", false));
+        assert!(graph_only("tests/full_stack.rs", true));
     }
 
     #[test]

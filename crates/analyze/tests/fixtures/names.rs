@@ -7,7 +7,6 @@ pub fn record(metrics: &mut Metrics, trace: &mut Trace, now: SimTime) {
     trace.instant(now, Layer::Clic, "bogus_stage", 7); // stage-name finding
 }
 
-/// Compile-time interning resolvers are checked too.
+/// The compile-time interning resolver is checked too.
 const GOOD_ID: MetricId = catalog::metric_id("clic.msgs_sent"); // registered
 const BAD_ID: MetricId = metric_id("interned.not.registered"); // metric-name finding
-const BAD_STAGE: StageId = stage_id("interned_bogus_stage"); // stage-name finding

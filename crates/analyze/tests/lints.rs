@@ -80,11 +80,8 @@ fn name_fixture_flags_only_unregistered_names() {
     assert!(metric
         .iter()
         .any(|d| d.message.contains("interned.not.registered")));
-    assert_eq!(stage.len(), 2, "{diags:?}");
+    assert_eq!(stage.len(), 1, "{diags:?}");
     assert!(stage.iter().any(|d| d.message.contains("bogus_stage")));
-    assert!(stage
-        .iter()
-        .any(|d| d.message.contains("interned_bogus_stage")));
     // Registered names pass (string and interned-resolver shapes).
     assert!(!diags.iter().any(|d| d.message.contains("clic.msgs_sent")));
     assert!(!diags.iter().any(|d| d.message.contains("driver_tx")));
@@ -250,6 +247,7 @@ fn graph_workspace() -> Workspace {
                 text: text.to_string(),
             })
             .collect(),
+        graph_only: Vec::new(),
         manifests: vec![Manifest {
             rel: "Cargo.toml".to_string(),
             text: "[workspace.dependencies]\n".to_string(),
@@ -302,6 +300,95 @@ fn liveness_fixture_fails_the_analyzer_at_the_catalog_entry() {
     assert!(d.message.contains("clic.msgs_sent"), "{d:?}");
 }
 
+/// The `dead-fn` workspace: a `hw` model file holding one fn of each
+/// reachability shape, the `clic-cluster` job entry point, and (when
+/// `with_example`) an example, which the analyzer reads as a graph-only
+/// entry source.
+fn dead_fn_workspace(with_example: bool) -> Workspace {
+    let source = |rel: &str, krate: &str, text: &str| SourceFile {
+        rel: rel.to_string(),
+        crate_name: krate.to_string(),
+        is_lib_root: false,
+        is_test_source: false,
+        text: text.to_string(),
+    };
+    let graph_only = if with_example {
+        vec![source(
+            "examples/meter.rs",
+            "clic",
+            include_str!("fixtures/graph/example_main.rs"),
+        )]
+    } else {
+        Vec::new()
+    };
+    Workspace {
+        root: PathBuf::new(),
+        files: vec![
+            source("crates/sim/src/catalog.rs", "sim", CATALOG_SRC),
+            source(
+                "crates/hw/src/dead_fix.rs",
+                "hw",
+                include_str!("fixtures/graph/hw_dead.rs"),
+            ),
+            source(
+                "crates/cluster/src/entry_fix.rs",
+                "cluster",
+                include_str!("fixtures/graph/cluster_entry.rs"),
+            ),
+        ],
+        graph_only,
+        // The root package (the examples' crate) links the model crates.
+        manifests: vec![Manifest {
+            rel: "Cargo.toml".to_string(),
+            text: "[workspace.dependencies]\nclic-hw = { path = \"crates/hw\" }\n\n\
+                   [dependencies]\nclic-hw.workspace = true\n"
+                .to_string(),
+        }],
+    }
+}
+
+fn dead_fn_diags(ws: &Workspace) -> Vec<clic_analyze::Diag> {
+    analyze_workspace(ws)
+        .diags
+        .into_iter()
+        .filter(|d| d.rule == "dead-fn")
+        .collect()
+}
+
+#[test]
+fn dead_fn_fixture_reports_only_the_fn_a_test_alone_reaches() {
+    // Live, `Type::f`-passed, table-named, trait-impl, example-reached and
+    // test code are all quiet; `Meter::peek` is reported with its caller.
+    let diags = dead_fn_diags(&dead_fn_workspace(true));
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    let d = &diags[0];
+    assert_eq!((d.file.as_str(), d.line), ("crates/hw/src/dead_fix.rs", 20));
+    assert_eq!(d.path, vec!["hw::peeks", "hw::Meter::peek"]);
+    assert!(
+        d.message.contains(
+            "`hw::Meter::peek` is reached by no entry point; nearest test caller \
+             `hw::peeks` (crates/hw/src/dead_fix.rs:52)"
+        ),
+        "{d:?}"
+    );
+}
+
+#[test]
+fn dead_fn_fixture_without_its_example_reports_what_only_the_example_ran() {
+    let diags = dead_fn_diags(&dead_fn_workspace(false));
+    let fns: Vec<&str> = diags
+        .iter()
+        .map(|d| d.path.last().unwrap().as_str())
+        .collect();
+    assert_eq!(
+        fns,
+        vec!["hw::Meter::reset", "hw::Meter::peek"],
+        "{diags:?}"
+    );
+    assert_eq!(diags[0].path, vec!["hw::Meter::reset"]);
+    assert!(diags[0].message.ends_with("and by no test"), "{diags:?}");
+}
+
 /// Golden JSON for one diagnostic per call-graph family: the schema
 /// (`rule`, `file`, `line`, `message`, `path`, `suggestion`) must stay
 /// identical across families, with `path` populated root-first.
@@ -313,6 +400,7 @@ fn json_schema_is_identical_across_rule_families() {
         "time-overflow",
         "panic-reach",
         "unreachable-name",
+        "dead-fn",
     ];
     for rule in families {
         let d = report

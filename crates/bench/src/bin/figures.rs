@@ -38,7 +38,9 @@
 use clic_bench::render;
 use clic_bench::runner::{run_jobs, RunnerConfig};
 use clic_cluster::experiments::{self, FigureKind, ResultMap, FAMILIES};
-use clic_cluster::observe::{self, TimelineScenario, TraceScenario, TRACE_MTU, TRACE_SIZE};
+use clic_cluster::observe::{
+    self, TimelineScenario, TraceScenario, TIMELINE_BUCKET_US, TRACE_MTU, TRACE_SIZE,
+};
 
 /// The usage text after the family list.
 const USAGE_TAIL: &str = "   or: figures trace [fig7a|fig7b|fig7a-lossy|tcp] [--size N] [--mtu M]
@@ -295,8 +297,10 @@ fn run_timeline_cmd(args: &[String]) {
         match arg.as_str() {
             "--smoke" | "--quick" => smoke = true,
             "--bucket-us" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => bucket_us = n,
-                _ => die("--bucket-us needs a positive microsecond count"),
+                Some(n) if TIMELINE_BUCKET_US.contains(&n) => bucket_us = n,
+                _ => die(&format!(
+                    "--bucket-us needs a microsecond count in {TIMELINE_BUCKET_US:?}"
+                )),
             },
             "--last" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => last = Some(n),
@@ -321,13 +325,12 @@ fn run_timeline_cmd(args: &[String]) {
         }
     }
 
-    let bucket = clic_sim::SimDuration::from_us(bucket_us);
     if smoke {
         // CI mode: replay every scenario once and insist each records a
         // usable set of series; nothing is written.
         let mut ok = true;
         for s in TimelineScenario::ALL {
-            let t = observe::run_timeline(s, bucket, s.default_flight());
+            let t = observe::run_timeline(s, bucket_us, s.default_flight());
             let rows = t.csv.lines().filter(|l| !l.starts_with('#')).count();
             let tracks = t
                 .chrome_json
@@ -351,7 +354,7 @@ fn run_timeline_cmd(args: &[String]) {
     }
 
     let flight = last.or_else(|| scenario.default_flight());
-    let t = observe::run_timeline(scenario, bucket, flight);
+    let t = observe::run_timeline(scenario, bucket_us, flight);
     print!("{}", t.csv);
     let out = out.unwrap_or_else(|| format!("timeline-{}.json", scenario.name()).into());
     match std::fs::write(&out, &t.chrome_json) {

@@ -71,3 +71,30 @@ fn trace_size_past_the_traced_range_exits_2_with_usage() {
     );
     assert!(!wrote_trace, "a rejected trace run wrote trace.json");
 }
+
+#[test]
+fn timeline_bucket_width_past_u64_nanoseconds_exits_2_with_usage() {
+    // The first width wraps to 0 ns and the second to 384 ns when scaled
+    // to nanoseconds; both must be rejected before anything runs.
+    for bucket_us in ["2305843009213693952", "18446744073709552"] {
+        let dir = empty_dir("bucket");
+        let output = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["timeline", "incast", "--bucket-us", bucket_us])
+            .current_dir(&dir)
+            .output()
+            .expect("figures runs");
+        let wrote: Vec<_> = std::fs::read_dir(&dir)
+            .expect("temp dir readable")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(output.status.code(), Some(2), "{bucket_us}: {output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf-8");
+        assert!(
+            stderr.contains("--bucket-us") && stderr.contains("usage:"),
+            "{stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{bucket_us} printed a timeline");
+        assert!(wrote.is_empty(), "a rejected timeline run wrote {wrote:?}");
+    }
+}

@@ -5,13 +5,12 @@
 
 use clic_bench::json::Json;
 use clic_cluster::observe::{run_timeline, TimelineScenario};
-use clic_sim::SimDuration;
 
 const GOLDEN: &str = include_str!("golden/incast_timeline_trace.json");
 const GOLDEN_CONGESTION: &str = include_str!("golden/congestion_timeline_trace.json");
 
 fn incast_run() -> clic_cluster::observe::TimelineRun {
-    run_timeline(TimelineScenario::Incast, SimDuration::from_us(1000), None)
+    run_timeline(TimelineScenario::Incast, 1000, None)
 }
 
 #[test]
@@ -65,11 +64,7 @@ fn congestion_counter_trace_matches_golden_file() {
     // The cwnd sawtooth under incast, as a byte-stable Perfetto export:
     // the ECN-enabled 8→1 leaf-spine incast with switch marking and the
     // DCTCP-flavoured congestion window active.
-    let t = run_timeline(
-        TimelineScenario::Congestion,
-        SimDuration::from_us(1000),
-        None,
-    );
+    let t = run_timeline(TimelineScenario::Congestion, 1000, None);
     assert_eq!(
         t.chrome_json, GOLDEN_CONGESTION,
         "counter-track trace for the congestion timeline changed; if \
@@ -81,11 +76,7 @@ fn congestion_counter_trace_matches_golden_file() {
 
 #[test]
 fn congestion_counter_trace_shows_a_cwnd_sawtooth() {
-    let t = run_timeline(
-        TimelineScenario::Congestion,
-        SimDuration::from_us(1000),
-        None,
-    );
+    let t = run_timeline(TimelineScenario::Congestion, 1000, None);
     let doc = Json::parse(&t.chrome_json).expect("trace must be valid JSON");
     let events = doc
         .get("traceEvents")
@@ -138,7 +129,7 @@ fn timeline_cli_matches_the_in_process_run() {
     assert!(output.status.success(), "{output:?}");
     let want = run_timeline(
         TimelineScenario::Incast,
-        SimDuration::from_us(200),
+        200,
         TimelineScenario::Incast.default_flight(),
     );
     let json = std::fs::read_to_string(&out).expect("timeline trace written");

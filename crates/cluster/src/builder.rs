@@ -2,7 +2,7 @@
 
 use crate::calibration::CostModel;
 use crate::node::{Node, NodeConfig};
-use clic_ethernet::{Fabric, FabricSpec, FaultPlan, Link, LinkEnd, LossModel, MacAddr, Switch};
+use clic_ethernet::{Fabric, FabricSpec, FaultPlan, Link, LinkEnd, MacAddr, Switch};
 use clic_tcpip::IpAddr;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -42,13 +42,8 @@ pub struct ClusterConfig {
     pub topology: Topology,
     /// Per-node stack configuration.
     pub node: NodeConfig,
-    /// Loss model applied to every link (both directions). Kept as the
-    /// simple historical knob; ignored when `faults` installs its own
-    /// loss model.
-    pub loss: LossModel,
     /// Full fault plan applied to every link, both directions (loss,
-    /// corruption, duplication, reordering, outages). When its loss model
-    /// is `LossModel::None`, the legacy `loss` field fills it in.
+    /// corruption, duplication, reordering, outages).
     pub faults: FaultPlan,
     /// Optional distinct fault plan for the reverse direction (towards
     /// the lower-numbered node: node1→node0 back-to-back, node→switch
@@ -72,7 +67,6 @@ impl ClusterConfig {
             nodes: 2,
             topology: Topology::BackToBack,
             node: NodeConfig::clic_default(&model),
-            loss: LossModel::None,
             faults: FaultPlan::default(),
             faults_reverse: None,
             mark_threshold: None,
@@ -106,12 +100,8 @@ impl Cluster {
         let mk_link = || {
             let link = Link::new(config.model.link_bps, config.model.propagation);
             // The forward plan covers LinkEnd::A (the lower-numbered node,
-            // or the node side of a switch uplink); the legacy `loss`
-            // field backfills a plan that doesn't set its own loss model.
-            let mut forward = config.faults.clone();
-            if forward.loss == LossModel::None {
-                forward.loss = config.loss;
-            }
+            // or the node side of a switch uplink).
+            let forward = config.faults.clone();
             let reverse = match &config.faults_reverse {
                 Some(plan) => plan.clone(),
                 None => forward.clone(),
@@ -224,6 +214,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clic_ethernet::LossModel;
 
     #[test]
     fn paper_pair_builds() {
@@ -265,12 +256,12 @@ mod tests {
     #[test]
     fn fault_plans_reach_the_links() {
         let mut cfg = ClusterConfig::paper_pair();
-        cfg.loss = LossModel::EveryNth(5);
+        cfg.faults.loss = LossModel::EveryNth(5);
         cfg.faults.corrupt = 0.25;
         cfg.faults_reverse = Some(FaultPlan::default());
         let cluster = Cluster::build(&cfg);
         let link = cluster.links[0].borrow();
-        // Forward (node0→node1): legacy loss backfilled + corruption.
+        // Forward (node0→node1): loss + corruption.
         assert_eq!(link.faults(LinkEnd::A).loss, LossModel::EveryNth(5));
         assert_eq!(link.faults(LinkEnd::A).corrupt, 0.25);
         // Reverse overridden to clean.

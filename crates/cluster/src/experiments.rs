@@ -19,6 +19,7 @@ use crate::builder::{ClusterConfig, Topology};
 use crate::calibration::CostModel;
 use crate::jobs::{sweep_point, JobKind, JobSpec, Measurement};
 use crate::node::NodeConfig;
+use crate::observe::{trace_config, TraceScenario};
 use crate::workload::{stream_count, StackKind};
 use clic_core::{ClicConfig, CongestionConfig};
 use clic_ethernet::LossModel;
@@ -548,29 +549,20 @@ fn fragmentation_curves() -> Vec<Curve> {
 
 /// Figure 7's two variants: job id, and whether the Figure 8b direct call
 /// is on (7b) or off (7a).
-const FIG7: [(&str, bool); 2] = [("fig7/7a", false), ("fig7/7b", true)];
+const FIG7: [(&str, TraceScenario); 2] = [
+    ("fig7/7a", TraceScenario::Fig7a),
+    ("fig7/7b", TraceScenario::Fig7b),
+];
 
-/// The Figure 7 cluster config: latency-tuned NIC; `direct_call` selects
-/// the Figure 8b improvement (7b vs 7a), which also assumes a bus-master
-/// receive path (frames in host memory before the interrupt) — the driver
-/// change the portable CLIC deliberately avoided.
-fn fig7_config(direct_call: bool) -> ClusterConfig {
-    let model = CostModel::era_2002();
-    let mut cfg = clic_pair(&model, false, true);
-    cfg.node.nic = model.nic_low_latency(false);
-    cfg.node.direct_dispatch = direct_call;
-    cfg.node.nic.host_rings = direct_call;
-    cfg
-}
-
-/// Figure 7 jobs: one traced 1400-byte packet per variant (7a, 7b).
+/// Figure 7 jobs: one traced 1400-byte packet per variant (7a, 7b), on
+/// the `figures trace` set-up of that scenario at MTU 1500.
 fn fig7_jobs(_: &[usize]) -> Vec<JobSpec> {
     FIG7.into_iter()
-        .map(|(id, direct_call)| {
+        .map(|(id, scenario)| {
             JobSpec::new(
                 id,
                 JobKind::StageTrace {
-                    cluster: fig7_config(direct_call),
+                    cluster: trace_config(scenario, 1500),
                     seed: 0,
                 },
             )
@@ -888,7 +880,7 @@ fn loss_jobs(_: &[usize]) -> Vec<JobSpec> {
         .into_iter()
         .map(|(loss, id)| {
             let mut cfg = clic_pair(&model, false, true);
-            cfg.loss = if loss == 0.0 {
+            cfg.faults.loss = if loss == 0.0 {
                 LossModel::None
             } else {
                 LossModel::Bernoulli(loss)

@@ -485,22 +485,12 @@ fn run_stage_trace(config: &ClusterConfig, seed: u64) -> Measurement {
     let cluster = Cluster::build(config);
     let mut sim = job_sim(seed);
     sim.trace = clic_sim::Trace::enabled();
-
-    const CH: u16 = 100;
-    let a = &cluster.nodes[0];
-    let b = &cluster.nodes[1];
-    let pid_a = a.kernel.borrow_mut().processes.spawn("tx");
-    let pid_b = b.kernel.borrow_mut().processes.spawn("rx");
-    let tx = clic_core::ClicPort::bind(&a.clic(), pid_a, CH);
-    let rx = clic_core::ClicPort::bind(&b.clic(), pid_b, CH);
-    rx.recv(&mut sim, |_s, _m| {});
-    let data = bytes::Bytes::from(vec![0x55u8; 1400]);
-    tx.send_traced(&mut sim, b.mac, CH, data, 42);
+    crate::observe::send_clic(&cluster, &mut sim, 1400);
     sim.run();
 
     let spans = sim
         .trace
-        .spans_for(42)
+        .spans_for(crate::observe::TRACE_ID)
         .expect("stage trace left unmatched begin/end marks");
     let span = |name: &str| spans.iter().find(|s| s.stage == name);
     let mut m = Measurement::default();
@@ -549,8 +539,8 @@ fn run_loaded_latency(is_clic: bool, loaded: bool) -> Measurement {
         if is_clic {
             let a = &cluster.nodes[0];
             let b = &cluster.nodes[1];
-            let pid_a = a.kernel.borrow_mut().processes.spawn("bulk-tx");
-            let pid_b = b.kernel.borrow_mut().processes.spawn("bulk-rx");
+            let pid_a = a.kernel.borrow_mut().processes.spawn();
+            let pid_b = b.kernel.borrow_mut().processes.spawn();
             let tx = clic_core::ClicPort::bind(&a.clic(), pid_a, 200);
             let rx = std::rc::Rc::new(clic_core::ClicPort::bind(&b.clic(), pid_b, 200));
             fn drain(port: std::rc::Rc<clic_core::ClicPort>, sim: &mut Sim, left: usize) {

@@ -117,7 +117,7 @@ mod tests {
                 .borrow_mut()
                 .set_error_handler(Rc::new(move |_s, e| errors.borrow_mut().push(e)));
         }
-        let pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn("tx");
+        let pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn();
         let tx = ClicPort::bind(&cluster.nodes[0].clic(), pid, 9);
         // Large enough that the transfer straddles the crash window.
         tx.send(

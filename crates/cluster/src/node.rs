@@ -6,7 +6,7 @@ use clic_ethernet::{Link, LinkEnd, MacAddr};
 use clic_gamma::GammaModule;
 use clic_hw::{Nic, NicConfig, PciBus};
 use clic_os::{Kernel, OsCosts};
-use clic_tcpip::{IpAddr, IpLayer, TcpStack, UdpStack};
+use clic_tcpip::{IpAddr, IpLayer, TcpStack};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -84,8 +84,6 @@ pub struct Node {
     pub ip_layer: Option<Rc<RefCell<IpLayer>>>,
     /// TCP, when installed.
     pub tcp: Option<Rc<RefCell<TcpStack>>>,
-    /// UDP, when installed.
-    pub udp: Option<Rc<RefCell<UdpStack>>>,
     /// GAMMA module, when installed.
     pub gamma: Option<Rc<RefCell<GammaModule>>>,
     /// Station address (bond MAC when multiple NICs).
@@ -130,13 +128,12 @@ impl Node {
             .as_ref()
             .map(|cfg| ClicModule::install(&kernel, devs.clone(), cfg.clone()));
         let ip = IpAddr::for_node(id);
-        let (ip_layer, tcp, udp) = if config.tcpip {
+        let (ip_layer, tcp) = if config.tcpip {
             let layer = IpLayer::install(&kernel, devs[0], ip, neighbors.clone(), tcpip_costs);
             let tcp = TcpStack::install(&kernel, &layer);
-            let udp = UdpStack::install(&kernel, &layer);
-            (Some(layer), Some(tcp), Some(udp))
+            (Some(layer), Some(tcp))
         } else {
-            (None, None, None)
+            (None, None)
         };
         let gamma = if config.gamma {
             Some(GammaModule::install(&kernel, devs[0]))
@@ -149,7 +146,6 @@ impl Node {
             clic,
             ip_layer,
             tcp,
-            udp,
             gamma,
             mac,
             ip,

@@ -19,8 +19,8 @@ use bytes::Bytes;
 use clic_sim::{Metrics, Sim, SimDuration, StageSpan, TimelineRecorder};
 use clic_tcpip::TcpStack;
 
-/// Trace id carried by the instrumented message (0 means untraced, so any
-/// non-zero constant works; 42 matches the Figure 7 experiment).
+/// Trace id carried by the instrumented message of a traced run and of
+/// the Figure 7 jobs (0 means untraced, so any non-zero constant works).
 pub const TRACE_ID: u64 = 42;
 
 /// The device MTUs [`run_pipeline_trace`] accepts, in bytes.
@@ -29,6 +29,10 @@ pub const TRACE_MTU: std::ops::RangeInclusive<usize> = 128..=9_000;
 /// The message sizes [`run_pipeline_trace`] accepts, in bytes. The cap
 /// keeps the payload allocatable; 1 GiB already traces ~4.3 M spans.
 pub const TRACE_SIZE: std::ops::RangeInclusive<usize> = 1..=1 << 30;
+
+/// The bucket widths [`run_timeline`] accepts, in µs: positive, and no
+/// wider than a nanosecond count a `u64` holds.
+pub const TIMELINE_BUCKET_US: std::ops::RangeInclusive<u64> = 1..=u64::MAX / 1_000;
 
 /// Which pipeline the traced message crosses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +127,12 @@ pub struct PipelineTrace {
     pub metrics: Metrics,
 }
 
-fn trace_config(scenario: TraceScenario, mtu: usize) -> ClusterConfig {
+/// The cluster a traced `scenario` runs on: the paper pair with a
+/// latency-tuned NIC at device MTU `mtu`. Figure 7b adds the Figure 8b
+/// improvement, direct dispatch from the IRQ, which also assumes a
+/// bus-master receive path (frames in host memory before the interrupt):
+/// the driver change the portable CLIC deliberately avoided.
+pub(crate) fn trace_config(scenario: TraceScenario, mtu: usize) -> ClusterConfig {
     let model = CostModel::era_2002();
     let jumbo = mtu > 1500;
     let mut cfg = match scenario {
@@ -151,12 +160,14 @@ fn trace_config(scenario: TraceScenario, mtu: usize) -> ClusterConfig {
     cfg
 }
 
-fn send_clic(cluster: &Cluster, sim: &mut Sim, size: usize) {
+/// Post one `size`-byte CLIC message from node 0 to node 1, traced as
+/// [`TRACE_ID`], with a receive waiting for it.
+pub(crate) fn send_clic(cluster: &Cluster, sim: &mut Sim, size: usize) {
     const CH: u16 = 100;
     let a = &cluster.nodes[0];
     let b = &cluster.nodes[1];
-    let pid_a = a.kernel.borrow_mut().processes.spawn("tx");
-    let pid_b = b.kernel.borrow_mut().processes.spawn("rx");
+    let pid_a = a.kernel.borrow_mut().processes.spawn();
+    let pid_b = b.kernel.borrow_mut().processes.spawn();
     let tx = clic_core::ClicPort::bind(&a.clic(), pid_a, CH);
     let rx = clic_core::ClicPort::bind(&b.clic(), pid_b, CH);
     rx.recv(sim, |_s, _m| {});
@@ -377,17 +388,22 @@ pub struct TimelineRun {
 }
 
 /// Replay `scenario` with the timeline recorder sampling into
-/// `bucket`-wide bins, and return the plottable output. `flight` bounds
+/// `bucket_us`-wide bins (in [`TIMELINE_BUCKET_US`]), and return the
+/// plottable output. `flight` bounds
 /// each series to its last N sealed buckets (ring mode); `None` keeps
 /// full history. The run is single-simulation and seeded, so the CSV and
 /// JSON are byte-stable regardless of how many worker threads the
 /// calling harness uses.
 pub fn run_timeline(
     scenario: TimelineScenario,
-    bucket: SimDuration,
+    bucket_us: u64,
     flight: Option<usize>,
 ) -> TimelineRun {
-    assert!(bucket.as_ns() > 0, "bucket width must be positive");
+    assert!(
+        TIMELINE_BUCKET_US.contains(&bucket_us),
+        "bucket width {bucket_us} µs outside {TIMELINE_BUCKET_US:?}"
+    );
+    let bucket = SimDuration::from_us(bucket_us);
     // Cold-start the buffer pool for parity with the traced runs: the
     // timeline output must be a pure function of this replay.
     bytes::pool::reset();
@@ -695,7 +711,7 @@ mod tests {
 
     #[test]
     fn incast_timeline_records_the_headline_series() {
-        let t = run_timeline(TimelineScenario::Incast, SimDuration::from_us(10), None);
+        let t = run_timeline(TimelineScenario::Incast, 10, None);
         for series in [
             "eth.switch.queue_depth",
             "clic.recv_buffer_bytes",
@@ -719,7 +735,7 @@ mod tests {
 
     #[test]
     fn congestion_timeline_records_the_cwnd_sawtooth() {
-        let t = run_timeline(TimelineScenario::Congestion, SimDuration::from_us(50), None);
+        let t = run_timeline(TimelineScenario::Congestion, 50, None);
         for series in ["clic.cwnd", "clic.ssthresh", "eth.switch.ecn_marks"] {
             assert!(t.csv.contains(series), "missing series {series}");
         }
@@ -736,16 +752,16 @@ mod tests {
 
     #[test]
     fn timeline_replay_is_deterministic() {
-        let a = run_timeline(TimelineScenario::Incast, SimDuration::from_us(10), None);
-        let b = run_timeline(TimelineScenario::Incast, SimDuration::from_us(10), None);
+        let a = run_timeline(TimelineScenario::Incast, 10, None);
+        let b = run_timeline(TimelineScenario::Incast, 10, None);
         assert_eq!(a.csv, b.csv);
         assert_eq!(a.chrome_json, b.chrome_json);
     }
 
     #[test]
     fn chaos_flight_recorder_keeps_only_the_tail() {
-        let full = run_timeline(TimelineScenario::Chaos, SimDuration::from_us(20), None);
-        let ring = run_timeline(TimelineScenario::Chaos, SimDuration::from_us(20), Some(8));
+        let full = run_timeline(TimelineScenario::Chaos, 20, None);
+        let ring = run_timeline(TimelineScenario::Chaos, 20, Some(8));
         // Per-series bucket counts: the ring keeps at most 8 + the open
         // bucket; the full run keeps everything.
         let counts = |csv: &str| {

@@ -211,8 +211,8 @@ fn pingpong_clic(
     const CH: u16 = 100;
     let a = &cluster.nodes[0];
     let b = &cluster.nodes[1];
-    let pid_a = a.kernel.borrow_mut().processes.spawn("pp-a");
-    let pid_b = b.kernel.borrow_mut().processes.spawn("pp-b");
+    let pid_a = a.kernel.borrow_mut().processes.spawn();
+    let pid_b = b.kernel.borrow_mut().processes.spawn();
     let port_a = Rc::new(ClicPort::bind(&a.clic(), pid_a, CH));
     let port_b = Rc::new(ClicPort::bind(&b.clic(), pid_b, CH));
     let a_mac = a.mac;
@@ -538,7 +538,7 @@ fn mpi_pair(cluster: &Cluster, sim: &mut Sim, stack: StackKind) -> (Rc<Mpi>, Rc<
             let peers = vec![cluster.nodes[0].mac, cluster.nodes[1].mac];
             let mk = |i: usize, sim: &mut Sim| {
                 let node = &cluster.nodes[i];
-                let pid = node.kernel.borrow_mut().processes.spawn("mpi");
+                let pid = node.kernel.borrow_mut().processes.spawn();
                 let t = ClicTransport::new(sim, &node.clic(), pid, i, peers.clone());
                 Mpi::new(&node.kernel, t)
             };
@@ -681,8 +681,8 @@ fn stream_clic(
     const CH: u16 = 200;
     let a = &cluster.nodes[0];
     let b = &cluster.nodes[1];
-    let pid_a = a.kernel.borrow_mut().processes.spawn("stream-tx");
-    let pid_b = b.kernel.borrow_mut().processes.spawn("stream-rx");
+    let pid_a = a.kernel.borrow_mut().processes.spawn();
+    let pid_b = b.kernel.borrow_mut().processes.spawn();
     let tx = Rc::new(ClicPort::bind(&a.clic(), pid_a, CH));
     let rx = Rc::new(ClicPort::bind(&b.clic(), pid_b, CH));
     fn sink(port: Rc<ClicPort>, sim: &mut Sim, progress: Progress, left: usize) {
@@ -876,7 +876,7 @@ pub fn all_to_all_clic(cluster: &Cluster, sim: &mut Sim, size: usize) -> AllToAl
     let finished: Rc<RefCell<(usize, SimTime)>> = Rc::new(RefCell::new((0, SimTime::ZERO)));
     // Receivers: each node expects n-1 messages.
     for node in &cluster.nodes {
-        let pid = node.kernel.borrow_mut().processes.spawn("a2a");
+        let pid = node.kernel.borrow_mut().processes.spawn();
         let port = Rc::new(ClicPort::bind(&node.clic(), pid, CH));
         fn sink(
             port: Rc<ClicPort>,
@@ -903,7 +903,7 @@ pub fn all_to_all_clic(cluster: &Cluster, sim: &mut Sim, size: usize) -> AllToAl
     let start = sim.now();
     let data = payload(size);
     for (i, node) in cluster.nodes.iter().enumerate() {
-        let pid = node.kernel.borrow_mut().processes.spawn("a2a-tx");
+        let pid = node.kernel.borrow_mut().processes.spawn();
         let port = ClicPort::bind(&node.clic(), pid, CH + 1);
         for (j, peer) in cluster.nodes.iter().enumerate() {
             if i != j {
@@ -948,7 +948,7 @@ pub fn mpi_all(cluster: &Cluster, sim: &mut Sim) -> Vec<Rc<Mpi>> {
         .iter()
         .enumerate()
         .map(|(rank, node)| {
-            let pid = node.kernel.borrow_mut().processes.spawn("mpi");
+            let pid = node.kernel.borrow_mut().processes.spawn();
             let t = ClicTransport::new(sim, &node.clic(), pid, rank, peers.clone());
             Mpi::new(&node.kernel, t)
         })
@@ -1430,7 +1430,7 @@ pub fn incast_clic(
     assert!(n >= 3, "incast needs at least two senders");
     let expected = (n - 1) * per_sender;
     let receiver = &cluster.nodes[0];
-    let pid = receiver.kernel.borrow_mut().processes.spawn("incast-rx");
+    let pid = receiver.kernel.borrow_mut().processes.spawn();
     let port = Rc::new(ClicPort::bind(&receiver.clic(), pid, CH));
     // (delivered, last delivery time, completion stats, peak buffer).
     struct RxState {
@@ -1485,7 +1485,7 @@ pub fn incast_clic(
     let data = payload(size);
     let dst = receiver.mac;
     for node in &cluster.nodes[1..] {
-        let pid = node.kernel.borrow_mut().processes.spawn("incast-tx");
+        let pid = node.kernel.borrow_mut().processes.spawn();
         let tx = ClicPort::bind(&node.clic(), pid, CH + 1);
         for _ in 0..per_sender {
             tx.send(sim, dst, CH, data.clone());
@@ -1528,7 +1528,7 @@ mod tests {
 
     fn chaos_pair(loss: f64) -> ClusterConfig {
         let mut cfg = ClusterConfig::paper_pair();
-        cfg.loss = if loss > 0.0 {
+        cfg.faults.loss = if loss > 0.0 {
             LossModel::Bernoulli(loss)
         } else {
             LossModel::None

@@ -1,9 +1,10 @@
 //! User-process view of CLIC.
 //!
-//! A process binds a [`ClicPort`] to a channel and gets the primitives §5
-//! lists: synchronous and asynchronous sends, sends with confirmation of
-//! reception, blocking/non-blocking receives, remote writes, and Ethernet
-//! multicast — all entering the kernel through ordinary system calls.
+//! A process binds a [`ClicPort`] to a channel and gets the primitives
+//! the workloads use: asynchronous sends, blocking receives and remote
+//! writes, all entering the kernel through ordinary system calls. Sends
+//! with confirmation of reception go through [`SendOptions::confirm`] on
+//! [`ClicModule::send`].
 
 use crate::header::PacketType;
 use crate::module::{ClicModule, SendOptions};
@@ -30,7 +31,6 @@ pub struct RecvMsg {
 /// A process's handle on a CLIC channel.
 pub struct ClicPort {
     module: Rc<RefCell<ClicModule>>,
-    pid: Pid,
     channel: u16,
 }
 
@@ -40,19 +40,8 @@ impl ClicPort {
         module.borrow_mut().bind(pid, channel);
         ClicPort {
             module: module.clone(),
-            pid,
             channel,
         }
-    }
-
-    /// The bound channel.
-    pub fn channel(&self) -> u16 {
-        self.channel
-    }
-
-    /// The owning process.
-    pub fn pid(&self) -> Pid {
-        self.pid
     }
 
     /// Asynchronous send to (`dst`, `channel`).
@@ -65,23 +54,6 @@ impl ClicPort {
     pub fn send_traced(&self, sim: &mut Sim, dst: MacAddr, channel: u16, data: Bytes, trace: u64) {
         let opts = SendOptions {
             trace,
-            ..SendOptions::data(dst, channel)
-        };
-        ClicModule::send(&self.module, sim, opts, data);
-    }
-
-    /// Send with confirmation of reception: `confirmed` runs once the whole
-    /// message has been acknowledged by the destination node.
-    pub fn send_confirmed(
-        &self,
-        sim: &mut Sim,
-        dst: MacAddr,
-        channel: u16,
-        data: Bytes,
-        confirmed: impl FnOnce(&mut Sim) + 'static,
-    ) {
-        let opts = SendOptions {
-            confirm: Some(Box::new(confirmed)),
             ..SendOptions::data(dst, channel)
         };
         ClicModule::send(&self.module, sim, opts, data);
@@ -101,10 +73,5 @@ impl ClicPort {
     /// after this process is woken if it had to wait.
     pub fn recv(&self, sim: &mut Sim, cont: impl FnOnce(&mut Sim, RecvMsg) + 'static) {
         ClicModule::recv(&self.module, sim, self.channel, cont);
-    }
-
-    /// Non-blocking receive: `cont` gets `Some` or `None` right away.
-    pub fn try_recv(&self, sim: &mut Sim, cont: impl FnOnce(&mut Sim, Option<RecvMsg>) + 'static) {
-        ClicModule::try_recv(&self.module, sim, self.channel, cont);
     }
 }

@@ -23,8 +23,8 @@
 //!   or the direct-call variant of Figure 8b), plus reliability,
 //!   remote writes, intra-node delivery, Ethernet multicast and channel
 //!   bonding.
-//! * [`api`] — the user-process view: ports with blocking/non-blocking
-//!   receive, plain and confirmed sends, remote writes.
+//! * [`api`] — the user-process view: ports with blocking receive, sends
+//!   and remote writes.
 
 #![allow(clippy::type_complexity)]
 #![deny(missing_docs)]

@@ -90,10 +90,6 @@ pub struct ClicStats {
     pub best_effort_rx: u64,
     /// Frames that failed CLIC header parsing.
     pub malformed: u64,
-    /// Kernel functions invoked on this node.
-    pub kernel_calls: u64,
-    /// Kernel-function packets for an unregistered function id.
-    pub kernel_calls_unknown: u64,
     /// Data packets refused (unacknowledged) because the destination
     /// port's parked backlog hit its buffering limit.
     pub backlog_drops: u64,
@@ -455,10 +451,10 @@ pub struct SendOptions {
     pub dst: MacAddr,
     /// Channel (port) at the destination.
     pub channel: u16,
-    /// Data, Mpi, KernelFunction or RemoteWrite.
+    /// Data, Mpi or RemoteWrite.
     pub ptype: PacketType,
-    /// Invoked when the whole message has been acknowledged
-    /// (`send_confirmed` primitive).
+    /// Invoked when the whole message has been acknowledged (send with
+    /// confirmation of reception).
     pub confirm: Option<Box<dyn FnOnce(&mut Sim)>>,
     /// Pipeline-trace id (0 = untraced).
     pub trace: u64,
@@ -488,7 +484,6 @@ pub struct ClicModule {
     out: BTreeMap<FlowKey, OutFlow>,
     inflows: BTreeMap<FlowKey, InFlow>,
     ports: BTreeMap<u16, PortState>,
-    kernel_functions: BTreeMap<u16, KernelFn>,
     next_msg_id: u32,
     stats: ClicStats,
     error_handler: Option<Rc<dyn Fn(&mut Sim, ClicError)>>,
@@ -508,12 +503,6 @@ pub struct ClicModule {
 fn wire_epoch(epoch: u32) -> u8 {
     ((epoch - 1) % 31 + 1) as u8
 }
-
-/// An in-kernel service invocable from remote nodes (the "kernel function
-/// packet" type of the CLIC header, §3.1). Runs in kernel context on the
-/// receiving node; an optional reply is sent back without any process
-/// involvement.
-type KernelFn = Rc<dyn Fn(&mut Sim, &RecvMsg) -> Option<Bytes>>;
 
 struct Handler(Rc<RefCell<ClicModule>>);
 
@@ -584,7 +573,6 @@ impl ClicModule {
             out: BTreeMap::new(),
             inflows: BTreeMap::new(),
             ports: BTreeMap::new(),
-            kernel_functions: BTreeMap::new(),
             next_msg_id: 1,
             stats: ClicStats::default(),
             error_handler: None,
@@ -640,11 +628,13 @@ impl ClicModule {
     }
 
     /// Whether the module is currently crash-stopped.
+    // lint:allow(dead-fn, reason="the crash/restart test in crates/cluster/src/lifecycle.rs reads it")
     pub fn is_crashed(&self) -> bool {
         self.crashed
     }
 
     /// Current session incarnation (starts at 1, bumped per restart).
+    // lint:allow(dead-fn, reason="the crash/restart test in crates/cluster/src/lifecycle.rs reads it")
     pub fn epoch(&self) -> u32 {
         self.epoch
     }
@@ -698,40 +688,6 @@ impl ClicModule {
             .and_then(|p| p.remote_writes.as_mut())
             .map(std::mem::take)
             .unwrap_or_default()
-    }
-
-    /// Register an in-kernel function invocable from remote nodes. The
-    /// handler runs in kernel context when a KernelFunction packet for
-    /// `id` completes; returning `Some(reply)` sends the reply straight
-    /// from the kernel to the caller's reply channel.
-    pub fn register_kernel_function(
-        &mut self,
-        id: u16,
-        handler: impl Fn(&mut Sim, &RecvMsg) -> Option<Bytes> + 'static,
-    ) {
-        let prev = self.kernel_functions.insert(id, Rc::new(handler));
-        assert!(prev.is_none(), "kernel function {id} already registered");
-    }
-
-    /// Invoke kernel function `id` on the node at `dst`. `args` go out as
-    /// a KernelFunction message on channel `id`; any reply arrives as an
-    /// ordinary message on `reply_channel` of this node.
-    pub fn call_kernel_function(
-        module: &Rc<RefCell<ClicModule>>,
-        sim: &mut Sim,
-        dst: MacAddr,
-        id: u16,
-        reply_channel: u16,
-        args: Bytes,
-    ) {
-        let mut payload = BytesMut::with_capacity(2 + args.len());
-        payload.put_u16(reply_channel);
-        payload.put_slice(&args);
-        let opts = SendOptions {
-            ptype: PacketType::KernelFunction,
-            ..SendOptions::data(dst, id)
-        };
-        Self::send(module, sim, opts, payload.freeze());
     }
 
     /// Join an Ethernet multicast group on every bonded NIC.
@@ -2003,10 +1959,6 @@ impl ClicModule {
 
     fn deliver_message(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, msg: RecvMsg, trace: u64) {
         let kernel = Self::kernel(module);
-        if msg.ptype == PacketType::KernelFunction {
-            Self::invoke_kernel_function(module, sim, msg);
-            return;
-        }
         enum Action {
             RemoteWrite {
                 cost: SimDuration,
@@ -2097,49 +2049,6 @@ impl ClicModule {
         }
     }
 
-    /// Run a registered kernel function against a completed
-    /// KernelFunction message; the optional reply leaves straight from
-    /// kernel context (no system call).
-    fn invoke_kernel_function(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, msg: RecvMsg) {
-        let kernel = Self::kernel(module);
-        let handler = {
-            let mut m = module.borrow_mut();
-            match m.kernel_functions.get(&msg.channel).cloned() {
-                Some(h) => {
-                    m.stats.kernel_calls += 1;
-                    Some(h)
-                }
-                None => {
-                    m.stats.kernel_calls_unknown += 1;
-                    None
-                }
-            }
-        };
-        let Some(handler) = handler else {
-            return;
-        };
-        if msg.data.len() < 2 {
-            module.borrow_mut().stats.malformed += 1;
-            return;
-        }
-        let reply_channel = u16::from_be_bytes([msg.data[0], msg.data[1]]);
-        let call_msg = RecvMsg {
-            data: msg.data.slice(2..),
-            ..msg.clone()
-        };
-        // A small fixed kernel cost for the dispatch; the handler may add
-        // its own work via kernel.cpu_task.
-        let module2 = module.clone();
-        let cost = module.borrow().config.costs.rx_per_packet;
-        Kernel::cpu_task(&kernel, sim, cost, move |sim| {
-            if let Some(reply) = handler(sim, &call_msg) {
-                let opts = SendOptions::data(call_msg.src, reply_channel);
-                // Kernel-internal send: no syscall boundary to cross.
-                Self::module_tx(&module2, sim, opts, reply);
-            }
-        });
-    }
-
     // ------------------------------------------------------------------
     // Receive API (driven by clic-core::api)
     // ------------------------------------------------------------------
@@ -2186,40 +2095,8 @@ impl ClicModule {
         });
     }
 
-    /// Non-blocking receive: `cont` gets `Some(msg)` or `None` immediately.
-    pub fn try_recv(
-        module: &Rc<RefCell<ClicModule>>,
-        sim: &mut Sim,
-        channel: u16,
-        cont: impl FnOnce(&mut Sim, Option<RecvMsg>) + 'static,
-    ) {
-        let kernel = Self::kernel(module);
-        let module = module.clone();
-        Kernel::syscall(&kernel.clone(), sim, move |sim| {
-            let got = {
-                let mut m = module.borrow_mut();
-                let port = m.ports.entry(channel).or_default();
-                let msg = port.pending.pop_front();
-                if let Some(msg) = &msg {
-                    port.pending_bytes -= msg.data.len();
-                }
-                msg
-            };
-            match got {
-                Some(msg) => {
-                    let cost = kernel
-                        .borrow()
-                        .costs
-                        .copy
-                        .cost_observed(sim, msg.data.len());
-                    Kernel::cpu_task(&kernel, sim, cost, move |sim| cont(sim, Some(msg)));
-                }
-                None => cont(sim, None),
-            }
-        });
-    }
-
     /// Number of messages parked on `channel`.
+    // lint:allow(dead-fn, reason="crates/core/tests/clic_integration.rs reads it")
     pub fn pending_len(&self, channel: u16) -> usize {
         self.ports
             .get(&channel)

@@ -66,6 +66,7 @@ impl SendWindow {
     }
 
     /// True when another packet may enter the network.
+    // lint:allow(dead-fn, reason="crates/core/tests/props.rs reads it")
     pub fn can_send(&self) -> bool {
         self.inflight.len() < self.capacity
     }
@@ -125,11 +126,6 @@ impl SendWindow {
     /// Oldest unacknowledged sequence (the window base).
     pub fn base(&self) -> u32 {
         self.base
-    }
-
-    /// Highest allocated sequence + 1.
-    pub fn next_seq(&self) -> u32 {
-        self.next_seq
     }
 
     /// Packets currently unacknowledged.

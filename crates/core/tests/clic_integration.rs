@@ -3,13 +3,24 @@
 //! NIC -> IRQ -> driver -> bottom half -> CLIC_MODULE -> user process.
 
 use bytes::Bytes;
-use clic_core::{ClicConfig, ClicModule, ClicPort, RecvMsg};
-use clic_ethernet::{Link, LinkEnd, LossModel, MacAddr, Switch};
+use clic_core::{ClicConfig, ClicModule, ClicPort, RecvMsg, SendOptions};
+use clic_ethernet::{FaultPlan, Link, LinkEnd, LossModel, MacAddr, Switch};
 use clic_hw::{Nic, NicConfig, PciBus};
 use clic_os::{Kernel, OsCosts};
 use clic_sim::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Drop frames per `loss` in both directions of `link`.
+fn set_loss(link: &Rc<RefCell<Link>>, loss: LossModel) {
+    for end in [LinkEnd::A, LinkEnd::B] {
+        let plan = FaultPlan {
+            loss,
+            ..FaultPlan::default()
+        };
+        link.borrow_mut().set_faults(end, plan);
+    }
+}
 
 /// One simulated host.
 struct Node {
@@ -68,8 +79,8 @@ fn payload(n: usize) -> Bytes {
     Bytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<_>>())
 }
 
-fn bind_port(node: &Node, name: &str, channel: u16) -> ClicPort {
-    let pid = node.kernel.borrow_mut().processes.spawn(name);
+fn bind_port(node: &Node, channel: u16) -> ClicPort {
+    let pid = node.kernel.borrow_mut().processes.spawn();
     ClicPort::bind(&node.module, pid, channel)
 }
 
@@ -86,8 +97,8 @@ fn recv_into(port: &ClicPort, sim: &mut Sim, inbox: &Inbox) {
 fn small_message_end_to_end() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "sender", 1);
-    let rx = bind_port(&b, "receiver", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     let data = payload(1400);
@@ -110,8 +121,8 @@ fn small_message_end_to_end() {
 fn zero_byte_message() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     tx.send(&mut sim, b.mac, 1, Bytes::new());
@@ -124,8 +135,8 @@ fn zero_byte_message() {
 fn recv_posted_after_arrival_finds_parked_message() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let data = payload(500);
     tx.send(&mut sim, b.mac, 1, data.clone());
     sim.run();
@@ -143,8 +154,8 @@ fn recv_posted_after_arrival_finds_parked_message() {
 fn large_message_fragments_and_reassembles() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     let data = payload(100_000); // ~68 packets at MTU 1500
@@ -165,8 +176,8 @@ fn large_message_fragments_and_reassembles() {
 fn messages_delivered_in_order() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let done: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
     // Chain 10 receives.
     fn chain(port: Rc<ClicPort>, sim: &mut Sim, done: Rc<RefCell<Vec<u8>>>, left: u32) {
@@ -191,9 +202,9 @@ fn messages_delivered_in_order() {
 fn channels_are_independent() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 9);
-    let rx1 = bind_port(&b, "r1", 1);
-    let rx2 = bind_port(&b, "r2", 2);
+    let tx = bind_port(&a, 9);
+    let rx1 = bind_port(&b, 1);
+    let rx2 = bind_port(&b, 2);
     let (in1, in2): (Inbox, Inbox) = Default::default();
     recv_into(&rx1, &mut sim, &in1);
     recv_into(&rx2, &mut sim, &in2);
@@ -208,7 +219,7 @@ fn channels_are_independent() {
 fn loss_recovered_by_retransmission() {
     let mut sim = Sim::new(7);
     let link = Link::gigabit();
-    link.borrow_mut().set_loss(LossModel::EveryNth(10));
+    set_loss(&link, LossModel::EveryNth(10));
     let a = mk_node_on(
         1,
         NicConfig::gigabit_standard(),
@@ -221,8 +232,8 @@ fn loss_recovered_by_retransmission() {
         ClicConfig::paper_default(),
         vec![(link, LinkEnd::B)],
     );
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     let data = payload(50_000);
@@ -238,7 +249,7 @@ fn loss_recovered_by_retransmission() {
 fn heavy_loss_still_converges() {
     let mut sim = Sim::new(3);
     let link = Link::gigabit();
-    link.borrow_mut().set_loss(LossModel::Bernoulli(0.05));
+    set_loss(&link, LossModel::Bernoulli(0.05));
     let a = mk_node_on(
         1,
         NicConfig::gigabit_standard(),
@@ -251,8 +262,8 @@ fn heavy_loss_still_converges() {
         ClicConfig::paper_default(),
         vec![(link, LinkEnd::B)],
     );
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     let data = payload(200_000);
@@ -267,13 +278,17 @@ fn heavy_loss_still_converges() {
 fn send_confirmed_fires_after_ack() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let _rx = bind_port(&b, "r", 1);
+    let _tx = bind_port(&a, 1);
+    let _rx = bind_port(&b, 1);
     let confirmed: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
     let c = confirmed.clone();
-    tx.send_confirmed(&mut sim, b.mac, 1, payload(3000), move |sim| {
-        *c.borrow_mut() = Some(sim.now());
-    });
+    let opts = SendOptions {
+        confirm: Some(Box::new(move |sim: &mut Sim| {
+            *c.borrow_mut() = Some(sim.now());
+        })),
+        ..SendOptions::data(b.mac, 1)
+    };
+    ClicModule::send(&a.module, &mut sim, opts, payload(3000));
     sim.run();
     let t = confirmed.borrow().expect("confirmation must fire");
     // Confirmation needs a round trip: strictly after the one-way time.
@@ -288,8 +303,8 @@ fn send_confirmed_fires_after_ack() {
 fn remote_write_needs_no_recv_call() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let pid = b.kernel.borrow_mut().processes.spawn("target");
+    let tx = bind_port(&a, 1);
+    let pid = b.kernel.borrow_mut().processes.spawn();
     b.module.borrow_mut().register_remote_write(pid, 5);
     let data = payload(2000);
     tx.remote_write(&mut sim, b.mac, 5, data.clone());
@@ -305,8 +320,8 @@ fn remote_write_needs_no_recv_call() {
 fn intra_node_delivery_bypasses_nic() {
     let mut sim = Sim::new(0);
     let (a, _b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&a, "r", 2);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&a, 2);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     let data = payload(4000);
@@ -337,10 +352,10 @@ fn broadcast_reaches_all_stations_on_switch() {
             vec![(link, LinkEnd::A)],
         ));
     }
-    let tx = bind_port(&nodes[0], "s", 1);
+    let tx = bind_port(&nodes[0], 1);
     let mut inboxes = Vec::new();
     for node in &nodes[1..] {
-        let rx = bind_port(node, "r", 1);
+        let rx = bind_port(node, 1);
         let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
         recv_into(&rx, &mut sim, &inbox);
         inboxes.push(inbox);
@@ -376,9 +391,9 @@ fn multicast_group_delivery() {
     let group = MacAddr::multicast_group(7);
     // Only node 2 joins.
     ClicModule::join_multicast(&nodes[1].module, group);
-    let tx = bind_port(&nodes[0], "s", 1);
-    let rx_joined = bind_port(&nodes[1], "r", 1);
-    let rx_not = bind_port(&nodes[2], "r", 1);
+    let tx = bind_port(&nodes[0], 1);
+    let rx_joined = bind_port(&nodes[1], 1);
+    let rx_not = bind_port(&nodes[2], 1);
     let (in_joined, in_not): (Inbox, Inbox) = Default::default();
     recv_into(&rx_joined, &mut sim, &in_joined);
     recv_into(&rx_not, &mut sim, &in_not);
@@ -419,8 +434,8 @@ fn channel_bonding_two_links() {
         vec![(link0.clone(), LinkEnd::A), (link1.clone(), LinkEnd::A)],
     );
     let b = bonded_node(2, vec![(link0, LinkEnd::B), (link1, LinkEnd::B)]);
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     let data = payload(60_000);
@@ -440,8 +455,8 @@ fn tiny_tx_ring_forces_staging_path() {
     let mut nic_cfg = NicConfig::gigabit_standard();
     nic_cfg.tx_ring = 2;
     let (a, b) = two_nodes(nic_cfg, ClicConfig::paper_default());
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     let data = payload(80_000);
@@ -466,8 +481,8 @@ fn one_copy_mode_charges_more_sender_cpu() {
             ClicConfig::one_copy()
         };
         let (a, b) = two_nodes(NicConfig::gigabit_standard(), cfg);
-        let tx = bind_port(&a, "s", 1);
-        let _rx = bind_port(&b, "r", 1);
+        let tx = bind_port(&a, 1);
+        let _rx = bind_port(&b, 1);
         tx.send(&mut sim, b.mac, 1, payload(9_000));
         sim.run();
         let cpu = a.kernel.borrow().cpu.clone();
@@ -487,8 +502,8 @@ fn jumbo_frames_use_fewer_packets() {
     fn packets(nic_cfg: NicConfig) -> u64 {
         let mut sim = Sim::new(0);
         let (a, b) = two_nodes(nic_cfg, ClicConfig::paper_default());
-        let tx = bind_port(&a, "s", 1);
-        let rx = bind_port(&b, "r", 1);
+        let tx = bind_port(&a, 1);
+        let rx = bind_port(&b, 1);
         let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
         recv_into(&rx, &mut sim, &inbox);
         tx.send(&mut sim, b.mac, 1, payload(90_000));
@@ -511,8 +526,8 @@ fn direct_dispatch_reduces_latency() {
         let mut sim = Sim::new(0);
         let (a, b) = default_pair();
         b.kernel.borrow_mut().direct_dispatch = direct;
-        let tx = bind_port(&a, "s", 1);
-        let rx = bind_port(&b, "r", 1);
+        let tx = bind_port(&a, 1);
+        let rx = bind_port(&b, 1);
         let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
         recv_into(&rx, &mut sim, &inbox);
         tx.send(&mut sim, b.mac, 1, payload(1400));
@@ -532,9 +547,9 @@ fn direct_dispatch_reduces_latency() {
 fn multiprogramming_two_receivers_interleaved() {
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx1 = bind_port(&a, "s1", 10);
-    let rx1 = bind_port(&b, "proc1", 1);
-    let rx2 = bind_port(&b, "proc2", 2);
+    let tx1 = bind_port(&a, 10);
+    let rx1 = bind_port(&b, 1);
+    let rx2 = bind_port(&b, 2);
     let (in1, in2): (Inbox, Inbox) = Default::default();
     recv_into(&rx1, &mut sim, &in1);
     recv_into(&rx2, &mut sim, &in2);
@@ -554,37 +569,14 @@ fn multiprogramming_two_receivers_interleaved() {
 }
 
 #[test]
-fn try_recv_returns_none_then_some() {
-    let mut sim = Sim::new(0);
-    let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
-    let results: Rc<RefCell<Vec<Option<usize>>>> = Rc::new(RefCell::new(Vec::new()));
-    let r = results.clone();
-    rx.try_recv(&mut sim, move |_, m| {
-        r.borrow_mut().push(m.map(|m| m.data.len()));
-    });
-    sim.run();
-    assert_eq!(*results.borrow(), vec![None]);
-    tx.send(&mut sim, b.mac, 1, payload(123));
-    sim.run();
-    let r = results.clone();
-    rx.try_recv(&mut sim, move |_, m| {
-        r.borrow_mut().push(m.map(|m| m.data.len()));
-    });
-    sim.run();
-    assert_eq!(*results.borrow(), vec![None, Some(123)]);
-}
-
-#[test]
 fn zero_byte_latency_near_paper_value() {
     // The paper reports 36 µs one-way latency for 0-byte messages. Accept a
     // generous band — the exact figure is a calibration product — but catch
     // order-of-magnitude regressions.
     let mut sim = Sim::new(0);
     let (a, b) = default_pair();
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
     recv_into(&rx, &mut sim, &inbox);
     tx.send(&mut sim, b.mac, 1, Bytes::new());
@@ -597,115 +589,13 @@ fn zero_byte_latency_near_paper_value() {
 }
 
 #[test]
-fn kernel_function_call_and_reply() {
-    let mut sim = Sim::new(0);
-    let (a, b) = default_pair();
-    // Node b registers an in-kernel "double every byte" service as id 40.
-    b.module
-        .borrow_mut()
-        .register_kernel_function(40, |_sim, msg| {
-            let doubled: Vec<u8> = msg.data.iter().map(|&x| x.wrapping_mul(2)).collect();
-            Some(Bytes::from(doubled))
-        });
-    // Node a calls it; the reply lands on a's channel 41.
-    let reply_port = bind_port(&a, "caller", 41);
-    let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
-    recv_into(&reply_port, &mut sim, &inbox);
-    clic_core::ClicModule::call_kernel_function(
-        &a.module,
-        &mut sim,
-        b.mac,
-        40,
-        41,
-        Bytes::from_static(&[1, 2, 3, 100]),
-    );
-    sim.run();
-    let inbox = inbox.borrow();
-    assert_eq!(inbox.len(), 1);
-    assert_eq!(&inbox[0].1.data[..], &[2, 4, 6, 200]);
-    assert_eq!(b.module.borrow().stats().kernel_calls, 1);
-    // The remote side never made a system call for the reply.
-    assert_eq!(b.kernel.borrow().stats().syscalls, 0);
-}
-
-#[test]
-fn kernel_function_without_reply() {
-    let mut sim = Sim::new(0);
-    let (a, b) = default_pair();
-    let hits: Rc<RefCell<u32>> = Rc::new(RefCell::new(0));
-    let h = hits.clone();
-    b.module
-        .borrow_mut()
-        .register_kernel_function(50, move |_sim, _msg| {
-            *h.borrow_mut() += 1;
-            None
-        });
-    clic_core::ClicModule::call_kernel_function(
-        &a.module,
-        &mut sim,
-        b.mac,
-        50,
-        0,
-        Bytes::from_static(b"fire-and-forget"),
-    );
-    sim.run();
-    assert_eq!(*hits.borrow(), 1);
-}
-
-#[test]
-fn unknown_kernel_function_counted_and_dropped() {
-    let mut sim = Sim::new(0);
-    let (a, b) = default_pair();
-    clic_core::ClicModule::call_kernel_function(
-        &a.module,
-        &mut sim,
-        b.mac,
-        99,
-        0,
-        Bytes::from_static(b"?"),
-    );
-    sim.run();
-    let stats = b.module.borrow().stats();
-    assert_eq!(stats.kernel_calls, 0);
-    assert_eq!(stats.kernel_calls_unknown, 1);
-}
-
-#[test]
-fn large_kernel_function_args_fragmented() {
-    let mut sim = Sim::new(0);
-    let (a, b) = default_pair();
-    let echoed: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
-    let e = echoed.clone();
-    b.module
-        .borrow_mut()
-        .register_kernel_function(60, move |_s, msg| {
-            *e.borrow_mut() = Some(msg.data.len());
-            Some(Bytes::from_static(b"ok"))
-        });
-    let reply_port = bind_port(&a, "caller", 61);
-    let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
-    recv_into(&reply_port, &mut sim, &inbox);
-    clic_core::ClicModule::call_kernel_function(
-        &a.module,
-        &mut sim,
-        b.mac,
-        60,
-        61,
-        payload(20_000),
-    );
-    sim.run();
-    assert_eq!(*echoed.borrow(), Some(20_000));
-    assert_eq!(&inbox.borrow()[0].1.data[..], b"ok");
-}
-
-#[test]
 fn finite_buffering_throttles_sender_until_drained() {
     let mut sim = Sim::new(0);
     let mut clic_cfg = ClicConfig::paper_default();
     clic_cfg.max_pending_bytes = 60_000; // tiny port budget
     let (a, b) = two_nodes(NicConfig::gigabit_standard(), clic_cfg);
-    let tx = bind_port(&a, "s", 1);
-    let rx = bind_port(&b, "r", 1);
+    let tx = bind_port(&a, 1);
+    let rx = bind_port(&b, 1);
     // No receive posted: 20 x 20 KB park at the receiver and blow the
     // 60 KB budget; the excess is refused unacknowledged.
     let data = payload(20_000);

@@ -75,8 +75,8 @@ fn restarted_receiver_rejects_stale_packets() {
     let b = mk_node(2, link, LinkEnd::B, cfg);
     let errors = capture_errors(&a);
 
-    let tx_pid = a.kernel.borrow_mut().processes.spawn("tx");
-    let rx_pid = b.kernel.borrow_mut().processes.spawn("rx");
+    let tx_pid = a.kernel.borrow_mut().processes.spawn();
+    let rx_pid = b.kernel.borrow_mut().processes.spawn();
     let tx = ClicPort::bind(&a.module, tx_pid, 5);
     let rx = ClicPort::bind(&b.module, rx_pid, 5);
     let delivered = Rc::new(RefCell::new(0u32));
@@ -134,7 +134,7 @@ fn restarted_receiver_rejects_stale_packets() {
     // Recovery: the crash wiped the receiver's port bindings (kernel
     // memory), so rebind and exchange a fresh message — the pair must
     // work immediately under the new epoch.
-    let rx_pid = b.kernel.borrow_mut().processes.spawn("rx2");
+    let rx_pid = b.kernel.borrow_mut().processes.spawn();
     let rx = ClicPort::bind(&b.module, rx_pid, 5);
     {
         let delivered = delivered.clone();
@@ -168,7 +168,7 @@ fn crashed_peer_without_restart_surfaces_peer_dead() {
     let b = mk_node(2, link, LinkEnd::B, cfg);
     let errors = capture_errors(&a);
 
-    let tx_pid = a.kernel.borrow_mut().processes.spawn("tx");
+    let tx_pid = a.kernel.borrow_mut().processes.spawn();
     let tx = ClicPort::bind(&a.module, tx_pid, 3);
     tx.send(&mut sim, b.mac, 3, Bytes::from(vec![0x11u8; 256 * 1024]));
     {

@@ -153,8 +153,8 @@ proptest! {
                 errors.borrow_mut().push(e);
             }));
         }
-        let tx_pid = a.kernel.borrow_mut().processes.spawn("tx");
-        let rx_pid = b.kernel.borrow_mut().processes.spawn("rx");
+        let tx_pid = a.kernel.borrow_mut().processes.spawn();
+        let rx_pid = b.kernel.borrow_mut().processes.spawn();
         let tx = ClicPort::bind(&a.module, tx_pid, 1);
         let rx = Rc::new(ClicPort::bind(&b.module, rx_pid, 1));
 
@@ -248,8 +248,8 @@ fn ecn_marking_path_delivers_and_echoes() {
     cfg.congestion = Some(CongestionConfig::dctcp());
     let a = mk_node(1, link_a, LinkEnd::A, cfg.clone());
     let b = mk_node(2, link_b, LinkEnd::B, cfg);
-    let tx_pid = a.kernel.borrow_mut().processes.spawn("tx");
-    let rx_pid = b.kernel.borrow_mut().processes.spawn("rx");
+    let tx_pid = a.kernel.borrow_mut().processes.spawn();
+    let rx_pid = b.kernel.borrow_mut().processes.spawn();
     let tx = ClicPort::bind(&a.module, tx_pid, 1);
     let rx = Rc::new(ClicPort::bind(&b.module, rx_pid, 1));
     let nmsgs = 4usize;
@@ -313,8 +313,8 @@ fn permanent_outage_surfaces_max_retries_error() {
                 errors.borrow_mut().push(e);
             }));
     }
-    let tx_pid = a.kernel.borrow_mut().processes.spawn("tx");
-    let rx_pid = b.kernel.borrow_mut().processes.spawn("rx");
+    let tx_pid = a.kernel.borrow_mut().processes.spawn();
+    let rx_pid = b.kernel.borrow_mut().processes.spawn();
     let tx = ClicPort::bind(&a.module, tx_pid, 7);
     let rx = ClicPort::bind(&b.module, rx_pid, 7);
     let delivered = Rc::new(RefCell::new(0u32));

@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use clic_core::{ClicConfig, ClicModule, ClicPort};
-use clic_ethernet::{Link, LinkEnd, LossModel, MacAddr};
+use clic_ethernet::{FaultPlan, Link, LinkEnd, LossModel, MacAddr};
 use clic_hw::{Nic, NicConfig, PciBus};
 use clic_os::{Kernel, OsCosts};
 use clic_sim::Sim;
@@ -61,12 +61,18 @@ proptest! {
         let mut sim = Sim::new(seed);
         let link = Link::gigabit();
         if loss_permille > 0 {
-            link.borrow_mut().set_loss(LossModel::Bernoulli(loss_permille as f64 / 1000.0));
+            for end in [LinkEnd::A, LinkEnd::B] {
+                let plan = FaultPlan {
+                    loss: LossModel::Bernoulli(loss_permille as f64 / 1000.0),
+                    ..FaultPlan::default()
+                };
+                link.borrow_mut().set_faults(end, plan);
+            }
         }
         let a = mk_node(1, link.clone(), LinkEnd::A, jumbo);
         let b = mk_node(2, link, LinkEnd::B, jumbo);
-        let tx_pid = a.kernel.borrow_mut().processes.spawn("tx");
-        let rx_pid = b.kernel.borrow_mut().processes.spawn("rx");
+        let tx_pid = a.kernel.borrow_mut().processes.spawn();
+        let rx_pid = b.kernel.borrow_mut().processes.spawn();
         let tx = ClicPort::bind(&a.module, tx_pid, 1);
         let rx = Rc::new(ClicPort::bind(&b.module, rx_pid, 1));
 

@@ -27,11 +27,6 @@ impl RoundRobin {
         RoundRobin { width, next: 0 }
     }
 
-    /// Number of channels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// The next channel index.
     pub fn next_index(&mut self) -> usize {
         let i = self.next;
@@ -68,11 +63,6 @@ impl FlowHash {
     pub fn new(width: usize) -> FlowHash {
         assert!(width >= 1, "bonding width must be at least 1");
         FlowHash { width }
-    }
-
-    /// Number of channels.
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// The channel index for `key` (FNV-1a over the bytes, mod width).

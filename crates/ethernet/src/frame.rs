@@ -3,8 +3,8 @@
 //! CLIC uses the level-1 ("pure Ethernet") header only: 6 B destination,
 //! 6 B source, 2 B type — 14 bytes, exactly as §3.1 of the paper describes.
 //! Frames carry real payload bytes so end-to-end integrity can be asserted
-//! in tests; serialization (`to_bytes`/`parse`) is implemented and verified
-//! even though the simulator normally passes `Frame` values around directly.
+//! in tests; the simulator passes `Frame` values around directly, so the
+//! wire image is only ever sized, never serialized.
 
 use crate::mac::{EtherType, MacAddr};
 use bytes::Bytes;
@@ -80,43 +80,6 @@ impl Frame {
     pub fn wire_time(&self, bits_per_sec: u64) -> SimDuration {
         SimDuration::for_bytes(self.wire_bytes() as u64, bits_per_sec)
     }
-
-    /// Serialize to header + payload (+ zero padding) + zeroed CRC image.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.frame_bytes());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.0.to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        if self.payload.len() < ETH_MIN_PAYLOAD {
-            out.resize(ETH_HEADER + ETH_MIN_PAYLOAD, 0);
-        }
-        out.extend_from_slice(&[0u8; ETH_CRC]);
-        out
-    }
-
-    /// Parse a serialized frame image. Padding cannot be distinguished from
-    /// payload at this layer (as on real Ethernet), so short payloads come
-    /// back padded; upper layers carry their own length fields.
-    pub fn parse(buf: &[u8]) -> Option<Frame> {
-        if buf.len() < ETH_HEADER + ETH_MIN_PAYLOAD + ETH_CRC {
-            return None;
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&buf[0..6]);
-        src.copy_from_slice(&buf[6..12]);
-        let ethertype = EtherType(u16::from_be_bytes([buf[12], buf[13]]));
-        let payload = Bytes::copy_from_slice(&buf[ETH_HEADER..buf.len() - ETH_CRC]);
-        Some(Frame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-            payload,
-            trace: 0,
-            fcs_corrupt: false,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -160,30 +123,5 @@ mod tests {
         let f = frame_with_payload(1500);
         let t = f.wire_time(1_000_000_000);
         assert_eq!(t, SimDuration::from_ns(12_304));
-    }
-
-    #[test]
-    fn roundtrip_long_payload() {
-        let f = frame_with_payload(900);
-        let parsed = Frame::parse(&f.to_bytes()).unwrap();
-        assert_eq!(parsed, f);
-    }
-
-    #[test]
-    fn roundtrip_short_payload_padded() {
-        let f = frame_with_payload(10);
-        let parsed = Frame::parse(&f.to_bytes()).unwrap();
-        assert_eq!(parsed.dst, f.dst);
-        assert_eq!(parsed.src, f.src);
-        assert_eq!(parsed.ethertype, f.ethertype);
-        // Ethernet pads: first 10 bytes match, rest is zero padding.
-        assert_eq!(parsed.payload.len(), ETH_MIN_PAYLOAD);
-        assert_eq!(&parsed.payload[..10], &f.payload[..]);
-        assert!(parsed.payload[10..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn parse_rejects_runt() {
-        assert!(Frame::parse(&[0u8; 32]).is_none());
     }
 }

@@ -127,7 +127,7 @@ pub enum LossModel {
 /// # Examples
 ///
 /// ```
-/// use clic_ethernet::{FaultPlan, LossModel};
+/// use clic_ethernet::{FaultPlan, Link, LinkEnd, LossModel};
 /// use clic_sim::{SimDuration, SimTime};
 ///
 /// let plan = FaultPlan {
@@ -138,8 +138,10 @@ pub enum LossModel {
 ///     reorder_hold: SimDuration::from_us(50),
 ///     outages: vec![(SimTime::from_us(10_000), SimTime::from_us(12_000))],
 /// };
-/// assert!(plan.is_faulty());
-/// assert!(!FaultPlan::default().is_faulty());
+/// let link = Link::gigabit();
+/// link.borrow_mut().set_faults(LinkEnd::A, plan.clone());
+/// assert_eq!(*link.borrow().faults(LinkEnd::A), plan);
+/// assert_eq!(*link.borrow().faults(LinkEnd::B), FaultPlan::default());
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -157,25 +159,6 @@ pub struct FaultPlan {
     pub outages: Vec<(SimTime, SimTime)>,
 }
 
-impl FaultPlan {
-    /// A plan that only injects loss — what [`Link::set_loss`] installs.
-    pub fn loss_only(loss: LossModel) -> FaultPlan {
-        FaultPlan {
-            loss,
-            ..FaultPlan::default()
-        }
-    }
-
-    /// Whether this plan can perturb traffic at all.
-    pub fn is_faulty(&self) -> bool {
-        self.loss != LossModel::None
-            || self.corrupt > 0.0
-            || self.duplicate > 0.0
-            || self.reorder > 0.0
-            || !self.outages.is_empty()
-    }
-}
-
 mod private {
     use clic_sim::{SimDuration, SimTime};
 
@@ -187,7 +170,6 @@ mod private {
         pub frames_delivered: u64,
         pub frames_lost: u64,
         pub frames_duplicated: u64,
-        pub bytes_delivered: u64,
         pub busy_time: SimDuration,
         /// Gilbert–Elliott Markov state for this direction.
         pub in_burst: bool,
@@ -237,29 +219,10 @@ impl Link {
         Self::new(1_000_000_000, SimDuration::from_ns(500))
     }
 
-    /// Install the same loss model in both directions (convenience; other
-    /// fault knobs in each direction's plan are left untouched).
-    pub fn set_loss(&mut self, loss: LossModel) {
-        self.faults_a_to_b.loss = loss;
-        self.faults_b_to_a.loss = loss;
-    }
-
-    /// Install a loss model for one direction only (`from` names the
-    /// transmitting end).
-    pub fn set_loss_dir(&mut self, from: LinkEnd, loss: LossModel) {
-        self.plan_mut(from).loss = loss;
-    }
-
     /// Install a full fault plan for one direction (`from` names the
     /// transmitting end).
     pub fn set_faults(&mut self, from: LinkEnd, plan: FaultPlan) {
         *self.plan_mut(from) = plan;
-    }
-
-    /// Install the same fault plan in both directions.
-    pub fn set_faults_both(&mut self, plan: FaultPlan) {
-        self.faults_a_to_b = plan.clone();
-        self.faults_b_to_a = plan;
     }
 
     /// Schedule an additional `[start, end)` outage window for one
@@ -279,6 +242,7 @@ impl Link {
     }
 
     /// The fault plan currently applied to frames transmitted by `from`.
+    // lint:allow(dead-fn, reason="the FaultPlan doctest and the crates/cluster builder and lifecycle tests read it")
     pub fn faults(&self, from: LinkEnd) -> &FaultPlan {
         match from {
             LinkEnd::A => &self.faults_a_to_b,
@@ -291,11 +255,6 @@ impl Link {
             LinkEnd::A => &mut self.faults_a_to_b,
             LinkEnd::B => &mut self.faults_b_to_a,
         }
-    }
-
-    /// Link bandwidth in bits per second.
-    pub fn bits_per_sec(&self) -> u64 {
-        self.bits_per_sec
     }
 
     /// Register the receive handler for one end.
@@ -329,28 +288,27 @@ impl Link {
     }
 
     /// Frames fully delivered to the end opposite `from`.
+    // lint:allow(dead-fn, reason="the NIC tests in crates/hw/src/nic.rs read it")
     pub fn delivered(&self, from: LinkEnd) -> u64 {
         self.dir(from).frames_delivered
     }
 
     /// Frames dropped by the loss model in the `from` direction.
+    #[cfg(test)]
     pub fn lost(&self, from: LinkEnd) -> u64 {
         self.dir(from).frames_lost
     }
 
     /// Extra copies injected by the duplication fault in the `from`
     /// direction (not counted in [`Link::delivered`]).
+    #[cfg(test)]
     pub fn duplicated(&self, from: LinkEnd) -> u64 {
         self.dir(from).frames_duplicated
     }
 
-    /// Payload-inclusive bytes delivered in the `from` direction.
-    pub fn bytes_delivered(&self, from: LinkEnd) -> u64 {
-        self.dir(from).bytes_delivered
-    }
-
     /// Cumulative serialization time in the `from` direction (for link
     /// utilisation reporting).
+    #[cfg(test)]
     pub fn busy_time(&self, from: LinkEnd) -> SimDuration {
         self.dir(from).busy_time
     }
@@ -469,7 +427,6 @@ impl Link {
                         hold,
                     } => {
                         d.frames_delivered += 1;
-                        d.bytes_delivered += frame.frame_bytes() as u64;
                         if duplicate {
                             d.frames_duplicated += 1;
                         }
@@ -533,6 +490,14 @@ mod tests {
 
     type Log = Rc<RefCell<Vec<(SimTime, usize)>>>;
 
+    /// A plan that only injects `loss`.
+    fn lossy(loss: LossModel) -> FaultPlan {
+        FaultPlan {
+            loss,
+            ..FaultPlan::default()
+        }
+    }
+
     fn attach_logger(link: &Rc<RefCell<Link>>, end: LinkEnd) -> Log {
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
@@ -588,7 +553,8 @@ mod tests {
     fn every_nth_loss_drops_deterministically() {
         let mut sim = Sim::new(0);
         let link = Link::new(1_000_000_000, SimDuration::ZERO);
-        link.borrow_mut().set_loss(LossModel::EveryNth(3));
+        link.borrow_mut()
+            .set_faults(LinkEnd::A, lossy(LossModel::EveryNth(3)));
         let log = attach_logger(&link, LinkEnd::B);
         for _ in 0..9 {
             Link::transmit(&link, &mut sim, LinkEnd::A, mk_frame(100));
@@ -603,7 +569,8 @@ mod tests {
     fn bernoulli_loss_statistics() {
         let mut sim = Sim::new(42);
         let link = Link::new(10_000_000_000, SimDuration::ZERO);
-        link.borrow_mut().set_loss(LossModel::Bernoulli(0.2));
+        link.borrow_mut()
+            .set_faults(LinkEnd::A, lossy(LossModel::Bernoulli(0.2)));
         let log = attach_logger(&link, LinkEnd::B);
         for _ in 0..2000 {
             Link::transmit(&link, &mut sim, LinkEnd::A, mk_frame(64));
@@ -622,12 +589,15 @@ mod tests {
         let link = Link::new(10_000_000_000, SimDuration::ZERO);
         // Classic Gilbert: lossless good state, total loss in bursts of
         // mean length 4; stationary loss rate 0.1/(0.1+0.25) ≈ 28.6 %.
-        link.borrow_mut().set_loss(LossModel::GilbertElliott {
-            p_enter_burst: 0.1,
-            p_exit_burst: 0.25,
-            loss_good: 0.0,
-            loss_bad: 1.0,
-        });
+        link.borrow_mut().set_faults(
+            LinkEnd::A,
+            lossy(LossModel::GilbertElliott {
+                p_enter_burst: 0.1,
+                p_exit_burst: 0.25,
+                loss_good: 0.0,
+                loss_bad: 1.0,
+            }),
+        );
         let log = attach_logger(&link, LinkEnd::B);
         for i in 0..2000u64 {
             // Distinct payload sizes let the log identify frames.
@@ -644,12 +614,15 @@ mod tests {
         // exact same loss count.
         let mut sim2 = Sim::new(7);
         let link2 = Link::new(10_000_000_000, SimDuration::ZERO);
-        link2.borrow_mut().set_loss(LossModel::GilbertElliott {
-            p_enter_burst: 0.1,
-            p_exit_burst: 0.25,
-            loss_good: 0.0,
-            loss_bad: 1.0,
-        });
+        link2.borrow_mut().set_faults(
+            LinkEnd::A,
+            lossy(LossModel::GilbertElliott {
+                p_enter_burst: 0.1,
+                p_exit_burst: 0.25,
+                loss_good: 0.0,
+                loss_bad: 1.0,
+            }),
+        );
         let _log2 = attach_logger(&link2, LinkEnd::B);
         for i in 0..2000u64 {
             Link::transmit(
@@ -668,7 +641,7 @@ mod tests {
         let mut sim = Sim::new(0);
         let link = Link::new(1_000_000_000, SimDuration::ZERO);
         link.borrow_mut()
-            .set_loss_dir(LinkEnd::A, LossModel::EveryNth(1));
+            .set_faults(LinkEnd::A, lossy(LossModel::EveryNth(1)));
         let log_b = attach_logger(&link, LinkEnd::B);
         let log_a = attach_logger(&link, LinkEnd::A);
         for _ in 0..4 {
@@ -786,7 +759,7 @@ mod tests {
         let link = Link::new(1_000_000_000, SimDuration::ZERO);
         // Layered on top of an existing plan: the flap must not clobber it.
         link.borrow_mut()
-            .set_loss_dir(LinkEnd::A, LossModel::EveryNth(1000));
+            .set_faults(LinkEnd::A, lossy(LossModel::EveryNth(1000)));
         link.borrow_mut()
             .flap(SimTime::ZERO, SimTime::from_ns(2_000));
         let log_b = attach_logger(&link, LinkEnd::B);
@@ -820,7 +793,8 @@ mod tests {
             let mut sim = Sim::new(99);
             let link = Link::new(1_000_000_000, SimDuration::ZERO);
             if let Some(p) = plan {
-                link.borrow_mut().set_faults_both(p);
+                link.borrow_mut().set_faults(LinkEnd::A, p.clone());
+                link.borrow_mut().set_faults(LinkEnd::B, p);
             }
             let _log = attach_logger(&link, LinkEnd::B);
             for _ in 0..10 {

@@ -137,6 +137,7 @@ impl Switch {
     }
 
     /// Number of attached ports.
+    // lint:allow(dead-fn, reason="the cluster builder tests in crates/cluster/src/builder.rs read it")
     pub fn port_count(&self) -> usize {
         self.ports.len()
     }
@@ -174,11 +175,13 @@ impl Switch {
     }
 
     /// Configured ECN mark threshold, if armed.
+    // lint:allow(dead-fn, reason="the cluster builder tests in crates/cluster/src/builder.rs read it")
     pub fn mark_threshold(&self) -> Option<usize> {
         self.mark_threshold
     }
 
     /// Learned location of a MAC, if any.
+    #[cfg(test)]
     pub fn learned_port(&self, mac: MacAddr) -> Option<usize> {
         self.table.get(&mac).copied()
     }
@@ -195,6 +198,7 @@ impl Switch {
     }
 
     /// Statically programmed route for a MAC, if any.
+    #[cfg(test)]
     pub fn static_route(&self, mac: MacAddr) -> Option<usize> {
         self.static_table.get(&mac).copied()
     }

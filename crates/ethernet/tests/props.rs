@@ -1,47 +1,13 @@
 //! Property-based tests for frames and links.
 
 use bytes::Bytes;
-use clic_ethernet::{EtherType, Frame, Link, LinkEnd, MacAddr, ETH_MIN_PAYLOAD};
+use clic_ethernet::{EtherType, Frame, Link, LinkEnd, MacAddr};
 use clic_sim::Sim;
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn arb_mac() -> impl Strategy<Value = MacAddr> {
-    (any::<u32>(), any::<u8>()).prop_map(|(node, nic)| MacAddr::for_node(node, nic))
-}
-
 proptest! {
-    /// Serialization roundtrip preserves header fields and payload for any
-    /// payload at least the Ethernet minimum (shorter ones gain padding by
-    /// design).
-    #[test]
-    fn frame_roundtrip(
-        dst in arb_mac(),
-        src in arb_mac(),
-        ethertype in 0x0600u16..=0xffff,
-        payload in proptest::collection::vec(any::<u8>(), ETH_MIN_PAYLOAD..4000),
-    ) {
-        let f = Frame::new(dst, src, EtherType(ethertype), Bytes::from(payload));
-        let parsed = Frame::parse(&f.to_bytes()).unwrap();
-        prop_assert_eq!(parsed, f);
-    }
-
-    /// Short payloads come back zero-padded to the minimum, prefix intact.
-    #[test]
-    fn short_frame_padding(payload in proptest::collection::vec(any::<u8>(), 0..ETH_MIN_PAYLOAD)) {
-        let f = Frame::new(
-            MacAddr::for_node(1, 0),
-            MacAddr::for_node(2, 0),
-            EtherType::CLIC,
-            Bytes::from(payload.clone()),
-        );
-        let parsed = Frame::parse(&f.to_bytes()).unwrap();
-        prop_assert_eq!(parsed.payload.len(), ETH_MIN_PAYLOAD);
-        prop_assert_eq!(&parsed.payload[..payload.len()], &payload[..]);
-        prop_assert!(parsed.payload[payload.len()..].iter().all(|&b| b == 0));
-    }
-
     /// Wire size is strictly larger than the payload and at least the
     /// 84-byte minimum wire occupancy.
     #[test]

@@ -334,7 +334,7 @@ fn post_in_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clic_ethernet::{Link, LinkEnd, LossModel};
+    use clic_ethernet::{FaultPlan, Link, LinkEnd, LossModel};
     use clic_hw::{Nic, PciBus};
     use clic_sim::SimTime;
 
@@ -348,7 +348,13 @@ mod tests {
 
     fn mk_pair(loss: LossModel) -> (Node, Node) {
         let link = Link::gigabit();
-        link.borrow_mut().set_loss(loss);
+        for end in [LinkEnd::A, LinkEnd::B] {
+            let plan = FaultPlan {
+                loss,
+                ..FaultPlan::default()
+            };
+            link.borrow_mut().set_faults(end, plan);
+        }
         let mut nodes = Vec::new();
         for (id, end) in [(1u32, LinkEnd::A), (2, LinkEnd::B)] {
             let kernel = Kernel::new(id, GammaModule::tuned_os_costs());

@@ -2,7 +2,7 @@
 //!
 //! Models the Yu/Buntinas/Panda approach ("Efficient and Scalable Barrier
 //! over Quadrics and Myrinet with a New NIC-Based Collective Message
-//! Passing Protocol"): barrier, broadcast and reduction run *on the NIC*,
+//! Passing Protocol"): barrier and reduction run *on the NIC*,
 //! in firmware, without ever raising a host interrupt. The host posts one
 //! descriptor per collective and gets one completion callback; everything
 //! in between — the k-ary combining tree up, the multicast distribution
@@ -17,13 +17,13 @@
 //! processing delay, the wire — is applied by the plumbing in
 //! [`crate::nic`], so this module is directly unit-testable.
 //!
-//! Protocol shape, per operation class (barrier / reduce / bcast), each
-//! with its own sequence space so back-to-back collectives never mix:
+//! Protocol shape, per operation class (barrier / reduce), each with its
+//! own sequence space so back-to-back collectives never mix:
 //!
-//! * **up phase** (barrier, allreduce): leaves send an arrival/partial to
-//!   their tree parent; interior nodes combine children + their own
-//!   contribution and forward up; rank 0 is the root.
-//! * **down phase** (all classes): the root emits *one* Ethernet
+//! * **up phase**: leaves send an arrival/partial to their tree parent;
+//!   interior nodes combine children + their own contribution and
+//!   forward up; rank 0 is the root.
+//! * **down phase**: the root emits *one* Ethernet
 //!   multicast frame to the group address — the switch fabric's existing
 //!   flood path replicates it to every member in a single shot (loop-free
 //!   on multi-switch fabrics thanks to the spanning-tree flood membership
@@ -38,8 +38,6 @@ use std::collections::BTreeMap;
 pub type BarrierDone = Box<dyn FnOnce(&mut Sim)>;
 /// Completion callback carrying the allreduce result.
 pub type ValueDone = Box<dyn FnOnce(&mut Sim, u64)>;
-/// Completion callback carrying the broadcast payload.
-pub type DataDone = Box<dyn FnOnce(&mut Sim, Bytes)>;
 
 /// Static configuration of one NIC's collective engine.
 #[derive(Debug, Clone)]
@@ -126,13 +124,6 @@ pub enum CollMsg {
         /// Global sum.
         value: u64,
     },
-    /// Broadcast payload (multicast straight from the root).
-    Bcast {
-        /// Bcast sequence number.
-        seq: u32,
-        /// Broadcast bytes.
-        data: Bytes,
-    },
 }
 
 impl CollMsg {
@@ -158,18 +149,12 @@ impl CollMsg {
                 out.extend_from_slice(&seq.to_be_bytes());
                 out.extend_from_slice(&value.to_be_bytes());
             }
-            CollMsg::Bcast { seq, data } => {
-                out.push(5);
-                out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(data);
-            }
         }
         Bytes::from(out)
     }
 
     /// Decode a frame payload (ignoring any minimum-frame padding past the
-    /// message body). Returns `None` for malformed payloads. Broadcast data
-    /// is a slice of `payload`, not a copy.
+    /// message body). Returns `None` for malformed payloads.
     pub fn decode(payload: &Bytes) -> Option<CollMsg> {
         let (&op, rest) = payload.split_first()?;
         let seq = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?);
@@ -185,10 +170,6 @@ impl CollMsg {
             4 => Some(CollMsg::Result {
                 seq,
                 value: val(rest)?,
-            }),
-            5 => Some(CollMsg::Bcast {
-                seq,
-                data: payload.slice(5..),
             }),
             _ => None,
         }
@@ -207,16 +188,6 @@ pub enum CollStimulus {
     Barrier(BarrierDone),
     /// Host posted an allreduce descriptor with its contribution.
     Allreduce(u64, ValueDone),
-    /// Host posted a broadcast descriptor: the data when this rank is
-    /// `root`, otherwise a completion awaiting the data.
-    Bcast {
-        /// Broadcasting rank.
-        root: usize,
-        /// Payload (required iff this rank is the root).
-        data: Option<Bytes>,
-        /// Completion, fired with the payload on every member.
-        done: DataDone,
-    },
     /// A collective control frame arrived from the wire.
     Msg(CollMsg),
 }
@@ -234,8 +205,6 @@ pub enum CollAction {
     CompleteBarrier(BarrierDone),
     /// Fire an allreduce completion with the global sum.
     CompleteValue(ValueDone, u64),
-    /// Fire a broadcast completion with the payload.
-    CompleteData(DataDone, Bytes),
 }
 
 /// Per-operation in-flight state. An entry is created by whichever
@@ -246,10 +215,8 @@ struct Pending {
     child_msgs: usize,
     partial: u64,
     local: Option<u64>,
-    partial_data: Option<Bytes>,
     barrier_done: Option<BarrierDone>,
     value_done: Option<ValueDone>,
-    data_done: Option<DataDone>,
 }
 
 /// Operation classes, each with an independent sequence space.
@@ -257,7 +224,6 @@ struct Pending {
 enum Class {
     Barrier,
     Reduce,
-    Bcast,
 }
 
 /// The NIC-resident collective state machine.
@@ -337,43 +303,6 @@ impl CollEngine {
                 p.value_done = Some(done);
                 self.try_complete_up(Class::Reduce, seq)
             }
-            CollStimulus::Bcast { root, data, done } => {
-                let seq = self.take_seq(Class::Bcast);
-                if root == self.config.rank {
-                    let data = match data {
-                        Some(d) => d,
-                        None => panic!("bcast root must supply the payload"),
-                    };
-                    // One multicast does the whole down phase; the root's
-                    // own completion is local (its NIC already has the
-                    // bytes — the switch never hairpins the flood back).
-                    vec![
-                        CollAction::Send {
-                            dst: self.config.group_mac(),
-                            msg: CollMsg::Bcast {
-                                seq,
-                                data: data.clone(),
-                            },
-                        },
-                        CollAction::CompleteData(done, data),
-                    ]
-                } else {
-                    assert!(data.is_none(), "only the bcast root supplies data");
-                    let p = self.pending.entry((Class::Bcast, seq)).or_default();
-                    p.data_done = Some(done);
-                    // The multicast may already have landed.
-                    if let Some(bytes) = p.partial_data.take() {
-                        let done = match p.data_done.take() {
-                            Some(d) => d,
-                            None => return Vec::new(),
-                        };
-                        self.pending.remove(&(Class::Bcast, seq));
-                        vec![CollAction::CompleteData(done, bytes)]
-                    } else {
-                        Vec::new()
-                    }
-                }
-            }
             CollStimulus::Msg(msg) => self.on_msg(msg),
         }
     }
@@ -409,20 +338,6 @@ impl CollEngine {
                     None => Vec::new(),
                 }
             }
-            CollMsg::Bcast { seq, data } => {
-                let p = self.pending.entry((Class::Bcast, seq)).or_default();
-                match p.data_done.take() {
-                    Some(done) => {
-                        self.pending.remove(&(Class::Bcast, seq));
-                        vec![CollAction::CompleteData(done, data)]
-                    }
-                    None => {
-                        // Host has not posted yet: stash the payload.
-                        p.partial_data = Some(data);
-                        Vec::new()
-                    }
-                }
-            }
         }
     }
 
@@ -453,7 +368,6 @@ impl CollEngine {
                         seq,
                         value: p.partial.wrapping_add(p.local.unwrap_or(0)),
                     },
-                    Class::Bcast => return Vec::new(),
                 };
                 // Keep the pending entry: the down-phase multicast still
                 // has to land here to complete the local operation.
@@ -488,7 +402,6 @@ impl CollEngine {
                         }
                         acts
                     }
-                    Class::Bcast => Vec::new(),
                 }
             }
         }
@@ -500,25 +413,5 @@ impl CollEngine {
         // lint:allow(time-overflow, reason="u32 per-class collective counter; 2^32 collectives exceed any run")
         *seq += 1;
         s
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bcast_roundtrip_slices_the_frame() {
-        let msg = CollMsg::Bcast {
-            seq: 7,
-            data: Bytes::from_static(b"payload"),
-        };
-        let wire = msg.encode();
-        let Some(CollMsg::Bcast { seq, data }) = CollMsg::decode(&wire) else {
-            panic!("bcast did not decode");
-        };
-        assert_eq!((seq, &data[..]), (7, &b"payload"[..]));
-        // The data is a view into the frame, not a copy.
-        assert_eq!(data.as_ptr(), wire[5..].as_ptr());
     }
 }

@@ -50,8 +50,6 @@ pub struct NicConfig {
     pub tx_frag_offload: bool,
     /// RX-side reassembly of offload fragments.
     pub rx_frag_offload: bool,
-    /// Deliver all frames regardless of destination MAC.
-    pub promiscuous: bool,
     /// Modern receive model: the NIC bus-master-DMAs arriving frames into
     /// pre-posted host ring buffers *before* interrupting, so the driver
     /// never busy-waits the data move. This is what the Figure 8b
@@ -79,7 +77,6 @@ impl NicConfig {
             coalesce_frames: 8,
             tx_frag_offload: false,
             rx_frag_offload: false,
-            promiscuous: false,
             host_rings: false,
             internal_copy_bytes_per_sec: None,
         }
@@ -258,14 +255,10 @@ impl Nic {
 
     /// Adjust interrupt coalescing at runtime (the paper notes contemporary
     /// drivers expose this).
+    #[cfg(test)]
     pub fn set_coalescing(&mut self, usecs: u64, frames: u32) {
         self.config.coalesce_usecs = usecs;
         self.config.coalesce_frames = frames;
-    }
-
-    /// Free TX descriptors.
-    pub fn tx_ring_free(&self) -> usize {
-        self.config.tx_ring - self.tx_in_flight
     }
 
     // ------------------------------------------------------------------
@@ -403,8 +396,7 @@ impl Nic {
     // ------------------------------------------------------------------
 
     fn accepts(&self, dst: MacAddr) -> bool {
-        self.config.promiscuous
-            || dst == self.mac
+        dst == self.mac
             || dst.is_broadcast()
             || (dst.is_multicast() && self.multicast.contains(&dst))
     }
@@ -479,9 +471,9 @@ impl Nic {
     /// Joins the group's multicast MAC (the down phase of every collective
     /// is a single Ethernet multicast) and arms the firmware state machine.
     /// After this call the host drives collectives through
-    /// [`Nic::coll_barrier`], [`Nic::coll_allreduce`] and
-    /// [`Nic::coll_bcast`]; all intermediate control frames are consumed
-    /// and produced by the NIC without host interrupts.
+    /// [`Nic::coll_barrier`] and [`Nic::coll_allreduce`]; all intermediate
+    /// control frames are consumed and produced by the NIC without host
+    /// interrupts.
     ///
     /// ```
     /// use clic_ethernet::{Link, LinkEnd, MacAddr, Switch};
@@ -554,26 +546,6 @@ impl Nic {
         done: impl FnOnce(&mut Sim, u64) + 'static,
     ) {
         Nic::coll_post(nic, sim, CollStimulus::Allreduce(value, Box::new(done)));
-    }
-
-    /// Broadcast from `root`: the root supplies `Some(data)`, every other
-    /// rank passes `None`; `done` receives the payload on every rank.
-    pub fn coll_bcast(
-        nic: &Rc<RefCell<Nic>>,
-        sim: &mut Sim,
-        root: usize,
-        data: Option<Bytes>,
-        done: impl FnOnce(&mut Sim, Bytes) + 'static,
-    ) {
-        Nic::coll_post(
-            nic,
-            sim,
-            CollStimulus::Bcast {
-                root,
-                data,
-                done: Box::new(done),
-            },
-        );
     }
 
     /// Post a host stimulus to the engine after the firmware processing
@@ -658,10 +630,6 @@ impl Nic {
                 CollAction::CompleteValue(done, value) => {
                     nic.borrow_mut().stats.coll_completions += 1;
                     done(sim, value);
-                }
-                CollAction::CompleteData(done, data) => {
-                    nic.borrow_mut().stats.coll_completions += 1;
-                    done(sim, data);
                 }
             }
         }
@@ -786,6 +754,7 @@ impl Nic {
     /// RX buffers. Unless [`NicConfig::host_rings`] is set, the driver is
     /// responsible for moving the bytes to system memory (and for charging
     /// the PCI/CPU time that takes).
+    #[cfg(test)]
     pub fn drain_rx(&mut self) -> Vec<RxPacket> {
         self.host_queue.drain(..).collect()
     }
@@ -808,6 +777,7 @@ impl Nic {
     }
 
     /// Frames awaiting the driver.
+    #[cfg(test)]
     pub fn rx_pending(&self) -> usize {
         self.host_queue.len()
     }
@@ -1408,25 +1378,6 @@ mod internal_copy_tests {
         }
         sim.run();
         assert_eq!(*results.borrow(), vec![150u64; 5]);
-    }
-
-    #[test]
-    fn coll_bcast_delivers_root_payload_everywhere() {
-        let mut sim = Sim::new(13);
-        let (_switch, nics) = mk_group(&mut sim, 6);
-        let payload = Bytes::from_static(b"fabric-wide state");
-        let got = Rc::new(RefCell::new(0u32));
-        for (rank, nic) in nics.iter().enumerate() {
-            let data = (rank == 2).then(|| payload.clone());
-            let want = payload.clone();
-            let g = got.clone();
-            Nic::coll_bcast(nic, &mut sim, 2, data, move |_sim, d| {
-                assert_eq!(d, want);
-                *g.borrow_mut() += 1;
-            });
-        }
-        sim.run();
-        assert_eq!(*got.borrow(), 6);
     }
 
     #[test]

@@ -73,12 +73,14 @@ impl PciBus {
     }
 
     /// Completed transactions.
+    // lint:allow(dead-fn, reason="crates/cluster/tests/workloads.rs reads it")
     pub fn transactions(&self) -> u64 {
         self.bus.borrow().items_run()
     }
 
     /// Effective sustained bandwidth for long transfers, in bytes/second —
     /// a derived sanity metric used by calibration tests.
+    #[cfg(test)]
     pub fn effective_bytes_per_sec(&self, transfer: usize) -> f64 {
         transfer as f64 / self.service_time(transfer).as_secs_f64()
     }

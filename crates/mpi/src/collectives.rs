@@ -1,13 +1,13 @@
 //! Collective operations over the p2p layer.
 //!
 //! Host-based algorithms are linear — the paper's evaluation is
-//! point-to-point, so these exist for the example applications and tests
-//! (and to exercise the broadcast capability §5 advertises). For cluster
+//! point-to-point, so these exist for the example applications and the
+//! cluster-scale workloads. For cluster
 //! scale-out the same operations can instead be dispatched to the
 //! NIC-resident combining-tree engine via [`CollBackend`]: the host posts
 //! one doorbell and the NICs complete the collective in firmware.
 
-use crate::p2p::{Mpi, ANY_TAG};
+use crate::p2p::Mpi;
 use bytes::Bytes;
 use clic_hw::Nic;
 use clic_sim::Sim;
@@ -18,9 +18,7 @@ use std::rc::Rc;
 pub const RESERVED_TAG_BASE: i32 = 1 << 24;
 const TAG_BARRIER_IN: i32 = RESERVED_TAG_BASE;
 const TAG_BARRIER_OUT: i32 = RESERVED_TAG_BASE + 1;
-const TAG_BCAST: i32 = RESERVED_TAG_BASE + 2;
 const TAG_GATHER: i32 = RESERVED_TAG_BASE + 3;
-const TAG_SCATTER: i32 = RESERVED_TAG_BASE + 4;
 const TAG_REDUCE_IN: i32 = RESERVED_TAG_BASE + 5;
 const TAG_REDUCE_OUT: i32 = RESERVED_TAG_BASE + 6;
 
@@ -57,31 +55,6 @@ pub fn barrier(mpi: &Rc<Mpi>, sim: &mut Sim, done: impl FnOnce(&mut Sim) + 'stat
     } else {
         mpi.send(sim, 0, TAG_BARRIER_IN, Bytes::new());
         mpi.recv(sim, 0, TAG_BARRIER_OUT, move |sim, _| done(sim));
-    }
-}
-
-/// Linear broadcast from `root`. The root passes `Some(data)`; the others
-/// pass `None` and get the payload in `done`.
-pub fn bcast(
-    mpi: &Rc<Mpi>,
-    sim: &mut Sim,
-    root: usize,
-    data: Option<Bytes>,
-    done: impl FnOnce(&mut Sim, Bytes) + 'static,
-) {
-    if mpi.rank() == root {
-        let data = data.expect("root must supply the broadcast payload");
-        for r in 0..mpi.size() {
-            if r != root {
-                mpi.send(sim, r, TAG_BCAST, data.clone());
-            }
-        }
-        done(sim, data);
-    } else {
-        assert!(data.is_none(), "non-root must not supply data");
-        mpi.recv(sim, root as i32, TAG_BCAST, move |sim, msg| {
-            done(sim, msg.data)
-        });
     }
 }
 
@@ -143,33 +116,6 @@ pub fn gather(
     } else {
         mpi.send(sim, root, TAG_GATHER, data);
         done(sim, Vec::new());
-    }
-}
-
-/// Linear scatter from `root`: the root supplies one payload per rank;
-/// every rank's `done` receives its own piece.
-pub fn scatter(
-    mpi: &Rc<Mpi>,
-    sim: &mut Sim,
-    root: usize,
-    pieces: Option<Vec<Bytes>>,
-    done: impl FnOnce(&mut Sim, Bytes) + 'static,
-) {
-    if mpi.rank() == root {
-        let pieces = pieces.expect("root must supply the pieces");
-        assert_eq!(pieces.len(), mpi.size(), "one piece per rank");
-        let mine = pieces[root].clone();
-        for (r, piece) in pieces.into_iter().enumerate() {
-            if r != root {
-                mpi.send(sim, r, TAG_SCATTER, piece);
-            }
-        }
-        done(sim, mine);
-    } else {
-        assert!(pieces.is_none(), "non-root must not supply pieces");
-        mpi.recv(sim, root as i32, TAG_SCATTER, move |sim, msg| {
-            done(sim, msg.data)
-        });
     }
 }
 
@@ -316,20 +262,6 @@ pub fn barrier_on(backend: &CollBackend, sim: &mut Sim, done: impl FnOnce(&mut S
     }
 }
 
-/// [`bcast`] on the chosen backend.
-pub fn bcast_on(
-    backend: &CollBackend,
-    sim: &mut Sim,
-    root: usize,
-    data: Option<Bytes>,
-    done: impl FnOnce(&mut Sim, Bytes) + 'static,
-) {
-    match backend {
-        CollBackend::Host(mpi) => bcast(mpi, sim, root, data, done),
-        CollBackend::NicOffload(nic) => Nic::coll_bcast(nic, sim, root, data, done),
-    }
-}
-
 /// [`allreduce_sum`] on the chosen backend.
 pub fn allreduce_sum_on(
     backend: &CollBackend,
@@ -341,12 +273,4 @@ pub fn allreduce_sum_on(
         CollBackend::Host(mpi) => allreduce_sum(mpi, sim, value, done),
         CollBackend::NicOffload(nic) => Nic::coll_allreduce(nic, sim, value, done),
     }
-}
-
-/// Guard: user tags must stay below the reserved range.
-pub fn assert_user_tag(tag: i32) {
-    assert!(
-        (0..RESERVED_TAG_BASE).contains(&tag) || tag == ANY_TAG,
-        "tag {tag} collides with the reserved collective range"
-    );
 }

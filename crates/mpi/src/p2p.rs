@@ -1,8 +1,8 @@
 //! MPI-like point-to-point messaging.
 //!
-//! Blocking-style send/recv plus nonblocking isend/irecv with request
-//! handles, tags, wildcard matching, the classic posted-receive /
-//! unexpected-message queues, and the **eager/rendezvous** protocol split
+//! Continuation-style send/recv with tags, wildcard matching, the classic
+//! posted-receive / unexpected-message queues, and the
+//! **eager/rendezvous** protocol split
 //! real MPICH/LAM implementations use: small messages ship immediately
 //! (possibly landing in the unexpected queue), large ones announce
 //! themselves (RTS), wait for the receiver to match (CTS), then transfer —
@@ -76,69 +76,6 @@ impl MpiCosts {
 }
 
 // ---------------------------------------------------------------------
-// Requests (nonblocking operations)
-// ---------------------------------------------------------------------
-
-type ReqWaiter = Box<dyn FnOnce(&mut Sim, Option<MpiMsg>)>;
-
-struct ReqInner {
-    done: bool,
-    msg: Option<MpiMsg>,
-    waiter: Option<ReqWaiter>,
-}
-
-/// Handle of a nonblocking operation ([`Mpi::isend`] / [`Mpi::irecv`]).
-#[derive(Clone)]
-pub struct Request {
-    inner: Rc<RefCell<ReqInner>>,
-}
-
-impl Request {
-    fn new() -> Request {
-        Request {
-            inner: Rc::new(RefCell::new(ReqInner {
-                done: false,
-                msg: None,
-                waiter: None,
-            })),
-        }
-    }
-
-    fn complete(&self, sim: &mut Sim, msg: Option<MpiMsg>) {
-        let waiter = {
-            let mut inner = self.inner.borrow_mut();
-            debug_assert!(!inner.done, "request completed twice");
-            inner.done = true;
-            inner.msg = msg;
-            inner.waiter.take()
-        };
-        if let Some(w) = waiter {
-            let msg = self.inner.borrow_mut().msg.take();
-            w(sim, msg);
-        }
-    }
-
-    /// MPI_Test: has the operation completed?
-    pub fn test(&self) -> bool {
-        self.inner.borrow().done
-    }
-
-    /// MPI_Wait: run `cont` when the operation completes (immediately if it
-    /// already has). Receives `Some(msg)` for irecv, `None` for isend.
-    pub fn wait(&self, sim: &mut Sim, cont: impl FnOnce(&mut Sim, Option<MpiMsg>) + 'static) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.done {
-            let msg = inner.msg.take();
-            drop(inner);
-            cont(sim, msg);
-        } else {
-            assert!(inner.waiter.is_none(), "request already has a waiter");
-            inner.waiter = Some(Box::new(cont));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The endpoint
 // ---------------------------------------------------------------------
 
@@ -156,12 +93,9 @@ struct MpiInner {
     next_arrival: u64,
     /// Receiver side: rendezvous transfers we have CTS'd, token → cont.
     awaiting_data: BTreeMap<u32, RecvCont>,
-    /// Sender side: payloads waiting for CTS, token → (dst, tag, data,
-    /// request to complete on hand-off).
-    rndv_out: BTreeMap<u32, (usize, i32, Bytes, Request)>,
+    /// Sender side: payloads waiting for CTS, token → (dst, tag, data).
+    rndv_out: BTreeMap<u32, (usize, i32, Bytes)>,
     next_token: u32,
-    sends: u64,
-    recvs: u64,
     unexpected_peak: usize,
     rendezvous_started: u64,
 }
@@ -203,8 +137,6 @@ impl Mpi {
                 awaiting_data: BTreeMap::new(),
                 rndv_out: BTreeMap::new(),
                 next_token: 1,
-                sends: 0,
-                recvs: 0,
                 unexpected_peak: 0,
                 rendezvous_started: 0,
             })),
@@ -231,50 +163,36 @@ impl Mpi {
         self.transport.size()
     }
 
-    /// Messages sent / received so far.
-    pub fn counts(&self) -> (u64, u64) {
-        let i = self.inner.borrow();
-        (i.sends, i.recvs)
-    }
-
     /// High-water mark of the unexpected-message queue.
+    // lint:allow(dead-fn, reason="crates/mpi/tests/mpi_integration.rs reads it")
     pub fn unexpected_peak(&self) -> usize {
         self.inner.borrow().unexpected_peak
     }
 
     /// Rendezvous transfers initiated by this endpoint.
+    // lint:allow(dead-fn, reason="crates/mpi/tests/mpi_integration.rs reads it")
     pub fn rendezvous_started(&self) -> u64 {
         self.inner.borrow().rendezvous_started
     }
 
     /// Adjust the eager/rendezvous threshold (bytes).
+    // lint:allow(dead-fn, reason="crates/mpi/tests/mpi_integration.rs and props.rs set it")
     pub fn set_eager_limit(&self, bytes: usize) {
         *self.eager_limit.borrow_mut() = bytes;
     }
 
-    /// Send `data` to `(dst, tag)`: standard mode — eager below the
-    /// threshold, rendezvous above it. Fire-and-forget variant of
-    /// [`Mpi::isend`].
+    /// Send `data` to `(dst, tag)`, fire and forget: standard mode — eager
+    /// below the threshold, rendezvous above it (the payload leaves once
+    /// the receiver's CTS arrives).
     pub fn send(self: &Rc<Mpi>, sim: &mut Sim, dst: usize, tag: i32, data: Bytes) {
-        let _ = self.isend(sim, dst, tag, data);
-    }
-
-    /// Nonblocking send: returns a [`Request`] that completes when the
-    /// payload has been handed to the transport (eager) or when the
-    /// receiver's CTS arrived and the payload left (rendezvous).
-    pub fn isend(self: &Rc<Mpi>, sim: &mut Sim, dst: usize, tag: i32, data: Bytes) -> Request {
         assert!(tag >= 0, "negative tags are reserved");
-        let request = Request::new();
         let src = self.rank();
         let eager = data.len() <= *self.eager_limit.borrow();
-        self.inner.borrow_mut().sends += 1;
         if eager {
             let framed = envelope(src, tag, data.len(), KIND_EAGER, 0, &data);
             let transport = self.transport.clone();
-            let req = request.clone();
             Kernel::cpu_task(&self.kernel, sim, self.costs.tx_per_message, move |sim| {
                 transport.send(sim, dst, framed);
-                req.complete(sim, None);
             });
         } else {
             // Rendezvous: announce, park the payload, wait for CTS.
@@ -283,9 +201,7 @@ impl Mpi {
                 let t = inner.next_token;
                 inner.next_token = (inner.next_token % 0x00ff_ffff) + 1;
                 inner.rendezvous_started += 1;
-                inner
-                    .rndv_out
-                    .insert(t, (dst, tag, data.clone(), request.clone()));
+                inner.rndv_out.insert(t, (dst, tag, data.clone()));
                 t
             };
             let rts = envelope(src, tag, data.len(), KIND_RTS, token, &[]);
@@ -294,7 +210,6 @@ impl Mpi {
                 transport.send(sim, dst, rts);
             });
         }
-        request
     }
 
     /// Receive a message matching `(src, tag)` (use [`ANY_SOURCE`] /
@@ -308,40 +223,7 @@ impl Mpi {
     ) {
         let mpi = self.clone();
         Kernel::cpu_task(&self.kernel, sim, self.costs.rx_per_message, move |sim| {
-            mpi.inner.borrow_mut().recvs += 1;
             Mpi::match_or_post(&mpi, sim, src, tag, Box::new(cont));
-        });
-    }
-
-    /// Nonblocking receive: the returned [`Request`] completes (with
-    /// `Some(msg)`) when a matching message is delivered.
-    pub fn irecv(self: &Rc<Mpi>, sim: &mut Sim, src: i32, tag: i32) -> Request {
-        let request = Request::new();
-        let req = request.clone();
-        self.recv(sim, src, tag, move |sim, msg| req.complete(sim, Some(msg)));
-        request
-    }
-
-    /// MPI_Sendrecv: send one message and receive one, concurrently;
-    /// `cont` runs with the received message once both complete.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
-        self: &Rc<Mpi>,
-        sim: &mut Sim,
-        dst: usize,
-        send_tag: i32,
-        data: Bytes,
-        src: i32,
-        recv_tag: i32,
-        cont: impl FnOnce(&mut Sim, MpiMsg) + 'static,
-    ) {
-        let send_req = self.isend(sim, dst, send_tag, data);
-        let recv_req = self.irecv(sim, src, recv_tag);
-        let recv2 = recv_req.clone();
-        send_req.wait(sim, move |sim, _| {
-            recv2.wait(sim, move |sim, msg| {
-                cont(sim, msg.expect("irecv completes with a message"));
-            });
         });
     }
 
@@ -472,7 +354,7 @@ impl Mpi {
                 }
                 KIND_CTS => {
                     let out = mpi2.inner.borrow_mut().rndv_out.remove(&token);
-                    let Some((dst, tag, payload, request)) = out else {
+                    let Some((dst, tag, payload)) = out else {
                         return; // stale CTS
                     };
                     let framed =
@@ -481,7 +363,6 @@ impl Mpi {
                     let costs = mpi2.costs;
                     Kernel::cpu_task(&mpi2.kernel, sim, costs.tx_per_message, move |sim| {
                         transport.send(sim, dst, framed);
-                        request.complete(sim, None);
                     });
                 }
                 KIND_RDATA => {

@@ -77,7 +77,7 @@ fn mpi_over_clic(sim: &mut Sim, nodes: &[Node]) -> Vec<Rc<Mpi>> {
         .iter()
         .enumerate()
         .map(|(rank, node)| {
-            let pid = node.kernel.borrow_mut().processes.spawn("mpi");
+            let pid = node.kernel.borrow_mut().processes.spawn();
             let t = ClicTransport::new(sim, &node.clic, pid, rank, peers.clone());
             Mpi::new(&node.kernel, t)
         })
@@ -228,29 +228,6 @@ fn barrier_synchronizes_all_ranks() {
 }
 
 #[test]
-fn bcast_reaches_all_ranks() {
-    let mut sim = Sim::new(0);
-    let (_switch, nodes) = mk_cluster(&mut sim, 3);
-    let mpis = mpi_over_clic(&mut sim, &nodes);
-    let data = payload(3000);
-    let got: Rc<RefCell<Vec<(usize, Bytes)>>> = Rc::new(RefCell::new(Vec::new()));
-    for mpi in &mpis {
-        let g = got.clone();
-        let rank = mpi.rank();
-        let root_data = if rank == 1 { Some(data.clone()) } else { None };
-        collectives::bcast(mpi, &mut sim, 1, root_data, move |_s, d| {
-            g.borrow_mut().push((rank, d))
-        });
-    }
-    sim.run();
-    let got = got.borrow();
-    assert_eq!(got.len(), 3);
-    for (_, d) in got.iter() {
-        assert_eq!(d, &data);
-    }
-}
-
-#[test]
 fn pvm_pack_send_recv_unpack() {
     let mut sim = Sim::new(0);
     let (_switch, nodes) = mk_cluster(&mut sim, 2);
@@ -340,26 +317,6 @@ fn large_transfer_over_both_backends_identical_payload() {
 }
 
 #[test]
-fn isend_irecv_requests() {
-    let mut sim = Sim::new(0);
-    let (_switch, nodes) = mk_cluster(&mut sim, 2);
-    let mpis = mpi_over_clic(&mut sim, &nodes);
-    let data = payload(2000);
-    let rreq = mpis[1].irecv(&mut sim, 0, 7);
-    let sreq = mpis[0].isend(&mut sim, 1, 7, data.clone());
-    assert!(!rreq.test(), "recv cannot complete before traffic flows");
-    let got: Rc<RefCell<Option<Bytes>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    rreq.wait(&mut sim, move |_s, m| {
-        *g.borrow_mut() = Some(m.unwrap().data)
-    });
-    sim.run();
-    assert!(sreq.test());
-    assert!(rreq.test());
-    assert_eq!(got.borrow().as_ref().unwrap(), &data);
-}
-
-#[test]
 fn rendezvous_used_above_eager_limit() {
     let mut sim = Sim::new(0);
     let (_switch, nodes) = mk_cluster(&mut sim, 2);
@@ -424,37 +381,6 @@ fn rendezvous_bounds_receiver_buffering() {
 }
 
 #[test]
-fn sendrecv_exchanges_without_deadlock() {
-    let mut sim = Sim::new(0);
-    let (_switch, nodes) = mk_cluster(&mut sim, 2);
-    let mpis = mpi_over_clic(&mut sim, &nodes);
-    let (g0, g1): (Rc<RefCell<Option<Bytes>>>, Rc<RefCell<Option<Bytes>>>) = Default::default();
-    let g = g0.clone();
-    mpis[0].sendrecv(
-        &mut sim,
-        1,
-        1,
-        Bytes::from_static(b"from-zero"),
-        1,
-        2,
-        move |_s, m| *g.borrow_mut() = Some(m.data),
-    );
-    let g = g1.clone();
-    mpis[1].sendrecv(
-        &mut sim,
-        0,
-        2,
-        Bytes::from_static(b"from-one"),
-        0,
-        1,
-        move |_s, m| *g.borrow_mut() = Some(m.data),
-    );
-    sim.run();
-    assert_eq!(&g0.borrow().as_ref().unwrap()[..], b"from-one");
-    assert_eq!(&g1.borrow().as_ref().unwrap()[..], b"from-zero");
-}
-
-#[test]
 fn gather_collects_by_rank() {
     let mut sim = Sim::new(0);
     let (_switch, nodes) = mk_cluster(&mut sim, 4);
@@ -481,32 +407,6 @@ fn gather_collects_by_rank() {
     for (rank, piece) in slots.iter().enumerate() {
         assert_eq!(piece.len(), rank + 1);
         assert!(piece.iter().all(|&b| b == rank as u8));
-    }
-}
-
-#[test]
-fn scatter_distributes_pieces() {
-    let mut sim = Sim::new(0);
-    let (_switch, nodes) = mk_cluster(&mut sim, 3);
-    let mpis = mpi_over_clic(&mut sim, &nodes);
-    let got: Rc<RefCell<Vec<(usize, Bytes)>>> = Rc::new(RefCell::new(Vec::new()));
-    for mpi in &mpis {
-        let rank = mpi.rank();
-        let pieces = if rank == 0 {
-            Some((0..3u8).map(|r| Bytes::from(vec![r; 16])).collect())
-        } else {
-            None
-        };
-        let g = got.clone();
-        collectives::scatter(mpi, &mut sim, 0, pieces, move |_s, piece| {
-            g.borrow_mut().push((rank, piece));
-        });
-    }
-    sim.run();
-    let got = got.borrow();
-    assert_eq!(got.len(), 3);
-    for (rank, piece) in got.iter() {
-        assert!(piece.iter().all(|&b| b == *rank as u8));
     }
 }
 
@@ -542,30 +442,22 @@ fn arm_collectives(nodes: &[Node], group: u32) {
     }
 }
 
-/// Run barrier + allreduce + bcast on `backends`, returning
-/// (barrier completions, allreduce results per rank, bcast payloads per rank).
+/// Run barrier + allreduce on `backends`, returning
+/// (barrier completions, allreduce results per rank).
 fn run_collective_suite(
     sim: &mut Sim,
     backends: &[CollBackend],
     values: &[u64],
-    bcast_payload: Bytes,
-) -> (u32, Vec<u64>, Vec<Bytes>) {
+) -> (u32, Vec<u64>) {
     let n = backends.len();
     let barriers = Rc::new(RefCell::new(0u32));
     let sums: Rc<RefCell<Vec<Option<u64>>>> = Rc::new(RefCell::new(vec![None; n]));
-    let datas: Rc<RefCell<Vec<Option<Bytes>>>> = Rc::new(RefCell::new(vec![None; n]));
-    let root = n - 1;
     for (rank, backend) in backends.iter().enumerate() {
         let b = barriers.clone();
         collectives::barrier_on(backend, sim, move |_sim| *b.borrow_mut() += 1);
         let s = sums.clone();
         collectives::allreduce_sum_on(backend, sim, values[rank], move |_sim, total| {
             s.borrow_mut()[rank] = Some(total);
-        });
-        let data = (rank == root).then(|| bcast_payload.clone());
-        let d = datas.clone();
-        collectives::bcast_on(backend, sim, root, data, move |_sim, payload| {
-            d.borrow_mut()[rank] = Some(payload);
         });
     }
     sim.run();
@@ -574,13 +466,8 @@ fn run_collective_suite(
         .iter()
         .map(|s| s.expect("allreduce done"))
         .collect();
-    let datas = datas
-        .borrow()
-        .iter()
-        .map(|d| d.clone().expect("bcast done"))
-        .collect();
     let b = *barriers.borrow();
-    (b, sums, datas)
+    (b, sums)
 }
 
 proptest! {
@@ -595,7 +482,6 @@ proptest! {
         raw in proptest::collection::vec(0u64..1_000_000, 16..17),
     ) {
         let values: Vec<u64> = raw[..n].to_vec();
-        let payload = Bytes::from(raw.iter().map(|v| (v % 251) as u8).collect::<Vec<_>>());
         let expected: u64 = values.iter().sum();
 
         let mut host_sim = Sim::new(1);
@@ -604,8 +490,7 @@ proptest! {
             .into_iter()
             .map(CollBackend::Host)
             .collect();
-        let (hb, hs, hd) =
-            run_collective_suite(&mut host_sim, &host_backends, &values, payload.clone());
+        let (hb, hs) = run_collective_suite(&mut host_sim, &host_backends, &values);
 
         let mut nic_sim = Sim::new(1);
         let (_nic_switch, nic_nodes) = mk_cluster(&mut nic_sim, n);
@@ -614,22 +499,19 @@ proptest! {
             .iter()
             .map(|node| CollBackend::NicOffload(node.nic.clone()))
             .collect();
-        let (nb, ns, nd) =
-            run_collective_suite(&mut nic_sim, &nic_backends, &values, payload.clone());
+        let (nb, ns) = run_collective_suite(&mut nic_sim, &nic_backends, &values);
 
         prop_assert_eq!(hb, n as u32);
         prop_assert_eq!(nb, n as u32);
         prop_assert_eq!(&hs, &vec![expected; n]);
         prop_assert_eq!(&ns, &vec![expected; n]);
-        prop_assert_eq!(&hd, &vec![payload.clone(); n]);
-        prop_assert_eq!(&nd, &vec![payload; n]);
 
         // The offload must keep collective traffic out of the host: zero
         // interrupts and zero RX-ring occupancy from collective frames.
         for node in &nic_nodes {
             let st = node.nic.borrow().stats();
             prop_assert!(st.coll_msgs_rx > 0 || n == 1);
-            prop_assert_eq!(st.coll_completions, 3);
+            prop_assert_eq!(st.coll_completions, 2);
         }
     }
 }

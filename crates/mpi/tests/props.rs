@@ -155,36 +155,6 @@ proptest! {
             let _ = (sent, recvd);
         }
     }
-
-    /// isend/irecv requests complete exactly once and wait() observes the
-    /// delivered payload.
-    #[test]
-    fn request_completion(n in 1usize..20, eager in any::<bool>()) {
-        let (m0, m1, mut sim) = mk_pair();
-        m0.set_eager_limit(if eager { 1 << 20 } else { 1 });
-        let mut recv_reqs = Vec::new();
-        let mut send_reqs = Vec::new();
-        for i in 0..n {
-            recv_reqs.push(m1.irecv(&mut sim, 0, i as i32));
-        }
-        for i in 0..n {
-            send_reqs.push(m0.isend(&mut sim, 1, i as i32, Bytes::from(vec![i as u8; 64])));
-        }
-        let done: Rc<RefCell<usize>> = Rc::new(RefCell::new(0));
-        for (i, r) in recv_reqs.iter().enumerate() {
-            let d = done.clone();
-            r.wait(&mut sim, move |_s, msg| {
-                let msg = msg.unwrap();
-                assert_eq!(msg.tag, i as i32);
-                assert!(msg.data.iter().all(|&b| b == i as u8));
-                *d.borrow_mut() += 1;
-            });
-        }
-        sim.run();
-        prop_assert_eq!(*done.borrow(), n);
-        prop_assert!(send_reqs.iter().all(|r| r.test()));
-        prop_assert!(recv_reqs.iter().all(|r| r.test()));
-    }
 }
 
 /// The payload byte-0 overwrite above means tag 0..=3 fits u8; keep the

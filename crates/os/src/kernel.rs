@@ -111,6 +111,7 @@ impl Kernel {
     }
 
     /// Installed device count.
+    // lint:allow(dead-fn, reason="the cluster builder tests in crates/cluster/src/builder.rs read it")
     pub fn device_count(&self) -> usize {
         self.devices.len()
     }
@@ -343,7 +344,7 @@ mod tests {
     fn wake_charges_context_switch_only_when_blocked() {
         let mut sim = Sim::new(0);
         let kernel = Kernel::new(0, OsCosts::era_2002());
-        let pid = kernel.borrow_mut().processes.spawn("app");
+        let pid = kernel.borrow_mut().processes.spawn();
         kernel.borrow_mut().processes.block(pid);
         let at = Rc::new(RefCell::new(None));
         let a = at.clone();

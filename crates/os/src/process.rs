@@ -22,7 +22,6 @@ pub enum ProcState {
 
 #[derive(Debug)]
 struct Proc {
-    name: String,
     state: ProcState,
     wakeups: u64,
 }
@@ -41,13 +40,12 @@ impl ProcessTable {
     }
 
     /// Register a process.
-    pub fn spawn(&mut self, name: impl Into<String>) -> Pid {
+    pub fn spawn(&mut self) -> Pid {
         let pid = Pid(self.next);
         self.next += 1;
         self.procs.insert(
             pid,
             Proc {
-                name: name.into(),
                 state: ProcState::Running,
                 wakeups: 0,
             },
@@ -56,13 +54,9 @@ impl ProcessTable {
     }
 
     /// Current state, `None` for unknown pids.
+    #[cfg(test)]
     pub fn state(&self, pid: Pid) -> Option<ProcState> {
         self.procs.get(&pid).map(|p| p.state)
-    }
-
-    /// Process name.
-    pub fn name(&self, pid: Pid) -> Option<&str> {
-        self.procs.get(&pid).map(|p| p.name.as_str())
     }
 
     /// Mark blocked (idempotent).
@@ -86,6 +80,7 @@ impl ProcessTable {
     }
 
     /// Number of wakeups the process has experienced.
+    #[cfg(test)]
     pub fn wakeups(&self, pid: Pid) -> u64 {
         self.procs.get(&pid).map(|p| p.wakeups).unwrap_or(0)
     }
@@ -108,18 +103,17 @@ mod tests {
     #[test]
     fn spawn_assigns_unique_pids() {
         let mut t = ProcessTable::new();
-        let a = t.spawn("a");
-        let b = t.spawn("b");
+        let a = t.spawn();
+        let b = t.spawn();
         assert_ne!(a, b);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.name(a), Some("a"));
         assert_eq!(t.state(a), Some(ProcState::Running));
     }
 
     #[test]
     fn block_wake_cycle() {
         let mut t = ProcessTable::new();
-        let p = t.spawn("w");
+        let p = t.spawn();
         t.block(p);
         assert_eq!(t.state(p), Some(ProcState::Blocked));
         assert!(t.wake(p));
@@ -134,6 +128,5 @@ mod tests {
     fn unknown_pid_is_none() {
         let t = ProcessTable::new();
         assert_eq!(t.state(Pid(99)), None);
-        assert_eq!(t.name(Pid(99)), None);
     }
 }

@@ -618,10 +618,11 @@ pub fn is_stage(stage: &str) -> bool {
 //
 // Hot recording paths pass u16 catalog indices instead of hashing or
 // comparing `&str` names. Ids are resolved at *compile time* through the
-// `const fn` lookups below (`const X: MetricId = metric_id("…")`), so an
+// `const fn` lookup below (`const X: MetricId = metric_id("…")`), so an
 // unregistered name at a recording site fails the build rather than a
 // runtime check. Reads and per-node snapshot imports by name go through
-// the runtime `find_*` binary searches.
+// the runtime `find_metric` binary search. Trace stages stay `&'static
+// str`: every trace site passes a literal the analyzer checks.
 
 /// Interned catalog entry: its index in [`METRICS`] plus the entry's sinks.
 ///
@@ -670,23 +671,6 @@ const fn id_at(i: usize) -> MetricId {
     }
 }
 
-/// Interned index of an entry in [`STAGES`] (sorted by name).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StageId(u16);
-
-impl StageId {
-    /// Position in [`STAGES`].
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The catalog entry this id refers to.
-    pub fn def(self) -> &'static StageDef {
-        &STAGES[self.0 as usize]
-    }
-}
-
 /// Const-context string equality (`==` on `&str` is not const-stable).
 const fn str_eq(a: &str, b: &str) -> bool {
     let (a, b) = (a.as_bytes(), b.as_bytes());
@@ -720,20 +704,6 @@ pub const fn metric_id(name: &str) -> MetricId {
     panic!("metric name not registered in crates/sim/src/catalog.rs METRICS")
 }
 
-/// Compile-time id of a registered trace stage; unregistered names fail
-/// the build. Use as `const S: StageId = stage_id("…");`.
-pub const fn stage_id(name: &str) -> StageId {
-    let mut i = 0;
-    while i < STAGES.len() {
-        if str_eq(STAGES[i].name, name) {
-            return StageId(i as u16);
-        }
-        i += 1;
-    }
-    // lint:allow(no-unwrap, reason="const-eval guard; interned names are resolved at compile time")
-    panic!("stage name not registered in crates/sim/src/catalog.rs STAGES")
-}
-
 /// Runtime id lookup for an exact (unprefixed) catalog name — binary
 /// search over the name-sorted table.
 pub fn find_metric(name: &str) -> Option<MetricId> {
@@ -741,14 +711,6 @@ pub fn find_metric(name: &str) -> Option<MetricId> {
         .binary_search_by(|m| m.name.cmp(name))
         .ok()
         .map(id_at)
-}
-
-/// Runtime id lookup for an exact stage name (binary search).
-pub fn find_stage(name: &str) -> Option<StageId> {
-    STAGES
-        .binary_search_by(|s| s.name.cmp(name))
-        .ok()
-        .map(|i| StageId(i as u16))
 }
 
 #[cfg(test)]
@@ -829,13 +791,11 @@ mod tests {
         const RETX: MetricId = metric_id("clic.retransmits");
         const QDEPTH: MetricId = metric_id("eth.switch.queue_depth");
         const DMA: MetricId = metric_id("hw.pci.dma_bytes");
-        const WIRE: StageId = stage_id("wire");
         assert_eq!(RETX.def().name, "clic.retransmits");
         assert!(RETX.has(Sink::Counter) && !RETX.has(Sink::TimelineRate));
         assert!(QDEPTH.has(Sink::Gauge) && QDEPTH.has(Sink::Histogram));
         assert!(QDEPTH.has(Sink::TimelineLevel) && !QDEPTH.has(Sink::Counter));
         assert!(DMA.has(Sink::Histogram) && DMA.has(Sink::TimelineRate));
-        assert_eq!(WIRE.def().name, "wire");
     }
 
     #[test]
@@ -845,12 +805,7 @@ mod tests {
             assert_eq!(id.index(), i);
             assert_eq!(id, id_at(i));
         }
-        for (i, s) in STAGES.iter().enumerate() {
-            let id = find_stage(s.name).expect("every entry resolves");
-            assert_eq!(id.index(), i);
-        }
         assert!(find_metric("made.up").is_none());
-        assert!(find_stage("made_up").is_none());
     }
 
     #[test]

@@ -180,6 +180,7 @@ impl Sim {
     }
 
     /// Number of events currently pending.
+    #[cfg(test)]
     pub fn events_pending(&self) -> usize {
         self.queue.len()
     }

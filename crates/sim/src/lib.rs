@@ -9,7 +9,7 @@
 //! * [`Cpu`] — the serial resource: a two-priority-class (IRQ > task)
 //!   processor, and with task work only a FIFO bus (PCI),
 //! * [`SimRng`] — a seeded, reproducible random source,
-//! * [`stats`] — sample-exact latency and throughput measurement,
+//! * [`stats`] — sample-exact latency measurement,
 //! * [`metrics`] — the per-run registry of counters, gauges and
 //!   log-bucketed histograms (plain-text dump exporter),
 //! * [`trace`] — cross-layer span/event tracing with a Chrome trace-event
@@ -50,7 +50,7 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use catalog::{MetricId, Sink, StageId};
+pub use catalog::{MetricId, Sink};
 pub use engine::{ActionArm, EngineProbe, Resume, Sim};
 pub use metrics::{LogHistogram, Metrics};
 pub use resource::{Cpu, CpuClass};

@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 /// `.` separator. Suffix aggregation ([`Metrics::sum_counters`]) matches
 /// only at dotted-segment boundaries: `retransmits` binds to `n1.clic.retransmits` but never to
 /// `clic.fast_retransmits`, whose trailing segment merely *contains* it.
+// lint:allow(dead-fn, reason="helper of Metrics::sum_counters, which the crates/cluster/src/observe.rs tests read")
 fn suffix_at_segment_boundary(name: &str, suffix: &str) -> bool {
     if name.len() == suffix.len() {
         return name == suffix;
@@ -177,19 +178,8 @@ impl LogHistogram {
         self.quantile(0.99).unwrap_or(0.0)
     }
 
-    /// Fold another histogram into this one (bucket-wise addition; min,
-    /// max, count and sum combine exactly).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Non-empty buckets as `(inclusive lower, exclusive upper, count)`.
+    // lint:allow(dead-fn, reason="crates/sim/tests/props.rs reads it")
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
         self.buckets
             .iter()
@@ -301,6 +291,7 @@ impl Metrics {
     }
 
     /// Current value of a gauge (0 when absent).
+    #[cfg(test)]
     pub fn gauge(&self, name: &str) -> i64 {
         Self::id_with(name, Sink::Gauge).map_or(0, |i| self.gauges[i].current)
     }
@@ -337,6 +328,7 @@ impl Metrics {
     /// `retransmits` matches `n0.clic.retransmits` but never
     /// `clic.fast_retransmits`: suffixes only bind to whole dotted
     /// segments.
+    // lint:allow(dead-fn, reason="the collective trace test in crates/cluster/src/observe.rs reads it")
     pub fn sum_counters(&self, suffix: &str) -> u64 {
         self.counters()
             .filter(|(n, _)| suffix_at_segment_boundary(n, suffix))
@@ -463,28 +455,6 @@ mod tests {
         assert_eq!(h.max(), None);
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.p99(), 0.0);
-    }
-
-    #[test]
-    fn merge_combines_exactly() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        for v in [1u64, 5, 9] {
-            a.record(v);
-        }
-        for v in [0u64, 700] {
-            b.record(v);
-        }
-        let mut all = LogHistogram::new();
-        for v in [1u64, 5, 9, 0, 700] {
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.min(), Some(0));
-        assert_eq!(a.max(), Some(700));
-        assert_eq!(a.sum(), 715);
     }
 
     const RETX: MetricId = metric_id("clic.retransmits");

@@ -230,6 +230,7 @@ impl<T> CalendarQueue<T> {
     /// Key of the earliest pending item, or `None` when empty. May
     /// advance the cursor to the next populated slot (which does not
     /// affect pop order).
+    // lint:allow(dead-fn, reason="crates/sim/tests/props.rs reads it")
     pub fn next_key(&mut self) -> Option<(SimTime, u64)> {
         loop {
             if let Some(front) = self.active.front() {

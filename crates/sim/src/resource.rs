@@ -117,6 +117,7 @@ impl Cpu {
     }
 
     /// Accumulated busy time for a class.
+    #[cfg(test)]
     pub fn busy_time(&self, class: CpuClass) -> SimDuration {
         match class {
             CpuClass::Irq => self.busy_irq,
@@ -143,6 +144,7 @@ impl Cpu {
     }
 
     /// High-water mark of the combined queues.
+    #[cfg(test)]
     pub fn max_queue_depth(&self) -> usize {
         self.max_queue
     }

@@ -67,12 +67,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32 uniform bits. The upper half of a 64-bit draw is used
-    /// because xoshiro256++'s low bits have weak linear structure.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
@@ -107,32 +101,10 @@ impl SimRng {
         self.sample_range(range.start, span)
     }
 
-    /// Uniform `usize` in `range`. Panics on an empty range.
-    pub fn gen_range_usize(&mut self, range: Range<usize>) -> usize {
-        assert!(range.start < range.end, "gen_range_usize: empty range");
-        self.sample_range(range.start as u64, (range.end - range.start) as u64) as usize
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn gen_f64(&mut self) -> f64 {
         let scale = 1.0 / (1u64 << 53) as f64;
         scale * (self.next_u64() >> 11) as f64
-    }
-
-    /// Fill a byte buffer (used to generate test payloads): whole 64-bit
-    /// words little-endian, then a 64- or 32-bit draw for the tail.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rest = chunks.into_remainder();
-        let n = rest.len();
-        if n > 4 {
-            rest.copy_from_slice(&self.next_u64().to_le_bytes()[..n]);
-        } else if n > 0 {
-            rest.copy_from_slice(&self.next_u32().to_le_bytes()[..n]);
-        }
     }
 }
 
@@ -183,14 +155,6 @@ mod tests {
         assert!((4_500..5_500).contains(&hits), "hits={hits}");
     }
 
-    #[test]
-    fn fill_bytes_fills() {
-        let mut r = SimRng::new(5);
-        let mut buf = [0u8; 64];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
     /// Reference vector: seeding must match `rand 0.8`'s
     /// `SmallRng::seed_from_u64(0)` on 64-bit platforms, which expands the
     /// seed with `rand_core`'s default PCG32-based `seed_from_u64` (NOT
@@ -222,8 +186,6 @@ mod tests {
         for _ in 0..1_000 {
             let v = r.gen_range_u64(10..20);
             assert!((10..20).contains(&v));
-            let w = r.gen_range_usize(1..2);
-            assert_eq!(w, 1);
             let f = r.gen_f64();
             assert!((0.0..1.0).contains(&f));
         }

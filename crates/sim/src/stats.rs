@@ -1,60 +1,13 @@
-//! Sample-exact measurement primitives used by the experiment drivers.
+//! Sample-exact latency measurement used by the experiment drivers.
 //!
-//! Event counting and bucketed distributions moved to the per-run
-//! [`crate::metrics::Metrics`] registry; what remains here are the
-//! sample-exact instruments workloads thread through their callbacks: the
-//! throughput meter behind every bandwidth figure and the latency
-//! collector behind the ping-pong/request-reply figures.
+//! Event counting and bucketed distributions live in the per-run
+//! [`crate::metrics::Metrics`] registry; what remains here is the
+//! sample-exact latency collector that workloads thread through their
+//! callbacks, behind the ping-pong and request-reply figures. Bandwidth
+//! figures divide the bytes a workload moved by its simulated run time
+//! themselves.
 
-use crate::time::{SimDuration, SimTime};
-
-/// Accumulates bytes over a time window and reports throughput.
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    start: SimTime,
-    last: SimTime,
-}
-
-impl ThroughputMeter {
-    /// Start measuring at `start`.
-    pub fn new(start: SimTime) -> Self {
-        ThroughputMeter {
-            bytes: 0,
-            start,
-            last: start,
-        }
-    }
-
-    /// Record `bytes` delivered at time `at`.
-    pub fn record(&mut self, at: SimTime, bytes: u64) {
-        self.bytes += bytes;
-        self.last = self.last.max(at);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Megabits per second over `[start, last]`, the unit of the paper's
-    /// figures. Zero if the window is empty.
-    pub fn mbps(&self) -> f64 {
-        let window = self.last.saturating_since(self.start);
-        if window == SimDuration::ZERO {
-            return 0.0;
-        }
-        (self.bytes as f64 * 8.0) / window.as_secs_f64() / 1e6
-    }
-
-    /// Throughput over an externally supplied window (e.g. a fixed horizon).
-    pub fn mbps_over(&self, window: SimDuration) -> f64 {
-        if window == SimDuration::ZERO {
-            return 0.0;
-        }
-        (self.bytes as f64 * 8.0) / window.as_secs_f64() / 1e6
-    }
-}
+use crate::time::SimDuration;
 
 /// Collects duration samples and reports summary statistics.
 #[derive(Debug, Default, Clone)]
@@ -115,44 +68,6 @@ impl LatencyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_mbps() {
-        let mut m = ThroughputMeter::new(SimTime::ZERO);
-        // 125 MB in 1 s = 1000 Mb/s.
-        m.record(SimTime::from_ns(1_000_000_000), 125_000_000);
-        assert!((m.mbps() - 1000.0).abs() < 1e-6);
-        assert_eq!(m.bytes(), 125_000_000);
-    }
-
-    #[test]
-    fn throughput_empty_window_is_zero() {
-        let m = ThroughputMeter::new(SimTime::from_us(5));
-        assert_eq!(m.mbps(), 0.0);
-        assert_eq!(m.mbps_over(SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn throughput_bytes_in_zero_width_window_is_zero_not_nan() {
-        // Bytes recorded at exactly the start instant leave `[start, last]`
-        // empty: the naive bytes/window division would be inf (or NaN with
-        // zero bytes). Both reports must stay a finite 0.0.
-        let mut m = ThroughputMeter::new(SimTime::from_us(5));
-        m.record(SimTime::from_us(5), 10_000);
-        assert_eq!(m.bytes(), 10_000);
-        assert_eq!(m.mbps(), 0.0);
-        assert!(m.mbps().is_finite());
-        assert_eq!(m.mbps_over(SimDuration::ZERO), 0.0);
-        assert!(m.mbps_over(SimDuration::ZERO).is_finite());
-    }
-
-    #[test]
-    fn throughput_over_fixed_window() {
-        let mut m = ThroughputMeter::new(SimTime::ZERO);
-        m.record(SimTime::from_us(1), 1000);
-        // 1000 B over 8 us = 1 Gb/s.
-        assert!((m.mbps_over(SimDuration::from_us(8)) - 1000.0).abs() < 1e-6);
-    }
 
     #[test]
     fn latency_summary() {

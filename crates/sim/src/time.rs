@@ -21,6 +21,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Construct from nanoseconds.
+    // lint:allow(dead-fn, reason="tests across the workspace build instants with it")
     pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns)
     }
@@ -84,13 +85,14 @@ impl SimDuration {
     }
 
     /// Construct from fractional microseconds (rounded to the nearest ns).
+    #[cfg(test)]
     pub fn from_us_f64(us: f64) -> Self {
         debug_assert!(us >= 0.0, "negative duration");
-        // lint:allow(time-overflow, reason="f64 multiply cannot wrap; float-to-int casts saturate")
         SimDuration((us * 1_000.0).round() as u64)
     }
 
     /// Construct from fractional seconds (rounded to the nearest ns).
+    #[cfg(test)]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "negative duration");
         SimDuration((s * 1_000_000_000.0).round() as u64)

@@ -45,7 +45,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::catalog::{self, MetricId, Sink};
+use crate::catalog::{MetricId, Sink};
 use crate::time::{SimDuration, SimTime};
 
 /// How a series folds multiple writes into one bucket.
@@ -169,11 +169,6 @@ impl TimelineRecorder {
         self.enabled
     }
 
-    /// Width of one bucket.
-    pub fn bucket_width(&self) -> SimDuration {
-        SimDuration::from_ns(self.bucket_ns)
-    }
-
     /// Number of distinct series recorded.
     pub fn series_count(&self) -> usize {
         self.series.len()
@@ -239,6 +234,7 @@ impl TimelineRecorder {
     /// Sealed samples of the level series `name` as `(bucket start,
     /// level)` pairs. `None` if the name has no level series in the
     /// catalog or was never recorded.
+    #[cfg(test)]
     pub fn gauge_series(&self, name: &str) -> Option<Vec<(SimTime, i64)>> {
         self.series_of(name, Sink::TimelineLevel)
     }
@@ -246,20 +242,22 @@ impl TimelineRecorder {
     /// Sealed samples of the rate series `name` as `(bucket start, delta)`
     /// pairs. `None` if the name has no rate series in the catalog or was
     /// never recorded.
+    #[cfg(test)]
     pub fn counter_series(&self, name: &str) -> Option<Vec<(SimTime, i64)>> {
         self.series_of(name, Sink::TimelineRate)
     }
 
+    #[cfg(test)]
     fn series_of(&self, name: &str, sink: Sink) -> Option<Vec<(SimTime, i64)>> {
-        let id = catalog::find_metric(name).filter(|id| id.has(sink))?;
+        let id = crate::catalog::find_metric(name).filter(|id| id.has(sink))?;
         self.series.get(&id).map(|s| self.samples_of(s))
     }
 
+    #[cfg(test)]
     fn samples_of(&self, s: &Series) -> Vec<(SimTime, i64)> {
         s.sealed
             .iter()
             .enumerate()
-            // lint:allow(time-overflow, reason="start+i indexes sealed buckets (timestamp/bucket_ns), so the product is bounded by the last recorded u64 timestamp")
             .map(|(i, &v)| (SimTime::from_ns((s.start + i as u64) * self.bucket_ns), v))
             .collect()
     }

@@ -13,7 +13,6 @@
 //!
 //! Tracing is off by default — records cost one branch when disabled.
 
-use crate::catalog::StageId;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -225,27 +224,8 @@ impl Trace {
         self.push(time, layer, stage, id, Mark::Instant);
     }
 
-    /// Emit a begin mark for an interned stage. Resolving the name through
-    /// [`crate::catalog::stage_id`] at the call site proves at compile time
-    /// that the stage is cataloged (a typo fails the build, not the run).
-    #[inline]
-    pub fn begin_id(&mut self, time: SimTime, layer: Layer, stage: StageId, id: u64) {
-        self.push(time, layer, stage.def().name, id, Mark::Begin);
-    }
-
-    /// Emit an end mark for an interned stage.
-    #[inline]
-    pub fn end_id(&mut self, time: SimTime, layer: Layer, stage: StageId, id: u64) {
-        self.push(time, layer, stage.def().name, id, Mark::End);
-    }
-
-    /// Emit an instant event for an interned stage.
-    #[inline]
-    pub fn instant_id(&mut self, time: SimTime, layer: Layer, stage: StageId, id: u64) {
-        self.push(time, layer, stage.def().name, id, Mark::Instant);
-    }
-
     /// Raw records, in emission order.
+    #[cfg(test)]
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
@@ -327,6 +307,7 @@ impl Trace {
     /// Fold all marks into spans, rejecting malformed traces: any begin
     /// without an end (or vice versa) is surfaced as a [`TraceError`]
     /// rather than silently dropped.
+    #[cfg(test)]
     pub fn spans(&self) -> Result<Vec<StageSpan>, TraceError> {
         let (spans, strays) = Self::fold(self.events.iter());
         match strays.into_iter().next() {

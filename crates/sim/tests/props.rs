@@ -149,34 +149,6 @@ proptest! {
         prop_assert_eq!(h.quantile(1.0), Some(max as f64));
     }
 
-    /// Quantiles of a merged histogram agree with a histogram built from
-    /// the concatenated samples — merge loses nothing the sketch had.
-    #[test]
-    fn quantile_survives_merge(
-        a in proptest::collection::vec(0u64..1_000_000, 1..80),
-        b in proptest::collection::vec(0u64..1_000_000, 1..80),
-    ) {
-        let mut ha = LogHistogram::new();
-        for &v in &a {
-            ha.record(v);
-        }
-        let mut hb = LogHistogram::new();
-        for &v in &b {
-            hb.record(v);
-        }
-        ha.merge(&hb);
-        let mut all = LogHistogram::new();
-        for &v in a.iter().chain(&b) {
-            all.record(v);
-        }
-        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            prop_assert_eq!(ha.quantile(q), all.quantile(q), "q = {}", q);
-        }
-        let mut sorted: Vec<u64> = a.iter().chain(&b).copied().collect();
-        sorted.sort_unstable();
-        prop_assert_eq!(ha.quantile(1.0), Some(sorted[sorted.len() - 1] as f64));
-    }
-
     /// for_bytes never returns zero for nonzero payloads and scales
     /// monotonically.
     #[test]

@@ -28,8 +28,6 @@ pub struct TcpIpCosts {
     /// both sides — the era's NICs in this testbed did not offload TCP
     /// checksums).
     pub checksum_bytes_per_sec: u64,
-    /// UDP per-datagram processing.
-    pub udp_per_datagram: SimDuration,
 }
 
 impl TcpIpCosts {
@@ -41,7 +39,6 @@ impl TcpIpCosts {
             tcp_tx_per_segment: SimDuration::from_ns(5_000),
             tcp_rx_per_segment: SimDuration::from_ns(10_000),
             checksum_bytes_per_sec: 140_000_000,
-            udp_per_datagram: SimDuration::from_ns(3_000),
         }
     }
 

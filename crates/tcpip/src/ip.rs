@@ -263,6 +263,7 @@ impl IpReassembler {
     }
 
     /// Datagrams awaiting fragments.
+    #[cfg(test)]
     pub fn pending(&self) -> usize {
         self.partial.len()
     }

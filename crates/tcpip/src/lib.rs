@@ -8,13 +8,11 @@
 //! data copies").
 //!
 //! * [`ip`] — IPv4: real 20-byte headers with RFC 1071 checksums,
-//!   fragmentation + reassembly (exercised by UDP), TTL, protocol demux.
+//!   fragmentation + reassembly, TTL, protocol demux.
 //! * [`tcp`] — TCP-lite: three-way handshake, byte sequence numbers,
 //!   cumulative + delayed ACKs, sliding window, slow start / congestion
 //!   avoidance, RTO with exponential backoff, MSS derived from the device
 //!   MTU. Checksums are charged per byte and computed for real.
-//! * [`udp`] — datagram service over IP (used by tests and the PVM-like
-//!   layer's control traffic).
 //! * [`costs`] — per-layer CPU costs, the calibrated "TCP/IP tax".
 //!
 //! Address resolution is a static neighbor table injected at install time;
@@ -28,10 +26,8 @@ pub mod costs;
 pub mod ip;
 pub mod stack;
 pub mod tcp;
-pub mod udp;
 
 pub use costs::TcpIpCosts;
 pub use ip::{IpAddr, IpProto, Ipv4Header};
 pub use stack::IpLayer;
 pub use tcp::{ConnId, TcpStack};
-pub use udp::UdpStack;

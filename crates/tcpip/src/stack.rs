@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
-/// Upper-layer protocol hook (TCP, UDP).
+/// Upper-layer protocol hook (TCP).
 pub trait IpProtoHandler {
     /// A complete (reassembled) IP payload arrived.
     fn handle(
@@ -164,8 +164,7 @@ impl IpLayer {
                     trace,
                 };
                 hard_start_xmit(&kernel2, sim, 0, mac, EtherType::IPV4, skb, |_, _ok| {
-                    // Ring-full drops are recovered by TCP's RTO / UDP's
-                    // best-effort contract.
+                    // Ring-full drops are recovered by TCP's RTO.
                 });
             }
         });

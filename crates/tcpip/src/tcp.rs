@@ -8,16 +8,17 @@
 //! receive and charged per byte — this stack pays the "touch every byte"
 //! tax CLIC avoids).
 //!
-//! Also implemented: fast retransmit on three duplicate ACKs (RFC 2581)
-//! and FIN-based connection teardown. Omissions (documented in DESIGN.md
-//! §5): SACK, timestamps, PAWS, RST handling, TIME_WAIT. None shapes the
+//! Also implemented: fast retransmit on three duplicate ACKs (RFC 2581).
+//! Omissions (documented in DESIGN.md §5): connection teardown (FIN,
+//! TIME_WAIT; every workload keeps its connections open to the end of
+//! the run), SACK, timestamps, PAWS, RST handling. None shapes the
 //! paper's curves.
 
 use crate::costs::TcpIpCosts;
 use crate::ip::{pseudo_header_checksum, IpAddr, IpProto, Ipv4Header};
 use crate::stack::{IpLayer, IpProtoHandler};
 use bytes::{BufMut, Bytes, BytesMut};
-use clic_os::{Kernel, Pid};
+use clic_os::Kernel;
 use clic_sim::{Layer, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -31,7 +32,6 @@ pub const TCP_HEADER: usize = 20;
 pub struct ConnId(pub u32);
 
 mod tcpflags {
-    pub const FIN: u8 = 0x01;
     pub const SYN: u8 = 0x02;
     pub const ACK: u8 = 0x10;
 }
@@ -130,14 +130,6 @@ enum TcpState {
     SynSent,
     SynReceived,
     Established,
-    /// We sent FIN, awaiting its ACK (and possibly the peer's FIN).
-    FinWait,
-    /// Peer sent FIN; we may still send until the application closes.
-    CloseWait,
-    /// Both FINs exchanged; awaiting the final ACK of ours.
-    LastAck,
-    /// Fully closed.
-    Closed,
 }
 
 type Reader = (usize, Box<dyn FnOnce(&mut Sim, Bytes)>);
@@ -148,12 +140,6 @@ struct Conn {
     peer_port: u16,
     state: TcpState,
     on_established: Option<Box<dyn FnOnce(&mut Sim, ConnId)>>,
-    on_peer_close: Option<Box<dyn FnOnce(&mut Sim, ConnId)>>,
-    /// Set once the application asked to close; the FIN goes out when the
-    /// send buffer drains.
-    close_requested: bool,
-    fin_sent: bool,
-    pid: Option<Pid>,
     // --- send side ---
     snd_una: u32,
     snd_nxt: u32,
@@ -273,6 +259,7 @@ impl TcpStack {
     }
 
     /// Maximum segment size in use.
+    // lint:allow(dead-fn, reason="crates/tcpip/tests/tcp_integration.rs reads it")
     pub fn mss(&self) -> usize {
         self.mss
     }
@@ -293,10 +280,6 @@ impl TcpStack {
                 peer_port,
                 state: TcpState::SynSent,
                 on_established: None,
-                on_peer_close: None,
-                close_requested: false,
-                fin_sent: false,
-                pid: None,
                 snd_una: 0,
                 snd_nxt: 0,
                 send_buf: VecDeque::new(),
@@ -321,13 +304,6 @@ impl TcpStack {
         );
         self.by_tuple.insert((peer_ip, peer_port, local_port), id);
         id
-    }
-
-    /// Bind `pid` to a connection so blocking reads charge wakeups to it.
-    pub fn set_owner(&mut self, conn: ConnId, pid: Pid) {
-        if let Some(c) = self.conns.get_mut(&conn) {
-            c.pid = Some(pid);
-        }
     }
 
     /// Listen on `port`; `on_accept` runs for each established inbound
@@ -417,7 +393,6 @@ impl TcpStack {
     ) {
         let kernel = Self::kernel_of(stack);
         let stack2 = stack.clone();
-        let kernel2 = kernel.clone();
         Kernel::syscall(&kernel, sim, move |sim| {
             {
                 let mut s = stack2.borrow_mut();
@@ -425,100 +400,9 @@ impl TcpStack {
                     return;
                 };
                 c.readers.push_back((len, Box::new(cont)));
-                if c.recv_buf_bytes < len {
-                    if let Some(pid) = c.pid {
-                        kernel2.borrow_mut().processes.block(pid);
-                    }
-                }
             }
             Self::satisfy_readers(&stack2, sim, conn);
         });
-    }
-
-    /// Bytes waiting in the receive buffer.
-    pub fn recv_available(&self, conn: ConnId) -> usize {
-        self.conns.get(&conn).map(|c| c.recv_buf_bytes).unwrap_or(0)
-    }
-
-    /// Install a callback fired once when the peer closes its side.
-    pub fn on_peer_close(&mut self, conn: ConnId, cb: impl FnOnce(&mut Sim, ConnId) + 'static) {
-        if let Some(c) = self.conns.get_mut(&conn) {
-            assert!(c.on_peer_close.is_none(), "peer-close handler already set");
-            c.on_peer_close = Some(Box::new(cb));
-        }
-    }
-
-    /// Whether the connection has fully closed (both FINs exchanged and
-    /// acknowledged).
-    pub fn is_closed(&self, conn: ConnId) -> bool {
-        self.conns
-            .get(&conn)
-            .map(|c| c.state == TcpState::Closed)
-            .unwrap_or(true)
-    }
-
-    /// Close our side of the connection: queued data is still delivered,
-    /// then a FIN goes out. The connection fully closes once the peer
-    /// closes too.
-    pub fn close(stack: &Rc<RefCell<TcpStack>>, sim: &mut Sim, conn: ConnId) {
-        let kernel = Self::kernel_of(stack);
-        let stack2 = stack.clone();
-        Kernel::syscall(&kernel.clone(), sim, move |sim| {
-            // Defer one CPU-queue round so the socket-buffer copies of any
-            // send() issued before this close() have landed — otherwise
-            // the FIN could overtake data still being staged.
-            let stack3 = stack2.clone();
-            Kernel::cpu_task(&kernel, sim, SimDuration::ZERO, move |sim| {
-                {
-                    let mut s = stack3.borrow_mut();
-                    let Some(c) = s.conns.get_mut(&conn) else {
-                        return;
-                    };
-                    if c.close_requested {
-                        return;
-                    }
-                    c.close_requested = true;
-                }
-                Self::maybe_send_fin(&stack3, sim, conn);
-            });
-        });
-    }
-
-    /// Emit the FIN once the send buffer has drained.
-    fn maybe_send_fin(stack: &Rc<RefCell<TcpStack>>, sim: &mut Sim, conn: ConnId) {
-        let fin = {
-            let mut s = stack.borrow_mut();
-            let rwnd16 = s.rwnd.min(u16::MAX as usize) as u16;
-            let Some(c) = s.conns.get_mut(&conn) else {
-                return;
-            };
-            if !c.close_requested || c.fin_sent || c.send_buf_bytes > 0 {
-                None
-            } else {
-                c.fin_sent = true;
-                c.state = match c.state {
-                    TcpState::CloseWait => TcpState::LastAck,
-                    _ => TcpState::FinWait,
-                };
-                let seg = Segment {
-                    src_port: c.local_port,
-                    dst_port: c.peer_port,
-                    seq: c.snd_nxt,
-                    ack: c.rcv_nxt,
-                    flags: tcpflags::FIN | tcpflags::ACK,
-                    window: rwnd16,
-                };
-                // The FIN occupies one sequence number and is
-                // retransmittable like data.
-                c.retx.insert(c.snd_nxt, Bytes::new());
-                c.snd_nxt = c.snd_nxt.wrapping_add(1);
-                Some((c.peer_ip, seg))
-            }
-        };
-        if let Some((peer, seg)) = fin {
-            Self::emit_data(stack, sim, peer, seg, Bytes::new(), 0);
-            Self::ensure_rto(stack, sim, conn);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -541,8 +425,6 @@ impl TcpStack {
                 let flight = c.snd_nxt.wrapping_sub(c.snd_una) as usize;
                 let wnd = c.cwnd.min(c.peer_wnd);
                 if c.send_buf_bytes == 0 {
-                    drop(s);
-                    Self::maybe_send_fin(stack, sim, conn);
                     return;
                 }
                 if flight >= wnd {
@@ -807,52 +689,6 @@ impl TcpStack {
         if !data.is_empty() {
             Self::process_data(stack, sim, conn, seg, data);
         }
-        if seg.flags & tcpflags::FIN != 0 {
-            Self::process_fin(stack, sim, conn, seg);
-        }
-        Self::maybe_finish_close(stack, sim, conn);
-    }
-
-    fn process_fin(stack: &Rc<RefCell<TcpStack>>, sim: &mut Sim, conn: ConnId, seg: Segment) {
-        let (notify, ack_now) = {
-            let mut s = stack.borrow_mut();
-            let Some(c) = s.conns.get_mut(&conn) else {
-                return;
-            };
-            // Only honour the FIN once it is in order: FIN segments in
-            // this stack carry no data, so the FIN's sequence must equal
-            // the next expected byte.
-            if c.rcv_nxt != seg.seq {
-                return; // out-of-order FIN: recovered later by retransmit
-            }
-            c.rcv_nxt = c.rcv_nxt.wrapping_add(1);
-            let notify = c.on_peer_close.take();
-            c.state = match c.state {
-                TcpState::FinWait => TcpState::Closed, // simultaneous/after our FIN
-                TcpState::Established | TcpState::SynReceived => TcpState::CloseWait,
-                other => other,
-            };
-            (notify, true)
-        };
-        if ack_now {
-            Self::send_ack(stack, sim, conn);
-        }
-        if let Some(cb) = notify {
-            cb(sim, conn);
-        }
-    }
-
-    /// Transition to Closed once our FIN is acknowledged and the peer has
-    /// closed too.
-    fn maybe_finish_close(stack: &Rc<RefCell<TcpStack>>, sim: &mut Sim, conn: ConnId) {
-        let _ = sim;
-        let mut s = stack.borrow_mut();
-        let Some(c) = s.conns.get_mut(&conn) else {
-            return;
-        };
-        if c.fin_sent && c.retx.is_empty() && c.state == TcpState::LastAck {
-            c.state = TcpState::Closed;
-        }
     }
 
     fn process_ack_field(stack: &Rc<RefCell<TcpStack>>, sim: &mut Sim, conn: ConnId, seg: Segment) {
@@ -1062,20 +898,16 @@ impl TcpStack {
                         let (len, cont) = c.readers.pop_front().unwrap();
                         let data = take_front(&mut c.recv_buf, len);
                         c.recv_buf_bytes -= len;
-                        Some((data, cont, c.pid))
+                        Some((data, cont))
                     }
                     _ => None,
                 }
             };
-            let Some((data, cont, pid)) = ready else {
+            let Some((data, cont)) = ready else {
                 return;
             };
             let copy_cost = kernel.borrow().costs.copy.cost_observed(sim, data.len());
-            let kernel2 = kernel.clone();
-            Kernel::cpu_task(&kernel, sim, copy_cost, move |sim| match pid {
-                Some(pid) => Kernel::wake(&kernel2, sim, pid, move |sim| cont(sim, data)),
-                None => cont(sim, data),
-            });
+            Kernel::cpu_task(&kernel, sim, copy_cost, move |sim| cont(sim, data));
         }
     }
 }

@@ -3,7 +3,7 @@
 #![allow(clippy::type_complexity)]
 
 use bytes::Bytes;
-use clic_ethernet::{Link, LinkEnd, LossModel, MacAddr};
+use clic_ethernet::{FaultPlan, Link, LinkEnd, LossModel, MacAddr};
 use clic_hw::{Nic, NicConfig, PciBus};
 use clic_os::{Kernel, OsCosts};
 use clic_sim::{Sim, SimTime};
@@ -11,6 +11,17 @@ use clic_tcpip::{ConnId, IpAddr, IpLayer, TcpIpCosts, TcpStack};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+
+/// Drop frames per `loss` in both directions of `link`.
+fn set_loss(link: &Rc<RefCell<Link>>, loss: LossModel) {
+    for end in [LinkEnd::A, LinkEnd::B] {
+        let plan = FaultPlan {
+            loss,
+            ..FaultPlan::default()
+        };
+        link.borrow_mut().set_faults(end, plan);
+    }
+}
 
 struct Node {
     // Held so the stack's Weak<Kernel> stays upgradable.
@@ -167,7 +178,7 @@ fn loss_recovered_by_rto() {
     let (a, b, link) = pair(NicConfig::gigabit_standard());
     let (client, server) = establish(&mut sim, &a, &b, 5000);
     // Inject loss only after the handshake.
-    link.borrow_mut().set_loss(LossModel::EveryNth(40));
+    set_loss(&link, LossModel::EveryNth(40));
     let data = payload(120_000);
     let got: Rc<RefCell<Option<Bytes>>> = Rc::new(RefCell::new(None));
     let g = got.clone();
@@ -299,7 +310,7 @@ fn fast_retransmit_fires_before_rto() {
     let mut sim = Sim::new(11);
     let (a, b, link) = pair(NicConfig::gigabit_standard());
     let (client, server) = establish(&mut sim, &a, &b, 5000);
-    link.borrow_mut().set_loss(LossModel::EveryNth(25));
+    set_loss(&link, LossModel::EveryNth(25));
     let data = payload(200_000);
     let got: Rc<RefCell<Option<Bytes>>> = Rc::new(RefCell::new(None));
     let g = got.clone();
@@ -328,72 +339,4 @@ fn fast_retransmit_fires_before_rto() {
         elapsed < clic_sim::SimDuration::from_ms(1_000),
         "transfer with fast retransmit took {elapsed}"
     );
-}
-
-#[test]
-fn close_delivers_all_data_then_notifies_peer() {
-    let mut sim = Sim::new(0);
-    let (a, b, _) = pair(NicConfig::gigabit_standard());
-    let (client, server) = establish(&mut sim, &a, &b, 5000);
-    let data = payload(50_000);
-    let got: Rc<RefCell<Option<Bytes>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    TcpStack::recv(
-        &b.tcp,
-        &mut sim,
-        server.borrow().unwrap(),
-        data.len(),
-        move |_s, bytes| *g.borrow_mut() = Some(bytes),
-    );
-    let peer_closed: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
-    let p = peer_closed.clone();
-    b.tcp
-        .borrow_mut()
-        .on_peer_close(server.borrow().unwrap(), move |sim, _| {
-            *p.borrow_mut() = Some(sim.now())
-        });
-    // Send then immediately close: the FIN must trail the data.
-    TcpStack::send(&a.tcp, &mut sim, client.borrow().unwrap(), data.clone());
-    TcpStack::close(&a.tcp, &mut sim, client.borrow().unwrap());
-    sim.run();
-    assert_eq!(got.borrow().as_ref().unwrap(), &data, "data before FIN");
-    assert!(
-        peer_closed.borrow().is_some(),
-        "peer must learn of the close"
-    );
-}
-
-#[test]
-fn both_sides_close_reaches_closed_state() {
-    let mut sim = Sim::new(0);
-    let (a, b, _) = pair(NicConfig::gigabit_standard());
-    let (client, server) = establish(&mut sim, &a, &b, 5000);
-    let b_tcp = b.tcp.clone();
-    let server_id = server.borrow().unwrap();
-    // Server closes in response to the client's close.
-    b.tcp.borrow_mut().on_peer_close(server_id, move |sim, id| {
-        TcpStack::close(&b_tcp, sim, id);
-    });
-    TcpStack::close(&a.tcp, &mut sim, client.borrow().unwrap());
-    sim.run();
-    assert!(b.tcp.borrow().is_closed(server_id));
-}
-
-#[test]
-fn close_with_lossy_fin_still_converges() {
-    let mut sim = Sim::new(9);
-    let (a, b, link) = pair(NicConfig::gigabit_standard());
-    let (client, server) = establish(&mut sim, &a, &b, 5000);
-    link.borrow_mut().set_loss(LossModel::EveryNth(2)); // brutal
-    let closed: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
-    let c = closed.clone();
-    b.tcp
-        .borrow_mut()
-        .on_peer_close(server.borrow().unwrap(), move |_s, _| {
-            *c.borrow_mut() = true
-        });
-    TcpStack::close(&a.tcp, &mut sim, client.borrow().unwrap());
-    sim.set_event_limit(10_000_000);
-    sim.run();
-    assert!(*closed.borrow(), "FIN must be retransmitted through loss");
 }

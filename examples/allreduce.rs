@@ -54,7 +54,7 @@ fn run(backend: StackKind, ranks: usize, chunk: usize) -> (u64, SimDuration) {
                 .iter()
                 .enumerate()
                 .map(|(rank, node)| {
-                    let pid = node.kernel.borrow_mut().processes.spawn("reduce");
+                    let pid = node.kernel.borrow_mut().processes.spawn();
                     let t = ClicTransport::new(&mut sim, &node.clic(), pid, rank, peers.clone());
                     Mpi::new(&node.kernel, t)
                 })

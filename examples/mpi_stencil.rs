@@ -57,7 +57,7 @@ fn run_stencil(backend: StackKind, ranks: usize, halo: usize, iters: usize) -> S
                 .iter()
                 .enumerate()
                 .map(|(rank, node)| {
-                    let pid = node.kernel.borrow_mut().processes.spawn("stencil");
+                    let pid = node.kernel.borrow_mut().processes.spawn();
                     let t = ClicTransport::new(&mut sim, &node.clic(), pid, rank, peers.clone());
                     Mpi::new(&node.kernel, t)
                 })

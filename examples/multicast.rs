@@ -33,7 +33,7 @@ fn main() {
     let received: Rc<RefCell<Vec<(usize, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
     for (i, node) in cluster.nodes.iter().enumerate().skip(1) {
         ClicModule::join_multicast(&node.clic(), group);
-        let pid = node.kernel.borrow_mut().processes.spawn("worker");
+        let pid = node.kernel.borrow_mut().processes.spawn();
         let port = ClicPort::bind(&node.clic(), pid, CH);
         let r = received.clone();
         port.recv(&mut sim, move |sim, msg| {
@@ -43,7 +43,7 @@ fn main() {
     }
 
     // The controller multicasts once.
-    let ctl_pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn("ctl");
+    let ctl_pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn();
     let ctl = ClicPort::bind(&cluster.nodes[0].clic(), ctl_pid, 1);
     ctl.send(
         &mut sim,

@@ -31,8 +31,8 @@ fn main() {
     let (n0, n1) = (&cluster.nodes[0], &cluster.nodes[1]);
 
     // --- App 1: CLIC bulk transfer (channel 10) -------------------------
-    let bulk_pid_tx = n0.kernel.borrow_mut().processes.spawn("bulk-tx");
-    let bulk_pid_rx = n1.kernel.borrow_mut().processes.spawn("bulk-rx");
+    let bulk_pid_tx = n0.kernel.borrow_mut().processes.spawn();
+    let bulk_pid_rx = n1.kernel.borrow_mut().processes.spawn();
     let bulk_tx = ClicPort::bind(&n0.clic(), bulk_pid_tx, 10);
     let bulk_rx = ClicPort::bind(&n1.clic(), bulk_pid_rx, 10);
     let bulk_done: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
@@ -44,9 +44,9 @@ fn main() {
     bulk_tx.send(&mut sim, n1.mac, 10, Bytes::from(vec![0xB1u8; 500_000]));
 
     // --- App 2: CLIC request/reply service (channel 20) -----------------
-    let svc_pid = n1.kernel.borrow_mut().processes.spawn("service");
+    let svc_pid = n1.kernel.borrow_mut().processes.spawn();
     let svc = Rc::new(ClicPort::bind(&n1.clic(), svc_pid, 20));
-    let cli_pid = n0.kernel.borrow_mut().processes.spawn("client");
+    let cli_pid = n0.kernel.borrow_mut().processes.spawn();
     let cli = Rc::new(ClicPort::bind(&n0.clic(), cli_pid, 21));
     // Service: echo uppercase, forever-ish.
     fn serve(port: Rc<ClicPort>, sim: &mut Sim, left: usize) {

@@ -15,16 +15,8 @@ fn main() {
     let cluster = Cluster::build(&ClusterConfig::paper_pair());
     let mut sim = Sim::new(0);
 
-    let tx_pid = cluster.nodes[0]
-        .kernel
-        .borrow_mut()
-        .processes
-        .spawn("sender");
-    let rx_pid = cluster.nodes[1]
-        .kernel
-        .borrow_mut()
-        .processes
-        .spawn("receiver");
+    let tx_pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn();
+    let rx_pid = cluster.nodes[1].kernel.borrow_mut().processes.spawn();
     let tx = ClicPort::bind(&cluster.nodes[0].clic(), tx_pid, 7);
     let rx = ClicPort::bind(&cluster.nodes[1].clic(), rx_pid, 7);
 

@@ -13,16 +13,8 @@ fn main() {
     let cluster = Cluster::build(&ClusterConfig::paper_pair());
     let mut sim = Sim::new(0);
 
-    let producer_pid = cluster.nodes[0]
-        .kernel
-        .borrow_mut()
-        .processes
-        .spawn("producer");
-    let consumer_pid = cluster.nodes[1]
-        .kernel
-        .borrow_mut()
-        .processes
-        .spawn("consumer");
+    let producer_pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn();
+    let consumer_pid = cluster.nodes[1].kernel.borrow_mut().processes.spawn();
 
     const REGION: u16 = 9;
     let producer = ClicPort::bind(&cluster.nodes[0].clic(), producer_pid, 1);

@@ -28,8 +28,8 @@
 //! let mut sim = Sim::new(0);
 //!
 //! // Bind a port on each node (channel 7).
-//! let tx_pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn("sender");
-//! let rx_pid = cluster.nodes[1].kernel.borrow_mut().processes.spawn("receiver");
+//! let tx_pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn();
+//! let rx_pid = cluster.nodes[1].kernel.borrow_mut().processes.spawn();
 //! let tx = ClicPort::bind(&cluster.nodes[0].clic(), tx_pid, 7);
 //! let rx = ClicPort::bind(&cluster.nodes[1].clic(), rx_pid, 7);
 //!
@@ -56,7 +56,7 @@
 //! | [`ethernet`] | `clic-ethernet` | frames, links, switch, bonding |
 //! | [`hw`] | `clic-hw` | PCI bus, copy model, GbE NIC |
 //! | [`os`] | `clic-os` | kernel, syscalls, interrupts, driver, SK_BUFF |
-//! | [`tcpip`] | `clic-tcpip` | IPv4 + TCP + UDP baseline stack |
+//! | [`tcpip`] | `clic-tcpip` | IPv4 + TCP baseline stack |
 //! | [`core_proto`] | `clic-core` | **the CLIC protocol** |
 //! | [`gamma`] | `clic-gamma` | GAMMA-like comparison baseline |
 //! | [`mpi`] | `clic-mpi` | MPI-like and PVM-like layers |

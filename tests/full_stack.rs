@@ -27,8 +27,8 @@ fn clic_and_tcp_coexist_on_one_node() {
     let mut sim = Sim::new(0);
 
     // CLIC traffic.
-    let pid0 = cluster.nodes[0].kernel.borrow_mut().processes.spawn("c0");
-    let pid1 = cluster.nodes[1].kernel.borrow_mut().processes.spawn("c1");
+    let pid0 = cluster.nodes[0].kernel.borrow_mut().processes.spawn();
+    let pid1 = cluster.nodes[1].kernel.borrow_mut().processes.spawn();
     let tx = ClicPort::bind(&cluster.nodes[0].clic(), pid0, 5);
     let rx = ClicPort::bind(&cluster.nodes[1].clic(), pid1, 5);
     let clic_got: Rc<RefCell<Option<Bytes>>> = Rc::new(RefCell::new(None));
@@ -101,7 +101,7 @@ fn switched_incast_delivers_everything() {
     let cluster = Cluster::build(&cfg);
     let mut sim = Sim::new(3);
 
-    let sink_pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn("sink");
+    let sink_pid = cluster.nodes[0].kernel.borrow_mut().processes.spawn();
     let sink = Rc::new(ClicPort::bind(&cluster.nodes[0].clic(), sink_pid, 1));
     let got: Rc<RefCell<Vec<Bytes>>> = Rc::new(RefCell::new(Vec::new()));
     fn drain(port: Rc<ClicPort>, sim: &mut Sim, got: Rc<RefCell<Vec<Bytes>>>, left: usize) {
@@ -119,7 +119,7 @@ fn switched_incast_delivers_everything() {
 
     let dst = cluster.nodes[0].mac;
     for (i, node) in cluster.nodes.iter().enumerate().skip(1) {
-        let pid = node.kernel.borrow_mut().processes.spawn("worker");
+        let pid = node.kernel.borrow_mut().processes.spawn();
         let port = ClicPort::bind(&node.clic(), pid, 2);
         for k in 0..4 {
             port.send(
@@ -290,12 +290,12 @@ fn lossy_cluster_still_reliable() {
     let model = CostModel::era_2002();
     let mut cfg = ClusterConfig::paper_pair();
     cfg.node = NodeConfig::clic_default(&model);
-    cfg.loss = LossModel::Bernoulli(0.01);
+    cfg.faults.loss = LossModel::Bernoulli(0.01);
     let cluster = Cluster::build(&cfg);
     let mut sim = Sim::new(13);
 
-    let pid0 = cluster.nodes[0].kernel.borrow_mut().processes.spawn("s");
-    let pid1 = cluster.nodes[1].kernel.borrow_mut().processes.spawn("r");
+    let pid0 = cluster.nodes[0].kernel.borrow_mut().processes.spawn();
+    let pid1 = cluster.nodes[1].kernel.borrow_mut().processes.spawn();
     let tx = ClicPort::bind(&cluster.nodes[0].clic(), pid0, 1);
     let rx = ClicPort::bind(&cluster.nodes[1].clic(), pid1, 1);
     let data = Bytes::from(
