@@ -1,10 +1,15 @@
 //! The calibrated cost model.
 //!
-//! Every constant the simulation charges lives behind this struct. The
-//! constants are **inputs** chosen from the scalars the paper publishes
-//! (and era-typical hardware data); the bandwidth curves, latency totals
-//! and stage breakdowns are **outputs** — see DESIGN.md §5 and
-//! EXPERIMENTS.md.
+//! This struct holds the cluster-wide constants: the TCP/IP stack costs,
+//! the link and the NIC presets. The kernel costs
+//! ([`clic_os::OsCosts::era_2002`]) and the CLIC configuration
+//! ([`clic_core::ClicConfig::paper_default`]) are charged per node, so
+//! they live in each node's config, seeded by
+//! [`crate::NodeConfig::clic_default`].
+//! The constants are **inputs** chosen from the scalars the paper
+//! publishes (and era-typical hardware data); the bandwidth curves,
+//! latency totals and stage breakdowns are **outputs** — see DESIGN.md §5
+//! and EXPERIMENTS.md.
 //!
 //! Paper provenance:
 //! * syscall 0.65 µs — §3.1 ("approximately 0.65 µs in a PC running at
@@ -15,21 +20,15 @@
 //! * MTU 1500/9000, coalesced interrupts on — §4.
 //! * one interrupt ≈ every 12 µs at MTU 1500 wire rate — §2.
 
-use clic_core::ClicConfig;
 use clic_hw::NicConfig;
-use clic_os::OsCosts;
 use clic_sim::SimDuration;
 use clic_tcpip::TcpIpCosts;
 
-/// Bundle of every calibrated constant.
+/// Bundle of the cluster-wide calibrated constants.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    /// Kernel-path costs.
-    pub os: OsCosts,
     /// TCP/IP stack costs.
     pub tcpip: TcpIpCosts,
-    /// CLIC protocol configuration (0-copy by default).
-    pub clic: ClicConfig,
     /// Link bandwidth, bits per second.
     pub link_bps: u64,
     /// Link propagation delay.
@@ -40,9 +39,7 @@ impl CostModel {
     /// The paper's testbed.
     pub fn era_2002() -> CostModel {
         CostModel {
-            os: OsCosts::era_2002(),
             tcpip: TcpIpCosts::era_2002(),
-            clic: ClicConfig::paper_default(),
             link_bps: 1_000_000_000,
             propagation: SimDuration::from_ns(500),
         }
@@ -81,13 +78,15 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeConfig;
 
     #[test]
     fn paper_scalars_present() {
         let m = CostModel::era_2002();
-        assert_eq!(m.os.syscall, SimDuration::from_ns(650));
+        let node = NodeConfig::clic_default(&m);
+        assert_eq!(node.os.syscall, SimDuration::from_ns(650));
         assert_eq!(m.link_bps, 1_000_000_000);
-        assert!(m.clic.zero_copy);
+        assert!(node.clic.expect("CLIC node").zero_copy);
         assert_eq!(m.nic_standard().mtu, 1500);
         assert_eq!(m.nic_jumbo().mtu, 9000);
         let ll = m.nic_low_latency(false);

@@ -6,7 +6,7 @@ use clic_ethernet::{Link, LinkEnd, MacAddr};
 use clic_gamma::GammaModule;
 use clic_hw::{Nic, NicConfig, PciBus};
 use clic_os::{Kernel, OsCosts};
-use clic_tcpip::{IpAddr, IpLayer, TcpStack};
+use clic_tcpip::{IpAddr, TcpStack};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -38,8 +38,8 @@ impl NodeConfig {
     pub fn clic_default(model: &CostModel) -> NodeConfig {
         NodeConfig {
             nic: model.nic_standard(),
-            os: model.os,
-            clic: Some(model.clic.clone()),
+            os: OsCosts::era_2002(),
+            clic: Some(ClicConfig::paper_default()),
             tcpip: false,
             gamma: false,
             nics: 1,
@@ -80,9 +80,7 @@ pub struct Node {
     pub kernel: Rc<RefCell<Kernel>>,
     /// CLIC module, when installed.
     pub clic: Option<Rc<RefCell<ClicModule>>>,
-    /// IP layer, when TCP/IP is installed.
-    pub ip_layer: Option<Rc<RefCell<IpLayer>>>,
-    /// TCP, when installed.
+    /// TCP/IP, when installed.
     pub tcp: Option<Rc<RefCell<TcpStack>>>,
     /// GAMMA module, when installed.
     pub gamma: Option<Rc<RefCell<GammaModule>>>,
@@ -128,13 +126,9 @@ impl Node {
             .as_ref()
             .map(|cfg| ClicModule::install(&kernel, devs.clone(), cfg.clone()));
         let ip = IpAddr::for_node(id);
-        let (ip_layer, tcp) = if config.tcpip {
-            let layer = IpLayer::install(&kernel, devs[0], ip, neighbors.clone(), tcpip_costs);
-            let tcp = TcpStack::install(&kernel, &layer);
-            (Some(layer), Some(tcp))
-        } else {
-            (None, None)
-        };
+        let tcp = config
+            .tcpip
+            .then(|| TcpStack::install(&kernel, devs[0], ip, neighbors.clone(), tcpip_costs));
         let gamma = if config.gamma {
             Some(GammaModule::install(&kernel, devs[0]))
         } else {
@@ -144,7 +138,6 @@ impl Node {
             id,
             kernel,
             clic,
-            ip_layer,
             tcp,
             gamma,
             mac,

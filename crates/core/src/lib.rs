@@ -21,8 +21,9 @@
 //!   with staging to system memory when the NIC cannot take the packet) and
 //!   the receive path (driver → bottom half → CLIC_MODULE → user memory,
 //!   or the direct-call variant of Figure 8b), plus reliability,
-//!   remote writes, intra-node delivery, Ethernet multicast and channel
-//!   bonding.
+//!   remote writes, Ethernet multicast and channel bonding. Every message
+//!   leaves through the NIC: a send to the module's own station panics,
+//!   because intra-node messaging is not modelled.
 //! * [`api`] — the user-process view: ports with blocking receive, sends
 //!   and remote writes.
 

@@ -84,8 +84,6 @@ pub struct ClicStats {
     pub duplicates: u64,
     /// Out-of-order packets dropped for buffer overflow.
     pub ooo_drops: u64,
-    /// Messages delivered over the intra-node fast path.
-    pub intra_node: u64,
     /// Best-effort (multicast/broadcast) packets delivered.
     pub best_effort_rx: u64,
     /// Frames that failed CLIC header parsing.
@@ -728,13 +726,12 @@ impl ClicModule {
         if module.borrow().crashed {
             return; // a crashed kernel swallows the call; nothing confirms
         }
+        assert!(
+            !module.borrow().macs.contains(&opts.dst),
+            "send to this module's own station {}: intra-node messaging is not modelled",
+            opts.dst
+        );
         let kernel = Self::kernel(module);
-
-        // Intra-node fast path: one copy user-to-user, no NIC involved.
-        if module.borrow().macs.contains(&opts.dst) {
-            Self::intra_node_tx(module, sim, opts, data);
-            return;
-        }
 
         // Ethernet multicast/broadcast: best-effort single packet.
         if opts.dst.is_multicast() {
@@ -765,36 +762,6 @@ impl ClicModule {
                     .end(sim.now(), Layer::Clic, "clic_module_tx", opts.trace);
             }
             Self::enqueue_message(&module2, sim, key, opts, data);
-        });
-    }
-
-    fn intra_node_tx(
-        module: &Rc<RefCell<ClicModule>>,
-        sim: &mut Sim,
-        opts: SendOptions,
-        data: Bytes,
-    ) {
-        let kernel = Self::kernel(module);
-        let cost = {
-            let mut m = module.borrow_mut();
-            m.stats.msgs_sent += 1;
-            m.stats.intra_node += 1;
-            m.config.costs.tx_per_message
-                + kernel.borrow().costs.copy.cost_observed(sim, data.len())
-        };
-        let module2 = module.clone();
-        let src = module.borrow().macs[0];
-        Kernel::cpu_task(&kernel, sim, cost, move |sim| {
-            let msg = RecvMsg {
-                src,
-                channel: opts.channel,
-                ptype: opts.ptype,
-                data: Bytes::copy_from_slice(&data),
-            };
-            Self::deliver_message(&module2, sim, msg, 0);
-            if let Some(confirm) = opts.confirm {
-                confirm(sim);
-            }
         });
     }
 

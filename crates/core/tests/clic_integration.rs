@@ -317,24 +317,13 @@ fn remote_write_needs_no_recv_call() {
 }
 
 #[test]
-fn intra_node_delivery_bypasses_nic() {
+#[should_panic(expected = "intra-node messaging is not modelled")]
+fn send_to_own_station_panics() {
     let mut sim = Sim::new(0);
     let (a, _b) = default_pair();
     let tx = bind_port(&a, 1);
-    let rx = bind_port(&a, 2);
-    let inbox: Inbox = Rc::new(RefCell::new(Vec::new()));
-    recv_into(&rx, &mut sim, &inbox);
-    let data = payload(4000);
-    tx.send(&mut sim, a.mac, 2, data.clone());
+    tx.send(&mut sim, a.mac, 2, payload(4000));
     sim.run();
-    assert_eq!(inbox.borrow().len(), 1);
-    assert_eq!(inbox.borrow()[0].1.data, data);
-    let stats = a.module.borrow().stats();
-    assert_eq!(stats.intra_node, 1);
-    assert_eq!(stats.packets_sent, 0, "no NIC involvement");
-    // Intra-node beats the wire by a lot (no NIC, no interrupt path):
-    // two copies + syscalls + a wakeup only.
-    assert!(inbox.borrow()[0].0 < SimTime::from_us(40));
 }
 
 #[test]

@@ -160,17 +160,13 @@ pub struct FaultPlan {
 }
 
 mod private {
-    use clic_sim::{SimDuration, SimTime};
+    use clic_sim::SimTime;
 
     #[derive(Debug, Default)]
     pub struct Direction {
         pub busy_until: SimTime,
         pub in_flight: usize,
         pub frames_offered: u64,
-        pub frames_delivered: u64,
-        pub frames_lost: u64,
-        pub frames_duplicated: u64,
-        pub busy_time: SimDuration,
         /// Gilbert–Elliott Markov state for this direction.
         pub in_burst: bool,
     }
@@ -287,32 +283,6 @@ impl Link {
         self.dir(from).in_flight
     }
 
-    /// Frames fully delivered to the end opposite `from`.
-    // lint:allow(dead-fn, reason="the NIC tests in crates/hw/src/nic.rs read it")
-    pub fn delivered(&self, from: LinkEnd) -> u64 {
-        self.dir(from).frames_delivered
-    }
-
-    /// Frames dropped by the loss model in the `from` direction.
-    #[cfg(test)]
-    pub fn lost(&self, from: LinkEnd) -> u64 {
-        self.dir(from).frames_lost
-    }
-
-    /// Extra copies injected by the duplication fault in the `from`
-    /// direction (not counted in [`Link::delivered`]).
-    #[cfg(test)]
-    pub fn duplicated(&self, from: LinkEnd) -> u64 {
-        self.dir(from).frames_duplicated
-    }
-
-    /// Cumulative serialization time in the `from` direction (for link
-    /// utilisation reporting).
-    #[cfg(test)]
-    pub fn busy_time(&self, from: LinkEnd) -> SimDuration {
-        self.dir(from).busy_time
-    }
-
     /// Resolve the fault plan for one frame. RNG draw discipline: a plan
     /// with `LossModel::None` and zero probabilities draws nothing;
     /// `Bernoulli` draws exactly once per frame (as it always has);
@@ -397,7 +367,6 @@ impl Link {
             let start = d.busy_until.max(sim.now());
             let done = start + wire;
             d.busy_until = done;
-            d.busy_time += wire;
             // lint:allow(time-overflow, reason="SimTime + SimDuration routes through the checked Add guard in sim::time")
             (done + prop, done, seq, wire)
         };
@@ -410,7 +379,6 @@ impl Link {
                 d.in_flight -= 1;
                 match fate {
                     Fate::Lost => {
-                        d.frames_lost += 1;
                         sim.record(FRAMES_LOST, 1);
                         if frame.trace != 0 {
                             // Close the wire span at the loss point so the
@@ -426,10 +394,6 @@ impl Link {
                         duplicate,
                         hold,
                     } => {
-                        d.frames_delivered += 1;
-                        if duplicate {
-                            d.frames_duplicated += 1;
-                        }
                         let handler = match from.other() {
                             LinkEnd::A => l.handler_a.clone(),
                             LinkEnd::B => l.handler_b.clone(),
@@ -519,7 +483,6 @@ mod tests {
         sim.run();
         // 1538 wire bytes = 12304 ns, +500 ns propagation.
         assert_eq!(*log.borrow(), vec![(SimTime::from_ns(12_804), 1500)]);
-        assert_eq!(link.borrow().delivered(LinkEnd::A), 1);
     }
 
     #[test]
@@ -561,8 +524,7 @@ mod tests {
         }
         sim.run();
         assert_eq!(log.borrow().len(), 6);
-        assert_eq!(link.borrow().lost(LinkEnd::A), 3);
-        assert_eq!(link.borrow().delivered(LinkEnd::A), 6);
+        assert_eq!(sim.metrics.counter("eth.link.frames_lost"), 3);
     }
 
     #[test]
@@ -604,7 +566,7 @@ mod tests {
             Link::transmit(&link, &mut sim, LinkEnd::A, mk_frame(64 + (i % 2) as usize));
         }
         sim.run();
-        let lost = link.borrow().lost(LinkEnd::A);
+        let lost = sim.metrics.counter("eth.link.frames_lost");
         assert!(
             (400..750).contains(&lost),
             "lost={lost}, expected ~570 (28.6 %)"
@@ -633,7 +595,7 @@ mod tests {
             );
         }
         sim2.run();
-        assert_eq!(link2.borrow().lost(LinkEnd::A), lost);
+        assert_eq!(sim2.metrics.counter("eth.link.frames_lost"), lost);
     }
 
     #[test]
@@ -651,8 +613,8 @@ mod tests {
         sim.run();
         assert_eq!(log_b.borrow().len(), 0, "a→b drops everything");
         assert_eq!(log_a.borrow().len(), 4, "b→a stays clean");
-        assert_eq!(link.borrow().lost(LinkEnd::A), 4);
-        assert_eq!(link.borrow().lost(LinkEnd::B), 0);
+        // Every loss is a→b's: b→a delivered all of its four.
+        assert_eq!(sim.metrics.counter("eth.link.frames_lost"), 4);
     }
 
     #[test]
@@ -674,8 +636,7 @@ mod tests {
         // bytes) after the original.
         let times: Vec<u64> = log.borrow().iter().map(|(t, _)| t.as_ns()).collect();
         assert_eq!(times[1] - times[0], 1104);
-        assert_eq!(link.borrow().delivered(LinkEnd::A), 1);
-        assert_eq!(link.borrow().duplicated(LinkEnd::A), 1);
+        assert_eq!(sim.metrics.counter("eth.duplicates"), 1);
     }
 
     #[test]
@@ -725,9 +686,9 @@ mod tests {
         Link::transmit(&link, &mut sim, LinkEnd::A, mk_frame(100));
         sim.run();
         assert_eq!(*seen.borrow(), vec![true]);
-        // Corrupt frames still count as delivered at the link layer —
+        // Corrupt frames are delivered, not lost, at the link layer —
         // they cost wire time; the NIC discards them.
-        assert_eq!(link.borrow().delivered(LinkEnd::A), 1);
+        assert_eq!(sim.metrics.counter("eth.link.frames_lost"), 0);
     }
 
     #[test]
@@ -749,8 +710,7 @@ mod tests {
         Link::transmit(&link, &mut sim, LinkEnd::A, mk_frame(100));
         sim.run();
         assert_eq!(log.borrow().len(), 1);
-        assert_eq!(link.borrow().lost(LinkEnd::A), 1);
-        assert_eq!(link.borrow().delivered(LinkEnd::A), 1);
+        assert_eq!(sim.metrics.counter("eth.link.frames_lost"), 1);
     }
 
     #[test]
@@ -773,8 +733,8 @@ mod tests {
         sim.run();
         assert_eq!(log_b.borrow().len(), 1);
         assert_eq!(log_a.borrow().len(), 1);
-        assert_eq!(link.borrow().lost(LinkEnd::A), 1);
-        assert_eq!(link.borrow().lost(LinkEnd::B), 1);
+        // One loss per direction: each log holds one of its two frames.
+        assert_eq!(sim.metrics.counter("eth.link.frames_lost"), 2);
         assert!(
             matches!(
                 link.borrow().faults(LinkEnd::A).loss,
@@ -825,20 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_accumulates() {
-        let mut sim = Sim::new(0);
-        let link = Link::new(1_000_000_000, SimDuration::ZERO);
-        let _log = attach_logger(&link, LinkEnd::B);
-        Link::transmit(&link, &mut sim, LinkEnd::A, mk_frame(1500));
-        Link::transmit(&link, &mut sim, LinkEnd::A, mk_frame(1500));
-        sim.run();
-        assert_eq!(
-            link.borrow().busy_time(LinkEnd::A),
-            SimDuration::from_ns(24_608)
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "attached twice")]
     fn double_attach_panics() {
         let link = Link::gigabit();
@@ -853,6 +799,7 @@ mod tests {
         let link = Link::gigabit();
         Link::transmit(&link, &mut sim, LinkEnd::A, mk_frame(100));
         sim.run();
-        assert_eq!(link.borrow().delivered(LinkEnd::A), 1);
+        // Delivered to nobody, not lost to a fault.
+        assert_eq!(sim.metrics.counter("eth.link.frames_lost"), 0);
     }
 }

@@ -1176,7 +1176,7 @@ mod tests {
         sim.run();
         // The link delivered the frame (wire time was paid), the MAC
         // threw it away on the bad FCS, and the host never heard of it.
-        assert_eq!(link.borrow().delivered(LinkEnd::A), 1);
+        assert_eq!(sim.metrics.counter("eth.link.frames_lost"), 0);
         let stats = b.borrow().stats();
         assert_eq!(stats.rx_fcs_errors, 1);
         assert_eq!(stats.rx_frames, 0);

@@ -14,7 +14,7 @@ use clic_mpi::transport::{ClicTransport, TcpTransport, Transport};
 use clic_mpi::{Mpi, Pvm, ANY_SOURCE, ANY_TAG};
 use clic_os::{Kernel, OsCosts};
 use clic_sim::{Sim, SimTime};
-use clic_tcpip::{IpAddr, IpLayer, TcpIpCosts, TcpStack};
+use clic_tcpip::{IpAddr, TcpIpCosts, TcpStack};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -50,14 +50,13 @@ fn mk_cluster(sim: &mut Sim, n: usize) -> (Rc<RefCell<Switch>>, Vec<Node>) {
         for peer in 0..n as u32 {
             neighbors.insert(IpAddr::for_node(peer), MacAddr::for_node(peer, 0));
         }
-        let ip = IpLayer::install(
+        let tcp = TcpStack::install(
             &kernel,
             dev,
             IpAddr::for_node(id),
             neighbors,
             TcpIpCosts::era_2002(),
         );
-        let tcp = TcpStack::install(&kernel, &ip);
         nodes.push(Node {
             kernel,
             clic,

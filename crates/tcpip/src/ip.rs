@@ -1,10 +1,19 @@
-//! IPv4: headers, checksums, fragmentation, reassembly.
+//! IPv4 as TCP uses it: the 20-byte header and RFC 1071 checksums.
+//!
+//! Every packet is one unfragmented TCP segment (the MSS is the device MTU
+//! minus both headers), so the header carries no fragmentation state and
+//! [`Ipv4Header::decode`] rejects fragments and every other protocol.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::BTreeMap;
+use bytes::Bytes;
 
 /// Size of the (option-less) IPv4 header.
 pub const IPV4_HEADER: usize = 20;
+
+/// IP protocol number of TCP, the only protocol carried.
+const PROTO_TCP: u8 = 6;
+
+/// Time to live written on every packet.
+const TTL: u8 = 64;
 
 /// A 32-bit IPv4 address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,50 +33,18 @@ impl std::fmt::Display for IpAddr {
     }
 }
 
-/// IP protocol numbers used here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IpProto {
-    /// TCP (6).
-    Tcp,
-    /// UDP (17).
-    Udp,
-}
-
-impl IpProto {
-    fn to_u8(self) -> u8 {
-        match self {
-            IpProto::Tcp => 6,
-            IpProto::Udp => 17,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<IpProto> {
-        match v {
-            6 => Some(IpProto::Tcp),
-            17 => Some(IpProto::Udp),
-            _ => None,
-        }
-    }
-}
-
 /// RFC 1071 Internet checksum.
 pub fn internet_checksum(data: &[u8]) -> u16 {
     fold(word_sum(data))
 }
 
-/// [`internet_checksum`] over a TCP/UDP pseudo-header (`src`, `dst`,
-/// `proto`, `len`) followed by `parts`, summed in place instead of over a
+/// [`internet_checksum`] over a TCP pseudo-header (`src`, `dst`, protocol
+/// 6, `len`) followed by `parts`, summed in place instead of over a
 /// concatenated copy. Every part but the last must have even length.
-pub fn pseudo_header_checksum(
-    src: IpAddr,
-    dst: IpAddr,
-    proto: IpProto,
-    len: u16,
-    parts: &[&[u8]],
-) -> u16 {
+pub fn pseudo_header_checksum(src: IpAddr, dst: IpAddr, len: u16, parts: &[&[u8]]) -> u16 {
     let mut sum = word_sum(&src.0.to_be_bytes())
         + word_sum(&dst.0.to_be_bytes())
-        + u64::from(proto.to_u8())
+        + u64::from(PROTO_TCP)
         + u64::from(len);
     for (i, part) in parts.iter().enumerate() {
         debug_assert!(i + 1 == parts.len() || part.len() % 2 == 0);
@@ -96,42 +73,30 @@ fn fold(mut sum: u64) -> u16 {
     !(sum as u16)
 }
 
-/// A parsed IPv4 header (no options).
+/// A parsed IPv4 header of an unfragmented TCP packet (no options).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Source address.
     pub src: IpAddr,
     /// Destination address.
     pub dst: IpAddr,
-    /// Payload protocol.
-    pub proto: IpProto,
-    /// Datagram identification (shared by fragments).
+    /// Datagram identification.
     pub ident: u16,
-    /// Fragment offset in 8-byte units.
-    pub frag_offset: u16,
-    /// More-fragments flag.
-    pub more_fragments: bool,
-    /// Time to live.
-    pub ttl: u8,
     /// Payload length of this packet (excluding the header).
     pub payload_len: u16,
 }
 
 impl Ipv4Header {
-    /// Serialize with a correct header checksum.
+    /// Serialize with a correct header checksum: protocol TCP, TTL 64, no
+    /// flags and fragment offset 0.
     pub fn encode(&self) -> [u8; IPV4_HEADER] {
         let mut h = [0u8; IPV4_HEADER];
         h[0] = 0x45; // version 4, IHL 5
         let total = IPV4_HEADER as u16 + self.payload_len;
         h[2..4].copy_from_slice(&total.to_be_bytes());
         h[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        let mut flags_frag = self.frag_offset & 0x1fff;
-        if self.more_fragments {
-            flags_frag |= 0x2000;
-        }
-        h[6..8].copy_from_slice(&flags_frag.to_be_bytes());
-        h[8] = self.ttl;
-        h[9] = self.proto.to_u8();
+        h[8] = TTL;
+        h[9] = PROTO_TCP;
         h[12..16].copy_from_slice(&self.src.0.to_be_bytes());
         h[16..20].copy_from_slice(&self.dst.0.to_be_bytes());
         let csum = internet_checksum(&h);
@@ -140,7 +105,8 @@ impl Ipv4Header {
     }
 
     /// Parse and verify; returns the header and its payload, a slice of
-    /// `buf` rather than a copy.
+    /// `buf` rather than a copy. A fragment (more-fragments flag or a
+    /// nonzero offset) or a protocol other than TCP is rejected.
     pub fn decode(buf: &Bytes) -> Option<(Ipv4Header, Bytes)> {
         if buf.len() < IPV4_HEADER || buf[0] != 0x45 {
             return None;
@@ -153,119 +119,16 @@ impl Ipv4Header {
             return None;
         }
         let flags_frag = u16::from_be_bytes([buf[6], buf[7]]);
+        if flags_frag & 0x3fff != 0 || buf[9] != PROTO_TCP {
+            return None;
+        }
         let header = Ipv4Header {
             src: IpAddr(u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]])),
             dst: IpAddr(u32::from_be_bytes([buf[16], buf[17], buf[18], buf[19]])),
-            proto: IpProto::from_u8(buf[9])?,
             ident: u16::from_be_bytes([buf[4], buf[5]]),
-            frag_offset: flags_frag & 0x1fff,
-            more_fragments: flags_frag & 0x2000 != 0,
-            ttl: buf[8],
             payload_len: (total - IPV4_HEADER) as u16,
         };
         Some((header, buf.slice(IPV4_HEADER..total)))
-    }
-}
-
-/// Split `payload` into IP fragments that fit `mtu` (header included).
-/// Fragment data lengths are multiples of 8 except the last.
-pub fn fragment(
-    src: IpAddr,
-    dst: IpAddr,
-    proto: IpProto,
-    ident: u16,
-    ttl: u8,
-    payload: &Bytes,
-    mtu: usize,
-) -> Vec<Bytes> {
-    assert!(mtu > IPV4_HEADER + 8, "MTU too small for IP fragmentation");
-    let chunk = (mtu - IPV4_HEADER) & !7; // multiple of 8
-    let mut out = Vec::new();
-    let mut off = 0usize;
-    loop {
-        let end = (off + chunk).min(payload.len());
-        let more = end < payload.len();
-        let header = Ipv4Header {
-            src,
-            dst,
-            proto,
-            ident,
-            frag_offset: (off / 8) as u16,
-            more_fragments: more,
-            ttl,
-            payload_len: (end - off) as u16,
-        };
-        let mut pkt = BytesMut::with_capacity(IPV4_HEADER + end - off);
-        pkt.put_slice(&header.encode());
-        pkt.put_slice(&payload[off..end]);
-        out.push(pkt.freeze());
-        if !more {
-            break;
-        }
-        off = end;
-    }
-    out
-}
-
-/// IP reassembly buffer keyed by (src, ident, proto).
-#[derive(Debug, Default)]
-pub struct IpReassembler {
-    partial: BTreeMap<(IpAddr, u16, u8), Partial>,
-}
-
-#[derive(Debug)]
-struct Partial {
-    chunks: Vec<(usize, Bytes)>, // (byte offset, data)
-    total: Option<usize>,        // known once the last fragment arrives
-}
-
-impl IpReassembler {
-    /// New empty reassembler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Offer a fragment (or whole datagram); returns the reassembled
-    /// payload when complete.
-    pub fn offer(&mut self, header: &Ipv4Header, payload: Bytes) -> Option<Bytes> {
-        if header.frag_offset == 0 && !header.more_fragments {
-            return Some(payload); // unfragmented
-        }
-        let key = (header.src, header.ident, header.proto.to_u8());
-        let offset = header.frag_offset as usize * 8;
-        let entry = self.partial.entry(key).or_insert(Partial {
-            chunks: Vec::new(),
-            total: None,
-        });
-        if !entry.chunks.iter().any(|(o, _)| *o == offset) {
-            entry.chunks.push((offset, payload.clone()));
-        }
-        if !header.more_fragments {
-            entry.total = Some(offset + payload.len());
-        }
-        let total = entry.total?;
-        let have: usize = entry.chunks.iter().map(|(_, d)| d.len()).sum();
-        if have < total {
-            return None;
-        }
-        let mut chunks = self.partial.remove(&key).unwrap().chunks;
-        chunks.sort_by_key(|(o, _)| *o);
-        let mut out = BytesMut::with_capacity(total);
-        let mut expect = 0usize;
-        for (o, d) in chunks {
-            if o != expect {
-                return None; // overlapping/hole anomaly: drop datagram
-            }
-            expect += d.len();
-            out.put_slice(&d);
-        }
-        Some(out.freeze())
-    }
-
-    /// Datagrams awaiting fragments.
-    #[cfg(test)]
-    pub fn pending(&self) -> usize {
-        self.partial.len()
     }
 }
 
@@ -273,25 +136,32 @@ impl IpReassembler {
 mod tests {
     use super::*;
 
-    fn payload(n: usize) -> Bytes {
-        Bytes::from((0..n).map(|i| (i % 241) as u8).collect::<Vec<_>>())
+    fn header(ident: u16, payload_len: u16) -> Ipv4Header {
+        Ipv4Header {
+            src: IpAddr::for_node(1),
+            dst: IpAddr::for_node(2),
+            ident,
+            payload_len,
+        }
+    }
+
+    /// `header` on the wire with `payload`, the header checksum refreshed
+    /// after `patch` edits the header bytes.
+    fn wire_with(h: Ipv4Header, payload: &[u8], patch: impl FnOnce(&mut [u8])) -> Bytes {
+        let mut wire = h.encode().to_vec();
+        patch(&mut wire[..IPV4_HEADER]);
+        wire[10..12].fill(0);
+        let csum = internet_checksum(&wire[..IPV4_HEADER]);
+        wire[10..12].copy_from_slice(&csum.to_be_bytes());
+        wire.extend_from_slice(payload);
+        Bytes::from(wire)
     }
 
     #[test]
     fn checksum_known_vector() {
         // RFC 1071 example-style check: checksum of data including its own
         // checksum field is zero.
-        let h = Ipv4Header {
-            src: IpAddr::for_node(1),
-            dst: IpAddr::for_node(2),
-            proto: IpProto::Tcp,
-            ident: 99,
-            frag_offset: 0,
-            more_fragments: false,
-            ttl: 64,
-            payload_len: 100,
-        };
-        let enc = h.encode();
+        let enc = header(99, 100).encode();
         assert_eq!(internet_checksum(&enc), 0);
     }
 
@@ -300,14 +170,12 @@ mod tests {
         let h = Ipv4Header {
             src: IpAddr::for_node(3),
             dst: IpAddr::for_node(4),
-            proto: IpProto::Udp,
             ident: 0xabcd,
-            frag_offset: 185,
-            more_fragments: true,
-            ttl: 17,
             payload_len: 8,
         };
         let mut wire = h.encode().to_vec();
+        // The wire bytes of every TCP packet: TCP, TTL 64, no fragment.
+        assert_eq!((wire[6], wire[7], wire[8], wire[9]), (0, 0, 64, 6));
         wire.extend_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
         let wire = Bytes::from(wire);
         let (parsed, body) = Ipv4Header::decode(&wire).unwrap();
@@ -319,34 +187,14 @@ mod tests {
 
     #[test]
     fn corrupted_header_rejected() {
-        let h = Ipv4Header {
-            src: IpAddr::for_node(1),
-            dst: IpAddr::for_node(2),
-            proto: IpProto::Tcp,
-            ident: 1,
-            frag_offset: 0,
-            more_fragments: false,
-            ttl: 64,
-            payload_len: 0,
-        };
-        let mut wire = h.encode().to_vec();
+        let mut wire = header(1, 0).encode().to_vec();
         wire[15] ^= 0xff; // flip a source-address byte
         assert!(Ipv4Header::decode(&Bytes::from(wire)).is_none());
     }
 
     #[test]
     fn decode_tolerates_ethernet_padding() {
-        let h = Ipv4Header {
-            src: IpAddr::for_node(1),
-            dst: IpAddr::for_node(2),
-            proto: IpProto::Udp,
-            ident: 7,
-            frag_offset: 0,
-            more_fragments: false,
-            ttl: 64,
-            payload_len: 4,
-        };
-        let mut wire = h.encode().to_vec();
+        let mut wire = header(7, 4).encode().to_vec();
         wire.extend_from_slice(&[9, 9, 9, 9]);
         wire.resize(46, 0);
         let (_, body) = Ipv4Header::decode(&Bytes::from(wire)).unwrap();
@@ -354,101 +202,25 @@ mod tests {
     }
 
     #[test]
-    fn fragment_offsets_are_8_byte_aligned() {
-        let p = payload(5000);
-        let frags = fragment(
-            IpAddr::for_node(1),
-            IpAddr::for_node(2),
-            IpProto::Udp,
-            42,
-            64,
-            &p,
-            1500,
-        );
-        assert!(frags.len() > 3);
-        for f in &frags {
-            assert!(f.len() <= 1500);
-            let (h, _) = Ipv4Header::decode(f).unwrap();
-            if h.more_fragments {
-                assert_eq!(usize::from(h.payload_len) % 8, 0);
-            }
+    fn decode_rejects_fragments_and_non_tcp() {
+        let h = header(5, 8);
+        let body = [0u8; 8];
+        // Well-formed headers with valid checksums, each one field away
+        // from an accepted packet.
+        let first_fragment = wire_with(h, &body, |w| w[6] = 0x20);
+        let later_fragment = wire_with(h, &body, |w| w[7] = 185);
+        let udp = wire_with(h, &body, |w| w[9] = 17);
+        for (what, wire) in [
+            ("more-fragments flag", first_fragment),
+            ("fragment offset", later_fragment),
+            ("UDP", udp),
+        ] {
+            assert_eq!(internet_checksum(&wire[..IPV4_HEADER]), 0);
+            assert!(Ipv4Header::decode(&wire).is_none(), "{what} accepted");
         }
-    }
-
-    #[test]
-    fn reassembly_roundtrip_in_and_out_of_order() {
-        let p = payload(10_000);
-        let mut frags = fragment(
-            IpAddr::for_node(1),
-            IpAddr::for_node(2),
-            IpProto::Udp,
-            5,
-            64,
-            &p,
-            1500,
-        );
-        // In order.
-        let mut r = IpReassembler::new();
-        let mut got = None;
-        for f in &frags {
-            let (h, body) = Ipv4Header::decode(f).unwrap();
-            got = r.offer(&h, body);
-        }
-        assert_eq!(got.unwrap(), p);
-        // Reverse order.
-        frags.reverse();
-        let mut r = IpReassembler::new();
-        let mut got = None;
-        for f in &frags {
-            let (h, body) = Ipv4Header::decode(f).unwrap();
-            if let Some(x) = r.offer(&h, body) {
-                got = Some(x);
-            }
-        }
-        assert_eq!(got.unwrap(), p);
-        assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    fn duplicate_fragment_is_idempotent() {
-        let p = payload(3000);
-        let frags = fragment(
-            IpAddr::for_node(1),
-            IpAddr::for_node(2),
-            IpProto::Udp,
-            5,
-            64,
-            &p,
-            1500,
-        );
-        let mut r = IpReassembler::new();
-        let mut got = None;
-        for f in frags.iter().chain(frags.iter().take(1)) {
-            let (h, body) = Ipv4Header::decode(f).unwrap();
-            if let Some(x) = r.offer(&h, body) {
-                got = Some(x);
-            }
-        }
-        assert_eq!(got.unwrap(), p);
-    }
-
-    #[test]
-    fn unfragmented_passthrough() {
-        let h = Ipv4Header {
-            src: IpAddr::for_node(1),
-            dst: IpAddr::for_node(2),
-            proto: IpProto::Tcp,
-            ident: 0,
-            frag_offset: 0,
-            more_fragments: false,
-            ttl: 64,
-            payload_len: 3,
-        };
-        let mut r = IpReassembler::new();
-        assert_eq!(
-            r.offer(&h, Bytes::from_static(&[1, 2, 3])).unwrap(),
-            Bytes::from_static(&[1, 2, 3])
-        );
+        // Don't-fragment is not a fragment.
+        let df = wire_with(h, &body, |w| w[6] = 0x40);
+        assert_eq!(Ipv4Header::decode(&df).unwrap().0, h);
     }
 
     #[test]

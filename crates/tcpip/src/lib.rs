@@ -7,12 +7,16 @@
 //! protocol layers... decreases the software overhead and the number of
 //! data copies").
 //!
-//! * [`ip`] — IPv4: real 20-byte headers with RFC 1071 checksums,
-//!   fragmentation + reassembly, TTL, protocol demux.
-//! * [`tcp`] — TCP-lite: three-way handshake, byte sequence numbers,
-//!   cumulative + delayed ACKs, sliding window, slow start / congestion
-//!   avoidance, RTO with exponential backoff, MSS derived from the device
-//!   MTU. Checksums are charged per byte and computed for real.
+//! * [`tcp`] — [`TcpStack`], the kernel's IPv4 handler. TCP-lite:
+//!   three-way handshake, byte sequence numbers, cumulative + delayed
+//!   ACKs, sliding window, slow start / congestion avoidance, RTO with
+//!   exponential backoff, MSS derived from the device MTU. Checksums are
+//!   charged per byte and computed for real. It also does the IP layer's
+//!   work, charged per packet as its own CPU task: the static neighbor
+//!   table, the IPv4 header, and the drops of packets for another host or
+//!   with a bad header.
+//! * [`ip`] — the IPv4 header and RFC 1071 checksums, nothing more: every
+//!   segment fits the MTU, so there is no fragmentation.
 //! * [`costs`] — per-layer CPU costs, the calibrated "TCP/IP tax".
 //!
 //! Address resolution is a static neighbor table injected at install time;
@@ -24,10 +28,8 @@
 
 pub mod costs;
 pub mod ip;
-pub mod stack;
 pub mod tcp;
 
 pub use costs::TcpIpCosts;
-pub use ip::{IpAddr, IpProto, Ipv4Header};
-pub use stack::IpLayer;
+pub use ip::{IpAddr, Ipv4Header};
 pub use tcp::{ConnId, TcpStack};

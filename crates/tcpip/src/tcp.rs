@@ -1,4 +1,4 @@
-//! TCP-lite.
+//! TCP-lite over IPv4: the kernel's EtherType 0x0800 handler.
 //!
 //! Enough of RFC 793 + Reno-era congestion control to make an honest
 //! baseline for Figures 5 and 6: three-way handshake, byte sequence
@@ -8,6 +8,12 @@
 //! receive and charged per byte — this stack pays the "touch every byte"
 //! tax CLIC avoids).
 //!
+//! The IP layer's work happens here too, charged as its own CPU task per
+//! packet (`ip_tx`, `ip_rx`): the static neighbor table, the 20-byte
+//! header on each segment, and the drops of packets for another host or
+//! with a bad header. Every segment fits the device MTU, so nothing is
+//! fragmented.
+//!
 //! Also implemented: fast retransmit on three duplicate ACKs (RFC 2581).
 //! Omissions (documented in DESIGN.md §5): connection teardown (FIN,
 //! TIME_WAIT; every workload keeps its connections open to the end of
@@ -15,10 +21,11 @@
 //! paper's curves.
 
 use crate::costs::TcpIpCosts;
-use crate::ip::{pseudo_header_checksum, IpAddr, IpProto, Ipv4Header};
-use crate::stack::{IpLayer, IpProtoHandler};
+use crate::ip::{pseudo_header_checksum, IpAddr, Ipv4Header, IPV4_HEADER};
 use bytes::{BufMut, Bytes, BytesMut};
-use clic_os::Kernel;
+use clic_ethernet::{EtherType, Frame, MacAddr};
+use clic_os::driver::hard_start_xmit;
+use clic_os::{DataLocation, Kernel, PacketHandler, SkBuff};
 use clic_sim::{Layer, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -68,7 +75,7 @@ impl Segment {
         h[14..16].copy_from_slice(&self.window.to_be_bytes());
         // Checksum over pseudo header + segment.
         let len = (TCP_HEADER + payload.len()) as u16;
-        let csum = pseudo_header_checksum(src, dst, IpProto::Tcp, len, &[&h, payload]);
+        let csum = pseudo_header_checksum(src, dst, len, &[&h, payload]);
         h[16..18].copy_from_slice(&csum.to_be_bytes());
         let mut out = BytesMut::with_capacity(TCP_HEADER + payload.len());
         out.put_slice(&h);
@@ -82,7 +89,7 @@ impl Segment {
             return None;
         }
         // Verify: checksum over pseudo header + full segment must be 0.
-        if pseudo_header_checksum(src, dst, IpProto::Tcp, buf.len() as u16, &[buf]) != 0 {
+        if pseudo_header_checksum(src, dst, buf.len() as u16, &[buf]) != 0 {
             return None;
         }
         let seg = Segment {
@@ -182,14 +189,24 @@ pub struct TcpStats {
     pub checksum_errors: u64,
     /// Connections established (both roles).
     pub established: u64,
+    /// Segments not sent: the destination has no neighbor entry.
+    pub no_route: u64,
+    /// Packets dropped on a bad IPv4 header (checksum, length, a fragment
+    /// or another protocol).
+    pub rx_errors: u64,
 }
 
-/// Per-node TCP.
+/// Per-node TCP/IP.
 pub struct TcpStack {
     kernel: Weak<RefCell<Kernel>>,
-    ip: Rc<RefCell<IpLayer>>,
+    dev: usize,
+    ip: IpAddr,
+    /// Static neighbor table (ARP is out of scope; see DESIGN.md).
+    neighbors: BTreeMap<IpAddr, MacAddr>,
     costs: TcpIpCosts,
+    mtu: usize,
     mss: usize,
+    next_ident: u16,
     conns: BTreeMap<ConnId, Conn>,
     by_tuple: BTreeMap<(IpAddr, u16, u16), ConnId>,
     listeners: BTreeMap<u16, Rc<dyn Fn(&mut Sim, ConnId)>>,
@@ -205,38 +222,35 @@ pub struct TcpStack {
     delack_delay: SimDuration,
 }
 
-/// The IP layer's handle on TCP. Weak: the stack holds the IP layer, so
-/// a strong one would cycle.
-struct TcpHook(Weak<RefCell<TcpStack>>);
+/// The kernel's IPv4 handler.
+struct Handler(Rc<RefCell<TcpStack>>);
 
-impl IpProtoHandler for TcpHook {
-    fn handle(
-        &self,
-        sim: &mut Sim,
-        kernel: &Rc<RefCell<Kernel>>,
-        header: Ipv4Header,
-        payload: Bytes,
-    ) {
-        let stack = self.0.upgrade().expect("TCP dropped while IP delivers");
-        TcpStack::on_packet(&stack, sim, kernel, header, payload);
+impl PacketHandler for Handler {
+    fn handle(&self, sim: &mut Sim, kernel: &Rc<RefCell<Kernel>>, _dev: usize, frame: Frame) {
+        TcpStack::on_frame(&self.0, sim, kernel, frame);
     }
 }
 
 impl TcpStack {
-    /// Install TCP over an IP layer.
+    /// Install TCP/IP on `kernel` device `dev` as the IPv4 handler, with
+    /// address `ip` and a static neighbor table.
     pub fn install(
         kernel: &Rc<RefCell<Kernel>>,
-        ip: &Rc<RefCell<IpLayer>>,
+        dev: usize,
+        ip: IpAddr,
+        neighbors: BTreeMap<IpAddr, MacAddr>,
+        costs: TcpIpCosts,
     ) -> Rc<RefCell<TcpStack>> {
-        let (costs, mtu) = {
-            let l = ip.borrow();
-            (l.costs, l.mtu())
-        };
+        let mtu = kernel.borrow().device(dev).borrow().mtu();
         let stack = Rc::new(RefCell::new(TcpStack {
             kernel: Rc::downgrade(kernel),
-            ip: ip.clone(),
+            dev,
+            ip,
+            neighbors,
             costs,
-            mss: mtu - crate::ip::IPV4_HEADER - TCP_HEADER,
+            mtu,
+            mss: mtu - IPV4_HEADER - TCP_HEADER,
+            next_ident: 1,
             conns: BTreeMap::new(),
             by_tuple: BTreeMap::new(),
             listeners: BTreeMap::new(),
@@ -249,8 +263,9 @@ impl TcpStack {
             delack_threshold: 2,
             delack_delay: SimDuration::from_us(200),
         }));
-        ip.borrow_mut()
-            .register(IpProto::Tcp, Rc::new(TcpHook(Rc::downgrade(&stack))));
+        kernel
+            .borrow_mut()
+            .register_handler(EtherType::IPV4.0, Rc::new(Handler(stack.clone())));
         stack
     }
 
@@ -480,8 +495,8 @@ impl TcpStack {
         });
     }
 
-    /// Encode and pass to the IP layer (no extra CPU charge — the caller
-    /// already charged it).
+    /// Encode, add the IPv4 header and charge `ip_tx`, then hand the
+    /// packet to the driver (the segment cost was charged by the caller).
     fn emit(
         stack: &Rc<RefCell<TcpStack>>,
         sim: &mut Sim,
@@ -490,14 +505,52 @@ impl TcpStack {
         payload: Bytes,
         trace: u64,
     ) {
-        let (ip, src) = {
-            let s = stack.borrow();
-            let ip = s.ip.clone();
-            let src = ip.borrow().ip();
-            (ip, src)
+        let (packet, mac, dev, cost) = {
+            let mut s = stack.borrow_mut();
+            let Some(&mac) = s.neighbors.get(&peer) else {
+                s.stats.no_route += 1;
+                return;
+            };
+            let segment = seg.encode(s.ip, peer, &payload);
+            assert!(
+                IPV4_HEADER + segment.len() <= s.mtu,
+                "a {}-byte segment exceeds the {}-byte MTU",
+                segment.len(),
+                s.mtu
+            );
+            let header = Ipv4Header {
+                src: s.ip,
+                dst: peer,
+                ident: s.next_ident,
+                payload_len: segment.len() as u16,
+            };
+            s.next_ident = s.next_ident.wrapping_add(1);
+            let mut packet = BytesMut::with_capacity(IPV4_HEADER + segment.len());
+            packet.put_slice(&header.encode());
+            packet.put_slice(&segment);
+            (packet.freeze(), mac, s.dev, s.costs.ip_tx)
         };
-        let bytes = seg.encode(src, peer, &payload);
-        IpLayer::send(&ip, sim, IpProto::Tcp, peer, bytes, trace);
+        let kernel = Self::kernel_of(stack);
+        if trace != 0 {
+            sim.trace.begin(sim.now(), Layer::TcpIp, "ip_tx", trace);
+        }
+        let kernel2 = kernel.clone();
+        Kernel::cpu_task(&kernel, sim, cost, move |sim| {
+            if trace != 0 {
+                sim.trace.end(sim.now(), Layer::TcpIp, "ip_tx", trace);
+            }
+            // TCP/IP always sends from kernel memory: the user->kernel copy
+            // was charged when the data entered the socket buffer.
+            let skb = SkBuff {
+                header: Bytes::new(),
+                data: packet,
+                location: DataLocation::Kernel,
+                trace,
+            };
+            hard_start_xmit(&kernel2, sim, dev, mac, EtherType::IPV4, skb, |_, _ok| {
+                // Ring-full drops are recovered by TCP's RTO.
+            });
+        });
     }
 
     fn ensure_rto(stack: &Rc<RefCell<TcpStack>>, sim: &mut Sim, conn: ConnId) {
@@ -564,20 +617,42 @@ impl TcpStack {
         Self::ensure_rto(stack, sim, conn);
     }
 
-    fn on_packet(
+    /// IPv4 receive: drop a packet with a bad header or for another
+    /// host, charge `ip_rx`, then TCP's per-segment cost.
+    fn on_frame(
         stack: &Rc<RefCell<TcpStack>>,
         sim: &mut Sim,
         kernel: &Rc<RefCell<Kernel>>,
-        header: Ipv4Header,
-        payload: Bytes,
+        frame: Frame,
     ) {
-        let cost = {
-            let s = stack.borrow();
-            s.costs.tcp_rx_per_segment + s.costs.checksum_cost(payload.len())
+        let (header, payload, cost) = {
+            let mut s = stack.borrow_mut();
+            match Ipv4Header::decode(&frame.payload) {
+                Some((header, payload)) if header.dst == s.ip => (header, payload, s.costs.ip_rx),
+                Some(_) => return, // not for us
+                None => {
+                    s.stats.rx_errors += 1;
+                    return;
+                }
+            }
         };
+        let trace = frame.trace;
+        if trace != 0 {
+            sim.trace.begin(sim.now(), Layer::TcpIp, "ip_rx", trace);
+        }
         let stack2 = stack.clone();
+        let kernel2 = kernel.clone();
         Kernel::cpu_task(kernel, sim, cost, move |sim| {
-            Self::process_segment(&stack2, sim, header, payload);
+            if trace != 0 {
+                sim.trace.end(sim.now(), Layer::TcpIp, "ip_rx", trace);
+            }
+            let cost = {
+                let s = stack2.borrow();
+                s.costs.tcp_rx_per_segment + s.costs.checksum_cost(payload.len())
+            };
+            Kernel::cpu_task(&kernel2, sim, cost, move |sim| {
+                Self::process_segment(&stack2, sim, header, payload);
+            });
         });
     }
 
@@ -883,8 +958,8 @@ impl TcpStack {
         Self::emit_data(stack, sim, peer, seg, Bytes::new(), 0);
     }
 
-    /// Hand buffered in-order bytes to blocked readers, charging the
-    /// kernel→user copy and the wakeup.
+    /// Hand buffered in-order bytes to waiting readers, charging the
+    /// kernel→user copy (no wakeup or context switch is charged).
     fn satisfy_readers(stack: &Rc<RefCell<TcpStack>>, sim: &mut Sim, conn: ConnId) {
         let kernel = Self::kernel_of(stack);
         loop {

@@ -7,7 +7,7 @@ use clic_ethernet::{FaultPlan, Link, LinkEnd, LossModel, MacAddr};
 use clic_hw::{Nic, NicConfig, PciBus};
 use clic_os::{Kernel, OsCosts};
 use clic_sim::{Sim, SimTime};
-use clic_tcpip::{ConnId, IpAddr, IpLayer, TcpIpCosts, TcpStack};
+use clic_tcpip::{ConnId, IpAddr, TcpIpCosts, TcpStack};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -25,13 +25,26 @@ fn set_loss(link: &Rc<RefCell<Link>>, loss: LossModel) {
 
 struct Node {
     // Held so the stack's Weak<Kernel> stays upgradable.
-    #[allow(dead_code)]
     kernel: Rc<RefCell<Kernel>>,
     tcp: Rc<RefCell<TcpStack>>,
     ip: IpAddr,
 }
 
 fn mk_node(id: u32, nic_cfg: NicConfig, link: Rc<RefCell<Link>>, end: LinkEnd) -> Node {
+    let mut neighbors = BTreeMap::new();
+    for peer in 1..=4u32 {
+        neighbors.insert(IpAddr::for_node(peer), MacAddr::for_node(peer, 0));
+    }
+    mk_node_with(id, nic_cfg, link, end, neighbors)
+}
+
+fn mk_node_with(
+    id: u32,
+    nic_cfg: NicConfig,
+    link: Rc<RefCell<Link>>,
+    end: LinkEnd,
+    neighbors: BTreeMap<IpAddr, MacAddr>,
+) -> Node {
     let kernel = Kernel::new(id, OsCosts::era_2002());
     let nic = Nic::new(
         MacAddr::for_node(id, 0),
@@ -42,18 +55,13 @@ fn mk_node(id: u32, nic_cfg: NicConfig, link: Rc<RefCell<Link>>, end: LinkEnd) -
     );
     Nic::attach_to_link(&nic);
     let dev = Kernel::add_device(&kernel, nic);
-    let mut neighbors = BTreeMap::new();
-    for peer in 1..=4u32 {
-        neighbors.insert(IpAddr::for_node(peer), MacAddr::for_node(peer, 0));
-    }
-    let ip_layer = IpLayer::install(
+    let tcp = TcpStack::install(
         &kernel,
         dev,
         IpAddr::for_node(id),
         neighbors,
         TcpIpCosts::era_2002(),
     );
-    let tcp = TcpStack::install(&kernel, &ip_layer);
     Node {
         kernel,
         tcp,
@@ -339,4 +347,92 @@ fn fast_retransmit_fires_before_rto() {
         elapsed < clic_sim::SimDuration::from_ms(1_000),
         "transfer with fast retransmit took {elapsed}"
     );
+}
+
+#[test]
+fn unknown_destination_counts_no_route() {
+    let mut sim = Sim::new(0);
+    let (a, b, _) = pair(NicConfig::gigabit_standard());
+    let connected = Rc::new(RefCell::new(false));
+    let c = connected.clone();
+    // No neighbor entry for this address: the SYN is never sent.
+    TcpStack::connect(&a.tcp, &mut sim, IpAddr(0xdead_beef), 5000, move |_, _| {
+        *c.borrow_mut() = true
+    });
+    sim.run();
+    assert_eq!(a.tcp.borrow().stats().no_route, 1);
+    assert!(!*connected.borrow());
+    assert_eq!(
+        b.kernel.borrow().stats().frames_received,
+        0,
+        "no frame left node 1"
+    );
+}
+
+#[test]
+fn packet_for_other_host_ignored() {
+    let mut sim = Sim::new(0);
+    let link = Link::gigabit();
+    // IP destination 3 behind node 2's MAC: node 2 receives the SYN and
+    // must drop it at the IP header.
+    let mut neighbors = BTreeMap::new();
+    neighbors.insert(IpAddr::for_node(3), MacAddr::for_node(2, 0));
+    let a = mk_node_with(
+        1,
+        NicConfig::gigabit_standard(),
+        link.clone(),
+        LinkEnd::A,
+        neighbors,
+    );
+    let b = mk_node(2, NicConfig::gigabit_standard(), link, LinkEnd::B);
+    let accepted = Rc::new(RefCell::new(false));
+    let acc = accepted.clone();
+    b.tcp
+        .borrow_mut()
+        .listen(5000, move |_, _| *acc.borrow_mut() = true);
+    TcpStack::connect(&a.tcp, &mut sim, IpAddr::for_node(3), 5000, |_, _| {
+        panic!("no host answers for 10.0.0.3")
+    });
+    sim.run();
+    assert_eq!(
+        b.kernel.borrow().stats().frames_received,
+        1,
+        "the SYN arrived"
+    );
+    let stats = b.tcp.borrow().stats();
+    assert_eq!(stats.segments_rx, 0);
+    assert_eq!(stats.rx_errors, 0, "a well-formed packet for another host");
+    assert_eq!(stats.established, 0);
+    assert!(!*accepted.borrow());
+    assert_eq!(a.tcp.borrow().stats().established, 0);
+}
+
+#[test]
+fn full_mss_segments_fit_small_and_jumbo_mtus() {
+    for mtu in [128, 9000] {
+        let mut sim = Sim::new(0);
+        let mut cfg = NicConfig::gigabit_jumbo();
+        cfg.mtu = mtu;
+        let (a, b, _) = pair(cfg);
+        let mss = a.tcp.borrow().mss();
+        assert_eq!(mss, mtu - 40);
+        let (client, server) = establish(&mut sim, &a, &b, 5000);
+        // Whole segments only: every data packet is exactly the MTU, the
+        // largest IPv4 packet the stack may emit.
+        let data = payload(8 * mss);
+        let got: Rc<RefCell<Option<Bytes>>> = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        TcpStack::recv(
+            &b.tcp,
+            &mut sim,
+            server.borrow().unwrap(),
+            data.len(),
+            move |_sim, bytes| *g.borrow_mut() = Some(bytes),
+        );
+        TcpStack::send(&a.tcp, &mut sim, client.borrow().unwrap(), data.clone());
+        sim.run();
+        assert_eq!(got.borrow().as_ref().unwrap(), &data, "MTU {mtu}");
+        assert_eq!(a.tcp.borrow().stats().segments_tx, 8, "MTU {mtu}");
+        assert_eq!(b.tcp.borrow().stats().rx_errors, 0, "MTU {mtu}");
+    }
 }

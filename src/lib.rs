@@ -56,7 +56,7 @@
 //! | [`ethernet`] | `clic-ethernet` | frames, links, switch, bonding |
 //! | [`hw`] | `clic-hw` | PCI bus, copy model, GbE NIC |
 //! | [`os`] | `clic-os` | kernel, syscalls, interrupts, driver, SK_BUFF |
-//! | [`tcpip`] | `clic-tcpip` | IPv4 + TCP baseline stack |
+//! | [`tcpip`] | `clic-tcpip` | TCP baseline stack, the kernel's IPv4 handler |
 //! | [`core_proto`] | `clic-core` | **the CLIC protocol** |
 //! | [`gamma`] | `clic-gamma` | GAMMA-like comparison baseline |
 //! | [`mpi`] | `clic-mpi` | MPI-like and PVM-like layers |
