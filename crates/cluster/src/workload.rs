@@ -106,10 +106,28 @@ fn extend_pattern(v: &mut Vec<u8>, n: usize) {
     }
 }
 
+/// `n` pattern bytes in one buffer. The request/reply drivers build their
+/// payloads once per job ([`request_and_reply`]) and send clones of them,
+/// as the paper's bandwidth test sends from one user buffer: `Bytes` is
+/// immutable, so every layer sees the same bytes, and each copy the model
+/// charges (socket-buffer staging, PVM pack, one-copy CLIC staging,
+/// reassembly) still copies them.
 fn payload(n: usize) -> Bytes {
     let mut v = Vec::with_capacity(n);
     extend_pattern(&mut v, n);
     Bytes::from(v)
+}
+
+/// The request and reply payloads of one request/reply job. A symmetric
+/// exchange sends one buffer both ways, as an echo returns what it got.
+fn request_and_reply(size: usize, reply_size: usize) -> (Bytes, Bytes) {
+    let request = payload(size);
+    let reply = if reply_size == size {
+        request.clone()
+    } else {
+        payload(reply_size)
+    };
+    (request, reply)
 }
 
 /// How many messages to stream for a given size: enough to reach steady
@@ -223,30 +241,26 @@ fn pingpong_clic(
         port: Rc<ClicPort>,
         sim: &mut Sim,
         peer: clic_ethernet::MacAddr,
-        reply_size: usize,
+        reply: Bytes,
         left: usize,
     ) {
         if left == 0 {
             return;
         }
         let p2 = port.clone();
-        port.recv(sim, move |sim, msg| {
-            let reply = if reply_size == msg.data.len() {
-                msg.data
-            } else {
-                payload(reply_size)
-            };
-            p2.send(sim, peer, 100, reply);
-            echo(p2.clone(), sim, peer, reply_size, left - 1);
+        port.recv(sim, move |sim, _msg| {
+            p2.send(sim, peer, 100, reply.clone());
+            echo(p2.clone(), sim, peer, reply, left - 1);
         });
     }
-    echo(port_b, sim, a_mac, reply_size, iters);
+    let (request, reply) = request_and_reply(size, reply_size);
+    echo(port_b, sim, a_mac, reply, iters);
 
     // Initiator: send, await echo, sample, repeat.
     struct St {
         port: Rc<ClicPort>,
         peer: clic_ethernet::MacAddr,
-        size: usize,
+        request: Bytes,
         samples: Rc<RefCell<LatencyStats>>,
     }
     fn iterate(st: Rc<St>, sim: &mut Sim, left: usize) {
@@ -254,7 +268,7 @@ fn pingpong_clic(
             return;
         }
         let t0 = sim.now();
-        st.port.send(sim, st.peer, 100, payload(st.size));
+        st.port.send(sim, st.peer, 100, st.request.clone());
         let st2 = st.clone();
         st.port.recv(sim, move |sim, _msg| {
             st2.samples.borrow_mut().record(sim.now() - t0);
@@ -265,7 +279,7 @@ fn pingpong_clic(
         Rc::new(St {
             port: port_a,
             peer: b_mac,
-            size,
+            request,
             samples: samples.clone(),
         }),
         sim,
@@ -308,29 +322,25 @@ fn pingpong_tcp(
         sim: &mut Sim,
         conn: clic_tcpip::ConnId,
         size: usize,
-        reply_size: usize,
+        reply: Bytes,
         left: usize,
     ) {
         if left == 0 {
             return;
         }
         let s2 = stack.clone();
-        TcpStack::recv(&stack, sim, conn, size, move |sim, data| {
-            let reply = if reply_size == data.len() {
-                data
-            } else {
-                payload(reply_size)
-            };
-            TcpStack::send(&s2, sim, conn, reply);
-            echo(s2.clone(), sim, conn, size, reply_size, left - 1);
+        TcpStack::recv(&stack, sim, conn, size, move |sim, _data| {
+            TcpStack::send(&s2, sim, conn, reply.clone());
+            echo(s2.clone(), sim, conn, size, reply, left - 1);
         });
     }
-    echo(b, sim, server, size, reply_size, iters);
+    let (request, reply) = request_and_reply(size, reply_size);
+    echo(b, sim, server, size, reply, iters);
 
     struct St {
         stack: Rc<RefCell<TcpStack>>,
         conn: clic_tcpip::ConnId,
-        size: usize,
+        request: Bytes,
         reply_size: usize,
         samples: Rc<RefCell<LatencyStats>>,
     }
@@ -339,7 +349,7 @@ fn pingpong_tcp(
             return;
         }
         let t0 = sim.now();
-        TcpStack::send(&st.stack, sim, st.conn, payload(st.size));
+        TcpStack::send(&st.stack, sim, st.conn, st.request.clone());
         let st2 = st.clone();
         TcpStack::recv(
             &st.stack.clone(),
@@ -356,7 +366,7 @@ fn pingpong_tcp(
         Rc::new(St {
             stack: a,
             conn: client,
-            size,
+            request,
             reply_size,
             samples: samples.clone(),
         }),
@@ -387,31 +397,28 @@ fn pingpong_gamma(
     // Echo side. Each port handler holds its own module weakly: the
     // module holds the handler, and the node owns the module.
     let b2 = Rc::downgrade(&b);
+    let (request, reply) = request_and_reply(size, reply_size);
     b.borrow_mut().register_port(PORT, move |sim, msg| {
-        let reply = if reply_size == msg.data.len() {
-            msg.data
-        } else {
-            payload(reply_size)
-        };
-        GammaModule::send(&gamma_of(&b2), sim, msg.src, PORT, reply);
+        GammaModule::send(&gamma_of(&b2), sim, msg.src, PORT, reply.clone());
     });
     // Initiator: handler drives the next iteration.
     let state: Rc<RefCell<(usize, SimTime)>> = Rc::new(RefCell::new((iters, SimTime::ZERO)));
     let a2 = Rc::downgrade(&a);
     let samples2 = samples.clone();
     let st = state.clone();
+    let request2 = request.clone();
     a.borrow_mut().register_port(PORT, move |sim, _msg| {
         let (left, t0) = *st.borrow();
         samples2.borrow_mut().record(sim.now() - t0);
         if left > 1 {
             *st.borrow_mut() = (left - 1, sim.now());
-            GammaModule::send(&gamma_of(&a2), sim, b_mac, PORT, payload(size));
+            GammaModule::send(&gamma_of(&a2), sim, b_mac, PORT, request2.clone());
         } else {
             st.borrow_mut().0 = 0;
         }
     });
     state.borrow_mut().1 = sim.now();
-    GammaModule::send(&a, sim, b_mac, PORT, payload(size));
+    GammaModule::send(&a, sim, b_mac, PORT, request);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -428,25 +435,21 @@ fn pingpong_mpi(
     let (m0, m1) = mpi_pair(cluster, sim, stack);
     background(sim);
     // Echo side.
-    fn echo(mpi: Rc<Mpi>, sim: &mut Sim, reply_size: usize, left: usize) {
+    fn echo(mpi: Rc<Mpi>, sim: &mut Sim, reply: Bytes, left: usize) {
         if left == 0 {
             return;
         }
         let m2 = mpi.clone();
-        mpi.recv(sim, 0, 1, move |sim, msg| {
-            let reply = if reply_size == msg.data.len() {
-                msg.data
-            } else {
-                payload(reply_size)
-            };
-            m2.send(sim, 0, 2, reply);
-            echo(m2.clone(), sim, reply_size, left - 1);
+        mpi.recv(sim, 0, 1, move |sim, _msg| {
+            m2.send(sim, 0, 2, reply.clone());
+            echo(m2.clone(), sim, reply, left - 1);
         });
     }
-    echo(m1, sim, reply_size, iters);
+    let (request, reply) = request_and_reply(size, reply_size);
+    echo(m1, sim, reply, iters);
     struct St {
         mpi: Rc<Mpi>,
-        size: usize,
+        request: Bytes,
         samples: Rc<RefCell<LatencyStats>>,
     }
     fn iterate(st: Rc<St>, sim: &mut Sim, left: usize) {
@@ -454,7 +457,7 @@ fn pingpong_mpi(
             return;
         }
         let t0 = sim.now();
-        st.mpi.send(sim, 1, 1, payload(st.size));
+        st.mpi.send(sim, 1, 1, st.request.clone());
         let st2 = st.clone();
         st.mpi.recv(sim, 1, 2, move |sim, _| {
             st2.samples.borrow_mut().record(sim.now() - t0);
@@ -464,7 +467,7 @@ fn pingpong_mpi(
     iterate(
         Rc::new(St {
             mpi: m0,
-            size,
+            request,
             samples: samples.clone(),
         }),
         sim,
@@ -486,23 +489,24 @@ fn pingpong_pvm(
     let p0 = Pvm::new(&cluster.nodes[0].kernel, t0);
     let p1 = Pvm::new(&cluster.nodes[1].kernel, t1);
     // Echo side: recv -> pack -> send.
-    fn echo(pvm: Rc<Pvm>, sim: &mut Sim, reply_size: usize, left: usize) {
+    fn echo(pvm: Rc<Pvm>, sim: &mut Sim, reply: Bytes, left: usize) {
         if left == 0 {
             return;
         }
         let p2 = pvm.clone();
         pvm.recv(sim, -1, 1, move |sim, _msg| {
             let p3 = p2.clone();
-            p2.clone().pack(sim, payload(reply_size), move |sim| {
+            p2.clone().pack(sim, reply.clone(), move |sim| {
                 p3.send(sim, 0, 2);
-                echo(p3.clone(), sim, reply_size, left - 1);
+                echo(p3.clone(), sim, reply, left - 1);
             });
         });
     }
-    echo(p1, sim, reply_size, iters);
+    let (request, reply) = request_and_reply(size, reply_size);
+    echo(p1, sim, reply, iters);
     struct St {
         pvm: Rc<Pvm>,
-        size: usize,
+        request: Bytes,
         samples: Rc<RefCell<LatencyStats>>,
     }
     fn iterate(st: Rc<St>, sim: &mut Sim, left: usize) {
@@ -511,7 +515,7 @@ fn pingpong_pvm(
         }
         let t0 = sim.now();
         let st2 = st.clone();
-        st.pvm.clone().pack(sim, payload(st.size), move |sim| {
+        st.pvm.clone().pack(sim, st.request.clone(), move |sim| {
             st2.pvm.send(sim, 1, 1);
             let st3 = st2.clone();
             st2.pvm.clone().recv(sim, 1, 2, move |sim, _| {
@@ -523,7 +527,7 @@ fn pingpong_pvm(
     iterate(
         Rc::new(St {
             pvm: p0,
-            size,
+            request,
             samples: samples.clone(),
         }),
         sim,

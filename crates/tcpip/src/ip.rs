@@ -3,6 +3,11 @@
 //! Every packet is one unfragmented TCP segment (the MSS is the device MTU
 //! minus both headers), so the header carries no fragmentation state and
 //! [`Ipv4Header::decode`] rejects fragments and every other protocol.
+//!
+//! Both checksums share one summation, which adds 8 bytes per step and
+//! yields the same values as the 16-bit-word definition: the model charges
+//! checksum time per byte in simulated time, so the host need not pay it
+//! again two bytes at a time.
 
 use bytes::Bytes;
 
@@ -35,42 +40,55 @@ impl std::fmt::Display for IpAddr {
 
 /// RFC 1071 Internet checksum.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    fold(word_sum(data))
+    !word_sum(data)
 }
 
 /// [`internet_checksum`] over a TCP pseudo-header (`src`, `dst`, protocol
 /// 6, `len`) followed by `parts`, summed in place instead of over a
 /// concatenated copy. Every part but the last must have even length.
 pub fn pseudo_header_checksum(src: IpAddr, dst: IpAddr, len: u16, parts: &[&[u8]]) -> u16 {
-    let mut sum = word_sum(&src.0.to_be_bytes())
-        + word_sum(&dst.0.to_be_bytes())
-        + u64::from(PROTO_TCP)
-        + u64::from(len);
+    let halves = |a: IpAddr| u64::from(a.0 >> 16) + u64::from(a.0 & 0xffff);
+    let mut sum = halves(src) + halves(dst) + u64::from(PROTO_TCP) + u64::from(len);
     for (i, part) in parts.iter().enumerate() {
         debug_assert!(i + 1 == parts.len() || part.len() % 2 == 0);
-        sum += word_sum(part);
+        sum += u64::from(word_sum(part));
     }
-    fold(sum)
+    !fold(sum)
 }
 
-/// Sum of `data` as big-endian 16-bit words, an odd tail byte zero-padded.
-fn word_sum(data: &[u8]) -> u64 {
-    let mut chunks = data.chunks_exact(2);
-    let mut sum: u64 = (&mut chunks)
-        .map(|c| u64::from(u16::from_be_bytes([c[0], c[1]])))
-        .sum();
-    if let [last] = chunks.remainder() {
-        sum += u64::from(u16::from_be_bytes([*last, 0]));
+/// One's-complement sum of `data` as big-endian 16-bit words, an odd
+/// tail byte zero-padded, folded to 16 bits.
+///
+/// The loop adds native-endian 8-byte words in two 32-bit lanes. The
+/// one's-complement sum does not depend on byte order (RFC 1071 §2(B)):
+/// folded, the sum of native-endian words is the big-endian sum with its
+/// two bytes swapped, so one swap at the end gives the big-endian value
+/// (`u16::from_be` swaps on a little-endian host and nothing on a
+/// big-endian one). Deferred carries (§2(C)) stay in the upper half of
+/// each 64-bit lane, which gains less than 2³² per step and so cannot
+/// overflow below 2³² steps (32 GiB of data).
+fn word_sum(data: &[u8]) -> u16 {
+    let (mut lo, mut hi) = (0u64, 0u64);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_ne_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        lo += w & 0xffff_ffff;
+        hi += w >> 32;
     }
-    sum
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let w = u64::from_ne_bytes(tail);
+    lo += w & 0xffff_ffff;
+    hi += w >> 32;
+    u16::from_be(fold(u64::from(fold(lo)) + u64::from(fold(hi))))
 }
 
-/// Fold carries back in (one's-complement addition) and complement.
+/// Fold carries back in (one's-complement addition) down to 16 bits.
 fn fold(mut sum: u64) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    sum as u16
 }
 
 /// A parsed IPv4 header of an unfragmented TCP packet (no options).
@@ -159,8 +177,12 @@ mod tests {
 
     #[test]
     fn checksum_known_vector() {
-        // RFC 1071 example-style check: checksum of data including its own
-        // checksum field is zero.
+        // RFC 1071 §3: these bytes fold to 0xddf2, whose complement is
+        // the checksum.
+        let rfc = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
+        assert_eq!(word_sum(&rfc), 0xddf2);
+        assert_eq!(internet_checksum(&rfc), 0x220d);
+        // The checksum of data including its own checksum field is zero.
         let enc = header(99, 100).encode();
         assert_eq!(internet_checksum(&enc), 0);
     }

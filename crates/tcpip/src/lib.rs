@@ -14,9 +14,11 @@
 //!   charged per byte and computed for real. It also does the IP layer's
 //!   work, charged per packet as its own CPU task: the static neighbor
 //!   table, the IPv4 header, and the drops of packets for another host or
-//!   with a bad header.
+//!   with a bad header. Each packet is built in one buffer: IPv4 header,
+//!   TCP header, payload.
 //! * [`ip`] — the IPv4 header and RFC 1071 checksums, nothing more: every
-//!   segment fits the MTU, so there is no fragmentation.
+//!   segment fits the MTU, so there is no fragmentation. The checksums
+//!   sum 8 bytes per step, with the values of the 16-bit definition.
 //! * [`costs`] — per-layer CPU costs, the calibrated "TCP/IP tax".
 //!
 //! Address resolution is a static neighbor table injected at install time;

@@ -64,7 +64,9 @@ struct Segment {
 }
 
 impl Segment {
-    fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Bytes {
+    /// The header of this segment carrying `payload`, its checksum over
+    /// the pseudo-header, the header and the payload.
+    fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> [u8; TCP_HEADER] {
         let mut h = [0u8; TCP_HEADER];
         h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
@@ -77,10 +79,7 @@ impl Segment {
         let len = (TCP_HEADER + payload.len()) as u16;
         let csum = pseudo_header_checksum(src, dst, len, &[&h, payload]);
         h[16..18].copy_from_slice(&csum.to_be_bytes());
-        let mut out = BytesMut::with_capacity(TCP_HEADER + payload.len());
-        out.put_slice(&h);
-        out.put_slice(payload);
-        out.freeze()
+        h
     }
 
     /// Verify and parse a segment; the data is a slice of `buf`, not a copy.
@@ -495,8 +494,9 @@ impl TcpStack {
         });
     }
 
-    /// Encode, add the IPv4 header and charge `ip_tx`, then hand the
-    /// packet to the driver (the segment cost was charged by the caller).
+    /// Write the IPv4 header, the TCP header and the payload into one
+    /// buffer and charge `ip_tx`, then hand the packet to the driver (the
+    /// segment cost was charged by the caller).
     fn emit(
         stack: &Rc<RefCell<TcpStack>>,
         sim: &mut Sim,
@@ -511,23 +511,23 @@ impl TcpStack {
                 s.stats.no_route += 1;
                 return;
             };
-            let segment = seg.encode(s.ip, peer, &payload);
+            let segment_len = TCP_HEADER + payload.len();
             assert!(
-                IPV4_HEADER + segment.len() <= s.mtu,
-                "a {}-byte segment exceeds the {}-byte MTU",
-                segment.len(),
+                IPV4_HEADER + segment_len <= s.mtu,
+                "a {segment_len}-byte segment exceeds the {}-byte MTU",
                 s.mtu
             );
             let header = Ipv4Header {
                 src: s.ip,
                 dst: peer,
                 ident: s.next_ident,
-                payload_len: segment.len() as u16,
+                payload_len: segment_len as u16,
             };
             s.next_ident = s.next_ident.wrapping_add(1);
-            let mut packet = BytesMut::with_capacity(IPV4_HEADER + segment.len());
+            let mut packet = BytesMut::with_capacity(IPV4_HEADER + segment_len);
             packet.put_slice(&header.encode());
-            packet.put_slice(&segment);
+            packet.put_slice(&seg.encode(s.ip, peer, &payload));
+            packet.put_slice(&payload);
             (packet.freeze(), mac, s.dev, s.costs.ip_tx)
         };
         let kernel = Self::kernel_of(stack);
@@ -991,6 +991,14 @@ impl TcpStack {
 mod tests {
     use super::*;
 
+    /// `seg` on the wire as `emit` lays it out behind the IPv4 header:
+    /// the encoded header, then `payload`.
+    fn segment_wire(seg: Segment, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Bytes {
+        let mut out = seg.encode(src, dst, payload).to_vec();
+        out.extend_from_slice(payload);
+        Bytes::from(out)
+    }
+
     #[test]
     fn seq_compare_wraps() {
         assert!(seq_ge(5, 5));
@@ -1013,7 +1021,9 @@ mod tests {
             flags: tcpflags::ACK,
             window: 4096,
         };
-        let wire = seg.encode(src, dst, b"payload");
+        let wire = segment_wire(seg, src, dst, b"payload");
+        // The checksum the 16-bit-word definition gives this segment.
+        assert_eq!(&wire[16..18], &[0x27, 0xd6]);
         let (parsed, data) = Segment::decode(src, dst, &wire).unwrap();
         assert_eq!(parsed, seg);
         assert_eq!(&data[..], b"payload");
@@ -1044,7 +1054,7 @@ mod tests {
             flags: tcpflags::SYN,
             window: 100,
         };
-        let wire = seg.encode(src, dst, b"x");
+        let wire = segment_wire(seg, src, dst, b"x");
         let mut bad = wire.to_vec();
         bad[20] ^= 0x40; // flip the payload byte
         assert!(Segment::decode(src, dst, &Bytes::from(bad)).is_none());
@@ -1064,7 +1074,7 @@ mod tests {
             flags: tcpflags::SYN | tcpflags::ACK,
             window: 0,
         };
-        let wire = seg.encode(src, dst, b"");
+        let wire = segment_wire(seg, src, dst, b"");
         let (parsed, data) = Segment::decode(src, dst, &wire).unwrap();
         assert_eq!(parsed, seg);
         assert!(data.is_empty());

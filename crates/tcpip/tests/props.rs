@@ -4,7 +4,70 @@ use bytes::Bytes;
 use clic_tcpip::ip::{internet_checksum, pseudo_header_checksum, IpAddr, Ipv4Header};
 use proptest::prelude::*;
 
+/// RFC 1071's definition, two bytes per step: the sum of `data` as
+/// big-endian 16-bit words (an odd tail byte zero-padded), carries folded
+/// back in, complemented. The reference the library must equal.
+fn reference_checksum(data: &[u8]) -> u16 {
+    let mut sum: u64 = data
+        .chunks(2)
+        .map(|c| u64::from(u16::from_be_bytes([c[0], c.get(1).copied().unwrap_or(0)])))
+        .sum();
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
 proptest! {
+    /// Both checksums equal the two-bytes-per-step reference for any
+    /// length up to a jumbo segment (empty and odd included), starting at
+    /// every offset 0–7 of a larger buffer, and for the pseudo-header
+    /// checksum split into arbitrary even-length parts. A third of the
+    /// inputs are all ones, where every word carries, and a third all
+    /// zeros, whose sum is the only one that folds to 0.
+    #[test]
+    fn checksums_equal_two_bytes_per_step_reference(
+        random in proptest::collection::vec(any::<u8>(), 0..9_101),
+        fill in 0u8..3,
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        src in any::<u32>(),
+        dst in any::<u32>(),
+    ) {
+        let data = match fill {
+            0 => random,
+            1 => vec![0xff; random.len()],
+            _ => vec![0; random.len()],
+        };
+        // Even cut points, in order: every part but the last is even.
+        let mut ends: Vec<usize> = cuts.iter().map(|c| (c % (data.len() + 1)) & !1).collect();
+        ends.sort_unstable();
+        let len = data.len() as u16;
+        let mut pseudo = Vec::new();
+        pseudo.extend_from_slice(&src.to_be_bytes());
+        pseudo.extend_from_slice(&dst.to_be_bytes());
+        pseudo.extend_from_slice(&[0, 6]);
+        pseudo.extend_from_slice(&len.to_be_bytes());
+        pseudo.extend_from_slice(&data);
+        let want_pseudo = reference_checksum(&pseudo);
+        let mut buf = vec![0u8; data.len() + 8];
+        for offset in 0..8 {
+            buf[offset..offset + data.len()].copy_from_slice(&data);
+            let at = &buf[offset..offset + data.len()];
+            prop_assert_eq!(internet_checksum(at), reference_checksum(at));
+            let mut parts = Vec::new();
+            let mut start = 0;
+            for &end in &ends {
+                parts.push(&at[start..end]);
+                start = end;
+            }
+            parts.push(&at[start..]);
+            prop_assert_eq!(
+                pseudo_header_checksum(IpAddr(src), IpAddr(dst), len, &parts),
+                want_pseudo
+            );
+        }
+    }
+
     /// RFC 1071: the checksum of data with its own checksum folded in
     /// verifies to zero; flipping any bit breaks it.
     #[test]
