@@ -19,20 +19,27 @@
 //! the 64-byte minimum and the padding is indistinguishable from payload at
 //! the receiver.
 //!
-//! Packet types occupy only the low 7 bits of byte 0; the high bit is the
-//! **congestion-experienced (CE) mark** ([`CE_BIT`]). A switch whose output
-//! queue is past its mark threshold sets it in flight (the ECN idea applied
-//! to the raw-Ethernet CLIC header, which has no IP ECN field to borrow);
-//! the receiver echoes the mark on its next cumulative ACK and the sender's
-//! congestion window reacts. The bit is zero everywhere unless a switch on
-//! the path marks, so pre-congestion-control captures decode unchanged.
+//! Packet types occupy only the low 6 bits of byte 0 ([`PTYPE_MASK`]); the
+//! high bit is the **congestion-experienced (CE) mark** ([`CE_BIT`]). A
+//! switch whose output queue is past its mark threshold sets it in flight
+//! (the ECN idea applied to the raw-Ethernet CLIC header, which has no IP
+//! ECN field to borrow); the receiver echoes the mark on its next
+//! cumulative ACK and the sender's congestion window reacts. The bit is
+//! zero everywhere unless a switch on the path marks.
 //!
-//! Multi-packet messages put an additional 8-byte message prefix
-//! (`msg id (u32be) | total length (u32be)`) at the start of the *first*
-//! fragment's payload; later fragments are located by sequence continuity
-//! on the reliable channel.
+//! The first packet of every message carries an additional 8-byte message
+//! prefix (`msg id (u32be) | total length (u32be)`) right after the
+//! header, and bit 6 of byte 0 ([`MSG_START`]) says so; later fragments
+//! are located by sequence continuity on the reliable channel. The sender
+//! puts the header, with the prefix when there is one, in the frame's head
+//! and the data, uncopied, in its body ([`ClicHeader::head`]); the mark
+//! lets [`ClicHeader::decode`] read the prefix with the header wherever
+//! the frame splits, one-piece frames (NIC reassembly output) included.
+//! `len` counts every byte after the 12-byte header, prefix included, so
+//! the wire bytes are those of a payload that begins with the prefix.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
+use clic_ethernet::Frame;
 
 /// CLIC header size on the wire.
 pub const CLIC_HEADER: usize = 12;
@@ -44,6 +51,13 @@ pub const MSG_PREFIX: usize = 8;
 /// (the packet type uses only values 1–6, so bit 7 is free). Set by a
 /// switch in flight, echoed by the receiver on ACKs.
 pub const CE_BIT: u8 = 0x80;
+
+/// Message-start mark: bit 6 of the header's first byte, set on a
+/// message's first packet, whose header is followed by the message prefix.
+pub const MSG_START: u8 = 0x40;
+
+/// The packet-type bits of the header's first byte.
+pub const PTYPE_MASK: u8 = 0x3f;
 
 /// Packet type discriminator (the paper's MPI / internal / kernel-function
 /// taxonomy plus the transport-internal types).
@@ -163,19 +177,25 @@ pub struct ClicHeader {
     /// Sequence number on the (peer, channel) flow; for ACKs, the
     /// cumulative next-expected sequence.
     pub seq: u32,
-    /// True payload length (excludes Ethernet padding).
+    /// Bytes after the 12-byte header: the message prefix, on a message's
+    /// first packet, then the data; Ethernet padding excluded.
     pub len: u32,
     /// Congestion-experienced mark ([`CE_BIT`]). On data-bearing packets:
     /// a switch queue on the path was past its mark threshold. On ACKs:
     /// the receiver is echoing marks it saw since its last ACK.
     pub ce: bool,
+    /// The message prefix `(msg id, total length)` a message's first packet
+    /// carries ([`MSG_START`]); `None` on every other packet.
+    pub msg: Option<(u32, u32)>,
 }
 
 impl ClicHeader {
-    /// Serialize to the 12-byte wire form.
+    /// Serialize the fixed 12-byte header.
     pub fn encode(&self) -> [u8; CLIC_HEADER] {
         let mut out = [0u8; CLIC_HEADER];
-        out[0] = self.ptype.to_u8() | if self.ce { CE_BIT } else { 0 };
+        out[0] = self.ptype.to_u8()
+            | if self.ce { CE_BIT } else { 0 }
+            | if self.msg.is_some() { MSG_START } else { 0 };
         out[1] = self.flags;
         out[2..4].copy_from_slice(&self.channel.to_be_bytes());
         out[4..8].copy_from_slice(&self.seq.to_be_bytes());
@@ -183,19 +203,42 @@ impl ClicHeader {
         out
     }
 
-    /// Parse a header and the `len` bytes of payload that follow it,
-    /// tolerating Ethernet minimum-frame padding after the payload.
+    /// The frame head a packet with this header sends: the 12 bytes, then
+    /// the message prefix on a message's first packet.
+    pub fn head(&self) -> Bytes {
+        let mut head = BytesMut::with_capacity(CLIC_HEADER + MSG_PREFIX);
+        head.put_slice(&self.encode());
+        if let Some((msg_id, total)) = self.msg {
+            head.put_slice(&encode_msg_prefix(msg_id, total));
+        }
+        head.freeze()
+    }
+
+    /// Parse a frame's header (with the message prefix, when marked) and
+    /// the data that follows, tolerating Ethernet minimum-frame padding
+    /// after it. The data is the frame's body, or a slice of it, not a
+    /// copy.
     ///
     /// ACKs are the exception: they carry no payload, and their `len`
     /// field is repurposed as the receiver's advertised window in packets
     /// (0 when no budget is configured) — so for `PacketType::Ack` the
     /// payload is always empty and `len` is not a byte count.
-    /// The payload is a slice of `buf`, not a copy.
-    pub fn decode(buf: &Bytes) -> Option<(ClicHeader, Bytes)> {
-        if buf.len() < CLIC_HEADER {
-            return None;
+    pub fn decode(frame: &Frame) -> Option<(ClicHeader, Bytes)> {
+        let first = *frame.head.first().or(frame.body.first())?;
+        if first & MSG_START == 0 {
+            let (buf, rest): ([u8; CLIC_HEADER], _) = frame.split_header()?;
+            ClicHeader::parse(&buf, None, rest)
+        } else {
+            let (buf, rest): ([u8; CLIC_HEADER + MSG_PREFIX], _) = frame.split_header()?;
+            let msg = decode_msg_prefix(&buf[CLIC_HEADER..]);
+            ClicHeader::parse(&buf[..CLIC_HEADER], msg, rest)
         }
-        let ptype = PacketType::from_u8(buf[0] & !CE_BIT)?;
+    }
+
+    /// The 12-byte header in `buf`, its message prefix `msg` already read,
+    /// and the data `rest` holds by its `len`.
+    fn parse(buf: &[u8], msg: Option<(u32, u32)>, rest: Bytes) -> Option<(ClicHeader, Bytes)> {
+        let ptype = PacketType::from_u8(buf[0] & PTYPE_MASK)?;
         let header = ClicHeader {
             ptype,
             flags: buf[1],
@@ -203,15 +246,17 @@ impl ClicHeader {
             seq: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
             len: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
             ce: buf[0] & CE_BIT != 0,
+            msg,
         };
         if header.ptype == PacketType::Ack {
             return Some((header, Bytes::new()));
         }
-        let end = CLIC_HEADER.checked_add(header.len as usize)?;
-        if buf.len() < end {
+        let prefix = if msg.is_some() { MSG_PREFIX } else { 0 };
+        let data = (header.len as usize).checked_sub(prefix)?;
+        if rest.len() < data {
             return None;
         }
-        Some((header, buf.slice(CLIC_HEADER..end)))
+        Some((header, rest.slice(..data)))
     }
 }
 
@@ -237,6 +282,13 @@ pub fn decode_msg_prefix(buf: &[u8]) -> Option<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clic_ethernet::{EtherType, MacAddr};
+
+    /// A one-piece CLIC frame holding `wire`.
+    fn frame(wire: &Bytes) -> Frame {
+        let (a, b) = (MacAddr::for_node(2, 0), MacAddr::for_node(1, 0));
+        Frame::new(a, b, EtherType::CLIC, wire.clone())
+    }
 
     #[test]
     fn header_is_exactly_12_bytes() {
@@ -248,6 +300,7 @@ mod tests {
             seq: 42,
             len: 0,
             ce: false,
+            msg: None,
         };
         assert_eq!(h.encode().len(), 12);
     }
@@ -269,11 +322,12 @@ mod tests {
                 seq: 0xdead_0001,
                 len: 4,
                 ce: false,
+                msg: None,
             };
             let mut wire = h.encode().to_vec();
             wire.extend_from_slice(&[9, 8, 7, 6]);
             let wire = Bytes::from(wire);
-            let (parsed, payload) = ClicHeader::decode(&wire).unwrap();
+            let (parsed, payload) = ClicHeader::decode(&frame(&wire)).unwrap();
             assert_eq!(parsed, h);
             if ptype == PacketType::Ack {
                 // ACK `len` is the advertised window, not a payload length.
@@ -297,10 +351,11 @@ mod tests {
             seq: 17,
             len: 64,
             ce: false,
+            msg: None,
         };
         let mut wire = h.encode().to_vec();
         wire.resize(46, 0); // Ethernet min-payload padding only
-        let (parsed, payload) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
+        let (parsed, payload) = ClicHeader::decode(&frame(&Bytes::from(wire))).unwrap();
         assert_eq!(parsed.len, 64);
         assert!(payload.is_empty());
     }
@@ -329,17 +384,18 @@ mod tests {
             seq: 0,
             len: 3,
             ce: false,
+            msg: None,
         };
         let mut wire = h.encode().to_vec();
         wire.extend_from_slice(&[1, 2, 3]);
         wire.resize(46, 0); // Ethernet min-payload padding
-        let (_, payload) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
+        let (_, payload) = ClicHeader::decode(&frame(&Bytes::from(wire))).unwrap();
         assert_eq!(&payload[..], &[1, 2, 3]);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(ClicHeader::decode(&Bytes::from_static(&[1, 2, 3])).is_none()); // too short
+        assert!(ClicHeader::decode(&frame(&Bytes::from_static(&[1, 2, 3]))).is_none()); // too short
         let mut wire = ClicHeader {
             ptype: PacketType::Data,
             flags: 0,
@@ -347,14 +403,15 @@ mod tests {
             seq: 0,
             len: 100, // claims more payload than present
             ce: false,
+            msg: None,
         }
         .encode()
         .to_vec();
         wire.extend_from_slice(&[0; 10]);
-        assert!(ClicHeader::decode(&Bytes::from(wire)).is_none());
+        assert!(ClicHeader::decode(&frame(&Bytes::from(wire))).is_none());
         let mut bad_type = vec![0u8; 12];
         bad_type[0] = 99;
-        assert!(ClicHeader::decode(&Bytes::from(bad_type)).is_none());
+        assert!(ClicHeader::decode(&frame(&Bytes::from(bad_type))).is_none());
     }
 
     #[test]
@@ -375,11 +432,12 @@ mod tests {
             seq: 5,
             len: 2,
             ce: true,
+            msg: None,
         };
         let mut wire = h.encode().to_vec();
         assert_eq!(wire[0], 1 | CE_BIT);
         wire.extend_from_slice(&[0xaa, 0xbb]);
-        let (parsed, payload) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
+        let (parsed, payload) = ClicHeader::decode(&frame(&Bytes::from(wire))).unwrap();
         assert_eq!(parsed, h);
         assert!(parsed.ce);
         assert_eq!(&payload[..], &[0xaa, 0xbb]);
@@ -390,7 +448,7 @@ mod tests {
         // A marked byte with a garbage low ptype still rejects.
         let mut bad = vec![0u8; 12];
         bad[0] = CE_BIT | 99;
-        assert!(ClicHeader::decode(&Bytes::from(bad)).is_none());
+        assert!(ClicHeader::decode(&frame(&Bytes::from(bad))).is_none());
     }
 
     #[test]

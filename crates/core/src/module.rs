@@ -19,15 +19,12 @@
 
 use crate::api::RecvMsg;
 use crate::config::{ClicConfig, CongestionConfig, CongestionMode};
-use crate::header::{
-    control, decode_msg_prefix, encode_msg_prefix, flags, ClicHeader, PacketType, CLIC_HEADER,
-    MSG_PREFIX,
-};
+use crate::header::{control, flags, ClicHeader, PacketType, CLIC_HEADER, MSG_PREFIX};
 use crate::reliable::{RecvOutcome, RecvWindow, SendWindow};
 use bytes::{BufMut, Bytes, BytesMut};
 use clic_ethernet::{EtherType, Frame, MacAddr, RoundRobin};
 use clic_os::driver::hard_start_xmit;
-use clic_os::{Kernel, PacketHandler, Pid, SkBuff};
+use clic_os::{DataLocation, Kernel, PacketHandler, Pid, SkBuff};
 use clic_sim::catalog::metric_id;
 use clic_sim::{Layer, MetricId, Sim, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -297,7 +294,12 @@ fn cong_gauges(sim: &mut Sim, c: &Congestion) {
 
 struct QueuedPacket {
     header: ClicHeader,
-    payload: Bytes,
+    /// The packet's data: a slice of the user's message until the packet
+    /// is staged, then the one kernel copy every later post sends.
+    body: Bytes,
+    location: DataLocation,
+    /// Whether a full TX ring has already staged this packet (counted and
+    /// charged once).
     staged: bool,
     trace: u64,
 }
@@ -797,15 +799,13 @@ impl ClicModule {
             seq: 0,
             len: (MSG_PREFIX + data.len()) as u32,
             ce: false,
+            msg: Some((msg_id, data.len() as u32)),
         };
-        let mut payload = BytesMut::with_capacity(MSG_PREFIX + data.len());
-        payload.put_slice(&encode_msg_prefix(msg_id, data.len() as u32));
-        payload.put_slice(&data);
-        let payload = payload.freeze();
-        let zero_copy = module.borrow().config.zero_copy;
         let kernel2 = kernel.clone();
         Kernel::cpu_task(&kernel, sim, cost, move |sim| {
-            let skb = Self::build_skb(header, &payload, zero_copy, opts.trace);
+            // Sent once, straight from the caller's buffer: the model
+            // charges no staging copy for a best-effort packet.
+            let skb = SkBuff::zero_copy(header.head(), data).with_trace(opts.trace);
             hard_start_xmit(
                 &kernel2,
                 sim,
@@ -822,14 +822,15 @@ impl ClicModule {
         });
     }
 
-    fn build_skb(header: ClicHeader, payload: &Bytes, zero_copy: bool, trace: u64) -> SkBuff {
-        let h = Bytes::copy_from_slice(&header.encode());
-        let skb = if zero_copy {
-            SkBuff::zero_copy(h, payload.clone())
-        } else {
-            SkBuff::staged(h, payload)
-        };
-        skb.with_trace(trace)
+    /// The SkBuff that sends a packet: its header (with the message prefix
+    /// on a message's first packet) and its data, where it lies.
+    fn build_skb(header: ClicHeader, body: &Bytes, location: DataLocation) -> SkBuff {
+        SkBuff {
+            header: header.head(),
+            data: body.clone(),
+            location,
+            trace: 0,
+        }
     }
 
     fn enqueue_message(
@@ -847,12 +848,10 @@ impl ClicModule {
             let max_chunk = m.max_chunk;
             let fresh = OutFlow::new(&m.config, now);
             let flow = m.out.entry(key).or_insert(fresh);
-            // First fragment carries the message prefix.
-            let mut first = BytesMut::with_capacity(MSG_PREFIX + data.len().min(max_chunk));
-            first.put_slice(&encode_msg_prefix(msg_id, data.len() as u32));
+            // The first fragment's header carries the message prefix; every
+            // fragment's data is a slice of the message, not a copy.
             let first_data = (max_chunk - MSG_PREFIX).min(data.len());
-            first.put_slice(&data[..first_data]);
-            let mut chunks = vec![first.freeze()];
+            let mut chunks = vec![data.slice(..first_data)];
             let mut off = first_data;
             while off < data.len() {
                 let end = (off + max_chunk).min(data.len());
@@ -869,16 +868,21 @@ impl ClicModule {
                 if i == last_idx && opts.confirm.is_some() {
                     f |= flags::CONFIRM;
                 }
+                let msg = (i == 0).then_some((msg_id, data.len() as u32));
+                let prefix = if msg.is_some() { MSG_PREFIX } else { 0 };
+                let len = (prefix + chunk.len()) as u32;
                 flow.queue.push_back(QueuedPacket {
                     header: ClicHeader {
                         ptype: opts.ptype,
                         flags: f,
                         channel: opts.channel,
                         seq,
-                        len: chunk.len() as u32,
+                        len,
                         ce: false,
+                        msg,
                     },
-                    payload: chunk,
+                    body: chunk,
+                    location: DataLocation::User,
                     staged: false,
                     trace: opts.trace,
                 });
@@ -972,12 +976,18 @@ impl ClicModule {
         module: &Rc<RefCell<ClicModule>>,
         sim: &mut Sim,
         key: FlowKey,
-        pkt: QueuedPacket,
+        mut pkt: QueuedPacket,
         dev: usize,
     ) {
         let kernel = Self::kernel(module);
-        let zero_copy = module.borrow().config.zero_copy && !pkt.staged;
-        let skb = Self::build_skb(pkt.header, &pkt.payload, zero_copy, pkt.trace);
+        if pkt.location == DataLocation::User && !module.borrow().config.zero_copy {
+            // 1-copy path: the first post stages the packet's data in
+            // kernel memory (the copy `module_tx` charged for the whole
+            // message), and the packet keeps that copy from then on.
+            pkt.body = Bytes::copy_from_slice(&pkt.body);
+            pkt.location = DataLocation::Kernel;
+        }
+        let skb = Self::build_skb(pkt.header, &pkt.body, pkt.location).with_trace(pkt.trace);
         let module2 = module.clone();
         hard_start_xmit(
             &kernel,
@@ -996,7 +1006,7 @@ impl ClicModule {
                             return; // flow torn down while the post ran
                         };
                         flow.posting -= 1;
-                        flow.window.on_sent(pkt.header, pkt.payload, now);
+                        flow.window.on_sent(pkt.header, pkt.body, pkt.location, now);
                     }
                     Self::ensure_rto(&module2, sim, key);
                     Self::pump(&module2, sim, key);
@@ -1024,12 +1034,16 @@ impl ClicModule {
                 .instant(sim.now(), Layer::Clic, "staged_copy", pkt.trace);
             pkt.staged = true;
             if m.config.zero_copy {
+                // The one copy of this packet's data: every later post and
+                // retransmission sends it.
+                pkt.body = Bytes::copy_from_slice(&pkt.body);
+                pkt.location = DataLocation::Kernel;
                 Some(
                     kernel
                         .borrow()
                         .costs
                         .copy
-                        .cost_observed(sim, pkt.payload.len()),
+                        .cost_observed(sim, pkt.header.len as usize),
                 )
             } else {
                 None // already staged by the 1-copy send path
@@ -1142,7 +1156,6 @@ impl ClicModule {
             sim.trace.instant(sim.now(), Layer::Clic, "rto", 0);
         }
         let kernel = Self::kernel(module);
-        let zero_copy = module.borrow().config.zero_copy;
         for pkt in resend {
             let (dev, _) = {
                 let mut m = module.borrow_mut();
@@ -1151,7 +1164,7 @@ impl ClicModule {
             };
             let mut header = pkt.header;
             header.flags |= flags::RETRANSMIT;
-            let skb = Self::build_skb(header, &pkt.payload, zero_copy, 0);
+            let skb = Self::build_skb(header, &pkt.payload, pkt.location);
             hard_start_xmit(&kernel, sim, dev, key.0, EtherType::CLIC, skb, |_, _| {});
         }
         Self::ensure_rto(module, sim, key);
@@ -1306,14 +1319,12 @@ impl ClicModule {
                     seq: 0,
                     len: 1,
                     ce: false,
+                    msg: None,
                 },
                 m.devices[slot],
             )
         };
-        let skb = SkBuff::zero_copy(
-            Bytes::copy_from_slice(&header.encode()),
-            Bytes::copy_from_slice(&[tag]),
-        );
+        let skb = SkBuff::zero_copy(header.head(), Bytes::copy_from_slice(&[tag]));
         hard_start_xmit(&kernel, sim, dev, key.0, EtherType::CLIC, skb, |_, _| {});
     }
 
@@ -1485,7 +1496,7 @@ impl ClicModule {
         if module.borrow().crashed {
             return; // dead kernels process no frames
         }
-        let Some((header, chunk)) = ClicHeader::decode(&frame.payload) else {
+        let Some((header, chunk)) = ClicHeader::decode(&frame) else {
             module.borrow_mut().stats.malformed += 1;
             return;
         };
@@ -1642,14 +1653,14 @@ impl ClicModule {
             sim.trace
                 .instant(sim.now(), Layer::Clic, "fast_retransmit", 0);
             let kernel = Self::kernel(module);
-            let (dev, zero_copy) = {
+            let dev = {
                 let mut m = module.borrow_mut();
                 let slot = m.bond.next_index();
-                (m.devices[slot], m.config.zero_copy)
+                m.devices[slot]
             };
             let mut hdr = pkt.header;
             hdr.flags |= flags::RETRANSMIT;
-            let skb = Self::build_skb(hdr, &pkt.payload, zero_copy, 0);
+            let skb = Self::build_skb(hdr, &pkt.payload, pkt.location);
             hard_start_xmit(&kernel, sim, dev, key.0, EtherType::CLIC, skb, |_, _| {});
         }
         if pump_needed {
@@ -1666,11 +1677,11 @@ impl ClicModule {
         chunk: Bytes,
         trace: u64,
     ) {
-        let Some((_msg_id, total)) = decode_msg_prefix(&chunk) else {
+        let Some((_msg_id, total)) = header.msg else {
             module.borrow_mut().stats.malformed += 1;
             return;
         };
-        if chunk.len() < MSG_PREFIX + total as usize {
+        if chunk.len() < total as usize {
             module.borrow_mut().stats.malformed += 1;
             return;
         }
@@ -1679,7 +1690,7 @@ impl ClicModule {
             src,
             channel: header.channel,
             ptype: header.ptype,
-            data: chunk.slice(MSG_PREFIX..MSG_PREFIX + total as usize),
+            data: chunk.slice(..total as usize),
         };
         Self::deliver_message(module, sim, msg, trace);
     }
@@ -1803,18 +1814,18 @@ impl ClicModule {
             None => {
                 let (_msg_id, total) =
                     // lint:allow(no-unwrap, reason="the send path always stamps the message prefix on the first fragment; in-order delivery is guaranteed by the recv window")
-                    decode_msg_prefix(&chunk).expect("first fragment lacks message prefix");
-                if chunk.len() - MSG_PREFIX >= total as usize {
+                    header.msg.expect("first fragment lacks message prefix");
+                if chunk.len() >= total as usize {
                     // Single-fragment message: the frame already holds it.
                     return Some(RecvMsg {
                         src,
                         channel: header.channel,
                         ptype: header.ptype,
-                        data: chunk.slice(MSG_PREFIX..),
+                        data: chunk,
                     });
                 }
                 let mut buf = BytesMut::with_capacity(total as usize);
-                buf.put_slice(&chunk[MSG_PREFIX..]);
+                buf.put_slice(&chunk);
                 Assembly {
                     total: total as usize,
                     buf,
@@ -1911,11 +1922,12 @@ impl ClicModule {
                     seq: ack_value,
                     len: advertised,
                     ce: echo,
+                    msg: None,
                 },
                 m.devices[slot],
             )
         };
-        let skb = SkBuff::zero_copy(Bytes::copy_from_slice(&header.encode()), Bytes::new());
+        let skb = SkBuff::zero_copy(header.head(), Bytes::new());
         // A lost or refused ACK is harmless: cumulative ACKs supersede it.
         hard_start_xmit(&kernel, sim, dev, key.0, EtherType::CLIC, skb, |_, _| {});
     }

@@ -15,16 +15,21 @@
 
 use crate::header::ClicHeader;
 use bytes::Bytes;
+use clic_os::DataLocation;
 use clic_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// A packet the sender must be able to retransmit.
 #[derive(Debug, Clone)]
 pub struct InflightPacket {
-    /// Header as originally sent.
+    /// Header as originally sent (with the message prefix on a message's
+    /// first packet).
     pub header: ClicHeader,
-    /// Payload (header-exclusive).
+    /// The data as it was posted: every retransmission sends this buffer.
     pub payload: Bytes,
+    /// Where `payload` lies: the user's message or the kernel copy staging
+    /// made.
+    pub location: DataLocation,
     /// How many times this packet has been retransmitted.
     pub retries: u32,
     /// When the packet first entered the network — the RTT sample base.
@@ -81,12 +86,19 @@ impl SendWindow {
 
     /// Record a packet as in flight at time `now`. Panics on duplicate
     /// sequence.
-    pub fn on_sent(&mut self, header: ClicHeader, payload: Bytes, now: SimTime) {
+    pub fn on_sent(
+        &mut self,
+        header: ClicHeader,
+        payload: Bytes,
+        location: DataLocation,
+        now: SimTime,
+    ) {
         let prev = self.inflight.insert(
             header.seq,
             InflightPacket {
                 header,
                 payload,
+                location,
                 retries: 0,
                 sent_at: now,
             },
@@ -133,9 +145,13 @@ impl SendWindow {
         self.inflight.len()
     }
 
-    /// Payload bytes currently unacknowledged (timeline instrumentation).
+    /// Payload bytes currently unacknowledged (timeline instrumentation):
+    /// each packet's `len`, its data plus a first packet's message prefix.
     pub fn inflight_bytes(&self) -> u64 {
-        self.inflight.values().map(|p| p.payload.len() as u64).sum()
+        self.inflight
+            .values()
+            .map(|p| u64::from(p.header.len))
+            .sum()
     }
 
     /// True when every sent packet has been acknowledged.
@@ -213,9 +229,13 @@ impl RecvWindow {
     }
 
     /// Payload bytes currently held in the out-of-order buffer — the
-    /// receive-buffer budget charges these against `recv_budget_bytes`.
+    /// receive-buffer budget charges these against `recv_budget_bytes`:
+    /// each packet's `len`, its data plus a first packet's message prefix.
     pub fn buffered_bytes(&self) -> usize {
-        self.ooo.values().map(|(_, payload)| payload.len()).sum()
+        self.ooo
+            .values()
+            .map(|(header, _)| header.len as usize)
+            .sum()
     }
 
     /// Offer an arriving data packet.
@@ -258,6 +278,7 @@ mod tests {
             seq,
             len: 1,
             ce: false,
+            msg: None,
         }
     }
 
@@ -271,7 +292,7 @@ mod tests {
         for _ in 0..2 {
             assert!(w.can_send());
             let s = w.alloc_seq();
-            w.on_sent(hdr(s), payload(0), SimTime::ZERO);
+            w.on_sent(hdr(s), payload(0), DataLocation::User, SimTime::ZERO);
         }
         assert!(!w.can_send());
         assert_eq!(w.inflight_len(), 2);
@@ -286,7 +307,7 @@ mod tests {
         let mut w = SendWindow::new(10);
         for _ in 0..5 {
             let s = w.alloc_seq();
-            w.on_sent(hdr(s), payload(0), SimTime::ZERO);
+            w.on_sent(hdr(s), payload(0), DataLocation::User, SimTime::ZERO);
         }
         assert_eq!(w.ack(4).acked, 4);
         assert_eq!(w.inflight_len(), 1);
@@ -300,7 +321,7 @@ mod tests {
         let mut w = SendWindow::new(10);
         for _ in 0..3 {
             let s = w.alloc_seq();
-            w.on_sent(hdr(s), payload(0), SimTime::ZERO);
+            w.on_sent(hdr(s), payload(0), DataLocation::User, SimTime::ZERO);
         }
         w.ack(3);
         assert_eq!(w.base(), 3);
@@ -313,7 +334,7 @@ mod tests {
         let mut w = SendWindow::new(10);
         for _ in 0..3 {
             let s = w.alloc_seq();
-            w.on_sent(hdr(s), payload(s as u8), SimTime::ZERO);
+            w.on_sent(hdr(s), payload(s as u8), DataLocation::User, SimTime::ZERO);
         }
         w.ack(1);
         let set = w.take_retransmit_set();
@@ -331,12 +352,22 @@ mod tests {
         let mut w = SendWindow::new(10);
         for i in 0..3u64 {
             let s = w.alloc_seq();
-            w.on_sent(hdr(s), payload(0), SimTime::ZERO + SimDuration::from_us(i));
+            w.on_sent(
+                hdr(s),
+                payload(0),
+                DataLocation::User,
+                SimTime::ZERO + SimDuration::from_us(i),
+            );
         }
         // Seq 0 and 1 time out and are retransmitted; seq 2 stays clean.
         w.take_retransmit_set();
         let fresh = w.alloc_seq();
-        w.on_sent(hdr(fresh), payload(0), SimTime::from_us(50));
+        w.on_sent(
+            hdr(fresh),
+            payload(0),
+            DataLocation::User,
+            SimTime::from_us(50),
+        );
         // Cumulative ACK covering 0..=2: only seq 2… but it was
         // retransmitted too (take_retransmit_set bumps every inflight).
         let s = w.ack(3);
@@ -353,7 +384,7 @@ mod tests {
         let mut w = SendWindow::new(10);
         for _ in 0..3 {
             let s = w.alloc_seq();
-            w.on_sent(hdr(s), payload(0), SimTime::ZERO);
+            w.on_sent(hdr(s), payload(0), DataLocation::User, SimTime::ZERO);
         }
         let p = w.retransmit_base().expect("packets in flight");
         assert_eq!(p.header.seq, 0);
@@ -368,8 +399,8 @@ mod tests {
     #[should_panic(expected = "sent twice")]
     fn duplicate_send_panics() {
         let mut w = SendWindow::new(4);
-        w.on_sent(hdr(0), payload(0), SimTime::ZERO);
-        w.on_sent(hdr(0), payload(0), SimTime::ZERO);
+        w.on_sent(hdr(0), payload(0), DataLocation::User, SimTime::ZERO);
+        w.on_sent(hdr(0), payload(0), DataLocation::User, SimTime::ZERO);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use bytes::Bytes;
 use clic_core::header::{decode_msg_prefix, encode_msg_prefix};
 use clic_core::reliable::{RecvOutcome, RecvWindow, SendWindow};
-use clic_core::{ClicHeader, PacketType};
+use clic_core::{ClicHeader, PacketType, MSG_PREFIX};
+use clic_ethernet::{EtherType, Frame, MacAddr};
+use clic_os::DataLocation;
 use clic_sim::SimTime;
 use proptest::prelude::*;
 
@@ -18,8 +20,22 @@ fn arb_ptype() -> impl Strategy<Value = PacketType> {
     ]
 }
 
+/// A CLIC frame whose wire image is `wire`, split after `cut` bytes into
+/// head and body.
+fn frame(wire: &[u8], cut: usize) -> Frame {
+    let cut = cut % (wire.len() + 1);
+    let (a, b) = (MacAddr::for_node(2, 0), MacAddr::for_node(1, 0));
+    let (head, body) = (
+        Bytes::copy_from_slice(&wire[..cut]),
+        Bytes::copy_from_slice(&wire[cut..]),
+    );
+    Frame::gather(a, b, EtherType::CLIC, head, body)
+}
+
 proptest! {
-    /// Header encode/decode roundtrip for arbitrary field values.
+    /// Header encode/decode roundtrip for arbitrary field values, with and
+    /// without a message prefix, however the frame splits into head and
+    /// body.
     #[test]
     fn header_roundtrip(
         ptype in arb_ptype(),
@@ -28,24 +44,29 @@ proptest! {
         seq in any::<u32>(),
         ce in any::<bool>(),
         payload in proptest::collection::vec(any::<u8>(), 0..2_000),
+        prefix in any::<(bool, u32, u32)>(),
+        cut in any::<usize>(),
     ) {
+        // ACKs carry no payload on the wire: their `len` field is the
+        // advertised receive window, not a byte count.
+        let is_ack = ptype == PacketType::Ack;
+        let msg = (prefix.0 && !is_ack).then_some((prefix.1, prefix.2));
+        let extra = if msg.is_some() { MSG_PREFIX } else { 0 };
         let h = ClicHeader {
             ptype,
             flags,
             channel,
             seq,
-            len: payload.len() as u32,
+            len: (extra + payload.len()) as u32,
             ce,
+            msg,
         };
-        let mut wire = h.encode().to_vec();
-        // ACKs carry no payload on the wire: their `len` field is the
-        // advertised receive window, not a byte count.
-        let is_ack = ptype == PacketType::Ack;
+        let mut wire = h.head().to_vec();
         if !is_ack {
             wire.extend_from_slice(&payload);
         }
         wire.resize(wire.len().max(46), 0); // Ethernet padding
-        let (parsed, body) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
+        let (parsed, body) = ClicHeader::decode(&frame(&wire, cut)).unwrap();
         prop_assert_eq!(parsed, h);
         if is_ack {
             prop_assert!(body.is_empty(), "ACK decode must not surface padding");
@@ -89,6 +110,7 @@ proptest! {
                 seq,
                 len: 1,
                 ce: false,
+                msg: None,
             };
             match w.offer(h, Bytes::from(vec![seq as u8])) {
                 RecvOutcome::Deliver(batch) => {
@@ -127,8 +149,10 @@ proptest! {
                         seq,
                         len: 0,
                         ce: false,
+                        msg: None,
                     },
                     Bytes::new(),
+                    DataLocation::User,
                     SimTime::ZERO,
                 );
                 sent += 1;
@@ -158,8 +182,10 @@ proptest! {
                     seq,
                     len: 0,
                     ce: false,
+                    msg: None,
                 },
                 Bytes::new(),
+                DataLocation::User,
                 SimTime::ZERO,
             );
         }

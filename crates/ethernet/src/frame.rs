@@ -5,9 +5,21 @@
 //! Frames carry real payload bytes so end-to-end integrity can be asserted
 //! in tests; the simulator passes `Frame` values around directly, so the
 //! wire image is only ever sized, never serialized.
+//!
+//! A frame's payload is a two-part gather list, as the NIC's
+//! scatter-gather DMA reads it: [`Frame::head`], the protocol header the
+//! sender composed, then [`Frame::body`], the data, shared by reference
+//! with whoever owns it (user memory on CLIC's 0-copy path, a socket or
+//! staging buffer otherwise). The wire image is `head` followed by `body`;
+//! sizes and wire time count both, and where the split falls changes
+//! nothing a receiver sees. Receivers read a header through
+//! [`Frame::split_header`], which copies the header bytes out and returns
+//! the data behind them without copying it. Frames built in one piece
+//! (NIC fragments and their reassembly, collective messages) have an
+//! empty head.
 
 use crate::mac::{EtherType, MacAddr};
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use clic_sim::SimDuration;
 
 /// Level-1 Ethernet header: dst(6) + src(6) + type(2).
@@ -30,8 +42,12 @@ pub struct Frame {
     pub src: MacAddr,
     /// Payload protocol.
     pub ethertype: EtherType,
-    /// Payload bytes (the level-2+ content, e.g. CLIC header + user data).
-    pub payload: Bytes,
+    /// First part of the payload: the protocol header (e.g. the 12-byte
+    /// CLIC header), empty for a frame built in one piece.
+    pub head: Bytes,
+    /// Second part of the payload: the data behind the header, shared with
+    /// its owner, never copied to build the frame.
+    pub body: Bytes,
     /// Out-of-band instrumentation: pipeline-trace id (0 = untraced). Not
     /// part of the wire image; carried across the simulated wire so the
     /// receive side can attribute its stages to the same packet (Figure 7).
@@ -44,15 +60,27 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Build a frame. The payload length must fit the 16-bit-ish sizes the
-    /// simulator works with; MTU enforcement happens at the NIC, which knows
-    /// its configured MTU.
-    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: Bytes) -> Frame {
+    /// Build a frame whose payload is one buffer (an empty head). MTU
+    /// enforcement happens at the NIC, which knows its configured MTU.
+    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, body: Bytes) -> Frame {
+        Frame::gather(dst, src, ethertype, Bytes::new(), body)
+    }
+
+    /// Build a frame from a protocol header and the data behind it, each
+    /// taken as it is.
+    pub fn gather(
+        dst: MacAddr,
+        src: MacAddr,
+        ethertype: EtherType,
+        head: Bytes,
+        body: Bytes,
+    ) -> Frame {
         Frame {
             dst,
             src,
             ethertype,
-            payload,
+            head,
+            body,
             trace: 0,
             fcs_corrupt: false,
         }
@@ -64,9 +92,42 @@ impl Frame {
         self
     }
 
+    /// Payload length: head plus body.
+    pub fn payload_len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+
+    /// The first `N` payload bytes, a protocol header, copied out by value,
+    /// and the payload bytes after them; `None` when the payload is
+    /// shorter than `N`.
+    ///
+    /// The rest is `body` itself, or a slice of it, whenever the head holds
+    /// no more than the header — the case for every protocol here, which
+    /// puts exactly its header in the head, and for one-piece frames. Only
+    /// a head longer than `N` leaves header-side bytes to gather into one
+    /// new buffer with the body.
+    pub fn split_header<const N: usize>(&self) -> Option<([u8; N], Bytes)> {
+        if self.payload_len() < N {
+            return None;
+        }
+        let mut header = [0u8; N];
+        let in_head = self.head.len().min(N);
+        header[..in_head].copy_from_slice(&self.head[..in_head]);
+        header[in_head..].copy_from_slice(&self.body[..N - in_head]);
+        let rest = if self.head.len() <= N {
+            self.body.slice(N - in_head..)
+        } else {
+            let mut rest = BytesMut::with_capacity(self.payload_len() - N);
+            rest.put_slice(&self.head[N..]);
+            rest.put_slice(&self.body);
+            rest.freeze()
+        };
+        Some((header, rest))
+    }
+
     /// Bytes of the frame proper: header + padded payload + CRC.
     pub fn frame_bytes(&self) -> usize {
-        ETH_HEADER + self.payload.len().max(ETH_MIN_PAYLOAD) + ETH_CRC
+        ETH_HEADER + self.payload_len().max(ETH_MIN_PAYLOAD) + ETH_CRC
     }
 
     /// Bytes the frame occupies on the wire, including preamble and IFG.

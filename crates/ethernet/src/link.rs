@@ -468,7 +468,7 @@ mod tests {
         link.borrow_mut().attach(
             end,
             Rc::new(move |sim: &mut Sim, f: Frame| {
-                l.borrow_mut().push((sim.now(), f.payload.len()));
+                l.borrow_mut().push((sim.now(), f.payload_len()));
             }),
         );
         log

@@ -19,13 +19,15 @@
 //! [`Switch::try_set_mark_threshold`] arms an ECN-style scheme where a CLIC
 //! frame enqueued while the output backlog is at or above the threshold has
 //! its congestion-experienced bit set (bit 7 of the first payload byte, the
-//! high bit of the CLIC packet-type octet) rather than being dropped. Off by
-//! default — an unarmed switch forwards frames byte-identically.
+//! high bit of the CLIC packet-type octet) rather than being dropped. The
+//! mark rewrites the frame's head — the 12-byte CLIC header — and leaves
+//! the data in its body as it is, uncopied. Off by default — an unarmed
+//! switch forwards frames byte-identically.
 
 use crate::frame::Frame;
 use crate::link::{Link, LinkEnd};
 use crate::mac::{EtherType, MacAddr};
-use bytes::Bytes;
+use bytes::{BufMut, BytesMut};
 use clic_sim::catalog::metric_id;
 use clic_sim::{Layer, MetricId, Sim, SimDuration};
 use std::cell::RefCell;
@@ -46,8 +48,12 @@ const FLOOD_PRUNED: MetricId = metric_id("eth.fabric.flood_pruned");
 /// Congestion-experienced bit: the high bit of the CLIC packet-type octet
 /// (payload byte 0 of a CLIC-EtherType frame). Mirrors `clic_core::CE_BIT`;
 /// the ethernet crate sits below clic-core in the dependency graph, so the
-/// wire-format constant is restated here rather than imported.
+/// wire-format constants are restated here rather than imported.
 const CE_BIT: u8 = 0x80;
+
+/// The packet-type bits of the same octet (`clic_core::header::PTYPE_MASK`):
+/// bit 6 marks a message's first packet and bit 7 is [`CE_BIT`].
+const PTYPE_MASK: u8 = 0x3f;
 
 /// Switch configuration rejected at set-time.
 ///
@@ -334,19 +340,32 @@ impl Switch {
             return false;
         }
         matches!(
-            frame.payload.first().map(|b| b & !CE_BIT),
+            frame
+                .head
+                .first()
+                .or(frame.body.first())
+                .map(|b| b & PTYPE_MASK),
             Some(1 | 3 | 4 | 6)
         )
     }
 
-    /// Return the frame with its congestion-experienced bit set. Ethernet
-    /// payloads are immutable shared buffers, so a marked frame pays one
-    /// payload copy — the simulated analogue of the store-and-forward
-    /// switch rewriting the octet as it serializes the frame out.
+    /// Return the frame with its congestion-experienced bit set — the
+    /// simulated analogue of the store-and-forward switch rewriting the
+    /// octet as it serializes the frame out. Payload buffers are immutable
+    /// and shared, so the mark writes a new head: a copy of the CLIC
+    /// header, or, for a frame built in one piece, the marked first byte
+    /// split off the body. The data is never copied.
     fn set_ce(mut frame: Frame) -> Frame {
-        let mut bytes = frame.payload.to_vec();
-        bytes[0] |= CE_BIT;
-        frame.payload = Bytes::from(bytes);
+        let (first, rest) = if frame.head.is_empty() {
+            (frame.body.slice(..1), frame.body.slice(1..))
+        } else {
+            (frame.head.clone(), frame.body.clone())
+        };
+        let mut head = BytesMut::with_capacity(first.len());
+        head.put_slice(&first);
+        head[0] |= CE_BIT;
+        frame.head = head.freeze();
+        frame.body = rest;
         frame
     }
 }
@@ -357,6 +376,12 @@ mod tests {
     use crate::mac::EtherType;
     use bytes::Bytes;
     use clic_sim::SimTime;
+    use proptest::prelude::*;
+
+    /// A frame's wire image: head, then body.
+    fn wire(f: &Frame) -> Vec<u8> {
+        [&f.head[..], &f.body[..]].concat()
+    }
 
     /// Three stations on a switch; station i is end A of link i, the switch
     /// holds end B.
@@ -476,7 +501,7 @@ mod tests {
         let f = Frame::new(station(1), station(0), EtherType::CLIC, payload.clone());
         Link::transmit(&net.links[0], &mut sim, LinkEnd::A, f);
         sim.run();
-        assert_eq!(net.rx[1].borrow()[0].1.payload, payload);
+        assert_eq!(wire(&net.rx[1].borrow()[0].1), payload[..]);
     }
 
     #[test]
@@ -531,7 +556,7 @@ mod tests {
     /// preloaded jumbos.
     fn test_frame(net: &Net, port: usize) -> Option<Frame> {
         let log = net.rx[port].borrow();
-        let mut hits = log.iter().filter(|(_, f)| f.payload.len() == 100);
+        let mut hits = log.iter().filter(|(_, f)| f.payload_len() == 100);
         let found = hits.next().map(|(_, f)| f.clone());
         assert!(hits.next().is_none(), "expected at most one test frame");
         found
@@ -549,7 +574,7 @@ mod tests {
             send(&net, &mut sim, 0, station(1), 1); // ptype 1 = Data
             sim.run();
             let f = test_frame(&net, 1).expect("frame delivered");
-            assert_eq!(f.payload[0] & 0x80 != 0, expect_marked, "preload={preload}");
+            assert_eq!(wire(&f)[0] & 0x80 != 0, expect_marked, "preload={preload}");
             assert_eq!(
                 sim.metrics.counter("eth.switch.ecn_marks"),
                 u64::from(expect_marked),
@@ -585,7 +610,7 @@ mod tests {
         send(&net, &mut sim, 0, station(1), 2); // ptype 2 = Ack
         sim.run();
         let f = test_frame(&net, 1).expect("ack delivered");
-        assert_eq!(f.payload[0], 2, "ack payload untouched");
+        assert_eq!(wire(&f)[0], 2, "ack payload untouched");
         assert_eq!(sim.metrics.counter("eth.switch.ecn_marks"), 0);
     }
 
@@ -633,5 +658,71 @@ mod tests {
         let dropped = sim.metrics.counter("eth.switch.drops");
         assert_eq!(delivered + dropped, 40);
         assert!(dropped > 0, "expected tail drops, delivered={delivered}");
+    }
+
+    proptest! {
+        /// However a payload is split between head and body (an empty head
+        /// and an empty body included), the frame sizes, serializes, reads
+        /// its headers and takes a CE mark exactly as a one-piece frame
+        /// holding the concatenation does — and neither the header split
+        /// nor the mark copies the body.
+        #[test]
+        fn any_head_body_split_matches_the_concatenation(
+            payload in proptest::collection::vec(any::<u8>(), 0..9_101),
+            ptype in 0u8..8,
+            cut in any::<usize>(),
+            shape in 0u8..3,
+        ) {
+            let mut payload = payload;
+            if let Some(b) = payload.first_mut() {
+                *b = ptype | (*b & 0xc0);
+            }
+            let at = match shape {
+                0 => 0,
+                1 => payload.len(),
+                _ => cut % (payload.len() + 1),
+            };
+            let whole = Bytes::from(payload.clone());
+            let one = Frame::new(station(1), station(0), EtherType::CLIC, whole.clone());
+            let two = Frame::gather(
+                station(1),
+                station(0),
+                EtherType::CLIC,
+                Bytes::copy_from_slice(&payload[..at]),
+                whole.slice(at..),
+            );
+            prop_assert_eq!(wire(&two), payload.clone());
+            prop_assert_eq!(two.payload_len(), one.payload_len());
+            prop_assert_eq!(two.frame_bytes(), one.frame_bytes());
+            prop_assert_eq!(two.wire_bytes(), one.wire_bytes());
+            prop_assert_eq!(two.wire_time(1_000_000_000), one.wire_time(1_000_000_000));
+            fn check<const N: usize>(one: &Frame, two: &Frame) {
+                let (a, b) = (one.split_header::<N>(), two.split_header::<N>());
+                assert_eq!(a.is_some(), b.is_some(), "N={N}");
+                let (Some((ha, ra)), Some((hb, rb))) = (a, b) else { return };
+                assert_eq!(ha, hb, "N={N}");
+                assert_eq!(ra, rb, "N={N}");
+                if two.head.len() <= N && !rb.is_empty() {
+                    let skip = N - two.head.len();
+                    assert_eq!(rb.as_ptr(), two.body[skip..].as_ptr(), "rest copied, N={N}");
+                }
+            }
+            check::<1>(&one, &two);
+            check::<8>(&one, &two);
+            check::<12>(&one, &two);
+            check::<40>(&one, &two);
+            prop_assert_eq!(Switch::markable(&two), Switch::markable(&one));
+            if !payload.is_empty() {
+                let body_at = two.body.as_ptr();
+                let head_was_empty = two.head.is_empty();
+                let (one, two) = (Switch::set_ce(one), Switch::set_ce(two));
+                prop_assert_eq!(wire(&two), wire(&one));
+                prop_assert_eq!(wire(&two)[0], payload[0] | CE_BIT);
+                if !two.body.is_empty() {
+                    let moved = usize::from(head_was_empty);
+                    prop_assert_eq!(two.body.as_ptr(), body_at.wrapping_add(moved));
+                }
+            }
+        }
     }
 }

@@ -190,17 +190,18 @@ impl GammaModule {
             let (_dev, chunks, cost) = {
                 let mut m = module2.borrow_mut();
                 m.stats.msgs_sent += 1;
+                // Each packet is its 8-byte header and a slice of the
+                // message, sent from user memory as it lies.
                 let mut chunks = Vec::new();
                 let total = data.len();
                 let mut off = 0usize;
                 loop {
                     let end = (off + m.max_chunk).min(total);
-                    let mut pkt = BytesMut::with_capacity(GAMMA_HEADER + end - off);
-                    pkt.put_u16(port);
-                    pkt.put_u32(total as u32);
-                    pkt.put_u16((off / m.max_chunk) as u16);
-                    pkt.put_slice(&data[off..end]);
-                    chunks.push(pkt.freeze());
+                    let mut head = BytesMut::with_capacity(GAMMA_HEADER);
+                    head.put_u16(port);
+                    head.put_u32(total as u32);
+                    head.put_u16((off / m.max_chunk) as u16);
+                    chunks.push((head.freeze(), data.slice(off..end)));
                     if end >= total {
                         break;
                     }
@@ -232,19 +233,18 @@ impl GammaModule {
             let delivery = {
                 let mut m = module2.borrow_mut();
                 m.stats.packets_received += 1;
-                let p = &frame.payload;
-                if p.len() < GAMMA_HEADER {
+                let Some((p, rest)): Option<([u8; GAMMA_HEADER], _)> = frame.split_header() else {
                     return;
-                }
+                };
                 let port = u16::from_be_bytes([p[0], p[1]]);
                 let total = u32::from_be_bytes([p[2], p[3], p[4], p[5]]) as usize;
                 let index = u16::from_be_bytes([p[6], p[7]]) as usize;
                 let chunk_cap = m.max_chunk;
                 let body_len = (total - (index * chunk_cap).min(total)).min(chunk_cap);
-                if p.len() < GAMMA_HEADER + body_len {
+                if rest.len() < body_len {
                     return; // truncated
                 }
-                let body = p.slice(GAMMA_HEADER..GAMMA_HEADER + body_len);
+                let body = rest.slice(..body_len);
                 if index == 0 {
                     if m.assembling.remove(&frame.src).is_some() {
                         m.stats.broken_messages += 1;
@@ -294,20 +294,20 @@ impl GammaModule {
     }
 }
 
-/// Post `chunks` to the NIC strictly in order, retrying a refused post
-/// after a short spin.
+/// Post `chunks` (each a header and its data) to the NIC strictly in
+/// order, retrying a refused post after a short spin.
 fn post_in_order(
     kernel: &Rc<RefCell<Kernel>>,
     sim: &mut Sim,
     dst: MacAddr,
-    mut chunks: std::collections::VecDeque<Bytes>,
+    mut chunks: std::collections::VecDeque<(Bytes, Bytes)>,
     retries: u32,
 ) {
     let Some(pkt) = chunks.pop_front() else {
         return;
     };
     let kernel2 = kernel.clone();
-    let skb = SkBuff::zero_copy(Bytes::new(), pkt.clone());
+    let skb = SkBuff::zero_copy(pkt.0.clone(), pkt.1.clone());
     hard_start_xmit(
         kernel,
         sim,

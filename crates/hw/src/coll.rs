@@ -30,7 +30,7 @@
 //!   in `clic-ethernet::topology`).
 
 use bytes::Bytes;
-use clic_ethernet::MacAddr;
+use clic_ethernet::{Frame, MacAddr};
 use clic_sim::{Sim, SimDuration};
 use std::collections::BTreeMap;
 
@@ -153,23 +153,23 @@ impl CollMsg {
         Bytes::from(out)
     }
 
-    /// Decode a frame payload (ignoring any minimum-frame padding past the
-    /// message body). Returns `None` for malformed payloads.
-    pub fn decode(payload: &Bytes) -> Option<CollMsg> {
-        let (&op, rest) = payload.split_first()?;
-        let seq = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?);
+    /// Decode a frame's message (ignoring any minimum-frame padding past
+    /// the message body). Returns `None` for malformed payloads.
+    pub fn decode(frame: &Frame) -> Option<CollMsg> {
+        let ([op, s0, s1, s2, s3], rest) = frame.split_header()?;
+        let seq = u32::from_be_bytes([s0, s1, s2, s3]);
         let val =
-            |b: &[u8]| -> Option<u64> { Some(u64::from_be_bytes(b.get(4..12)?.try_into().ok()?)) };
+            |b: &[u8]| -> Option<u64> { Some(u64::from_be_bytes(b.get(..8)?.try_into().ok()?)) };
         match op {
             1 => Some(CollMsg::Arrive { seq }),
             2 => Some(CollMsg::Release { seq }),
             3 => Some(CollMsg::Combine {
                 seq,
-                value: val(rest)?,
+                value: val(&rest)?,
             }),
             4 => Some(CollMsg::Result {
                 seq,
-                value: val(rest)?,
+                value: val(&rest)?,
             }),
             _ => None,
         }

@@ -22,6 +22,7 @@
 //! can hand the reassembled packet to the right protocol.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use clic_ethernet::Frame;
 use std::collections::BTreeMap;
 
 /// Size of the shim header, bytes.
@@ -51,12 +52,10 @@ impl FragHeader {
         out
     }
 
-    /// Parse the shim from the front of a fragment payload; the body is a
-    /// slice of `buf`, not a copy.
-    pub fn decode(buf: &Bytes) -> Option<(FragHeader, Bytes)> {
-        if buf.len() < FRAG_HEADER {
-            return None;
-        }
+    /// Parse the shim from the front of a fragment frame; the piece behind
+    /// it is the frame's data, not a copy.
+    pub fn decode(frame: &Frame) -> Option<(FragHeader, Bytes)> {
+        let (buf, piece): ([u8; FRAG_HEADER], _) = frame.split_header()?;
         let packet_id = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
         let header = FragHeader {
             packet_id,
@@ -67,21 +66,30 @@ impl FragHeader {
         if header.count == 0 || header.index >= header.count {
             return None;
         }
-        Some((header, buf.slice(FRAG_HEADER..)))
+        Some((header, piece))
     }
 }
 
-/// Split `payload` into fragments of at most `mtu` bytes each (including
-/// the shim). Panics if the split needs more than 255 fragments.
-pub fn fragment(packet_id: u32, ethertype: u16, payload: &Bytes, mtu: usize) -> Vec<Bytes> {
+/// Split the payload `head` followed by `body` (a descriptor's two gather
+/// entries) into fragments of at most `mtu` bytes each (including the
+/// shim); each fragment is built in one buffer. Panics if the split needs
+/// more than 255 fragments.
+pub fn fragment(
+    packet_id: u32,
+    ethertype: u16,
+    head: &[u8],
+    body: &[u8],
+    mtu: usize,
+) -> Vec<Bytes> {
     assert!(mtu > FRAG_HEADER, "MTU too small for fragment shim");
     let chunk = mtu - FRAG_HEADER;
-    let count = payload.len().div_ceil(chunk).max(1);
+    let len = head.len() + body.len();
+    let count = len.div_ceil(chunk).max(1);
     assert!(count <= 255, "packet needs {count} fragments (max 255)");
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
         let start = i * chunk;
-        let end = (start + chunk).min(payload.len());
+        let end = (start + chunk).min(len);
         let header = FragHeader {
             packet_id,
             index: i as u8,
@@ -90,7 +98,9 @@ pub fn fragment(packet_id: u32, ethertype: u16, payload: &Bytes, mtu: usize) -> 
         };
         let mut buf = BytesMut::with_capacity(FRAG_HEADER + end - start);
         buf.put_slice(&header.encode());
-        buf.put_slice(&payload[start..end]);
+        let h = head.len();
+        buf.put_slice(&head[start.min(h)..end.min(h)]);
+        buf.put_slice(&body[start.max(h) - h..end.max(h) - h]);
         out.push(buf.freeze());
     }
     out
@@ -109,10 +119,11 @@ impl Reassembler {
         Self::default()
     }
 
-    /// Offer one fragment payload (shim included) from `source`. Returns the
-    /// reassembled packet when this fragment completes it.
-    pub fn offer(&mut self, source: u64, buf: &Bytes) -> Option<Bytes> {
-        let (header, body) = FragHeader::decode(buf)?;
+    /// Offer one fragment frame from `source`. Returns the completed
+    /// packet's shim (it names the original EtherType) and the reassembled
+    /// packet when this fragment completes it.
+    pub fn offer(&mut self, source: u64, frame: &Frame) -> Option<(FragHeader, Bytes)> {
+        let (header, body) = FragHeader::decode(frame)?;
         let key = (source, header.packet_id);
         let slots = self
             .partial
@@ -131,7 +142,7 @@ impl Reassembler {
             for s in slots {
                 out.put_slice(&s.unwrap());
             }
-            Some(out.freeze())
+            Some((header, out.freeze()))
         } else {
             None
         }
@@ -146,9 +157,21 @@ impl Reassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clic_ethernet::{EtherType, MacAddr};
 
     fn payload(n: usize) -> Bytes {
         Bytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<_>>())
+    }
+
+    /// A fragment as the NIC receives it: a one-piece FRAG frame.
+    fn piece(buf: &Bytes) -> Frame {
+        let (a, b) = (MacAddr::for_node(2, 0), MacAddr::for_node(1, 0));
+        Frame::new(a, b, EtherType::FRAG, buf.clone())
+    }
+
+    /// Offer a fragment buffer; the reassembled packet if it completes one.
+    fn offer(r: &mut Reassembler, source: u64, buf: &Bytes) -> Option<Bytes> {
+        r.offer(source, &piece(buf)).map(|(_, packet)| packet)
     }
 
     #[test]
@@ -162,7 +185,7 @@ mod tests {
         let mut buf = h.encode().to_vec();
         buf.extend_from_slice(b"body");
         let buf = Bytes::from(buf);
-        let (parsed, body) = FragHeader::decode(&buf).unwrap();
+        let (parsed, body) = FragHeader::decode(&piece(&buf)).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(&body[..], b"body");
         // The body is a view into the fragment, not a copy.
@@ -171,14 +194,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_shims() {
-        assert!(FragHeader::decode(&Bytes::from(vec![0; 4])).is_none()); // short
+        assert!(FragHeader::decode(&piece(&Bytes::from(vec![0; 4]))).is_none()); // short
         let h = FragHeader {
             packet_id: 1,
             index: 5,
             count: 5,
             ethertype: 0,
         };
-        assert!(FragHeader::decode(&Bytes::from(h.encode().to_vec())).is_none()); // index >= count
+        assert!(FragHeader::decode(&piece(&Bytes::from(h.encode().to_vec()))).is_none()); // index >= count
         let z = FragHeader {
             packet_id: 1,
             index: 0,
@@ -186,13 +209,13 @@ mod tests {
             ethertype: 0,
         };
         let zero_count = Bytes::from(z.encode().to_vec());
-        assert!(FragHeader::decode(&zero_count).is_none());
+        assert!(FragHeader::decode(&piece(&zero_count)).is_none());
     }
 
     #[test]
     fn fragment_sizes_respect_mtu() {
         let p = payload(10_000);
-        let frags = fragment(1, 0x88B5, &p, 1500);
+        let frags = fragment(1, 0x88B5, &[], &p, 1500);
         assert_eq!(frags.len(), 10_000usize.div_ceil(1500 - FRAG_HEADER));
         for f in &frags {
             assert!(f.len() <= 1500);
@@ -200,13 +223,26 @@ mod tests {
     }
 
     #[test]
+    fn two_gather_entries_fragment_like_their_concatenation() {
+        let p = payload(10_000);
+        let whole = fragment(5, 0x88B5, &[], &p, 1500);
+        for cut in [0, 1, 12, 1491, 1492, 1493, 5_000, 10_000] {
+            assert_eq!(
+                fragment(5, 0x88B5, &p[..cut], &p[cut..], 1500),
+                whole,
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[test]
     fn reassembly_in_order() {
         let p = payload(10_000);
-        let frags = fragment(7, 0x88B5, &p, 1500);
+        let frags = fragment(7, 0x88B5, &[], &p, 1500);
         let mut r = Reassembler::new();
         let mut result = None;
         for f in &frags {
-            result = r.offer(1, f);
+            result = offer(&mut r, 1, f);
         }
         assert_eq!(result.unwrap(), p);
         assert_eq!(r.pending(), 0);
@@ -215,12 +251,12 @@ mod tests {
     #[test]
     fn reassembly_out_of_order() {
         let p = payload(5_000);
-        let mut frags = fragment(9, 0x88B5, &p, 1000);
+        let mut frags = fragment(9, 0x88B5, &[], &p, 1000);
         frags.reverse();
         let mut r = Reassembler::new();
         let mut result = None;
         for f in &frags {
-            result = r.offer(1, f);
+            result = offer(&mut r, 1, f);
         }
         assert_eq!(result.unwrap(), p);
     }
@@ -229,15 +265,15 @@ mod tests {
     fn interleaved_sources_do_not_collide() {
         let pa = payload(3000);
         let pb = Bytes::from(vec![0xffu8; 3000]);
-        let fa = fragment(1, 0x88B5, &pa, 1000);
-        let fb = fragment(1, 0x88B5, &pb, 1000); // same packet id, different source
+        let fa = fragment(1, 0x88B5, &[], &pa, 1000);
+        let fb = fragment(1, 0x88B5, &[], &pb, 1000); // same packet id, different source
         let mut r = Reassembler::new();
         let mut out = Vec::new();
         for (a, b) in fa.iter().zip(fb.iter()) {
-            if let Some(p) = r.offer(1, a) {
+            if let Some(p) = offer(&mut r, 1, a) {
                 out.push((1u64, p));
             }
-            if let Some(p) = r.offer(2, b) {
+            if let Some(p) = offer(&mut r, 2, b) {
                 out.push((2u64, p));
             }
         }
@@ -249,25 +285,25 @@ mod tests {
     #[test]
     fn single_fragment_packet() {
         let p = payload(100);
-        let frags = fragment(3, 0x88B5, &p, 1500);
+        let frags = fragment(3, 0x88B5, &[], &p, 1500);
         assert_eq!(frags.len(), 1);
         let mut r = Reassembler::new();
-        assert_eq!(r.offer(1, &frags[0]).unwrap(), p);
+        assert_eq!(offer(&mut r, 1, &frags[0]).unwrap(), p);
     }
 
     #[test]
     fn empty_payload_still_one_fragment() {
         let p = Bytes::new();
-        let frags = fragment(4, 0x88B5, &p, 1500);
+        let frags = fragment(4, 0x88B5, &[], &p, 1500);
         assert_eq!(frags.len(), 1);
         let mut r = Reassembler::new();
-        assert_eq!(r.offer(1, &frags[0]).unwrap(), p);
+        assert_eq!(offer(&mut r, 1, &frags[0]).unwrap(), p);
     }
 
     #[test]
     #[should_panic(expected = "max 255")]
     fn oversize_packet_rejected() {
         let p = payload(300_000);
-        fragment(1, 0x88B5, &p, 1000);
+        fragment(1, 0x88B5, &[], &p, 1000);
     }
 }

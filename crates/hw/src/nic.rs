@@ -91,17 +91,21 @@ impl NicConfig {
     }
 }
 
-/// A TX request from the driver. `payload` is the level-2 payload; the NIC
-/// prepends nothing — the caller composed the Ethernet addressing here.
+/// A TX request from the driver: a scatter-gather descriptor whose level-2
+/// payload is `head` followed by `body`, each read from host memory where
+/// it lies. The NIC prepends nothing — the caller composed the Ethernet
+/// addressing here.
 #[derive(Debug, Clone)]
 pub struct TxDescriptor {
     /// Destination MAC.
     pub dst: MacAddr,
     /// EtherType of the payload.
     pub ethertype: EtherType,
-    /// Packet payload. May exceed the MTU only with TX fragmentation
-    /// offload enabled.
-    pub payload: Bytes,
+    /// First gather entry: the protocol header.
+    pub head: Bytes,
+    /// Second gather entry: the data. Together with `head` it may exceed
+    /// the MTU only with TX fragmentation offload enabled.
+    pub body: Bytes,
     /// Pipeline-trace id (0 = untraced).
     pub trace: u64,
 }
@@ -277,11 +281,11 @@ impl Nic {
             }
             let src = n.mac;
             let mut frames = Vec::new();
-            if desc.payload.len() > n.config.mtu {
+            let len = desc.head.len() + desc.body.len();
+            if len > n.config.mtu {
                 assert!(
                     n.config.tx_frag_offload,
-                    "payload {} exceeds MTU {} without TX fragmentation offload",
-                    desc.payload.len(),
+                    "payload {len} exceeds MTU {} without TX fragmentation offload",
                     n.config.mtu
                 );
                 // Firmware-level fragmentation: one oversized descriptor
@@ -290,15 +294,23 @@ impl Nic {
                 // not stage the whole super-packet first).
                 let id = n.next_frag_id;
                 n.next_frag_id += 1;
-                for piece in frag::fragment(id, desc.ethertype.0, &desc.payload, n.config.mtu) {
+                let pieces =
+                    frag::fragment(id, desc.ethertype.0, &desc.head, &desc.body, n.config.mtu);
+                for piece in pieces {
                     frames.push(
                         Frame::new(desc.dst, src, EtherType::FRAG, piece).with_trace(desc.trace),
                     );
                 }
             } else {
                 frames.push(
-                    Frame::new(desc.dst, src, desc.ethertype, desc.payload.clone())
-                        .with_trace(desc.trace),
+                    Frame::gather(
+                        desc.dst,
+                        src,
+                        desc.ethertype,
+                        desc.head.clone(),
+                        desc.body.clone(),
+                    )
+                    .with_trace(desc.trace),
                 );
             }
             n.tx_in_flight += 1;
@@ -360,10 +372,10 @@ impl Nic {
             return;
         };
         let pci = nic.borrow().pci.clone();
-        let dma_bytes = ETH_HEADER + frame.payload.len();
+        let dma_bytes = ETH_HEADER + frame.payload_len();
         let nic2 = nic.clone();
         pci.dma(sim, dma_bytes, move |sim| {
-            sim.record(TX_BYTES, frame.payload.len() as u64);
+            sim.record(TX_BYTES, frame.payload_len() as u64);
             let (link, end, internal_copy) = {
                 let mut n = nic2.borrow_mut();
                 n.stats.tx_frames += 1;
@@ -429,7 +441,7 @@ impl Nic {
         {
             let mut n = nic.borrow_mut();
             // RX buffers are MTU-sized: longer frames cannot be stored.
-            if frame.payload.len() > n.config.mtu {
+            if frame.payload_len() > n.config.mtu {
                 n.stats.rx_oversize += 1;
                 return;
             }
@@ -444,7 +456,7 @@ impl Nic {
             // Bus-master receive: move the frame to a host ring buffer
             // first, then raise the (coalesced) interrupt.
             let pci = nic.borrow().pci.clone();
-            let bytes = ETH_HEADER + frame.payload.len();
+            let bytes = ETH_HEADER + frame.payload_len();
             let nic2 = nic.clone();
             if frame.trace != 0 {
                 sim.trace
@@ -565,7 +577,7 @@ impl Nic {
     /// A collective control frame arrived off the wire: decode, account,
     /// and feed the engine after the firmware processing delay.
     fn coll_on_frame(nic: &Rc<RefCell<Nic>>, sim: &mut Sim, frame: Frame) {
-        let Some(msg) = CollMsg::decode(&frame.payload) else {
+        let Some(msg) = CollMsg::decode(&frame) else {
             return;
         };
         let (delay, trace) = {
@@ -651,11 +663,8 @@ impl Nic {
                     .0
                     .iter()
                     .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
-                match (
-                    frag::FragHeader::decode(&frame.payload),
-                    n.reasm.offer(src_key, &frame.payload),
-                ) {
-                    (Some((h, _)), Some(packet)) => {
+                match n.reasm.offer(src_key, &frame) {
+                    Some((h, packet)) => {
                         let whole =
                             Frame::new(frame.dst, frame.src, EtherType(h.ethertype), packet)
                                 .with_trace(frame.trace);
@@ -666,7 +675,7 @@ impl Nic {
                         n.stats.rx_frames += 1;
                         true
                     }
-                    _ => false,
+                    None => false,
                 }
             } else {
                 n.host_queue.push_back(RxPacket {
@@ -836,6 +845,11 @@ impl Nic {
 mod tests {
     use super::*;
 
+    /// A frame's wire image: head, then body.
+    fn wire(f: &Frame) -> Vec<u8> {
+        [&f.head[..], &f.body[..]].concat()
+    }
+
     /// Two NICs wired back-to-back on a gigabit link, each with its own
     /// PCI bus (two hosts).
     struct Pair {
@@ -883,7 +897,8 @@ mod tests {
             TxDescriptor {
                 dst,
                 ethertype: EtherType::CLIC,
-                payload: Bytes::from(vec![0x5au8; payload_len]),
+                head: Bytes::new(),
+                body: Bytes::from(vec![0x5au8; payload_len]),
                 trace: 0,
             },
         )
@@ -901,8 +916,8 @@ mod tests {
         assert_eq!(*pair.irqs_b.borrow(), 1);
         let pkts = pair.b.borrow_mut().drain_rx();
         assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].frame.payload.len(), 1400);
-        assert!(pkts[0].frame.payload.iter().all(|&b| b == 0x5a));
+        assert_eq!(pkts[0].frame.payload_len(), 1400);
+        assert!(wire(&pkts[0].frame).iter().all(|&b| b == 0x5a));
         assert_eq!(pair.a.borrow().stats().tx_frames, 1);
         assert_eq!(pair.b.borrow().stats().rx_frames, 1);
     }
@@ -920,7 +935,8 @@ mod tests {
             TxDescriptor {
                 dst: MacAddr::for_node(99, 0),
                 ethertype: EtherType::CLIC,
-                payload: Bytes::from(vec![1u8; 64]),
+                head: Bytes::new(),
+                body: Bytes::from(vec![1u8; 64]),
                 trace: 0,
             },
         );
@@ -945,7 +961,8 @@ mod tests {
                 TxDescriptor {
                     dst,
                     ethertype: EtherType::CLIC,
-                    payload: Bytes::from(vec![1u8; 64]),
+                    head: Bytes::new(),
+                    body: Bytes::from(vec![1u8; 64]),
                     trace: 0,
                 },
             );
@@ -1103,7 +1120,8 @@ mod tests {
             TxDescriptor {
                 dst,
                 ethertype: EtherType::CLIC,
-                payload: Bytes::from(payload.clone()),
+                head: Bytes::new(),
+                body: Bytes::from(payload.clone()),
                 trace: 0,
             },
         );
@@ -1113,7 +1131,7 @@ mod tests {
         assert_eq!(pair.b.borrow().stats().rx_frames, 1);
         assert_eq!(*pair.irqs_b.borrow(), 1);
         let pkts = pair.b.borrow_mut().drain_rx();
-        assert_eq!(pkts[0].frame.payload, Bytes::from(payload));
+        assert_eq!(wire(&pkts[0].frame), payload);
         assert_eq!(pkts[0].frame.ethertype, EtherType::CLIC);
     }
 
@@ -1169,7 +1187,8 @@ mod tests {
             TxDescriptor {
                 dst: MacAddr::for_node(2, 0),
                 ethertype: EtherType::CLIC,
-                payload: Bytes::from(vec![9u8; 700]),
+                head: Bytes::new(),
+                body: Bytes::from(vec![9u8; 700]),
                 trace: 0,
             },
         );
@@ -1242,7 +1261,8 @@ mod internal_copy_tests {
                 TxDescriptor {
                     dst: MacAddr::for_node(2, 0),
                     ethertype: EtherType::CLIC,
-                    payload: Bytes::from(vec![1u8; 986]), // 1000 B with header
+                    head: Bytes::new(),
+                    body: Bytes::from(vec![1u8; 986]), // 1000 B with header
                     trace: 0,
                 },
             );
@@ -1285,7 +1305,8 @@ mod internal_copy_tests {
                 TxDescriptor {
                     dst: MacAddr::for_node(2, 0),
                     ethertype: EtherType::CLIC,
-                    payload: Bytes::from(vec![2u8; 100]),
+                    head: Bytes::new(),
+                    body: Bytes::from(vec![2u8; 100]),
                     trace: 0,
                 },
             );

@@ -4,9 +4,11 @@
 //! the same `hard_start_xmit` and interrupt routine serve both CLIC and the
 //! TCP/IP baseline, matching §3.1 of the paper.
 //!
-//! * **Transmit**: a short descriptor-setup cost, then the NIC is kicked;
-//!   the NIC DMAs the SkBuff as bus master, so "CLIC_MODULE and the driver
-//!   can finish before the data transference starts, and free the CPU".
+//! * **Transmit**: a short descriptor-setup cost, then the NIC is kicked
+//!   with the SkBuff's header and data as two gather entries, each where
+//!   it lies; the NIC DMAs them as bus master, so "CLIC_MODULE and the
+//!   driver can finish before the data transference starts, and free the
+//!   CPU".
 //! * **Receive**: the interrupt routine drains the NIC RX buffers, moving
 //!   each frame to system memory (the driver busy-waits the DMA — this is
 //!   the ≈ 15 µs stage of Figure 7a for a 1400-byte frame) and dispatches
@@ -54,7 +56,8 @@ pub fn hard_start_xmit(
             TxDescriptor {
                 dst,
                 ethertype,
-                payload: skb.linearize(),
+                head: skb.header,
+                body: skb.data,
                 trace,
             },
         );
@@ -138,7 +141,7 @@ fn process_frames(
         (k.device(dev), k.costs.driver_rx_per_frame)
     };
     let pci = nic.borrow().pci();
-    let bytes = ETH_HEADER + frame.payload.len();
+    let bytes = ETH_HEADER + frame.payload_len();
     // With host rings the data is already in system memory: the driver only
     // does ring bookkeeping. Otherwise it allocates the SK_BUFF and stays
     // in the routine until the data has been moved to system memory: CPU
@@ -290,9 +293,10 @@ mod tests {
         let frames = rx.frames.borrow();
         assert_eq!(frames.len(), 1);
         // Header + data concatenated on the wire.
-        assert_eq!(frames[0].1.payload.len(), 12 + 1000);
-        assert_eq!(&frames[0].1.payload[..12], b"HDRxHDRxHDRx");
-        assert!(frames[0].1.payload[12..].iter().all(|&b| b == 0x77));
+        let wire = [&frames[0].1.head[..], &frames[0].1.body[..]].concat();
+        assert_eq!(wire.len(), 12 + 1000);
+        assert_eq!(&wire[..12], b"HDRxHDRxHDRx");
+        assert!(wire[12..].iter().all(|&b| b == 0x77));
         assert_eq!(nodes.b.borrow().stats().irqs, 1);
         assert_eq!(nodes.b.borrow().stats().frames_received, 1);
         assert_eq!(nodes.b.borrow().stats().bhs, 1);
@@ -402,7 +406,8 @@ mod tests {
         sim.run();
         let frames = rx.frames.borrow();
         assert_eq!(frames.len(), 1, "a resumed node receives again");
-        assert!(frames[0].1.payload[12..].iter().all(|&b| b == 2));
+        let wire = [&frames[0].1.head[..], &frames[0].1.body[..]].concat();
+        assert!(wire[12..].iter().all(|&b| b == 2));
     }
 
     #[test]

@@ -5,20 +5,25 @@
 //! contiguous memory addresses. Thus, SK_BUFF includes the pointers to the
 //! headers and the data to be sent from the user space."
 //!
-//! Our `SkBuff` carries the real composed header bytes plus the data, and
-//! records *where* the data lives. The location is what distinguishes the
-//! 0-copy path (scatter-gather straight out of user memory) from the 1-copy
-//! path (a kernel staging buffer the CPU filled): the bytes are identical,
-//! but whoever built a kernel-located SkBuff already paid the copy cost.
+//! Our `SkBuff` is exactly that pair of pointers: the composed protocol
+//! header and the data, each a shared reference to where it lies. The
+//! driver posts both to the NIC as two gather entries
+//! ([`clic_hw::TxDescriptor`]), and the frame on the wire carries them as
+//! its head and body, so sending never copies the data. `location`
+//! records *where* the data lives, which is what distinguishes the 0-copy
+//! path (scatter-gather straight out of user memory) from the 1-copy path
+//! (a kernel buffer the CPU filled): the bytes are identical, but whoever
+//! built a kernel-located SkBuff already made — and paid for — the copy.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Where an SkBuff's data fragments live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataLocation {
     /// Pinned user pages — the 0-copy send path (path 2 of Figure 1).
     User,
-    /// A kernel staging buffer — the 1-copy path (paths 3/4 of Figure 1).
+    /// A kernel buffer — the 1-copy path (paths 3/4 of Figure 1) and
+    /// every TCP/IP send.
     Kernel,
 }
 
@@ -47,14 +52,13 @@ impl SkBuff {
         }
     }
 
-    /// Build an SkBuff whose data was staged into kernel memory. The caller
-    /// is responsible for charging the copy cost; this constructor
-    /// physically clones the bytes so aliasing bugs in the protocol stacks
-    /// cannot fake integrity.
-    pub fn staged(header: Bytes, data: &Bytes) -> SkBuff {
+    /// Build an SkBuff whose data already lies in a kernel buffer. The
+    /// caller made that copy once and charged its cost; the SkBuff only
+    /// points at it, so a resend of the same buffer copies nothing again.
+    pub fn in_kernel(header: Bytes, data: Bytes) -> SkBuff {
         SkBuff {
             header,
-            data: Bytes::copy_from_slice(data),
+            data,
             location: DataLocation::Kernel,
             trace: 0,
         }
@@ -64,24 +68,6 @@ impl SkBuff {
     pub fn with_trace(mut self, id: u64) -> SkBuff {
         self.trace = id;
         self
-    }
-
-    /// Total bytes the NIC must read from host memory.
-    pub fn wire_payload_len(&self) -> usize {
-        self.header.len() + self.data.len()
-    }
-
-    /// Linearize header + data into the on-wire payload. (In the model this
-    /// is how the scatter-gather DMA presents the frame; it is not a
-    /// CPU copy.) Header-less buffers come back as the data itself.
-    pub fn linearize(&self) -> Bytes {
-        if self.header.is_empty() {
-            return self.data.clone();
-        }
-        let mut out = BytesMut::with_capacity(self.wire_payload_len());
-        out.put_slice(&self.header);
-        out.put_slice(&self.data);
-        out.freeze()
     }
 }
 
@@ -100,31 +86,21 @@ mod tests {
 
     #[test]
     fn staged_clones_storage() {
+        // The caller stages the data (one copy) and the SkBuff points at
+        // that copy: distinct storage from the user's, same bytes.
         let data = Bytes::from(vec![7u8; 64]);
-        let skb = SkBuff::staged(Bytes::new(), &data);
+        let staged = Bytes::copy_from_slice(&data);
+        let skb = SkBuff::in_kernel(Bytes::new(), staged.clone());
         assert_eq!(skb.location, DataLocation::Kernel);
         assert_ne!(skb.data.as_ptr(), data.as_ptr());
+        assert_eq!(skb.data.as_ptr(), staged.as_ptr());
         assert_eq!(skb.data, data);
-    }
-
-    #[test]
-    fn linearize_concatenates() {
-        let skb = SkBuff::zero_copy(Bytes::from_static(&[1, 2]), Bytes::from_static(&[3, 4, 5]));
-        assert_eq!(skb.wire_payload_len(), 5);
-        assert_eq!(&skb.linearize()[..], &[1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn headerless_linearize_shares_the_data() {
-        let data = Bytes::from(vec![4u8; 64]);
-        let skb = SkBuff::zero_copy(Bytes::new(), data.clone());
-        assert_eq!(skb.linearize().as_ptr(), data.as_ptr());
     }
 
     #[test]
     fn empty_data_allowed() {
         let skb = SkBuff::zero_copy(Bytes::from_static(&[0xa]), Bytes::new());
-        assert_eq!(skb.wire_payload_len(), 1);
-        assert_eq!(&skb.linearize()[..], &[0xa]);
+        assert_eq!(skb.header.len() + skb.data.len(), 1);
+        assert_eq!([&skb.header[..], &skb.data[..]].concat(), [0xa]);
     }
 }

@@ -13,6 +13,12 @@
 //! when the last [`Bytes`] reference to a buffer drops, the storage goes
 //! back to the pool instead of the allocator. Freezing is zero-copy — the
 //! builder's vector is moved, never copied, into the shared buffer.
+//!
+//! One deliberate difference from the real crate: [`Bytes`] counts its
+//! references with [`Rc`], not an atomic, so it is not `Send`. The pool is
+//! thread-local and every simulation runs on one thread, so no buffer ever
+//! crosses threads, and the compiler now enforces that; a clone or a drop
+//! costs a plain increment or decrement.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,7 +26,7 @@
 pub mod pool;
 
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A cheaply cloneable, immutable, sliceable view of a byte buffer.
 ///
@@ -29,7 +35,7 @@ use std::sync::Arc;
 /// the allocation back to the thread-local [`pool`].
 #[derive(Default)]
 pub struct Bytes {
-    data: Option<Arc<Vec<u8>>>,
+    data: Option<Rc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -102,8 +108,8 @@ impl Clone for Bytes {
 impl Drop for Bytes {
     fn drop(&mut self) {
         // Last reference out offers the backing vector to the pool.
-        if let Some(arc) = self.data.take() {
-            if let Ok(v) = Arc::try_unwrap(arc) {
+        if let Some(rc) = self.data.take() {
+            if let Ok(v) = Rc::try_unwrap(rc) {
                 if v.capacity() != 0 {
                     pool::reclaim(v);
                 }
@@ -116,7 +122,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Some(Arc::new(v)),
+            data: Some(Rc::new(v)),
             start: 0,
             end,
         }

@@ -17,7 +17,7 @@
 //!    allocates a fresh `Vec` of the full class size so the buffer stays
 //!    reusable for every future request of the class.
 //! 2. The buffer circulates inside `Bytes` clones/slices as an
-//!    `Arc<Vec<u8>>`; no bytes are copied after freeze.
+//!    `Rc<Vec<u8>>`; no bytes are copied after freeze.
 //! 3. When the last reference drops, [`reclaim`] pushes the vector back
 //!    onto its class list (capped at [`MAX_PER_CLASS`] buffers per class;
 //!    beyond that, or for odd-sized foreign vectors, the buffer falls

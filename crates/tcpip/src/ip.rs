@@ -2,14 +2,14 @@
 //!
 //! Every packet is one unfragmented TCP segment (the MSS is the device MTU
 //! minus both headers), so the header carries no fragmentation state and
-//! [`Ipv4Header::decode`] rejects fragments and every other protocol.
+//! [`Ipv4Header::decode`] rejects fragments and every other protocol. The
+//! header travels in a frame's head with the TCP header; the receiver
+//! copies both out of the frame and reads this one from those bytes.
 //!
 //! Both checksums share one summation, which adds 8 bytes per step and
 //! yields the same values as the 16-bit-word definition: the model charges
 //! checksum time per byte in simulated time, so the host need not pay it
 //! again two bytes at a time.
-
-use bytes::Bytes;
 
 /// Size of the (option-less) IPv4 header.
 pub const IPV4_HEADER: usize = 20;
@@ -122,10 +122,12 @@ impl Ipv4Header {
         h
     }
 
-    /// Parse and verify; returns the header and its payload, a slice of
-    /// `buf` rather than a copy. A fragment (more-fragments flag or a
-    /// nonzero offset) or a protocol other than TCP is rejected.
-    pub fn decode(buf: &Bytes) -> Option<(Ipv4Header, Bytes)> {
+    /// Parse and verify the header at the front of `buf`, a packet whose
+    /// wire image (Ethernet padding included) is `packet_len` bytes long;
+    /// the header's total length must fit in it. A fragment
+    /// (more-fragments flag or a nonzero offset) or a protocol other than
+    /// TCP is rejected.
+    pub fn decode(buf: &[u8], packet_len: usize) -> Option<Ipv4Header> {
         if buf.len() < IPV4_HEADER || buf[0] != 0x45 {
             return None;
         }
@@ -133,7 +135,7 @@ impl Ipv4Header {
             return None; // corrupted header
         }
         let total = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-        if total < IPV4_HEADER || buf.len() < total {
+        if total < IPV4_HEADER || packet_len < total {
             return None;
         }
         let flags_frag = u16::from_be_bytes([buf[6], buf[7]]);
@@ -146,13 +148,21 @@ impl Ipv4Header {
             ident: u16::from_be_bytes([buf[4], buf[5]]),
             payload_len: (total - IPV4_HEADER) as u16,
         };
-        Some((header, buf.slice(IPV4_HEADER..total)))
+        Some(header)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+
+    /// The header at the front of `wire` and the payload it announces.
+    fn decode(wire: &Bytes) -> Option<(Ipv4Header, Bytes)> {
+        let h = Ipv4Header::decode(wire, wire.len())?;
+        let end = IPV4_HEADER + usize::from(h.payload_len);
+        Some((h, wire.slice(IPV4_HEADER..end)))
+    }
 
     fn header(ident: u16, payload_len: u16) -> Ipv4Header {
         Ipv4Header {
@@ -200,7 +210,7 @@ mod tests {
         assert_eq!((wire[6], wire[7], wire[8], wire[9]), (0, 0, 64, 6));
         wire.extend_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
         let wire = Bytes::from(wire);
-        let (parsed, body) = Ipv4Header::decode(&wire).unwrap();
+        let (parsed, body) = decode(&wire).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(&body[..], &[1, 2, 3, 4, 5, 6, 7, 8]);
         // The payload is a view into the packet, not a copy.
@@ -211,7 +221,7 @@ mod tests {
     fn corrupted_header_rejected() {
         let mut wire = header(1, 0).encode().to_vec();
         wire[15] ^= 0xff; // flip a source-address byte
-        assert!(Ipv4Header::decode(&Bytes::from(wire)).is_none());
+        assert!(decode(&Bytes::from(wire)).is_none());
     }
 
     #[test]
@@ -219,7 +229,7 @@ mod tests {
         let mut wire = header(7, 4).encode().to_vec();
         wire.extend_from_slice(&[9, 9, 9, 9]);
         wire.resize(46, 0);
-        let (_, body) = Ipv4Header::decode(&Bytes::from(wire)).unwrap();
+        let (_, body) = decode(&Bytes::from(wire)).unwrap();
         assert_eq!(&body[..], &[9, 9, 9, 9]);
     }
 
@@ -238,11 +248,11 @@ mod tests {
             ("UDP", udp),
         ] {
             assert_eq!(internet_checksum(&wire[..IPV4_HEADER]), 0);
-            assert!(Ipv4Header::decode(&wire).is_none(), "{what} accepted");
+            assert!(decode(&wire).is_none(), "{what} accepted");
         }
         // Don't-fragment is not a fragment.
         let df = wire_with(h, &body, |w| w[6] = 0x40);
-        assert_eq!(Ipv4Header::decode(&df).unwrap().0, h);
+        assert_eq!(decode(&df).unwrap().0, h);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::ip::{pseudo_header_checksum, IpAddr, Ipv4Header, IPV4_HEADER};
 use bytes::{BufMut, Bytes, BytesMut};
 use clic_ethernet::{EtherType, Frame, MacAddr};
 use clic_os::driver::hard_start_xmit;
-use clic_os::{DataLocation, Kernel, PacketHandler, SkBuff};
+use clic_os::{Kernel, PacketHandler, SkBuff};
 use clic_sim::{Layer, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -38,8 +38,11 @@ pub const TCP_HEADER: usize = 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u32);
 
-mod tcpflags {
+/// TCP header flag bits.
+pub mod tcpflags {
+    /// Synchronize sequence numbers (connection open).
     pub const SYN: u8 = 0x02;
+    /// The acknowledgement field is significant.
     pub const ACK: u8 = 0x10;
 }
 
@@ -53,20 +56,27 @@ fn seq_gt(a: u32, b: u32) -> bool {
     a.wrapping_sub(b) as i32 > 0
 }
 
+/// The fields of an option-less TCP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Segment {
-    src_port: u16,
-    dst_port: u16,
-    seq: u32,
-    ack: u32,
-    flags: u8,
-    window: u16,
+pub struct Segment {
+    /// Sending port.
+    pub src_port: u16,
+    /// Receiving port.
+    pub dst_port: u16,
+    /// Sequence number of the first data byte.
+    pub seq: u32,
+    /// Next sequence number expected from the peer.
+    pub ack: u32,
+    /// Flag bits ([`tcpflags`]).
+    pub flags: u8,
+    /// Receive window advertised to the peer.
+    pub window: u16,
 }
 
 impl Segment {
     /// The header of this segment carrying `payload`, its checksum over
     /// the pseudo-header, the header and the payload.
-    fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> [u8; TCP_HEADER] {
+    pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> [u8; TCP_HEADER] {
         let mut h = [0u8; TCP_HEADER];
         h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
@@ -82,13 +92,29 @@ impl Segment {
         h
     }
 
-    /// Verify and parse a segment; the data is a slice of `buf`, not a copy.
-    fn decode(src: IpAddr, dst: IpAddr, buf: &Bytes) -> Option<(Segment, Bytes)> {
-        if buf.len() < TCP_HEADER {
-            return None;
-        }
+    /// The head of the packet that carries this segment and `payload`
+    /// under `ip`: the IPv4 header, then the TCP header, 40 bytes in one
+    /// buffer. The payload follows as the frame's body, uncopied.
+    pub fn packet_head(&self, ip: &Ipv4Header, payload: &[u8]) -> Bytes {
+        let mut head = BytesMut::with_capacity(IPV4_HEADER + TCP_HEADER);
+        head.put_slice(&ip.encode());
+        head.put_slice(&self.encode(ip.src, ip.dst, payload));
+        head.freeze()
+    }
+
+    /// Verify and parse a segment received as its 20-byte header `buf`
+    /// and its data, the checksum summed over both parts in place; the
+    /// data comes back as it is, not a copy.
+    pub fn decode(
+        src: IpAddr,
+        dst: IpAddr,
+        buf: &[u8; TCP_HEADER],
+        data: Bytes,
+    ) -> Option<(Segment, Bytes)> {
         // Verify: checksum over pseudo header + full segment must be 0.
-        if pseudo_header_checksum(src, dst, buf.len() as u16, &[buf]) != 0 {
+        // The header's even length lets the data fold in as a second part.
+        let len = (TCP_HEADER + data.len()) as u16;
+        if pseudo_header_checksum(src, dst, len, &[buf, &data]) != 0 {
             return None;
         }
         let seg = Segment {
@@ -99,12 +125,25 @@ impl Segment {
             flags: buf[13],
             window: u16::from_be_bytes([buf[14], buf[15]]),
         };
-        let off = usize::from(buf[12] >> 4) * 4;
-        if off < TCP_HEADER || buf.len() < off {
+        let options = (usize::from(buf[12] >> 4) * 4).checked_sub(TCP_HEADER)?;
+        if data.len() < options {
             return None;
         }
-        Some((seg, buf.slice(off..)))
+        Some((seg, data.slice(options..)))
     }
+}
+
+/// Split a received packet into its IPv4 header, its TCP header and the
+/// segment's data, Ethernet padding dropped. Both headers are copied out
+/// of the frame's head by [`Frame::split_header`]; the data is the
+/// frame's body, or a slice of it, not a copy. `None` when the IPv4
+/// header is bad or the packet is too short to hold both headers.
+pub fn decode_packet(frame: &Frame) -> Option<(Ipv4Header, [u8; TCP_HEADER], Bytes)> {
+    let (head, rest): ([u8; IPV4_HEADER + TCP_HEADER], _) = frame.split_header()?;
+    let (ip, tcp) = head.split_at(IPV4_HEADER);
+    let header = Ipv4Header::decode(ip, frame.payload_len())?;
+    let data = usize::from(header.payload_len).checked_sub(TCP_HEADER)?;
+    Some((header, tcp.try_into().ok()?, rest.slice(..data)))
 }
 
 /// Take the first `n` bytes queued in `bufs` (which must hold at least
@@ -494,9 +533,9 @@ impl TcpStack {
         });
     }
 
-    /// Write the IPv4 header, the TCP header and the payload into one
-    /// buffer and charge `ip_tx`, then hand the packet to the driver (the
-    /// segment cost was charged by the caller).
+    /// Write the IPv4 and TCP headers into the packet's head, charge
+    /// `ip_tx`, then hand the head and the payload to the driver as two
+    /// gather entries (the segment cost was charged by the caller).
     fn emit(
         stack: &Rc<RefCell<TcpStack>>,
         sim: &mut Sim,
@@ -505,7 +544,7 @@ impl TcpStack {
         payload: Bytes,
         trace: u64,
     ) {
-        let (packet, mac, dev, cost) = {
+        let (head, mac, dev, cost) = {
             let mut s = stack.borrow_mut();
             let Some(&mac) = s.neighbors.get(&peer) else {
                 s.stats.no_route += 1;
@@ -524,11 +563,12 @@ impl TcpStack {
                 payload_len: segment_len as u16,
             };
             s.next_ident = s.next_ident.wrapping_add(1);
-            let mut packet = BytesMut::with_capacity(IPV4_HEADER + segment_len);
-            packet.put_slice(&header.encode());
-            packet.put_slice(&seg.encode(s.ip, peer, &payload));
-            packet.put_slice(&payload);
-            (packet.freeze(), mac, s.dev, s.costs.ip_tx)
+            (
+                seg.packet_head(&header, &payload),
+                mac,
+                s.dev,
+                s.costs.ip_tx,
+            )
         };
         let kernel = Self::kernel_of(stack);
         if trace != 0 {
@@ -541,12 +581,7 @@ impl TcpStack {
             }
             // TCP/IP always sends from kernel memory: the user->kernel copy
             // was charged when the data entered the socket buffer.
-            let skb = SkBuff {
-                header: Bytes::new(),
-                data: packet,
-                location: DataLocation::Kernel,
-                trace,
-            };
+            let skb = SkBuff::in_kernel(head, payload).with_trace(trace);
             hard_start_xmit(&kernel2, sim, dev, mac, EtherType::IPV4, skb, |_, _ok| {
                 // Ring-full drops are recovered by TCP's RTO.
             });
@@ -625,10 +660,12 @@ impl TcpStack {
         kernel: &Rc<RefCell<Kernel>>,
         frame: Frame,
     ) {
-        let (header, payload, cost) = {
+        let (header, tcp, data, cost) = {
             let mut s = stack.borrow_mut();
-            match Ipv4Header::decode(&frame.payload) {
-                Some((header, payload)) if header.dst == s.ip => (header, payload, s.costs.ip_rx),
+            match decode_packet(&frame) {
+                Some((header, tcp, data)) if header.dst == s.ip => {
+                    (header, tcp, data, s.costs.ip_rx)
+                }
                 Some(_) => return, // not for us
                 None => {
                     s.stats.rx_errors += 1;
@@ -648,10 +685,11 @@ impl TcpStack {
             }
             let cost = {
                 let s = stack2.borrow();
-                s.costs.tcp_rx_per_segment + s.costs.checksum_cost(payload.len())
+                let segment_len = usize::from(header.payload_len);
+                s.costs.tcp_rx_per_segment + s.costs.checksum_cost(segment_len)
             };
             Kernel::cpu_task(&kernel2, sim, cost, move |sim| {
-                Self::process_segment(&stack2, sim, header, payload);
+                Self::process_segment(&stack2, sim, header, tcp, data);
             });
         });
     }
@@ -660,9 +698,10 @@ impl TcpStack {
         stack: &Rc<RefCell<TcpStack>>,
         sim: &mut Sim,
         header: Ipv4Header,
-        payload: Bytes,
+        tcp: [u8; TCP_HEADER],
+        data: Bytes,
     ) {
-        let Some((seg, data)) = Segment::decode(header.src, header.dst, &payload) else {
+        let Some((seg, data)) = Segment::decode(header.src, header.dst, &tcp, data) else {
             stack.borrow_mut().stats.checksum_errors += 1;
             return;
         };
@@ -999,6 +1038,13 @@ mod tests {
         Bytes::from(out)
     }
 
+    /// Decode a segment's wire image as the receive path does: the
+    /// 20-byte header, then the data.
+    fn decode(src: IpAddr, dst: IpAddr, wire: &Bytes) -> Option<(Segment, Bytes)> {
+        let header: [u8; TCP_HEADER] = wire.get(..TCP_HEADER)?.try_into().ok()?;
+        Segment::decode(src, dst, &header, wire.slice(TCP_HEADER..))
+    }
+
     #[test]
     fn seq_compare_wraps() {
         assert!(seq_ge(5, 5));
@@ -1024,7 +1070,7 @@ mod tests {
         let wire = segment_wire(seg, src, dst, b"payload");
         // The checksum the 16-bit-word definition gives this segment.
         assert_eq!(&wire[16..18], &[0x27, 0xd6]);
-        let (parsed, data) = Segment::decode(src, dst, &wire).unwrap();
+        let (parsed, data) = decode(src, dst, &wire).unwrap();
         assert_eq!(parsed, seg);
         assert_eq!(&data[..], b"payload");
         // The data is a view into the segment, not a copy.
@@ -1057,9 +1103,9 @@ mod tests {
         let wire = segment_wire(seg, src, dst, b"x");
         let mut bad = wire.to_vec();
         bad[20] ^= 0x40; // flip the payload byte
-        assert!(Segment::decode(src, dst, &Bytes::from(bad)).is_none());
+        assert!(decode(src, dst, &Bytes::from(bad)).is_none());
         // Wrong pseudo-header (different src IP) must also fail.
-        assert!(Segment::decode(IpAddr::for_node(9), dst, &wire).is_none());
+        assert!(decode(IpAddr::for_node(9), dst, &wire).is_none());
     }
 
     #[test]
@@ -1075,7 +1121,7 @@ mod tests {
             window: 0,
         };
         let wire = segment_wire(seg, src, dst, b"");
-        let (parsed, data) = Segment::decode(src, dst, &wire).unwrap();
+        let (parsed, data) = decode(src, dst, &wire).unwrap();
         assert_eq!(parsed, seg);
         assert!(data.is_empty());
     }

@@ -1,8 +1,23 @@
 //! Property-based tests for the IPv4 codec and checksums.
 
 use bytes::Bytes;
-use clic_tcpip::ip::{internet_checksum, pseudo_header_checksum, IpAddr, Ipv4Header};
+use clic_ethernet::{EtherType, Frame, MacAddr};
+use clic_tcpip::ip::{internet_checksum, pseudo_header_checksum, IpAddr, Ipv4Header, IPV4_HEADER};
+use clic_tcpip::tcp::{decode_packet, tcpflags, Segment, TCP_HEADER};
 use proptest::prelude::*;
+
+/// The IPv4 header at the front of `wire` and the payload it announces.
+fn decode(wire: &Bytes) -> Option<(Ipv4Header, Bytes)> {
+    let h = Ipv4Header::decode(wire, wire.len())?;
+    let end = IPV4_HEADER + usize::from(h.payload_len);
+    Some((h, wire.slice(IPV4_HEADER..end)))
+}
+
+/// An IPv4 frame from `head` and `body`.
+fn frame(head: Bytes, body: Bytes) -> Frame {
+    let (a, b) = (MacAddr::for_node(2, 0), MacAddr::for_node(1, 0));
+    Frame::gather(a, b, EtherType::IPV4, head, body)
+}
 
 /// RFC 1071's definition, two bytes per step: the sum of `data` as
 /// big-endian 16-bit words (an odd tail byte zero-padded), carries folded
@@ -134,7 +149,7 @@ proptest! {
         };
         let mut wire = h.encode().to_vec();
         wire.extend_from_slice(&payload);
-        let (parsed, body) = Ipv4Header::decode(&Bytes::from(wire)).unwrap();
+        let (parsed, body) = decode(&Bytes::from(wire)).unwrap();
         prop_assert_eq!(parsed, h);
         prop_assert_eq!(&body[..], &payload[..]);
     }
@@ -151,7 +166,7 @@ proptest! {
         };
         let mut wire = h.encode().to_vec();
         wire[pos] ^= mask;
-        match Ipv4Header::decode(&Bytes::from(wire)) {
+        match decode(&Bytes::from(wire)) {
             None => {} // rejected: good
             Some((parsed, _)) => {
                 // The only acceptable parse is the original (i.e. the flip
@@ -159,6 +174,105 @@ proptest! {
                 // single flip must be caught).
                 prop_assert!(false, "corrupted header accepted: {parsed:?}");
             }
+        }
+    }
+
+    /// The TCP checksum of a packet sent as a 40-byte head (IPv4 + TCP
+    /// headers) and a body, summed over the TCP header and the body in
+    /// place, is the two-bytes-per-step checksum of their concatenation:
+    /// the header's even length lets the parts fold as one buffer.
+    #[test]
+    fn tcp_checksum_over_head_and_body_equals_reference(
+        payload in proptest::collection::vec(any::<u8>(), 0..9_101),
+        ports in any::<(u16, u16)>(),
+        numbers in any::<(u32, u32, u16)>(),
+        addrs in any::<(u32, u32, u16)>(),
+    ) {
+        let seg = Segment {
+            src_port: ports.0,
+            dst_port: ports.1,
+            seq: numbers.0,
+            ack: numbers.1,
+            flags: tcpflags::ACK,
+            window: numbers.2,
+        };
+        let ip = Ipv4Header {
+            src: IpAddr(addrs.0),
+            dst: IpAddr(addrs.1),
+            ident: addrs.2,
+            payload_len: (TCP_HEADER + payload.len()) as u16,
+        };
+        let head = seg.packet_head(&ip, &payload);
+        let tcp = &head[IPV4_HEADER..];
+        let len = (TCP_HEADER + payload.len()) as u16;
+        let mut concat = Vec::new();
+        concat.extend_from_slice(&addrs.0.to_be_bytes());
+        concat.extend_from_slice(&addrs.1.to_be_bytes());
+        concat.extend_from_slice(&[0, 6]);
+        concat.extend_from_slice(&len.to_be_bytes());
+        concat.extend_from_slice(tcp);
+        concat.extend_from_slice(&payload);
+        prop_assert_eq!(reference_checksum(&concat), 0, "emitted checksum verifies");
+        prop_assert_eq!(pseudo_header_checksum(ip.src, ip.dst, len, &[tcp, &payload]), 0);
+        // With the checksum field cleared, both sums name the same value.
+        concat[12 + 16] = 0;
+        concat[12 + 17] = 0;
+        let mut blank = tcp.to_vec();
+        blank[16..18].fill(0);
+        prop_assert_eq!(
+            pseudo_header_checksum(ip.src, ip.dst, len, &[&blank, &payload]),
+            reference_checksum(&concat)
+        );
+    }
+
+    /// A segment emitted in two parts — the 40-byte head and the payload
+    /// as body — decodes to the same headers and data as the one-piece
+    /// concatenation and as any other split of it, and the emitted form's
+    /// data is the body itself, not a copy.
+    #[test]
+    fn segment_emitted_in_two_parts_decodes_to_same_header_and_data(
+        payload in proptest::collection::vec(any::<u8>(), 0..9_101),
+        numbers in any::<(u32, u32, u16)>(),
+        cut in any::<usize>(),
+        padded in any::<bool>(),
+    ) {
+        let seg = Segment {
+            src_port: 4000,
+            dst_port: 80,
+            seq: numbers.0,
+            ack: numbers.1,
+            flags: tcpflags::ACK,
+            window: numbers.2,
+        };
+        let ip = Ipv4Header {
+            src: IpAddr::for_node(1),
+            dst: IpAddr::for_node(2),
+            ident: 7,
+            payload_len: (TCP_HEADER + payload.len()) as u16,
+        };
+        let head = seg.packet_head(&ip, &payload);
+        let mut body = payload.clone();
+        if padded {
+            body.resize(body.len().max(46 - 40), 0); // Ethernet padding
+        }
+        let body = Bytes::from(body);
+        let wire = [&head[..], &body[..]].concat();
+        let cut = cut % (wire.len() + 1);
+        for f in [
+            frame(head.clone(), body.clone()),
+            frame(Bytes::new(), Bytes::from(wire.clone())),
+            frame(Bytes::copy_from_slice(&wire[..cut]), Bytes::copy_from_slice(&wire[cut..])),
+        ] {
+            let (parsed_ip, tcp, data) = decode_packet(&f).unwrap();
+            prop_assert_eq!(parsed_ip, ip);
+            let (parsed, data) = Segment::decode(ip.src, ip.dst, &tcp, data).unwrap();
+            prop_assert_eq!(parsed, seg);
+            prop_assert_eq!(&data[..], &payload[..]);
+        }
+        let (_, tcp, data) = decode_packet(&frame(head, body.clone())).unwrap();
+        let (_, data) = Segment::decode(ip.src, ip.dst, &tcp, data).unwrap();
+        if !data.is_empty() {
+            prop_assert_eq!(data.as_ptr(), body.as_ptr(), "data copied");
         }
     }
 }
