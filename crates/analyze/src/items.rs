@@ -609,7 +609,14 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
                         line,
                     });
                 }
-                if lx.is_punct(i + 1, '(') {
+                // A turbofish `f::<T>(…)` is a call too: the `(` follows
+                // the `::<…>` group (`>` always lexes as one punct).
+                let open = if lx.is_path_sep(i + 1) && lx.is_punct(i + 3, '<') {
+                    matching_in(lx, i + 3, to, '<', '>').map_or(i + 1, |gt| gt + 1)
+                } else {
+                    i + 1
+                };
+                if lx.is_punct(open, '(') {
                     if CALL_KEYWORDS.contains(&name.as_str()) {
                         continue;
                     }
@@ -627,16 +634,16 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
                     } else {
                         path_qualifier(lx, i, owner)
                     };
-                    let Some(close) = matching_in(lx, i + 1, to, '(', ')') else {
+                    let Some(close) = matching_in(lx, open, to, '(', ')') else {
                         continue;
                     };
-                    let (arity, _) = param_shape(lx, i + 1, close);
-                    let first_str = toks[i + 2..close].iter().find_map(|t| match &t.kind {
+                    let (arity, _) = param_shape(lx, open, close);
+                    let first_str = toks[open + 1..close].iter().find_map(|t| match &t.kind {
                         TokKind::Str(s) => Some(s.clone()),
                         _ => None,
                     });
                     let first_ident =
-                        crate::rules::first_ident_arg(lx, i + 1, close).map(str::to_string);
+                        crate::rules::first_ident_arg(lx, open, close).map(str::to_string);
                     item.calls.push(CallSite {
                         name: name.clone(),
                         qualifier,

@@ -207,6 +207,17 @@ fn fixture_suite_exercises_at_least_six_rules() {
     }
 }
 
+/// A fixture file read as crate `krate`'s model source at `rel`.
+fn model_source(rel: &str, krate: &str, text: &str) -> SourceFile {
+    SourceFile {
+        rel: rel.to_string(),
+        crate_name: krate.to_string(),
+        is_lib_root: false,
+        is_test_source: false,
+        text: text.to_string(),
+    }
+}
+
 /// A synthetic workspace wiring the graph fixtures into a miniature CLIC:
 /// `sim` public APIs call into a wall-clock shim and a panicking `hw`
 /// helper, `hw` also holds an orphaned metric recorder, and `bench` is the
@@ -239,13 +250,7 @@ fn graph_workspace() -> Workspace {
         root: PathBuf::new(),
         files: files
             .into_iter()
-            .map(|(rel, krate, text)| SourceFile {
-                rel: rel.to_string(),
-                crate_name: krate.to_string(),
-                is_lib_root: false,
-                is_test_source: false,
-                text: text.to_string(),
-            })
+            .map(|(rel, krate, text)| model_source(rel, krate, text))
             .collect(),
         graph_only: Vec::new(),
         manifests: vec![Manifest {
@@ -305,15 +310,8 @@ fn liveness_fixture_fails_the_analyzer_at_the_catalog_entry() {
 /// `with_example`) an example, which the analyzer reads as a graph-only
 /// entry source.
 fn dead_fn_workspace(with_example: bool) -> Workspace {
-    let source = |rel: &str, krate: &str, text: &str| SourceFile {
-        rel: rel.to_string(),
-        crate_name: krate.to_string(),
-        is_lib_root: false,
-        is_test_source: false,
-        text: text.to_string(),
-    };
     let graph_only = if with_example {
-        vec![source(
+        vec![model_source(
             "examples/meter.rs",
             "clic",
             include_str!("fixtures/graph/example_main.rs"),
@@ -324,13 +322,13 @@ fn dead_fn_workspace(with_example: bool) -> Workspace {
     Workspace {
         root: PathBuf::new(),
         files: vec![
-            source("crates/sim/src/catalog.rs", "sim", CATALOG_SRC),
-            source(
+            model_source("crates/sim/src/catalog.rs", "sim", CATALOG_SRC),
+            model_source(
                 "crates/hw/src/dead_fix.rs",
                 "hw",
                 include_str!("fixtures/graph/hw_dead.rs"),
             ),
-            source(
+            model_source(
                 "crates/cluster/src/entry_fix.rs",
                 "cluster",
                 include_str!("fixtures/graph/cluster_entry.rs"),
@@ -387,6 +385,32 @@ fn dead_fn_fixture_without_its_example_reports_what_only_the_example_ran() {
     );
     assert_eq!(diags[0].path, vec!["hw::Meter::reset"]);
     assert!(diags[0].message.ends_with("and by no test"), "{diags:?}");
+}
+
+#[test]
+fn dead_fn_follows_turbofish_calls() {
+    // `f::<T>(…)`, `x.f::<N>(…)` and `Type::f::<A<B>>(…)` are call edges,
+    // so the fns only they reach are live.
+    let ws = Workspace {
+        root: PathBuf::new(),
+        files: vec![
+            model_source("crates/sim/src/catalog.rs", "sim", CATALOG_SRC),
+            model_source(
+                "crates/hw/src/turbofish_fix.rs",
+                "hw",
+                include_str!("fixtures/graph/hw_turbofish.rs"),
+            ),
+            model_source(
+                "crates/cluster/src/turbofish_entry.rs",
+                "cluster",
+                include_str!("fixtures/graph/turbofish_entry.rs"),
+            ),
+        ],
+        graph_only: Vec::new(),
+        manifests: Vec::new(),
+    };
+    let diags = dead_fn_diags(&ws);
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 /// Golden JSON for one diagnostic per call-graph family: the schema

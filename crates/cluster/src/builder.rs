@@ -26,13 +26,6 @@ pub enum Topology {
     FatTree,
 }
 
-impl Topology {
-    /// True for the multi-switch fabric layouts.
-    pub fn is_fabric(self) -> bool {
-        matches!(self, Topology::LeafSpine | Topology::FatTree)
-    }
-}
-
 /// Cluster-level configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {

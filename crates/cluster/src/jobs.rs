@@ -20,9 +20,10 @@
 
 use crate::builder::{Cluster, ClusterConfig};
 use crate::calibration::CostModel;
+use crate::experiments::{clic_pair, tcp_pair};
 use crate::workload::{
-    ping_pong, request_reply_cycles, request_reply_cycles_with_background, stream, stream_count,
-    stream_pipelined, StackKind,
+    offer_load, ping_pong, request_reply_cycles, request_reply_cycles_with_background, stream,
+    stream_count, stream_pipelined, StackKind,
 };
 use clic_core::ClicStats;
 use clic_hw::nic::NicStats;
@@ -525,87 +526,27 @@ fn run_stage_trace(config: &ClusterConfig, seed: u64) -> Measurement {
 }
 
 fn run_loaded_latency(is_clic: bool, loaded: bool) -> Measurement {
-    use bytes::Bytes;
     let model = CostModel::era_2002();
-    let cfg = if is_clic {
-        crate::experiments::clic_pair(&model, false, true)
+    let (cfg, stack) = if is_clic {
+        (clic_pair(&model, false, true), StackKind::Clic)
     } else {
-        crate::experiments::tcp_pair(&model, false)
+        (tcp_pair(&model, false), StackKind::Tcp)
     };
     let cluster = Cluster::build(&cfg);
     let mut sim = job_sim(10);
-    let post_bulk = move |sim: &mut Sim, cluster: &Cluster| {
-        // Background bulk: node 0 -> node 1, separate channel/port.
-        if is_clic {
-            let a = &cluster.nodes[0];
-            let b = &cluster.nodes[1];
-            let pid_a = a.kernel.borrow_mut().processes.spawn();
-            let pid_b = b.kernel.borrow_mut().processes.spawn();
-            let tx = clic_core::ClicPort::bind(&a.clic(), pid_a, 200);
-            let rx = std::rc::Rc::new(clic_core::ClicPort::bind(&b.clic(), pid_b, 200));
-            fn drain(port: std::rc::Rc<clic_core::ClicPort>, sim: &mut Sim, left: usize) {
-                if left == 0 {
-                    return;
-                }
-                let p = port.clone();
-                port.recv(sim, move |sim, _| drain(p.clone(), sim, left - 1));
-            }
-            let n_msgs = 24;
-            drain(rx, sim, n_msgs);
-            let dst = b.mac;
-            let bulk = Bytes::from(vec![0xBBu8; 512 * 1024]);
-            for _ in 0..n_msgs {
-                tx.send(sim, dst, 200, bulk.clone());
-            }
-        } else {
-            use clic_tcpip::TcpStack;
-            let a = cluster.nodes[0].tcp();
-            let b = cluster.nodes[1].tcp();
-            // Weak: the stack holds its listeners, and the node owns
-            // the stack.
-            let b2 = std::rc::Rc::downgrade(&b);
-            b.borrow_mut().listen(9100, move |sim, conn| {
-                fn drain(
-                    stack: std::rc::Rc<std::cell::RefCell<TcpStack>>,
-                    sim: &mut Sim,
-                    conn: clic_tcpip::ConnId,
-                    left: usize,
-                ) {
-                    if left == 0 {
-                        return;
-                    }
-                    let s2 = stack.clone();
-                    TcpStack::recv(&stack, sim, conn, 512 * 1024, move |sim, _| {
-                        drain(s2.clone(), sim, conn, left - 1);
-                    });
-                }
-                let b = b2.upgrade().expect("TCP stack dropped while it listens");
-                drain(b, sim, conn, 24);
-            });
-            let a2 = a.clone();
-            TcpStack::connect(&a, sim, cluster.nodes[1].ip, 9100, move |sim, conn| {
-                let bulk = Bytes::from(vec![0xBBu8; 512 * 1024]);
-                for _ in 0..24 {
-                    TcpStack::send(&a2, sim, conn, bulk.clone());
-                }
-            });
-        }
-    };
     // Foreground: 64-byte request/reply cycles, sampled while the bulk
-    // transfer (if any) is in flight (the hook runs after the foreground
-    // connection establishes).
-    let stack = if is_clic {
-        StackKind::Clic
-    } else {
-        StackKind::Tcp
-    };
-    let cluster_ref = &cluster;
+    // transfer (if any) of 24 512 KiB messages from node 0 to node 1 is in
+    // flight. The hook runs after the foreground connection establishes;
+    // a TCP bulk's own handshake runs alongside the first cycles.
+    let mut bulk = None;
     let cycles =
-        request_reply_cycles_with_background(&cluster, &mut sim, stack, 64, 4, 30, move |sim| {
+        request_reply_cycles_with_background(&cluster, &mut sim, stack, 64, 4, 30, |sim| {
             if loaded {
-                post_bulk(sim, cluster_ref);
+                bulk = Some(offer_load(&cluster, sim, stack, 512 * 1024, 24));
             }
         });
+    // Held until here: the bulk's ends must outlive the run.
+    drop(bulk);
     let one_way = |d: Option<SimDuration>| d.map(|d| d.as_us_f64() / 2.0).unwrap_or(f64::NAN);
     let mut m = Measurement::default();
     m.push("min_us", one_way(cycles.min()));

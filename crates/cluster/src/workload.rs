@@ -1,6 +1,9 @@
-//! Workload drivers: ping-pong latency and streaming bandwidth for every
-//! stack the paper evaluates, plus the robustness workloads (chaos soak,
-//! incast backpressure) behind `figures chaos`.
+//! Workload drivers. Every stack the paper evaluates runs the same two
+//! loops over a per-stack `Endpoint`: the request/reply loop behind
+//! ping-pong latency and the paper's synchronous bandwidth benchmark, and
+//! the offered-load loop behind pipelined streams. The cluster workloads
+//! (all-to-all, collectives) and the robustness workloads (chaos soak,
+//! incast backpressure) behind `figures chaos` have drivers of their own.
 
 use crate::builder::Cluster;
 use bytes::Bytes;
@@ -11,8 +14,8 @@ use clic_mpi::transport::{ClicTransport, TcpTransport, Transport};
 use clic_mpi::{Mpi, Pvm};
 use clic_sim::stats::LatencyStats;
 use clic_sim::{Sim, SimDuration, SimRng, SimTime};
-use clic_tcpip::TcpStack;
-use std::cell::RefCell;
+use clic_tcpip::{ConnId, TcpStack};
+use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
 /// Which stack a workload runs on.
@@ -137,7 +140,272 @@ pub fn stream_count(size: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Ping-pong
+// Endpoints: one end of a flow between nodes 0 and 1, on any stack
+// ---------------------------------------------------------------------
+
+/// The CLIC channel, TCP port and GAMMA port of one kind of flow. MPI and
+/// PVM ride their transports' own channel and ports.
+struct Ports {
+    clic: u16,
+    tcp: u16,
+    gamma: u16,
+}
+
+/// Request/reply flows: ping-pong and the synchronous stream.
+const REQUEST_REPLY: Ports = Ports {
+    clic: 100,
+    tcp: 9000,
+    gamma: 50,
+};
+
+/// Offered-load streams, Ablation G's bulk among them.
+const STREAM: Ports = Ports {
+    clic: 200,
+    tcp: 9100,
+    gamma: 60,
+};
+
+/// The receive a GAMMA end waits with; it runs with the message's length.
+type GammaReceive = Box<dyn FnOnce(&mut Sim, usize)>;
+
+/// One end of a flow between nodes 0 and 1: how it sends to its peer and
+/// how it waits for the peer's next message. It holds its node's module
+/// or stack weakly (the node owns them, and a receive waiting there holds
+/// the end); an MPI or PVM end is its rank's only owner.
+enum Endpoint {
+    Clic {
+        module: Weak<RefCell<ClicModule>>,
+        peer: MacAddr,
+        channel: u16,
+    },
+    Tcp {
+        stack: Weak<RefCell<TcpStack>>,
+        conn: ConnId,
+    },
+    /// `waiting` is owned by the port's active handler, which runs it.
+    Gamma {
+        module: Weak<RefCell<GammaModule>>,
+        peer: MacAddr,
+        port: u16,
+        waiting: Weak<RefCell<Option<GammaReceive>>>,
+    },
+    Mpi {
+        mpi: Rc<Mpi>,
+        peer: usize,
+    },
+    Pvm {
+        pvm: Rc<Pvm>,
+        peer: usize,
+    },
+}
+
+/// The component behind an end's weak handle.
+fn live<T>(component: &Weak<T>, name: &str) -> Rc<T> {
+    component
+        .upgrade()
+        .unwrap_or_else(|| panic!("{name} dropped while a workload runs on it"))
+}
+
+/// The MPI or PVM tag of rank `rank`'s messages.
+fn tag(rank: usize) -> i32 {
+    rank as i32 + 1
+}
+
+impl Endpoint {
+    /// The length a `len`-byte message has on this end's stack. TCP
+    /// carries no zero-length record: a 0-byte message goes as one byte,
+    /// as latency benchmarks over sockets do.
+    fn wire_len(&self, len: usize) -> usize {
+        match self {
+            Endpoint::Tcp { .. } => len.max(1),
+            _ => len,
+        }
+    }
+
+    /// Send `data` to the peer; `then` runs once the stack has it (for
+    /// PVM, after the pack).
+    fn send(&self, sim: &mut Sim, data: Bytes, then: impl FnOnce(&mut Sim) + 'static) {
+        match self {
+            Endpoint::Clic {
+                module,
+                peer,
+                channel,
+            } => {
+                let opts = SendOptions::data(*peer, *channel);
+                ClicModule::send(&live(module, "CLIC module"), sim, opts, data);
+            }
+            Endpoint::Tcp { stack, conn } => {
+                TcpStack::send(&live(stack, "TCP stack"), sim, *conn, data);
+            }
+            Endpoint::Gamma {
+                module, peer, port, ..
+            } => GammaModule::send(&live(module, "GAMMA module"), sim, *peer, *port, data),
+            Endpoint::Mpi { mpi, peer } => mpi.send(sim, *peer, tag(mpi.rank()), data),
+            Endpoint::Pvm { pvm, peer } => {
+                let (packed, peer) = (pvm.clone(), *peer);
+                pvm.pack(sim, data, move |sim| {
+                    packed.send(sim, peer, tag(packed.rank()));
+                    then(sim);
+                });
+                return;
+            }
+        }
+        then(sim);
+    }
+
+    /// Wait for the peer's next message, `len` bytes long (TCP reads that
+    /// many); `cont` runs with its length.
+    fn recv(&self, sim: &mut Sim, len: usize, cont: impl FnOnce(&mut Sim, usize) + 'static) {
+        match self {
+            Endpoint::Clic {
+                module, channel, ..
+            } => ClicModule::recv(
+                &live(module, "CLIC module"),
+                sim,
+                *channel,
+                move |sim, m| cont(sim, m.data.len()),
+            ),
+            Endpoint::Tcp { stack, conn } => TcpStack::recv(
+                &live(stack, "TCP stack"),
+                sim,
+                *conn,
+                len,
+                move |sim, data| cont(sim, data.len()),
+            ),
+            Endpoint::Gamma { waiting, .. } => {
+                let earlier = live(waiting, "GAMMA port").replace(Some(Box::new(cont)));
+                assert!(earlier.is_none(), "a GAMMA end waits for one message");
+            }
+            Endpoint::Mpi { mpi, peer } => {
+                mpi.recv(sim, *peer as i32, tag(*peer), move |sim, m| {
+                    cont(sim, m.data.len())
+                })
+            }
+            Endpoint::Pvm { pvm, peer } => {
+                pvm.recv(sim, *peer as i32, tag(*peer), move |sim, m| {
+                    cont(sim, m.data.len())
+                })
+            }
+        }
+    }
+}
+
+/// Build both ends of a flow between nodes 0 and 1 of `cluster` over
+/// `stack` on `ports`, and hand each to `on_open` with its node as soon as
+/// it can carry traffic: node 1's end first where no end waits for a
+/// connection; over TCP, node 0's end when its connect completes and node
+/// 1's when it accepts. MPI and PVM over TCP run the simulator through
+/// their transport mesh's set-up first.
+fn open(
+    cluster: &Cluster,
+    sim: &mut Sim,
+    stack: StackKind,
+    ports: &Ports,
+    on_open: impl Fn(&mut Sim, usize, Rc<Endpoint>) + 'static,
+) {
+    let [a, b] = [&cluster.nodes[0], &cluster.nodes[1]];
+    let [end_a, end_b] = match stack {
+        StackKind::Clic => [(a, b), (b, a)].map(|(node, peer)| {
+            let pid = node.kernel.borrow_mut().processes.spawn();
+            node.clic().borrow_mut().bind(pid, ports.clic);
+            Endpoint::Clic {
+                module: Rc::downgrade(&node.clic()),
+                peer: peer.mac,
+                channel: ports.clic,
+            }
+        }),
+        StackKind::Tcp => {
+            let on_open = Rc::new(on_open);
+            let (accepted, server) = (on_open.clone(), Rc::downgrade(&b.tcp()));
+            b.tcp().borrow_mut().listen(ports.tcp, move |sim, conn| {
+                let stack = server.clone();
+                accepted(sim, 1, Rc::new(Endpoint::Tcp { stack, conn }));
+            });
+            let client = Rc::downgrade(&a.tcp());
+            TcpStack::connect(&a.tcp(), sim, b.ip, ports.tcp, move |sim, conn| {
+                let stack = client;
+                on_open(sim, 0, Rc::new(Endpoint::Tcp { stack, conn }));
+            });
+            return;
+        }
+        StackKind::Gamma => [(a, b), (b, a)].map(|(node, peer)| {
+            let waiting: Rc<RefCell<Option<GammaReceive>>> = Rc::default();
+            let handle = Rc::downgrade(&waiting);
+            node.gamma()
+                .borrow_mut()
+                .register_port(ports.gamma, move |sim, msg| {
+                    // Active messages are not buffered: each loop posts
+                    // its next receive before the next message arrives.
+                    let cont = waiting.take().expect("a GAMMA message arrived unawaited");
+                    cont(sim, msg.data.len());
+                });
+            Endpoint::Gamma {
+                module: Rc::downgrade(&node.gamma()),
+                peer: peer.mac,
+                port: ports.gamma,
+                waiting: handle,
+            }
+        }),
+        StackKind::MpiClic => {
+            let peers = vec![a.mac, b.mac];
+            [(0, a), (1, b)].map(|(rank, node)| {
+                let pid = node.kernel.borrow_mut().processes.spawn();
+                let transport = ClicTransport::new(sim, &node.clic(), pid, rank, peers.clone());
+                Endpoint::Mpi {
+                    mpi: Mpi::new(&node.kernel, transport),
+                    peer: 1 - rank,
+                }
+            })
+        }
+        StackKind::MpiTcp | StackKind::PvmTcp => {
+            let ips = vec![a.ip, b.ip];
+            let transports = [(0, a), (1, b)]
+                .map(|(rank, node)| TcpTransport::new(sim, &node.tcp(), rank, ips.clone()));
+            sim.run();
+            assert!(
+                transports.iter().all(|t| t.ready()),
+                "TCP transport mesh failed"
+            );
+            let [t0, t1] = transports;
+            [(0, a, t0), (1, b, t1)].map(|(rank, node, transport)| {
+                if stack == StackKind::MpiTcp {
+                    Endpoint::Mpi {
+                        mpi: Mpi::new(&node.kernel, transport),
+                        peer: 1 - rank,
+                    }
+                } else {
+                    Endpoint::Pvm {
+                        pvm: Pvm::new(&node.kernel, transport),
+                        peer: 1 - rank,
+                    }
+                }
+            })
+        }
+    };
+    on_open(sim, 1, Rc::new(end_b));
+    on_open(sim, 0, Rc::new(end_a));
+}
+
+/// Both ends of a flow, node 0's first, once both are open: runs the
+/// simulator through a TCP handshake.
+fn pair(cluster: &Cluster, sim: &mut Sim, stack: StackKind, ports: &Ports) -> [Rc<Endpoint>; 2] {
+    let ends: Rc<RefCell<[Option<Rc<Endpoint>>; 2]>> = Rc::default();
+    let opened = ends.clone();
+    open(cluster, sim, stack, ports, move |_, node, end| {
+        opened.borrow_mut()[node] = Some(end);
+    });
+    if ends.borrow().iter().any(Option::is_none) {
+        sim.run();
+    }
+    let [client, server] = ends.take();
+    [
+        client.expect("connect failed"),
+        server.expect("accept failed"),
+    ]
+}
+
+// ---------------------------------------------------------------------
+// The request/reply loop: ping-pong and the synchronous stream
 // ---------------------------------------------------------------------
 
 /// Run `iters` ping-pong round trips of `size` bytes between nodes 0 and 1
@@ -184,395 +452,66 @@ pub fn request_reply_cycles_with_background(
     background: impl FnOnce(&mut Sim),
 ) -> LatencyStats {
     assert!(iters > 0);
-    let samples: Rc<RefCell<LatencyStats>> = Rc::new(RefCell::new(LatencyStats::new()));
-    match stack {
-        StackKind::Clic => {
-            background(sim);
-            pingpong_clic(cluster, sim, req_size, reply_size, iters, &samples);
-        }
-        StackKind::Tcp => {
-            // Establishment happens inside; the hook runs after it so
-            // injected traffic is not drained by the setup run.
-            pingpong_tcp(
-                cluster, sim, req_size, reply_size, iters, &samples, background,
-            );
-        }
-        StackKind::Gamma => {
-            background(sim);
-            pingpong_gamma(cluster, sim, req_size, reply_size, iters, &samples);
-        }
-        StackKind::MpiClic | StackKind::MpiTcp => {
-            pingpong_mpi(
-                cluster, sim, stack, req_size, reply_size, iters, &samples, background,
-            );
-        }
-        StackKind::PvmTcp => {
-            pingpong_pvm(
-                cluster, sim, req_size, reply_size, iters, &samples, background,
-            );
-        }
-    }
+    // Both ends live until the run is over.
+    let [client, server] = pair(cluster, sim, stack, &REQUEST_REPLY);
+    // After the set-up run, so injected traffic is not drained by it.
+    background(sim);
+    let (req_size, reply_size) = (client.wire_len(req_size), client.wire_len(reply_size));
+    let (request, reply) = request_and_reply(req_size, reply_size);
+    echo(server.clone(), sim, req_size, reply, iters);
+    let samples = Rc::new(RefCell::new(LatencyStats::new()));
+    initiate(
+        client.clone(),
+        sim,
+        request,
+        reply_size,
+        samples.clone(),
+        iters,
+    );
     sim.run();
-    let rtt = samples.borrow().clone();
+    let rtt = samples.take();
     assert_eq!(rtt.count(), iters, "not all iterations completed");
     rtt
 }
 
-fn pingpong_clic(
-    cluster: &Cluster,
-    sim: &mut Sim,
-    size: usize,
-    reply_size: usize,
-    iters: usize,
-    samples: &Rc<RefCell<LatencyStats>>,
-) {
-    const CH: u16 = 100;
-    let a = &cluster.nodes[0];
-    let b = &cluster.nodes[1];
-    let pid_a = a.kernel.borrow_mut().processes.spawn();
-    let pid_b = b.kernel.borrow_mut().processes.spawn();
-    let port_a = Rc::new(ClicPort::bind(&a.clic(), pid_a, CH));
-    let port_b = Rc::new(ClicPort::bind(&b.clic(), pid_b, CH));
-    let a_mac = a.mac;
-    let b_mac = b.mac;
-
-    // Echo side: perpetual recv -> reply.
-    fn echo(
-        port: Rc<ClicPort>,
-        sim: &mut Sim,
-        peer: clic_ethernet::MacAddr,
-        reply: Bytes,
-        left: usize,
-    ) {
-        if left == 0 {
-            return;
-        }
-        let p2 = port.clone();
-        port.recv(sim, move |sim, _msg| {
-            p2.send(sim, peer, 100, reply.clone());
-            echo(p2.clone(), sim, peer, reply, left - 1);
+/// The echo side: wait for a `len`-byte request, send `reply`, then wait
+/// for the next, `left` times.
+fn echo(end: Rc<Endpoint>, sim: &mut Sim, len: usize, reply: Bytes, left: usize) {
+    if left == 0 {
+        return;
+    }
+    let end2 = end.clone();
+    end.recv(sim, len, move |sim, _| {
+        let end3 = end2.clone();
+        end2.send(sim, reply.clone(), move |sim| {
+            echo(end3, sim, len, reply, left - 1)
         });
-    }
-    let (request, reply) = request_and_reply(size, reply_size);
-    echo(port_b, sim, a_mac, reply, iters);
-
-    // Initiator: send, await echo, sample, repeat.
-    struct St {
-        port: Rc<ClicPort>,
-        peer: clic_ethernet::MacAddr,
-        request: Bytes,
-        samples: Rc<RefCell<LatencyStats>>,
-    }
-    fn iterate(st: Rc<St>, sim: &mut Sim, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let t0 = sim.now();
-        st.port.send(sim, st.peer, 100, st.request.clone());
-        let st2 = st.clone();
-        st.port.recv(sim, move |sim, _msg| {
-            st2.samples.borrow_mut().record(sim.now() - t0);
-            iterate(st2.clone(), sim, left - 1);
-        });
-    }
-    iterate(
-        Rc::new(St {
-            port: port_a,
-            peer: b_mac,
-            request,
-            samples: samples.clone(),
-        }),
-        sim,
-        iters,
-    );
-}
-
-fn pingpong_tcp(
-    cluster: &Cluster,
-    sim: &mut Sim,
-    size: usize,
-    reply_size: usize,
-    iters: usize,
-    samples: &Rc<RefCell<LatencyStats>>,
-    background: impl FnOnce(&mut Sim),
-) {
-    // TCP cannot carry zero-length records; a 0-byte "message" becomes the
-    // 1-byte minimum, as latency benchmarks over sockets actually do.
-    let size = size.max(1);
-    let reply_size = reply_size.max(1);
-    let a = cluster.nodes[0].tcp();
-    let b = cluster.nodes[1].tcp();
-    let b_ip = cluster.nodes[1].ip;
-    let server_conn: Rc<RefCell<Option<clic_tcpip::ConnId>>> = Rc::new(RefCell::new(None));
-    let sc = server_conn.clone();
-    b.borrow_mut()
-        .listen(9000, move |_s, id| *sc.borrow_mut() = Some(id));
-    let client_conn: Rc<RefCell<Option<clic_tcpip::ConnId>>> = Rc::new(RefCell::new(None));
-    let cc = client_conn.clone();
-    TcpStack::connect(&a, sim, b_ip, 9000, move |_s, id| {
-        *cc.borrow_mut() = Some(id)
     });
-    sim.run();
-    let client = client_conn.borrow().expect("connect failed");
-    let server = server_conn.borrow().expect("accept failed");
-    background(sim);
-
-    fn echo(
-        stack: Rc<RefCell<TcpStack>>,
-        sim: &mut Sim,
-        conn: clic_tcpip::ConnId,
-        size: usize,
-        reply: Bytes,
-        left: usize,
-    ) {
-        if left == 0 {
-            return;
-        }
-        let s2 = stack.clone();
-        TcpStack::recv(&stack, sim, conn, size, move |sim, _data| {
-            TcpStack::send(&s2, sim, conn, reply.clone());
-            echo(s2.clone(), sim, conn, size, reply, left - 1);
-        });
-    }
-    let (request, reply) = request_and_reply(size, reply_size);
-    echo(b, sim, server, size, reply, iters);
-
-    struct St {
-        stack: Rc<RefCell<TcpStack>>,
-        conn: clic_tcpip::ConnId,
-        request: Bytes,
-        reply_size: usize,
-        samples: Rc<RefCell<LatencyStats>>,
-    }
-    fn iterate(st: Rc<St>, sim: &mut Sim, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let t0 = sim.now();
-        TcpStack::send(&st.stack, sim, st.conn, st.request.clone());
-        let st2 = st.clone();
-        TcpStack::recv(
-            &st.stack.clone(),
-            sim,
-            st.conn,
-            st.reply_size,
-            move |sim, _| {
-                st2.samples.borrow_mut().record(sim.now() - t0);
-                iterate(st2.clone(), sim, left - 1);
-            },
-        );
-    }
-    iterate(
-        Rc::new(St {
-            stack: a,
-            conn: client,
-            request,
-            reply_size,
-            samples: samples.clone(),
-        }),
-        sim,
-        iters,
-    );
 }
 
-/// The GAMMA module behind a port handler's weak handle.
-fn gamma_of(module: &Weak<RefCell<GammaModule>>) -> Rc<RefCell<GammaModule>> {
-    module
-        .upgrade()
-        .expect("GAMMA module dropped while its port delivers")
-}
-
-fn pingpong_gamma(
-    cluster: &Cluster,
+/// The initiating side: send `request`, wait for the `len`-byte reply and
+/// record the cycle time in `samples`, `left` times.
+fn initiate(
+    end: Rc<Endpoint>,
     sim: &mut Sim,
-    size: usize,
-    reply_size: usize,
-    iters: usize,
-    samples: &Rc<RefCell<LatencyStats>>,
+    request: Bytes,
+    len: usize,
+    samples: Rc<RefCell<LatencyStats>>,
+    left: usize,
 ) {
-    const PORT: u16 = 50;
-    let a = cluster.nodes[0].gamma();
-    let b = cluster.nodes[1].gamma();
-    let b_mac = cluster.nodes[1].mac;
-    // Echo side. Each port handler holds its own module weakly: the
-    // module holds the handler, and the node owns the module.
-    let b2 = Rc::downgrade(&b);
-    let (request, reply) = request_and_reply(size, reply_size);
-    b.borrow_mut().register_port(PORT, move |sim, msg| {
-        GammaModule::send(&gamma_of(&b2), sim, msg.src, PORT, reply.clone());
+    if left == 0 {
+        return;
+    }
+    let t0 = sim.now();
+    let end2 = end.clone();
+    end.send(sim, request.clone(), move |sim| {
+        let end3 = end2.clone();
+        end2.recv(sim, len, move |sim, _| {
+            samples.borrow_mut().record(sim.now() - t0);
+            initiate(end3, sim, request, len, samples, left - 1);
+        });
     });
-    // Initiator: handler drives the next iteration.
-    let state: Rc<RefCell<(usize, SimTime)>> = Rc::new(RefCell::new((iters, SimTime::ZERO)));
-    let a2 = Rc::downgrade(&a);
-    let samples2 = samples.clone();
-    let st = state.clone();
-    let request2 = request.clone();
-    a.borrow_mut().register_port(PORT, move |sim, _msg| {
-        let (left, t0) = *st.borrow();
-        samples2.borrow_mut().record(sim.now() - t0);
-        if left > 1 {
-            *st.borrow_mut() = (left - 1, sim.now());
-            GammaModule::send(&gamma_of(&a2), sim, b_mac, PORT, request2.clone());
-        } else {
-            st.borrow_mut().0 = 0;
-        }
-    });
-    state.borrow_mut().1 = sim.now();
-    GammaModule::send(&a, sim, b_mac, PORT, request);
 }
-
-#[allow(clippy::too_many_arguments)]
-fn pingpong_mpi(
-    cluster: &Cluster,
-    sim: &mut Sim,
-    stack: StackKind,
-    size: usize,
-    reply_size: usize,
-    iters: usize,
-    samples: &Rc<RefCell<LatencyStats>>,
-    background: impl FnOnce(&mut Sim),
-) {
-    let (m0, m1) = mpi_pair(cluster, sim, stack);
-    background(sim);
-    // Echo side.
-    fn echo(mpi: Rc<Mpi>, sim: &mut Sim, reply: Bytes, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let m2 = mpi.clone();
-        mpi.recv(sim, 0, 1, move |sim, _msg| {
-            m2.send(sim, 0, 2, reply.clone());
-            echo(m2.clone(), sim, reply, left - 1);
-        });
-    }
-    let (request, reply) = request_and_reply(size, reply_size);
-    echo(m1, sim, reply, iters);
-    struct St {
-        mpi: Rc<Mpi>,
-        request: Bytes,
-        samples: Rc<RefCell<LatencyStats>>,
-    }
-    fn iterate(st: Rc<St>, sim: &mut Sim, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let t0 = sim.now();
-        st.mpi.send(sim, 1, 1, st.request.clone());
-        let st2 = st.clone();
-        st.mpi.recv(sim, 1, 2, move |sim, _| {
-            st2.samples.borrow_mut().record(sim.now() - t0);
-            iterate(st2.clone(), sim, left - 1);
-        });
-    }
-    iterate(
-        Rc::new(St {
-            mpi: m0,
-            request,
-            samples: samples.clone(),
-        }),
-        sim,
-        iters,
-    );
-}
-
-fn pingpong_pvm(
-    cluster: &Cluster,
-    sim: &mut Sim,
-    size: usize,
-    reply_size: usize,
-    iters: usize,
-    samples: &Rc<RefCell<LatencyStats>>,
-    background: impl FnOnce(&mut Sim),
-) {
-    let (t0, t1) = tcp_transport_pair(cluster, sim);
-    background(sim);
-    let p0 = Pvm::new(&cluster.nodes[0].kernel, t0);
-    let p1 = Pvm::new(&cluster.nodes[1].kernel, t1);
-    // Echo side: recv -> pack -> send.
-    fn echo(pvm: Rc<Pvm>, sim: &mut Sim, reply: Bytes, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let p2 = pvm.clone();
-        pvm.recv(sim, -1, 1, move |sim, _msg| {
-            let p3 = p2.clone();
-            p2.clone().pack(sim, reply.clone(), move |sim| {
-                p3.send(sim, 0, 2);
-                echo(p3.clone(), sim, reply, left - 1);
-            });
-        });
-    }
-    let (request, reply) = request_and_reply(size, reply_size);
-    echo(p1, sim, reply, iters);
-    struct St {
-        pvm: Rc<Pvm>,
-        request: Bytes,
-        samples: Rc<RefCell<LatencyStats>>,
-    }
-    fn iterate(st: Rc<St>, sim: &mut Sim, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let t0 = sim.now();
-        let st2 = st.clone();
-        st.pvm.clone().pack(sim, st.request.clone(), move |sim| {
-            st2.pvm.send(sim, 1, 1);
-            let st3 = st2.clone();
-            st2.pvm.clone().recv(sim, 1, 2, move |sim, _| {
-                st3.samples.borrow_mut().record(sim.now() - t0);
-                iterate(st3.clone(), sim, left - 1);
-            });
-        });
-    }
-    iterate(
-        Rc::new(St {
-            pvm: p0,
-            request,
-            samples: samples.clone(),
-        }),
-        sim,
-        iters,
-    );
-}
-
-/// Build the MPI endpoints for nodes 0 and 1 over the requested backend.
-fn mpi_pair(cluster: &Cluster, sim: &mut Sim, stack: StackKind) -> (Rc<Mpi>, Rc<Mpi>) {
-    match stack {
-        StackKind::MpiClic => {
-            let peers = vec![cluster.nodes[0].mac, cluster.nodes[1].mac];
-            let mk = |i: usize, sim: &mut Sim| {
-                let node = &cluster.nodes[i];
-                let pid = node.kernel.borrow_mut().processes.spawn();
-                let t = ClicTransport::new(sim, &node.clic(), pid, i, peers.clone());
-                Mpi::new(&node.kernel, t)
-            };
-            let m0 = mk(0, sim);
-            let m1 = mk(1, sim);
-            (m0, m1)
-        }
-        StackKind::MpiTcp => {
-            let (t0, t1) = tcp_transport_pair(cluster, sim);
-            (
-                Mpi::new(&cluster.nodes[0].kernel, t0),
-                Mpi::new(&cluster.nodes[1].kernel, t1),
-            )
-        }
-        _ => panic!("not an MPI stack"),
-    }
-}
-
-fn tcp_transport_pair(cluster: &Cluster, sim: &mut Sim) -> (Rc<dyn Transport>, Rc<dyn Transport>) {
-    let ips = vec![cluster.nodes[0].ip, cluster.nodes[1].ip];
-    let t0 = TcpTransport::new(sim, &cluster.nodes[0].tcp(), 0, ips.clone());
-    let t1 = TcpTransport::new(sim, &cluster.nodes[1].tcp(), 1, ips);
-    sim.run();
-    assert!(t0.ready() && t1.ready(), "TCP transport mesh failed");
-    (t0, t1)
-}
-
-// ---------------------------------------------------------------------
-// Streaming
-// ---------------------------------------------------------------------
 
 /// The paper's bandwidth benchmark: `count` synchronous message cycles of
 /// `size` bytes from node 0 to node 1 (each message is completed — a tiny
@@ -586,27 +525,11 @@ pub fn stream(
 ) -> StreamResult {
     let start = sim.now();
     let cycles = request_reply_cycles(cluster, sim, stack, size.max(1), 4, count);
-    let elapsed = sim.now().saturating_since(start);
-    let window = elapsed.max(SimDuration::from_ns(1));
-    let sender_cpu = cluster.nodes[0]
-        .kernel
-        .borrow()
-        .cpu
-        .borrow()
-        .utilization(window);
-    let receiver_cpu = cluster.nodes[1]
-        .kernel
-        .borrow()
-        .cpu
-        .borrow()
-        .utilization(window);
+    let (sender_cpu, receiver_cpu) = cpu_shares(cluster, sim.now().saturating_since(start));
     // Goodput counts the request payloads over the sum of cycle times
     // (excluding the post-run settling the simulator does after the last
-    // reply).
-    let sum_cycles: SimDuration = {
-        // LatencyStats has no iterator; reconstruct from mean * count.
-        cycles.mean().expect("cycles") * cycles.count() as u64
-    };
+    // reply). LatencyStats has no iterator; reconstruct from mean * count.
+    let sum_cycles = cycles.mean().expect("cycles") * cycles.count() as u64;
     StreamResult {
         bytes: (size * count) as u64,
         msgs: count as u64,
@@ -615,6 +538,21 @@ pub fn stream(
         receiver_cpu,
     }
 }
+
+/// Node 0's and node 1's CPU busy fractions over `elapsed`.
+fn cpu_shares(cluster: &Cluster, elapsed: SimDuration) -> (f64, f64) {
+    let window = elapsed.max(SimDuration::from_ns(1));
+    let busy = |node: usize| -> f64 {
+        let kernel = cluster.nodes[node].kernel.borrow();
+        let cpu = kernel.cpu.borrow();
+        cpu.utilization(window)
+    };
+    (busy(0), busy(1))
+}
+
+// ---------------------------------------------------------------------
+// The offered-load loop: pipelined streams and Ablation G's bulk
+// ---------------------------------------------------------------------
 
 /// Offered-load streaming: node 0 posts all `count` messages of `size`
 /// bytes at once and the stacks pipeline them as their windows allow.
@@ -628,35 +566,16 @@ pub fn stream_pipelined(
     count: usize,
 ) -> StreamResult {
     assert!(size > 0 && count > 0);
-    // (delivered bytes, delivered msgs, last delivery time)
-    let progress: Rc<RefCell<(u64, u64, SimTime)>> = Rc::new(RefCell::new((0, 0, SimTime::ZERO)));
-    let start = match stack {
-        StackKind::Clic => stream_clic(cluster, sim, size, count, &progress),
-        StackKind::Tcp => stream_tcp(cluster, sim, size, count, &progress),
-        StackKind::Gamma => stream_gamma(cluster, sim, size, count, &progress),
-        StackKind::MpiClic | StackKind::MpiTcp => {
-            stream_mpi(cluster, sim, stack, size, count, &progress)
-        }
-        StackKind::PvmTcp => stream_pvm(cluster, sim, size, count, &progress),
-    };
+    let load = OfferedLoad::new(size, count);
+    let [client, server] = pair(cluster, sim, stack, &STREAM);
+    load.begin(sim, 1, server);
+    load.begin(sim, 0, client);
     sim.set_event_limit(sim.events_executed() + 400_000_000);
     sim.run();
-    let (bytes, msgs, last) = *progress.borrow();
+    let (bytes, msgs, last) = load.delivered.get();
     assert!(msgs > 0, "stream delivered nothing");
-    let elapsed = last.saturating_since(start);
-    let window = elapsed.max(SimDuration::from_ns(1));
-    let sender_cpu = cluster.nodes[0]
-        .kernel
-        .borrow()
-        .cpu
-        .borrow()
-        .utilization(window);
-    let receiver_cpu = cluster.nodes[1]
-        .kernel
-        .borrow()
-        .cpu
-        .borrow()
-        .utilization(window);
+    let elapsed = last.saturating_since(load.first_send.get());
+    let (sender_cpu, receiver_cpu) = cpu_shares(cluster, elapsed);
     StreamResult {
         bytes,
         msgs,
@@ -666,183 +585,76 @@ pub fn stream_pipelined(
     }
 }
 
-type Progress = Rc<RefCell<(u64, u64, SimTime)>>;
-
-fn note(progress: &Progress, now: SimTime, bytes: usize) {
-    let mut p = progress.borrow_mut();
-    p.0 += bytes as u64;
-    p.1 += 1;
-    p.2 = p.2.max(now);
-}
-
-fn stream_clic(
-    cluster: &Cluster,
-    sim: &mut Sim,
-    size: usize,
-    count: usize,
-    progress: &Progress,
-) -> SimTime {
-    const CH: u16 = 200;
-    let a = &cluster.nodes[0];
-    let b = &cluster.nodes[1];
-    let pid_a = a.kernel.borrow_mut().processes.spawn();
-    let pid_b = b.kernel.borrow_mut().processes.spawn();
-    let tx = Rc::new(ClicPort::bind(&a.clic(), pid_a, CH));
-    let rx = Rc::new(ClicPort::bind(&b.clic(), pid_b, CH));
-    fn sink(port: Rc<ClicPort>, sim: &mut Sim, progress: Progress, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let p2 = port.clone();
-        port.recv(sim, move |sim, msg| {
-            note(&progress, sim.now(), msg.data.len());
-            sink(p2.clone(), sim, progress, left - 1);
-        });
-    }
-    sink(rx, sim, progress.clone(), count);
-    let start = sim.now();
-    let data = payload(size);
-    for _ in 0..count {
-        tx.send(sim, b.mac, CH, data.clone());
-    }
-    start
-}
-
-fn stream_tcp(
-    cluster: &Cluster,
-    sim: &mut Sim,
-    size: usize,
-    count: usize,
-    progress: &Progress,
-) -> SimTime {
-    let a = cluster.nodes[0].tcp();
-    let b = cluster.nodes[1].tcp();
-    let b_ip = cluster.nodes[1].ip;
-    let server_conn: Rc<RefCell<Option<clic_tcpip::ConnId>>> = Rc::new(RefCell::new(None));
-    let sc = server_conn.clone();
-    b.borrow_mut()
-        .listen(9100, move |_s, id| *sc.borrow_mut() = Some(id));
-    let client_conn: Rc<RefCell<Option<clic_tcpip::ConnId>>> = Rc::new(RefCell::new(None));
-    let cc = client_conn.clone();
-    TcpStack::connect(&a, sim, b_ip, 9100, move |_s, id| {
-        *cc.borrow_mut() = Some(id)
-    });
-    sim.run();
-    let client = client_conn.borrow().expect("connect failed");
-    let server = server_conn.borrow().expect("accept failed");
-    fn sink(
-        stack: Rc<RefCell<TcpStack>>,
-        sim: &mut Sim,
-        conn: clic_tcpip::ConnId,
-        size: usize,
-        progress: Progress,
-        left: usize,
-    ) {
-        if left == 0 {
-            return;
-        }
-        let s2 = stack.clone();
-        TcpStack::recv(&stack, sim, conn, size, move |sim, data| {
-            note(&progress, sim.now(), data.len());
-            sink(s2.clone(), sim, conn, size, progress, left - 1);
-        });
-    }
-    sink(b, sim, server, size, progress.clone(), count);
-    let start = sim.now();
-    let data = payload(size);
-    for _ in 0..count {
-        TcpStack::send(&a, sim, client, data.clone());
-    }
-    start
-}
-
-fn stream_gamma(
-    cluster: &Cluster,
-    sim: &mut Sim,
-    size: usize,
-    count: usize,
-    progress: &Progress,
-) -> SimTime {
-    const PORT: u16 = 60;
-    let a = cluster.nodes[0].gamma();
-    let b = cluster.nodes[1].gamma();
-    let b_mac = cluster.nodes[1].mac;
-    let p = progress.clone();
-    b.borrow_mut().register_port(PORT, move |sim, msg| {
-        note(&p, sim.now(), msg.data.len());
-    });
-    let start = sim.now();
-    let data = payload(size);
-    for _ in 0..count {
-        GammaModule::send(&a, sim, b_mac, PORT, data.clone());
-    }
-    start
-}
-
-fn stream_mpi(
+/// Start an offered-load stream of `count` messages of `size` bytes from
+/// node 0 to node 1 over `stack` on the stream channel and ports, each end
+/// as soon as it opens: over TCP the handshake runs alongside whatever
+/// else the simulator does. Hold the returned loop until the run is over.
+pub(crate) fn offer_load(
     cluster: &Cluster,
     sim: &mut Sim,
     stack: StackKind,
     size: usize,
     count: usize,
-    progress: &Progress,
-) -> SimTime {
-    let (m0, m1) = mpi_pair(cluster, sim, stack);
-    fn sink(mpi: Rc<Mpi>, sim: &mut Sim, progress: Progress, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let m2 = mpi.clone();
-        mpi.recv(sim, 0, 1, move |sim, msg| {
-            note(&progress, sim.now(), msg.data.len());
-            sink(m2.clone(), sim, progress, left - 1);
-        });
-    }
-    sink(m1, sim, progress.clone(), count);
-    let start = sim.now();
-    let data = payload(size);
-    for _ in 0..count {
-        m0.send(sim, 1, 1, data.clone());
-    }
-    start
+) -> Rc<OfferedLoad> {
+    let load = OfferedLoad::new(size, count);
+    let started = load.clone();
+    open(cluster, sim, stack, &STREAM, move |sim, node, end| {
+        started.begin(sim, node, end)
+    });
+    load
 }
 
-fn stream_pvm(
-    cluster: &Cluster,
-    sim: &mut Sim,
+/// The offered-load loop: node 0 posts all its messages back to back and
+/// node 1 receives them one after another. It holds both ends, so its
+/// owner keeps them alive by holding it until the run is over: nothing
+/// else holds an MPI or PVM rank while its transport delivers.
+pub(crate) struct OfferedLoad {
     size: usize,
     count: usize,
-    progress: &Progress,
-) -> SimTime {
-    let (t0, t1) = tcp_transport_pair(cluster, sim);
-    let p0 = Pvm::new(&cluster.nodes[0].kernel, t0);
-    let p1 = Pvm::new(&cluster.nodes[1].kernel, t1);
-    fn sink(pvm: Rc<Pvm>, sim: &mut Sim, progress: Progress, left: usize) {
+    first_send: Cell<SimTime>,
+    /// Delivered bytes, delivered messages and the last delivery.
+    delivered: Cell<(u64, u64, SimTime)>,
+    ends: RefCell<[Option<Rc<Endpoint>>; 2]>,
+}
+
+impl OfferedLoad {
+    fn new(size: usize, count: usize) -> Rc<OfferedLoad> {
+        Rc::new(OfferedLoad {
+            size,
+            count,
+            first_send: Cell::new(SimTime::ZERO),
+            delivered: Cell::new((0, 0, SimTime::ZERO)),
+            ends: RefCell::new([None, None]),
+        })
+    }
+
+    /// Start node `node`'s half of the loop on its freshly opened `end`.
+    fn begin(self: &Rc<Self>, sim: &mut Sim, node: usize, end: Rc<Endpoint>) {
+        if node == 0 {
+            self.first_send.set(sim.now());
+            let data = payload(self.size);
+            for _ in 0..self.count {
+                end.send(sim, data.clone(), |_| {});
+            }
+        } else {
+            self.clone().sink(sim, end.clone(), self.count);
+        }
+        self.ends.borrow_mut()[node] = Some(end);
+    }
+
+    /// Receive `left` more messages on `end`, noting each.
+    fn sink(self: Rc<Self>, sim: &mut Sim, end: Rc<Endpoint>, left: usize) {
         if left == 0 {
             return;
         }
-        let p2 = pvm.clone();
-        pvm.recv(sim, -1, 1, move |sim, msg| {
-            note(&progress, sim.now(), msg.data.len());
-            sink(p2.clone(), sim, progress, left - 1);
+        let end2 = end.clone();
+        end.recv(sim, self.size, move |sim, len| {
+            let (bytes, msgs, _) = self.delivered.get();
+            self.delivered
+                .set((bytes + len as u64, msgs + 1, sim.now()));
+            self.sink(sim, end2, left - 1);
         });
     }
-    sink(p1, sim, progress.clone(), count);
-    let start = sim.now();
-    // PVM sends serialize: pack -> send -> pack the next.
-    fn pump(pvm: Rc<Pvm>, sim: &mut Sim, data: Bytes, left: usize) {
-        if left == 0 {
-            return;
-        }
-        let p2 = pvm.clone();
-        let d2 = data.clone();
-        pvm.clone().pack(sim, data, move |sim| {
-            p2.send(sim, 1, 1);
-            pump(p2.clone(), sim, d2, left - 1);
-        });
-    }
-    pump(p0, sim, payload(size), count);
-    start
 }
 
 // ---------------------------------------------------------------------

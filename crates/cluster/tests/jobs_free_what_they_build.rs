@@ -89,6 +89,14 @@ fn no_job_retains_a_byte() {
             .filter(|j| j.id.starts_with("scale/fat-tree/n256/")),
     );
     assert_eq!(jobs.len(), FAMILIES.len() + 2, "both n256 fat-tree jobs");
+    // The loaded Ablation G jobs open their bulk stream while the
+    // foreground cycles run, through callbacks left in TCP listeners.
+    jobs.extend(
+        FigureKind::Load
+            .jobs(&quick)
+            .into_iter()
+            .filter(|j| j.id.ends_with("/loaded")),
+    );
 
     let leaks: Vec<String> = jobs
         .iter()

@@ -4,11 +4,22 @@
 use clic_cluster::builder::{Cluster, ClusterConfig};
 use clic_cluster::workload::{
     ping_pong, request_reply_cycles, stream, stream_count, stream_pipelined, StackKind,
+    StreamResult,
 };
 use clic_cluster::{CostModel, NodeConfig};
 use clic_sim::{ActionArm, EngineProbe, Sim};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// The six stacks the paper compares.
+const EVERY_STACK: [StackKind; 6] = [
+    StackKind::Clic,
+    StackKind::Tcp,
+    StackKind::MpiClic,
+    StackKind::MpiTcp,
+    StackKind::PvmTcp,
+    StackKind::Gamma,
+];
 
 fn cfg_for(stack: StackKind) -> ClusterConfig {
     let model = CostModel::era_2002();
@@ -42,22 +53,28 @@ fn ping_pong_works_on_every_stack() {
     }
 }
 
+/// A stream flavour: [`stream`] or [`stream_pipelined`].
+type StreamFn = fn(&Cluster, &mut Sim, StackKind, usize, usize) -> StreamResult;
+
 #[test]
 fn synchronous_stream_works_on_every_stack() {
-    for stack in [
-        StackKind::Clic,
-        StackKind::Tcp,
-        StackKind::MpiClic,
-        StackKind::MpiTcp,
-        StackKind::PvmTcp,
-        StackKind::Gamma,
-    ] {
-        let cluster = Cluster::build(&cfg_for(stack));
-        let mut sim = Sim::new(2);
-        let res = stream(&cluster, &mut sim, stack, 16_384, 6);
-        assert_eq!(res.msgs, 6, "{stack:?}");
-        assert!(res.mbps() > 1.0, "{stack:?} bandwidth {:.1}", res.mbps());
-        assert!(res.mbps() < 1_000.0, "{stack:?} exceeds the wire");
+    // Both flavours, at a size above MPI's 64 KiB eager limit so that the
+    // MPI stacks run their rendezvous: every message arrives everywhere.
+    const SIZE: usize = 262_144;
+    const COUNT: usize = 6;
+    let flavours: [(&str, StreamFn); 2] =
+        [("synchronous", stream), ("pipelined", stream_pipelined)];
+    for stack in EVERY_STACK {
+        for (flavour, run) in flavours {
+            let cluster = Cluster::build(&cfg_for(stack));
+            let mut sim = Sim::new(2);
+            let res = run(&cluster, &mut sim, stack, SIZE, COUNT);
+            assert_eq!(res.msgs, COUNT as u64, "{stack:?} {flavour}");
+            assert_eq!(res.bytes, (SIZE * COUNT) as u64, "{stack:?} {flavour}");
+            let mbps = res.mbps();
+            assert!(mbps > 1.0, "{stack:?} {flavour} bandwidth {mbps:.1}");
+            assert!(mbps < 1_000.0, "{stack:?} {flavour} exceeds the wire");
+        }
     }
 }
 
@@ -65,7 +82,7 @@ fn synchronous_stream_works_on_every_stack() {
 fn pipelined_stream_beats_synchronous() {
     // Offered load pipelines messages; the paper's synchronous benchmark
     // pays a round trip per message — the pipelined result must dominate.
-    for stack in [StackKind::Clic, StackKind::Tcp] {
+    for stack in EVERY_STACK {
         let sync_mbps = {
             let cluster = Cluster::build(&cfg_for(stack));
             let mut sim = Sim::new(3);

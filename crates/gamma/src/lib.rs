@@ -25,7 +25,7 @@ use clic_os::driver::hard_start_xmit;
 use clic_os::{Kernel, PacketHandler, SkBuff};
 use clic_sim::{Sim, SimDuration};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 /// GAMMA-like header: port(2) + total message length(4) + fragment
@@ -86,6 +86,12 @@ struct Assembly {
     port: u16,
 }
 
+/// One message's packets (each a header and its data) and their station.
+struct Outgoing {
+    dst: MacAddr,
+    packets: VecDeque<(Bytes, Bytes)>,
+}
+
 /// The GAMMA-like kernel module of one node.
 pub struct GammaModule {
     kernel: Weak<RefCell<Kernel>>,
@@ -95,6 +101,10 @@ pub struct GammaModule {
     costs: GammaCosts,
     ports: BTreeMap<u16, PortHandler>,
     assembling: BTreeMap<MacAddr, Assembly>,
+    /// Messages waiting for the NIC, in send order; the first is posting.
+    /// The receiver assumes a source's fragments arrive in order, so one
+    /// message's packets all go out before the next message's first.
+    outgoing: VecDeque<Outgoing>,
     stats: GammaStats,
 }
 
@@ -151,6 +161,7 @@ impl GammaModule {
             costs: GammaCosts::era_2002(),
             ports: BTreeMap::new(),
             assembling: BTreeMap::new(),
+            outgoing: VecDeque::new(),
             stats: GammaStats::default(),
         }));
         kernel
@@ -187,7 +198,7 @@ impl GammaModule {
         let kernel = module.borrow().kernel.upgrade().expect("kernel dropped");
         let module2 = module.clone();
         Kernel::lightweight_call(&kernel.clone(), sim, move |sim| {
-            let (_dev, chunks, cost) = {
+            let (chunks, cost) = {
                 let mut m = module2.borrow_mut();
                 m.stats.msgs_sent += 1;
                 // Each packet is its 8-byte header and a slice of the
@@ -208,17 +219,69 @@ impl GammaModule {
                     off = end;
                 }
                 m.stats.packets_sent += chunks.len() as u64;
-                (m.dev, chunks, m.costs.tx_per_packet)
+                (chunks, m.costs.tx_per_packet)
             };
             let n = chunks.len() as u64;
-            let kernel2 = kernel.clone();
             Kernel::cpu_task(&kernel, sim, cost * n, move |sim| {
-                // Fragments must hit the wire in order; the send spins
-                // (retries) when the TX ring is momentarily full, as
-                // GAMMA's user-level send loop does.
-                post_in_order(&kernel2, sim, dst, chunks.into(), 0);
+                let idle = {
+                    let mut m = module2.borrow_mut();
+                    let packets = chunks.into();
+                    m.outgoing.push_back(Outgoing { dst, packets });
+                    m.outgoing.len() == 1
+                };
+                if idle {
+                    GammaModule::post_next(&module2, sim, 0);
+                }
             });
         });
+    }
+
+    /// Post the next packet of the first outgoing message, moving on to
+    /// the next message once one is fully posted. Fragments must hit the
+    /// wire in order; a refused post is retried after a short spin, as
+    /// GAMMA's user-level send loop does.
+    fn post_next(module: &Rc<RefCell<GammaModule>>, sim: &mut Sim, retries: u32) {
+        let (kernel, dev, dst, pkt) = {
+            let mut m = module.borrow_mut();
+            let (dst, pkt) = loop {
+                let Some(msg) = m.outgoing.front_mut() else {
+                    return;
+                };
+                match msg.packets.pop_front() {
+                    Some(pkt) => break (msg.dst, pkt),
+                    None => {
+                        m.outgoing.pop_front();
+                    }
+                }
+            };
+            let kernel = m.kernel.upgrade().expect("kernel dropped");
+            (kernel, m.dev, dst, pkt)
+        };
+        let skb = SkBuff::zero_copy(pkt.0.clone(), pkt.1.clone());
+        let module2 = module.clone();
+        hard_start_xmit(
+            &kernel,
+            sim,
+            dev,
+            dst,
+            EtherType::GAMMA,
+            skb,
+            move |sim, ok| {
+                if ok {
+                    GammaModule::post_next(&module2, sim, 0);
+                } else if retries < 10_000 {
+                    module2.borrow_mut().outgoing[0].packets.push_front(pkt);
+                    sim.schedule_in(SimDuration::from_us(5), move |sim| {
+                        GammaModule::post_next(&module2, sim, retries + 1);
+                    });
+                } else {
+                    // After exhausting retries the rest of the message is
+                    // lost — best effort ends somewhere.
+                    module2.borrow_mut().outgoing.pop_front();
+                    GammaModule::post_next(&module2, sim, 0);
+                }
+            },
+        );
     }
 
     fn on_frame(
@@ -292,43 +355,6 @@ impl GammaModule {
             }
         });
     }
-}
-
-/// Post `chunks` (each a header and its data) to the NIC strictly in
-/// order, retrying a refused post after a short spin.
-fn post_in_order(
-    kernel: &Rc<RefCell<Kernel>>,
-    sim: &mut Sim,
-    dst: MacAddr,
-    mut chunks: std::collections::VecDeque<(Bytes, Bytes)>,
-    retries: u32,
-) {
-    let Some(pkt) = chunks.pop_front() else {
-        return;
-    };
-    let kernel2 = kernel.clone();
-    let skb = SkBuff::zero_copy(pkt.0.clone(), pkt.1.clone());
-    hard_start_xmit(
-        kernel,
-        sim,
-        0,
-        dst,
-        EtherType::GAMMA,
-        skb,
-        move |sim, ok| {
-            if ok {
-                post_in_order(&kernel2, sim, dst, chunks, 0);
-            } else if retries < 10_000 {
-                chunks.push_front(pkt);
-                let kernel3 = kernel2.clone();
-                sim.schedule_in(SimDuration::from_us(5), move |sim| {
-                    post_in_order(&kernel3, sim, dst, chunks, retries + 1);
-                });
-            }
-            // After exhausting retries the rest of the message is lost —
-            // best effort ends somewhere.
-        },
-    );
 }
 
 #[cfg(test)]
@@ -420,6 +446,24 @@ mod tests {
         assert_eq!(inbox.borrow().len(), 1);
         assert_eq!(inbox.borrow()[0].1.data, data);
         assert!(a.module.borrow().stats().packets_sent > 30);
+    }
+
+    #[test]
+    fn back_to_back_messages_arrive_whole() {
+        // Two multi-fragment sends from one module: every fragment of the
+        // first is posted before the second's first, so the receiver,
+        // which assumes in-order fragments per source, keeps both.
+        let mut sim = Sim::new(0);
+        let (a, b) = mk_pair(LossModel::None);
+        let inbox = port_into(&b, 3);
+        let data = payload(8_192);
+        for _ in 0..3 {
+            GammaModule::send(&a.module, &mut sim, b.mac, 3, data.clone());
+        }
+        sim.run();
+        assert_eq!(inbox.borrow().len(), 3);
+        assert!(inbox.borrow().iter().all(|(_, m)| m.data == data));
+        assert_eq!(b.module.borrow().stats().broken_messages, 0);
     }
 
     #[test]

@@ -227,8 +227,6 @@ pub struct TcpStats {
     pub checksum_errors: u64,
     /// Connections established (both roles).
     pub established: u64,
-    /// Segments not sent: the destination has no neighbor entry.
-    pub no_route: u64,
     /// Packets dropped on a bad IPv4 header (checksum, length, a fragment
     /// or another protocol).
     pub rx_errors: u64,
@@ -546,9 +544,10 @@ impl TcpStack {
     ) {
         let (head, mac, dev, cost) = {
             let mut s = stack.borrow_mut();
+            // Every workload addresses cluster nodes, all in the static
+            // table: a miss is a set-up bug, not a network condition.
             let Some(&mac) = s.neighbors.get(&peer) else {
-                s.stats.no_route += 1;
-                return;
+                panic!("TCP: no neighbor entry for {peer}");
             };
             let segment_len = TCP_HEADER + payload.len();
             assert!(
