@@ -1,7 +1,8 @@
 //! Microbenchmarks of the DES engine: raw event throughput and the cost of
 //! the contended-resource abstractions everything else is built on.
 
-use clic_sim::{Cpu, CpuClass, Resume, Sim, SimDuration};
+use clic_sim::queue::SLOT_WIDTH_NS;
+use clic_sim::{Cpu, CpuClass, Resume, Sim, SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -24,6 +25,16 @@ struct Nop;
 
 impl Resume for Nop {
     fn resume(self: Rc<Self>, _: &mut Sim) {}
+}
+
+/// A handle that re-arms itself after the same delay, for as long as
+/// the run lasts.
+struct Rearm(SimDuration);
+
+impl Resume for Rearm {
+    fn resume(self: Rc<Self>, sim: &mut Sim) {
+        sim.resume_in(self.0, self);
+    }
 }
 
 /// Schedule-and-drain of a long chain of bare events on the
@@ -88,6 +99,31 @@ fn bench_event_fanout_boxed(c: &mut Criterion) {
     });
 }
 
+/// 2,000 events pending at once, re-arming in bursts for 60 ms of
+/// simulated time: 20 groups of 100 handles, each group on its own
+/// delay from 0.3 to 6.3 ms (three wheel spans), so wheel slots are
+/// reused rotation after rotation and the longer delays pass through
+/// the overflow heap. A group's burst spans 300 ns and its delay is a
+/// whole number of slots, so each burst fills one slot, dense enough
+/// for the counting sort. The fabric workloads keep this many events
+/// pending; the chains keep one and the fan-outs drain one batch.
+fn bench_rotating_bursts(c: &mut Criterion) {
+    c.bench_function("engine_rotating_bursts", |b| {
+        b.iter(|| {
+            let mut sim = Sim::new(0);
+            for g in 0..20u64 {
+                let delay = SimDuration::from_ns(SLOT_WIDTH_NS * 619 * (g + 1));
+                for k in 0..100u64 {
+                    let start = SimDuration::from_ns(SLOT_WIDTH_NS * 2 * g + k * 3);
+                    sim.resume_in(start, Rc::new(Rearm(delay)));
+                }
+            }
+            sim.run_until(SimTime::from_us(60_000));
+            sim.events_executed()
+        })
+    });
+}
+
 /// CPU resource with mixed-priority work.
 fn bench_cpu_resource(c: &mut Criterion) {
     c.bench_function("cpu_resource_50k_items", |b| {
@@ -136,6 +172,7 @@ criterion_group! {
     name = engine;
     config = Criterion::default().sample_size(10);
     targets = bench_event_chain, bench_event_chain_boxed, bench_event_fanout,
-        bench_event_fanout_boxed, bench_cpu_resource, bench_serial_resource
+        bench_event_fanout_boxed, bench_rotating_bursts, bench_cpu_resource,
+        bench_serial_resource
 }
 criterion_main!(engine);

@@ -8,40 +8,48 @@
 //! chosen so the common scheduling patterns of this simulator hit O(1)
 //! paths:
 //!
-//! * **wheel** — a ring of [`SLOTS`] unsorted buckets covering the next
-//!   `SLOTS × SLOT_WIDTH_NS` of virtual time (≈ 2 ms). Inserts are an
-//!   O(1) push; a 1-bit-per-slot occupancy bitmap finds the next
-//!   non-empty bucket by word scans instead of walking empty buckets.
-//! * **bucket view** — when the cursor reaches a bucket, the bucket is
-//!   sorted *in place* and popped through a cursor, so bulk items are
-//!   moved exactly twice (insert push, pop take). Dense buckets skip
-//!   comparison sorting entirely: appends arrive in ascending `seq`
+//! * **wheel** — a ring of [`SLOTS`] slots covering the next
+//!   `SLOTS × SLOT_WIDTH_NS` of virtual time (≈ 2 ms). A slot is an
+//!   intrusive list, in insertion order, through one slab of entries
+//!   that every slot shares; a free list recycles the entries that pops
+//!   release. Inserts are O(1) (take a free entry, link it at the
+//!   slot's tail); a 1-bit-per-slot occupancy bitmap finds the next
+//!   non-empty slot by word scans instead of walking empty ones. The
+//!   slab grows only when no entry is free, so the wheel's storage is
+//!   bounded by the most items that ever waited in slots at once, not
+//!   by the sum of every slot's busiest visit, and a queue allocates
+//!   its slot table once.
+//! * **slot view** — when the cursor reaches a slot, its list is walked
+//!   into a reused buffer of slab indices, which is sorted and popped
+//!   through a cursor; items stay in the slab until popped. Dense slots
+//!   skip comparison sorting: lists are appended in ascending `seq`
 //!   order, so a stable two-pass counting sort on the in-slot time
-//!   offset (9 bits) yields the full `(time, seq)` order as an index
-//!   permutation without touching the items.
+//!   offset (9 bits) yields the full `(time, seq)` order without
+//!   comparing items.
 //! * **active slot** — a sorted overlay deque for items that must enter
 //!   the already-open slot: schedules landing at or before the cursor
 //!   (same-instant follow-ups, post-horizon resume inserts). Pops are
 //!   `pop_front`; inserts compare against the back (`push_back` for
 //!   in-order keys, the common case) and binary-search otherwise. A live
-//!   bucket view is materialised into this deque before such an insert,
+//!   slot view is materialised into this deque before such an insert,
 //!   preserving order.
 //! * **overflow** — a min-heap for items beyond the wheel horizon
 //!   (coarse timers: RTOs, keepalives, chaos schedules). Items migrate
-//!   into their bucket when the cursor reaches it, so each pays O(log n)
-//!   once regardless of how often the wheel turns.
+//!   into their slot's list when the cursor reaches it, so each pays
+//!   O(log n) once regardless of how often the wheel turns.
 //!
 //! # Ordering invariants
 //!
-//! 1. Every active-deque item sorts `<=` every viewed-bucket item, every
-//!    viewed item sorts `<` every other wheel item, and overflow items
-//!    sort after the wheel window — maintained by routing inserts on
-//!    their slot (`time >> SLOT_SHIFT`) relative to the cursor and by
+//! 1. Every active-deque item sorts `<=` every viewed item, every viewed
+//!    item sorts `<` every other wheel item, and overflow items sort
+//!    after the wheel window — maintained by routing inserts on their
+//!    slot (`time >> SLOT_SHIFT`) relative to the cursor and by
 //!    materialising the view before an in-slot insert.
 //! 2. Keys are unique (`seq` never repeats), so pop order is a strict
-//!    total order, unstable sorts are safe, and bucket appends are
-//!    always in ascending `seq` order (the counting sort's stability
-//!    precondition).
+//!    total order, unstable sorts are safe, and slot lists are always
+//!    appended in ascending `seq` order (the counting sort's stability
+//!    precondition; a slot that overflow items migrated into is
+//!    comparison-sorted instead).
 //! 3. Inserts must not precede the last popped key (the engine asserts
 //!    `time >= now`). Inserting into an already-passed region of the
 //!    current slot is still legal — such items sort to the front of the
@@ -67,10 +75,12 @@ pub const SLOTS: usize = 4096;
 
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
 const WORDS: usize = SLOTS / 64;
-/// Buckets larger than this are sorted with the counting permutation;
-/// smaller ones with a comparison sort (the 2-pass count over
-/// `SLOT_WIDTH_NS` offsets only amortises on dense buckets).
+/// Slots with more items than this are sorted with the counting
+/// permutation; smaller ones with a comparison sort (the 2-pass count
+/// over `SLOT_WIDTH_NS` offsets only amortises on dense slots).
 const COUNTING_SORT_MIN: usize = 64;
+/// The slab index that ends a list (a slot's or the free list).
+const NIL: u32 = u32::MAX;
 
 struct Item<T> {
     time: SimTime,
@@ -110,14 +120,34 @@ impl<T> Ord for OverflowItem<T> {
     }
 }
 
+/// A slab entry: an item waiting in a wheel slot (`None` once taken)
+/// and the next entry of its slot's list, or of the free list.
+struct Entry<T> {
+    item: Option<Item<T>>,
+    next: u32,
+}
+
+/// A wheel slot: the first and last slab entry of its list. The list is
+/// empty while `tail` is `NIL`; `head` is then stale, and the next
+/// append writes it.
+#[derive(Clone, Copy)]
+struct SlotList {
+    head: u32,
+    tail: u32,
+}
+
 /// A calendar queue over `(time, seq)`-keyed items. See the module docs
 /// for the tier structure and invariants.
 pub struct CalendarQueue<T> {
-    /// Ring of unsorted future buckets; index = `slot & SLOT_MASK`.
-    /// Entries are `Some` until taken by a view pop.
-    wheel: Vec<Vec<Option<Item<T>>>>,
-    /// One bit per wheel bucket: set while the bucket holds future items
-    /// (cleared when the cursor opens the bucket).
+    /// Entries of every slot's list; `u32` indices (`NIL` excluded), so
+    /// at most `u32::MAX` items wait in slots at once.
+    slab: Vec<Entry<T>>,
+    /// First entry of the free list (`NIL` when every entry is in use).
+    free: u32,
+    /// Ring of slot lists; index = `slot & SLOT_MASK`.
+    slots: Box<[SlotList]>,
+    /// One bit per wheel slot: set while its list holds future items
+    /// (cleared when the cursor opens the slot).
     occupied: [u64; WORDS],
     /// Absolute slot index (`time >> SLOT_SHIFT`) the cursor points at.
     cur_slot: u64,
@@ -129,41 +159,46 @@ pub struct CalendarQueue<T> {
     active: VecDeque<Item<T>>,
     /// Min-heap of items beyond the wheel horizon.
     overflow: BinaryHeap<OverflowItem<T>>,
-    /// Sorted index permutation of the viewed bucket; empty = identity
-    /// (the bucket was sorted in place).
-    perm: Vec<u32>,
-    /// Wheel index of the bucket a live view drains.
-    view_idx: usize,
-    /// Next view position to pop.
+    /// Slab indices of the open slot's items in `(time, seq)` order.
+    view: Vec<u32>,
+    /// The counting sort's output, swapped with `view` after each sort
+    /// so both keep their capacity.
+    sorted: Vec<u32>,
+    /// Next view position to pop; the view is live while this is below
+    /// `view.len()` (implies the active deque was empty when the slot
+    /// opened; in-slot inserts materialise the view first).
     view_head: usize,
-    /// Number of items the live view covers.
-    view_len: usize,
-    /// Whether a bucket view is live (implies the active deque was empty
-    /// when it was opened; in-slot inserts materialise it first).
-    view_live: bool,
     /// Whether anything was ever popped. Gates the empty-queue insert
     /// fast path: before the first pop a fan-out into an empty queue
-    /// must spread across wheel buckets, not the sorted deque.
+    /// must spread across wheel slots, not the sorted deque.
     popped: bool,
     /// Total pending items.
     len: usize,
 }
 
 impl<T> CalendarQueue<T> {
-    /// An empty queue with the cursor at time zero.
+    /// An empty queue with the cursor at time zero. Allocates the slot
+    /// table and nothing else.
     pub fn new() -> Self {
         CalendarQueue {
-            wheel: (0..SLOTS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            slots: vec![
+                SlotList {
+                    head: NIL,
+                    tail: NIL
+                };
+                SLOTS
+            ]
+            .into_boxed_slice(),
             occupied: [0; WORDS],
             cur_slot: 0,
             active_valid: false,
             active: VecDeque::new(),
             overflow: BinaryHeap::new(),
-            perm: Vec::new(),
-            view_idx: 0,
+            view: Vec::new(),
+            sorted: Vec::new(),
             view_head: 0,
-            view_len: 0,
-            view_live: false,
             popped: false,
             len: 0,
         }
@@ -203,8 +238,8 @@ impl<T> CalendarQueue<T> {
         if self.active_valid && slot <= self.cur_slot {
             // Entering the open (or, after a horizon stop, an
             // already-passed) slot: keep the sorted overlay authoritative
-            // — fold a live bucket view into it first.
-            if self.view_live {
+            // — fold a live slot view into it first.
+            if self.view_head < self.view.len() {
                 self.materialize_view();
             }
             // New items usually carry the largest key in the slot, so
@@ -220,7 +255,7 @@ impl<T> CalendarQueue<T> {
             }
         } else if slot < self.cur_slot + SLOTS as u64 {
             let i = (slot & SLOT_MASK) as usize;
-            self.wheel[i].push(Some(item));
+            self.append(i, item);
             self.occupied[i / 64] |= 1 << (i % 64);
         } else {
             self.overflow.push(OverflowItem(item));
@@ -236,9 +271,8 @@ impl<T> CalendarQueue<T> {
             if let Some(front) = self.active.front() {
                 return Some(front.key());
             }
-            if self.view_live {
-                let i = self.view_index(self.view_head);
-                return self.wheel[self.view_idx][i].as_ref().map(Item::key);
+            if let Some(&e) = self.view.get(self.view_head) {
+                return self.slab[e as usize].item.as_ref().map(Item::key);
             }
             if self.len == 0 {
                 return None;
@@ -257,17 +291,11 @@ impl<T> CalendarQueue<T> {
                 self.popped = true;
                 return Some((it.time, it.seq, it.value));
             }
-            if self.view_live {
-                let i = self.view_index(self.view_head);
-                let it = self.wheel[self.view_idx][i].take();
+            if let Some(&e) = self.view.get(self.view_head) {
                 self.view_head += 1;
-                if self.view_head == self.view_len {
-                    self.wheel[self.view_idx].clear();
-                    self.view_live = false;
-                }
                 self.len -= 1;
                 self.popped = true;
-                return it.map(|it| (it.time, it.seq, it.value));
+                return self.take(e).map(|it| (it.time, it.seq, it.value));
             }
             if self.len == 0 {
                 return None;
@@ -276,34 +304,61 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Bucket position of view entry `k` (identity when `perm` is empty:
-    /// the bucket was sorted in place).
+    /// Link `item` at the tail of wheel slot `i`'s list, in a free slab
+    /// entry if there is one.
     #[inline]
-    fn view_index(&self, k: usize) -> usize {
-        if self.perm.is_empty() {
-            k
-        } else {
-            self.perm[k] as usize
+    fn append(&mut self, i: usize, item: Item<T>) {
+        let e = match self.free {
+            NIL => {
+                assert!(self.slab.len() < NIL as usize, "slab index space exhausted");
+                self.slab.push(Entry {
+                    item: Some(item),
+                    next: NIL,
+                });
+                (self.slab.len() - 1) as u32
+            }
+            e => {
+                let entry = &mut self.slab[e as usize];
+                self.free = entry.next;
+                entry.item = Some(item);
+                entry.next = NIL;
+                e
+            }
+        };
+        let list = &mut self.slots[i];
+        match list.tail {
+            NIL => list.head = e,
+            tail => self.slab[tail as usize].next = e,
         }
+        list.tail = e;
+    }
+
+    /// Take the item out of slab entry `e` and put the entry on the free
+    /// list.
+    #[inline]
+    fn take(&mut self, e: u32) -> Option<Item<T>> {
+        let entry = &mut self.slab[e as usize];
+        entry.next = self.free;
+        self.free = e;
+        entry.item.take()
     }
 
     /// Fold the remaining items of a live view into the active deque, in
     /// order. Called before an insert targets the open slot, so the
     /// sorted overlay stays authoritative.
     fn materialize_view(&mut self) {
-        for k in self.view_head..self.view_len {
-            let i = self.view_index(k);
-            if let Some(it) = self.wheel[self.view_idx][i].take() {
+        for k in self.view_head..self.view.len() {
+            if let Some(it) = self.take(self.view[k]) {
                 self.active.push_back(it);
             }
         }
-        self.wheel[self.view_idx].clear();
-        self.view_live = false;
+        self.view.clear();
+        self.view_head = 0;
     }
 
     /// Move the cursor to the next populated slot and open it as a
     /// sorted view (migrating due overflow items into it first).
-    /// Requires pending items and no open view or active items.
+    /// Requires pending items and no live view or active items.
     fn advance(&mut self) {
         // Find the next populated slot among the wheel (bitmap scan) and
         // the overflow heap, whichever is earlier.
@@ -318,13 +373,16 @@ impl<T> CalendarQueue<T> {
             (Some(w), Some(o)) => w.min(o),
             (Some(w), None) => w,
             (None, Some(o)) => o,
-            (None, None) => return,
+            (None, None) => {
+                debug_assert_eq!(self.len, 0, "pending items in no tier");
+                return;
+            }
         };
         self.cur_slot = target;
         self.active_valid = true;
         let idx = (target & SLOT_MASK) as usize;
         self.occupied[idx / 64] &= !(1 << (idx % 64));
-        // Append overflow items that landed in this slot; the bucket is
+        // Append overflow items that landed in this slot; the view is
         // then sorted as a whole, so their position does not matter.
         let mut migrated = false;
         while let Some(top) = self.overflow.peek() {
@@ -332,23 +390,41 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             if let Some(OverflowItem(it)) = self.overflow.pop() {
-                self.wheel[idx].push(Some(it));
+                self.append(idx, it);
                 migrated = true;
             }
         }
-        let n = self.wheel[idx].len();
-        self.perm.clear();
+        // Detach the slot's list and walk it into the view, in
+        // insertion order.
+        let mut e = self.slots[idx].head;
+        self.slots[idx].tail = NIL;
+        self.view.clear();
+        self.view_head = 0;
+        while e != NIL {
+            debug_assert!(
+                self.view.len() < self.len,
+                "a slot list longer than the queue"
+            );
+            self.view.push(e);
+            e = self.slab[e as usize].next;
+        }
+        let n = self.view.len();
         if !migrated && n > COUNTING_SORT_MIN {
-            // Dense bucket: build a sorted index permutation with a
-            // stable two-pass counting sort on the in-slot time offset.
-            // Appends happened in ascending `seq` order, so stability
-            // restores the full (time, seq) order without moving or
-            // comparing items.
+            // Dense slot: a stable two-pass counting sort on the in-slot
+            // time offset. The list was appended in ascending `seq`
+            // order, so stability restores the full (time, seq) order
+            // without comparing items.
             const W: usize = SLOT_WIDTH_NS as usize;
+            let slab = &self.slab;
+            let offset = |e: u32| {
+                slab[e as usize]
+                    .item
+                    .as_ref()
+                    .map_or(0, |it| it.time.as_ns() as usize & (W - 1))
+            };
             let mut counts = [0u32; W];
-            let bucket = &self.wheel[idx];
-            for it in bucket.iter().flatten() {
-                counts[(it.time.as_ns() as usize) & (W - 1)] += 1;
+            for &e in &self.view {
+                counts[offset(e)] += 1;
             }
             let mut sum = 0u32;
             for c in counts.iter_mut() {
@@ -356,27 +432,24 @@ impl<T> CalendarQueue<T> {
                 *c = sum;
                 sum += v;
             }
-            self.perm.resize(n, 0);
-            for (i, slot) in bucket.iter().enumerate() {
-                if let Some(it) = slot {
-                    let o = (it.time.as_ns() as usize) & (W - 1);
-                    self.perm[counts[o] as usize] = i as u32;
-                    counts[o] += 1;
-                }
+            self.sorted.clear();
+            self.sorted.resize(n, 0);
+            for &e in &self.view {
+                let o = offset(e);
+                self.sorted[counts[o] as usize] = e;
+                counts[o] += 1;
             }
-        } else {
-            // Sparse (or overflow-mixed) bucket: comparison-sort in place
-            // and drain by identity. Keys are unique, so an unstable sort
-            // yields the total order; `None` never occurs pre-drain.
-            self.wheel[idx].sort_unstable_by_key(|slot| slot.as_ref().map(Item::sort_key));
+            std::mem::swap(&mut self.view, &mut self.sorted);
+        } else if n > 1 {
+            // Sparse (or overflow-mixed) slot: comparison sort. Keys are
+            // unique, so an unstable sort yields the total order.
+            let slab = &self.slab;
+            self.view
+                .sort_unstable_by_key(|&e| slab[e as usize].item.as_ref().map(Item::sort_key));
         }
-        self.view_idx = idx;
-        self.view_head = 0;
-        self.view_len = n;
-        self.view_live = n > 0;
     }
 
-    /// First wheel slot `>= from` whose bucket is non-empty, as an
+    /// First wheel slot `>= from` whose list is non-empty, as an
     /// absolute slot index; `None` when the whole wheel is empty.
     fn next_occupied_slot(&self, from: u64) -> Option<u64> {
         let start = (from & SLOT_MASK) as usize;
@@ -416,6 +489,7 @@ impl<T> std::fmt::Debug for CalendarQueue<T> {
             .field("cur_slot", &self.cur_slot)
             .field("active", &self.active.len())
             .field("overflow", &self.overflow.len())
+            .field("slab", &self.slab.len())
             .finish()
     }
 }
@@ -561,6 +635,31 @@ mod tests {
         );
         let order: Vec<u64> = drain(&mut q).into_iter().map(|(_, s, _)| s).collect();
         assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn slab_holds_only_pending_items() {
+        // Bursts into slots all around the wheel over many rotations, a
+        // far-future item keeping the queue non-empty: the slab never
+        // holds more entries than items were pending in slots at once.
+        let mut q = CalendarQueue::new();
+        q.insert(SimTime::from_ns(u64::MAX / 2), 0, 0);
+        let mut seq = 1u64;
+        let (mut now, mut peak) = (0u64, 0usize);
+        for round in 0..64u64 {
+            let base = now + SLOT_WIDTH_NS * (1 + round * 97 % SLOTS as u64);
+            let n = 1 + round * 13 % 150;
+            for k in 0..n {
+                q.insert(SimTime::from_ns(base + k % 7), seq, 0);
+                seq += 1;
+            }
+            peak = peak.max(n as usize);
+            while q.len() > 1 {
+                now = q.pop().map(|(t, ..)| t.as_ns()).unwrap();
+            }
+        }
+        assert!(now > 20 * SLOT_WIDTH_NS * SLOTS as u64, "{now} ns");
+        assert_eq!(q.slab.len(), peak);
     }
 
     #[test]

@@ -199,50 +199,64 @@ mod calendar_queue_model {
         /// the engine produces: near-cursor times (including ties with the
         /// last popped event, the past-horizon reinsertion case), times
         /// spread across many wheel slots, and far-future times beyond the
-        /// wheel span that land in the overflow heap.
+        /// wheel span that land in the overflow heap, bursts dense enough
+        /// for the counting sort, and jumps of a whole wheel span that
+        /// reuse slots and free slab entries rotation after rotation and
+        /// migrate overflow items into slots that already hold items.
         #[test]
         fn pops_match_binary_heap_reference(
-            ops in proptest::collection::vec((0u8..6, 0u64..2048), 1..300)
+            ops in proptest::collection::vec((0u8..8, 0u64..2048), 1..300)
         ) {
             // One slot is 512 ns and the wheel spans 4096 slots; anything
             // at or past `floor + WHEEL_SPAN` must take the overflow path.
-            const WHEEL_SPAN: u64 = 512 * 4096;
+            const SLOT: u64 = 512;
+            const WHEEL_SPAN: u64 = SLOT * 4096;
             let mut q: CalendarQueue<u64> = CalendarQueue::new();
             let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
             let mut seq = 0u64;
             // The engine never schedules before the current time: track the
             // last popped timestamp as the floor for new inserts.
             let mut floor = 0u64;
+            let mut push = |q: &mut CalendarQueue<u64>,
+                            model: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                            t: u64| {
+                q.insert(SimTime::from_ns(t), seq, seq);
+                model.push(Reverse((t, seq)));
+                seq += 1;
+            };
+            // Pop from both while the model's next item is due by `until`,
+            // comparing every pop and moving the floor.
+            fn pop_through(
+                q: &mut CalendarQueue<u64>,
+                model: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                floor: &mut u64,
+                until: u64,
+            ) {
+                while model.peek().is_some_and(|r| r.0 .0 <= until) {
+                    let got = q.pop().map(|(t, s, v)| (t.as_ns(), s, v));
+                    let want = model.pop().map(|Reverse((t, s))| (t, s, s));
+                    if let Some((t, _, _)) = got {
+                        *floor = t;
+                    }
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(q.len(), model.len());
+            }
             for &(kind, off) in &ops {
                 match kind {
                     // Near-cursor insert; off == 0 reproduces the
                     // horizon-pause reinsert (time equal to "now").
-                    0 | 1 => {
-                        let t = floor + off;
-                        q.insert(SimTime::from_ns(t), seq, seq);
-                        model.push(Reverse((t, seq)));
-                        seq += 1;
-                    }
+                    0 | 1 => push(&mut q, &mut model, floor + off),
                     // Spread across many slots of the wheel.
-                    2 => {
-                        let t = floor + off * 997;
-                        q.insert(SimTime::from_ns(t), seq, seq);
-                        model.push(Reverse((t, seq)));
-                        seq += 1;
-                    }
+                    2 => push(&mut q, &mut model, floor + off * 997),
                     // Far future: beyond the wheel span, into overflow.
-                    3 => {
-                        let t = floor + WHEEL_SPAN + off * 31;
-                        q.insert(SimTime::from_ns(t), seq, seq);
-                        model.push(Reverse((t, seq)));
-                        seq += 1;
-                    }
+                    3 => push(&mut q, &mut model, floor + WHEEL_SPAN + off * 31),
                     // Peek must agree without disturbing pop order.
                     4 => {
                         let got = q.next_key().map(|(t, s)| (t.as_ns(), s));
                         prop_assert_eq!(got, model.peek().map(|r| r.0));
                     }
-                    _ => {
+                    5 => {
                         let got = q.pop().map(|(t, s, v)| (t.as_ns(), s, v));
                         let want = model.pop().map(|Reverse((t, s))| (t, s, s));
                         if let Some((t, _, _)) = got {
@@ -250,6 +264,33 @@ mod calendar_queue_model {
                         }
                         prop_assert_eq!(got, want);
                         prop_assert_eq!(q.len(), model.len());
+                    }
+                    // A burst of 65–200 items into one future slot, over
+                    // 64 distinct offsets so equal times recur: the
+                    // counting sort must keep them in seq order. An item
+                    // at the floor first keeps an empty queue from
+                    // taking the burst into its open slot.
+                    6 => {
+                        if model.is_empty() {
+                            push(&mut q, &mut model, floor);
+                        }
+                        let base = (floor / SLOT + 2 + off % 5) * SLOT;
+                        for k in 0..65 + off % 136 {
+                            push(&mut q, &mut model, base + (k * 37 + off) % 64 * 8);
+                        }
+                    }
+                    // Jump the floor a whole wheel span: `far` starts in
+                    // overflow; popping through `mid` brings its slot
+                    // into the wheel's range, where a same-time item
+                    // joins that slot's list before `far` migrates in.
+                    _ => {
+                        let far = floor + WHEEL_SPAN + off;
+                        let mid = floor + WHEEL_SPAN / 2 + off;
+                        push(&mut q, &mut model, far);
+                        push(&mut q, &mut model, mid);
+                        pop_through(&mut q, &mut model, &mut floor, mid);
+                        push(&mut q, &mut model, far);
+                        pop_through(&mut q, &mut model, &mut floor, far);
                     }
                 }
             }

@@ -7,11 +7,13 @@
 //! zero-sized, and boxing a zero-sized closure does not allocate, so
 //! whatever the batch allocates is the resources' own overhead.
 //!
-//! A warm-up batch first grows every queue the second batch touches. Both
-//! resources stay busy for longer than the calendar wheel's ~2.1 ms, so
-//! every wheel bucket has held an item (an event that is the only one
-//! pending skips the wheel). The second batch, of the same shape, must
-//! then allocate exactly nothing.
+//! A warm-up batch first grows every queue the second batch touches: the
+//! resources' own, and the event queue's slab to the batch's peak
+//! pending count (every wheel slot links its items through that one
+//! slab, and a slot takes no storage of its own). Both resources stay
+//! busy for longer than the calendar wheel's ~2.1 ms, so the second
+//! batch reuses slots a rotation later. That batch, of the same shape,
+//! must then allocate exactly nothing.
 //!
 //! The counter is process-wide and cargo runs a binary's tests on
 //! parallel threads, so this file holds exactly one `#[test]`.
