@@ -7,7 +7,9 @@
 //! calls the unmodified driver; the NIC moves the data as bus master, so
 //! module + driver retire before the transfer finishes. If the NIC cannot
 //! accept a packet, the module copies it to system memory and retries later
-//! — overlapped with other traffic, exactly §3.1.
+//! — overlapped with other traffic, exactly §3.1. Every such copy is
+//! charged to the CPU; the host does not make it, since the packet's data
+//! is the sender's immutable buffer either way.
 //!
 //! Receive path: the driver (interrupt) moves frames to system memory and
 //! invokes the module through a Linux bottom half — or directly, with the
@@ -21,7 +23,7 @@ use crate::api::RecvMsg;
 use crate::config::{ClicConfig, CongestionConfig, CongestionMode};
 use crate::header::{control, flags, ClicHeader, PacketType, CLIC_HEADER, MSG_PREFIX};
 use crate::reliable::{RecvOutcome, RecvWindow, SendWindow};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, Gather};
 use clic_ethernet::{EtherType, Frame, MacAddr, RoundRobin};
 use clic_os::driver::hard_start_xmit;
 use clic_os::{DataLocation, Kernel, PacketHandler, Pid, SkBuff};
@@ -294,8 +296,8 @@ fn cong_gauges(sim: &mut Sim, c: &Congestion) {
 
 struct QueuedPacket {
     header: ClicHeader,
-    /// The packet's data: a slice of the user's message until the packet
-    /// is staged, then the one kernel copy every later post sends.
+    /// The packet's data: a slice of the user's message, before and after
+    /// the packet is staged (`location` says where the model keeps it).
     body: Bytes,
     location: DataLocation,
     /// Whether a full TX ring has already staged this packet (counted and
@@ -388,14 +390,15 @@ impl OutFlow {
 }
 
 struct Assembly {
-    total: usize,
-    buf: BytesMut,
+    buf: Gather,
     ptype: PacketType,
 }
 
 struct InFlow {
     window: RecvWindow,
-    assembling: Option<Assembly>,
+    /// Boxed: a node keeps a flow per peer, and most of them have no
+    /// message in reassembly.
+    assembling: Option<Box<Assembly>>,
     unacked: u32,
     ack_timer_armed: bool,
     ack_gen: u64,
@@ -983,8 +986,10 @@ impl ClicModule {
         if pkt.location == DataLocation::User && !module.borrow().config.zero_copy {
             // 1-copy path: the first post stages the packet's data in
             // kernel memory (the copy `module_tx` charged for the whole
-            // message), and the packet keeps that copy from then on.
-            pkt.body = Bytes::copy_from_slice(&pkt.body);
+            // message), and the packet is kernel-located from then on.
+            // The host keeps sending the sender's bytes, which nothing
+            // can change: the model charges the copy, the host need not
+            // make it.
             pkt.location = DataLocation::Kernel;
         }
         let skb = Self::build_skb(pkt.header, &pkt.body, pkt.location).with_trace(pkt.trace);
@@ -1034,9 +1039,9 @@ impl ClicModule {
                 .instant(sim.now(), Layer::Clic, "staged_copy", pkt.trace);
             pkt.staged = true;
             if m.config.zero_copy {
-                // The one copy of this packet's data: every later post and
-                // retransmission sends it.
-                pkt.body = Bytes::copy_from_slice(&pkt.body);
+                // The one staging copy of this packet's data, charged here;
+                // every later post and retransmission sends the staged
+                // packet, whose bytes are still the sender's, shared.
                 pkt.location = DataLocation::Kernel;
                 Some(
                     kernel
@@ -1810,40 +1815,27 @@ impl ClicModule {
         header: ClicHeader,
         chunk: Bytes,
     ) -> Option<RecvMsg> {
-        let assembly = match flow.assembling.take() {
+        let mut assembly = match flow.assembling.take() {
             None => {
                 let (_msg_id, total) =
                     // lint:allow(no-unwrap, reason="the send path always stamps the message prefix on the first fragment; in-order delivery is guaranteed by the recv window")
                     header.msg.expect("first fragment lacks message prefix");
-                if chunk.len() >= total as usize {
-                    // Single-fragment message: the frame already holds it.
-                    return Some(RecvMsg {
-                        src,
-                        channel: header.channel,
-                        ptype: header.ptype,
-                        data: chunk,
-                    });
-                }
-                let mut buf = BytesMut::with_capacity(total as usize);
-                buf.put_slice(&chunk);
-                Assembly {
-                    total: total as usize,
-                    buf,
+                Box::new(Assembly {
+                    buf: Gather::new(total as usize),
                     ptype: header.ptype,
-                }
+                })
             }
-            Some(mut a) => {
-                a.buf.put_slice(&chunk);
-                a
-            }
+            Some(a) => a,
         };
-        debug_assert!(assembly.buf.len() <= assembly.total, "assembly overrun");
-        if assembly.buf.len() >= assembly.total {
+        // A message whose packets are slices of one sender buffer arrives
+        // as a slice of it; any other message is copied once.
+        assembly.buf.push(chunk);
+        if assembly.buf.is_complete() {
             Some(RecvMsg {
                 src,
                 channel: header.channel,
                 ptype: assembly.ptype,
-                data: assembly.buf.freeze(),
+                data: assembly.buf.finish(),
             })
         } else {
             flow.assembling = Some(assembly);

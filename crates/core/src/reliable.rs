@@ -27,8 +27,8 @@ pub struct InflightPacket {
     pub header: ClicHeader,
     /// The data as it was posted: every retransmission sends this buffer.
     pub payload: Bytes,
-    /// Where `payload` lies: the user's message or the kernel copy staging
-    /// made.
+    /// Where the model keeps `payload`: the user's message, or the kernel
+    /// buffer staging copied it to (charged; the bytes stay the sender's).
     pub location: DataLocation,
     /// How many times this packet has been retransmitted.
     pub retries: u32,

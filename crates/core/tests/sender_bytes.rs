@@ -1,18 +1,19 @@
-//! Frames carry the sender's bytes: CLIC hands the NIC each packet's
-//! header and data as they lie (§3.1's fragmented SK_BUFF), so no frame
-//! holds a host copy the model does not charge.
+//! Payload bytes are shared from sender to receiver: CLIC hands the NIC
+//! each packet's header and data as they lie (§3.1's fragmented SK_BUFF),
+//! and the receiver joins a message's packets back into the sender's
+//! buffer, so no frame and no delivered message holds a host copy.
 //!
-//! * On the 0-copy path every data frame's body is a slice of the user's
-//!   message allocation.
-//! * A packet is copied on the host only where the model charges the
-//!   staging copy — ring-full staging on the 0-copy path, the first post
-//!   on the 1-copy path — and every later post and retransmission sends
-//!   that one copy.
+//! * On every path (0-copy, ring-full staging, 1-copy) each transmission
+//!   of a sequence number carries one buffer, and that buffer lies inside
+//!   the user's message allocation. The model still stages packets and
+//!   charges every copy it makes (`staged_copies`, `hw.mem.copy_bytes`);
+//!   the host does not make them, because nothing can change the bytes.
+//! * The delivered message lies inside the sender's allocation.
 //!
 //! Frames are observed where they exist: at the receiving driver's
 //! dispatch, and on the wire through a tap that forwards them over a
 //! lossy link. The logs keep every body alive, so the buffer pool cannot
-//! hand a freed copy's address to a later one.
+//! hand a freed buffer's address to a later one.
 
 use bytes::Bytes;
 use clic_core::{ClicConfig, ClicHeader, ClicModule, ClicPort, PacketType, RecvMsg};
@@ -102,12 +103,25 @@ fn zero_copy_frames_carry_the_message_allocation() {
 /// Every CLIC data frame the tap saw leave the sender, keyed by sequence.
 type Sent = Rc<RefCell<BTreeMap<u32, Vec<Bytes>>>>;
 
+/// What [`send_through_tap`] observed.
+struct Tapped {
+    /// Every data frame's body, by sequence number, in transmission order.
+    sent: Sent,
+    /// The message the receiver delivered.
+    msg: RecvMsg,
+    /// The sender's `staged_copies`.
+    staged: u64,
+    /// The copies the model charged on both nodes: the count and the byte
+    /// sum of `hw.mem.copy_bytes`.
+    copies: (u64, u64),
+}
+
 /// Send `data` from node 1 to node 2 and return what a wire tap saw, the
-/// delivered message and the sender's staging count. The sender's link
-/// ends in the tap, which logs each data frame's body and forwards the
-/// frame over a second link to the receiver; that link loses a quarter
-/// of the frames towards the receiver.
-fn send_through_tap(clic: ClicConfig, tx_ring: usize, data: &Bytes) -> (Sent, RecvMsg, u64) {
+/// delivered message, the sender's staging count and the copies charged.
+/// The sender's link ends in the tap, which logs each data frame's body
+/// and forwards the frame over a second link to the receiver; that link
+/// loses a quarter of the frames towards the receiver.
+fn send_through_tap(clic: ClicConfig, tx_ring: usize, data: &Bytes) -> Tapped {
     let mut sim = Sim::new(7);
     let (near, far) = (Link::gigabit(), Link::gigabit());
     let mut nic_cfg = NicConfig::gigabit_standard();
@@ -153,60 +167,80 @@ fn send_through_tap(clic: ClicConfig, tx_ring: usize, data: &Bytes) -> (Sent, Re
     sim.run();
     let msg = got.borrow_mut().take().expect("message delivered");
     let staged = tx.borrow().stats().staged_copies;
-    (sent, msg, staged)
+    let copies = sim
+        .metrics
+        .histogram("hw.mem.copy_bytes")
+        .map_or((0, 0), |h| (h.count(), h.sum()));
+    Tapped {
+        sent,
+        msg,
+        staged,
+        copies,
+    }
 }
 
-#[test]
-fn staged_packet_is_copied_once_for_every_transmission() {
-    // A 4-slot TX ring stages most of a 40 KB message; a quarter of the
-    // frames are lost, so packets — staged ones included — go out again.
-    let data = message(40_000);
-    let (sent, msg, staged) = send_through_tap(ClicConfig::paper_default(), 4, &data);
-    assert_eq!(msg.data, data);
+/// Every transmission of a sequence number carried one buffer, inside
+/// `data`'s allocation; returns the most transmissions of one number.
+fn assert_sent_from(sent: &Sent, data: &Bytes) -> usize {
     let sent = sent.borrow();
-    let mut copies = 0;
-    let mut resent_copies = 0;
     for (seq, bodies) in sent.iter() {
-        let first = &bodies[0];
+        assert!(
+            inside(&bodies[0], data),
+            "seq {seq}: not sent from the user's message"
+        );
         for body in bodies {
             assert_eq!(
                 body.as_ptr(),
-                first.as_ptr(),
+                bodies[0].as_ptr(),
                 "seq {seq}: sent from two buffers"
             );
         }
-        if !inside(first, &data) {
-            copies += 1;
-            if bodies.len() >= 3 {
-                resent_copies += 1;
-            }
-        }
     }
-    assert!(staged > 0, "the small ring must stage packets");
-    assert_eq!(copies, staged, "one host copy per staged packet");
-    assert!(
-        resent_copies > 0,
-        "some staged packet must be retransmitted at least twice"
-    );
+    sent.values().map(Vec::len).max().unwrap_or(0)
 }
 
 #[test]
-fn one_copy_path_copies_each_packet_once() {
-    // On the 1-copy path the first post stages every packet; each
-    // retransmission sends that copy again.
+fn staged_packets_send_the_senders_bytes_every_transmission() {
+    // A 4-slot TX ring stages most of a 40 KB message; a quarter of the
+    // frames are lost, so packets, staged ones included, go out again.
     let data = message(40_000);
-    let (sent, msg, _) = send_through_tap(ClicConfig::one_copy(), 256, &data);
-    assert_eq!(msg.data, data);
-    let sent = sent.borrow();
-    assert_eq!(sent.len(), 27, "40 KB at MTU 1500");
-    assert!(sent.values().any(|b| b.len() >= 2), "loss forced resends");
-    for (seq, bodies) in sent.iter() {
-        assert!(
-            !inside(&bodies[0], &data),
-            "seq {seq}: sent from user memory"
-        );
-        for body in bodies {
-            assert_eq!(body.as_ptr(), bodies[0].as_ptr(), "seq {seq}: copied again");
-        }
-    }
+    let tap = send_through_tap(ClicConfig::paper_default(), 4, &data);
+    assert_eq!(tap.msg.data, data);
+    assert_eq!(
+        tap.msg.data.as_ptr(),
+        data.as_ptr(),
+        "the delivered message is the sender's buffer, not a copy"
+    );
+    assert!(
+        assert_sent_from(&tap.sent, &data) >= 3,
+        "some packet must be retransmitted at least twice"
+    );
+    assert!(tap.staged > 0, "the small ring must stage packets");
+    // The model still charges one staging copy per staged packet (of the
+    // packet's length, 22 of them here) and the receiver's copy of the
+    // message to user memory.
+    assert_eq!(tap.copies, (tap.staged + 1, 72_568));
+}
+
+#[test]
+fn one_copy_path_sends_the_senders_bytes() {
+    // On the 1-copy path the first post stages every packet, and every
+    // retransmission sends the staged packet again.
+    let data = message(40_000);
+    let tap = send_through_tap(ClicConfig::one_copy(), 256, &data);
+    assert_eq!(tap.msg.data, data);
+    assert_eq!(
+        tap.msg.data.as_ptr(),
+        data.as_ptr(),
+        "the delivered message is the sender's buffer, not a copy"
+    );
+    assert_eq!(tap.sent.borrow().len(), 27, "40 KB at MTU 1500");
+    assert!(
+        assert_sent_from(&tap.sent, &data) >= 2,
+        "loss forced resends"
+    );
+    assert_eq!(tap.staged, 0, "a 256-slot ring never fills");
+    // The model charges the whole message's copy to kernel memory at the
+    // send and its copy to user memory at the receiver.
+    assert_eq!(tap.copies, (2, 80_000));
 }

@@ -19,7 +19,7 @@
 //! empty head.
 
 use crate::mac::{EtherType, MacAddr};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, Gather};
 use clic_sim::SimDuration;
 
 /// Level-1 Ethernet header: dst(6) + src(6) + type(2).
@@ -104,8 +104,9 @@ impl Frame {
     /// The rest is `body` itself, or a slice of it, whenever the head holds
     /// no more than the header — the case for every protocol here, which
     /// puts exactly its header in the head, and for one-piece frames. Only
-    /// a head longer than `N` leaves header-side bytes to gather into one
-    /// new buffer with the body.
+    /// a head longer than `N` leaves header-side bytes to join with the
+    /// body, through [`Gather`]: one new buffer unless the two parts lie
+    /// end to end in one allocation.
     pub fn split_header<const N: usize>(&self) -> Option<([u8; N], Bytes)> {
         if self.payload_len() < N {
             return None;
@@ -117,10 +118,10 @@ impl Frame {
         let rest = if self.head.len() <= N {
             self.body.slice(N - in_head..)
         } else {
-            let mut rest = BytesMut::with_capacity(self.payload_len() - N);
-            rest.put_slice(&self.head[N..]);
-            rest.put_slice(&self.body);
-            rest.freeze()
+            let mut rest = Gather::new(self.payload_len() - N);
+            rest.push(self.head.slice(N..));
+            rest.push(self.body.clone());
+            rest.finish()
         };
         Some((header, rest))
     }

@@ -19,7 +19,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut, Gather};
 use clic_ethernet::{EtherType, Frame, MacAddr};
 use clic_os::driver::hard_start_xmit;
 use clic_os::{Kernel, PacketHandler, SkBuff};
@@ -81,8 +81,7 @@ impl GammaCosts {
 type PortHandler = Rc<dyn Fn(&mut Sim, GammaMsg)>;
 
 struct Assembly {
-    total: usize,
-    buf: BytesMut,
+    buf: Gather,
     port: u16,
 }
 
@@ -315,8 +314,7 @@ impl GammaModule {
                     m.assembling.insert(
                         frame.src,
                         Assembly {
-                            total,
-                            buf: BytesMut::with_capacity(total),
+                            buf: Gather::new(total),
                             port,
                         },
                     );
@@ -329,8 +327,9 @@ impl GammaModule {
                 if a.buf.len() != index * chunk_cap {
                     return;
                 }
-                a.buf.put_slice(&body);
-                if a.buf.len() >= a.total {
+                // Fragments of one user buffer join into a view of it.
+                a.buf.push(body);
+                if a.buf.is_complete() {
                     let a = m.assembling.remove(&frame.src).unwrap();
                     m.stats.msgs_received += 1;
                     let handler = m.ports.get(&a.port).cloned();
@@ -340,7 +339,7 @@ impl GammaModule {
                             GammaMsg {
                                 src: frame.src,
                                 port: a.port,
-                                data: a.buf.freeze(),
+                                data: a.buf.finish(),
                             },
                         )
                     })
@@ -450,19 +449,28 @@ mod tests {
 
     #[test]
     fn back_to_back_messages_arrive_whole() {
-        // Two multi-fragment sends from one module: every fragment of the
-        // first is posted before the second's first, so the receiver,
-        // which assumes in-order fragments per source, keeps both.
+        // Three multi-fragment sends from one module: every fragment of
+        // one is posted before the next one's first, so the receiver,
+        // which assumes in-order fragments per source, keeps all three,
+        // each joined back into its sender's buffer without a copy.
         let mut sim = Sim::new(0);
         let (a, b) = mk_pair(LossModel::None);
         let inbox = port_into(&b, 3);
-        let data = payload(8_192);
-        for _ in 0..3 {
+        let sent: Vec<Bytes> = (0..3).map(|_| payload(8_192)).collect();
+        for data in &sent {
             GammaModule::send(&a.module, &mut sim, b.mac, 3, data.clone());
         }
         sim.run();
-        assert_eq!(inbox.borrow().len(), 3);
-        assert!(inbox.borrow().iter().all(|(_, m)| m.data == data));
+        let inbox = inbox.borrow();
+        assert_eq!(inbox.len(), 3);
+        for ((_, msg), data) in inbox.iter().zip(&sent) {
+            assert_eq!(msg.data, *data);
+            assert_eq!(
+                msg.data.as_ptr(),
+                data.as_ptr(),
+                "a message lies in its sender's buffer"
+            );
+        }
         assert_eq!(b.module.borrow().stats().broken_messages, 0);
     }
 

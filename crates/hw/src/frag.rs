@@ -21,7 +21,7 @@
 //! The trailing u16 preserves the original EtherType so the receiving NIC
 //! can hand the reassembled packet to the right protocol.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut, Gather};
 use clic_ethernet::Frame;
 use std::collections::BTreeMap;
 
@@ -138,11 +138,11 @@ impl Reassembler {
         if slots.iter().all(Option::is_some) {
             let slots = self.partial.remove(&key).unwrap();
             let total: usize = slots.iter().map(|s| s.as_ref().unwrap().len()).sum();
-            let mut out = BytesMut::with_capacity(total);
+            let mut out = Gather::new(total);
             for s in slots {
-                out.put_slice(&s.unwrap());
+                out.push(s.unwrap());
             }
-            Some((header, out.freeze()))
+            Some((header, out.finish()))
         } else {
             None
         }

@@ -10,10 +10,12 @@
 //! driver posts both to the NIC as two gather entries
 //! ([`clic_hw::TxDescriptor`]), and the frame on the wire carries them as
 //! its head and body, so sending never copies the data. `location`
-//! records *where* the data lives, which is what distinguishes the 0-copy
-//! path (scatter-gather straight out of user memory) from the 1-copy path
-//! (a kernel buffer the CPU filled): the bytes are identical, but whoever
-//! built a kernel-located SkBuff already made — and paid for — the copy.
+//! records *where* the modelled system keeps the data, which is what
+//! distinguishes the 0-copy path (scatter-gather straight out of user
+//! memory) from the 1-copy path (a kernel buffer the CPU filled): the
+//! bytes are identical, and whoever built a kernel-located SkBuff already
+//! paid for that copy. The host does not make it: the data is the
+//! sender's immutable buffer, shared, so a copy would change no byte.
 
 use bytes::Bytes;
 
@@ -52,9 +54,9 @@ impl SkBuff {
         }
     }
 
-    /// Build an SkBuff whose data already lies in a kernel buffer. The
-    /// caller made that copy once and charged its cost; the SkBuff only
-    /// points at it, so a resend of the same buffer copies nothing again.
+    /// Build an SkBuff whose data the model keeps in a kernel buffer. The
+    /// caller charged that copy once; the data is the sender's bytes,
+    /// shared, and a resend of the same buffer charges nothing again.
     pub fn in_kernel(header: Bytes, data: Bytes) -> SkBuff {
         SkBuff {
             header,
@@ -86,14 +88,12 @@ mod tests {
 
     #[test]
     fn staged_clones_storage() {
-        // The caller stages the data (one copy) and the SkBuff points at
-        // that copy: distinct storage from the user's, same bytes.
+        // Staged data is kernel-located for the model and still the
+        // caller's storage on the host: the SkBuff clones the handle.
         let data = Bytes::from(vec![7u8; 64]);
-        let staged = Bytes::copy_from_slice(&data);
-        let skb = SkBuff::in_kernel(Bytes::new(), staged.clone());
+        let skb = SkBuff::in_kernel(Bytes::new(), data.clone());
         assert_eq!(skb.location, DataLocation::Kernel);
-        assert_ne!(skb.data.as_ptr(), data.as_ptr());
-        assert_eq!(skb.data.as_ptr(), staged.as_ptr());
+        assert_eq!(skb.data.as_ptr(), data.as_ptr());
         assert_eq!(skb.data, data);
     }
 

@@ -12,7 +12,10 @@
 //! their backing storage from a thread-local size-classed [`pool`], and
 //! when the last [`Bytes`] reference to a buffer drops, the storage goes
 //! back to the pool instead of the allocator. Freezing is zero-copy — the
-//! builder's vector is moved, never copied, into the shared buffer.
+//! builder's vector is moved, never copied, into the shared buffer. A
+//! [`Gather`] joins a message's pieces back into one buffer, as a view of
+//! their allocation when they are consecutive slices of it and with one
+//! copy otherwise.
 //!
 //! One deliberate difference from the real crate: [`Bytes`] counts its
 //! references with [`Rc`], not an atomic, so it is not `Send`. The pool is
@@ -23,8 +26,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod gather;
 pub mod pool;
 
+pub use gather::Gather;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::rc::Rc;
 

@@ -22,7 +22,7 @@
 
 use crate::costs::TcpIpCosts;
 use crate::ip::{pseudo_header_checksum, IpAddr, Ipv4Header, IPV4_HEADER};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut, Gather};
 use clic_ethernet::{EtherType, Frame, MacAddr};
 use clic_os::driver::hard_start_xmit;
 use clic_os::{Kernel, PacketHandler, SkBuff};
@@ -147,27 +147,24 @@ pub fn decode_packet(frame: &Frame) -> Option<(Ipv4Header, [u8; TCP_HEADER], Byt
 }
 
 /// Take the first `n` bytes queued in `bufs` (which must hold at least
-/// `n`): a slice when the front buffer covers them, gathered otherwise.
+/// `n`): a slice of one buffer when they lie consecutively in it (one
+/// queued buffer, or pieces that continue one another), copied once
+/// otherwise.
 fn take_front(bufs: &mut VecDeque<Bytes>, n: usize) -> Bytes {
-    if bufs.front().is_some_and(|head| head.len() >= n) {
-        let head = bufs.pop_front().expect("front checked above");
-        if head.len() > n {
-            bufs.push_front(head.slice(n..));
-        }
-        return head.slice(..n);
-    }
-    let mut out = BytesMut::with_capacity(n);
-    while out.len() < n {
+    let mut out = Gather::new(n);
+    while !out.is_complete() {
         let head = bufs
             .pop_front()
             .expect("caller checked the queue holds n bytes");
         let need = n - out.len();
         if head.len() > need {
             bufs.push_front(head.slice(need..));
+            out.push(head.slice(..need));
+        } else {
+            out.push(head);
         }
-        out.put_slice(&head[..need.min(head.len())]);
     }
-    out.freeze()
+    out.finish()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,9 +422,11 @@ impl TcpStack {
                     let Some(c) = s.conns.get_mut(&conn) else {
                         return;
                     };
-                    // The socket buffer physically owns a staged copy.
-                    c.send_buf.push_back(Bytes::copy_from_slice(&data));
+                    // The socket buffer holds the staged data: the copy is
+                    // charged above, and the host shares the sender's bytes,
+                    // which nothing can change.
                     c.send_buf_bytes += data.len();
+                    c.send_buf.push_back(data);
                 }
                 Self::try_transmit(&stack3, sim, conn, trace);
             });
@@ -1079,10 +1078,10 @@ mod tests {
     #[test]
     fn take_front_slices_one_buffer_and_gathers_across_many() {
         let a = Bytes::from_static(b"abcdef");
-        let mut q: VecDeque<Bytes> = [a.clone(), Bytes::from_static(b"gh")].into();
+        let mut q: VecDeque<Bytes> = [a.slice(..2), a.slice(2..), Bytes::from_static(b"gh")].into();
         let first = take_front(&mut q, 4);
         assert_eq!(&first[..], b"abcd");
-        assert_eq!(first.as_ptr(), a.as_ptr(), "one buffer covers it: sliced");
+        assert_eq!(first.as_ptr(), a.as_ptr(), "pieces of one buffer: sliced");
         assert_eq!(&take_front(&mut q, 3)[..], b"efg");
         assert_eq!(q, [Bytes::from_static(b"h")]);
     }

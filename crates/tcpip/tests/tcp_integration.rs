@@ -80,6 +80,12 @@ fn payload(n: usize) -> Bytes {
     Bytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<_>>())
 }
 
+/// Whether `part` lies inside `whole`'s allocation.
+fn inside(part: &Bytes, whole: &Bytes) -> bool {
+    let (p, w) = (part.as_ptr() as usize, whole.as_ptr() as usize);
+    w <= p && p + part.len() <= w + whole.len()
+}
+
 /// Establish a connection and return both ends' ids via cells.
 fn establish(
     sim: &mut Sim,
@@ -139,6 +145,52 @@ fn bulk_transfer_integrity() {
     let stats = a.tcp.borrow().stats();
     assert!(stats.segments_tx as usize >= data.len() / 1460);
     assert_eq!(stats.retransmits, 0, "lossless link: no retransmits");
+}
+
+#[test]
+fn reads_share_the_senders_buffer() {
+    // The socket buffers charge their copies but make none: a read whose
+    // bytes lie in one send is a slice of the sender's buffer, and a read
+    // that spans two separately allocated sends is their concatenation.
+    let mut sim = Sim::new(0);
+    let (a, b, _) = pair(NicConfig::gigabit_standard());
+    let (client, server) = establish(&mut sim, &a, &b, 5000);
+    let (client, server) = (client.borrow().unwrap(), server.borrow().unwrap());
+    let reads: Rc<RefCell<Vec<Bytes>>> = Rc::default();
+    let read = |sim: &mut Sim, len: usize| {
+        let r = reads.clone();
+        TcpStack::recv(&b.tcp, sim, server, len, move |_, bytes| {
+            r.borrow_mut().push(bytes)
+        });
+    };
+
+    let data = payload(256 << 10);
+    read(&mut sim, data.len());
+    TcpStack::send(&a.tcp, &mut sim, client, data.clone());
+    sim.run();
+    let whole = reads.borrow_mut().remove(0);
+    assert_eq!(whole, data);
+    assert_eq!(whole.as_ptr(), data.as_ptr(), "one send, one read: shared");
+
+    // The second send starts 7 bytes into its allocation, so its bytes
+    // differ from the first send's continuation.
+    let (first, second) = (payload(3_000), payload(5_007).slice(7..));
+    for len in [1_000, 6_000, 1_000] {
+        read(&mut sim, len);
+    }
+    TcpStack::send(&a.tcp, &mut sim, client, first.clone());
+    TcpStack::send(&a.tcp, &mut sim, client, second.clone());
+    sim.run();
+    let reads = reads.borrow();
+    assert_eq!(reads.len(), 3);
+    assert_eq!(reads[0], first.slice(..1_000));
+    assert!(inside(&reads[0], &first), "a read inside one send: shared");
+    assert_eq!(
+        &reads[1][..],
+        &[&first[1_000..], &second[..4_000]].concat()[..]
+    );
+    assert_eq!(reads[2], second.slice(4_000..));
+    assert!(inside(&reads[2], &second), "a read inside one send: shared");
 }
 
 #[test]
