@@ -263,7 +263,7 @@ impl Endpoint {
                 &live(module, "CLIC module"),
                 sim,
                 *channel,
-                move |sim, m| cont(sim, m.data.len()),
+                move |sim, m| cont(sim, m.len()),
             ),
             Endpoint::Tcp { stack, conn } => TcpStack::recv(
                 &live(stack, "TCP stack"),

@@ -24,8 +24,25 @@ pub struct RecvMsg {
     pub channel: u16,
     /// Packet type of the carrying packets.
     pub ptype: PacketType,
-    /// Message bytes.
+    /// The message's header part, as its sender passed it (an MPI
+    /// envelope, say), uncopied; empty for a message sent in one part.
+    pub head: Bytes,
+    /// The message bytes behind the header part: the sender's buffer, or
+    /// a slice of it, when the packets that carried them continue one
+    /// another in it.
     pub data: Bytes,
+}
+
+impl RecvMsg {
+    /// Length of the whole message: header part plus data.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.data.len()
+    }
+
+    /// Whether the message is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// A process's handle on a CLIC channel.

@@ -32,13 +32,16 @@
 //! header, and bit 6 of byte 0 ([`MSG_START`]) says so; later fragments
 //! are located by sequence continuity on the reliable channel. The sender
 //! puts the header, with the prefix when there is one, in the frame's head
-//! and the data, uncopied, in its body ([`ClicHeader::head`]); the mark
-//! lets [`ClicHeader::decode`] read the prefix with the header wherever
-//! the frame splits, one-piece frames (NIC reassembly output) included.
-//! `len` counts every byte after the 12-byte header, prefix included, so
-//! the wire bytes are those of a payload that begins with the prefix.
+//! and the data, uncopied, in its body ([`ClicHeader::head`]); a message
+//! sent with a header part of its own (an MPI envelope) carries that part
+//! in its first packet's head too, behind the prefix. The mark lets
+//! [`ClicHeader::decode`] read the prefix with the header wherever the
+//! frame splits, and whatever the head holds past them comes back apart
+//! from the body. `len` counts every byte after the 12-byte header,
+//! prefix included, so the wire bytes are those of a payload that begins
+//! with the prefix.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut, Parts};
 use clic_ethernet::Frame;
 
 /// CLIC header size on the wire.
@@ -204,26 +207,30 @@ impl ClicHeader {
     }
 
     /// The frame head a packet with this header sends: the 12 bytes, then
-    /// the message prefix on a message's first packet.
-    pub fn head(&self) -> Bytes {
-        let mut head = BytesMut::with_capacity(CLIC_HEADER + MSG_PREFIX);
+    /// the message prefix on a message's first packet, then `part`, the
+    /// bytes of the message's own header part the packet carries (none on
+    /// most packets).
+    pub fn head(&self, part: &[u8]) -> Bytes {
+        let mut head = BytesMut::with_capacity(CLIC_HEADER + MSG_PREFIX + part.len());
         head.put_slice(&self.encode());
         if let Some((msg_id, total)) = self.msg {
             head.put_slice(&encode_msg_prefix(msg_id, total));
         }
+        head.put_slice(part);
         head.freeze()
     }
 
     /// Parse a frame's header (with the message prefix, when marked) and
     /// the data that follows, tolerating Ethernet minimum-frame padding
-    /// after it. The data is the frame's body, or a slice of it, not a
-    /// copy.
+    /// after it. The data is two parts, neither a copy: what the frame's
+    /// head holds past the header (a message's header part, on its first
+    /// packet), then the frame's body or a slice of it.
     ///
     /// ACKs are the exception: they carry no payload, and their `len`
     /// field is repurposed as the receiver's advertised window in packets
     /// (0 when no budget is configured) — so for `PacketType::Ack` the
     /// payload is always empty and `len` is not a byte count.
-    pub fn decode(frame: &Frame) -> Option<(ClicHeader, Bytes)> {
+    pub fn decode(frame: &Frame) -> Option<(ClicHeader, Parts)> {
         let first = *frame.head.first().or(frame.body.first())?;
         if first & MSG_START == 0 {
             let (buf, rest): ([u8; CLIC_HEADER], _) = frame.split_header()?;
@@ -237,7 +244,7 @@ impl ClicHeader {
 
     /// The 12-byte header in `buf`, its message prefix `msg` already read,
     /// and the data `rest` holds by its `len`.
-    fn parse(buf: &[u8], msg: Option<(u32, u32)>, rest: Bytes) -> Option<(ClicHeader, Bytes)> {
+    fn parse(buf: &[u8], msg: Option<(u32, u32)>, rest: Parts) -> Option<(ClicHeader, Parts)> {
         let ptype = PacketType::from_u8(buf[0] & PTYPE_MASK)?;
         let header = ClicHeader {
             ptype,
@@ -249,14 +256,14 @@ impl ClicHeader {
             msg,
         };
         if header.ptype == PacketType::Ack {
-            return Some((header, Bytes::new()));
+            return Some((header, Parts::default()));
         }
         let prefix = if msg.is_some() { MSG_PREFIX } else { 0 };
         let data = (header.len as usize).checked_sub(prefix)?;
         if rest.len() < data {
             return None;
         }
-        Some((header, rest.slice(..data)))
+        Some((header, rest.slice(0..data)))
     }
 }
 
@@ -333,9 +340,9 @@ mod tests {
                 // ACK `len` is the advertised window, not a payload length.
                 assert!(payload.is_empty());
             } else {
-                assert_eq!(&payload[..], &[9, 8, 7, 6]);
+                assert_eq!(payload, Parts::from(Bytes::from_static(&[9, 8, 7, 6])));
                 // The payload is a view into the frame, not a copy.
-                assert_eq!(payload.as_ptr(), wire[CLIC_HEADER..].as_ptr());
+                assert_eq!(payload.body.as_ptr(), wire[CLIC_HEADER..].as_ptr());
             }
         }
     }
@@ -390,7 +397,7 @@ mod tests {
         wire.extend_from_slice(&[1, 2, 3]);
         wire.resize(46, 0); // Ethernet min-payload padding
         let (_, payload) = ClicHeader::decode(&frame(&Bytes::from(wire))).unwrap();
-        assert_eq!(&payload[..], &[1, 2, 3]);
+        assert_eq!(&payload.join()[..], &[1, 2, 3]);
     }
 
     #[test]
@@ -412,6 +419,31 @@ mod tests {
         let mut bad_type = vec![0u8; 12];
         bad_type[0] = 99;
         assert!(ClicHeader::decode(&frame(&Bytes::from(bad_type))).is_none());
+    }
+
+    #[test]
+    fn a_header_part_rides_behind_the_prefix_and_comes_back_apart() {
+        let h = ClicHeader {
+            ptype: PacketType::Mpi,
+            flags: 0,
+            channel: 4,
+            seq: 0,
+            len: (MSG_PREFIX + 16 + 100) as u32,
+            ce: false,
+            msg: Some((7, 116)),
+        };
+        let part = [0x5au8; 16];
+        let body = Bytes::from(vec![3u8; 100]);
+        let (a, b) = (MacAddr::for_node(2, 0), MacAddr::for_node(1, 0));
+        let f = Frame::gather(a, b, EtherType::CLIC, h.head(&part), body.clone());
+        assert_eq!(f.head.len(), CLIC_HEADER + MSG_PREFIX + part.len());
+        let (parsed, data) = ClicHeader::decode(&f).unwrap();
+        assert_eq!(parsed, h);
+        assert_eq!(&data.head[..], &part);
+        assert_eq!(data.body.as_ptr(), body.as_ptr(), "the body is not copied");
+        // The frame's wire image in one piece decodes to the same bytes.
+        let wire = Bytes::from([&f.head[..], &f.body[..]].concat());
+        assert_eq!(ClicHeader::decode(&frame(&wire)), Some((parsed, data)));
     }
 
     #[test]
@@ -440,7 +472,7 @@ mod tests {
         let (parsed, payload) = ClicHeader::decode(&frame(&Bytes::from(wire))).unwrap();
         assert_eq!(parsed, h);
         assert!(parsed.ce);
-        assert_eq!(&payload[..], &[0xaa, 0xbb]);
+        assert_eq!(&payload.join()[..], &[0xaa, 0xbb]);
         // Unmarked encodings are bit-identical to the pre-CE wire format.
         let mut clean = h;
         clean.ce = false;

@@ -9,7 +9,10 @@
 //! accept a packet, the module copies it to system memory and retries later
 //! — overlapped with other traffic, exactly §3.1. Every such copy is
 //! charged to the CPU; the host does not make it, since the packet's data
-//! is the sender's immutable buffer either way.
+//! is the sender's immutable buffer either way. A message may come with a
+//! header part of its own (an MPI envelope): it rides in the first
+//! packet's head behind the CLIC header, so the layer above never copies
+//! its message to put the header in front.
 //!
 //! Receive path: the driver (interrupt) moves frames to system memory and
 //! invokes the module through a Linux bottom half — or directly, with the
@@ -23,7 +26,7 @@ use crate::api::RecvMsg;
 use crate::config::{ClicConfig, CongestionConfig, CongestionMode};
 use crate::header::{control, flags, ClicHeader, PacketType, CLIC_HEADER, MSG_PREFIX};
 use crate::reliable::{RecvOutcome, RecvWindow, SendWindow};
-use bytes::{Bytes, Gather};
+use bytes::{Bytes, Gather, Parts};
 use clic_ethernet::{EtherType, Frame, MacAddr, RoundRobin};
 use clic_os::driver::hard_start_xmit;
 use clic_os::{DataLocation, Kernel, PacketHandler, Pid, SkBuff};
@@ -306,11 +309,27 @@ struct QueuedPacket {
     trace: u64,
 }
 
+/// A message in a flow's queue or window that carries a header part or
+/// awaits confirmation of reception; the others need no record.
+struct OutMessage {
+    /// Sequence number of its first packet, whose head carries `head`.
+    first: u32,
+    /// Sequence number of its last packet.
+    last: u32,
+    /// The message's header part, sent on every transmission of the first
+    /// packet; empty for a message sent in one part.
+    head: Bytes,
+    /// Runs once the whole message has been acknowledged.
+    confirm: Option<Box<dyn FnOnce(&mut Sim)>>,
+}
+
 struct OutFlow {
     window: SendWindow,
     queue: VecDeque<QueuedPacket>,
     posting: usize,
-    confirms: Vec<(u32, Box<dyn FnOnce(&mut Sim)>)>,
+    /// Messages not yet wholly acknowledged that carry a header part or a
+    /// confirmation, in sequence order.
+    messages: Vec<OutMessage>,
     rto_gen: u64,
     rto_running: bool,
     rto_current: SimDuration,
@@ -343,7 +362,7 @@ impl OutFlow {
             window: SendWindow::new(config.window),
             queue: VecDeque::new(),
             posting: 0,
-            confirms: Vec::new(),
+            messages: Vec::new(),
             rto_gen: 0,
             rto_running: false,
             rto_current: config.rto,
@@ -357,6 +376,17 @@ impl OutFlow {
             peer_window: None,
             cong: config.congestion.map(Congestion::new),
         }
+    }
+
+    /// The header part packet `seq` carries in its head: its message's,
+    /// if it is the first packet of a message sent with one. Kept with
+    /// the message rather than in every queued packet, since all but one
+    /// packet of a message carry none.
+    fn head_part(&self, seq: u32) -> &[u8] {
+        self.messages
+            .iter()
+            .find(|m| m.first == seq)
+            .map_or(&[], |m| &m.head[..])
     }
 
     /// A flow with nothing queued, posting or unacknowledged needs no
@@ -390,6 +420,9 @@ impl OutFlow {
 }
 
 struct Assembly {
+    /// The message's header part, from its first packet's head.
+    head: Bytes,
+    /// The bytes behind it.
     buf: Gather,
     ptype: PacketType,
 }
@@ -651,7 +684,12 @@ impl ClicModule {
         let flows: usize = self
             .inflows
             .values()
-            .map(|f| f.window.buffered_bytes() + f.assembling.as_ref().map_or(0, |a| a.buf.len()))
+            .map(|f| {
+                f.window.buffered_bytes()
+                    + f.assembling
+                        .as_ref()
+                        .map_or(0, |a| a.head.len() + a.buf.len())
+            })
             .sum();
         parked + flows
     }
@@ -707,9 +745,19 @@ impl ClicModule {
     // ------------------------------------------------------------------
 
     /// Send `data` according to `opts`, entering the kernel through a
-    /// standard system call.
-    pub fn send(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, opts: SendOptions, data: Bytes) {
+    /// standard system call. The message is `data` as one part, or a
+    /// header part and the bytes behind it ([`Parts`]); the header part
+    /// goes out in the first packet's head, the rest as slices of the
+    /// caller's buffer, and the receiver gets both apart
+    /// ([`RecvMsg::head`]).
+    pub fn send(
+        module: &Rc<RefCell<ClicModule>>,
+        sim: &mut Sim,
+        opts: SendOptions,
+        data: impl Into<Parts>,
+    ) {
         let kernel = Self::kernel(module);
+        let data = data.into();
         sim.record(MSG_BYTES, data.len() as u64);
         if opts.trace != 0 {
             sim.trace.begin(sim.now(), Layer::Os, "syscall", opts.trace);
@@ -723,7 +771,7 @@ impl ClicModule {
         });
     }
 
-    fn module_tx(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, opts: SendOptions, data: Bytes) {
+    fn module_tx(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, opts: SendOptions, data: Parts) {
         assert!(
             opts.ptype.is_data_bearing(),
             "send accepts data-bearing packet types only"
@@ -774,7 +822,7 @@ impl ClicModule {
         module: &Rc<RefCell<ClicModule>>,
         sim: &mut Sim,
         opts: SendOptions,
-        data: Bytes,
+        data: Parts,
     ) {
         let kernel = Self::kernel(module);
         let (cost, dev, msg_id, max_len) = {
@@ -808,7 +856,7 @@ impl ClicModule {
         Kernel::cpu_task(&kernel, sim, cost, move |sim| {
             // Sent once, straight from the caller's buffer: the model
             // charges no staging copy for a best-effort packet.
-            let skb = SkBuff::zero_copy(header.head(), data).with_trace(opts.trace);
+            let skb = SkBuff::zero_copy(header.head(&data.head), data.body).with_trace(opts.trace);
             hard_start_xmit(
                 &kernel2,
                 sim,
@@ -825,11 +873,25 @@ impl ClicModule {
         });
     }
 
-    /// The SkBuff that sends a packet: its header (with the message prefix
-    /// on a message's first packet) and its data, where it lies.
-    fn build_skb(header: ClicHeader, body: &Bytes, location: DataLocation) -> SkBuff {
+    /// The SkBuff that sends a packet of flow `key`: its header (with the
+    /// message prefix and the message's header part on a message's first
+    /// packet) and its data, where it lies.
+    fn build_skb(
+        module: &Rc<RefCell<ClicModule>>,
+        key: FlowKey,
+        header: ClicHeader,
+        body: &Bytes,
+        location: DataLocation,
+    ) -> SkBuff {
+        let m = module.borrow();
+        // Only a message's first packet, the one with the prefix, can carry
+        // a header part.
+        let part = match header.msg {
+            Some(_) => m.out.get(&key).map_or(&[][..], |f| f.head_part(header.seq)),
+            None => &[],
+        };
         SkBuff {
-            header: header.head(),
+            header: header.head(part),
             data: body.clone(),
             location,
             trace: 0,
@@ -841,7 +903,7 @@ impl ClicModule {
         sim: &mut Sim,
         key: FlowKey,
         opts: SendOptions,
-        data: Bytes,
+        data: Parts,
     ) {
         let now = sim.now();
         {
@@ -851,20 +913,31 @@ impl ClicModule {
             let max_chunk = m.max_chunk;
             let fresh = OutFlow::new(&m.config, now);
             let flow = m.out.entry(key).or_insert(fresh);
-            // The first fragment's header carries the message prefix; every
-            // fragment's data is a slice of the message, not a copy.
-            let first_data = (max_chunk - MSG_PREFIX).min(data.len());
-            let mut chunks = vec![data.slice(..first_data)];
-            let mut off = first_data;
-            while off < data.len() {
-                let end = (off + max_chunk).min(data.len());
-                chunks.push(data.slice(off..end));
-                off = end;
-            }
-            // lint:allow(time-overflow, reason="subtraction is on chunks.len(), seeded nonempty with the first fragment; the nearby seq name is incidental")
-            let last_idx = chunks.len() - 1;
+            // The first fragment's header carries the message prefix and,
+            // in its head, the message's header part; every fragment's data
+            // is a slice of the message, not a copy. A header part too long
+            // for the first packet goes joined to the data instead.
+            let room = max_chunk - MSG_PREFIX;
+            let data = if data.head.len() > room {
+                Parts::from(data.join())
+            } else {
+                data
+            };
+            // The first packet ends at `first_data`; each later one takes up
+            // to `max_chunk` bytes, cut as it is queued.
+            let first_data = room.min(data.len());
+            let last_idx = (data.len() - first_data).div_ceil(max_chunk);
+            let mut start = 0;
             let mut last_seq = 0;
-            for (i, chunk) in chunks.into_iter().enumerate() {
+            let (mut first_seq, mut head) = (0, Bytes::new());
+            for i in 0..=last_idx {
+                let end = if i == 0 {
+                    first_data
+                } else {
+                    (start + max_chunk).min(data.len())
+                };
+                let chunk = data.slice(start..end);
+                start = end;
                 let seq = flow.window.alloc_seq();
                 last_seq = seq;
                 let mut f = 0u8;
@@ -874,6 +947,9 @@ impl ClicModule {
                 let msg = (i == 0).then_some((msg_id, data.len() as u32));
                 let prefix = if msg.is_some() { MSG_PREFIX } else { 0 };
                 let len = (prefix + chunk.len()) as u32;
+                if i == 0 {
+                    (first_seq, head) = (seq, chunk.head);
+                }
                 flow.queue.push_back(QueuedPacket {
                     header: ClicHeader {
                         ptype: opts.ptype,
@@ -884,14 +960,19 @@ impl ClicModule {
                         ce: false,
                         msg,
                     },
-                    body: chunk,
+                    body: chunk.body,
                     location: DataLocation::User,
                     staged: false,
                     trace: opts.trace,
                 });
             }
-            if let Some(confirm) = opts.confirm {
-                flow.confirms.push((last_seq, confirm));
+            if !head.is_empty() || opts.confirm.is_some() {
+                flow.messages.push(OutMessage {
+                    first: first_seq,
+                    last: last_seq,
+                    head,
+                    confirm: opts.confirm,
+                });
             }
         }
         Self::pump(module, sim, key);
@@ -992,7 +1073,8 @@ impl ClicModule {
             // make it.
             pkt.location = DataLocation::Kernel;
         }
-        let skb = Self::build_skb(pkt.header, &pkt.body, pkt.location).with_trace(pkt.trace);
+        let skb =
+            Self::build_skb(module, key, pkt.header, &pkt.body, pkt.location).with_trace(pkt.trace);
         let module2 = module.clone();
         hard_start_xmit(
             &kernel,
@@ -1169,7 +1251,7 @@ impl ClicModule {
             };
             let mut header = pkt.header;
             header.flags |= flags::RETRANSMIT;
-            let skb = Self::build_skb(header, &pkt.payload, pkt.location);
+            let skb = Self::build_skb(module, key, header, &pkt.payload, pkt.location);
             hard_start_xmit(&kernel, sim, dev, key.0, EtherType::CLIC, skb, |_, _| {});
         }
         Self::ensure_rto(module, sim, key);
@@ -1329,7 +1411,7 @@ impl ClicModule {
                 m.devices[slot],
             )
         };
-        let skb = SkBuff::zero_copy(header.head(), Bytes::copy_from_slice(&[tag]));
+        let skb = SkBuff::zero_copy(header.head(&[]), Bytes::copy_from_slice(&[tag]));
         hard_start_xmit(&kernel, sim, dev, key.0, EtherType::CLIC, skb, |_, _| {});
     }
 
@@ -1535,7 +1617,7 @@ impl ClicModule {
         kernel: &Rc<RefCell<Kernel>>,
         src: MacAddr,
         header: ClicHeader,
-        chunk: Bytes,
+        chunk: Parts,
         trace: u64,
     ) {
         if module.borrow().crashed {
@@ -1543,7 +1625,7 @@ impl ClicModule {
         }
         match header.ptype {
             PacketType::Ack => Self::process_ack(module, sim, src, header),
-            PacketType::Internal => Self::process_control(module, sim, src, header, chunk),
+            PacketType::Internal => Self::process_control(module, sim, src, header, chunk.join()),
             _ if header.flags & flags::BEST_EFFORT != 0 => {
                 Self::process_best_effort(module, sim, src, header, chunk, trace);
             }
@@ -1628,17 +1710,21 @@ impl ClicModule {
                 }
                 flow.rto_gen += 1;
                 flow.rto_running = false;
+                // Wholly acknowledged messages are never sent again: their
+                // confirmations fire and their header parts go.
                 let base = flow.window.base();
                 let mut fired = Vec::new();
-                let mut remaining = Vec::new();
-                for (seq, cont) in flow.confirms.drain(..) {
-                    if seq < base {
-                        fired.push(cont);
-                    } else {
-                        remaining.push((seq, cont));
+                flow.messages.retain_mut(|msg| {
+                    if msg.last >= base {
+                        return true;
                     }
+                    fired.extend(msg.confirm.take());
+                    false
+                });
+                if flow.messages.is_empty() {
+                    // An idle flow keeps no storage for records.
+                    flow.messages = Vec::new();
                 }
-                flow.confirms = remaining;
                 (fired, true, None)
             };
             if echoed {
@@ -1665,7 +1751,7 @@ impl ClicModule {
             };
             let mut hdr = pkt.header;
             hdr.flags |= flags::RETRANSMIT;
-            let skb = Self::build_skb(hdr, &pkt.payload, pkt.location);
+            let skb = Self::build_skb(module, key, hdr, &pkt.payload, pkt.location);
             hard_start_xmit(&kernel, sim, dev, key.0, EtherType::CLIC, skb, |_, _| {});
         }
         if pump_needed {
@@ -1679,7 +1765,7 @@ impl ClicModule {
         sim: &mut Sim,
         src: MacAddr,
         header: ClicHeader,
-        chunk: Bytes,
+        chunk: Parts,
         trace: u64,
     ) {
         let Some((_msg_id, total)) = header.msg else {
@@ -1691,11 +1777,13 @@ impl ClicModule {
             return;
         }
         module.borrow_mut().stats.best_effort_rx += 1;
+        let Parts { head, body } = chunk.slice(0..total as usize);
         let msg = RecvMsg {
             src,
             channel: header.channel,
             ptype: header.ptype,
-            data: chunk.slice(..total as usize),
+            head,
+            data: body,
         };
         Self::deliver_message(module, sim, msg, trace);
     }
@@ -1706,7 +1794,7 @@ impl ClicModule {
         kernel: &Rc<RefCell<Kernel>>,
         src: MacAddr,
         header: ClicHeader,
-        chunk: Bytes,
+        chunk: Parts,
         trace: u64,
     ) {
         let key = (src, header.channel);
@@ -1813,28 +1901,36 @@ impl ClicModule {
         flow: &mut InFlow,
         src: MacAddr,
         header: ClicHeader,
-        chunk: Bytes,
+        chunk: Parts,
     ) -> Option<RecvMsg> {
+        let Parts { head, body } = chunk;
         let mut assembly = match flow.assembling.take() {
             None => {
                 let (_msg_id, total) =
                     // lint:allow(no-unwrap, reason="the send path always stamps the message prefix on the first fragment; in-order delivery is guaranteed by the recv window")
                     header.msg.expect("first fragment lacks message prefix");
+                // The first packet's head holds the message's header part:
+                // it stays apart, and the data behind it is joined.
                 Box::new(Assembly {
-                    buf: Gather::new(total as usize),
+                    buf: Gather::new((total as usize).saturating_sub(head.len())),
+                    head,
                     ptype: header.ptype,
                 })
             }
-            Some(a) => a,
+            Some(mut a) => {
+                a.buf.push(head);
+                a
+            }
         };
         // A message whose packets are slices of one sender buffer arrives
         // as a slice of it; any other message is copied once.
-        assembly.buf.push(chunk);
+        assembly.buf.push(body);
         if assembly.buf.is_complete() {
             Some(RecvMsg {
                 src,
                 channel: header.channel,
                 ptype: assembly.ptype,
+                head: assembly.head,
                 data: assembly.buf.finish(),
             })
         } else {
@@ -1919,7 +2015,7 @@ impl ClicModule {
                 m.devices[slot],
             )
         };
-        let skb = SkBuff::zero_copy(header.head(), Bytes::new());
+        let skb = SkBuff::zero_copy(header.head(&[]), Bytes::new());
         // A lost or refused ACK is harmless: cumulative ACKs supersede it.
         hard_start_xmit(&kernel, sim, dev, key.0, EtherType::CLIC, skb, |_, _| {});
     }
@@ -1948,11 +2044,7 @@ impl ClicModule {
                 // Figure 8b: the data went straight to user memory.
                 SimDuration::ZERO
             } else {
-                kernel
-                    .borrow()
-                    .costs
-                    .copy
-                    .cost_observed(sim, msg.data.len())
+                kernel.borrow().costs.copy.cost_observed(sim, msg.len())
             };
             let port = m.ports.entry(msg.channel).or_default();
             if msg.ptype == PacketType::RemoteWrite && port.remote_writes.is_some() {
@@ -2013,7 +2105,7 @@ impl ClicModule {
                 // Stays in system memory until a receive call arrives.
                 let mut m = module.borrow_mut();
                 if let Some(port) = m.ports.get_mut(&msg.channel) {
-                    port.pending_bytes += msg.data.len();
+                    port.pending_bytes += msg.len();
                     port.pending.push_back(msg);
                 }
             }
@@ -2040,18 +2132,14 @@ impl ClicModule {
                 let port = m.ports.entry(channel).or_default();
                 let msg = port.pending.pop_front();
                 if let Some(msg) = &msg {
-                    port.pending_bytes -= msg.data.len();
+                    port.pending_bytes -= msg.len();
                 }
                 msg
             };
             match popped {
                 Some(msg) => {
                     // Copy from system memory to the caller's buffer.
-                    let cost = kernel
-                        .borrow()
-                        .costs
-                        .copy
-                        .cost_observed(sim, msg.data.len());
+                    let cost = kernel.borrow().costs.copy.cost_observed(sim, msg.len());
                     Kernel::cpu_task(&kernel, sim, cost, move |sim| cont(sim, msg));
                 }
                 None => {

@@ -14,7 +14,7 @@
 //! from the event loop.
 
 use crate::header::ClicHeader;
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use clic_os::DataLocation;
 use clic_sim::SimTime;
 use std::collections::BTreeMap;
@@ -191,7 +191,7 @@ impl SendWindow {
 pub enum RecvOutcome {
     /// In-order: this packet (and any buffered successors) deliver now, in
     /// sequence order.
-    Deliver(Vec<(ClicHeader, Bytes)>),
+    Deliver(Vec<(ClicHeader, Parts)>),
     /// Already delivered — sender missed an ACK; re-ACK immediately.
     Duplicate,
     /// Out of order: buffered awaiting the gap.
@@ -204,7 +204,7 @@ pub enum RecvOutcome {
 #[derive(Debug)]
 pub struct RecvWindow {
     expected: u32,
-    ooo: BTreeMap<u32, (ClicHeader, Bytes)>,
+    ooo: BTreeMap<u32, (ClicHeader, Parts)>,
     ooo_limit: usize,
 }
 
@@ -238,8 +238,9 @@ impl RecvWindow {
             .sum()
     }
 
-    /// Offer an arriving data packet.
-    pub fn offer(&mut self, header: ClicHeader, payload: Bytes) -> RecvOutcome {
+    /// Offer an arriving data packet: its header and its data, the header
+    /// part of the message it starts (if any) and the rest.
+    pub fn offer(&mut self, header: ClicHeader, payload: Parts) -> RecvOutcome {
         if header.seq < self.expected {
             return RecvOutcome::Duplicate;
         }
@@ -407,7 +408,7 @@ mod tests {
     fn recv_in_order_stream() {
         let mut w = RecvWindow::new(16);
         for seq in 0..4 {
-            match w.offer(hdr(seq), payload(seq as u8)) {
+            match w.offer(hdr(seq), payload(seq as u8).into()) {
                 RecvOutcome::Deliver(v) => {
                     assert_eq!(v.len(), 1);
                     assert_eq!(v[0].0.seq, seq);
@@ -421,10 +422,10 @@ mod tests {
     #[test]
     fn recv_buffers_gap_then_flushes() {
         let mut w = RecvWindow::new(16);
-        assert_eq!(w.offer(hdr(1), payload(1)), RecvOutcome::Buffered);
-        assert_eq!(w.offer(hdr(2), payload(2)), RecvOutcome::Buffered);
+        assert_eq!(w.offer(hdr(1), payload(1).into()), RecvOutcome::Buffered);
+        assert_eq!(w.offer(hdr(2), payload(2).into()), RecvOutcome::Buffered);
         assert_eq!(w.buffered(), 2);
-        match w.offer(hdr(0), payload(0)) {
+        match w.offer(hdr(0), payload(0).into()) {
             RecvOutcome::Deliver(v) => {
                 let seqs: Vec<u32> = v.iter().map(|(h, _)| h.seq).collect();
                 assert_eq!(seqs, vec![0, 1, 2]);
@@ -438,18 +439,18 @@ mod tests {
     #[test]
     fn recv_detects_duplicates() {
         let mut w = RecvWindow::new(16);
-        let _ = w.offer(hdr(0), payload(0));
-        assert_eq!(w.offer(hdr(0), payload(0)), RecvOutcome::Duplicate);
-        assert_eq!(w.offer(hdr(5), payload(5)), RecvOutcome::Buffered);
-        assert_eq!(w.offer(hdr(5), payload(5)), RecvOutcome::Duplicate);
+        let _ = w.offer(hdr(0), payload(0).into());
+        assert_eq!(w.offer(hdr(0), payload(0).into()), RecvOutcome::Duplicate);
+        assert_eq!(w.offer(hdr(5), payload(5).into()), RecvOutcome::Buffered);
+        assert_eq!(w.offer(hdr(5), payload(5).into()), RecvOutcome::Duplicate);
     }
 
     #[test]
     fn recv_overflow_bounded() {
         let mut w = RecvWindow::new(2);
-        assert_eq!(w.offer(hdr(1), payload(1)), RecvOutcome::Buffered);
-        assert_eq!(w.offer(hdr(2), payload(2)), RecvOutcome::Buffered);
-        assert_eq!(w.offer(hdr(3), payload(3)), RecvOutcome::Overflow);
+        assert_eq!(w.offer(hdr(1), payload(1).into()), RecvOutcome::Buffered);
+        assert_eq!(w.offer(hdr(2), payload(2).into()), RecvOutcome::Buffered);
+        assert_eq!(w.offer(hdr(3), payload(3).into()), RecvOutcome::Overflow);
         assert_eq!(w.buffered(), 2);
     }
 
@@ -463,7 +464,7 @@ mod tests {
         let mut w = RecvWindow::new(LIMIT);
         for seq in 1..=LIMIT as u32 {
             assert_eq!(
-                w.offer(hdr(seq), payload(seq as u8)),
+                w.offer(hdr(seq), payload(seq as u8).into()),
                 RecvOutcome::Buffered,
                 "packet #{seq} of {LIMIT} must still fit"
             );
@@ -471,17 +472,17 @@ mod tests {
         assert_eq!(w.buffered(), LIMIT, "buffer holds exactly ooo_limit");
         assert_eq!(w.buffered_bytes(), LIMIT, "one payload byte per packet");
         assert_eq!(
-            w.offer(hdr(LIMIT as u32 + 1), payload(0)),
+            w.offer(hdr(LIMIT as u32 + 1), payload(0).into()),
             RecvOutcome::Overflow,
             "packet limit+1 must overflow"
         );
         assert_eq!(w.buffered(), LIMIT, "overflow does not evict");
         assert_eq!(
-            w.offer(hdr(2), payload(2)),
+            w.offer(hdr(2), payload(2).into()),
             RecvOutcome::Duplicate,
             "redelivery at a full buffer is a duplicate, not an overflow"
         );
-        match w.offer(hdr(0), payload(0)) {
+        match w.offer(hdr(0), payload(0).into()) {
             RecvOutcome::Deliver(v) => {
                 let seqs: Vec<u32> = v.iter().map(|(h, _)| h.seq).collect();
                 assert_eq!(seqs, vec![0, 1, 2, 3], "gap fill drains the buffer");
@@ -496,11 +497,11 @@ mod tests {
     #[test]
     fn payload_survives_buffering() {
         let mut w = RecvWindow::new(4);
-        let _ = w.offer(hdr(1), Bytes::from_static(b"second"));
-        match w.offer(hdr(0), Bytes::from_static(b"first")) {
+        let _ = w.offer(hdr(1), Bytes::from_static(b"second").into());
+        match w.offer(hdr(0), Bytes::from_static(b"first").into()) {
             RecvOutcome::Deliver(v) => {
-                assert_eq!(&v[0].1[..], b"first");
-                assert_eq!(&v[1].1[..], b"second");
+                assert_eq!(&v[0].1.body[..], b"first");
+                assert_eq!(&v[1].1.body[..], b"second");
             }
             other => panic!("unexpected {other:?}"),
         }

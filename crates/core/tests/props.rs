@@ -61,7 +61,7 @@ proptest! {
             ce,
             msg,
         };
-        let mut wire = h.head().to_vec();
+        let mut wire = h.head(&[]).to_vec();
         if !is_ack {
             wire.extend_from_slice(&payload);
         }
@@ -71,7 +71,7 @@ proptest! {
         if is_ack {
             prop_assert!(body.is_empty(), "ACK decode must not surface padding");
         } else {
-            prop_assert_eq!(&body[..], &payload[..]);
+            prop_assert_eq!(&body.join()[..], &payload[..]);
         }
     }
 
@@ -112,10 +112,10 @@ proptest! {
                 ce: false,
                 msg: None,
             };
-            match w.offer(h, Bytes::from(vec![seq as u8])) {
+            match w.offer(h, Bytes::from(vec![seq as u8]).into()) {
                 RecvOutcome::Deliver(batch) => {
                     for (hh, body) in batch {
-                        prop_assert_eq!(body[0] as u32, hh.seq, "payload follows its seq");
+                        prop_assert_eq!(body.body[0] as u32, hh.seq, "payload follows its seq");
                         delivered.push(hh.seq);
                     }
                 }

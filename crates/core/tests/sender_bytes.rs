@@ -9,13 +9,18 @@
 //!   charges every copy it makes (`staged_copies`, `hw.mem.copy_bytes`);
 //!   the host does not make them, because nothing can change the bytes.
 //! * The delivered message lies inside the sender's allocation.
+//! * A message sent with a header part (an MPI envelope) carries it in
+//!   its first packet's head on every transmission, and arrives with the
+//!   header part apart and the rest inside the sender's allocation, at
+//!   the model cost of the same bytes sent in one part.
 //!
 //! Frames are observed where they exist: at the receiving driver's
 //! dispatch, and on the wire through a tap that forwards them over a
 //! lossy link. The logs keep every body alive, so the buffer pool cannot
 //! hand a freed buffer's address to a later one.
 
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
+use clic_core::module::SendOptions;
 use clic_core::{ClicConfig, ClicHeader, ClicModule, ClicPort, PacketType, RecvMsg};
 use clic_ethernet::{EtherType, FaultPlan, Frame, Link, LinkEnd, LossModel, MacAddr};
 use clic_hw::{Nic, NicConfig, PciBus};
@@ -89,23 +94,26 @@ fn zero_copy_frames_carry_the_message_allocation() {
             inside(&frame.body, &data),
             "frame {i}: body is not a slice of the sent message"
         );
+        assert!(chunk.head.is_empty(), "a one-part message: no header part");
         assert_eq!(
-            chunk.as_ptr(),
+            chunk.body.as_ptr(),
             frame.body.as_ptr(),
             "decode copied frame {i}"
         );
-        wire.extend_from_slice(&chunk);
+        wire.extend_from_slice(&chunk.body);
     }
     assert_eq!(frames.len(), 45, "64 KiB at MTU 1500");
     assert_eq!(wire, data[..], "the bodies are the message, in order");
 }
 
-/// Every CLIC data frame the tap saw leave the sender, keyed by sequence.
-type Sent = Rc<RefCell<BTreeMap<u32, Vec<Bytes>>>>;
+/// Every CLIC data frame the tap saw leave the sender, keyed by sequence:
+/// the header part its head carried, and its body.
+type Sent = Rc<RefCell<BTreeMap<u32, Vec<Parts>>>>;
 
 /// What [`send_through_tap`] observed.
 struct Tapped {
-    /// Every data frame's body, by sequence number, in transmission order.
+    /// Every data frame's header part and body, by sequence number, in
+    /// transmission order.
     sent: Sent,
     /// The message the receiver delivered.
     msg: RecvMsg,
@@ -121,7 +129,7 @@ struct Tapped {
 /// The sender's link ends in the tap, which logs each data frame's body
 /// and forwards the frame over a second link to the receiver; that link
 /// loses a quarter of the frames towards the receiver.
-fn send_through_tap(clic: ClicConfig, tx_ring: usize, data: &Bytes) -> Tapped {
+fn send_through_tap(clic: ClicConfig, tx_ring: usize, data: impl Into<Parts>) -> Tapped {
     let mut sim = Sim::new(7);
     let (near, far) = (Link::gigabit(), Link::gigabit());
     let mut nic_cfg = NicConfig::gigabit_standard();
@@ -138,10 +146,10 @@ fn send_through_tap(clic: ClicConfig, tx_ring: usize, data: &Bytes) -> Tapped {
     near.borrow_mut().attach(
         LinkEnd::B,
         Rc::new(move |sim: &mut Sim, frame: Frame| {
-            if let Some((h, _)) = ClicHeader::decode(&frame) {
+            if let Some((h, chunk)) = ClicHeader::decode(&frame) {
                 if h.ptype == PacketType::Data {
                     let mut log = log.borrow_mut();
-                    log.entry(h.seq).or_default().push(frame.body.clone());
+                    log.entry(h.seq).or_default().push(chunk);
                 }
             }
             let far = onward.upgrade().expect("far link alive");
@@ -158,12 +166,13 @@ fn send_through_tap(clic: ClicConfig, tx_ring: usize, data: &Bytes) -> Tapped {
     );
     let tx = ClicModule::install(&a, vec![0], clic.clone());
     let rx = ClicModule::install(&b, vec![0], clic);
-    let src = ClicPort::bind(&tx, a.borrow_mut().processes.spawn(), 1);
+    tx.borrow_mut().bind(a.borrow_mut().processes.spawn(), 1);
     let dst = ClicPort::bind(&rx, b.borrow_mut().processes.spawn(), 1);
     let got: Rc<RefCell<Option<RecvMsg>>> = Rc::default();
     let g = got.clone();
     dst.recv(&mut sim, move |_, msg| *g.borrow_mut() = Some(msg));
-    src.send(&mut sim, MacAddr::for_node(2, 0), 1, data.clone());
+    let opts = SendOptions::data(MacAddr::for_node(2, 0), 1);
+    ClicModule::send(&tx, &mut sim, opts, data);
     sim.run();
     let msg = got.borrow_mut().take().expect("message delivered");
     let staged = tx.borrow().stats().staged_copies;
@@ -180,20 +189,22 @@ fn send_through_tap(clic: ClicConfig, tx_ring: usize, data: &Bytes) -> Tapped {
 }
 
 /// Every transmission of a sequence number carried one buffer, inside
-/// `data`'s allocation; returns the most transmissions of one number.
+/// `data`'s allocation, and the same header part; returns the most
+/// transmissions of one number.
 fn assert_sent_from(sent: &Sent, data: &Bytes) -> usize {
     let sent = sent.borrow();
-    for (seq, bodies) in sent.iter() {
+    for (seq, sends) in sent.iter() {
         assert!(
-            inside(&bodies[0], data),
+            inside(&sends[0].body, data),
             "seq {seq}: not sent from the user's message"
         );
-        for body in bodies {
+        for send in sends {
             assert_eq!(
-                body.as_ptr(),
-                bodies[0].as_ptr(),
+                send.body.as_ptr(),
+                sends[0].body.as_ptr(),
                 "seq {seq}: sent from two buffers"
             );
+            assert_eq!(send.head, sends[0].head, "seq {seq}: header part changed");
         }
     }
     sent.values().map(Vec::len).max().unwrap_or(0)
@@ -204,7 +215,7 @@ fn staged_packets_send_the_senders_bytes_every_transmission() {
     // A 4-slot TX ring stages most of a 40 KB message; a quarter of the
     // frames are lost, so packets, staged ones included, go out again.
     let data = message(40_000);
-    let tap = send_through_tap(ClicConfig::paper_default(), 4, &data);
+    let tap = send_through_tap(ClicConfig::paper_default(), 4, data.clone());
     assert_eq!(tap.msg.data, data);
     assert_eq!(
         tap.msg.data.as_ptr(),
@@ -227,7 +238,7 @@ fn one_copy_path_sends_the_senders_bytes() {
     // On the 1-copy path the first post stages every packet, and every
     // retransmission sends the staged packet again.
     let data = message(40_000);
-    let tap = send_through_tap(ClicConfig::one_copy(), 256, &data);
+    let tap = send_through_tap(ClicConfig::one_copy(), 256, data.clone());
     assert_eq!(tap.msg.data, data);
     assert_eq!(
         tap.msg.data.as_ptr(),
@@ -243,4 +254,39 @@ fn one_copy_path_sends_the_senders_bytes() {
     // The model charges the whole message's copy to kernel memory at the
     // send and its copy to user memory at the receiver.
     assert_eq!(tap.copies, (2, 80_000));
+}
+
+#[test]
+fn a_header_part_rides_the_first_packet_on_every_transmission() {
+    // A 16-byte header part (an MPI envelope's size) in front of a
+    // 40 KB body, through the staging ring and the lossy tap.
+    let header = Bytes::copy_from_slice(&[0x4d; 16]);
+    let data = message(40_000);
+    let tap = send_through_tap(
+        ClicConfig::paper_default(),
+        4,
+        Parts::new(header.clone(), data.clone()),
+    );
+    assert_eq!(tap.msg.head, header, "the header part arrives apart");
+    assert_eq!(tap.msg.data, data);
+    assert_eq!(
+        tap.msg.data.as_ptr(),
+        data.as_ptr(),
+        "the delivered body is the sender's buffer, not a copy"
+    );
+    assert!(
+        assert_sent_from(&tap.sent, &data) >= 2,
+        "loss forced resends"
+    );
+    for (seq, sends) in tap.sent.borrow().iter() {
+        let part = if *seq == 0 { &header[..] } else { &[][..] };
+        assert_eq!(&sends[0].head[..], part, "seq {seq}");
+    }
+    // The same bytes sent in one part cost the model exactly as much.
+    let whole = Bytes::from([&header[..], &data[..]].concat());
+    let one = send_through_tap(ClicConfig::paper_default(), 4, whole.clone());
+    assert_eq!(one.msg.data, whole);
+    assert_eq!((tap.staged, tap.copies), (one.staged, one.copies));
+    let counts = |t: &Tapped| -> Vec<usize> { t.sent.borrow().values().map(Vec::len).collect() };
+    assert_eq!(counts(&tap), counts(&one), "the same transmissions");
 }

@@ -14,12 +14,14 @@
 //! sizes and wire time count both, and where the split falls changes
 //! nothing a receiver sees. Receivers read a header through
 //! [`Frame::split_header`], which copies the header bytes out and returns
-//! the data behind them without copying it. Frames built in one piece
-//! (NIC fragments and their reassembly, collective messages) have an
-//! empty head.
+//! the data behind them without copying it: a layer above may have put
+//! its own header in the head behind the protocol's (an MPI envelope
+//! behind CLIC's, or a TCP segment's earlier bytes), and those bytes come
+//! back as the first of two [`Parts`], the body as the second. Frames
+//! built in one piece (collective messages) have an empty head.
 
 use crate::mac::{EtherType, MacAddr};
-use bytes::{Bytes, Gather};
+use bytes::{Bytes, Parts};
 use clic_sim::SimDuration;
 
 /// Level-1 Ethernet header: dst(6) + src(6) + type(2).
@@ -101,29 +103,12 @@ impl Frame {
     /// and the payload bytes after them; `None` when the payload is
     /// shorter than `N`.
     ///
-    /// The rest is `body` itself, or a slice of it, whenever the head holds
-    /// no more than the header — the case for every protocol here, which
-    /// puts exactly its header in the head, and for one-piece frames. Only
-    /// a head longer than `N` leaves header-side bytes to join with the
-    /// body, through [`Gather`]: one new buffer unless the two parts lie
-    /// end to end in one allocation.
-    pub fn split_header<const N: usize>(&self) -> Option<([u8; N], Bytes)> {
-        if self.payload_len() < N {
-            return None;
-        }
-        let mut header = [0u8; N];
-        let in_head = self.head.len().min(N);
-        header[..in_head].copy_from_slice(&self.head[..in_head]);
-        header[in_head..].copy_from_slice(&self.body[..N - in_head]);
-        let rest = if self.head.len() <= N {
-            self.body.slice(N - in_head..)
-        } else {
-            let mut rest = Gather::new(self.payload_len() - N);
-            rest.push(self.head.slice(N..));
-            rest.push(self.body.clone());
-            rest.finish()
-        };
-        Some((header, rest))
+    /// The rest is two [`Parts`] and copies neither: what the head holds
+    /// past the header (nothing when the head holds no more than the
+    /// header, as for a protocol that puts exactly its header there and
+    /// for a one-piece frame), then `body` itself or a slice of it.
+    pub fn split_header<const N: usize>(&self) -> Option<([u8; N], Parts)> {
+        Parts::new(self.head.clone(), self.body.clone()).split_header()
     }
 
     /// Bytes of the frame proper: header + padded payload + CRC.

@@ -298,6 +298,7 @@ impl GammaModule {
                 let Some((p, rest)): Option<([u8; GAMMA_HEADER], _)> = frame.split_header() else {
                     return;
                 };
+                let rest = rest.join();
                 let port = u16::from_be_bytes([p[0], p[1]]);
                 let total = u32::from_be_bytes([p[2], p[3], p[4], p[5]]) as usize;
                 let index = u16::from_be_bytes([p[6], p[7]]) as usize;

@@ -157,6 +157,7 @@ impl CollMsg {
     /// the message body). Returns `None` for malformed payloads.
     pub fn decode(frame: &Frame) -> Option<CollMsg> {
         let ([op, s0, s1, s2, s3], rest) = frame.split_header()?;
+        let rest = rest.join();
         let seq = u32::from_be_bytes([s0, s1, s2, s3]);
         let val =
             |b: &[u8]| -> Option<u64> { Some(u64::from_be_bytes(b.get(..8)?.try_into().ok()?)) };

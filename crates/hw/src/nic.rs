@@ -20,9 +20,9 @@
 //!   reassembles before interrupting the host. Both sides must enable it.
 
 use crate::coll::{CollAction, CollConfig, CollEngine, CollMsg, CollStimulus};
-use crate::frag::{self, Reassembler, FRAG_HEADER};
+use crate::frag::{self, Fragments, Reassembler, FRAG_HEADER};
 use crate::pci::PciBus;
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use clic_ethernet::{EtherType, Frame, Link, LinkEnd, MacAddr, ETH_HEADER};
 use clic_sim::catalog::metric_id;
 use clic_sim::{Layer, MetricId, Sim, SimDuration, SimTime};
@@ -110,6 +110,36 @@ pub struct TxDescriptor {
     pub trace: u64,
 }
 
+/// An accepted TX descriptor and the frames of it still to leave.
+struct TxJob {
+    dst: MacAddr,
+    ethertype: EtherType,
+    trace: u64,
+    frames: TxFrames,
+}
+
+/// What a TX descriptor has yet to put on the wire.
+enum TxFrames {
+    /// A payload within the MTU: one frame of the descriptor's head and
+    /// body as they are, `None` once it has left.
+    Whole(Option<Parts>),
+    /// A payload above the MTU (TX fragmentation offload): its FRAG
+    /// pieces, each cut when the NIC reaches it.
+    Pieces(Fragments),
+}
+
+impl TxJob {
+    /// The descriptor's next frame from station `src`, `None` once every
+    /// frame has left.
+    fn next_frame(&mut self, src: MacAddr) -> Option<Frame> {
+        let (ethertype, Parts { head, body }) = match &mut self.frames {
+            TxFrames::Whole(payload) => (self.ethertype, payload.take()?),
+            TxFrames::Pieces(pieces) => (EtherType::FRAG, pieces.next()?),
+        };
+        Some(Frame::gather(self.dst, src, ethertype, head, body).with_trace(self.trace))
+    }
+}
+
 /// A frame sitting in NIC memory, awaiting the driver's move to system
 /// memory.
 #[derive(Debug, Clone)]
@@ -165,11 +195,23 @@ pub struct Nic {
     link_end: LinkEnd,
     multicast: BTreeSet<MacAddr>,
     tx_in_flight: usize,
-    tx_queue: VecDeque<(u64, VecDeque<Frame>)>,
+    /// The descriptor whose frames are leaving; `None` only while
+    /// `tx_queue` is empty too.
+    tx_current: Option<TxJob>,
+    /// Descriptors waiting behind it, in ring order. Held apart from the
+    /// current one, a NIC that never has two descriptors posted at once
+    /// keeps no queue storage.
+    tx_queue: VecDeque<TxJob>,
     tx_active: bool,
     next_frag_id: u32,
     reasm: Reassembler,
+    /// Frames in NIC memory: first the `rx_taken` the driver took for its
+    /// current receive round (their RX buffers already recycled), then
+    /// those awaiting the driver.
     host_queue: VecDeque<RxPacket>,
+    /// Frames at the front of `host_queue` that belong to the driver's
+    /// round, handed over one at a time.
+    rx_taken: usize,
     irq_asserted: bool,
     timer_generation: u64,
     timer_armed: bool,
@@ -198,11 +240,13 @@ impl Nic {
             link_end,
             multicast: BTreeSet::new(),
             tx_in_flight: 0,
+            tx_current: None,
             tx_queue: VecDeque::new(),
             tx_active: false,
             next_frag_id: 1,
             reasm: Reassembler::new(),
             host_queue: VecDeque::new(),
+            rx_taken: 0,
             irq_asserted: false,
             timer_generation: 0,
             timer_armed: false,
@@ -273,16 +317,16 @@ impl Nic {
     /// when the ring has no free slot — the driver/protocol handles staging,
     /// exactly the "if the data cannot be sent now" branch of §3.1.
     pub fn transmit(nic: &Rc<RefCell<Nic>>, sim: &mut Sim, desc: TxDescriptor) -> bool {
-        let frames = {
+        let trace = desc.trace;
+        let start = {
             let mut n = nic.borrow_mut();
             if n.tx_in_flight >= n.config.tx_ring {
                 n.stats.tx_ring_full += 1;
                 return false;
             }
-            let src = n.mac;
-            let mut frames = Vec::new();
-            let len = desc.head.len() + desc.body.len();
-            if len > n.config.mtu {
+            let payload = Parts::new(desc.head, desc.body);
+            let len = payload.len();
+            let frames = if len > n.config.mtu {
                 assert!(
                     n.config.tx_frag_offload,
                     "payload {len} exceeds MTU {} without TX fragmentation offload",
@@ -294,42 +338,29 @@ impl Nic {
                 // not stage the whole super-packet first).
                 let id = n.next_frag_id;
                 n.next_frag_id += 1;
-                let pieces =
-                    frag::fragment(id, desc.ethertype.0, &desc.head, &desc.body, n.config.mtu);
-                for piece in pieces {
-                    frames.push(
-                        Frame::new(desc.dst, src, EtherType::FRAG, piece).with_trace(desc.trace),
-                    );
-                }
+                TxFrames::Pieces(frag::fragment(id, desc.ethertype.0, payload, n.config.mtu))
             } else {
-                frames.push(
-                    Frame::gather(
-                        desc.dst,
-                        src,
-                        desc.ethertype,
-                        desc.head.clone(),
-                        desc.body.clone(),
-                    )
-                    .with_trace(desc.trace),
-                );
-            }
+                TxFrames::Whole(Some(payload))
+            };
             n.tx_in_flight += 1;
-            frames
-        };
-        if desc.trace != 0 {
-            sim.trace
-                .begin(sim.now(), Layer::Hw, "nic_tx_dma", desc.trace);
-        }
-        let start = {
-            let mut n = nic.borrow_mut();
-            n.tx_queue.push_back((desc.trace, frames.into()));
-            if n.tx_active {
-                false
+            let job = TxJob {
+                dst: desc.dst,
+                ethertype: desc.ethertype,
+                trace,
+                frames,
+            };
+            if n.tx_current.is_none() {
+                n.tx_current = Some(job);
             } else {
-                n.tx_active = true;
-                true
+                n.tx_queue.push_back(job);
             }
+            let start = !n.tx_active;
+            n.tx_active = true;
+            start
         };
+        if trace != 0 {
+            sim.trace.begin(sim.now(), Layer::Hw, "nic_tx_dma", trace);
+        }
         if start {
             Nic::tx_pump(nic, sim);
         }
@@ -342,26 +373,24 @@ impl Nic {
     /// super-packet therefore leave contiguously.
     fn tx_pump(nic: &Rc<RefCell<Nic>>, sim: &mut Sim) {
         // Retire completed descriptors (freeing ring slots, closing trace
-        // spans), then pick the next frame of the head descriptor.
+        // spans), then cut the next frame of the head descriptor.
         let (ended_traces, frame) = {
             let mut n = nic.borrow_mut();
+            let src = n.mac;
             let mut ended = Vec::new();
             let frame = loop {
-                let Some((_trace, frames)) = n.tx_queue.front_mut() else {
+                let Some(job) = n.tx_current.as_mut() else {
                     n.tx_active = false;
                     break None;
                 };
-                match frames.pop_front() {
-                    Some(frame) => break Some(frame),
-                    None => {
-                        // lint:allow(panic-reach, reason="front_mut() returned Some on this same borrow, so the queue is provably nonempty")
-                        let (trace, _) = n.tx_queue.pop_front().unwrap();
-                        n.tx_in_flight -= 1;
-                        if trace != 0 {
-                            ended.push(trace);
-                        }
-                    }
+                if let Some(frame) = job.next_frame(src) {
+                    break Some(frame);
                 }
+                if job.trace != 0 {
+                    ended.push(job.trace);
+                }
+                n.tx_in_flight -= 1;
+                n.tx_current = n.tx_queue.pop_front();
             };
             (ended, frame)
         };
@@ -445,7 +474,7 @@ impl Nic {
                 n.stats.rx_oversize += 1;
                 return;
             }
-            if n.host_queue.len() + n.reasm.pending() >= n.config.rx_ring {
+            if n.rx_waiting() + n.reasm.pending() >= n.config.rx_ring {
                 n.stats.rx_no_buffer += 1;
                 sim.trace
                     .instant(sim.now(), Layer::Hw, "drop.rx_no_buffer", frame.trace);
@@ -665,8 +694,9 @@ impl Nic {
                     .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
                 match n.reasm.offer(src_key, &frame) {
                     Some((h, packet)) => {
+                        let Parts { head, body } = packet;
                         let whole =
-                            Frame::new(frame.dst, frame.src, EtherType(h.ethertype), packet)
+                            Frame::gather(frame.dst, frame.src, EtherType(h.ethertype), head, body)
                                 .with_trace(frame.trace);
                         n.host_queue.push_back(RxPacket {
                             frame: whole,
@@ -701,7 +731,7 @@ impl Nic {
         }
         let decision = {
             let mut n = nic.borrow_mut();
-            let pending = n.host_queue.len();
+            let pending = n.rx_waiting();
             if n.irq_asserted || pending == 0 {
                 Decision::Nothing
             } else if (n.config.coalesce_frames <= 1 && n.config.coalesce_usecs == 0)
@@ -735,7 +765,7 @@ impl Nic {
                         if valid {
                             n.timer_armed = false;
                         }
-                        valid && !n.irq_asserted && !n.host_queue.is_empty()
+                        valid && !n.irq_asserted && n.rx_waiting() > 0
                     };
                     if fire {
                         Nic::assert_irq(&nic2, sim);
@@ -759,20 +789,45 @@ impl Nic {
         }
     }
 
+    /// Frames awaiting the driver: they hold RX buffers and count toward
+    /// the interrupt policy.
+    fn rx_waiting(&self) -> usize {
+        self.host_queue.len() - self.rx_taken
+    }
+
     /// Driver entry: take all frames waiting in NIC memory, recycling their
     /// RX buffers. Unless [`NicConfig::host_rings`] is set, the driver is
     /// responsible for moving the bytes to system memory (and for charging
     /// the PCI/CPU time that takes).
     #[cfg(test)]
     pub fn drain_rx(&mut self) -> Vec<RxPacket> {
-        self.host_queue.drain(..).collect()
+        self.host_queue.drain(self.rx_taken..).collect()
     }
 
-    /// Like [`Nic::drain_rx`] but takes at most `limit` frames, leaving the
-    /// rest queued (used by the driver's per-interrupt budget).
-    pub fn drain_rx_up_to(&mut self, limit: usize) -> Vec<RxPacket> {
-        let n = self.host_queue.len().min(limit);
-        self.host_queue.drain(..n).collect()
+    /// Driver entry: take at most `limit` of the frames waiting in NIC
+    /// memory for one receive round, recycling their RX buffers and leaving
+    /// the rest waiting (the driver's per-interrupt budget); the driver then
+    /// takes them one at a time with [`Nic::next_rx`]. Returns how many
+    /// the round holds.
+    pub fn start_rx_round(&mut self, limit: usize) -> usize {
+        self.rx_taken += self.rx_waiting().min(limit);
+        self.rx_taken
+    }
+
+    /// The next frame of the driver's receive round, `None` when the round
+    /// is done.
+    pub fn next_rx(&mut self) -> Option<RxPacket> {
+        if self.rx_taken == 0 {
+            return None;
+        }
+        self.rx_taken -= 1;
+        self.host_queue.pop_front()
+    }
+
+    /// Discard every frame waiting in NIC memory: a crashed host's ring is
+    /// overwritten.
+    pub fn discard_rx(&mut self) {
+        self.host_queue.truncate(self.rx_taken);
     }
 
     /// Whether arriving frames are already in host memory at IRQ time.
@@ -788,7 +843,7 @@ impl Nic {
     /// Frames awaiting the driver.
     #[cfg(test)]
     pub fn rx_pending(&self) -> usize {
-        self.host_queue.len()
+        self.rx_waiting()
     }
 
     /// Driver acknowledges the interrupt. If frames queued while the driver
@@ -800,7 +855,7 @@ impl Nic {
         let arm = {
             let mut n = nic.borrow_mut();
             n.irq_asserted = false;
-            if n.host_queue.is_empty() {
+            if n.rx_waiting() == 0 {
                 None
             } else if n.config.coalesce_usecs > 0 {
                 if n.timer_armed {
@@ -828,7 +883,7 @@ impl Nic {
                         if valid {
                             n.timer_armed = false;
                         }
-                        valid && !n.irq_asserted && !n.host_queue.is_empty()
+                        valid && !n.irq_asserted && n.rx_waiting() > 0
                     };
                     if fire {
                         Nic::assert_irq(&nic2, sim);
@@ -1112,7 +1167,8 @@ mod tests {
         cfg.tx_frag_offload = true;
         cfg.rx_frag_offload = true;
         let pair = mk_pair(cfg.clone(), cfg);
-        let payload: Vec<u8> = (0..20_000).map(|i| (i % 253) as u8).collect();
+        let head = Bytes::copy_from_slice(b"a 20-byte CLIC head.");
+        let body = Bytes::from((0..20_000).map(|i| (i % 253) as u8).collect::<Vec<_>>());
         let dst = pair.b.borrow().mac();
         Nic::transmit(
             &pair.a,
@@ -1120,8 +1176,8 @@ mod tests {
             TxDescriptor {
                 dst,
                 ethertype: EtherType::CLIC,
-                head: Bytes::new(),
-                body: Bytes::from(payload.clone()),
+                head: head.clone(),
+                body: body.clone(),
                 trace: 0,
             },
         );
@@ -1131,8 +1187,17 @@ mod tests {
         assert_eq!(pair.b.borrow().stats().rx_frames, 1);
         assert_eq!(*pair.irqs_b.borrow(), 1);
         let pkts = pair.b.borrow_mut().drain_rx();
-        assert_eq!(wire(&pkts[0].frame), payload);
-        assert_eq!(pkts[0].frame.ethertype, EtherType::CLIC);
+        let frame = &pkts[0].frame;
+        assert_eq!(wire(frame), [&head[..], &body[..]].concat());
+        assert_eq!(frame.ethertype, EtherType::CLIC);
+        // The descriptor's head comes back as the packet's head, and the
+        // pieces' bodies, slices of the sender's, join into a view of it.
+        assert_eq!(frame.head, head);
+        assert_eq!(
+            frame.body.as_ptr(),
+            body.as_ptr(),
+            "reassembly copied the body"
+        );
     }
 
     #[test]
@@ -1276,7 +1341,7 @@ mod internal_copy_tests {
     }
 
     #[test]
-    fn drain_rx_up_to_respects_limit() {
+    fn rx_round_respects_limit() {
         let mut sim = Sim::new(0);
         let link = Link::new(1_000_000_000, SimDuration::ZERO);
         let mut cfg = NicConfig::gigabit_standard();
@@ -1313,12 +1378,15 @@ mod internal_copy_tests {
         }
         sim.run();
         assert_eq!(b.borrow().rx_pending(), 5);
-        let first = b.borrow_mut().drain_rx_up_to(2);
-        assert_eq!(first.len(), 2);
+        assert_eq!(b.borrow_mut().start_rx_round(2), 2);
         assert_eq!(b.borrow().rx_pending(), 3);
-        let rest = b.borrow_mut().drain_rx_up_to(10);
-        assert_eq!(rest.len(), 3);
-        assert_eq!(b.borrow().rx_pending(), 0);
+        let mut nic = b.borrow_mut();
+        assert!(nic.next_rx().is_some() && nic.next_rx().is_some());
+        assert!(nic.next_rx().is_none(), "the round held two frames");
+        assert_eq!(nic.start_rx_round(10), 3);
+        assert_eq!(nic.rx_pending(), 0);
+        assert_eq!((0..3).filter_map(|_| nic.next_rx()).count(), 3);
+        assert!(nic.next_rx().is_none());
     }
 
     // ------------------------------------------------------------------

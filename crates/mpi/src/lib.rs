@@ -8,7 +8,9 @@
 //! staging copies put its curve below MPI-TCP, as in the paper.
 //!
 //! * [`transport`] — the backend abstraction + `ClicTransport`,
-//!   `TcpTransport`.
+//!   `TcpTransport`. A message travels as the layer's header and the
+//!   body apart, so neither layer nor transport copies a message to
+//!   frame it.
 //! * [`p2p`] — ranks, tags, blocking send/recv with wildcard matching,
 //!   posted-receive and unexpected-message queues.
 //! * [`pvm`] — PVM-like endpoint with pack/unpack buffer semantics.

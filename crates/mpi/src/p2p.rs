@@ -15,9 +15,14 @@
 //! ```
 //!
 //! `kind`: 0 = eager data, 1 = RTS, 2 = CTS, 3 = rendezvous data.
+//!
+//! The envelope is the header part of the transport message and the
+//! payload its body, passed as the caller gave it: no message is copied
+//! to put the envelope in front, and the receiver gets the payload as a
+//! view of the sender's buffer wherever the transport kept it whole.
 
 use crate::transport::Transport;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, Parts};
 use clic_os::Kernel;
 use clic_sim::{Sim, SimDuration};
 use std::cell::RefCell;
@@ -109,15 +114,16 @@ pub struct Mpi {
     inner: Rc<RefCell<MpiInner>>,
 }
 
-fn envelope(src: usize, tag: i32, len: usize, kind: u8, token: u32, body: &[u8]) -> Bytes {
+/// The envelope of a message from `src` with `tag` and a `len`-byte
+/// payload.
+fn envelope(src: usize, tag: i32, len: usize, kind: u8, token: u32) -> [u8; ENVELOPE] {
     debug_assert!(token < (1 << 24));
-    let mut framed = BytesMut::with_capacity(ENVELOPE + body.len());
-    framed.put_u32(src as u32);
-    framed.put_i32(tag);
-    framed.put_u32(len as u32);
-    framed.put_u32((u32::from(kind) << 24) | token);
-    framed.put_slice(body);
-    framed.freeze()
+    let mut env = [0u8; ENVELOPE];
+    env[0..4].copy_from_slice(&(src as u32).to_be_bytes());
+    env[4..8].copy_from_slice(&tag.to_be_bytes());
+    env[8..12].copy_from_slice(&(len as u32).to_be_bytes());
+    env[12..16].copy_from_slice(&((u32::from(kind) << 24) | token).to_be_bytes());
+    env
 }
 
 impl Mpi {
@@ -144,12 +150,15 @@ impl Mpi {
         // Weak: the endpoint holds the transport, so a strong one would
         // cycle.
         let m2 = Rc::downgrade(&mpi);
-        transport.set_handler(Rc::new(move |sim, src, data| {
-            let mpi = m2
-                .upgrade()
-                .expect("MPI endpoint dropped while its transport delivers");
-            Mpi::on_message(&mpi, sim, src, data);
-        }));
+        transport.set_handler(
+            ENVELOPE,
+            Rc::new(move |sim, src, data| {
+                let mpi = m2
+                    .upgrade()
+                    .expect("MPI endpoint dropped while its transport delivers");
+                Mpi::on_message(&mpi, sim, src, data);
+            }),
+        );
         mpi
     }
 
@@ -189,10 +198,10 @@ impl Mpi {
         let src = self.rank();
         let eager = data.len() <= *self.eager_limit.borrow();
         if eager {
-            let framed = envelope(src, tag, data.len(), KIND_EAGER, 0, &data);
+            let env = envelope(src, tag, data.len(), KIND_EAGER, 0);
             let transport = self.transport.clone();
             Kernel::cpu_task(&self.kernel, sim, self.costs.tx_per_message, move |sim| {
-                transport.send(sim, dst, framed);
+                transport.send(sim, dst, &env, data);
             });
         } else {
             // Rendezvous: announce, park the payload, wait for CTS.
@@ -204,10 +213,10 @@ impl Mpi {
                 inner.rndv_out.insert(t, (dst, tag, data.clone()));
                 t
             };
-            let rts = envelope(src, tag, data.len(), KIND_RTS, token, &[]);
+            let rts = envelope(src, tag, data.len(), KIND_RTS, token);
             let transport = self.transport.clone();
             Kernel::cpu_task(&self.kernel, sim, self.costs.tx_per_message, move |sim| {
-                transport.send(sim, dst, rts);
+                transport.send(sim, dst, &rts, Bytes::new());
             });
         }
     }
@@ -293,32 +302,31 @@ impl Mpi {
     }
 
     fn send_cts(mpi: &Rc<Mpi>, sim: &mut Sim, peer: usize, token: u32) {
-        let cts = envelope(mpi.rank(), 0, 0, KIND_CTS, token, &[]);
+        let cts = envelope(mpi.rank(), 0, 0, KIND_CTS, token);
         let transport = mpi.transport.clone();
         Kernel::cpu_task(&mpi.kernel, sim, mpi.costs.tx_per_message, move |sim| {
-            transport.send(sim, peer, cts);
+            transport.send(sim, peer, &cts, Bytes::new());
         });
     }
 
-    fn on_message(mpi: &Rc<Mpi>, sim: &mut Sim, src: usize, data: Bytes) {
+    fn on_message(mpi: &Rc<Mpi>, sim: &mut Sim, src: usize, message: Parts) {
+        // The envelope arrives apart from the payload, which is then the
+        // sender's bytes, not a copy.
+        let (env, rest): ([u8; ENVELOPE], _) = message.split_header().expect("runt MPI message");
+        let data = rest.join();
         let mpi2 = mpi.clone();
         Kernel::cpu_task(&mpi.kernel, sim, mpi.costs.rx_per_message, move |sim| {
-            assert!(data.len() >= ENVELOPE, "runt MPI message");
-            let env_src = u32::from_be_bytes([data[0], data[1], data[2], data[3]]) as usize;
-            let tag = i32::from_be_bytes([data[4], data[5], data[6], data[7]]);
-            let len = u32::from_be_bytes([data[8], data[9], data[10], data[11]]) as usize;
-            let word4 = u32::from_be_bytes([data[12], data[13], data[14], data[15]]);
+            let env_src = u32::from_be_bytes([env[0], env[1], env[2], env[3]]) as usize;
+            let tag = i32::from_be_bytes([env[4], env[5], env[6], env[7]]);
+            let len = u32::from_be_bytes([env[8], env[9], env[10], env[11]]) as usize;
+            let word4 = u32::from_be_bytes([env[12], env[13], env[14], env[15]]);
             let kind = (word4 >> 24) as u8;
             let token = word4 & 0x00ff_ffff;
             assert_eq!(env_src, src, "envelope/transport source mismatch");
             match kind {
                 KIND_EAGER => {
-                    assert_eq!(len, data.len() - ENVELOPE, "envelope length mismatch");
-                    let msg = MpiMsg {
-                        src,
-                        tag,
-                        data: data.slice(ENVELOPE..),
-                    };
+                    assert_eq!(len, data.len(), "envelope length mismatch");
+                    let msg = MpiMsg { src, tag, data };
                     Self::deliver_or_queue(&mpi2, sim, msg);
                 }
                 KIND_RTS => {
@@ -357,28 +365,20 @@ impl Mpi {
                     let Some((dst, tag, payload)) = out else {
                         return; // stale CTS
                     };
-                    let framed =
-                        envelope(mpi2.rank(), tag, payload.len(), KIND_RDATA, token, &payload);
+                    let env = envelope(mpi2.rank(), tag, payload.len(), KIND_RDATA, token);
                     let transport = mpi2.transport.clone();
                     let costs = mpi2.costs;
                     Kernel::cpu_task(&mpi2.kernel, sim, costs.tx_per_message, move |sim| {
-                        transport.send(sim, dst, framed);
+                        transport.send(sim, dst, &env, payload);
                     });
                 }
                 KIND_RDATA => {
-                    assert_eq!(len, data.len() - ENVELOPE, "envelope length mismatch");
+                    assert_eq!(len, data.len(), "envelope length mismatch");
                     let cont = mpi2.inner.borrow_mut().awaiting_data.remove(&token);
                     let Some(cont) = cont else {
                         return; // stale transfer
                     };
-                    cont(
-                        sim,
-                        MpiMsg {
-                            src,
-                            tag,
-                            data: data.slice(ENVELOPE..),
-                        },
-                    );
+                    cont(sim, MpiMsg { src, tag, data });
                 }
                 other => panic!("unknown MPI envelope kind {other}"),
             }

@@ -5,15 +5,21 @@
 //! each side plus heavier per-message bookkeeping than MPI. That is why
 //! PVM's curve sits below MPI-on-TCP in Figure 6. We model exactly that:
 //! same transport, one extra staged copy per side (charged to the CPU; the
-//! host shares the bytes), larger per-message cost.
+//! host shares the bytes), larger per-message cost. The 8-byte message
+//! header (`src rank u32 | tag i32`) is the header part of the transport
+//! message and the packed buffer its body, so neither side copies the
+//! message to frame it.
 
 use crate::transport::Transport;
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use clic_os::Kernel;
 use clic_sim::{Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+
+/// The message header: source rank and tag.
+const HEADER: usize = 8;
 
 /// A received PVM message.
 #[derive(Debug, Clone)]
@@ -56,12 +62,15 @@ impl Pvm {
         // Weak: the endpoint holds the transport, so a strong one would
         // cycle.
         let p2 = Rc::downgrade(&pvm);
-        transport.set_handler(Rc::new(move |sim, src, data| {
-            let pvm = p2
-                .upgrade()
-                .expect("PVM endpoint dropped while its transport delivers");
-            Pvm::on_message(&pvm, sim, src, data);
-        }));
+        transport.set_handler(
+            HEADER,
+            Rc::new(move |sim, src, data| {
+                let pvm = p2
+                    .upgrade()
+                    .expect("PVM endpoint dropped while its transport delivers");
+                Pvm::on_message(&pvm, sim, src, data);
+            }),
+        );
         pvm
     }
 
@@ -96,14 +105,12 @@ impl Pvm {
             .pack_buf
             .take()
             .expect("pvm_send without a packed buffer");
-        let mut framed = Vec::with_capacity(8 + data.len());
-        framed.extend_from_slice(&(self.rank() as u32).to_be_bytes());
-        framed.extend_from_slice(&tag.to_be_bytes());
-        framed.extend_from_slice(&data);
-        let framed = Bytes::from(framed);
+        let mut header = [0u8; HEADER];
+        header[..4].copy_from_slice(&(self.rank() as u32).to_be_bytes());
+        header[4..].copy_from_slice(&tag.to_be_bytes());
         let transport = self.transport.clone();
         Kernel::cpu_task(&self.kernel, sim, self.per_message, move |sim| {
-            transport.send(sim, dst, framed);
+            transport.send(sim, dst, &header, data);
         });
     }
 
@@ -152,18 +159,15 @@ impl Pvm {
         Kernel::cpu_task(&pvm.kernel, sim, cost, move |sim| cont(sim, msg));
     }
 
-    fn on_message(pvm: &Rc<Pvm>, sim: &mut Sim, src: usize, data: Bytes) {
+    fn on_message(pvm: &Rc<Pvm>, sim: &mut Sim, src: usize, message: Parts) {
+        let (header, rest): ([u8; HEADER], _) = message.split_header().expect("runt PVM message");
+        let data = rest.join();
         let pvm2 = pvm.clone();
         Kernel::cpu_task(&pvm.kernel, sim, pvm.per_message, move |sim| {
-            assert!(data.len() >= 8, "runt PVM message");
-            let env_src = u32::from_be_bytes([data[0], data[1], data[2], data[3]]) as usize;
-            let tag = i32::from_be_bytes([data[4], data[5], data[6], data[7]]);
+            let env_src = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+            let tag = i32::from_be_bytes([header[4], header[5], header[6], header[7]]);
             assert_eq!(env_src, src);
-            let msg = PvmMsg {
-                src,
-                tag,
-                data: data.slice(8..),
-            };
+            let msg = PvmMsg { src, tag, data };
             let waiter = {
                 let mut inner = pvm2.inner.borrow_mut();
                 let pos = inner.waiting.iter().position(|(s, t, _)| {
@@ -200,8 +204,8 @@ mod tests {
         fn size(&self) -> usize {
             1
         }
-        fn send(&self, _: &mut Sim, _: usize, _: Bytes) {}
-        fn set_handler(&self, _: MsgHandler) {}
+        fn send(&self, _: &mut Sim, _: usize, _: &[u8], _: Bytes) {}
+        fn set_handler(&self, _: usize, _: MsgHandler) {}
         fn ready(&self) -> bool {
             true
         }

@@ -7,8 +7,18 @@
 //! communications provided by the CLIC layer". `TcpTransport` maps it onto
 //! a mesh of TCP connections with length-prefixed record framing — what
 //! LAM-MPI/PVM over TCP actually did.
+//!
+//! A message goes down and comes up in two parts: the layer's header (an
+//! MPI envelope, a PVM header) and the body, the caller's buffer. Neither
+//! transport copies the body to put the header in front of it: CLIC
+//! carries the header in the first packet's head, and TCP sends the
+//! length prefix and the header, at most a few dozen bytes copied
+//! together, then the body, in one send. The receiving layer says how long
+//! its header is when it installs its handler and gets the header apart
+//! from the body, which is a view of the sender's buffer wherever the
+//! packets that carried it continue one another in it.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut, Parts};
 use clic_core::module::SendOptions;
 use clic_core::{ClicModule, PacketType};
 use clic_ethernet::MacAddr;
@@ -26,8 +36,9 @@ const SENDS: MetricId = metric_id("mpi.sends");
 const RECVS: MetricId = metric_id("mpi.recvs");
 const MSG_BYTES: MetricId = metric_id("mpi.msg_bytes");
 
-/// Handler for inbound transport messages: `(source rank, payload)`.
-pub type MsgHandler = Rc<dyn Fn(&mut Sim, usize, Bytes)>;
+/// Handler for inbound transport messages: `(source rank, message)`, the
+/// message as the layer's header (the head) and the rest (the body).
+pub type MsgHandler = Rc<dyn Fn(&mut Sim, usize, Parts)>;
 
 /// Rank-addressed reliable ordered message delivery.
 pub trait Transport {
@@ -35,10 +46,11 @@ pub trait Transport {
     fn rank(&self) -> usize;
     /// Number of ranks.
     fn size(&self) -> usize;
-    /// Send a message to `dst`.
-    fn send(&self, sim: &mut Sim, dst: usize, data: Bytes);
-    /// Install the delivery handler (call once, before traffic).
-    fn set_handler(&self, handler: MsgHandler);
+    /// Send a message to `dst`: the layer's `header`, then `body`.
+    fn send(&self, sim: &mut Sim, dst: usize, header: &[u8], body: Bytes);
+    /// Install the delivery handler of a layer whose messages begin with a
+    /// `header`-byte header (call once, before traffic).
+    fn set_handler(&self, header: usize, handler: MsgHandler);
     /// True once the transport is ready to carry traffic.
     fn ready(&self) -> bool;
 }
@@ -100,7 +112,9 @@ impl ClicTransport {
             sim.trace
                 .instant(sim.now(), Layer::Mpi, "mpi_recv", src as u64);
             if let Some(h) = t.handler.borrow().clone() {
-                h(sim, src, msg.data);
+                // The header part rode in the first packet's head, and
+                // comes back as the sender framed it.
+                h(sim, src, Parts::new(msg.head, msg.data));
             }
             Self::recv_loop(t.clone(), sim);
         });
@@ -116,19 +130,22 @@ impl Transport for ClicTransport {
         self.peers.len()
     }
 
-    fn send(&self, sim: &mut Sim, dst: usize, data: Bytes) {
+    fn send(&self, sim: &mut Sim, dst: usize, header: &[u8], body: Bytes) {
         sim.record(SENDS, 1);
-        sim.record(MSG_BYTES, data.len() as u64);
+        sim.record(MSG_BYTES, (header.len() + body.len()) as u64);
         sim.trace
             .instant(sim.now(), Layer::Mpi, "mpi_send", dst as u64);
         let opts = SendOptions {
             ptype: PacketType::Mpi,
             ..SendOptions::data(self.peers[dst], MPI_CHANNEL)
         };
-        ClicModule::send(&self.module(), sim, opts, data);
+        let message = Parts::new(Bytes::copy_from_slice(header), body);
+        ClicModule::send(&self.module(), sim, opts, message);
     }
 
-    fn set_handler(&self, handler: MsgHandler) {
+    fn set_handler(&self, _header: usize, handler: MsgHandler) {
+        // CLIC keeps a message's header part apart from its data end to
+        // end, so it needs no header length to find the split.
         *self.handler.borrow_mut() = Some(handler);
     }
 
@@ -151,7 +168,8 @@ pub struct TcpTransport {
     rank: usize,
     peer_ips: Vec<IpAddr>,
     conns: RefCell<Vec<Option<ConnId>>>,
-    handler: RefCell<Option<MsgHandler>>,
+    /// The handler, and the length of its layer's header.
+    handler: RefCell<Option<(usize, MsgHandler)>>,
 }
 
 impl TcpTransport {
@@ -203,17 +221,20 @@ impl TcpTransport {
             .expect("TCP stack dropped while its MPI transport runs")
     }
 
-    /// Length-prefixed record reader: 4-byte big-endian length, then body.
+    /// Length-prefixed record reader: 4-byte big-endian length, then the
+    /// record, read with the layer's header apart from its body.
     fn read_loop(t: Rc<TcpTransport>, sim: &mut Sim, src: usize, conn: ConnId) {
         TcpStack::recv(&t.stack(), sim, conn, 4, move |sim, len_bytes| {
             let len = u32::from_be_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]])
                 as usize;
-            TcpStack::recv(&t.stack(), sim, conn, len, move |sim, body| {
+            let header = t.handler.borrow().as_ref().map_or(0, |(h, _)| *h).min(len);
+            TcpStack::recv_parts(&t.stack(), sim, conn, header, len, move |sim, record| {
                 sim.record(RECVS, 1);
                 sim.trace
                     .instant(sim.now(), Layer::Mpi, "mpi_recv", src as u64);
-                if let Some(h) = t.handler.borrow().clone() {
-                    h(sim, src, body);
+                let handler = t.handler.borrow().as_ref().map(|(_, h)| h.clone());
+                if let Some(h) = handler {
+                    h(sim, src, record);
                 }
                 TcpTransport::read_loop(t, sim, src, conn);
             });
@@ -230,20 +251,23 @@ impl Transport for TcpTransport {
         self.peer_ips.len()
     }
 
-    fn send(&self, sim: &mut Sim, dst: usize, data: Bytes) {
+    fn send(&self, sim: &mut Sim, dst: usize, header: &[u8], body: Bytes) {
+        let len = header.len() + body.len();
         sim.record(SENDS, 1);
-        sim.record(MSG_BYTES, data.len() as u64);
+        sim.record(MSG_BYTES, len as u64);
         sim.trace
             .instant(sim.now(), Layer::Mpi, "mpi_send", dst as u64);
         let conn = self.conns.borrow()[dst].expect("transport not ready");
-        let mut framed = BytesMut::with_capacity(4 + data.len());
-        framed.put_u32(data.len() as u32);
-        framed.put_slice(&data);
-        TcpStack::send(&self.stack(), sim, conn, framed.freeze());
+        // The length prefix and the layer's header, copied together; the
+        // body follows as it lies, in the same send.
+        let mut head = BytesMut::with_capacity(4 + header.len());
+        head.put_u32(len as u32);
+        head.put_slice(header);
+        TcpStack::send(&self.stack(), sim, conn, Parts::new(head.freeze(), body));
     }
 
-    fn set_handler(&self, handler: MsgHandler) {
-        *self.handler.borrow_mut() = Some(handler);
+    fn set_handler(&self, header: usize, handler: MsgHandler) {
+        *self.handler.borrow_mut() = Some((header, handler));
     }
 
     fn ready(&self) -> bool {

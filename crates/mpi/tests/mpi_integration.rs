@@ -514,3 +514,85 @@ proptest! {
         }
     }
 }
+
+/// Whether `part` lies inside `whole`'s allocation.
+fn inside(part: &Bytes, whole: &Bytes) -> bool {
+    let (p, w) = (part.as_ptr() as usize, whole.as_ptr() as usize);
+    w <= p && p + part.len() <= w + whole.len()
+}
+
+/// Receive from rank 0 into a shared slot: every delivered message.
+fn collect(sim: &mut Sim, mpi: &Rc<Mpi>, tag: i32, n: usize) -> Rc<RefCell<Vec<Bytes>>> {
+    let got: Rc<RefCell<Vec<Bytes>>> = Rc::default();
+    for _ in 0..n {
+        let g = got.clone();
+        mpi.recv(sim, 0, tag, move |_s, m| g.borrow_mut().push(m.data));
+    }
+    got
+}
+
+#[test]
+fn mpi_over_clic_delivers_the_senders_buffer() {
+    // The envelope rides in the first packet's head, so the payload
+    // arrives as a view of the sender's buffer on both protocols: eager
+    // below the limit, rendezvous (RTS, CTS, then the data) above it.
+    let mut sim = Sim::new(0);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
+    let mpis = mpi_over_clic(&mut sim, &nodes);
+    mpis[0].set_eager_limit(16_384);
+    let (eager, rendezvous) = (payload(5_000), payload(50_000));
+    let got = collect(&mut sim, &mpis[1], 4, 2);
+    mpis[0].send(&mut sim, 1, 4, eager.clone());
+    mpis[0].send(&mut sim, 1, 4, rendezvous.clone());
+    sim.run();
+    assert_eq!(mpis[0].rendezvous_started(), 1);
+    let got = got.borrow();
+    assert_eq!(*got, [eager.clone(), rendezvous.clone()]);
+    assert!(inside(&got[0], &eager), "eager payload copied");
+    assert!(inside(&got[1], &rendezvous), "rendezvous payload copied");
+}
+
+#[test]
+fn mpi_over_tcp_delivers_the_senders_buffer() {
+    // The length prefix and envelope go out as the head of one send and
+    // each read takes the envelope apart from the payload, which is then
+    // a view of the sender's buffer. Sent back to back, two messages share
+    // a segment: the earlier one's last bytes ride in its head, copied,
+    // and the later one's payload still arrives uncopied.
+    let mut sim = Sim::new(0);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
+    let mpis = mpi_over_tcp(&mut sim, &nodes);
+    let (alone, earlier, later) = (payload(40_001), payload(30_000), payload(20_000));
+    let got = collect(&mut sim, &mpis[1], 6, 3);
+    mpis[0].send(&mut sim, 1, 6, alone.clone());
+    sim.run();
+    mpis[0].send(&mut sim, 1, 6, earlier.clone());
+    mpis[0].send(&mut sim, 1, 6, later.clone());
+    sim.run();
+    let got = got.borrow();
+    assert_eq!(*got, [alone.clone(), earlier, later.clone()]);
+    assert!(inside(&got[0], &alone), "payload copied");
+    assert!(inside(&got[2], &later), "the later send's payload copied");
+}
+
+#[test]
+fn pvm_over_tcp_delivers_the_senders_buffer() {
+    let mut sim = Sim::new(0);
+    let (_switch, nodes) = mk_cluster(&mut sim, 2);
+    let ips: Vec<IpAddr> = (0..2u32).map(IpAddr::for_node).collect();
+    let t0 = TcpTransport::new(&mut sim, &nodes[0].tcp, 0, ips.clone());
+    let t1 = TcpTransport::new(&mut sim, &nodes[1].tcp, 1, ips);
+    sim.run();
+    let pvm0 = Pvm::new(&nodes[0].kernel, t0 as Rc<dyn Transport>);
+    let pvm1 = Pvm::new(&nodes[1].kernel, t1 as Rc<dyn Transport>);
+    let data = payload(30_000);
+    let got: Rc<RefCell<Option<Bytes>>> = Rc::default();
+    let g = got.clone();
+    pvm1.recv(&mut sim, -1, 2, move |_s, m| *g.borrow_mut() = Some(m.data));
+    let p0 = pvm0.clone();
+    pvm0.pack(&mut sim, data.clone(), move |sim| p0.send(sim, 1, 2));
+    sim.run();
+    let got = got.borrow_mut().take().expect("delivered");
+    assert_eq!(got, data);
+    assert!(inside(&got, &data), "PVM payload copied");
+}

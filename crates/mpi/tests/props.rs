@@ -1,7 +1,7 @@
 //! Property-based tests of the MPI matching semantics over an in-memory
 //! loopback transport (no network model involved — pure library logic).
 
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use clic_mpi::transport::{MsgHandler, Transport};
 use clic_mpi::{Mpi, ANY_SOURCE, ANY_TAG};
 use clic_os::{Kernel, OsCosts};
@@ -43,17 +43,18 @@ impl Transport for PairEnd {
     fn size(&self) -> usize {
         2
     }
-    fn send(&self, sim: &mut Sim, dst: usize, data: Bytes) {
+    fn send(&self, sim: &mut Sim, dst: usize, header: &[u8], body: Bytes) {
         let peer = self.peer.borrow().clone().unwrap();
         assert_eq!(dst, peer.rank);
         let src = self.rank;
+        let data = Parts::new(Bytes::copy_from_slice(header), body);
         sim.schedule_in(SimDuration::from_us(1), move |sim| {
             if let Some(h) = peer.handler.borrow().clone() {
                 h(sim, src, data);
             }
         });
     }
-    fn set_handler(&self, handler: MsgHandler) {
+    fn set_handler(&self, _header: usize, handler: MsgHandler) {
         *self.handler.borrow_mut() = Some(handler);
     }
     fn ready(&self) -> bool {

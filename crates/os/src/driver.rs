@@ -21,7 +21,6 @@ use clic_ethernet::{EtherType, MacAddr, ETH_HEADER};
 use clic_hw::{Nic, TxDescriptor};
 use clic_sim::{Layer, Sim};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 /// Post an SkBuff for transmission on device `dev`. The driver charges its
@@ -89,7 +88,7 @@ fn irq_top_half(kernel: &Rc<RefCell<Kernel>>, sim: &mut Sim, dev: usize) {
         // NIC's pending frames (the ring is overwritten on a dead host) and
         // acknowledge so the device re-arms cleanly for a later restart.
         let nic = kernel.borrow().device(dev);
-        nic.borrow_mut().drain_rx_up_to(usize::MAX);
+        nic.borrow_mut().discard_rx();
         Nic::ack_irq(&nic, sim);
         return;
     }
@@ -116,30 +115,24 @@ const RX_BUDGET: usize = 32;
 /// window between batches instead of livelocking the CPU in IRQ context.
 fn rx_round(kernel: &Rc<RefCell<Kernel>>, sim: &mut Sim, dev: usize, budget: usize) {
     let nic = kernel.borrow().device(dev);
-    let pkts: VecDeque<_> = nic.borrow_mut().drain_rx_up_to(budget).into();
-    if pkts.is_empty() {
+    let taken = nic.borrow_mut().start_rx_round(budget);
+    if taken == 0 {
         Nic::ack_irq(&nic, sim);
         return;
     }
-    process_frames(kernel, sim, dev, pkts);
+    process_frames(kernel, sim, dev);
 }
 
-fn process_frames(
-    kernel: &Rc<RefCell<Kernel>>,
-    sim: &mut Sim,
-    dev: usize,
-    mut pkts: VecDeque<clic_hw::RxPacket>,
-) {
-    let Some(pkt) = pkts.pop_front() else {
-        let nic = kernel.borrow().device(dev);
+/// Move the round's next frame to system memory and dispatch it, then the
+/// one after; acknowledge the interrupt when the round is done.
+fn process_frames(kernel: &Rc<RefCell<Kernel>>, sim: &mut Sim, dev: usize) {
+    let nic = kernel.borrow().device(dev);
+    let Some(pkt) = nic.borrow_mut().next_rx() else {
         Nic::ack_irq(&nic, sim);
         return;
     };
     let frame = pkt.frame;
-    let (nic, per_frame) = {
-        let k = kernel.borrow();
-        (k.device(dev), k.costs.driver_rx_per_frame)
-    };
+    let per_frame = kernel.borrow().costs.driver_rx_per_frame;
     let pci = nic.borrow().pci();
     let bytes = ETH_HEADER + frame.payload_len();
     // With host rings the data is already in system memory: the driver only
@@ -164,7 +157,7 @@ fn process_frames(
         }
         kernel2.borrow_mut().stats.frames_received += 1;
         dispatch(&kernel2, sim, dev, frame);
-        process_frames(&kernel2, sim, dev, pkts);
+        process_frames(&kernel2, sim, dev);
     });
 }
 

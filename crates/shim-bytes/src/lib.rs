@@ -15,7 +15,8 @@
 //! builder's vector is moved, never copied, into the shared buffer. A
 //! [`Gather`] joins a message's pieces back into one buffer, as a view of
 //! their allocation when they are consecutive slices of it and with one
-//! copy otherwise.
+//! copy otherwise, and [`Parts`] carries a header and the data behind it
+//! as two buffers, so neither is copied to put one in front of the other.
 //!
 //! One deliberate difference from the real crate: [`Bytes`] counts its
 //! references with [`Rc`], not an atomic, so it is not `Send`. The pool is
@@ -27,9 +28,11 @@
 #![forbid(unsafe_code)]
 
 mod gather;
+mod parts;
 pub mod pool;
 
 pub use gather::Gather;
+pub use parts::Parts;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::rc::Rc;
 

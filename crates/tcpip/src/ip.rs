@@ -45,13 +45,18 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 
 /// [`internet_checksum`] over a TCP pseudo-header (`src`, `dst`, protocol
 /// 6, `len`) followed by `parts`, summed in place instead of over a
-/// concatenated copy. Every part but the last must have even length.
+/// concatenated copy. Parts may have any length: a part that starts at an
+/// odd offset of the concatenation adds its sum with the two bytes
+/// swapped, which is the sum of its bytes in the lanes they take there
+/// (RFC 1071 §2(B), byte-order independence).
 pub fn pseudo_header_checksum(src: IpAddr, dst: IpAddr, len: u16, parts: &[&[u8]]) -> u16 {
     let halves = |a: IpAddr| u64::from(a.0 >> 16) + u64::from(a.0 & 0xffff);
     let mut sum = halves(src) + halves(dst) + u64::from(PROTO_TCP) + u64::from(len);
-    for (i, part) in parts.iter().enumerate() {
-        debug_assert!(i + 1 == parts.len() || part.len() % 2 == 0);
-        sum += u64::from(word_sum(part));
+    let mut odd = false;
+    for part in parts {
+        let part_sum = word_sum(part);
+        sum += u64::from(if odd { part_sum.swap_bytes() } else { part_sum });
+        odd ^= part.len() % 2 == 1;
     }
     !fold(sum)
 }

@@ -14,11 +14,16 @@
 //!   charged per byte and computed for real. It also does the IP layer's
 //!   work, charged per packet as its own CPU task: the static neighbor
 //!   table, the IPv4 header, and the drops of packets for another host or
-//!   with a bad header. Each packet leaves as two gather entries: a
-//!   40-byte head holding the IPv4 and TCP headers, and the payload as it
-//!   lies in the socket buffer. The receiver copies both headers out of
-//!   the frame ([`tcp::decode_packet`]) and takes the data uncopied; the
-//!   checksum sums the TCP header and the data in place.
+//!   with a bad header. Each packet leaves as two gather entries: a head
+//!   holding the IPv4 and TCP headers (and, for a segment that spans two
+//!   sends, the earlier send's bytes), and the rest of the payload as it
+//!   lies in the socket buffer. A send may itself come in two parts, a
+//!   header and a body, and a read may take its first bytes apart as a
+//!   header ([`tcp::TcpStack::recv_parts`]), so a message layer frames
+//!   its messages without copying them. The receiver copies both headers
+//!   out of the frame ([`tcp::decode_packet`]) and takes the data
+//!   uncopied; the checksum sums the TCP header and the data's parts in
+//!   place.
 //! * [`ip`] — the IPv4 header and RFC 1071 checksums, nothing more: every
 //!   segment fits the MTU, so there is no fragmentation. The checksums
 //!   sum 8 bytes per step, with the values of the 16-bit definition.

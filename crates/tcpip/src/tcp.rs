@@ -22,7 +22,7 @@
 
 use crate::costs::TcpIpCosts;
 use crate::ip::{pseudo_header_checksum, IpAddr, Ipv4Header, IPV4_HEADER};
-use bytes::{BufMut, Bytes, BytesMut, Gather};
+use bytes::{BufMut, Bytes, BytesMut, Gather, Parts};
 use clic_ethernet::{EtherType, Frame, MacAddr};
 use clic_os::driver::hard_start_xmit;
 use clic_os::{Kernel, PacketHandler, SkBuff};
@@ -75,8 +75,8 @@ pub struct Segment {
 
 impl Segment {
     /// The header of this segment carrying `payload`, its checksum over
-    /// the pseudo-header, the header and the payload.
-    pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> [u8; TCP_HEADER] {
+    /// the pseudo-header, the header and both parts of the payload.
+    pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &Parts) -> [u8; TCP_HEADER] {
         let mut h = [0u8; TCP_HEADER];
         h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
@@ -87,34 +87,35 @@ impl Segment {
         h[14..16].copy_from_slice(&self.window.to_be_bytes());
         // Checksum over pseudo header + segment.
         let len = (TCP_HEADER + payload.len()) as u16;
-        let csum = pseudo_header_checksum(src, dst, len, &[&h, payload]);
+        let csum = pseudo_header_checksum(src, dst, len, &[&h, &payload.head, &payload.body]);
         h[16..18].copy_from_slice(&csum.to_be_bytes());
         h
     }
 
     /// The head of the packet that carries this segment and `payload`
-    /// under `ip`: the IPv4 header, then the TCP header, 40 bytes in one
-    /// buffer. The payload follows as the frame's body, uncopied.
-    pub fn packet_head(&self, ip: &Ipv4Header, payload: &[u8]) -> Bytes {
-        let mut head = BytesMut::with_capacity(IPV4_HEADER + TCP_HEADER);
+    /// under `ip`: the IPv4 header, the TCP header and the payload's head
+    /// (the segment's bytes of earlier sends, usually none) in one buffer.
+    /// The payload's body follows as the frame's body, uncopied.
+    pub fn packet_head(&self, ip: &Ipv4Header, payload: &Parts) -> Bytes {
+        let mut head = BytesMut::with_capacity(IPV4_HEADER + TCP_HEADER + payload.head.len());
         head.put_slice(&ip.encode());
         head.put_slice(&self.encode(ip.src, ip.dst, payload));
+        head.put_slice(&payload.head);
         head.freeze()
     }
 
     /// Verify and parse a segment received as its 20-byte header `buf`
-    /// and its data, the checksum summed over both parts in place; the
+    /// and its data, the checksum summed over every part in place; the
     /// data comes back as it is, not a copy.
     pub fn decode(
         src: IpAddr,
         dst: IpAddr,
         buf: &[u8; TCP_HEADER],
-        data: Bytes,
-    ) -> Option<(Segment, Bytes)> {
+        data: Parts,
+    ) -> Option<(Segment, Parts)> {
         // Verify: checksum over pseudo header + full segment must be 0.
-        // The header's even length lets the data fold in as a second part.
         let len = (TCP_HEADER + data.len()) as u16;
-        if pseudo_header_checksum(src, dst, len, &[buf, &data]) != 0 {
+        if pseudo_header_checksum(src, dst, len, &[buf, &data.head, &data.body]) != 0 {
             return None;
         }
         let seg = Segment {
@@ -129,21 +130,41 @@ impl Segment {
         if data.len() < options {
             return None;
         }
-        Some((seg, data.slice(options..)))
+        Some((seg, data.slice(options..data.len())))
     }
 }
 
 /// Split a received packet into its IPv4 header, its TCP header and the
 /// segment's data, Ethernet padding dropped. Both headers are copied out
-/// of the frame's head by [`Frame::split_header`]; the data is the
-/// frame's body, or a slice of it, not a copy. `None` when the IPv4
-/// header is bad or the packet is too short to hold both headers.
-pub fn decode_packet(frame: &Frame) -> Option<(Ipv4Header, [u8; TCP_HEADER], Bytes)> {
+/// of the frame's head by [`Frame::split_header`]; the data is two parts,
+/// neither a copy: what the head holds past the headers (bytes of an
+/// earlier send), then the frame's body or a slice of it. `None` when the
+/// IPv4 header is bad or the packet is too short to hold both headers.
+pub fn decode_packet(frame: &Frame) -> Option<(Ipv4Header, [u8; TCP_HEADER], Parts)> {
     let (head, rest): ([u8; IPV4_HEADER + TCP_HEADER], _) = frame.split_header()?;
     let (ip, tcp) = head.split_at(IPV4_HEADER);
     let header = Ipv4Header::decode(ip, frame.payload_len())?;
     let data = usize::from(header.payload_len).checked_sub(TCP_HEADER)?;
-    Some((header, tcp.try_into().ok()?, rest.slice(..data)))
+    Some((header, tcp.try_into().ok()?, rest.slice(0..data)))
+}
+
+/// Take the first `n` bytes queued in `bufs` (which must hold at least
+/// `n`) as a segment's data: the bytes in the last queued buffer they
+/// reach, a slice of it, are the body, and the bytes before them, in
+/// earlier buffers, are the head — a slice when they lie in one buffer,
+/// copied once otherwise. The head rides in the frame's head, the body as
+/// it lies, so a segment that spans two sends never copies the later one.
+fn take_segment(bufs: &mut VecDeque<Bytes>, n: usize) -> Parts {
+    let mut before = 0;
+    for buf in bufs.iter() {
+        if before + buf.len() >= n {
+            break;
+        }
+        before += buf.len();
+    }
+    let head = take_front(bufs, before);
+    let body = take_front(bufs, n - before);
+    Parts::new(head, body)
 }
 
 /// Take the first `n` bytes queued in `bufs` (which must hold at least
@@ -174,7 +195,9 @@ enum TcpState {
     Established,
 }
 
-type Reader = (usize, Box<dyn FnOnce(&mut Sim, Bytes)>);
+/// A pending read: its length, how many of its first bytes are a header
+/// the reader takes apart from the rest, and its continuation.
+type Reader = (usize, usize, Box<dyn FnOnce(&mut Sim, Parts)>);
 
 struct Conn {
     local_port: u16,
@@ -187,7 +210,7 @@ struct Conn {
     snd_nxt: u32,
     send_buf: VecDeque<Bytes>,
     send_buf_bytes: usize,
-    retx: BTreeMap<u32, Bytes>,
+    retx: BTreeMap<u32, Parts>,
     cwnd: usize,
     ssthresh: usize,
     peer_wnd: usize,
@@ -197,13 +220,27 @@ struct Conn {
     dup_acks: u32,
     // --- receive side ---
     rcv_nxt: u32,
-    ooo: BTreeMap<u32, Bytes>,
+    ooo: BTreeMap<u32, Parts>,
     recv_buf: VecDeque<Bytes>,
     recv_buf_bytes: usize,
     readers: VecDeque<Reader>,
     delack_count: u32,
     delack_armed: bool,
     delack_gen: u64,
+}
+
+impl Conn {
+    /// Append in-order segment data to the receive buffer, each non-empty
+    /// part as it arrived.
+    fn accept(&mut self, fresh: Parts) {
+        self.rcv_nxt = self.rcv_nxt.wrapping_add(fresh.len() as u32);
+        self.recv_buf_bytes += fresh.len();
+        for part in [fresh.head, fresh.body] {
+            if !part.is_empty() {
+                self.recv_buf.push_back(part);
+            }
+        }
+    }
 }
 
 /// Stack-wide counters — the one store of these counts; the experiment
@@ -393,13 +430,20 @@ impl TcpStack {
                 (id, seg, dst)
             };
             let _ = id;
-            Self::emit(&stack2, sim, peer, seg, Bytes::new(), 0);
+            Self::emit(&stack2, sim, peer, seg, Parts::default(), 0);
         });
     }
 
     /// Queue `data` on the connection (user send): charges the syscall, the
     /// user→kernel socket-buffer copy, then transmits as the window allows.
-    pub fn send(stack: &Rc<RefCell<TcpStack>>, sim: &mut Sim, conn: ConnId, data: Bytes) {
+    /// `data` is one buffer, or a header and the bytes behind it
+    /// ([`Parts`]), which enter the socket buffer as they are, in one send.
+    pub fn send(
+        stack: &Rc<RefCell<TcpStack>>,
+        sim: &mut Sim,
+        conn: ConnId,
+        data: impl Into<Parts>,
+    ) {
         Self::send_traced(stack, sim, conn, data, 0);
     }
 
@@ -408,9 +452,10 @@ impl TcpStack {
         stack: &Rc<RefCell<TcpStack>>,
         sim: &mut Sim,
         conn: ConnId,
-        data: Bytes,
+        data: impl Into<Parts>,
         trace: u64,
     ) {
+        let data = data.into();
         let kernel = Self::kernel_of(stack);
         let stack2 = stack.clone();
         Kernel::syscall(&kernel.clone(), sim, move |sim| {
@@ -426,7 +471,11 @@ impl TcpStack {
                     // charged above, and the host shares the sender's bytes,
                     // which nothing can change.
                     c.send_buf_bytes += data.len();
-                    c.send_buf.push_back(data);
+                    for part in [data.head, data.body] {
+                        if !part.is_empty() {
+                            c.send_buf.push_back(part);
+                        }
+                    }
                 }
                 Self::try_transmit(&stack3, sim, conn, trace);
             });
@@ -441,6 +490,26 @@ impl TcpStack {
         len: usize,
         cont: impl FnOnce(&mut Sim, Bytes) + 'static,
     ) {
+        Self::recv_parts(stack, sim, conn, 0, len, move |sim, data| {
+            cont(sim, data.join())
+        });
+    }
+
+    /// Blocking read of exactly `len` bytes whose first `header` bytes are
+    /// the reader's header: `cont` gets them as the head of [`Parts`] and
+    /// the bytes behind them as the body, each a view of the buffers it
+    /// arrived in where it lies in one (one copy otherwise), so neither is
+    /// copied to join the other. Still one read: one system call and one
+    /// copy of `len` bytes charged.
+    pub fn recv_parts(
+        stack: &Rc<RefCell<TcpStack>>,
+        sim: &mut Sim,
+        conn: ConnId,
+        header: usize,
+        len: usize,
+        cont: impl FnOnce(&mut Sim, Parts) + 'static,
+    ) {
+        assert!(header <= len, "a {header}-byte header in a {len}-byte read");
         let kernel = Self::kernel_of(stack);
         let stack2 = stack.clone();
         Kernel::syscall(&kernel, sim, move |sim| {
@@ -449,7 +518,7 @@ impl TcpStack {
                 let Some(c) = s.conns.get_mut(&conn) else {
                     return;
                 };
-                c.readers.push_back((len, Box::new(cont)));
+                c.readers.push_back((len, header, Box::new(cont)));
             }
             Self::satisfy_readers(&stack2, sim, conn);
         });
@@ -481,7 +550,7 @@ impl TcpStack {
                     return;
                 }
                 let take = mss.min(c.send_buf_bytes).min(wnd - flight);
-                let payload = take_front(&mut c.send_buf, take);
+                let payload = take_segment(&mut c.send_buf, take);
                 c.send_buf_bytes -= take;
                 let seg = Segment {
                     src_port: c.local_port,
@@ -510,7 +579,7 @@ impl TcpStack {
         sim: &mut Sim,
         peer: IpAddr,
         seg: Segment,
-        payload: Bytes,
+        payload: Parts,
         trace: u64,
     ) {
         let kernel = Self::kernel_of(stack);
@@ -530,15 +599,16 @@ impl TcpStack {
         });
     }
 
-    /// Write the IPv4 and TCP headers into the packet's head, charge
-    /// `ip_tx`, then hand the head and the payload to the driver as two
-    /// gather entries (the segment cost was charged by the caller).
+    /// Write the IPv4 and TCP headers (and the payload's head) into the
+    /// packet's head, charge `ip_tx`, then hand the head and the payload's
+    /// body to the driver as two gather entries (the segment cost was
+    /// charged by the caller).
     fn emit(
         stack: &Rc<RefCell<TcpStack>>,
         sim: &mut Sim,
         peer: IpAddr,
         seg: Segment,
-        payload: Bytes,
+        payload: Parts,
         trace: u64,
     ) {
         let (head, mac, dev, cost) = {
@@ -579,7 +649,7 @@ impl TcpStack {
             }
             // TCP/IP always sends from kernel memory: the user->kernel copy
             // was charged when the data entered the socket buffer.
-            let skb = SkBuff::in_kernel(head, payload).with_trace(trace);
+            let skb = SkBuff::in_kernel(head, payload.body).with_trace(trace);
             hard_start_xmit(&kernel2, sim, dev, mac, EtherType::IPV4, skb, |_, _ok| {
                 // Ring-full drops are recovered by TCP's RTO.
             });
@@ -697,7 +767,7 @@ impl TcpStack {
         sim: &mut Sim,
         header: Ipv4Header,
         tcp: [u8; TCP_HEADER],
-        data: Bytes,
+        data: Parts,
     ) {
         let Some((seg, data)) = Segment::decode(header.src, header.dst, &tcp, data) else {
             stack.borrow_mut().stats.checksum_errors += 1;
@@ -736,7 +806,7 @@ impl TcpStack {
                 window: u16::MAX,
             }
         };
-        Self::emit(stack, sim, peer, reply, Bytes::new(), 0);
+        Self::emit(stack, sim, peer, reply, Parts::default(), 0);
     }
 
     fn segment_for_conn(
@@ -744,7 +814,7 @@ impl TcpStack {
         sim: &mut Sim,
         conn: ConnId,
         seg: Segment,
-        data: Bytes,
+        data: Parts,
     ) {
         // Handshake transitions first.
         let established_cb = {
@@ -775,7 +845,7 @@ impl TcpStack {
                     };
                     let peer = c.peer_ip;
                     drop(s);
-                    Self::emit(stack, sim, peer, ack, Bytes::new(), 0);
+                    Self::emit(stack, sim, peer, ack, Parts::default(), 0);
                     Some((cb, conn))
                 }
                 TcpState::SynReceived if seg.flags & tcpflags::ACK != 0 => {
@@ -893,7 +963,7 @@ impl TcpStack {
         sim: &mut Sim,
         conn: ConnId,
         seg: Segment,
-        data: Bytes,
+        data: Parts,
     ) {
         let (ack_now, arm_delack) = {
             let mut s = stack.borrow_mut();
@@ -913,10 +983,7 @@ impl TcpStack {
             } else {
                 // In order (possibly with an old prefix).
                 let skip = c.rcv_nxt.wrapping_sub(seg.seq) as usize;
-                let fresh = data.slice(skip..);
-                c.rcv_nxt = c.rcv_nxt.wrapping_add(fresh.len() as u32);
-                c.recv_buf_bytes += fresh.len();
-                c.recv_buf.push_back(fresh);
+                c.accept(data.slice(skip..data.len()));
                 // Drain contiguous out-of-order segments.
                 while let Some((&seq, _)) = c.ooo.iter().next() {
                     if seq_gt(seq, c.rcv_nxt) {
@@ -925,10 +992,7 @@ impl TcpStack {
                     let seg_data = c.ooo.remove(&seq).unwrap();
                     let skip = c.rcv_nxt.wrapping_sub(seq) as usize;
                     if skip < seg_data.len() {
-                        let fresh = seg_data.slice(skip..);
-                        c.rcv_nxt = c.rcv_nxt.wrapping_add(fresh.len() as u32);
-                        c.recv_buf_bytes += fresh.len();
-                        c.recv_buf.push_back(fresh);
+                        c.accept(seg_data.slice(skip..seg_data.len()));
                     }
                 }
                 c.delack_count += 1;
@@ -992,7 +1056,7 @@ impl TcpStack {
             s.stats.acks_tx += 1;
             (s.conns.get(&conn).unwrap().peer_ip, seg)
         };
-        Self::emit_data(stack, sim, peer, seg, Bytes::new(), 0);
+        Self::emit_data(stack, sim, peer, seg, Parts::default(), 0);
     }
 
     /// Hand buffered in-order bytes to waiting readers, charging the
@@ -1006,11 +1070,12 @@ impl TcpStack {
                     return;
                 };
                 match c.readers.front() {
-                    Some(&(len, _)) if c.recv_buf_bytes >= len => {
-                        let (len, cont) = c.readers.pop_front().unwrap();
-                        let data = take_front(&mut c.recv_buf, len);
+                    Some(&(len, _, _)) if c.recv_buf_bytes >= len => {
+                        let (len, header, cont) = c.readers.pop_front().unwrap();
+                        let head = take_front(&mut c.recv_buf, header);
+                        let body = take_front(&mut c.recv_buf, len - header);
                         c.recv_buf_bytes -= len;
-                        Some((data, cont))
+                        Some((Parts::new(head, body), cont))
                     }
                     _ => None,
                 }
@@ -1031,7 +1096,8 @@ mod tests {
     /// `seg` on the wire as `emit` lays it out behind the IPv4 header:
     /// the encoded header, then `payload`.
     fn segment_wire(seg: Segment, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Bytes {
-        let mut out = seg.encode(src, dst, payload).to_vec();
+        let parts = Parts::from(Bytes::copy_from_slice(payload));
+        let mut out = seg.encode(src, dst, &parts).to_vec();
         out.extend_from_slice(payload);
         Bytes::from(out)
     }
@@ -1040,7 +1106,8 @@ mod tests {
     /// 20-byte header, then the data.
     fn decode(src: IpAddr, dst: IpAddr, wire: &Bytes) -> Option<(Segment, Bytes)> {
         let header: [u8; TCP_HEADER] = wire.get(..TCP_HEADER)?.try_into().ok()?;
-        Segment::decode(src, dst, &header, wire.slice(TCP_HEADER..))
+        let (seg, data) = Segment::decode(src, dst, &header, wire.slice(TCP_HEADER..).into())?;
+        Some((seg, data.join()))
     }
 
     #[test]
@@ -1084,6 +1151,28 @@ mod tests {
         assert_eq!(first.as_ptr(), a.as_ptr(), "pieces of one buffer: sliced");
         assert_eq!(&take_front(&mut q, 3)[..], b"efg");
         assert_eq!(q, [Bytes::from_static(b"h")]);
+    }
+
+    #[test]
+    fn take_segment_slices_the_last_buffer_it_reaches() {
+        let (a, b) = (Bytes::from_static(b"abcdef"), Bytes::from_static(b"ghij"));
+        let mut q: VecDeque<Bytes> = [a.clone(), b.clone()].into();
+        // Inside one buffer: all body, a slice.
+        let first = take_segment(&mut q, 4);
+        assert!(first.head.is_empty());
+        assert_eq!(first.body.as_ptr(), a.as_ptr());
+        // Across two sends: the earlier bytes are the head, and the later
+        // send's bytes are the body, a slice of it, not a copy.
+        let span = take_segment(&mut q, 4);
+        assert_eq!((&span.head[..], &span.body[..]), (&b"ef"[..], &b"gh"[..]));
+        assert_eq!(span.head.as_ptr(), a[4..].as_ptr());
+        assert_eq!(span.body.as_ptr(), b.as_ptr());
+        // Ending exactly at a buffer's end takes nothing of the next.
+        let mut q: VecDeque<Bytes> = [a.clone(), b.clone()].into();
+        let whole = take_segment(&mut q, 6);
+        assert!(whole.head.is_empty() && whole.body == a);
+        assert_eq!(q, [b]);
+        assert!(take_segment(&mut q, 0).is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the IPv4 codec and checksums.
 
-use bytes::Bytes;
+use bytes::{Bytes, Parts};
 use clic_ethernet::{EtherType, Frame, MacAddr};
 use clic_tcpip::ip::{internet_checksum, pseudo_header_checksum, IpAddr, Ipv4Header, IPV4_HEADER};
 use clic_tcpip::tcp::{decode_packet, tcpflags, Segment, TCP_HEADER};
@@ -37,9 +37,10 @@ proptest! {
     /// Both checksums equal the two-bytes-per-step reference for any
     /// length up to a jumbo segment (empty and odd included), starting at
     /// every offset 0–7 of a larger buffer, and for the pseudo-header
-    /// checksum split into arbitrary even-length parts. A third of the
-    /// inputs are all ones, where every word carries, and a third all
-    /// zeros, whose sum is the only one that folds to 0.
+    /// checksum split into arbitrary parts, odd lengths and empty parts
+    /// included (a part at an odd offset adds its sum byte-swapped). A
+    /// third of the inputs are all ones, where every word carries, and a
+    /// third all zeros, whose sum is the only one that folds to 0.
     #[test]
     fn checksums_equal_two_bytes_per_step_reference(
         random in proptest::collection::vec(any::<u8>(), 0..9_101),
@@ -53,8 +54,8 @@ proptest! {
             1 => vec![0xff; random.len()],
             _ => vec![0; random.len()],
         };
-        // Even cut points, in order: every part but the last is even.
-        let mut ends: Vec<usize> = cuts.iter().map(|c| (c % (data.len() + 1)) & !1).collect();
+        // Cut points anywhere, in order: parts of any length.
+        let mut ends: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
         ends.sort_unstable();
         let len = data.len() as u16;
         let mut pseudo = Vec::new();
@@ -177,13 +178,15 @@ proptest! {
         }
     }
 
-    /// The TCP checksum of a packet sent as a 40-byte head (IPv4 + TCP
-    /// headers) and a body, summed over the TCP header and the body in
-    /// place, is the two-bytes-per-step checksum of their concatenation:
-    /// the header's even length lets the parts fold as one buffer.
+    /// The TCP checksum of a packet whose payload is two parts (bytes of
+    /// an earlier send, which ride in the head behind the IPv4 and TCP
+    /// headers, and a body), summed over the TCP header and both parts in
+    /// place wherever the payload splits, odd cuts included, is the
+    /// two-bytes-per-step checksum of their concatenation.
     #[test]
     fn tcp_checksum_over_head_and_body_equals_reference(
         payload in proptest::collection::vec(any::<u8>(), 0..9_101),
+        cut in any::<usize>(),
         ports in any::<(u16, u16)>(),
         numbers in any::<(u32, u32, u16)>(),
         addrs in any::<(u32, u32, u16)>(),
@@ -202,8 +205,14 @@ proptest! {
             ident: addrs.2,
             payload_len: (TCP_HEADER + payload.len()) as u16,
         };
-        let head = seg.packet_head(&ip, &payload);
-        let tcp = &head[IPV4_HEADER..];
+        let cut = cut % (payload.len() + 1);
+        let parts = Parts::new(
+            Bytes::copy_from_slice(&payload[..cut]),
+            Bytes::copy_from_slice(&payload[cut..]),
+        );
+        let head = seg.packet_head(&ip, &parts);
+        prop_assert_eq!(&head[IPV4_HEADER + TCP_HEADER..], &payload[..cut]);
+        let tcp = &head[IPV4_HEADER..IPV4_HEADER + TCP_HEADER];
         let len = (TCP_HEADER + payload.len()) as u16;
         let mut concat = Vec::new();
         concat.extend_from_slice(&addrs.0.to_be_bytes());
@@ -213,7 +222,10 @@ proptest! {
         concat.extend_from_slice(tcp);
         concat.extend_from_slice(&payload);
         prop_assert_eq!(reference_checksum(&concat), 0, "emitted checksum verifies");
-        prop_assert_eq!(pseudo_header_checksum(ip.src, ip.dst, len, &[tcp, &payload]), 0);
+        prop_assert_eq!(
+            pseudo_header_checksum(ip.src, ip.dst, len, &[tcp, &parts.head, &parts.body]),
+            0
+        );
         // With the checksum field cleared, both sums name the same value.
         concat[12 + 16] = 0;
         concat[12 + 17] = 0;
@@ -225,14 +237,17 @@ proptest! {
         );
     }
 
-    /// A segment emitted in two parts — the 40-byte head and the payload
-    /// as body — decodes to the same headers and data as the one-piece
-    /// concatenation and as any other split of it, and the emitted form's
-    /// data is the body itself, not a copy.
+    /// A segment emitted in two parts — the head (IPv4 and TCP headers,
+    /// then the payload's bytes of an earlier send, if any) and the rest
+    /// of the payload as body — decodes to the same headers and data as
+    /// the one-piece concatenation and as any other split of it, and the
+    /// emitted form's data is the head's leftover bytes and the body
+    /// itself, neither a copy.
     #[test]
     fn segment_emitted_in_two_parts_decodes_to_same_header_and_data(
         payload in proptest::collection::vec(any::<u8>(), 0..9_101),
         numbers in any::<(u32, u32, u16)>(),
+        lead in any::<usize>(),
         cut in any::<usize>(),
         padded in any::<bool>(),
     ) {
@@ -250,14 +265,20 @@ proptest! {
             ident: 7,
             payload_len: (TCP_HEADER + payload.len()) as u16,
         };
-        let head = seg.packet_head(&ip, &payload);
-        let mut body = payload.clone();
+        let lead = lead % (payload.len() + 1);
+        let sent = Parts::new(
+            Bytes::copy_from_slice(&payload[..lead]),
+            Bytes::copy_from_slice(&payload[lead..]),
+        );
+        let head = seg.packet_head(&ip, &sent);
+        let mut body = sent.body.to_vec();
         if padded {
-            body.resize(body.len().max(46 - 40), 0); // Ethernet padding
+            body.resize(body.len().max(46 - head.len().min(46)), 0); // Ethernet padding
         }
         let body = Bytes::from(body);
         let wire = [&head[..], &body[..]].concat();
         let cut = cut % (wire.len() + 1);
+        let whole = Parts::from(Bytes::copy_from_slice(&payload));
         for f in [
             frame(head.clone(), body.clone()),
             frame(Bytes::new(), Bytes::from(wire.clone())),
@@ -267,12 +288,16 @@ proptest! {
             prop_assert_eq!(parsed_ip, ip);
             let (parsed, data) = Segment::decode(ip.src, ip.dst, &tcp, data).unwrap();
             prop_assert_eq!(parsed, seg);
-            prop_assert_eq!(&data[..], &payload[..]);
+            prop_assert_eq!(&data, &whole);
         }
-        let (_, tcp, data) = decode_packet(&frame(head, body.clone())).unwrap();
+        let (_, tcp, data) = decode_packet(&frame(head.clone(), body.clone())).unwrap();
         let (_, data) = Segment::decode(ip.src, ip.dst, &tcp, data).unwrap();
-        if !data.is_empty() {
-            prop_assert_eq!(data.as_ptr(), body.as_ptr(), "data copied");
+        if !data.head.is_empty() {
+            let at = IPV4_HEADER + TCP_HEADER;
+            prop_assert_eq!(data.head.as_ptr(), head[at..].as_ptr(), "head bytes copied");
+        }
+        if !data.body.is_empty() {
+            prop_assert_eq!(data.body.as_ptr(), body.as_ptr(), "data copied");
         }
     }
 }

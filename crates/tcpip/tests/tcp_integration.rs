@@ -181,16 +181,33 @@ fn reads_share_the_senders_buffer() {
     TcpStack::send(&a.tcp, &mut sim, client, first.clone());
     TcpStack::send(&a.tcp, &mut sim, client, second.clone());
     sim.run();
+    {
+        let reads = reads.borrow();
+        assert_eq!(reads.len(), 3);
+        assert_eq!(reads[0], first.slice(..1_000));
+        assert!(inside(&reads[0], &first), "a read inside one send: shared");
+        assert_eq!(
+            &reads[1][..],
+            &[&first[1_000..], &second[..4_000]].concat()[..]
+        );
+        assert_eq!(reads[2], second.slice(4_000..));
+        assert!(inside(&reads[2], &second), "a read inside one send: shared");
+    }
+
+    // A segment that spans two sends carries the earlier send's bytes in
+    // its head and the later send's as its body, a slice: reading exactly
+    // the later send gets the sender's buffer, its first segment included.
+    // The earlier send outruns the window, so its last segment is cut
+    // only after the later send has joined the socket buffer.
+    let (earlier, later) = (payload(100_001), payload(5_007).slice(7..));
+    read(&mut sim, earlier.len());
+    read(&mut sim, later.len());
+    TcpStack::send(&a.tcp, &mut sim, client, earlier.clone());
+    TcpStack::send(&a.tcp, &mut sim, client, later.clone());
+    sim.run();
     let reads = reads.borrow();
-    assert_eq!(reads.len(), 3);
-    assert_eq!(reads[0], first.slice(..1_000));
-    assert!(inside(&reads[0], &first), "a read inside one send: shared");
-    assert_eq!(
-        &reads[1][..],
-        &[&first[1_000..], &second[..4_000]].concat()[..]
-    );
-    assert_eq!(reads[2], second.slice(4_000..));
-    assert!(inside(&reads[2], &second), "a read inside one send: shared");
+    assert_eq!(reads[3..], [earlier, later.clone()]);
+    assert!(inside(&reads[4], &later), "the later send's bytes copied");
 }
 
 #[test]
